@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
+
+from envpin import pin_threads  # noqa: E402
+
+pin_threads()
