@@ -1,13 +1,19 @@
-"""Versioned text checkpoints: vocabulary, embedding table, heads, config.
+"""Versioned checkpoints: vocabulary, embedding table, heads, config.
 
-Checkpoints are JSON with floats in shortest round-trip decimals, so a
-save/load cycle is value-exact and re-saving an unchanged model is
-byte-identical.
+A checkpoint is a JSON file plus one ``<stem>.<name>.npy`` sidecar per
+matrix with a row per vocabulary entry (the embedding table, and the
+prediction weights of an untied definition head).  The JSON holds everything
+else, with floats in shortest round-trip decimals, and names each sidecar
+together with the sha256 of its bytes, so the JSON's bytes pin the whole
+checkpoint.  A save/load cycle is value-exact and re-saving an unchanged
+model is byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,10 +22,11 @@ import numpy as np
 
 from .encoder import CLS_TOKEN, UNK_TOKEN, ToyEncoder, Vocabulary
 from .errors import InvalidInputError
+from .fileio import atomic_write
 from .objectives import NliHead, TrainConfig, WordPredictionHead
 
 FORMAT = "sentsig-checkpoint"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -30,13 +37,50 @@ class Checkpoint:
     train_config: TrainConfig | None = None
 
 
-def _matrix(a: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in a]
+def _floats(a: np.ndarray) -> list:
+    """Nested lists of Python floats, which JSON writes in shortest round-trip form."""
+    return np.asarray(a, dtype=np.float64).tolist()
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
+    sidecar = path.with_name(f"{path.stem}.{name}.npy")
+    with atomic_write(sidecar, binary=True) as fh:
+        np.save(fh, np.ascontiguousarray(array, dtype=np.float64), allow_pickle=False)
+    return {"file": sidecar.name, "sha256": _sha256(sidecar)}
 
 
 def save_checkpoint(path, encoder: ToyEncoder, nli_head: NliHead | None = None,
                     def_head: WordPredictionHead | None = None,
                     train_config: TrainConfig | None = None) -> None:
+    """Write the sidecars, then the JSON that names them; each file is replaced atomically.
+
+    Every array is checked before anything is written: a model holding NaN or
+    Inf (a diverged run) raises :class:`InvalidInputError` and writes nothing.
+    The JSON goes last, so a checkpoint without its sidecars is never
+    committed.
+    """
+    path = Path(path)
+    arrays = {"table": encoder.table}
+    if nli_head is not None:
+        arrays["nli_head.W"] = nli_head.W
+        if nli_head.b is not None:
+            arrays["nli_head.b"] = nli_head.b
+    if def_head is not None:
+        arrays["def_head.bias"] = def_head.bias
+        if not def_head.tied:
+            arrays["def_head.weights"] = def_head.weights
+    for name, array in arrays.items():
+        if not np.all(np.isfinite(array)):
+            raise InvalidInputError(f"{path}: {name} contains NaN or Inf; the model diverged")
+
     payload = {
         "format": FORMAT,
         "version": VERSION,
@@ -44,58 +88,104 @@ def save_checkpoint(path, encoder: ToyEncoder, nli_head: NliHead | None = None,
         "dim": encoder.dim,
         "max_tokens": encoder.max_tokens,
         "vocab": encoder.vocab.words,
-        "table": _matrix(encoder.table),
+        "table": _write_sidecar(path, "table", encoder.table),
         "nli_head": None,
         "def_head": None,
         "train_config": dataclasses.asdict(train_config) if train_config else None,
     }
     if nli_head is not None:
         payload["nli_head"] = {
-            "W": _matrix(nli_head.W),
-            "b": [float(x) for x in nli_head.b] if nli_head.b is not None else None,
+            "W": _floats(nli_head.W),
+            "b": _floats(nli_head.b) if nli_head.b is not None else None,
         }
     if def_head is not None:
         payload["def_head"] = {
             "tied": def_head.tied,
-            "weights": None if def_head.tied else _matrix(def_head.weights),
-            "bias": [float(x) for x in def_head.bias],
+            "weights": None if def_head.tied else _write_sidecar(path, "def_weights",
+                                                                 def_head.weights),
+            "bias": _floats(def_head.bias),
         }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != FORMAT:
-        raise InvalidInputError(f"{path}: not a {FORMAT} file")
-    if payload.get("version") != VERSION:
-        raise InvalidInputError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+def _read_sidecar(path: Path, ref: dict, shape: tuple[int, int]) -> np.ndarray:
+    """The array a sidecar reference names, after checking its sha256, dtype and shape."""
+    name = ref["file"]
+    if not isinstance(name, str) or Path(name).name != name or name in ("", ".", ".."):
+        raise InvalidInputError(f"sidecar name must be a plain file name, got {name!r}")
+    sidecar = path.with_name(name)
+    try:
+        data = sidecar.read_bytes()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read sidecar {sidecar}: {exc.strerror}") from None
+    if hashlib.sha256(data).hexdigest() != ref["sha256"]:
+        raise InvalidInputError(f"sidecar {name} does not match the sha256 in the checkpoint")
+    try:
+        array = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    except ValueError as exc:
+        raise InvalidInputError(f"sidecar {name} is not a .npy array: {exc}") from None
+    if array.dtype != np.float64 or array.shape != shape:
+        raise InvalidInputError(
+            f"sidecar {name} holds {array.dtype} {array.shape}, expected float64 {shape}")
+    return array
+
+
+def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    if array.shape != shape:
+        raise InvalidInputError(f"{what} has shape {array.shape}, expected {shape}")
+    return array
+
+
+def _parse(path: Path, payload: dict) -> Checkpoint:
     words = payload["vocab"]
-    if words[:2] != [CLS_TOKEN, UNK_TOKEN]:
-        raise InvalidInputError(f"{path}: vocabulary is missing the reserved entries")
+    if not isinstance(words, list) or words[:2] != [CLS_TOKEN, UNK_TOKEN]:
+        raise InvalidInputError("vocabulary is missing the reserved entries")
     vocab = Vocabulary(words[2:])
-    encoder = ToyEncoder(vocab, np.array(payload["table"], dtype=np.float64),
+    V, dim = len(vocab), payload["dim"]
+    if not isinstance(dim, int) or dim < 1:
+        raise InvalidInputError(f"dim must be a positive integer, got {dim!r}")
+    encoder = ToyEncoder(vocab, _read_sidecar(path, payload["table"], (V, dim)),
                          pooling=payload["pooling"], max_tokens=payload["max_tokens"],
                          name=path.stem)
     nli_head = None
     if payload["nli_head"] is not None:
         raw = payload["nli_head"]
-        b = None if raw["b"] is None else np.array(raw["b"], dtype=np.float64)
-        nli_head = NliHead(np.array(raw["W"], dtype=np.float64), b)
+        b = None if raw["b"] is None else _float_array(raw["b"], (3,), "NLI head bias")
+        nli_head = NliHead(_float_array(raw["W"], (3, 3 * dim), "NLI head weights"), b)
     def_head = None
     if payload["def_head"] is not None:
         raw = payload["def_head"]
-        bias = np.array(raw["bias"], dtype=np.float64)
+        bias = _float_array(raw["bias"], (V,), "definition head bias")
         if raw["tied"]:
             def_head = WordPredictionHead(encoder.table, bias, tied=True)
         else:
-            def_head = WordPredictionHead(np.array(raw["weights"], dtype=np.float64),
+            def_head = WordPredictionHead(_read_sidecar(path, raw["weights"], (V, dim)),
                                           bias, tied=False)
     train_config = None
     if payload["train_config"] is not None:
         train_config = TrainConfig(**payload["train_config"])
     return Checkpoint(encoder=encoder, nli_head=nli_head, def_head=def_head,
                       train_config=train_config)
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint and its sidecars; any defect raises :class:`InvalidInputError`."""
+    path = Path(path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # malformed JSON or UTF-8
+        raise InvalidInputError(f"{path}: not a readable checkpoint: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
+        raise InvalidInputError(f"{path}: not a {FORMAT} file")
+    if payload.get("version") != VERSION:
+        raise InvalidInputError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    try:
+        return _parse(path, payload)
+    except KeyError as exc:
+        raise InvalidInputError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:  # InvalidInputError included: add the path
+        raise InvalidInputError(f"{path}: {exc}") from None

@@ -13,7 +13,6 @@ import argparse
 import configparser
 import dataclasses
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .corpus import Partition, dice, load_definitions, load_nli, load_sts, parti
 from .encoder import EmbeddingStore, ToyEncoder, build_vocab, load_dump, save_dump
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
+from .fileio import atomic_write
 from .objectives import MultiSchedule, TrainConfig
 
 TRAIN_METHODS = ("sbert", "defsent", "s+d", "d+s", "multi")
@@ -89,7 +89,10 @@ def parse_seed_list(text: str) -> list[int]:
     parts = text.replace(",", " ").split()
     if not parts:
         raise InvalidInputError("empty seed list")
-    return [int(p) for p in parts]
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise InvalidInputError(f"seed list {text!r}: seeds must be integers") from None
 
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -145,7 +148,11 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
                         raise InvalidInputError(f"[{section}] {key}: expected a boolean, got {raw!r}")
                     value = _BOOL[raw.lower()]
                 else:
-                    value = conv(raw)
+                    try:
+                        value = conv(raw)
+                    except ValueError as exc:
+                        raise InvalidInputError(
+                            f"[{section}] {key}: invalid value {raw!r} ({exc})") from None
                 setattr(cfg, attr, value)
     # flags win over config file values
     for flag, attr in (("method", "method"), ("pooling", "pooling"), ("dim", "dim"),
@@ -169,11 +176,9 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
 # ---------------------------------------------------------------------------
 
 def _write_json(path: Path, obj) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
@@ -415,7 +420,7 @@ def _write_eval_outputs(out: Path, sts_report: StsReport | None, probe_results: 
     if probe_results:
         means = {name: r["accuracy_x100_mean"] / 100.0 for name, r in probe_results.items()}
         sections.append(probe_results_to_markdown(means))
-    with open(out / "report.md", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out / "report.md") as fh:
         fh.write("\n".join(sections) if sections else "nothing evaluated\n")
     return {"report_json": str(out / "report.json"), "report_md": str(out / "report.md")}
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .corpus import tokenize
 from .errors import InvalidInputError, MissingEmbeddingError, ParseError
+from .fileio import atomic_write
 from .numstat import as_matrix, make_rng
 
 CLS_TOKEN = "[CLS]"
@@ -192,8 +193,8 @@ class EmbeddingStore:
 
 
 def save_dump(store: EmbeddingStore, path) -> None:
-    """Write a store as a text dump; floats use shortest round-trip decimals."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a store as a text dump (atomically); floats use shortest round-trip decimals."""
+    with atomic_write(path) as fh:
         fh.write(f"dim={store.dim}\n")
         for sentence, vec in store.items():
             fh.write(sentence)

@@ -106,10 +106,14 @@ def spearman(x, y) -> float:
 
 
 def softmax(logits) -> np.ndarray:
-    """Numerically stable softmax (max logit subtracted before exponentiation)."""
-    z = as_vector(logits)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Numerically stable softmax (max logit subtracted before exponentiation).
+
+    A matrix is normalised row by row.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    z = as_matrix(z) if z.ndim == 2 else as_vector(z)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probs, gold: int) -> float:

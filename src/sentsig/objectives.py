@@ -226,45 +226,59 @@ def nli_loss_and_grads(batch: list[NliExample], encoder: ToyEncoder, head: NliHe
 
 
 def def_forward(s: np.ndarray, head: WordPredictionHead) -> np.ndarray:
-    """Logits over the vocabulary: weights s + bias."""
-    if head.weights.shape[1] != s.shape[0]:
+    """Logits over the vocabulary: weights s + bias.
+
+    ``s`` is one pooled embedding (d,) or a batch of them as rows (B, d); the
+    logits are (V,) or (B, V).
+    """
+    if s.ndim not in (1, 2) or head.weights.shape[1] != s.shape[-1]:
         raise InvalidInputError(
-            f"head expects embedding dim {head.weights.shape[1]}, got {s.shape[0]}")
-    return head.weights @ s + head.bias
+            f"head expects embeddings of dim {head.weights.shape[1]}, got shape {s.shape}")
+    return s @ head.weights.T + head.bias
 
 
 def def_loss_and_grads(batch: list[DefinitionExample], encoder: ToyEncoder,
                        head: WordPredictionHead):
     """Mean cross-entropy of headword prediction and gradients.
 
-    Every headword must be a vocabulary entry.  With a tied head the table
-    gradient accumulates both the encoder path and the output-layer path.
+    The head runs once per batch: the pooled definitions are stacked into
+    S (B x d), a row-wise softmax of the logits gives G = P - onehot(gold),
+    and the gradients are G^T S for the weights, the column sums of G for the
+    bias and G W for S, whose rows are routed back through the pooling one
+    example at a time.  Every headword must be a vocabulary entry.  With a
+    tied head the table gradient accumulates both the encoder path and the
+    output-layer path.
     """
     if not batch:
         raise InvalidInputError("empty definition batch")
-    table_grad = np.zeros_like(encoder.table)
-    out_grad = np.zeros_like(head.weights)
-    bias_grad = np.zeros_like(head.bias)
-    total = 0.0
+    golds, rows, caches = [], [], []
     for ex in batch:
         if ex.word not in encoder.vocab:
             raise InvalidInputError(f"headword {ex.word!r} is not in the vocabulary")
-        gold = encoder.vocab.index(ex.word)
+        golds.append(encoder.vocab.index(ex.word))
         s, cache = _embed_forward(encoder, tokenize(ex.definition))
-        probs = softmax(head.weights @ s + head.bias)
-        total += cross_entropy(probs, gold)
-        g = probs.copy()
-        g[gold] -= 1.0
-        out_grad += np.outer(g, s)
-        bias_grad += g
-        ds = head.weights.T @ g
-        _embed_backward(encoder, cache, ds, table_grad)
+        rows.append(s)
+        caches.append(cache)
     m = len(batch)
+    S = np.stack(rows)
+    G = softmax(def_forward(S, head))  # P now; P - onehot(gold) after the losses are read
+    total = 0.0
+    for probs, gold in zip(G, golds):
+        total += cross_entropy(probs, gold)
+    G[np.arange(m), golds] -= 1.0
+    out_grad = G.T @ S
+    bias_grad = G.sum(axis=0)
+    dS = G @ head.weights
+    # tied: the encoder path accumulates onto the output-layer gradient of the same table
+    table_grad = out_grad if head.tied else np.zeros_like(encoder.table)
+    for cache, ds in zip(caches, dS):
+        _embed_backward(encoder, cache, ds, table_grad)
+    table_grad /= m
+    bias_grad /= m
     if head.tied:
-        grads = {"table": (table_grad + out_grad) / m, "def_bias": bias_grad / m}
-    else:
-        grads = {"table": table_grad / m, "def_W": out_grad / m, "def_bias": bias_grad / m}
-    return total / m, grads
+        return total / m, {"table": table_grad, "def_bias": bias_grad}
+    out_grad /= m
+    return total / m, {"table": table_grad, "def_W": out_grad, "def_bias": bias_grad}
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +290,8 @@ class Adam:
 
     A call to :meth:`step` touches only the parameters named in ``grads``
     (multi-task streams update disjoint heads); each parameter keeps its own
-    step counter for bias correction.
+    step counter for bias correction.  The update is dense and allocates
+    nothing: its temporaries live in one scratch buffer per parameter.
     """
 
     def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
@@ -288,6 +303,7 @@ class Adam:
         self.m = {k: np.zeros_like(p) for k, p in params.items()}
         self.v = {k: np.zeros_like(p) for k, p in params.items()}
         self.t = {k: 0 for k in params}
+        self._scratch = {k: np.empty_like(p) for k, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         for name, g in grads.items():
@@ -299,13 +315,22 @@ class Adam:
             t = self.t[name]
             m = self.m[name]
             v = self.v[name]
+            s = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            # p -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
+            # and v_hat = v / (1 - beta2^t)
+            np.divide(v, 1.0 - self.beta2 ** t, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= lr / (1.0 - self.beta1 ** t)
+            p -= s
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10,

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from sentsig import cli
 from sentsig.checkpoint import load_checkpoint
 from sentsig.cli import main
 from sentsig.corpus import load_sts, save_definitions, save_nli, save_sts
@@ -159,6 +160,43 @@ class TestTrainCommand:
         out = tmp_path / "x"
         assert run(["train", "--method", "sbert", "--out", out]) == 2
         assert "NLI" in capsys.readouterr().err
+
+    def test_non_finite_table_exit_2_no_files(self, data, monkeypatch, capsys):
+        real = cli.run_pipeline
+
+        def diverged(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.encoder.table[3, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(cli, "run_pipeline", diverged)
+        out = data["root"] / "nan"
+        assert run(["train", "--method", "defsent", "--seed", 0, "--out", out,
+                    "--config", _config(data)]) == 2
+        assert "NaN or Inf" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+BAD_VALUES = [
+    ("[train]\ndim = abc\n", [], "[train] dim: invalid value 'abc'"),
+    ("[train]\nbase_lr = fast\n", [], "[train] base_lr: invalid value 'fast'"),
+    ("[train]\nseeds = 0 x\n", [], "[train] seeds: invalid value '0 x'"),
+    ("[probe]\nfolds = ten\n", [], "[probe] folds: invalid value 'ten'"),
+    ("", ["--seeds", "0 x"], "seed list '0 x'"),
+]
+
+
+@pytest.mark.parametrize("section, flags, message", BAD_VALUES,
+                         ids=["dim", "base_lr", "seeds", "probe-folds", "seeds-flag"])
+def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
+    cfg = data["root"] / "bad.ini"
+    cfg.write_text(f"[data]\nnli = {data['nli']}\n\n{section}")
+    out = data["root"] / "bad"
+    assert run(["train", "--method", "sbert", "--out", out, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert not (out / "manifest.json").exists()
 
 
 def _config(data):

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import check_def_instance, check_nli_instance
-from sentsig.corpus import DefinitionExample, NliExample
+from gradcheck import check_def_instance, check_nli_instance, random_def_instance
+from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
-from sentsig.numstat import make_rng
+from sentsig.numstat import cross_entropy, make_rng, softmax
 from sentsig.objectives import (
     Adam,
     BatchStream,
@@ -17,6 +17,8 @@ from sentsig.objectives import (
     NliHead,
     TrainConfig,
     WordPredictionHead,
+    _embed_backward,
+    _embed_forward,
     def_forward,
     def_loss_and_grads,
     example_token_length,
@@ -113,6 +115,46 @@ class TestDefForward:
                   for i in range(len(enc.vocab))]
         np.testing.assert_allclose(def_forward(s, head), oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_batch_rows_match_single_calls(self, tied):
+        rng = make_rng(14)
+        enc = tiny_encoder(seed=7)
+        head = WordPredictionHead.create(enc, tied=tied)
+        head.weights[:] = rng.normal(size=head.weights.shape)
+        head.bias[:] = rng.normal(size=len(enc.vocab))
+        S = rng.normal(size=(5, enc.dim))
+        batched = def_forward(S, head)
+        assert batched.shape == (5, len(enc.vocab))
+        for row, s in zip(batched, S):
+            np.testing.assert_allclose(row, def_forward(s, head), rtol=1e-13, atol=0)
+
+    def test_batch_dimension_mismatch(self):
+        head = WordPredictionHead.create(tiny_encoder(dim=4))
+        with pytest.raises(InvalidInputError):
+            def_forward(np.ones((2, 3)), head)
+
+
+def def_loss_and_grads_loop(batch, encoder, head):
+    """Reference: one softmax and one outer product per example."""
+    table_grad = np.zeros_like(encoder.table)
+    out_grad = np.zeros_like(head.weights)
+    bias_grad = np.zeros_like(head.bias)
+    total = 0.0
+    for ex in batch:
+        gold = encoder.vocab.index(ex.word)
+        s, cache = _embed_forward(encoder, tokenize(ex.definition))
+        probs = softmax(head.weights @ s + head.bias)
+        total += cross_entropy(probs, gold)
+        g = probs.copy()
+        g[gold] -= 1.0
+        out_grad += np.outer(g, s)
+        bias_grad += g
+        _embed_backward(encoder, cache, head.weights.T @ g, table_grad)
+    m = len(batch)
+    if head.tied:
+        return total / m, {"table": (table_grad + out_grad) / m, "def_bias": bias_grad / m}
+    return total / m, {"table": table_grad / m, "def_W": out_grad / m, "def_bias": bias_grad / m}
+
 
 class TestDefLoss:
     def test_symmetric_init_gives_ln_v(self):
@@ -136,6 +178,24 @@ class TestDefLoss:
         rng = make_rng(200)
         for _ in range(4):
             assert check_def_instance(rng, pooling, tied) < 1e-4
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_batched_kernel_matches_loop_oracle(self, pooling, tied):
+        # One matmul sums the B outer products in another order than the loop,
+        # so entries agree to rtol 1e-12 except where the B terms cancel: there
+        # the rounding error scales with the terms, so the absolute floor is
+        # 1e-13 (about 450 ulp) of the gradient's largest entry.
+        rng = make_rng(300)
+        for _ in range(10):
+            enc, head, batch, _ = random_def_instance(rng, pooling, tied, batch_max=9)
+            loss, grads = def_loss_and_grads(batch, enc, head)
+            ref_loss, ref_grads = def_loss_and_grads_loop(batch, enc, head)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
+                                           atol=1e-13 * np.abs(ref).max(), err_msg=name)
 
     def test_loss_strictly_decreases_on_toy_dictionary(self):
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
@@ -189,6 +249,28 @@ class TestAdam:
         opt.step({"a": np.ones(2)}, lr=0.1)
         np.testing.assert_array_equal(pb, [1.0, 1.0])
         assert opt.t == {"a": 1, "b": 0}
+
+    def test_five_steps_match_textbook_update(self):
+        rng = make_rng(22)
+        params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        expected = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        opt = Adam(params, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                m_hat = m[k] / (1 - b1**t)
+                v_hat = v[k] / (1 - b2**t)
+                expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step(grads, lr)
+        for k in params:
+            np.testing.assert_allclose(params[k], expected[k], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(opt.m[k], m[k], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(opt.v[k], v[k], rtol=1e-14, atol=0)
 
     def test_shape_mismatch(self):
         opt = Adam({"p": np.ones(2)})
