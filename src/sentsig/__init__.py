@@ -24,7 +24,7 @@ from .corpus import (
     partition_by_source,
     tokenize,
 )
-from .encoder import EmbeddingStore, ToyEncoder, Vocabulary, build_vocab, load_dump, pool, save_dump
+from .encoder import EmbeddingStore, ToyEncoder, Vocabulary, build_vocab, load_dump, save_dump
 from .evalsuite import (
     ProbeConfig,
     ProbeTask,
@@ -48,11 +48,8 @@ from .objectives import (
     def_forward,
     def_loss_and_grads,
     lr_at,
-    lr_grid_search,
     nli_forward,
     nli_loss_and_grads,
     smart_batches,
-    train_defsent,
-    train_multi,
-    train_sbert,
+    train,
 )

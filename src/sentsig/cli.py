@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .combiner import CombinedProvider, PipelineSpec, run_pipeline
-from .corpus import Partition, dice, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, save_sts
+from .corpus import Partition, dice, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
 from .encoder import EmbeddingStore, ToyEncoder, build_vocab, load_dump, save_dump
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
@@ -34,7 +34,10 @@ METHODS = TRAIN_METHODS + ("average", "concat", "none")
 
 @dataclass
 class ExperimentConfig:
-    """Effective settings of a run: config file values with flag overrides applied."""
+    """Effective settings of a run: config file values with flag overrides applied.
+
+    ``train.seed`` is unused: each training run takes its seed from ``seeds``.
+    """
 
     method: str = "sbert"
     dim: int = 16
@@ -45,40 +48,10 @@ class ExperimentConfig:
     sts: str | None = None
     nli: str | None = None
     definitions: str | None = None
-    batch_size: int = 16
-    epochs: int = 1
-    base_lr: float = 1e-3
-    warmup_fraction: float = 0.10
-    smart_batching: bool = True
-    bucket_width: int = 8
-    lr_decay: str = "constant"
-    tied_head: bool = True
-    head_bias: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     nli_cycle: int = 19
     def_cycle: int = 1
-    probe_folds: int = 10
-    probe_batch_size: int = 64
-    probe_epochs: int = 4
-    probe_lr: float = 1e-3
-    probe_seed: int = 0
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size, epochs=self.epochs, beta1=self.beta1,
-            beta2=self.beta2, eps=self.eps, base_lr=self.base_lr,
-            warmup_fraction=self.warmup_fraction, seed=seed,
-            smart_batching=self.smart_batching, bucket_width=self.bucket_width,
-            lr_decay=self.lr_decay, tied_head=self.tied_head, head_bias=self.head_bias,
-        )
-
-    def probe_config(self) -> ProbeConfig:
-        return ProbeConfig(folds=self.probe_folds, batch_size=self.probe_batch_size,
-                           epochs=self.probe_epochs, lr=self.probe_lr,
-                           beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                           seed=self.probe_seed)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    probe: ProbeConfig = field(default_factory=ProbeConfig)
 
     def schedule(self) -> MultiSchedule:
         return MultiSchedule(nli_steps_per_cycle=self.nli_cycle,
@@ -97,63 +70,76 @@ def parse_seed_list(text: str) -> list[int]:
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-# (section, key) -> ExperimentConfig attribute and type
-_CONFIG_KEYS = {
-    ("data", "sts"): ("sts", str),
-    ("data", "nli"): ("nli", str),
-    ("data", "definitions"): ("definitions", str),
-    ("train", "method"): ("method", str),
-    ("train", "dim"): ("dim", int),
-    ("train", "pooling"): ("pooling", str),
-    ("train", "min_count"): ("min_count", int),
-    ("train", "seeds"): ("seeds", parse_seed_list),
-    ("train", "out"): ("out", str),
-    ("train", "batch_size"): ("batch_size", int),
-    ("train", "epochs"): ("epochs", int),
-    ("train", "base_lr"): ("base_lr", float),
-    ("train", "warmup_fraction"): ("warmup_fraction", float),
-    ("train", "smart_batching"): ("smart_batching", "bool"),
-    ("train", "bucket_width"): ("bucket_width", int),
-    ("train", "lr_decay"): ("lr_decay", str),
-    ("train", "tied_head"): ("tied_head", "bool"),
-    ("train", "head_bias"): ("head_bias", "bool"),
-    ("train", "beta1"): ("beta1", float),
-    ("train", "beta2"): ("beta2", float),
-    ("train", "eps"): ("eps", float),
-    ("train", "nli_cycle"): ("nli_cycle", int),
-    ("train", "def_cycle"): ("def_cycle", int),
-    ("probe", "folds"): ("probe_folds", int),
-    ("probe", "batch_size"): ("probe_batch_size", int),
-    ("probe", "epochs"): ("probe_epochs", int),
-    ("probe", "lr"): ("probe_lr", float),
-    ("probe", "seed"): ("probe_seed", int),
-}
+
+# the probe's Adam constants are the [train] ones
+_SHARED_ADAM = ("beta1", "beta2", "eps")
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in _BOOL:
+        raise ValueError("expected a boolean")
+    return _BOOL[text.lower()]
+
+
+def _converter(f: dataclasses.Field):
+    """Parser of a config value, chosen by the type of the field's default."""
+    default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, list):
+        return parse_seed_list
+    return str if default is None else type(default)
+
+
+def _config_keys() -> dict:
+    """(section, key) -> (sub-config or None, field name, converter).
+
+    ``[data]`` holds the dataset paths and ``[train]`` the other run fields
+    plus every TrainConfig field but ``seed``.  ``[probe]`` holds the
+    ProbeConfig fields but the Adam constants, which come from ``[train]``.
+    """
+    keys = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in ("train", "probe"):
+            section = "data" if f.name in ("sts", "nli", "definitions") else "train"
+            keys[section, f.name] = (None, f.name, _converter(f))
+    for f in dataclasses.fields(TrainConfig):
+        if f.name != "seed":
+            keys["train", f.name] = ("train", f.name, _converter(f))
+    for f in dataclasses.fields(ProbeConfig):
+        if f.name not in _SHARED_ADAM:
+            keys["probe", f.name] = ("probe", f.name, _converter(f))
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def load_experiment_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    values = {None: {}, "train": {}, "probe": {}}
     if path:
         parser = configparser.ConfigParser()
-        read = parser.read(path, encoding="utf-8")
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"config file {path}: {exc}") from None
         if not read:
             raise InvalidInputError(f"config file not found: {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                spec = _CONFIG_KEYS.get((section, key))
+                spec = CONFIG_KEYS.get((section, key))
                 if spec is None:
                     raise InvalidInputError(f"unknown config key [{section}] {key}")
-                attr, conv = spec
-                if conv == "bool":
-                    if raw.lower() not in _BOOL:
-                        raise InvalidInputError(f"[{section}] {key}: expected a boolean, got {raw!r}")
-                    value = _BOOL[raw.lower()]
-                else:
-                    try:
-                        value = conv(raw)
-                    except ValueError as exc:
-                        raise InvalidInputError(
-                            f"[{section}] {key}: invalid value {raw!r} ({exc})") from None
-                setattr(cfg, attr, value)
+                target, name, conv = spec
+                try:
+                    values[target][name] = conv(raw)
+                except ValueError as exc:
+                    raise InvalidInputError(
+                        f"[{section}] {key}: invalid value {raw!r} ({exc})") from None
+                if target == "train" and name in _SHARED_ADAM:
+                    values["probe"][name] = values["train"][name]
+    cfg = ExperimentConfig(**values[None], train=TrainConfig(**values["train"]),
+                           probe=ProbeConfig(**values["probe"]))
     # flags win over config file values
     for flag, attr in (("method", "method"), ("pooling", "pooling"), ("dim", "dim"),
                        ("out", "out")):
@@ -212,11 +198,11 @@ def load_provider(path):
     p = Path(path)
     if not p.exists():
         raise InvalidInputError(f"provider file not found: {p}")
-    with open(p, encoding="utf-8") as fh:
+    with open(p, "rb") as fh:
         head = fh.read(4)
-    if head.startswith("dim="):
+    if head.startswith(b"dim="):
         return load_dump(p)
-    if head.startswith("{"):
+    if head.startswith(b"{"):
         return load_checkpoint(p).encoder
     raise InvalidInputError(f"{p}: neither an embedding dump nor a checkpoint")
 
@@ -299,7 +285,8 @@ def cmd_train(args) -> int:
     stage_logs = {}
     for seed in cfg.seeds:
         encoder = ToyEncoder.create(vocab, cfg.dim, cfg.pooling, seed=seed)
-        spec = PipelineSpec.from_method(cfg.method, cfg.train_config(seed), cfg.schedule())
+        train_config = dataclasses.replace(cfg.train, seed=seed)
+        spec = PipelineSpec.from_method(cfg.method, train_config, cfg.schedule())
         result = run_pipeline(spec, encoder, nli_data, def_data)
         nli_head = def_head = None
         stages = []
@@ -316,7 +303,7 @@ def cmd_train(args) -> int:
             })
         ckpt = out / f"checkpoint-seed{seed}.json"
         save_checkpoint(ckpt, result.encoder, nli_head=nli_head, def_head=def_head,
-                        train_config=cfg.train_config(seed))
+                        train_config=train_config)
         artifacts[f"seed{seed}"] = str(ckpt)
         stage_logs[f"seed{seed}"] = stages
         print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {ckpt}")
@@ -342,16 +329,12 @@ def cmd_embed(args) -> int:
     sentences = []
     seen = set()
     duplicates = 0
-    with open(args.sentences, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line in seen:
-                duplicates += 1
-                continue
-            seen.add(line)
-            sentences.append(line)
+    for _, line in read_lines(args.sentences):
+        if line in seen:
+            duplicates += 1
+            continue
+        seen.add(line)
+        sentences.append(line)
     if duplicates:
         print(f"warning: skipped {duplicates} duplicate sentence(s)", file=sys.stderr)
     store = EmbeddingStore(provider.dim, name=provider.name)
@@ -392,22 +375,6 @@ def _sts_input_partition(args) -> Partition | None:
     return None
 
 
-def _evaluate_providers(providers, partition, probe_paths, probe_config):
-    sts_report = None
-    if partition is not None:
-        reports = [eval_sts_partitioned(p, partition, seed=i) for i, p in enumerate(providers)]
-        sts_report = reports[0] if len(reports) == 1 else aggregate_seeds(reports)
-    probe_results = {}
-    for probe_path in probe_paths or []:
-        task = load_probe_task(probe_path)
-        accuracies = [eval_probe(p, task, probe_config) for p in providers]
-        probe_results[task.name] = {
-            "accuracy_x100_mean": 100.0 * sum(accuracies) / len(accuracies),
-            "per_provider_x100": [100.0 * a for a in accuracies],
-        }
-    return sts_report, probe_results
-
-
 def _write_eval_outputs(out: Path, sts_report: StsReport | None, probe_results: dict) -> dict:
     report = {
         "sts": sts_report.to_json_dict() if sts_report else None,
@@ -426,42 +393,38 @@ def _write_eval_outputs(out: Path, sts_report: StsReport | None, probe_results: 
 
 
 def cmd_eval(args) -> int:
+    """``eval`` scores the given providers; ``combine-eval`` scores --a/--b combinations."""
     started = time.perf_counter()
     cfg = load_experiment_config(args.config, args)
     out = _out_dir(cfg.out)
-    providers = [load_provider(p) for p in args.providers]
+    if args.command == "combine-eval":
+        if len(args.a) != len(args.b):
+            raise InvalidInputError("--a and --b must be given the same number of times")
+        providers = [CombinedProvider(args.mode, load_provider(pa), load_provider(pb))
+                     for pa, pb in zip(args.a, args.b)]
+        inputs = {"mode": args.mode, "providers_a": list(args.a), "providers_b": list(args.b)}
+    else:
+        providers = [load_provider(p) for p in args.providers]
+        inputs = {"providers": list(args.providers)}
     partition = _sts_input_partition(args)
     if partition is None and not args.probe:
         raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir or --probe")
-    sts_report, probe_results = _evaluate_providers(providers, partition, args.probe,
-                                                    cfg.probe_config())
+    sts_report = None
+    if partition is not None:
+        reports = [eval_sts_partitioned(p, partition, seed=i) for i, p in enumerate(providers)]
+        sts_report = reports[0] if len(reports) == 1 else aggregate_seeds(reports)
+    probe_results = {}
+    for probe_path in args.probe or []:
+        task = load_probe_task(probe_path)
+        accuracies = [eval_probe(p, task, cfg.probe) for p in providers]
+        probe_results[task.name] = {
+            "accuracy_x100_mean": 100.0 * sum(accuracies) / len(accuracies),
+            "per_provider_x100": [100.0 * a for a in accuracies],
+        }
     artifacts = _write_eval_outputs(out, sts_report, probe_results)
     if sts_report:
         print(sts_report.to_markdown())
-    _write_manifest(out, "eval", _config_snapshot(cfg), artifacts, started,
-                    extra={"providers": list(args.providers)})
-    return 0
-
-
-def cmd_combine_eval(args) -> int:
-    started = time.perf_counter()
-    cfg = load_experiment_config(args.config, args)
-    out = _out_dir(cfg.out)
-    if len(args.a) != len(args.b):
-        raise InvalidInputError("--a and --b must be given the same number of times")
-    providers = [CombinedProvider(args.mode, load_provider(pa), load_provider(pb))
-                 for pa, pb in zip(args.a, args.b)]
-    partition = _sts_input_partition(args)
-    if partition is None and not args.probe:
-        raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir or --probe")
-    sts_report, probe_results = _evaluate_providers(providers, partition, args.probe,
-                                                    cfg.probe_config())
-    artifacts = _write_eval_outputs(out, sts_report, probe_results)
-    if sts_report:
-        print(sts_report.to_markdown())
-    _write_manifest(out, "combine-eval", _config_snapshot(cfg), artifacts, started,
-                    extra={"mode": args.mode, "providers_a": list(args.a),
-                           "providers_b": list(args.b)})
+    _write_manifest(out, args.command, _config_snapshot(cfg), artifacts, started, extra=inputs)
     return 0
 
 
@@ -523,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition-dir")
     p.add_argument("--probe", action="append")
     _add_common(p)
-    p.set_defaults(func=cmd_combine_eval)
+    p.set_defaults(func=cmd_eval)
 
     return parser
 

@@ -9,7 +9,7 @@ import numpy as np
 from .corpus import DefinitionExample, NliExample
 from .encoder import EmbeddingProvider, ToyEncoder
 from .errors import InvalidInputError
-from .objectives import MultiSchedule, TrainConfig, TrainResult, train_defsent, train_multi, train_sbert
+from .objectives import MultiSchedule, TrainConfig, TrainResult, train
 
 STAGES = ("sbert", "defsent", "multi")
 COMBINE_MODES = ("average", "concat")
@@ -103,16 +103,12 @@ def run_pipeline(spec: PipelineSpec, encoder: ToyEncoder,
     """
     stage_results = []
     for stage, config in zip(spec.stages, spec.configs):
-        if stage == "sbert":
-            if not nli_data:
-                raise InvalidInputError("sbert stage requires an NLI dataset")
-            stage_results.append(train_sbert(encoder, nli_data, config))
-        elif stage == "defsent":
-            if not def_data:
-                raise InvalidInputError("defsent stage requires a definition dataset")
-            stage_results.append(train_defsent(encoder, def_data, config))
-        else:
-            if not nli_data or not def_data:
-                raise InvalidInputError("multi stage requires both datasets")
-            stage_results.append(train_multi(encoder, nli_data, def_data, config, spec.schedule))
+        uses_nli = stage in ("sbert", "multi")
+        uses_def = stage in ("defsent", "multi")
+        if uses_nli and not nli_data:
+            raise InvalidInputError(f"{stage} stage requires an NLI dataset")
+        if uses_def and not def_data:
+            raise InvalidInputError(f"{stage} stage requires a definition dataset")
+        stage_results.append(train(encoder, config, nli_data if uses_nli else None,
+                                   def_data if uses_def else None, spec.schedule))
     return PipelineResult(encoder=encoder, stage_results=stage_results)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidInputError, ParseError
+from .fileio import atomic_write
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
 SPLITS = ("train", "dev", "test", "none")
@@ -166,13 +167,31 @@ def concat_subsets(partition: Partition) -> list[StsPair]:
     return out
 
 
-def _read_lines(path):
+def read_lines(path):
+    """(line number, line) for each nonempty line of a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise :class:`ParseError` naming the line that holds them.
+    """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line:
-                yield line_no, line
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, _first_non_utf8_line(path), f"not UTF-8 text ({exc.reason})") from None
+
+
+def _first_non_utf8_line(path: Path) -> int | None:
+    # the text reader decodes in chunks, so its error does not tell the line
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
 
 
 def _split_columns(path, line_no, line, expected: int):
@@ -185,7 +204,7 @@ def _split_columns(path, line_no, line, expected: int):
 def load_sts(path, split: str = "none") -> list[StsPair]:
     """Parse an STS file; every pair is tagged with the given split."""
     pairs = []
-    for line_no, line in _read_lines(path):
+    for line_no, line in read_lines(path):
         source, gold_text, s1, s2 = _split_columns(path, line_no, line, 4)
         try:
             gold = float(gold_text)
@@ -200,7 +219,7 @@ def load_sts(path, split: str = "none") -> list[StsPair]:
 
 def load_nli(path) -> list[NliExample]:
     examples = []
-    for line_no, line in _read_lines(path):
+    for line_no, line in read_lines(path):
         label, premise, hypothesis = _split_columns(path, line_no, line, 3)
         try:
             examples.append(NliExample(premise=premise, hypothesis=hypothesis, label=label))
@@ -211,7 +230,7 @@ def load_nli(path) -> list[NliExample]:
 
 def load_definitions(path) -> list[DefinitionExample]:
     examples = []
-    for line_no, line in _read_lines(path):
+    for line_no, line in read_lines(path):
         word, definition = _split_columns(path, line_no, line, 2)
         try:
             examples.append(DefinitionExample(word=word, definition=definition))
@@ -221,19 +240,19 @@ def load_definitions(path) -> list[DefinitionExample]:
 
 
 def save_sts(pairs: list[StsPair], path) -> None:
-    """Write pairs in the 4-column STS format (inverse of ``load_sts``)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write pairs in the 4-column STS format (inverse of ``load_sts``), atomically."""
+    with atomic_write(path) as fh:
         for p in pairs:
             fh.write(f"{p.source}\t{p.gold!r}\t{p.sentence1}\t{p.sentence2}\n")
 
 
 def save_nli(examples: list[NliExample], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
             fh.write(f"{ex.label}\t{ex.premise}\t{ex.hypothesis}\n")
 
 
 def save_definitions(examples: list[DefinitionExample], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for ex in examples:
             fh.write(f"{ex.word}\t{ex.definition}\n")

@@ -18,7 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .corpus import tokenize
+from .corpus import read_lines, tokenize
 from .errors import InvalidInputError, MissingEmbeddingError, ParseError
 from .fileio import atomic_write
 from .numstat import as_matrix, make_rng
@@ -90,26 +90,6 @@ def build_vocab(texts: list[str], min_count: int = 1) -> Vocabulary:
     return Vocabulary(kept)
 
 
-def pool(token_vectors, strategy: str, has_cls: bool = False) -> np.ndarray:
-    """Reduce a sequence of token vectors to one sentence vector.
-
-    ``cls`` takes the first vector.  ``mean`` and ``max`` reduce over the
-    content positions; when ``has_cls`` is set the leading [CLS] vector is
-    excluded from them, keeping the mean a true word average.
-    """
-    mat = as_matrix(token_vectors)
-    if strategy not in POOLINGS:
-        raise InvalidInputError(f"unknown pooling strategy {strategy!r}")
-    if strategy == "cls":
-        return mat[0].copy()
-    content = mat[1:] if has_cls else mat
-    if content.shape[0] == 0:
-        raise InvalidInputError("no content vectors to pool over")
-    if strategy == "mean":
-        return content.mean(axis=0)
-    return content.max(axis=0)
-
-
 class ToyEncoder:
     """Trainable embedding table + pooling; replaces contextual outputs at desk scale."""
 
@@ -135,21 +115,51 @@ class ToyEncoder:
         table = rng.uniform(-half, half, size=(len(vocab), dim))
         return cls(vocab, table, pooling=pooling, max_tokens=max_tokens)
 
-    def token_indices(self, tokens: list[str]) -> list[int]:
+    def token_indices(self, tokens: list[str]) -> np.ndarray:
         """[CLS] index followed by the (truncated) word indices, unknowns to [UNK]."""
         if not tokens:
             raise InvalidInputError("token list is empty")
-        return [CLS_INDEX, *(self.vocab.index(t) for t in tokens[: self.max_tokens])]
+        return np.array([CLS_INDEX, *(self.vocab.index(t) for t in tokens[: self.max_tokens])],
+                        dtype=np.intp)
 
-    def encode_tokens(self, tokens: list[str]) -> np.ndarray:
-        """Table rows for [CLS] + each token; shape (len(tokens)+1, dim)."""
-        return self.table[self.token_indices(tokens)]
+    def pool_forward(self, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Pooled vector of an index array [CLS, w1, ...] and, for max, each coordinate's argmax.
+
+        ``mean`` and ``max`` reduce over the word positions only, so the mean
+        is a true word average; ``cls`` takes the [CLS] row.  Max ties go to
+        the first position.
+        """
+        if self.pooling == "cls":
+            return self.table[CLS_INDEX].copy(), None
+        if idxs.shape[0] < 2:
+            raise InvalidInputError("no content vectors to pool over")
+        content = self.table[idxs[1:]]
+        if self.pooling == "mean":
+            return content.mean(axis=0), None
+        argmax = content.argmax(axis=0)
+        return content.max(axis=0), argmax
+
+    def pool_backward(self, idxs: np.ndarray, argmax: np.ndarray | None,
+                      grad_out: np.ndarray, table_grad: np.ndarray) -> None:
+        """Add the table gradient of :meth:`pool_forward` for ``grad_out`` into ``table_grad``."""
+        if self.pooling == "cls":
+            table_grad[CLS_INDEX] += grad_out
+            return
+        content = idxs[1:]
+        if self.pooling == "mean":
+            np.add.at(table_grad, content, grad_out / content.shape[0])
+            return
+        # max: each coordinate's gradient goes to the row that produced the max
+        np.add.at(table_grad, (content[argmax], np.arange(grad_out.shape[0])), grad_out)
 
     def embed(self, sentence: str) -> np.ndarray:
         tokens = tokenize(sentence)
         if not tokens:
             raise InvalidInputError(f"sentence has no tokens to embed: {sentence!r}")
-        return pool(self.encode_tokens(tokens), self.pooling, has_cls=True)
+        vector, _ = self.pool_forward(self.token_indices(tokens))
+        if not np.all(np.isfinite(vector)):
+            raise InvalidInputError(f"embedding of {sentence!r} contains NaN or Inf")
+        return vector
 
     def copy(self) -> "ToyEncoder":
         return ToyEncoder(self.vocab, self.table.copy(), pooling=self.pooling,
@@ -205,32 +215,31 @@ def save_dump(store: EmbeddingStore, path) -> None:
 
 def load_dump(path) -> EmbeddingStore:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("dim="):
-            raise ParseError(path, 1, f"expected 'dim=<d>' header, got {header!r}")
+    lines = read_lines(path)
+    line_no, header = next(lines, (1, ""))
+    if line_no != 1:  # the first line is empty
+        header = ""
+    if not header.startswith("dim="):
+        raise ParseError(path, 1, f"expected 'dim=<d>' header, got {header!r}")
+    try:
+        dim = int(header[4:])
+    except ValueError:
+        raise ParseError(path, 1, f"malformed dimension in header: {header!r}") from None
+    store = EmbeddingStore(dim, name=path.stem)
+    for line_no, line in lines:
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(path, line_no, "expected '<sentence>\\t<floats>'")
+        sentence, numbers = parts
+        fields = numbers.split()
+        if len(fields) != dim:
+            raise ParseError(path, line_no, f"expected {dim} values, got {len(fields)}")
         try:
-            dim = int(header[4:])
+            vec = np.array([float(x) for x in fields], dtype=np.float64)
         except ValueError:
-            raise ParseError(path, 1, f"malformed dimension in header: {header!r}") from None
-        store = EmbeddingStore(dim, name=path.stem)
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(path, line_no, "expected '<sentence>\\t<floats>'")
-            sentence, numbers = parts
-            fields = numbers.split()
-            if len(fields) != dim:
-                raise ParseError(path, line_no, f"expected {dim} values, got {len(fields)}")
-            try:
-                vec = np.array([float(x) for x in fields], dtype=np.float64)
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric embedding value") from None
-            try:
-                store.add(sentence, vec)
-            except InvalidInputError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+            raise ParseError(path, line_no, "non-numeric embedding value") from None
+        try:
+            store.add(sentence, vec)
+        except InvalidInputError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
     return store

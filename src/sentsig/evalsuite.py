@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Partition, StsPair, concat_subsets
+from .corpus import Partition, StsPair, concat_subsets, read_lines
 from .encoder import EmbeddingProvider
 from .errors import DegenerateScoresError, InvalidInputError, ParseError
 from .numstat import cosine, make_rng, pearson, spearman
@@ -210,21 +210,16 @@ class ProbeConfig:
 
 def load_probe_task(path, name: str | None = None) -> ProbeTask:
     """Parse a 2-column probe file: ``label \\t sentence`` per line."""
-    path = Path(path)
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(path, line_no, f"expected 2 tab-separated columns, got {len(cols)}")
-            label, text = cols
-            if not text:
-                raise ParseError(path, line_no, "empty sentence")
-            examples.append((text, label))
-    return ProbeTask(name=name or path.stem, examples=examples)
+    for line_no, line in read_lines(path):
+        cols = line.split("\t")
+        if len(cols) != 2:
+            raise ParseError(path, line_no, f"expected 2 tab-separated columns, got {len(cols)}")
+        label, text = cols
+        if not text:
+            raise ParseError(path, line_no, "empty sentence")
+        examples.append((text, label))
+    return ProbeTask(name=name or Path(path).stem, examples=examples)
 
 
 def kfold_split(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -20,13 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import DefinitionExample, NliExample, tokenize
-from .encoder import CLS_INDEX, ToyEncoder
+from .encoder import ToyEncoder
 from .errors import InvalidInputError
 from .numstat import cross_entropy, make_rng, softmax
 
 logger = logging.getLogger(__name__)
-
-LR_GRID = tuple(x * 1e-6 for x in (1, 2, 5, 10, 20, 50))
 
 
 @dataclass
@@ -36,7 +34,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    base_lr: float = 1e-3  # toy-table scale; real fine-tuning used the 1e-6 grid
+    base_lr: float = 1e-3  # toy-table scale; transformer fine-tuning uses ~1e-6
     warmup_fraction: float = 0.10
     seed: int = 0
     smart_batching: bool = True
@@ -66,10 +64,6 @@ class MultiSchedule:
     def __post_init__(self):
         if self.nli_steps_per_cycle < 1 or self.def_steps_per_cycle < 1:
             raise InvalidInputError("schedule steps per cycle must be positive")
-
-    @property
-    def cycle_length(self) -> int:
-        return self.nli_steps_per_cycle + self.def_steps_per_cycle
 
 
 class NliHead:
@@ -140,32 +134,6 @@ class TrainResult:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _embed_forward(encoder: ToyEncoder, tokens: list[str]):
-    """Pooled embedding plus the cache needed to route gradients back."""
-    idxs = encoder.token_indices(tokens)
-    rows = encoder.table[idxs]
-    if encoder.pooling == "cls":
-        return rows[0].copy(), (idxs, None)
-    content = rows[1:]
-    if encoder.pooling == "mean":
-        return content.mean(axis=0), (idxs, None)
-    argmax = content.argmax(axis=0)  # ties -> first position, deterministic
-    return content.max(axis=0), (idxs, argmax)
-
-
-def _embed_backward(encoder: ToyEncoder, cache, grad_out: np.ndarray, table_grad: np.ndarray):
-    idxs, argmax = cache
-    if encoder.pooling == "cls":
-        table_grad[CLS_INDEX] += grad_out
-        return
-    content = np.asarray(idxs[1:])
-    if encoder.pooling == "mean":
-        np.add.at(table_grad, content, grad_out / content.shape[0])
-        return
-    # max: each coordinate's gradient goes to the row that produced the max
-    np.add.at(table_grad, (content[argmax], np.arange(grad_out.shape[0])), grad_out)
-
-
 def nli_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.shape != v.shape:
         raise InvalidInputError(f"dimension mismatch: {u.shape} vs {v.shape}")
@@ -197,8 +165,10 @@ def nli_loss_and_grads(batch: list[NliExample], encoder: ToyEncoder, head: NliHe
     b_grad = np.zeros(3) if head.b is not None else None
     total = 0.0
     for ex in batch:
-        u, cache_u = _embed_forward(encoder, tokenize(ex.premise))
-        v, cache_v = _embed_forward(encoder, tokenize(ex.hypothesis))
+        idx_u = encoder.token_indices(tokenize(ex.premise))
+        idx_v = encoder.token_indices(tokenize(ex.hypothesis))
+        u, argmax_u = encoder.pool_forward(idx_u)
+        v, argmax_v = encoder.pool_forward(idx_v)
         diff = u - v
         f = np.concatenate([u, v, np.abs(diff)])
         logits = head.W @ f
@@ -216,8 +186,8 @@ def nli_loss_and_grads(batch: list[NliExample], encoder: ToyEncoder, head: NliHe
         sign = np.sign(diff)
         du = df[:d] + sign * df[2 * d :]
         dv = df[d : 2 * d] - sign * df[2 * d :]
-        _embed_backward(encoder, cache_u, du, table_grad)
-        _embed_backward(encoder, cache_v, dv, table_grad)
+        encoder.pool_backward(idx_u, argmax_u, du, table_grad)
+        encoder.pool_backward(idx_v, argmax_v, dv, table_grad)
     m = len(batch)
     grads = {"table": table_grad / m, "nli_W": w_grad / m}
     if b_grad is not None:
@@ -256,9 +226,10 @@ def def_loss_and_grads(batch: list[DefinitionExample], encoder: ToyEncoder,
         if ex.word not in encoder.vocab:
             raise InvalidInputError(f"headword {ex.word!r} is not in the vocabulary")
         golds.append(encoder.vocab.index(ex.word))
-        s, cache = _embed_forward(encoder, tokenize(ex.definition))
+        idxs = encoder.token_indices(tokenize(ex.definition))
+        s, argmax = encoder.pool_forward(idxs)
         rows.append(s)
-        caches.append(cache)
+        caches.append((idxs, argmax))
     m = len(batch)
     S = np.stack(rows)
     G = softmax(def_forward(S, head))  # P now; P - onehot(gold) after the losses are read
@@ -271,8 +242,8 @@ def def_loss_and_grads(batch: list[DefinitionExample], encoder: ToyEncoder,
     dS = G @ head.weights
     # tied: the encoder path accumulates onto the output-layer gradient of the same table
     table_grad = out_grad if head.tied else np.zeros_like(encoder.table)
-    for cache, ds in zip(caches, dS):
-        _embed_backward(encoder, cache, ds, table_grad)
+    for (idxs, argmax), ds in zip(caches, dS):
+        encoder.pool_backward(idxs, argmax, ds, table_grad)
     table_grad /= m
     bias_grad /= m
     if head.tied:
@@ -444,134 +415,53 @@ def _drop_oov_definitions(data: list[DefinitionExample], encoder: ToyEncoder):
     return kept
 
 
-def train_sbert(encoder: ToyEncoder, nli_data: list[NliExample],
-                config: TrainConfig) -> TrainResult:
-    """Fine-tune the encoder on the NLI classification objective."""
-    if not nli_data:
-        raise InvalidInputError("empty NLI dataset")
-    rng = make_rng(config.seed)
-    head = NliHead.create(encoder.dim, bias=config.head_bias)
-    params = {"table": encoder.table, "nli_W": head.W}
-    if head.b is not None:
-        params["nli_b"] = head.b
-    optimizer = Adam(params, config.beta1, config.beta2, config.eps)
-    total_steps = config.epochs * batches_per_epoch(nli_data, config)
-    result = TrainResult(encoder=encoder, nli_head=head)
-    step = 0
-    for _ in range(config.epochs):
-        for batch in _epoch_batches(nli_data, config, rng):
-            step += 1
-            lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
-                       config.lr_decay)
-            loss, grads = nli_loss_and_grads(batch, encoder, head)
-            optimizer.step(grads, lr)
-            result.steps.append(StepRecord("nli", loss, lr))
-    return result
+def train(encoder: ToyEncoder, config: TrainConfig,
+          nli_data: list[NliExample] | None = None,
+          def_data: list[DefinitionExample] | None = None,
+          schedule: MultiSchedule | None = None) -> TrainResult:
+    """Fine-tune the encoder on the NLI and/or the definition objective.
 
-
-def train_defsent(encoder: ToyEncoder, def_data: list[DefinitionExample],
-                  config: TrainConfig) -> TrainResult:
-    """Fine-tune the encoder on the definition-to-headword objective."""
-    if not def_data:
-        raise InvalidInputError("empty definition dataset")
-    data = _drop_oov_definitions(def_data, encoder)
-    rng = make_rng(config.seed)
-    head = WordPredictionHead.create(encoder, tied=config.tied_head)
-    params = {"table": encoder.table, "def_bias": head.bias}
-    if not head.tied:
-        params["def_W"] = head.weights
-    optimizer = Adam(params, config.beta1, config.beta2, config.eps)
-    total_steps = config.epochs * batches_per_epoch(data, config)
-    result = TrainResult(encoder=encoder, def_head=head)
-    step = 0
-    for _ in range(config.epochs):
-        for batch in _epoch_batches(data, config, rng):
-            step += 1
-            lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
-                       config.lr_decay)
-            loss, grads = def_loss_and_grads(batch, encoder, head)
-            optimizer.step(grads, lr)
-            result.steps.append(StepRecord("def", loss, lr))
-    return result
-
-
-def train_multi(encoder: ToyEncoder, nli_data: list[NliExample],
-                def_data: list[DefinitionExample], config: TrainConfig,
-                schedule: MultiSchedule | None = None) -> TrainResult:
-    """Interleaved multi-task training on a shared encoder.
-
-    Each cycle runs ``schedule.nli_steps_per_cycle`` NLI steps followed by
-    ``schedule.def_steps_per_cycle`` definition steps.  The nominal step count
-    (epochs x NLI batches per epoch) is rounded up to whole cycles; each
-    stream cycles through its own reshuffled batches when exhausted.
+    Each dataset given is a stream of batches with its own head; the streams
+    share one optimizer and one seeded rng, and a stream reshuffles when it
+    is exhausted.  With both streams each cycle runs
+    ``schedule.nli_steps_per_cycle`` NLI steps followed by
+    ``schedule.def_steps_per_cycle`` definition steps; a single stream has a
+    cycle of length 1.  The step count (epochs x batches per epoch of the
+    first stream) is rounded up to whole cycles.
     """
-    if not nli_data or not def_data:
-        raise InvalidInputError("multi-task training needs both datasets")
+    if nli_data is None and def_data is None:
+        raise InvalidInputError("training needs an NLI or a definition dataset")
     schedule = schedule or MultiSchedule()
-    def_kept = _drop_oov_definitions(def_data, encoder)
     rng = make_rng(config.seed)
-    nli_head = NliHead.create(encoder.dim, bias=config.head_bias)
-    def_head = WordPredictionHead.create(encoder, tied=config.tied_head)
-    params = {"table": encoder.table, "nli_W": nli_head.W}
-    if nli_head.b is not None:
-        params["nli_b"] = nli_head.b
-    params["def_bias"] = def_head.bias
-    if not def_head.tied:
-        params["def_W"] = def_head.weights
+    result = TrainResult(encoder=encoder)
+    params = {"table": encoder.table}
+    streams = []  # (stream name, batches, loss function, head)
+    if nli_data is not None:
+        head = result.nli_head = NliHead.create(encoder.dim, bias=config.head_bias)
+        params["nli_W"] = head.W
+        if head.b is not None:
+            params["nli_b"] = head.b
+        streams.append(("nli", BatchStream(nli_data, config, rng), nli_loss_and_grads, head))
+    if def_data is not None:
+        head = result.def_head = WordPredictionHead.create(encoder, tied=config.tied_head)
+        params["def_bias"] = head.bias
+        if not head.tied:
+            params["def_W"] = head.weights
+        kept = _drop_oov_definitions(def_data, encoder)
+        streams.append(("def", BatchStream(kept, config, rng), def_loss_and_grads, head))
     optimizer = Adam(params, config.beta1, config.beta2, config.eps)
 
-    nominal = config.epochs * batches_per_epoch(nli_data, config)
-    cycle = schedule.cycle_length
-    total_steps = math.ceil(nominal / cycle) * cycle if nominal else 0
-    result = TrainResult(encoder=encoder, nli_head=nli_head, def_head=def_head)
-    if total_steps == 0:
-        return result
-
-    nli_stream = BatchStream(nli_data, config, rng)
-    def_stream = BatchStream(def_kept, config, rng)
+    cycle = streams
+    if len(streams) == 2:
+        cycle = ([streams[0]] * schedule.nli_steps_per_cycle
+                 + [streams[1]] * schedule.def_steps_per_cycle)
+    nominal = config.epochs * streams[0][1].batches_per_pass
+    total_steps = math.ceil(nominal / len(cycle)) * len(cycle)
     for step in range(1, total_steps + 1):
         lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                    config.lr_decay)
-        in_cycle = (step - 1) % cycle
-        if in_cycle < schedule.nli_steps_per_cycle:
-            loss, grads = nli_loss_and_grads(nli_stream.next_batch(), encoder, nli_head)
-            result.steps.append(StepRecord("nli", loss, lr))
-        else:
-            loss, grads = def_loss_and_grads(def_stream.next_batch(), encoder, def_head)
-            result.steps.append(StepRecord("def", loss, lr))
+        name, stream, loss_and_grads, head = cycle[(step - 1) % len(cycle)]
+        loss, grads = loss_and_grads(stream.next_batch(), encoder, head)
         optimizer.step(grads, lr)
+        result.steps.append(StepRecord(name, loss, lr))
     return result
-
-
-# ---------------------------------------------------------------------------
-# learning rate selection
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GridSearchResult:
-    best_lr: float
-    mean_scores: dict[float, float]
-    seed_scores: dict[float, list[float]]
-
-
-def lr_grid_search(train_fn, scorer, seeds=(0, 1, 2), grid=LR_GRID) -> GridSearchResult:
-    """Pick the grid learning rate with the best mean validation score.
-
-    ``train_fn(lr, seed)`` returns a trained provider; ``scorer(provider)``
-    returns a real score (higher is better).  Ties go to the smaller rate.
-    """
-    if not seeds or not grid:
-        raise InvalidInputError("grid search needs at least one seed and one rate")
-    mean_scores: dict[float, float] = {}
-    seed_scores: dict[float, list[float]] = {}
-    for lr in grid:
-        scores = [float(scorer(train_fn(lr, seed))) for seed in seeds]
-        seed_scores[lr] = scores
-        mean_scores[lr] = sum(scores) / len(scores)
-    best_lr = None
-    best = -math.inf
-    for lr in sorted(mean_scores):
-        if mean_scores[lr] > best:
-            best = mean_scores[lr]
-            best_lr = lr
-    return GridSearchResult(best_lr=best_lr, mean_scores=mean_scores, seed_scores=seed_scores)

@@ -7,7 +7,6 @@ from sentsig.encoder import ToyEncoder, Vocabulary
 from sentsig.objectives import (
     NliHead,
     WordPredictionHead,
-    _embed_forward,
     def_loss_and_grads,
     nli_loss_and_grads,
 )
@@ -54,8 +53,8 @@ def _max_margins_ok(encoder, tokens):
 
 
 def _abs_feature_ok(encoder, premise_tokens, hypothesis_tokens):
-    u, _ = _embed_forward(encoder, premise_tokens)
-    v, _ = _embed_forward(encoder, hypothesis_tokens)
+    u, _ = encoder.pool_forward(encoder.token_indices(premise_tokens))
+    v, _ = encoder.pool_forward(encoder.token_indices(hypothesis_tokens))
     gap = np.abs(u - v)
     return not np.any((gap > 0) & (gap < _MARGIN))
 

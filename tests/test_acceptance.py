@@ -27,7 +27,7 @@ from sentsig.corpus import (
 from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.evalsuite import ProbeConfig, eval_probe, eval_sts, kfold_split
 from sentsig.numstat import make_rng, pearson, spearman
-from sentsig.objectives import MultiSchedule, TrainConfig, train_defsent, train_multi, train_sbert
+from sentsig.objectives import MultiSchedule, TrainConfig, train
 from sentsig.synth import (
     make_blob_probe,
     make_definition_corpus,
@@ -141,12 +141,12 @@ def test_criterion_05_toy_training_efficacy():
             rho_init, _ = eval_sts(base, sts)
 
             enc = base.copy()
-            result = train_sbert(enc, nli, TrainConfig(seed=seed, base_lr=1e-2, epochs=2))
+            result = train(enc, TrainConfig(seed=seed, base_lr=1e-2, epochs=2), nli_data=nli)
             gains["sbert"].append(eval_sts(enc, sts)[0] - rho_init)
             loss_ratios["sbert"].append(np.mean(result.losses[-10:]) / result.losses[0])
 
             enc = base.copy()
-            result = train_defsent(enc, defs, TrainConfig(seed=seed, base_lr=2e-2, epochs=10))
+            result = train(enc, TrainConfig(seed=seed, base_lr=2e-2, epochs=10), def_data=defs)
             gains["defsent"].append(eval_sts(enc, sts)[0] - rho_init)
             loss_ratios["defsent"].append(np.mean(result.losses[-10:]) / result.losses[0])
 
@@ -203,8 +203,8 @@ def test_criterion_08_multi_scheduler_pattern():
         texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
                  + [e.definition for e in defs] + [e.word for e in defs])
         enc = ToyEncoder.create(build_vocab(texts), 5, "mean", seed=0)
-        result = train_multi(enc, nli, defs, TrainConfig(seed=0, batch_size=4, epochs=1),
-                             MultiSchedule())
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs,
+                       MultiSchedule())
         assert len(result.steps) == 40
         streams = [s.stream for s in result.steps]
         assert streams == (["nli"] * 19 + ["def"]) * 2

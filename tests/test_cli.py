@@ -1,5 +1,6 @@
 """End-to-end command-line tests: partitioning, training, dumps, evaluation."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -193,6 +194,71 @@ def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
     cfg.write_text(f"[data]\nnli = {data['nli']}\n\n{section}")
     out = data["root"] / "bad"
     assert run(["train", "--method", "sbert", "--out", out, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
+    assert not (out / "manifest.json").exists()
+
+
+CONFIG_KEYS = (
+    {("data", key) for key in ("sts", "nli", "definitions")}
+    | {("train", key) for key in (
+        "method", "dim", "pooling", "min_count", "seeds", "out", "batch_size", "epochs",
+        "base_lr", "warmup_fraction", "smart_batching", "bucket_width", "lr_decay",
+        "tied_head", "head_bias", "beta1", "beta2", "eps", "nli_cycle", "def_cycle")}
+    | {("probe", key) for key in ("folds", "batch_size", "epochs", "lr", "seed")}
+)
+
+
+def test_config_keys_pinned(tmp_path, capsys):
+    assert len(CONFIG_KEYS) == 28
+    assert set(cli.CONFIG_KEYS) == CONFIG_KEYS
+    ini = tmp_path / "adam.ini"
+    ini.write_text("[train]\nbeta1 = 0.5\nbeta2 = 0.75\neps = 0.25\n")
+    cfg = cli.load_experiment_config(str(ini), argparse.Namespace())
+    for config in (cfg.train, cfg.probe):
+        assert (config.beta1, config.beta2, config.eps) == (0.5, 0.75, 0.25)
+    ini.write_text("[probe]\nbeta1 = 0.5\n")
+    assert run(["train", "--config", ini, "--out", tmp_path / "x"]) == 2
+    assert "unknown config key [probe] beta1" in capsys.readouterr().err
+
+
+# (case, input files, argv, message): each file is written as <key>.in after filling in
+# the paths of the files before it, and "@" is written as the byte 0xff, which is not UTF-8
+BAD_INPUTS = [
+    ("nli", {"nli": "neutral\ta b\tc d\nneutral\ta @\tc\n", "ini": "[data]\nnli = {nli}\n"},
+     ["train", "--method", "sbert", "--config", "{ini}"], "nli.in:2: not UTF-8"),
+    ("definitions", {"defs": "w\t@ b\n", "ini": "[data]\ndefinitions = {defs}\n"},
+     ["train", "--method", "defsent", "--config", "{ini}"], "defs.in:1: not UTF-8"),
+    ("config", {"ini": "[train]\ndim = @\n"}, ["train", "--config", "{ini}"], "ini.in"),
+    ("partition", {"sts": "s\t1\ta\tb\ns\t2\t@\tb\n"},
+     ["partition", "{sts}", "--scheme", "source"], "sts.in:2: not UTF-8"),
+    ("eval-sts", {"sts": "s\t1\ta @\tb\n"}, ["eval", "{ckpt}", "--sts", "{sts}"],
+     "sts.in:1: not UTF-8"),
+    ("eval-probe", {"probe": "x\ta\ny\t@\n"}, ["eval", "{ckpt}", "--probe", "{probe}"],
+     "probe.in:2: not UTF-8"),
+    ("eval-dump", {"dump": "dim=1\na\t1.0\n@\t2.0\n"}, ["eval", "{dump}", "--sts", "{fixture_sts}"],
+     "dump.in:3: not UTF-8"),
+    ("eval-sidecar", {}, ["eval", "{sidecar}", "--sts", "{fixture_sts}"],
+     "neither an embedding dump nor a checkpoint"),
+    ("combine-eval-sidecar", {},
+     ["combine-eval", "--a", "{ckpt}", "--b", "{sidecar}", "--mode", "concat", "--sts", "{fixture_sts}"],
+     "neither an embedding dump nor a checkpoint"),
+    ("embed", {"sentences": "a\n@\n"}, ["embed", "{ckpt}", "--sentences", "{sentences}"],
+     "sentences.in:2: not UTF-8"),
+]
+
+
+@pytest.mark.parametrize("files, argv, message", [c[1:] for c in BAD_INPUTS],
+                         ids=[c[0] for c in BAD_INPUTS])
+def test_malformed_input_exit_2_no_manifest(trained, tmp_path, capsys, files, argv, message):
+    paths = {"ckpt": trained["ckpt0"], "fixture_sts": trained["sts"],
+             "sidecar": trained["ckpt0"].with_name("checkpoint-seed0.table.npy")}
+    for key, text in files.items():
+        paths[key] = tmp_path / f"{key}.in"
+        paths[key].write_bytes(text.format(**paths).encode("utf-8").replace(b"@", b"\xff"))
+    out = tmp_path / "out"
+    assert run([arg.format(**paths) for arg in argv] + ["--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err

@@ -10,7 +10,7 @@ from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.evalsuite import eval_sts
 from sentsig.numstat import cosine, make_rng
-from sentsig.objectives import TrainConfig, train_sbert
+from sentsig.objectives import TrainConfig, train
 from sentsig.synth import make_definition_corpus, make_nli_corpus, make_sts_corpus
 
 
@@ -114,14 +114,14 @@ class TestPipeline:
         enc_a = ToyEncoder.create(vocab, 6, "mean", seed=3)
         run_pipeline(PipelineSpec(stages=["sbert"], configs=[config]), enc_a, nli, defs)
         enc_b = ToyEncoder.create(vocab, 6, "mean", seed=3)
-        train_sbert(enc_b, nli, config)
+        train(enc_b, config, nli_data=nli)
         np.testing.assert_array_equal(enc_a.table, enc_b.table)
 
     def test_sequential_stage_handoff_is_exact(self):
         nli, defs, vocab = _world()
         config = TrainConfig(seed=1, epochs=1)
         enc_stage1 = ToyEncoder.create(vocab, 6, "mean", seed=1)
-        train_sbert(enc_stage1, nli, config)
+        train(enc_stage1, config, nli_data=nli)
         after_stage1 = enc_stage1.table.copy()
 
         enc_full = ToyEncoder.create(vocab, 6, "mean", seed=1)
@@ -130,8 +130,7 @@ class TestPipeline:
         # stage 2 must have started from exactly the stage-1 parameters:
         # replaying it from that state reproduces the pipeline bit for bit
         enc_replay = ToyEncoder(enc_stage1.vocab, after_stage1.copy(), pooling="mean")
-        from sentsig.objectives import train_defsent
-        train_defsent(enc_replay, defs, config)
+        train(enc_replay, config, def_data=defs)
         np.testing.assert_array_equal(result.encoder.table, enc_replay.table)
 
     def test_order_matters(self):
@@ -166,7 +165,7 @@ class TestPipeline:
         sts = make_sts_corpus(rng, 60, n_topics=4, words_per_topic=10, sentence_len=4)
         nli, defs, vocab = _world()
         enc = ToyEncoder.create(vocab, 6, "mean", seed=5)
-        train_sbert(enc, nli, TrainConfig(seed=5, epochs=1))
+        train(enc, TrainConfig(seed=5, epochs=1), nli_data=nli)
         single = eval_sts(enc, sts)
         doubled = eval_sts(CombinedProvider("average", enc, enc), sts)
         assert doubled == single

@@ -218,6 +218,16 @@ class TestLoaders:
         save_sts(pairs, f)
         assert load_sts(f) == pairs
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        pairs = make_random_sts(make_rng(4), 10)
+        f = tmp_path / "sts.tsv"
+        save_sts(pairs, f)
+        before = f.read_bytes()
+        with pytest.raises(AttributeError):  # the sixth record is not a pair
+            save_sts(pairs[:5] + [None] + pairs[5:], f)
+        assert f.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sts.tsv"]
+
     def test_nli_file(self, tmp_path):
         f = tmp_path / "nli.tsv"
         f.write_text("entailment\ta man sleeps\ta person sleeps\nneutral\ta b\tc d\n")

@@ -16,7 +16,6 @@ from sentsig.encoder import (
     Vocabulary,
     build_vocab,
     load_dump,
-    pool,
     save_dump,
 )
 from sentsig.errors import InvalidInputError, MissingEmbeddingError, ParseError
@@ -62,29 +61,44 @@ class TestVocabulary:
             build_vocab([])
 
 
+def pool(rows, strategy):
+    """ToyEncoder's index-array pooling over ``rows``; the first row is the [CLS] position."""
+    rows = np.asarray(rows, dtype=np.float64)
+    table = np.vstack([rows, np.zeros((2, rows.shape[1]))])  # at least [CLS] and [UNK]
+    enc = ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling=strategy)
+    vector, _ = enc.pool_forward(np.arange(rows.shape[0]))
+    return vector
+
+
+def without_cls(rows):
+    """``rows`` behind a zero [CLS] row, so mean and max pool exactly ``rows``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return np.vstack([np.zeros((1, rows.shape[1])), rows])
+
+
 class TestPooling:
     def test_mean_without_cls(self):
-        np.testing.assert_allclose(pool([(1, 3), (3, 1)], "mean"), [2, 2])
+        np.testing.assert_allclose(pool(without_cls([(1, 3), (3, 1)]), "mean"), [2, 2])
 
     def test_max_without_cls(self):
-        np.testing.assert_allclose(pool([(1, 3), (3, 1)], "max"), [3, 3])
+        np.testing.assert_allclose(pool(without_cls([(1, 3), (3, 1)]), "max"), [3, 3])
 
     def test_cls_is_first_vector(self):
         np.testing.assert_allclose(pool([(9, 9), (1, 2), (3, 4)], "cls"), [9, 9])
 
     def test_mean_excludes_cls_position(self):
-        np.testing.assert_allclose(pool([(100, 100), (1, 3), (3, 1)], "mean", has_cls=True), [2, 2])
+        np.testing.assert_allclose(pool([(100, 100), (1, 3), (3, 1)], "mean"), [2, 2])
 
     def test_max_excludes_cls_position(self):
-        np.testing.assert_allclose(pool([(100, 100), (1, 3), (3, 1)], "max", has_cls=True), [3, 3])
+        np.testing.assert_allclose(pool([(100, 100), (1, 3), (3, 1)], "max"), [3, 3])
 
     def test_mean_of_identical_vectors(self):
-        np.testing.assert_allclose(pool([(2.5, -1)] * 4, "mean"), [2.5, -1])
+        np.testing.assert_allclose(pool(without_cls([(2.5, -1)] * 4), "mean"), [2.5, -1])
 
     def test_max_dominates_mean(self):
         rng = make_rng(30)
         for _ in range(100):
-            mat = rng.normal(size=(int(rng.integers(1, 8)), 5))
+            mat = without_cls(rng.normal(size=(int(rng.integers(1, 8)), 5)))
             assert np.all(pool(mat, "max") >= pool(mat, "mean") - 1e-12)
 
     def test_mean_max_permutation_invariant_cls_not(self):
@@ -92,14 +106,13 @@ class TestPooling:
         mat = rng.normal(size=(5, 4))
         perm = mat[[0, 3, 1, 4, 2]]  # keep the leading position, shuffle the rest
         for strategy in ("mean", "max"):
-            np.testing.assert_allclose(pool(mat, strategy, has_cls=True),
-                                       pool(perm, strategy, has_cls=True), atol=1e-15)
+            np.testing.assert_allclose(pool(mat, strategy), pool(perm, strategy), atol=1e-15)
         swapped = mat[[1, 0, 2, 3, 4]]
         assert not np.allclose(pool(mat, "cls"), pool(swapped, "cls"))
 
     def test_empty_content_rejected(self):
         with pytest.raises(InvalidInputError):
-            pool([(1.0, 2.0)], "mean", has_cls=True)
+            pool([(1.0, 2.0)], "mean")
 
     def test_unknown_strategy(self):
         with pytest.raises(InvalidInputError):
@@ -114,18 +127,18 @@ def small_encoder(pooling="mean", dim=4, seed=0):
 class TestToyEncoder:
     def test_encode_prepends_cls(self):
         enc = small_encoder()
-        seq = enc.encode_tokens(["alpha"])
+        seq = enc.table[enc.token_indices(["alpha"])]
         assert seq.shape == (2, 4)
         np.testing.assert_array_equal(seq[0], enc.table[CLS_INDEX])
 
     def test_unknown_word_uses_unk_row(self):
         enc = small_encoder()
-        seq = enc.encode_tokens(["zzz"])
+        seq = enc.table[enc.token_indices(["zzz"])]
         np.testing.assert_array_equal(seq[1], enc.table[UNK_INDEX])
 
     def test_repeated_word_repeats_row(self):
         enc = small_encoder()
-        seq = enc.encode_tokens(["beta", "beta"])
+        seq = enc.table[enc.token_indices(["beta", "beta"])]
         np.testing.assert_array_equal(seq[1], seq[2])
 
     def test_embed_single_word_mean_is_its_row(self):
@@ -149,12 +162,19 @@ class TestToyEncoder:
     def test_truncation_at_max_tokens(self):
         vocab = Vocabulary(["a", "b"])
         enc = ToyEncoder.create(vocab, 3, "mean", max_tokens=2)
-        seq = enc.encode_tokens(["a", "b", "a", "b"])
+        seq = enc.table[enc.token_indices(["a", "b", "a", "b"])]
         assert seq.shape == (3, 3)
 
     def test_embed_no_tokens_rejected(self):
         with pytest.raises(InvalidInputError):
             small_encoder().embed("...")
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_embed_non_finite_rejected(self, pooling):
+        enc = small_encoder(pooling)
+        enc.table[[CLS_INDEX, enc.vocab.index("alpha")]] = np.nan
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            enc.embed("alpha")
 
 
 class TestEmbeddingStore:

@@ -15,22 +15,22 @@ from sentsig.objectives import (
     BatchStream,
     MultiSchedule,
     NliHead,
+    StepRecord,
     TrainConfig,
+    TrainResult,
     WordPredictionHead,
-    _embed_backward,
-    _embed_forward,
+    _drop_oov_definitions,
+    _epoch_batches,
+    batches_per_epoch,
     def_forward,
     def_loss_and_grads,
     example_token_length,
     lr_at,
-    lr_grid_search,
     nli_features,
     nli_forward,
     nli_loss_and_grads,
     smart_batches,
-    train_defsent,
-    train_multi,
-    train_sbert,
+    train,
 )
 
 
@@ -142,14 +142,15 @@ def def_loss_and_grads_loop(batch, encoder, head):
     total = 0.0
     for ex in batch:
         gold = encoder.vocab.index(ex.word)
-        s, cache = _embed_forward(encoder, tokenize(ex.definition))
+        idxs = encoder.token_indices(tokenize(ex.definition))
+        s, argmax = encoder.pool_forward(idxs)
         probs = softmax(head.weights @ s + head.bias)
         total += cross_entropy(probs, gold)
         g = probs.copy()
         g[gold] -= 1.0
         out_grad += np.outer(g, s)
         bias_grad += g
-        _embed_backward(encoder, cache, head.weights.T @ g, table_grad)
+        encoder.pool_backward(idxs, argmax, head.weights.T @ g, table_grad)
     m = len(batch)
     if head.tied:
         return total / m, {"table": (table_grad + out_grad) / m, "def_bias": bias_grad / m}
@@ -354,11 +355,94 @@ class TestBatchStream:
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
 
+def train_sbert_loop(encoder, nli_data, config):
+    """Reference: the NLI objective as a per-epoch loop, one fresh shuffle per epoch."""
+    rng = make_rng(config.seed)
+    head = NliHead.create(encoder.dim, bias=config.head_bias)
+    params = {"table": encoder.table, "nli_W": head.W}
+    if head.b is not None:
+        params["nli_b"] = head.b
+    optimizer = Adam(params, config.beta1, config.beta2, config.eps)
+    total_steps = config.epochs * batches_per_epoch(nli_data, config)
+    result = TrainResult(encoder=encoder, nli_head=head)
+    step = 0
+    for _ in range(config.epochs):
+        for batch in _epoch_batches(nli_data, config, rng):
+            step += 1
+            lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
+                       config.lr_decay)
+            loss, grads = nli_loss_and_grads(batch, encoder, head)
+            optimizer.step(grads, lr)
+            result.steps.append(StepRecord("nli", loss, lr))
+    return result
+
+
+def train_defsent_loop(encoder, def_data, config):
+    """Reference: the definition objective as a per-epoch loop, one fresh shuffle per epoch."""
+    data = _drop_oov_definitions(def_data, encoder)
+    rng = make_rng(config.seed)
+    head = WordPredictionHead.create(encoder, tied=config.tied_head)
+    params = {"table": encoder.table, "def_bias": head.bias}
+    if not head.tied:
+        params["def_W"] = head.weights
+    optimizer = Adam(params, config.beta1, config.beta2, config.eps)
+    total_steps = config.epochs * batches_per_epoch(data, config)
+    result = TrainResult(encoder=encoder, def_head=head)
+    step = 0
+    for _ in range(config.epochs):
+        for batch in _epoch_batches(data, config, rng):
+            step += 1
+            lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
+                       config.lr_decay)
+            loss, grads = def_loss_and_grads(batch, encoder, head)
+            optimizer.step(grads, lr)
+            result.steps.append(StepRecord("def", loss, lr))
+    return result
+
+
+class TestTrainMatchesLoopOracle:
+    """The one stream-scheduled loop reproduces the per-epoch loops bit for bit."""
+
+    @staticmethod
+    def _world():
+        rng = make_rng(16)
+        world = dict(n_topics=4, words_per_topic=10)
+        nli = (make_nli_corpus(rng, 30, sentence_len=3, **world)
+               + make_nli_corpus(rng, 23, sentence_len=7, **world))
+        defs = (make_definition_corpus(rng, sentence_len=3, per_word=1, **world)
+                + make_definition_corpus(rng, sentence_len=6, per_word=1, **world))
+        defs.append(DefinitionExample("unseen", "t00w000 t00w001"))  # dropped as OOV
+        texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
+                 + [e.definition for e in defs] + [e.word for e in defs[:-1]])
+        return nli, defs, build_vocab(texts)
+
+    @pytest.mark.parametrize("tied", [True, False])
+    @pytest.mark.parametrize("smart", [True, False])
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_single_stream_bit_identical(self, pooling, smart, tied):
+        nli, defs, vocab = self._world()
+        config = TrainConfig(seed=5, epochs=2, batch_size=5, base_lr=0.05, bucket_width=2,
+                             smart_batching=smart, tied_head=tied, lr_decay="linear")
+        for data, oracle, head in ((dict(nli_data=nli), train_sbert_loop, "nli_head"),
+                                   (dict(def_data=defs), train_defsent_loop, "def_head")):
+            enc_loop = ToyEncoder.create(vocab, 4, pooling, seed=5)
+            enc_train = ToyEncoder.create(vocab, 4, pooling, seed=5)
+            expected = oracle(enc_loop, next(iter(data.values())), config)
+            result = train(enc_train, config, **data)
+            assert len(result.steps) > 2 * 5
+            assert result.steps == expected.steps
+            np.testing.assert_array_equal(enc_train.table, enc_loop.table)
+            got, want = getattr(result, head), getattr(expected, head)
+            for name in ("W", "b", "weights", "bias"):
+                if getattr(want, name, None) is not None:
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 class TestTrainSbert:
     def test_zero_epochs_unchanged(self):
         enc = tiny_encoder()
         before = enc.table.copy()
-        result = train_sbert(enc, _nli(10), TrainConfig(epochs=0))
+        result = train(enc, TrainConfig(epochs=0), nli_data=_nli(10))
         assert result.steps == []
         np.testing.assert_array_equal(enc.table, before)
 
@@ -367,7 +451,7 @@ class TestTrainSbert:
         nli = make_nli_corpus(rng, 480, n_topics=4, words_per_topic=12, sentence_len=4)
         texts = [e.premise for e in nli] + [e.hypothesis for e in nli]
         enc = ToyEncoder.create(build_vocab(texts), 8, "mean", seed=0)
-        result = train_sbert(enc, nli, TrainConfig(seed=0, base_lr=1e-2, epochs=3))
+        result = train(enc, TrainConfig(seed=0, base_lr=1e-2, epochs=3), nli_data=nli)
         final = float(np.mean(result.losses[-10:]))
         assert final < 0.5 * result.losses[0]
 
@@ -379,7 +463,7 @@ class TestTrainSbert:
         runs = []
         for _ in range(2):
             enc = ToyEncoder.create(vocab, 6, "mean", seed=4)
-            result = train_sbert(enc, nli, TrainConfig(seed=4, epochs=2))
+            result = train(enc, TrainConfig(seed=4, epochs=2), nli_data=nli)
             runs.append((enc.table.copy(), result.nli_head.W.copy(), result.losses))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -391,7 +475,7 @@ class TestTrainDefsent:
         enc = tiny_encoder()
         before = enc.table.copy()
         defs = [DefinitionExample("alpha", "beta gamma")]
-        result = train_defsent(enc, defs, TrainConfig(epochs=0))
+        result = train(enc, TrainConfig(epochs=0), def_data=defs)
         assert result.steps == []
         np.testing.assert_array_equal(enc.table, before)
 
@@ -399,7 +483,7 @@ class TestTrainDefsent:
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
         enc = ToyEncoder.create(vocab, 6, "mean", seed=2)
-        result = train_defsent(enc, defs * 4, TrainConfig(seed=0, base_lr=0.05, epochs=20, batch_size=4))
+        result = train(enc, TrainConfig(seed=0, base_lr=0.05, epochs=20, batch_size=4), def_data=defs * 4)
         correct = sum(
             int(np.argmax(def_forward(enc.embed(ex.definition), result.def_head))
                 == enc.vocab.index(ex.word))
@@ -412,14 +496,14 @@ class TestTrainDefsent:
         defs = [DefinitionExample("alpha", "beta gamma"),
                 DefinitionExample("unseen", "alpha beta")]
         with caplog.at_level("INFO"):
-            result = train_defsent(enc, defs, TrainConfig(epochs=1, batch_size=2))
+            result = train(enc, TrainConfig(epochs=1, batch_size=2), def_data=defs)
         assert len(result.steps) == 1
         assert any("dropped 1" in m for m in caplog.messages)
 
     def test_all_oov_is_error(self):
         enc = tiny_encoder()
         with pytest.raises(InvalidInputError):
-            train_defsent(enc, [DefinitionExample("unseen", "alpha")], TrainConfig())
+            train(enc, TrainConfig(), def_data=[DefinitionExample("unseen", "alpha")])
 
     def test_same_seed_bit_identical(self):
         rng = make_rng(11)
@@ -428,7 +512,7 @@ class TestTrainDefsent:
         tables = []
         for _ in range(2):
             enc = ToyEncoder.create(vocab, 5, "mean", seed=8)
-            train_defsent(enc, defs, TrainConfig(seed=8, epochs=2))
+            train(enc, TrainConfig(seed=8, epochs=2), def_data=defs)
             tables.append(enc.table.copy())
         np.testing.assert_array_equal(tables[0], tables[1])
 
@@ -446,7 +530,7 @@ class TestTrainMulti:
         rng = make_rng(12)
         nli, defs, vocab = self._data(rng, 40 * 4)  # 40 batches of 4 -> 2 whole cycles
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        result = train_multi(enc, nli, defs, TrainConfig(seed=0, batch_size=4, epochs=1))
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs)
         assert len(result.steps) == 40
         assert result.stream_pattern() == [("nli", 19), ("def", 1), ("nli", 19), ("def", 1)]
 
@@ -455,7 +539,7 @@ class TestTrainMulti:
         nli, defs, vocab = self._data(rng, 6 * 4)
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
         schedule = MultiSchedule(nli_steps_per_cycle=1, def_steps_per_cycle=1)
-        result = train_multi(enc, nli, defs, TrainConfig(seed=0, batch_size=4, epochs=1), schedule)
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs, schedule)
         # 6 nominal steps -> 3 whole (1,1) cycles
         streams = [s.stream for s in result.steps]
         assert streams == ["nli", "def"] * 3
@@ -464,7 +548,7 @@ class TestTrainMulti:
         rng = make_rng(14)
         nli, defs, vocab = self._data(rng, 5 * 4)  # 5 nli batches -> rounded up to 20 steps
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        result = train_multi(enc, nli, defs, TrainConfig(seed=0, batch_size=4, epochs=1))
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs)
         assert len(result.steps) == 20
         assert result.stream_pattern() == [("nli", 19), ("def", 1)]
 
@@ -473,30 +557,6 @@ class TestTrainMulti:
         nli, defs, vocab = self._data(rng, 60 * 4)  # 3 cycles -> 3 def steps
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
         defs = defs[:4]  # a single def batch per pass
-        result = train_multi(enc, nli, defs, TrainConfig(seed=0, batch_size=4, epochs=1))
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs)
         def_steps = [s for s in result.steps if s.stream == "def"]
         assert len(def_steps) == 3  # consumed once per cycle, wrapping each pass
-
-
-class TestLrGridSearch:
-    def test_constant_scorer_ties_to_smallest(self):
-        result = lr_grid_search(lambda lr, seed: lr, lambda p: 1.0, seeds=(0, 1))
-        assert result.best_lr == 1e-6
-
-    def test_peaked_scorer(self):
-        result = lr_grid_search(lambda lr, seed: lr, lambda lr: -abs(lr - 5e-6), seeds=(0,))
-        assert result.best_lr == pytest.approx(5e-6)
-
-    def test_mean_aggregation_matches_manual(self):
-        def train(lr, seed):
-            return (lr, seed)
-
-        def score(model):
-            lr, seed = model
-            return lr * 1e6 + seed * 0.1
-
-        result = lr_grid_search(train, score, seeds=(0, 1, 2), grid=(1e-6, 2e-6))
-        for lr in (1e-6, 2e-6):
-            manual = sum(score((lr, s)) for s in (0, 1, 2)) / 3
-            assert result.mean_scores[lr] == pytest.approx(manual)
-        assert result.best_lr == 2e-6
