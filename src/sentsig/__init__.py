@@ -40,6 +40,8 @@ from .evalsuite import (
 from .numstat import cosine, cross_entropy, make_rng, pearson, ranks_with_ties, softmax, spearman
 from .objectives import (
     Adam,
+    IndexedDefinitions,
+    IndexedNli,
     MultiSchedule,
     NliHead,
     TrainConfig,
@@ -48,7 +50,6 @@ from .objectives import (
     def_forward,
     def_loss_and_grads,
     lr_at,
-    nli_forward,
     nli_loss_and_grads,
     smart_batches,
     train,

@@ -22,11 +22,11 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .combiner import CombinedProvider, PipelineSpec, run_pipeline
 from .corpus import Partition, dice, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
-from .encoder import EmbeddingStore, ToyEncoder, build_vocab, load_dump, save_dump
+from .encoder import EmbeddingStore, ToyEncoder, build_vocab, load_dump, save_dump, tokenize_texts
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
-from .objectives import MultiSchedule, TrainConfig
+from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig
 
 TRAIN_METHODS = ("sbert", "defsent", "s+d", "d+s", "multi")
 METHODS = TRAIN_METHODS + ("average", "concat", "none")
@@ -259,6 +259,32 @@ def _require(path: str | None, what: str) -> str:
     return path
 
 
+def _training_data(cfg: ExperimentConfig):
+    """(vocabulary, indexed NLI data or None, indexed definitions or None) of a training run.
+
+    Every text is tokenized once: the vocabulary and the index arrays that
+    every seed and stage trains on share the token lists, which (like the
+    parsed examples) are dropped once the indexes are built.
+    """
+    needs_nli = cfg.method in ("sbert", "s+d", "d+s", "multi")
+    needs_defs = cfg.method in ("defsent", "s+d", "d+s", "multi")
+    nli_examples = load_nli(_require(cfg.nli, "NLI")) if needs_nli else None
+    def_examples = load_definitions(_require(cfg.definitions, "definitions")) if needs_defs else None
+    texts = []
+    if nli_examples:
+        texts.extend(ex.premise for ex in nli_examples)
+        texts.extend(ex.hypothesis for ex in nli_examples)
+    if def_examples:
+        texts.extend(ex.definition for ex in def_examples)
+        texts.extend(ex.word for ex in def_examples)
+    tokens = tokenize_texts(texts)
+    vocab = build_vocab(texts, min_count=cfg.min_count, tokens=tokens)
+    nli_data = None if nli_examples is None else IndexedNli.build(nli_examples, vocab, tokens=tokens)
+    def_data = None if def_examples is None else IndexedDefinitions.build(def_examples, vocab,
+                                                                          tokens=tokens)
+    return vocab, nli_data, def_data
+
+
 def cmd_train(args) -> int:
     started = time.perf_counter()
     cfg = load_experiment_config(args.config, args)
@@ -267,19 +293,7 @@ def cmd_train(args) -> int:
             f"method {cfg.method!r} is not trainable; expected one of {TRAIN_METHODS}")
     out = _out_dir(cfg.out)
 
-    needs_nli = cfg.method in ("sbert", "s+d", "d+s", "multi")
-    needs_defs = cfg.method in ("defsent", "s+d", "d+s", "multi")
-    nli_data = load_nli(_require(cfg.nli, "NLI")) if needs_nli else None
-    def_data = load_definitions(_require(cfg.definitions, "definitions")) if needs_defs else None
-
-    texts = []
-    if nli_data:
-        texts.extend(ex.premise for ex in nli_data)
-        texts.extend(ex.hypothesis for ex in nli_data)
-    if def_data:
-        texts.extend(ex.definition for ex in def_data)
-        texts.extend(ex.word for ex in def_data)
-    vocab = build_vocab(texts, min_count=cfg.min_count)
+    vocab, nli_data, def_data = _training_data(cfg)
 
     artifacts = {}
     stage_logs = {}
@@ -348,11 +362,27 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _read_summary(path: Path) -> dict:
+    """The partition command's summary.json, checked for the fields eval reads."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidInputError(f"{path}: not a partition summary ({exc})") from None
+    subsets = summary.get("subsets") if isinstance(summary, dict) else None
+    if not isinstance(subsets, list):
+        raise InvalidInputError(f"{path}: expected an object with a 'subsets' list")
+    for i, entry in enumerate(subsets):
+        if not (isinstance(entry, dict) and isinstance(entry.get("label"), str)
+                and isinstance(entry.get("file"), str)):
+            raise InvalidInputError(f"{path}: subset {i} needs a 'label' and a 'file' string")
+    return summary
+
+
 def _load_partition_dir(path: Path) -> Partition:
     summary_file = path / "summary.json"
     if summary_file.exists():
-        with open(summary_file, encoding="utf-8") as fh:
-            summary = json.load(fh)
+        summary = _read_summary(summary_file)
         labels_files = [(e["label"], path / e["file"]) for e in summary["subsets"]]
         name = summary.get("scheme", path.name)
     else:

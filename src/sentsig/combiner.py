@@ -9,7 +9,7 @@ import numpy as np
 from .corpus import DefinitionExample, NliExample
 from .encoder import EmbeddingProvider, ToyEncoder
 from .errors import InvalidInputError
-from .objectives import MultiSchedule, TrainConfig, TrainResult, train
+from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, TrainResult, train
 
 STAGES = ("sbert", "defsent", "multi")
 COMBINE_MODES = ("average", "concat")
@@ -95,8 +95,9 @@ class PipelineResult:
 
 
 def run_pipeline(spec: PipelineSpec, encoder: ToyEncoder,
-                 nli_data: list[NliExample] | None = None,
-                 def_data: list[DefinitionExample] | None = None) -> PipelineResult:
+                 nli_data: IndexedNli | list[NliExample] | None = None,
+                 def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
+                 ) -> PipelineResult:
     """Apply the stages sequentially to the same encoder parameters.
 
     Stage N+1 starts from exactly the parameters stage N finished with.

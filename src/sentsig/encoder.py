@@ -12,9 +12,11 @@ Two concrete providers share one interface (a ``dim`` attribute plus an
 
 from __future__ import annotations
 
+import array
+import itertools
 from collections import Counter
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -71,23 +73,86 @@ class Vocabulary:
         return list(self._words)
 
 
-def build_vocab(texts: list[str], min_count: int = 1) -> Vocabulary:
+def tokenize_texts(texts) -> dict[str, tuple[str, ...]]:
+    """Tokens of each distinct text; every text is tokenized once.
+
+    Equal tokens share one string object, so the tokens of a corpus cost
+    about a pointer each.
+    """
+    canonical: dict[str, str] = {}
+    out = {}
+    for text in dict.fromkeys(texts):
+        tokens = tokenize(text)
+        out[text] = tuple(map(canonical.setdefault, tokens, tokens))
+    return out
+
+
+def build_vocab(texts: list[str], min_count: int = 1,
+                tokens: dict[str, tuple[str, ...]] | None = None) -> Vocabulary:
     """Vocabulary of all tokenized words with frequency >= min_count.
 
-    Index order is deterministic: descending frequency, then lexicographic.
+    ``tokens`` maps each text to its tokens (see :func:`tokenize_texts`);
+    without it each distinct text is tokenized here.  Index order is
+    deterministic: descending frequency, then lexicographic.
     """
     if not texts:
         raise InvalidInputError("cannot build a vocabulary from an empty corpus")
     if min_count < 1:
         raise InvalidInputError("min_count must be >= 1")
-    counts = Counter()
-    for text in texts:
-        counts.update(tokenize(text))
+    if tokens is None:
+        tokens = {text: tokenize(text) for text in dict.fromkeys(texts)}
+    counts = Counter(itertools.chain.from_iterable(tokens[text] for text in texts))
     kept = sorted(
         (w for w, c in counts.items() if c >= min_count),
         key=lambda w: (-counts[w], w),
     )
     return Vocabulary(kept)
+
+
+def word_indices(tokens: Sequence[str], vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> list[int]:
+    """Vocabulary indices of the first ``max_tokens`` tokens, unknowns to [UNK]."""
+    if not tokens:
+        raise InvalidInputError("token list is empty")
+    return [vocab.index(t) for t in tokens[:max_tokens]]
+
+
+class TokenIndex:
+    """Word indices of many texts in one flat array.
+
+    Text ``i`` is ``ids[offsets[i]:offsets[i + 1]]`` and has at least one
+    word.  The [CLS] position that precedes every text is the same table row
+    for all of them, so it is not stored.
+    """
+
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray):
+        self.ids = ids
+        self.offsets = offsets
+        self.lengths = offsets[1:] - offsets[:-1]  # word positions per text
+
+    @classmethod
+    def build(cls, token_lists, vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> "TokenIndex":
+        """Index each token list with :func:`word_indices`."""
+        ids = array.array("i")
+        sizes = []
+        for tokens in token_lists:
+            row = word_indices(tokens, vocab, max_tokens)
+            ids.extend(row)
+            sizes.append(len(row))
+        offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        return cls(np.frombuffer(ids, dtype=np.int32), offsets)
+
+    def __len__(self) -> int:
+        return self.lengths.shape[0]
+
+    def take(self, rows: np.ndarray) -> "TokenIndex":
+        """The texts at ``rows``, in that order, as a new index."""
+        starts = self.offsets[rows]
+        sizes = self.lengths[rows]
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
+        return TokenIndex(self.ids[gather], offsets)
 
 
 class ToyEncoder:
@@ -115,49 +180,56 @@ class ToyEncoder:
         table = rng.uniform(-half, half, size=(len(vocab), dim))
         return cls(vocab, table, pooling=pooling, max_tokens=max_tokens)
 
-    def token_indices(self, tokens: list[str]) -> np.ndarray:
-        """[CLS] index followed by the (truncated) word indices, unknowns to [UNK]."""
-        if not tokens:
-            raise InvalidInputError("token list is empty")
-        return np.array([CLS_INDEX, *(self.vocab.index(t) for t in tokens[: self.max_tokens])],
-                        dtype=np.intp)
-
-    def pool_forward(self, idxs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Pooled vector of an index array [CLS, w1, ...] and, for max, each coordinate's argmax.
+    def pool_forward(self, index: TokenIndex) -> tuple[np.ndarray, np.ndarray | None]:
+        """Pooled vectors (one row per text of ``index``) and, for max, each entry's table row.
 
         ``mean`` and ``max`` reduce over the word positions only, so the mean
         is a true word average; ``cls`` takes the [CLS] row.  Max ties go to
         the first position.
         """
         if self.pooling == "cls":
-            return self.table[CLS_INDEX].copy(), None
-        if idxs.shape[0] < 2:
+            return self.table[np.full(len(index), CLS_INDEX)], None
+        sizes = index.lengths
+        if sizes.min() < 1:
             raise InvalidInputError("no content vectors to pool over")
-        content = self.table[idxs[1:]]
+        n = sizes.shape[0]
         if self.pooling == "mean":
-            return content.mean(axis=0), None
-        argmax = content.argmax(axis=0)
-        return content.max(axis=0), argmax
+            # an unbuffered add sums each text's rows in word order, as a one-text mean does
+            sums = np.zeros((n, self.dim))
+            np.add.at(sums, np.repeat(np.arange(n), sizes), self.table[index.ids])
+            return sums / sizes[:, None], None
+        # max: lay the texts out as (text, position, dim), each padded to the
+        # longest by repeating its last word; a repeat comes after the word
+        # itself, so argmax still picks the first maximum
+        positions = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+        words = index.ids[positions + index.offsets[:-1, None]]
+        rows = self.table[words]
+        argmax_rows = words[np.arange(n)[:, None], rows.argmax(axis=1)]
+        return rows.max(axis=1), argmax_rows
 
-    def pool_backward(self, idxs: np.ndarray, argmax: np.ndarray | None,
+    def pool_backward(self, index: TokenIndex, argmax_rows: np.ndarray | None,
                       grad_out: np.ndarray, table_grad: np.ndarray) -> None:
-        """Add the table gradient of :meth:`pool_forward` for ``grad_out`` into ``table_grad``."""
+        """Add the table gradient of :meth:`pool_forward` for ``grad_out`` into ``table_grad``.
+
+        One scatter for the whole index: a row that several positions share
+        sums their contributions in text order.
+        """
         if self.pooling == "cls":
-            table_grad[CLS_INDEX] += grad_out
-            return
-        content = idxs[1:]
-        if self.pooling == "mean":
-            np.add.at(table_grad, content, grad_out / content.shape[0])
-            return
-        # max: each coordinate's gradient goes to the row that produced the max
-        np.add.at(table_grad, (content[argmax], np.arange(grad_out.shape[0])), grad_out)
+            np.add.at(table_grad, np.full(len(index), CLS_INDEX), grad_out)
+        elif self.pooling == "mean":
+            sizes = index.lengths
+            np.add.at(table_grad, index.ids, np.repeat(grad_out / sizes[:, None], sizes, axis=0))
+        else:  # max: each coordinate's gradient goes to the row that produced the max
+            np.add.at(table_grad, (argmax_rows, np.arange(self.dim)), grad_out)
 
     def embed(self, sentence: str) -> np.ndarray:
         tokens = tokenize(sentence)
         if not tokens:
             raise InvalidInputError(f"sentence has no tokens to embed: {sentence!r}")
-        vector, _ = self.pool_forward(self.token_indices(tokens))
-        if not np.all(np.isfinite(vector)):
+        ids = word_indices(tokens, self.vocab, self.max_tokens)
+        vectors, _ = self.pool_forward(TokenIndex(np.array(ids), np.array([0, len(ids)])))
+        vector = vectors[0]
+        if not np.isfinite(vector).all():
             raise InvalidInputError(f"embedding of {sentence!r} contains NaN or Inf")
         return vector
 

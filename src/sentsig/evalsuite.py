@@ -95,8 +95,13 @@ def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([line(headers), sep, *(line(r) for r in rows)]) + "\n"
 
 
-def eval_sts(provider: EmbeddingProvider, pairs: list[StsPair]) -> tuple[float, float]:
-    """(spearman, pearson) between per-pair cosine similarity and gold scores."""
+def eval_sts(provider: EmbeddingProvider, pairs: list[StsPair],
+             scores: list[float] | None = None) -> tuple[float, float]:
+    """(spearman, pearson) between per-pair cosine similarity and gold scores.
+
+    Each distinct sentence is embedded once.  A ``scores`` list receives the
+    per-pair cosines before they are correlated.
+    """
     if len(pairs) < 2:
         raise InvalidInputError("STS evaluation needs at least 2 pairs")
     cache: dict[str, np.ndarray] = {}
@@ -106,33 +111,47 @@ def eval_sts(provider: EmbeddingProvider, pairs: list[StsPair]) -> tuple[float, 
             cache[sentence] = provider.embed(sentence)
         return cache[sentence]
 
-    scores = [cosine(emb(p.sentence1), emb(p.sentence2)) for p in pairs]
+    cosines = [cosine(emb(p.sentence1), emb(p.sentence2)) for p in pairs]
+    if scores is not None:
+        scores.extend(cosines)
+    return _correlations(cosines, pairs)
+
+
+def _correlations(cosines: list[float], pairs: list[StsPair]) -> tuple[float, float]:
     gold = [p.gold for p in pairs]
-    return spearman(scores, gold), pearson(scores, gold)
+    return spearman(cosines, gold), pearson(cosines, gold)
 
 
 def eval_sts_partitioned(provider: EmbeddingProvider, partition: Partition,
                          seed: int | None = None) -> StsReport:
     """Score every subset plus the pooled concatenation ("ALL").
 
-    Subsets that are too small or have zero score variance are flagged in the
-    report instead of aborting the whole evaluation.
+    Every pair is embedded and scored once, for ALL; each subset correlates
+    its slice of those scores.  Subsets that are too small or have zero score
+    variance are flagged in the report instead of aborting the whole
+    evaluation.
     """
-    entries = []
-    for label, pairs in partition.subsets:
-        entries.append(_scored_entry(provider, label, pairs))
     pooled = concat_subsets(partition)
-    entries.append(_scored_entry(provider, "ALL", pooled))
+    scores: list[float] = []
+    pooled_entry = _scored_entry("ALL", pooled, lambda: eval_sts(provider, pooled, scores))
+    entries = []
+    start = 0
+    for label, pairs in partition.subsets:
+        cosines = scores[start : start + len(pairs)]
+        entries.append(_scored_entry(label, pairs, lambda: _correlations(cosines, pairs)))
+        start += len(pairs)
+    entries.append(pooled_entry)
     seeds = [] if seed is None else [seed]
     return StsReport(provider=provider.name, partition=partition.name,
                      entries=entries, seeds=seeds)
 
 
-def _scored_entry(provider, label, pairs) -> SubsetScore:
+def _scored_entry(label, pairs, correlate) -> SubsetScore:
+    """The report row of ``pairs``; ``correlate()`` gives their (spearman, pearson)."""
     if len(pairs) < 2:
         return SubsetScore(label, len(pairs), None, None, note="too few pairs")
     try:
-        rho, r = eval_sts(provider, pairs)
+        rho, r = correlate()
     except DegenerateScoresError:
         return SubsetScore(label, len(pairs), None, None, note="zero score variance")
     return SubsetScore(label, len(pairs), 100.0 * rho, 100.0 * r)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateScoresError, InvalidInputError
 
-# Smallest positive normal float64; used as the log floor in cross_entropy.
+# Smallest positive normal float64; used as the log floor of the cross-entropies.
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -122,3 +122,14 @@ def cross_entropy(probs, gold: int) -> float:
     if not 0 <= gold < p.shape[0]:
         raise InvalidInputError(f"gold index {gold} out of range for {p.shape[0]} classes")
     return -math.log(max(float(p[gold]), _TINY))
+
+
+def mean_cross_entropy(probs: np.ndarray, golds: np.ndarray) -> float:
+    """Mean of ``cross_entropy(probs[i], golds[i])`` over the rows of a probability matrix."""
+    m = probs.shape[0]
+    if golds.shape != (m,) or golds.min() < 0 or golds.max() >= probs.shape[1]:
+        raise InvalidInputError(f"gold indices out of range for {probs.shape[1]} classes")
+    total = 0.0
+    for p in probs[np.arange(m), golds].tolist():
+        total += -math.log(max(p, _TINY))
+    return total / m

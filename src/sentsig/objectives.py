@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import DefinitionExample, NliExample, tokenize
-from .encoder import ToyEncoder
+from .encoder import MAX_TOKENS, TokenIndex, ToyEncoder, Vocabulary
 from .errors import InvalidInputError
-from .numstat import cross_entropy, make_rng, softmax
+from .numstat import make_rng, mean_cross_entropy, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
+        if self.bucket_width < 1:
+            raise InvalidInputError("bucket_width must be >= 1")
         if self.epochs < 0:
             raise InvalidInputError("epochs must be >= 0")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -64,6 +66,94 @@ class MultiSchedule:
     def __post_init__(self):
         if self.nli_steps_per_cycle < 1 or self.def_steps_per_cycle < 1:
             raise InvalidInputError("schedule steps per cycle must be positive")
+
+
+class IndexedNli:
+    """NLI examples as token indices, built once and batched with :meth:`take`.
+
+    ``texts`` holds the premises followed by the hypotheses (premise ``i`` is
+    text ``i``, its hypothesis text ``n + i``), so one pooling call embeds
+    both sides of a batch.
+    """
+
+    def __init__(self, texts: TokenIndex, labels: np.ndarray, vocab: Vocabulary, max_tokens: int):
+        self.texts = texts
+        self.labels = labels
+        self.vocab = vocab
+        self.max_tokens = max_tokens
+
+    @classmethod
+    def build(cls, examples: list[NliExample], vocab: Vocabulary, max_tokens: int = MAX_TOKENS,
+              tokens: dict[str, tuple[str, ...]] | None = None) -> "IndexedNli":
+        """Index ``examples``; ``tokens`` maps texts to their tokens when already made."""
+        texts = [ex.premise for ex in examples] + [ex.hypothesis for ex in examples]
+        labels = np.array([ex.label_index for ex in examples], dtype=np.intp)
+        return cls(TokenIndex.build(_token_lists(texts, tokens), vocab, max_tokens),
+                   labels, vocab, max_tokens)
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Batching length of each example: the longer side's token count."""
+        n = len(self)
+        return np.maximum(self.texts.lengths[:n], self.texts.lengths[n:])
+
+    def take(self, rows: np.ndarray) -> "IndexedNli":
+        texts = self.texts.take(np.concatenate([rows, rows + len(self)]))
+        return IndexedNli(texts, self.labels[rows], self.vocab, self.max_tokens)
+
+
+class IndexedDefinitions:
+    """Definition examples as token indices plus each headword's vocabulary index (-1 if absent)."""
+
+    def __init__(self, texts: TokenIndex, golds: np.ndarray, vocab: Vocabulary, max_tokens: int):
+        self.texts = texts
+        self.golds = golds
+        self.vocab = vocab
+        self.max_tokens = max_tokens
+
+    @classmethod
+    def build(cls, examples: list[DefinitionExample], vocab: Vocabulary,
+              max_tokens: int = MAX_TOKENS,
+              tokens: dict[str, tuple[str, ...]] | None = None) -> "IndexedDefinitions":
+        """Index ``examples``; ``tokens`` maps texts to their tokens when already made."""
+        texts = [ex.definition for ex in examples]
+        golds = np.array([vocab.index(ex.word) if ex.word in vocab else -1 for ex in examples],
+                         dtype=np.intp)
+        return cls(TokenIndex.build(_token_lists(texts, tokens), vocab, max_tokens),
+                   golds, vocab, max_tokens)
+
+    def __len__(self) -> int:
+        return self.golds.shape[0]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.texts.lengths
+
+    def take(self, rows: np.ndarray) -> "IndexedDefinitions":
+        return IndexedDefinitions(self.texts.take(rows), self.golds[rows], self.vocab,
+                                  self.max_tokens)
+
+
+def _token_lists(texts: list[str], tokens: dict[str, tuple[str, ...]] | None) -> list:
+    """Each text's tokens: from ``tokens`` if given, else each distinct text tokenized once."""
+    if tokens is None:
+        tokens = {text: tokenize(text) for text in dict.fromkeys(texts)}
+    return [tokens[text] for text in texts]
+
+
+def _indexed(data, encoder: ToyEncoder, kind):
+    """``data`` as ``kind`` indexed for the encoder; example lists are indexed here."""
+    if isinstance(data, kind):
+        return data
+    return kind.build(data, encoder.vocab, encoder.max_tokens)
+
+
+def _check_indexed(batch, encoder: ToyEncoder) -> None:
+    if batch.vocab is not encoder.vocab or batch.max_tokens != encoder.max_tokens:
+        raise InvalidInputError("batch was indexed for another vocabulary or truncation length")
 
 
 class NliHead:
@@ -134,65 +224,44 @@ class TrainResult:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def nli_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if u.shape != v.shape:
-        raise InvalidInputError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return np.concatenate([u, v, np.abs(u - v)])
-
-
-def nli_forward(u: np.ndarray, v: np.ndarray, head: NliHead) -> np.ndarray:
-    """Logits W [u; v; |u-v|] + b."""
-    f = nli_features(u, v)
-    if head.W.shape[1] != f.shape[0]:
-        raise InvalidInputError(
-            f"head expects feature dim {head.W.shape[1]}, got {f.shape[0]}")
-    logits = head.W @ f
-    if head.b is not None:
-        logits = logits + head.b
-    return logits
-
-
-def nli_loss_and_grads(batch: list[NliExample], encoder: ToyEncoder, head: NliHead):
+def nli_loss_and_grads(batch: IndexedNli, encoder: ToyEncoder, head: NliHead):
     """Mean cross-entropy over the batch and gradients for table, W and b.
 
-    The absolute-value feature uses subgradient 0 at exact zeros.
+    One pooling call embeds premises and hypotheses as U and V (B x d); the
+    feature F = [U; V; |U - V|] (B x 3d) goes through the head and a
+    row-wise softmax gives G = P - onehot(gold).  The gradients are G^T F for
+    W, the column sums of G for b and G W for F, which one scatter routes
+    back into the table.  The absolute-value feature uses subgradient 0 at
+    exact zeros.
     """
-    if not batch:
+    if not len(batch):
         raise InvalidInputError("empty NLI batch")
+    _check_indexed(batch, encoder)
     d = encoder.dim
-    table_grad = np.zeros_like(encoder.table)
-    w_grad = np.zeros_like(head.W)
-    b_grad = np.zeros(3) if head.b is not None else None
-    total = 0.0
-    for ex in batch:
-        idx_u = encoder.token_indices(tokenize(ex.premise))
-        idx_v = encoder.token_indices(tokenize(ex.hypothesis))
-        u, argmax_u = encoder.pool_forward(idx_u)
-        v, argmax_v = encoder.pool_forward(idx_v)
-        diff = u - v
-        f = np.concatenate([u, v, np.abs(diff)])
-        logits = head.W @ f
-        if head.b is not None:
-            logits = logits + head.b
-        probs = softmax(logits)
-        gold = ex.label_index
-        total += cross_entropy(probs, gold)
-        g = probs.copy()
-        g[gold] -= 1.0
-        w_grad += np.outer(g, f)
-        if b_grad is not None:
-            b_grad += g
-        df = head.W.T @ g
-        sign = np.sign(diff)
-        du = df[:d] + sign * df[2 * d :]
-        dv = df[d : 2 * d] - sign * df[2 * d :]
-        encoder.pool_backward(idx_u, argmax_u, du, table_grad)
-        encoder.pool_backward(idx_v, argmax_v, dv, table_grad)
+    if head.W.shape[1] != 3 * d:
+        raise InvalidInputError(f"head expects feature dim {head.W.shape[1]}, got {3 * d}")
     m = len(batch)
-    grads = {"table": table_grad / m, "nli_W": w_grad / m}
-    if b_grad is not None:
-        grads["nli_b"] = b_grad / m
-    return total / m, grads
+    pooled, argmax_rows = encoder.pool_forward(batch.texts)
+    U, V = pooled[:m], pooled[m:]
+    diff = U - V
+    F = np.hstack([U, V, np.abs(diff)])
+    logits = F @ head.W.T
+    if head.b is not None:
+        logits += head.b
+    G = softmax(logits)  # P now; P - onehot(gold) after the loss is read
+    loss = mean_cross_entropy(G, batch.labels)
+    G[np.arange(m), batch.labels] -= 1.0
+    dF = G @ head.W
+    sign = np.sign(diff)
+    dpooled = np.vstack([dF[:, :d] + sign * dF[:, 2 * d :],
+                         dF[:, d : 2 * d] - sign * dF[:, 2 * d :]])
+    table_grad = np.zeros_like(encoder.table)
+    encoder.pool_backward(batch.texts, argmax_rows, dpooled, table_grad)
+    table_grad /= m
+    grads = {"table": table_grad, "nli_W": G.T @ F / m}
+    if head.b is not None:
+        grads["nli_b"] = G.sum(axis=0) / m
+    return loss, grads
 
 
 def def_forward(s: np.ndarray, head: WordPredictionHead) -> np.ndarray:
@@ -207,49 +276,39 @@ def def_forward(s: np.ndarray, head: WordPredictionHead) -> np.ndarray:
     return s @ head.weights.T + head.bias
 
 
-def def_loss_and_grads(batch: list[DefinitionExample], encoder: ToyEncoder,
+def def_loss_and_grads(batch: IndexedDefinitions, encoder: ToyEncoder,
                        head: WordPredictionHead):
     """Mean cross-entropy of headword prediction and gradients.
 
     The head runs once per batch: the pooled definitions are stacked into
     S (B x d), a row-wise softmax of the logits gives G = P - onehot(gold),
     and the gradients are G^T S for the weights, the column sums of G for the
-    bias and G W for S, whose rows are routed back through the pooling one
-    example at a time.  Every headword must be a vocabulary entry.  With a
-    tied head the table gradient accumulates both the encoder path and the
-    output-layer path.
+    bias and G W for S, which one scatter routes back into the table.  Every
+    headword must be a vocabulary entry.  With a tied head the table
+    gradient accumulates both the encoder path and the output-layer path.
     """
-    if not batch:
+    if not len(batch):
         raise InvalidInputError("empty definition batch")
-    golds, rows, caches = [], [], []
-    for ex in batch:
-        if ex.word not in encoder.vocab:
-            raise InvalidInputError(f"headword {ex.word!r} is not in the vocabulary")
-        golds.append(encoder.vocab.index(ex.word))
-        idxs = encoder.token_indices(tokenize(ex.definition))
-        s, argmax = encoder.pool_forward(idxs)
-        rows.append(s)
-        caches.append((idxs, argmax))
+    _check_indexed(batch, encoder)
+    if batch.golds.min() < 0:
+        raise InvalidInputError("a headword of the batch is not in the vocabulary")
     m = len(batch)
-    S = np.stack(rows)
-    G = softmax(def_forward(S, head))  # P now; P - onehot(gold) after the losses are read
-    total = 0.0
-    for probs, gold in zip(G, golds):
-        total += cross_entropy(probs, gold)
-    G[np.arange(m), golds] -= 1.0
+    S, argmax_rows = encoder.pool_forward(batch.texts)
+    G = softmax(def_forward(S, head))  # P now; P - onehot(gold) after the loss is read
+    loss = mean_cross_entropy(G, batch.golds)
+    G[np.arange(m), batch.golds] -= 1.0
     out_grad = G.T @ S
     bias_grad = G.sum(axis=0)
     dS = G @ head.weights
     # tied: the encoder path accumulates onto the output-layer gradient of the same table
     table_grad = out_grad if head.tied else np.zeros_like(encoder.table)
-    for (idxs, argmax), ds in zip(caches, dS):
-        encoder.pool_backward(idxs, argmax, ds, table_grad)
+    encoder.pool_backward(batch.texts, argmax_rows, dS, table_grad)
     table_grad /= m
     bias_grad /= m
     if head.tied:
-        return total / m, {"table": table_grad, "def_bias": bias_grad}
+        return loss, {"table": table_grad, "def_bias": bias_grad}
     out_grad /= m
-    return total / m, {"table": table_grad, "def_W": out_grad, "def_bias": bias_grad}
+    return loss, {"table": table_grad, "def_W": out_grad, "def_bias": bias_grad}
 
 
 # ---------------------------------------------------------------------------
@@ -326,87 +385,74 @@ def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 
 # batching
 # ---------------------------------------------------------------------------
 
-def example_token_length(example) -> int:
-    if isinstance(example, NliExample):
-        return max(len(tokenize(example.premise)), len(tokenize(example.hypothesis)))
-    if isinstance(example, DefinitionExample):
-        return len(tokenize(example.definition))
-    raise InvalidInputError(f"cannot measure token length of {type(example).__name__}")
-
-
-def smart_batches(examples: list, batch_size: int, rng: np.random.Generator,
-                  bucket_width: int = 8) -> list[list]:
-    """Length-bucketed batches in seeded-random order; every example appears once.
+def smart_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator,
+                  bucket_width: int = 8) -> list[np.ndarray]:
+    """Length-bucketed batches of example rows in seeded-random order; every row appears once.
 
     Examples are grouped into token-length buckets of the given width and each
     batch is drawn from a single bucket, so in-batch length spread never
     exceeds the bucket width.
     """
-    if not examples:
+    if not len(lengths):
         raise InvalidInputError("no examples to batch")
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
-    buckets: dict[int, list[int]] = {}
-    for i, ex in enumerate(examples):
-        buckets.setdefault(example_token_length(ex) // bucket_width, []).append(i)
-    batches: list[list] = []
-    for key in sorted(buckets):
-        idxs = buckets[key]
-        order = rng.permutation(len(idxs))
-        shuffled = [idxs[j] for j in order]
-        for start in range(0, len(shuffled), batch_size):
-            batches.append([examples[i] for i in shuffled[start : start + batch_size]])
+    keys = np.asarray(lengths) // bucket_width
+    batches: list[np.ndarray] = []
+    for key in np.flatnonzero(np.bincount(keys)):
+        rows = np.flatnonzero(keys == key)
+        shuffled = rows[rng.permutation(len(rows))]
+        batches.extend(shuffled[start : start + batch_size]
+                       for start in range(0, len(shuffled), batch_size))
     batch_order = rng.permutation(len(batches))
     return [batches[j] for j in batch_order]
 
 
-def _plain_batches(examples: list, batch_size: int, rng: np.random.Generator) -> list[list]:
-    order = rng.permutation(len(examples))
-    return [[examples[i] for i in order[s : s + batch_size]]
-            for s in range(0, len(examples), batch_size)]
+def _plain_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    order = rng.permutation(n)
+    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
 
 
-def _epoch_batches(examples: list, config: TrainConfig, rng: np.random.Generator) -> list[list]:
+def _epoch_batches(lengths: np.ndarray, config: TrainConfig,
+                   rng: np.random.Generator) -> list[np.ndarray]:
     if config.smart_batching:
-        return smart_batches(examples, config.batch_size, rng, config.bucket_width)
-    return _plain_batches(examples, config.batch_size, rng)
+        return smart_batches(lengths, config.batch_size, rng, config.bucket_width)
+    return _plain_batches(len(lengths), config.batch_size, rng)
 
 
-def batches_per_epoch(examples: list, config: TrainConfig) -> int:
+def batches_per_epoch(lengths: np.ndarray, config: TrainConfig) -> int:
     """Batch count per epoch; fixed by bucket sizes, independent of shuffling."""
     if config.smart_batching:
-        buckets: dict[int, int] = {}
-        for ex in examples:
-            key = example_token_length(ex) // config.bucket_width
-            buckets[key] = buckets.get(key, 0) + 1
-        return sum(math.ceil(n / config.batch_size) for n in buckets.values())
-    return math.ceil(len(examples) / config.batch_size)
+        counts = np.bincount(np.asarray(lengths) // config.bucket_width)
+        return sum(math.ceil(int(n) / config.batch_size) for n in counts)
+    return math.ceil(len(lengths) / config.batch_size)
 
 
 class BatchStream:
     """Endless stream of batches; rewinds with a fresh shuffle when exhausted."""
 
-    def __init__(self, examples: list, config: TrainConfig, rng: np.random.Generator):
-        if not examples:
+    def __init__(self, data, config: TrainConfig, rng: np.random.Generator):
+        if not len(data):
             raise InvalidInputError("empty example stream")
-        self.examples = examples
+        self.data = data
+        self.lengths = data.lengths
         self.config = config
         self.rng = rng
-        self.batches_per_pass = batches_per_epoch(examples, config)
-        self._queue: list = []
+        self.batches_per_pass = batches_per_epoch(self.lengths, config)
+        self._queue: list[np.ndarray] = []
 
-    def next_batch(self) -> list:
+    def next_batch(self):
         if not self._queue:
-            self._queue = list(reversed(_epoch_batches(self.examples, self.config, self.rng)))
-        return self._queue.pop()
+            self._queue = list(reversed(_epoch_batches(self.lengths, self.config, self.rng)))
+        return self.data.take(self._queue.pop())
 
 
 # ---------------------------------------------------------------------------
 # training loops
 # ---------------------------------------------------------------------------
 
-def _drop_oov_definitions(data: list[DefinitionExample], encoder: ToyEncoder):
-    kept = [ex for ex in data if ex.word in encoder.vocab]
+def _drop_oov_definitions(data: IndexedDefinitions) -> IndexedDefinitions:
+    kept = data.take(np.flatnonzero(data.golds >= 0))
     dropped = len(data) - len(kept)
     if dropped:
         logger.info("dropped %d definition examples with out-of-vocabulary headwords", dropped)
@@ -416,8 +462,8 @@ def _drop_oov_definitions(data: list[DefinitionExample], encoder: ToyEncoder):
 
 
 def train(encoder: ToyEncoder, config: TrainConfig,
-          nli_data: list[NliExample] | None = None,
-          def_data: list[DefinitionExample] | None = None,
+          nli_data: IndexedNli | list[NliExample] | None = None,
+          def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
           schedule: MultiSchedule | None = None) -> TrainResult:
     """Fine-tune the encoder on the NLI and/or the definition objective.
 
@@ -427,7 +473,8 @@ def train(encoder: ToyEncoder, config: TrainConfig,
     ``schedule.nli_steps_per_cycle`` NLI steps followed by
     ``schedule.def_steps_per_cycle`` definition steps; a single stream has a
     cycle of length 1.  The step count (epochs x batches per epoch of the
-    first stream) is rounded up to whole cycles.
+    first stream) is rounded up to whole cycles.  Datasets given as example
+    lists are indexed for the encoder first.
     """
     if nli_data is None and def_data is None:
         raise InvalidInputError("training needs an NLI or a definition dataset")
@@ -441,14 +488,15 @@ def train(encoder: ToyEncoder, config: TrainConfig,
         params["nli_W"] = head.W
         if head.b is not None:
             params["nli_b"] = head.b
-        streams.append(("nli", BatchStream(nli_data, config, rng), nli_loss_and_grads, head))
+        data = _indexed(nli_data, encoder, IndexedNli)
+        streams.append(("nli", BatchStream(data, config, rng), nli_loss_and_grads, head))
     if def_data is not None:
         head = result.def_head = WordPredictionHead.create(encoder, tied=config.tied_head)
         params["def_bias"] = head.bias
         if not head.tied:
             params["def_W"] = head.weights
-        kept = _drop_oov_definitions(def_data, encoder)
-        streams.append(("def", BatchStream(kept, config, rng), def_loss_and_grads, head))
+        data = _drop_oov_definitions(_indexed(def_data, encoder, IndexedDefinitions))
+        streams.append(("def", BatchStream(data, config, rng), def_loss_and_grads, head))
     optimizer = Adam(params, config.beta1, config.beta2, config.eps)
 
     cycle = streams

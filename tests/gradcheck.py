@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from sentsig.corpus import DefinitionExample, NliExample
-from sentsig.encoder import ToyEncoder, Vocabulary
+from sentsig.corpus import DefinitionExample, NliExample, tokenize
+from sentsig.encoder import CLS_INDEX, ToyEncoder, Vocabulary
 from sentsig.objectives import (
+    IndexedDefinitions,
+    IndexedNli,
     NliHead,
     WordPredictionHead,
     def_loss_and_grads,
@@ -37,14 +39,45 @@ def finite_difference_worst_error(loss_fn, params, grads, h=1e-5):
     return worst
 
 
+def word_ids(encoder, text):
+    """Word indices of one text, truncated at the encoder's max_tokens."""
+    return np.array([encoder.vocab.index(t) for t in tokenize(text)[: encoder.max_tokens]])
+
+
+def pool_one(encoder, words):
+    """Reference pooling of one text: its vector and, for max, each coordinate's argmax position."""
+    if encoder.pooling == "cls":
+        return encoder.table[CLS_INDEX].copy(), None
+    content = encoder.table[words]
+    if encoder.pooling == "mean":
+        return content.mean(axis=0), None
+    return content.max(axis=0), content.argmax(axis=0)
+
+
+def unpool_one(encoder, words, argmax, grad_out, table_grad):
+    """Reference backward of :func:`pool_one`, added into ``table_grad``."""
+    if encoder.pooling == "cls":
+        table_grad[CLS_INDEX] += grad_out
+    elif encoder.pooling == "mean":
+        np.add.at(table_grad, words, grad_out / words.shape[0])
+    else:
+        np.add.at(table_grad, (words[argmax], np.arange(grad_out.shape[0])), grad_out)
+
+
+def indexed(batch, encoder):
+    """A list of NLI or definition examples indexed for the encoder, as the losses take it."""
+    kind = IndexedNli if isinstance(batch[0], NliExample) else IndexedDefinitions
+    return kind.build(batch, encoder.vocab, encoder.max_tokens)
+
+
 def _sentence(rng, words, max_len=4):
     n = int(rng.integers(1, max_len + 1))
     return " ".join(words[i] for i in rng.integers(0, len(words), size=n))
 
 
-def _max_margins_ok(encoder, tokens):
+def _max_margins_ok(encoder, text):
     """No coordinate may have a nonzero top-2 gap smaller than the margin."""
-    rows = encoder.table[encoder.token_indices(tokens)][1:]
+    rows = encoder.table[word_ids(encoder, text)]
     if rows.shape[0] < 2:
         return True
     part = np.sort(rows, axis=0)
@@ -52,9 +85,9 @@ def _max_margins_ok(encoder, tokens):
     return not np.any((gaps > 0) & (gaps < _MARGIN))
 
 
-def _abs_feature_ok(encoder, premise_tokens, hypothesis_tokens):
-    u, _ = encoder.pool_forward(encoder.token_indices(premise_tokens))
-    v, _ = encoder.pool_forward(encoder.token_indices(hypothesis_tokens))
+def _abs_feature_ok(encoder, premise, hypothesis):
+    u, _ = pool_one(encoder, word_ids(encoder, premise))
+    v, _ = pool_one(encoder, word_ids(encoder, hypothesis))
     gap = np.abs(u - v)
     return not np.any((gap > 0) & (gap < _MARGIN))
 
@@ -76,11 +109,11 @@ def random_nli_instance(rng, pooling, d_max=8, v_max=20, batch_max=4):
         ]
         ok = True
         for ex in batch:
-            pt, ht = ex.premise.split(), ex.hypothesis.split()
-            if pooling == "max" and not (_max_margins_ok(encoder, pt) and _max_margins_ok(encoder, ht)):
+            if pooling == "max" and not (_max_margins_ok(encoder, ex.premise)
+                                         and _max_margins_ok(encoder, ex.hypothesis)):
                 ok = False
                 break
-            if not _abs_feature_ok(encoder, pt, ht):
+            if not _abs_feature_ok(encoder, ex.premise, ex.hypothesis):
                 ok = False
                 break
         if not ok:
@@ -103,7 +136,7 @@ def random_def_instance(rng, pooling, tied, d_max=8, v_max=20, batch_max=4):
             for _ in range(int(rng.integers(1, batch_max + 1)))
         ]
         if pooling == "max" and not all(
-                _max_margins_ok(encoder, ex.definition.split()) for ex in batch):
+                _max_margins_ok(encoder, ex.definition) for ex in batch):
             continue
         if tied:
             head = WordPredictionHead(encoder.table, rng.normal(size=len(vocab)), tied=True)
@@ -117,6 +150,7 @@ def random_def_instance(rng, pooling, tied, d_max=8, v_max=20, batch_max=4):
 
 def check_nli_instance(rng, pooling, h=1e-5):
     encoder, head, batch, params = random_nli_instance(rng, pooling)
+    batch = indexed(batch, encoder)
     _, grads = nli_loss_and_grads(batch, encoder, head)
     return finite_difference_worst_error(
         lambda: nli_loss_and_grads(batch, encoder, head)[0], params, grads, h=h)
@@ -124,6 +158,7 @@ def check_nli_instance(rng, pooling, h=1e-5):
 
 def check_def_instance(rng, pooling, tied, h=1e-5):
     encoder, head, batch, params = random_def_instance(rng, pooling, tied)
+    batch = indexed(batch, encoder)
     _, grads = def_loss_and_grads(batch, encoder, head)
     return finite_difference_worst_error(
         lambda: def_loss_and_grads(batch, encoder, head)[0], params, grads, h=h)

@@ -4,14 +4,18 @@ import argparse
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import sentsig.corpus
+import sentsig.encoder
+import sentsig.objectives
 from sentsig import cli
 from sentsig.checkpoint import load_checkpoint
 from sentsig.cli import main
-from sentsig.corpus import load_sts, save_definitions, save_nli, save_sts
+from sentsig.corpus import load_definitions, load_nli, load_sts, save_definitions, save_nli, save_sts
 from sentsig.encoder import load_dump
 from sentsig.numstat import make_rng
 from sentsig.synth import (
@@ -149,6 +153,22 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"seed0", "seed1"}
 
+    def test_each_training_text_tokenized_once(self, data, monkeypatch):
+        calls = Counter()
+        for module in (sentsig.corpus, sentsig.encoder, sentsig.objectives):
+            def counting(text, tokenize=module.tokenize):
+                calls[text] += 1
+                return tokenize(text)
+            monkeypatch.setattr(module, "tokenize", counting)
+        out = data["root"] / "multi2"
+        assert run(["train", "--method", "multi", "--seeds", "0 1", "--out", out,
+                    "--config", _config(data)]) == 0
+        nli, defs = load_nli(data["nli"]), load_definitions(data["defs"])
+        texts = ({t for ex in nli for t in (ex.premise, ex.hypothesis)}
+                 | {t for ex in defs for t in (ex.definition, ex.word)})
+        assert set(calls) == texts
+        assert set(calls.values()) == {1}
+
     def test_untrainable_method_rejected(self, data, capsys):
         # argparse blocks --method average, so route it through the config file
         cfg = data["root"] / "avg.ini"
@@ -184,11 +204,12 @@ BAD_VALUES = [
     ("[train]\nseeds = 0 x\n", [], "[train] seeds: invalid value '0 x'"),
     ("[probe]\nfolds = ten\n", [], "[probe] folds: invalid value 'ten'"),
     ("", ["--seeds", "0 x"], "seed list '0 x'"),
+    ("[train]\nbucket_width = 0\n", [], "bucket_width must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize("section, flags, message", BAD_VALUES,
-                         ids=["dim", "base_lr", "seeds", "probe-folds", "seeds-flag"])
+                         ids=["dim", "base_lr", "seeds", "probe-folds", "seeds-flag", "bucket-width"])
 def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
     cfg = data["root"] / "bad.ini"
     cfg.write_text(f"[data]\nnli = {data['nli']}\n\n{section}")
@@ -262,6 +283,31 @@ def test_malformed_input_exit_2_no_manifest(trained, tmp_path, capsys, files, ar
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert message in err
+    assert not (out / "manifest.json").exists()
+
+
+# (case, summary.json text): each is a partition directory that eval must reject
+BAD_SUMMARIES = [
+    ("truncated", '{"subsets": ['),
+    ("not-json", "scheme: dice\n"),
+    ("no-subsets", '{"scheme": "dice"}'),
+    ("not-an-object", '[{"label": "a", "file": "a.tsv"}]'),
+    ("entry-without-label", '{"subsets": [{"file": "a.tsv"}]}'),
+    ("entry-without-file", '{"subsets": [{"label": "a"}]}'),
+]
+
+
+@pytest.mark.parametrize("text", [c[1] for c in BAD_SUMMARIES], ids=[c[0] for c in BAD_SUMMARIES])
+def test_malformed_partition_summary_exit_2_no_manifest(trained, tmp_path, capsys, text):
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    save_sts(load_sts(trained["sts"]), parts / "a.tsv")
+    (parts / "summary.json").write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["eval", trained["ckpt0"], "--partition-dir", parts, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "summary.json" in err
     assert not (out / "manifest.json").exists()
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gradcheck import pool_one, unpool_one
 from sentsig.corpus import tokenize
 from sentsig.encoder import (
     CLS_INDEX,
@@ -12,11 +13,13 @@ from sentsig.encoder import (
     UNK_INDEX,
     UNK_TOKEN,
     EmbeddingStore,
+    TokenIndex,
     ToyEncoder,
     Vocabulary,
     build_vocab,
     load_dump,
     save_dump,
+    tokenize_texts,
 )
 from sentsig.errors import InvalidInputError, MissingEmbeddingError, ParseError
 from sentsig.numstat import make_rng
@@ -62,12 +65,13 @@ class TestVocabulary:
 
 
 def pool(rows, strategy):
-    """ToyEncoder's index-array pooling over ``rows``; the first row is the [CLS] position."""
+    """ToyEncoder's pooling of one text over ``rows``; the first row is the [CLS] position."""
     rows = np.asarray(rows, dtype=np.float64)
     table = np.vstack([rows, np.zeros((2, rows.shape[1]))])  # at least [CLS] and [UNK]
     enc = ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling=strategy)
-    vector, _ = enc.pool_forward(np.arange(rows.shape[0]))
-    return vector
+    n = rows.shape[0]
+    vectors, _ = enc.pool_forward(TokenIndex(np.arange(1, n), np.array([0, n - 1])))
+    return vectors[0]
 
 
 def without_cls(rows):
@@ -126,20 +130,21 @@ def small_encoder(pooling="mean", dim=4, seed=0):
 
 class TestToyEncoder:
     def test_encode_prepends_cls(self):
-        enc = small_encoder()
-        seq = enc.table[enc.token_indices(["alpha"])]
-        assert seq.shape == (2, 4)
-        np.testing.assert_array_equal(seq[0], enc.table[CLS_INDEX])
+        # the index holds the words; the [CLS] position before them is implicit
+        enc = small_encoder("cls")
+        index = TokenIndex.build([["alpha"]], enc.vocab)
+        assert index.ids.tolist() == [enc.vocab.index("alpha")]
+        vectors, _ = enc.pool_forward(index)
+        np.testing.assert_array_equal(vectors[0], enc.table[CLS_INDEX])
 
     def test_unknown_word_uses_unk_row(self):
         enc = small_encoder()
-        seq = enc.table[enc.token_indices(["zzz"])]
-        np.testing.assert_array_equal(seq[1], enc.table[UNK_INDEX])
+        assert TokenIndex.build([["zzz"]], enc.vocab).ids.tolist() == [UNK_INDEX]
 
     def test_repeated_word_repeats_row(self):
         enc = small_encoder()
-        seq = enc.table[enc.token_indices(["beta", "beta"])]
-        np.testing.assert_array_equal(seq[1], seq[2])
+        ids = TokenIndex.build([["beta", "beta"]], enc.vocab).ids
+        np.testing.assert_array_equal(enc.table[ids[0]], enc.table[ids[1]])
 
     def test_embed_single_word_mean_is_its_row(self):
         enc = small_encoder()
@@ -162,8 +167,9 @@ class TestToyEncoder:
     def test_truncation_at_max_tokens(self):
         vocab = Vocabulary(["a", "b"])
         enc = ToyEncoder.create(vocab, 3, "mean", max_tokens=2)
-        seq = enc.table[enc.token_indices(["a", "b", "a", "b"])]
-        assert seq.shape == (3, 3)
+        index = TokenIndex.build([["a", "b", "a", "b"]], vocab, enc.max_tokens)
+        assert index.lengths.tolist() == [2]
+        np.testing.assert_array_equal(enc.embed("a b a b"), enc.embed("a b"))
 
     def test_embed_no_tokens_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -175,6 +181,68 @@ class TestToyEncoder:
         enc.table[[CLS_INDEX, enc.vocab.index("alpha")]] = np.nan
         with pytest.raises(InvalidInputError, match="NaN or Inf"):
             enc.embed("alpha")
+
+
+def random_token_lists(rng, vocab_size, n_texts, max_len=9):
+    token_lists = [[f"w{i}" for i in rng.integers(0, vocab_size, size=int(rng.integers(1, max_len)))]
+                   for _ in range(n_texts)]
+    return token_lists
+
+
+class TestTokenIndex:
+    def test_build_offsets_and_lengths(self):
+        vocab = Vocabulary(["a", "b"])
+        index = TokenIndex.build([["a"], ["b", "zzz", "a"]], vocab)
+        assert index.ids.tolist() == [2, 3, UNK_INDEX, 2]
+        assert index.offsets.tolist() == [0, 1, 4]
+        assert index.lengths.tolist() == [1, 3]
+        assert len(index) == 2
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(InvalidInputError):
+            TokenIndex.build([["a"], []], Vocabulary(["a"]))
+
+    def test_take_matches_building_the_selection(self):
+        rng = make_rng(40)
+        vocab = Vocabulary([f"w{i}" for i in range(12)])
+        token_lists = random_token_lists(rng, 12, 30)
+        index = TokenIndex.build(token_lists, vocab)
+        rows = rng.permutation(30)[:11]
+        taken = index.take(rows)
+        expected = TokenIndex.build([token_lists[i] for i in rows], vocab)
+        np.testing.assert_array_equal(taken.ids, expected.ids)
+        np.testing.assert_array_equal(taken.offsets, expected.offsets)
+
+    def test_tokenize_texts_once_per_distinct_text(self):
+        assert tokenize_texts(["A b", "c", "A b"]) == {"A b": ("a", "b"), "c": ("c",)}
+
+
+class TestBatchedPooling:
+    """A batch pools and scatters like the per-text reference, one text at a time."""
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_matches_per_text_reference(self, pooling):
+        rng = make_rng(41)
+        for _ in range(20):
+            vocab = Vocabulary([f"w{i}" for i in range(int(rng.integers(3, 15)))])
+            dim = int(rng.integers(1, 6))
+            # few distinct values, so max ties occur and must go to the first position
+            table = rng.integers(-2, 3, size=(len(vocab), dim)).astype(np.float64)
+            enc = ToyEncoder(vocab, table, pooling=pooling)
+            token_lists = random_token_lists(rng, len(vocab) - 2, int(rng.integers(1, 12)))
+            index = TokenIndex.build(token_lists, vocab)
+            grad = rng.normal(size=(len(index), dim))
+            vectors, argmax_rows = enc.pool_forward(index)
+            table_grad = np.zeros_like(table)
+            enc.pool_backward(index, argmax_rows, grad, table_grad)
+            ref_grad = np.zeros_like(table)
+            for i, tokens in enumerate(token_lists):
+                words = np.array([vocab.index(t) for t in tokens])
+                ref, argmax = pool_one(enc, words)
+                np.testing.assert_array_equal(vectors[i], ref)
+                unpool_one(enc, words, argmax, grad[i], ref_grad)
+            # the scatter adds the same terms in the same order
+            np.testing.assert_array_equal(table_grad, ref_grad)
 
 
 class TestEmbeddingStore:

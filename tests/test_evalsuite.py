@@ -1,6 +1,7 @@
 """STS scoring, partitioned reports, k-fold CV and the probe harness."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -151,6 +152,28 @@ class TestPartitionedReport:
         report = eval_sts_partitioned(store, Partition(name="dice", subsets=subsets))
         assert [e.label for e in report.entries] == ["q0", "q1", "q2", "q3", "q4", "ALL"]
         assert all(-100 <= e.spearman_x100 <= 100 for e in report.entries)
+
+    def test_each_sentence_embedded_once(self):
+        targets = [0.1, 0.5, 0.2, 0.9, 0.4, 0.4, 0.4, 0.3]
+        store, pairs = store_with_cosines(targets, [0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0])
+        pairs.append(pairs[0])  # a pair that repeats in another subset
+        calls = Counter()
+
+        class CountingProvider:
+            name, dim = store.name, store.dim
+
+            def embed(self, sentence):
+                calls[sentence] += 1
+                return store.embed(sentence)
+
+        subsets = [("a", pairs[:4]), ("flat", pairs[4:7]), ("b", pairs[7:])]
+        report = eval_sts_partitioned(CountingProvider(), Partition(name="p", subsets=subsets))
+        assert calls == Counter({s: 1 for p in pairs for s in (p.sentence1, p.sentence2)})
+        # each subset reads as if it were scored on its own
+        assert report.entry("a").spearman_x100 == 100.0 * eval_sts(store, pairs[:4])[0]
+        assert report.entry("b").pearson_x100 == 100.0 * eval_sts(store, pairs[7:])[1]
+        assert report.entry("flat").note == "zero score variance"
+        assert report.entry("ALL").spearman_x100 == 100.0 * eval_sts(store, pairs)[0]
 
     def test_markdown_has_two_decimal_cells(self):
         golds = [0.0, 1.0, 2.0, 3.0]

@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import check_def_instance, check_nli_instance, random_def_instance
+from gradcheck import (
+    check_def_instance,
+    check_nli_instance,
+    indexed,
+    pool_one,
+    random_def_instance,
+    random_nli_instance,
+    unpool_one,
+    word_ids,
+)
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
@@ -13,6 +22,7 @@ from sentsig.numstat import cross_entropy, make_rng, softmax
 from sentsig.objectives import (
     Adam,
     BatchStream,
+    IndexedNli,
     MultiSchedule,
     NliHead,
     StepRecord,
@@ -24,10 +34,7 @@ from sentsig.objectives import (
     batches_per_epoch,
     def_forward,
     def_loss_and_grads,
-    example_token_length,
     lr_at,
-    nli_features,
-    nli_forward,
     nli_loss_and_grads,
     smart_batches,
     train,
@@ -38,15 +45,41 @@ def tiny_encoder(pooling="mean", dim=4, seed=0, words=("alpha", "beta", "gamma",
     return ToyEncoder.create(Vocabulary(list(words)), dim, pooling, seed=seed)
 
 
+def word_row_encoder(rows):
+    """Mean-pooling encoder whose words w0, w1, ... have the given rows, so pooling "wi" gives row i."""
+    rows = np.asarray(rows, dtype=np.float64)
+    table = np.vstack([np.zeros((2, rows.shape[1])), rows])  # [CLS] and [UNK] first
+    return ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling="mean")
+
+
+def nli_step(encoder, head, premise, hypothesis, label):
+    """The batched kernel on a batch of one example."""
+    return nli_loss_and_grads(indexed([NliExample(premise, hypothesis, label)], encoder),
+                              encoder, head)
+
+
 class TestNliForward:
+    """The kernel's features and logits, read off its gradients for a batch of one.
+
+    With one example the W gradient is outer(P - onehot(gold), [u; v; |u-v|])
+    and the b gradient is P - onehot(gold).
+    """
+
     def test_equal_inputs_zero_abs_block(self):
         u = np.array([1.0, -2.0, 3.0])
-        f = nli_features(u, u)
-        np.testing.assert_array_equal(f, np.concatenate([u, u, np.zeros(3)]))
+        head = NliHead.create(3)  # zero weights: P is uniform
+        _, grads = nli_step(word_row_encoder([u]), head, "w0", "w0", "neutral")
+        g = np.full(3, 1.0 / 3.0)
+        g[2] -= 1.0
+        np.testing.assert_array_equal(grads["nli_W"], np.outer(g, np.concatenate([u, u, np.zeros(3)])))
 
     def test_zero_weights_returns_bias(self):
         head = NliHead(np.zeros((3, 6)), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(nli_forward(np.ones(2), np.zeros(2), head), [1, 2, 3])
+        loss, grads = nli_step(word_row_encoder([np.ones(2), np.zeros(2)]), head,
+                               "w0", "w1", "entailment")
+        probs = softmax(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(grads["nli_b"], probs - [1.0, 0.0, 0.0])
+        assert loss == cross_entropy(probs, 0)
 
     def test_matches_explicit_loop_oracle(self):
         rng = make_rng(12)
@@ -56,19 +89,61 @@ class TestNliForward:
             W, b = rng.normal(size=(3, 3 * d)), rng.normal(size=3)
             f = list(u) + list(v) + [abs(a - c) for a, c in zip(u, v)]
             oracle = [sum(W[i][j] * f[j] for j in range(3 * d)) + b[i] for i in range(3)]
-            np.testing.assert_allclose(nli_forward(u, v, NliHead(W, b)), oracle, atol=1e-12)
+            _, grads = nli_step(word_row_encoder([u, v]), NliHead(W, b), "w0", "w1", "contradiction")
+            g = softmax(np.array(oracle))
+            g[1] -= 1.0
+            np.testing.assert_allclose(grads["nli_b"], g, atol=1e-12)
+            np.testing.assert_allclose(grads["nli_W"], np.outer(g, f), atol=1e-12)
 
     def test_dimension_mismatch(self):
         head = NliHead.create(3)
         with pytest.raises(InvalidInputError):
-            nli_forward(np.ones(3), np.ones(2), head)
+            nli_step(word_row_encoder([np.ones(2)]), head, "w0", "w0", "neutral")
+
+
+def nli_loss_and_grads_loop(batch, encoder, head):
+    """Reference: the per-example NLI step, one pooling, head and scatter per sentence."""
+    d = encoder.dim
+    table_grad = np.zeros_like(encoder.table)
+    w_grad = np.zeros_like(head.W)
+    b_grad = np.zeros(3) if head.b is not None else None
+    total = 0.0
+    for ex in batch:
+        idx_u = word_ids(encoder, ex.premise)
+        idx_v = word_ids(encoder, ex.hypothesis)
+        u, argmax_u = pool_one(encoder, idx_u)
+        v, argmax_v = pool_one(encoder, idx_v)
+        diff = u - v
+        f = np.concatenate([u, v, np.abs(diff)])
+        logits = head.W @ f
+        if head.b is not None:
+            logits = logits + head.b
+        probs = softmax(logits)
+        gold = ex.label_index
+        total += cross_entropy(probs, gold)
+        g = probs.copy()
+        g[gold] -= 1.0
+        w_grad += np.outer(g, f)
+        if b_grad is not None:
+            b_grad += g
+        df = head.W.T @ g
+        sign = np.sign(diff)
+        du = df[:d] + sign * df[2 * d :]
+        dv = df[d : 2 * d] - sign * df[2 * d :]
+        unpool_one(encoder, idx_u, argmax_u, du, table_grad)
+        unpool_one(encoder, idx_v, argmax_v, dv, table_grad)
+    m = len(batch)
+    grads = {"table": table_grad / m, "nli_W": w_grad / m}
+    if b_grad is not None:
+        grads["nli_b"] = b_grad / m
+    return total / m, grads
 
 
 class TestNliLoss:
     def test_zero_head_gives_ln3(self):
         enc = tiny_encoder()
         head = NliHead.create(enc.dim)
-        batch = [NliExample("alpha beta", "gamma", "contradiction")]
+        batch = indexed([NliExample("alpha beta", "gamma", "contradiction")], enc)
         loss, _ = nli_loss_and_grads(batch, enc, head)
         assert loss == pytest.approx(math.log(3), rel=1e-14)
 
@@ -78,8 +153,8 @@ class TestNliLoss:
         head = NliHead(rng.normal(size=(3, 12)), rng.normal(size=3))
         batch = [NliExample("alpha", "beta gamma", "entailment"),
                  NliExample("delta delta", "alpha", "neutral")]
-        loss_once, _ = nli_loss_and_grads(batch, enc, head)
-        loss_twice, _ = nli_loss_and_grads(batch * 2, enc, head)
+        loss_once, _ = nli_loss_and_grads(indexed(batch, enc), enc, head)
+        loss_twice, _ = nli_loss_and_grads(indexed(batch * 2, enc), enc, head)
         assert loss_twice == pytest.approx(loss_once, rel=1e-14)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
@@ -87,6 +162,33 @@ class TestNliLoss:
         rng = make_rng(100)
         for _ in range(5):
             assert check_nli_instance(rng, pooling) < 1e-4
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_batched_kernel_matches_loop_oracle(self, pooling, bias):
+        # One matmul sums the B outer products in another order than the loop,
+        # and the scatter adds premises before hypotheses, so entries agree to
+        # rtol 1e-12 except where the B terms cancel: there the rounding error
+        # scales with the terms, so the absolute floor is 1e-13 of the
+        # gradient's largest entry.
+        rng = make_rng(301)
+        for _ in range(10):
+            enc, head, batch, _ = random_nli_instance(rng, pooling, batch_max=9)
+            if not bias:
+                head = NliHead(head.W, None)
+            loss, grads = nli_loss_and_grads(indexed(batch, enc), enc, head)
+            ref_loss, ref_grads = nli_loss_and_grads_loop(batch, enc, head)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
+                                           atol=1e-13 * np.abs(ref).max(), err_msg=name)
+
+    def test_batch_indexed_for_another_vocabulary_rejected(self):
+        enc = tiny_encoder()
+        batch = indexed([NliExample("alpha", "beta", "neutral")], tiny_encoder(seed=1))
+        with pytest.raises(InvalidInputError, match="another vocabulary"):
+            nli_loss_and_grads(batch, enc, NliHead.create(enc.dim))
 
 
 class TestDefForward:
@@ -142,15 +244,15 @@ def def_loss_and_grads_loop(batch, encoder, head):
     total = 0.0
     for ex in batch:
         gold = encoder.vocab.index(ex.word)
-        idxs = encoder.token_indices(tokenize(ex.definition))
-        s, argmax = encoder.pool_forward(idxs)
+        idxs = word_ids(encoder, ex.definition)
+        s, argmax = pool_one(encoder, idxs)
         probs = softmax(head.weights @ s + head.bias)
         total += cross_entropy(probs, gold)
         g = probs.copy()
         g[gold] -= 1.0
         out_grad += np.outer(g, s)
         bias_grad += g
-        encoder.pool_backward(idxs, argmax, head.weights.T @ g, table_grad)
+        unpool_one(encoder, idxs, argmax, head.weights.T @ g, table_grad)
     m = len(batch)
     if head.tied:
         return total / m, {"table": (table_grad + out_grad) / m, "def_bias": bias_grad / m}
@@ -163,7 +265,7 @@ class TestDefLoss:
         vocab = Vocabulary(["yes", "no"])
         enc = ToyEncoder.create(vocab, 3, "mean", seed=0)
         head = WordPredictionHead(np.zeros((4, 3)), np.zeros(4), tied=False)
-        batch = [DefinitionExample("yes", "no no")]
+        batch = indexed([DefinitionExample("yes", "no no")], enc)
         loss, _ = def_loss_and_grads(batch, enc, head)
         assert loss == pytest.approx(math.log(4), rel=1e-14)
 
@@ -171,7 +273,7 @@ class TestDefLoss:
         enc = tiny_encoder()
         head = WordPredictionHead.create(enc)
         with pytest.raises(InvalidInputError):
-            def_loss_and_grads([DefinitionExample("missing", "alpha beta")], enc, head)
+            def_loss_and_grads(indexed([DefinitionExample("missing", "alpha beta")], enc), enc, head)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
     @pytest.mark.parametrize("tied", [True, False])
@@ -190,7 +292,7 @@ class TestDefLoss:
         rng = make_rng(300)
         for _ in range(10):
             enc, head, batch, _ = random_def_instance(rng, pooling, tied, batch_max=9)
-            loss, grads = def_loss_and_grads(batch, enc, head)
+            loss, grads = def_loss_and_grads(indexed(batch, enc), enc, head)
             ref_loss, ref_grads = def_loss_and_grads_loop(batch, enc, head)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
             assert grads.keys() == ref_grads.keys()
@@ -204,9 +306,10 @@ class TestDefLoss:
         enc = ToyEncoder.create(vocab, 6, "mean", seed=1)
         head = WordPredictionHead.create(enc, tied=True)
         optimizer = Adam({"table": enc.table, "def_bias": head.bias})
+        batch = indexed(defs, enc)
         losses = []
         for _ in range(100):
-            loss, grads = def_loss_and_grads(defs, enc, head)
+            loss, grads = def_loss_and_grads(batch, enc, head)
             losses.append(loss)
             optimizer.step(grads, 0.05)
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -313,43 +416,70 @@ def _nli(n, length=3):
 
 class TestSmartBatches:
     def test_uniform_lengths_plain_chunks(self):
-        batches = smart_batches(_nli(33), 16, make_rng(0))
+        batches = smart_batches(np.full(33, 3), 16, make_rng(0))
         assert sorted(len(b) for b in batches) == [1, 16, 16]
 
     def test_every_example_exactly_once(self):
         rng = make_rng(1)
-        examples = [NliExample(f"unique{i} " * int(rng.integers(1, 30)), "short", "neutral")
-                    for i in range(57)]
-        batches = smart_batches(examples, 8, rng)
-        seen = [ex for b in batches for ex in b]
-        assert sorted(id(e) for e in seen) == sorted(id(e) for e in examples)
+        lengths = rng.integers(1, 30, size=57)
+        batches = smart_batches(lengths, 8, rng)
+        assert sorted(np.concatenate(batches).tolist()) == list(range(57))
 
     def test_batch_length_spread_bounded_by_bucket_width(self):
         rng = make_rng(2)
         examples = [NliExample("w " * int(rng.integers(1, 40)), "w", "neutral")
                     for i in range(200)]
-        for batch in smart_batches(examples, 16, rng, bucket_width=8):
-            lengths = [example_token_length(ex) for ex in batch]
-            assert max(lengths) - min(lengths) <= 8
+        lengths = IndexedNli.build(examples, build_vocab(["w"])).lengths
+        assert lengths.tolist() == [len(tokenize(ex.premise)) for ex in examples]
+        for batch in smart_batches(lengths, 16, rng, bucket_width=8):
+            assert lengths[batch].max() - lengths[batch].min() <= 8
+
+    def test_matches_per_example_bucketing_reference(self):
+        # the reference buckets examples by tokenizing them, as batching did
+        # before lengths were stored; both must draw the same permutations
+        def reference(examples, batch_size, rng, bucket_width):
+            buckets = {}
+            for i, ex in enumerate(examples):
+                length = max(len(tokenize(ex.premise)), len(tokenize(ex.hypothesis)))
+                buckets.setdefault(length // bucket_width, []).append(i)
+            batches = []
+            for key in sorted(buckets):
+                idxs = buckets[key]
+                shuffled = [idxs[j] for j in rng.permutation(len(idxs))]
+                batches += [shuffled[s : s + batch_size] for s in range(0, len(shuffled), batch_size)]
+            return [batches[j] for j in rng.permutation(len(batches))]
+
+        rng = make_rng(3)
+        examples = [NliExample("w " * int(rng.integers(1, 30)), "w " * int(rng.integers(1, 30)),
+                               "neutral") for _ in range(150)]
+        lengths = IndexedNli.build(examples, build_vocab(["w"])).lengths
+        for width in (1, 4, 8):
+            got = smart_batches(lengths, 7, make_rng(width), bucket_width=width)
+            want = reference(examples, 7, make_rng(width), width)
+            assert [b.tolist() for b in got] == want
 
     def test_deterministic_given_seed(self):
-        examples = [NliExample(f"a{i} b c", "d e", "neutral") for i in range(40)]
-        one = smart_batches(examples, 7, make_rng(5))
-        two = smart_batches(examples, 7, make_rng(5))
-        assert [[id(e) for e in b] for b in one] == [[id(e) for e in b] for b in two]
+        lengths = np.array([3 + i % 5 for i in range(40)])
+        one = smart_batches(lengths, 7, make_rng(5))
+        two = smart_batches(lengths, 7, make_rng(5))
+        assert [b.tolist() for b in one] == [b.tolist() for b in two]
 
 
 class TestBatchStream:
     def test_rewinds_and_balances_consumption(self):
         config = TrainConfig(batch_size=4, seed=0)
         examples = [NliExample(f"x{i} y z", "p q", "neutral") for i in range(12)]
-        stream = BatchStream(examples, config, make_rng(3))
+        vocab = build_vocab([f"x{i}" for i in range(12)])
+        stream = BatchStream(IndexedNli.build(examples, vocab), config, make_rng(3))
         assert stream.batches_per_pass == 3
-        counts = {id(ex): 0 for ex in examples}
+        counts = np.zeros(len(vocab), dtype=int)
         for _ in range(7):  # 2 full passes + 1 batch
-            for ex in stream.next_batch():
-                counts[id(ex)] += 1
-        assert sorted(counts.values()) == [2] * 8 + [3] * 4
+            batch = stream.next_batch()
+            assert len(batch) == 4
+            # each premise's first word x<i> names its example
+            np.add.at(counts, batch.texts.ids[batch.texts.offsets[:4]], 1)
+        counts = counts[[vocab.index(f"x{i}") for i in range(12)]]
+        assert sorted(counts.tolist()) == [2] * 8 + [3] * 4
 
 
 from sentsig.synth import make_definition_corpus, make_nli_corpus
@@ -357,21 +487,22 @@ from sentsig.synth import make_definition_corpus, make_nli_corpus
 
 def train_sbert_loop(encoder, nli_data, config):
     """Reference: the NLI objective as a per-epoch loop, one fresh shuffle per epoch."""
+    data = indexed(nli_data, encoder)
     rng = make_rng(config.seed)
     head = NliHead.create(encoder.dim, bias=config.head_bias)
     params = {"table": encoder.table, "nli_W": head.W}
     if head.b is not None:
         params["nli_b"] = head.b
     optimizer = Adam(params, config.beta1, config.beta2, config.eps)
-    total_steps = config.epochs * batches_per_epoch(nli_data, config)
+    total_steps = config.epochs * batches_per_epoch(data.lengths, config)
     result = TrainResult(encoder=encoder, nli_head=head)
     step = 0
     for _ in range(config.epochs):
-        for batch in _epoch_batches(nli_data, config, rng):
+        for rows in _epoch_batches(data.lengths, config, rng):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
-            loss, grads = nli_loss_and_grads(batch, encoder, head)
+            loss, grads = nli_loss_and_grads(data.take(rows), encoder, head)
             optimizer.step(grads, lr)
             result.steps.append(StepRecord("nli", loss, lr))
     return result
@@ -379,22 +510,22 @@ def train_sbert_loop(encoder, nli_data, config):
 
 def train_defsent_loop(encoder, def_data, config):
     """Reference: the definition objective as a per-epoch loop, one fresh shuffle per epoch."""
-    data = _drop_oov_definitions(def_data, encoder)
+    data = _drop_oov_definitions(indexed(def_data, encoder))
     rng = make_rng(config.seed)
     head = WordPredictionHead.create(encoder, tied=config.tied_head)
     params = {"table": encoder.table, "def_bias": head.bias}
     if not head.tied:
         params["def_W"] = head.weights
     optimizer = Adam(params, config.beta1, config.beta2, config.eps)
-    total_steps = config.epochs * batches_per_epoch(data, config)
+    total_steps = config.epochs * batches_per_epoch(data.lengths, config)
     result = TrainResult(encoder=encoder, def_head=head)
     step = 0
     for _ in range(config.epochs):
-        for batch in _epoch_batches(data, config, rng):
+        for rows in _epoch_batches(data.lengths, config, rng):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
-            loss, grads = def_loss_and_grads(batch, encoder, head)
+            loss, grads = def_loss_and_grads(data.take(rows), encoder, head)
             optimizer.step(grads, lr)
             result.steps.append(StepRecord("def", loss, lr))
     return result
