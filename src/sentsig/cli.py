@@ -21,7 +21,8 @@ from pathlib import Path
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .combiner import CombinedProvider, PipelineSpec, run_pipeline
-from .corpus import Partition, dice, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
+from .corpus import Partition, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
+from .corpus import dice  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
 from .encoder import EmbeddingStore, ToyEncoder, build_vocab, load_dump, save_dump, tokenize_texts
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
@@ -229,14 +230,13 @@ def cmd_partition(args) -> int:
         partition = partition_by_dice(pairs, k=args.k)
     summary_subsets = []
     artifacts = {}
-    for label, subset in partition.subsets:
+    for i, (label, subset) in enumerate(partition.subsets):
         fname = _label_filename(label)
         save_sts(subset, out / fname)
         entry = {"label": label, "file": fname, "n": len(subset)}
-        if args.scheme == "dice":
-            values = [dice(p.sentence1, p.sentence2) for p in subset]
-            entry["min_dice"] = min(values)
-            entry["max_dice"] = max(values)
+        if partition.dice is not None:
+            entry["min_dice"] = min(partition.dice[i])
+            entry["max_dice"] = max(partition.dice[i])
         summary_subsets.append(entry)
         artifacts[label] = str(out / fname)
     summary = {"scheme": args.scheme, "input": [str(p) for p in args.sts_files],
@@ -352,8 +352,8 @@ def cmd_embed(args) -> int:
     if duplicates:
         print(f"warning: skipped {duplicates} duplicate sentence(s)", file=sys.stderr)
     store = EmbeddingStore(provider.dim, name=provider.name)
-    for sentence in sentences:
-        store.add(sentence, provider.embed(sentence))
+    for sentence, vector in zip(sentences, provider.embed_batch(sentences)):
+        store.add(sentence, vector)
     dump_path = out / "embeddings.txt"
     save_dump(store, dump_path)
     print(f"wrote {len(sentences)} embeddings (dim={store.dim}) -> {dump_path}")
@@ -439,14 +439,24 @@ def cmd_eval(args) -> int:
     partition = _sts_input_partition(args)
     if partition is None and not args.probe:
         raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir or --probe")
+    # per provider: what was embedded for STS and each probe, and the skipped subsets
+    embedding = [{"provider": p.name, "sts": None, "probes": {}} for p in providers]
     sts_report = None
     if partition is not None:
-        reports = [eval_sts_partitioned(p, partition, seed=i) for i, p in enumerate(providers)]
+        reports = []
+        for i, provider in enumerate(providers):
+            counts = embedding[i]["sts"] = {}
+            reports.append(eval_sts_partitioned(provider, partition, seed=i, embedded=counts))
+            counts["skipped"] = [{"label": e.label, "note": e.note}
+                                 for e in reports[-1].entries if e.spearman_x100 is None]
         sts_report = reports[0] if len(reports) == 1 else aggregate_seeds(reports)
     probe_results = {}
     for probe_path in args.probe or []:
         task = load_probe_task(probe_path)
-        accuracies = [eval_probe(p, task, cfg.probe) for p in providers]
+        accuracies = []
+        for i, provider in enumerate(providers):
+            counts = embedding[i]["probes"][task.name] = {}
+            accuracies.append(eval_probe(provider, task, cfg.probe, embedded=counts))
         probe_results[task.name] = {
             "accuracy_x100_mean": 100.0 * sum(accuracies) / len(accuracies),
             "per_provider_x100": [100.0 * a for a in accuracies],
@@ -454,7 +464,8 @@ def cmd_eval(args) -> int:
     artifacts = _write_eval_outputs(out, sts_report, probe_results)
     if sts_report:
         print(sts_report.to_markdown())
-    _write_manifest(out, args.command, _config_snapshot(cfg), artifacts, started, extra=inputs)
+    _write_manifest(out, args.command, _config_snapshot(cfg), artifacts, started,
+                    extra={**inputs, "embedding": embedding})
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -16,19 +17,19 @@ COMBINE_MODES = ("average", "concat")
 
 
 def combine_average(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise mean of two equal-dimension vectors."""
+    """Componentwise mean of two equal-shape vectors or matrices."""
     if a.shape != b.shape:
         raise InvalidInputError(f"average needs equal dims, got {a.shape} and {b.shape}")
     return (a + b) / 2.0
 
 
 def combine_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a followed by b; the result dim is the sum of both dims."""
-    return np.concatenate([a, b])
+    """a followed by b along the last axis (row by row for matrices); dims add."""
+    return np.concatenate([a, b], axis=-1)
 
 
 class CombinedProvider:
-    """Embeds with two providers and merges per sentence (average or concat)."""
+    """Embeds with two providers and merges their rows (average or concat)."""
 
     def __init__(self, mode: str, provider_a: EmbeddingProvider, provider_b: EmbeddingProvider):
         if mode not in COMBINE_MODES:
@@ -42,12 +43,15 @@ class CombinedProvider:
         self.dim = provider_a.dim if mode == "average" else provider_a.dim + provider_b.dim
         self.name = f"{mode}({provider_a.name},{provider_b.name})"
 
-    def embed(self, sentence: str) -> np.ndarray:
-        a = self.provider_a.embed(sentence)
-        b = self.provider_b.embed(sentence)
+    def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
+        a = self.provider_a.embed_batch(sentences)
+        b = self.provider_b.embed_batch(sentences)
         if self.mode == "average":
             return combine_average(a, b)
         return combine_concat(a, b)
+
+    def embed(self, sentence: str) -> np.ndarray:
+        return self.embed_batch([sentence])[0]
 
 
 @dataclass

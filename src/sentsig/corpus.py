@@ -67,10 +67,14 @@ class DefinitionExample:
 
 @dataclass
 class Partition:
-    """Named, ordered split of an STS dataset into disjoint labeled subsets."""
+    """Named, ordered split of an STS dataset into disjoint labeled subsets.
+
+    A Dice partition also keeps each subset's Dice values, pair by pair.
+    """
 
     name: str
     subsets: list[tuple[str, list[StsPair]]] = field(default_factory=list)
+    dice: list[list[float]] | None = None
 
     def labels(self) -> list[str]:
         return [label for label, _ in self.subsets]
@@ -151,12 +155,14 @@ def partition_by_dice(pairs: list[StsPair], k: int = 5) -> Partition:
         key=lambda t: (t[0], t[1]),
     )
     subsets = []
+    values = []
     pos = 0
     for i, size in enumerate(_group_sizes(n, k)):
-        chunk = [p for _, _, p in scored[pos : pos + size]]
-        subsets.append((quantile_label(i, k), chunk))
+        chunk = scored[pos : pos + size]
+        subsets.append((quantile_label(i, k), [p for _, _, p in chunk]))
+        values.append([v for v, _, _ in chunk])
         pos += size
-    return Partition(name="dice", subsets=subsets)
+    return Partition(name="dice", subsets=subsets, dice=values)
 
 
 def concat_subsets(partition: Partition) -> list[StsPair]:

@@ -1,7 +1,8 @@
 """Sentence-embedding providers.
 
-Two concrete providers share one interface (a ``dim`` attribute plus an
-``embed(sentence) -> vector`` method):
+Two concrete providers share one interface (``name`` and ``dim`` attributes
+plus an ``embed_batch(sentences) -> (n, dim) matrix`` method; ``embed`` is its
+one-row form):
 
 * :class:`ToyEncoder` -- a trainable embedding table with CLS/Mean/Max
   pooling; a desk-scale stand-in for a pre-trained transformer.
@@ -39,7 +40,13 @@ class EmbeddingProvider(Protocol):
     name: str
     dim: int
 
-    def embed(self, sentence: str) -> np.ndarray: ...
+    def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
+        """One row per sentence, in order; no sentences give a (0, dim) matrix."""
+        ...
+
+    def embed(self, sentence: str) -> np.ndarray:
+        """The vector of one sentence: ``embed_batch([sentence])[0]``."""
+        ...
 
 
 class Vocabulary:
@@ -222,16 +229,25 @@ class ToyEncoder:
         else:  # max: each coordinate's gradient goes to the row that produced the max
             np.add.at(table_grad, (argmax_rows, np.arange(self.dim)), grad_out)
 
+    def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
+        """Pool every sentence in one :meth:`pool_forward` call, one row per sentence."""
+        token_lists = []
+        for sentence in sentences:
+            tokens = tokenize(sentence)
+            if not tokens:
+                raise InvalidInputError(f"sentence has no tokens to embed: {sentence!r}")
+            token_lists.append(tokens)
+        if not token_lists:
+            return np.zeros((0, self.dim))
+        vectors, _ = self.pool_forward(TokenIndex.build(token_lists, self.vocab, self.max_tokens))
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise InvalidInputError(
+                f"embedding of {sentences[int(finite.argmin())]!r} contains NaN or Inf")
+        return vectors
+
     def embed(self, sentence: str) -> np.ndarray:
-        tokens = tokenize(sentence)
-        if not tokens:
-            raise InvalidInputError(f"sentence has no tokens to embed: {sentence!r}")
-        ids = word_indices(tokens, self.vocab, self.max_tokens)
-        vectors, _ = self.pool_forward(TokenIndex(np.array(ids), np.array([0, len(ids)])))
-        vector = vectors[0]
-        if not np.isfinite(vector).all():
-            raise InvalidInputError(f"embedding of {sentence!r} contains NaN or Inf")
-        return vector
+        return self.embed_batch([sentence])[0]
 
     def copy(self) -> "ToyEncoder":
         return ToyEncoder(self.vocab, self.table.copy(), pooling=self.pooling,
@@ -264,11 +280,18 @@ class EmbeddingStore:
             raise InvalidInputError(f"duplicate sentence in store: {sentence!r}")
         self._vectors[sentence] = v
 
+    def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
+        """The stored rows of the sentences, stacked; an unknown one raises MissingEmbeddingError."""
+        out = np.empty((len(sentences), self.dim))
+        for i, sentence in enumerate(sentences):
+            try:
+                out[i] = self._vectors[sentence]
+            except KeyError:
+                raise MissingEmbeddingError(sentence) from None
+        return out
+
     def embed(self, sentence: str) -> np.ndarray:
-        try:
-            return self._vectors[sentence].copy()
-        except KeyError:
-            raise MissingEmbeddingError(sentence) from None
+        return self.embed_batch([sentence])[0]
 
     def items(self):
         return self._vectors.items()

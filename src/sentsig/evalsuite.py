@@ -96,25 +96,37 @@ def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def eval_sts(provider: EmbeddingProvider, pairs: list[StsPair],
-             scores: list[float] | None = None) -> tuple[float, float]:
+             scores: list[float] | None = None, embedded: dict | None = None) -> tuple[float, float]:
     """(spearman, pearson) between per-pair cosine similarity and gold scores.
 
-    Each distinct sentence is embedded once.  A ``scores`` list receives the
-    per-pair cosines before they are correlated.
+    The distinct sentences are embedded in one ``embed_batch`` call and the
+    pairs scored by one row-wise cosine.  A ``scores`` list receives the
+    per-pair cosines before they are correlated; an ``embedded`` dict
+    receives the embedding counts (see :func:`_embed_distinct`).
     """
     if len(pairs) < 2:
         raise InvalidInputError("STS evaluation needs at least 2 pairs")
-    cache: dict[str, np.ndarray] = {}
-
-    def emb(sentence: str) -> np.ndarray:
-        if sentence not in cache:
-            cache[sentence] = provider.embed(sentence)
-        return cache[sentence]
-
-    cosines = [cosine(emb(p.sentence1), emb(p.sentence2)) for p in pairs]
+    rows, slots = _embed_distinct(provider, [s for p in pairs for s in (p.sentence1, p.sentence2)],
+                                  embedded)
+    cosines = cosine(rows[slots[0::2]], rows[slots[1::2]]).tolist()
     if scores is not None:
         scores.extend(cosines)
     return _correlations(cosines, pairs)
+
+
+def _embed_distinct(provider: EmbeddingProvider, sentences: list[str],
+                    counts: dict | None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, slots): the distinct sentences embedded in one call, and each sentence's row.
+
+    ``rows[slots[i]]`` embeds ``sentences[i]``.  A ``counts`` dict receives
+    ``distinct`` (rows embedded) and ``reused`` (sentences served by a row
+    that an earlier occurrence embedded).
+    """
+    row_of: dict[str, int] = {}
+    slots = np.array([row_of.setdefault(s, len(row_of)) for s in sentences], dtype=np.intp)
+    if counts is not None:
+        counts.update(distinct=len(row_of), reused=len(sentences) - len(row_of))
+    return provider.embed_batch(list(row_of)), slots
 
 
 def _correlations(cosines: list[float], pairs: list[StsPair]) -> tuple[float, float]:
@@ -123,17 +135,17 @@ def _correlations(cosines: list[float], pairs: list[StsPair]) -> tuple[float, fl
 
 
 def eval_sts_partitioned(provider: EmbeddingProvider, partition: Partition,
-                         seed: int | None = None) -> StsReport:
+                         seed: int | None = None, embedded: dict | None = None) -> StsReport:
     """Score every subset plus the pooled concatenation ("ALL").
 
     Every pair is embedded and scored once, for ALL; each subset correlates
     its slice of those scores.  Subsets that are too small or have zero score
     variance are flagged in the report instead of aborting the whole
-    evaluation.
+    evaluation.  ``embedded`` receives the embedding counts of ALL.
     """
     pooled = concat_subsets(partition)
     scores: list[float] = []
-    pooled_entry = _scored_entry("ALL", pooled, lambda: eval_sts(provider, pooled, scores))
+    pooled_entry = _scored_entry("ALL", pooled, lambda: eval_sts(provider, pooled, scores, embedded))
     entries = []
     start = 0
     for label, pairs in partition.subsets:
@@ -300,21 +312,21 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
     return model
 
 
-def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig) -> float:
-    """k-fold cross-validation accuracy of a probe over frozen embeddings."""
+def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig,
+               embedded: dict | None = None) -> float:
+    """k-fold cross-validation accuracy of a probe over frozen embeddings.
+
+    The distinct sentences are embedded in one ``embed_batch`` call; an
+    ``embedded`` dict receives the counts (see :func:`_embed_distinct`).
+    """
     n = len(task.examples)
     labels = task.label_indices()
     counts = np.bincount(labels)
     if counts.min() < config.folds:
         raise InvalidInputError(
             f"every class needs >= {config.folds} examples for {config.folds}-fold CV")
-    cache: dict[str, np.ndarray] = {}
-    feats = []
-    for text, _ in task.examples:
-        if text not in cache:
-            cache[text] = provider.embed(text)
-        feats.append(cache[text])
-    X = np.stack(feats)
+    rows, slots = _embed_distinct(provider, [text for text, _ in task.examples], embedded)
+    X = rows[slots]
     rng = make_rng(config.seed)
     folds = kfold_split(n, config.folds, rng)
     fold_seeds = rng.integers(0, 2**63 - 1, size=config.folds)

@@ -48,21 +48,28 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
     return m
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity dot(u,v) / (|u||v|).
+def cosine(u, v):
+    """Cosine similarity dot(u,v) / (|u||v|); for two matrices, one per row.
 
+    Two vectors give a float and two (n, d) matrices an array of n cosines,
+    each bit-identical to the cosine of that pair of rows as vectors.
     Zero-norm inputs are rejected rather than mapped to 0: a zero embedding
     signals a pipeline bug upstream.
     """
-    u = as_vector(u)
-    v = as_vector(v)
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    rows = u.ndim == 2 or v.ndim == 2
+    u = as_matrix(u) if rows else as_vector(u)[None]
+    v = as_matrix(v) if rows else as_vector(v)[None]
     if u.shape != v.shape:
-        raise InvalidInputError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    nu = math.sqrt(float(np.dot(u, u)))
-    nv = math.sqrt(float(np.dot(v, v)))
-    if nu == 0.0 or nv == 0.0:
+        raise InvalidInputError(f"shape mismatch: {u.shape} vs {v.shape}")
+    # stacked (1 x d) @ (d x 1) products round each row's dot exactly as np.dot does
+    nu = np.sqrt((u[:, None, :] @ u[:, :, None])[:, 0, 0])
+    nv = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if not (nu.all() and nv.all()):
         raise InvalidInputError("cosine of a zero-norm vector is undefined")
-    return float(np.dot(u, v)) / (nu * nv)
+    scores = (u[:, None, :] @ v[:, :, None])[:, 0, 0] / (nu * nv)
+    return scores if rows else float(scores[0])
 
 
 def ranks_with_ties(x: Sequence[float]) -> np.ndarray:

@@ -71,6 +71,24 @@ class TestPartitionCommand:
         for (_, hi), (lo, _) in zip(boundaries, boundaries[1:]):
             assert lo >= hi - 1e-12
 
+    def test_dice_scheme_scores_each_pair_once(self, tmp_path, monkeypatch):
+        rng = make_rng(4)
+        sts = tmp_path / "input.tsv"
+        save_sts(make_random_sts(rng, 50), sts)
+        calls = Counter()
+        for module in (sentsig.corpus, cli):
+            def counting(s1, s2, dice=module.dice):
+                calls[s1, s2] += 1
+                return dice(s1, s2)
+            monkeypatch.setattr(module, "dice", counting)
+        out = tmp_path / "parts"
+        assert run(["partition", sts, "--scheme", "dice", "--k", 4, "--out", out]) == 0
+        assert sum(calls.values()) == 50
+        monkeypatch.undo()
+        for entry in json.loads((out / "summary.json").read_text())["subsets"]:
+            values = [sentsig.corpus.dice(p.sentence1, p.sentence2) for p in load_sts(out / entry["file"])]
+            assert (entry["min_dice"], entry["max_dice"]) == (min(values), max(values))
+
     def test_rerun_byte_identical(self, tmp_path):
         rng = make_rng(3)
         sts = tmp_path / "input.tsv"
@@ -355,6 +373,20 @@ class TestEmbedCommand:
         assert "duplicate" in capsys.readouterr().err
         assert len(load_dump(out / "embeddings.txt")) == 2
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_no_sentences_write_a_header_only_dump(self, trained, tmp_path, capsys, text):
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text(text)
+        for flags, dim in (([trained["ckpt0"]], 6),
+                           ([trained["ckpt0"], trained["ckpt1"], "--combine", "average"], 6),
+                           ([trained["ckpt0"], trained["ckpt1"], "--combine", "concat"], 12)):
+            out = tmp_path / f"emb{len(flags)}-{dim}"
+            assert run(["embed", *flags, "--sentences", sentences, "--out", out]) == 0
+            assert (out / "embeddings.txt").read_bytes() == f"dim={dim}\n".encode()
+            assert (out / "manifest.json").exists()
+            assert len(load_dump(out / "embeddings.txt")) == 0
+            assert "wrote 0 embeddings" in capsys.readouterr().out
+
     def test_average_combination_is_row_mean(self, trained, tmp_path):
         sentences = tmp_path / "sents.txt"
         sentences.write_text("t00w000 t00w001\nt01w002\n")
@@ -429,6 +461,29 @@ class TestEvalCommand:
         report = json.loads((out / "report.json").read_text())
         assert "probe" in report["probes"]
         assert 0.0 <= report["probes"]["probe"]["accuracy_x100_mean"] <= 100.0
+
+    def test_manifest_records_embedding_counts(self, trained, tmp_path):
+        pairs = load_sts(trained["sts"])
+        parts = tmp_path / "parts"
+        parts.mkdir()
+        save_sts(pairs[:1], parts / "a.tsv")  # too few pairs: skipped
+        save_sts(pairs[1:] + pairs[:3], parts / "b.tsv")  # three pairs repeat
+        probe = tmp_path / "probe.tsv"
+        probe.write_text("".join(f"{c}\tt0{c}w{i % 12:03d}\n" for c in (0, 1) for i in range(20)))
+        out = tmp_path / "eval"
+        assert run(["eval", trained["ckpt0"], trained["ckpt1"], "--partition-dir", parts,
+                    "--probe", probe, "--out", out]) == 0
+        slots = [s for p in pairs + pairs[:3] for s in (p.sentence1, p.sentence2)]
+        sts = {"distinct": len(set(slots)), "reused": len(slots) - len(set(slots)),
+               "skipped": [{"label": "a", "note": "too few pairs"}]}
+        probes = {"probe": {"distinct": 24, "reused": 16}}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["embedding"] == [
+            {"provider": "checkpoint-seed0", "sts": sts, "probes": probes},
+            {"provider": "checkpoint-seed1", "sts": sts, "probes": probes},
+        ]
+        # counts stay out of the deterministic reports
+        assert "distinct" not in (out / "report.json").read_text()
 
     def test_nothing_to_evaluate_is_error(self, trained, tmp_path, capsys):
         out = tmp_path / "eval"

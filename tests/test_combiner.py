@@ -86,6 +86,19 @@ class TestCombinedProvider:
         for s in sentences:
             assert combined.embed(s).shape == (8,)
 
+    @pytest.mark.parametrize("mode, combine", [("average", combine_average), ("concat", combine_concat)])
+    def test_batch_rows_match_per_row_combination(self, mode, combine):
+        rng = make_rng(7)
+        a, b, sentences = _store_pair(rng)
+        combined = CombinedProvider(mode, a, b)
+        order = sentences[::-1] + sentences[:3]
+        matrix = combined.embed_batch(order)
+        assert matrix.shape == (len(order), combined.dim)
+        for row, s in zip(matrix, order):
+            np.testing.assert_array_equal(row, combine(a.embed(s), b.embed(s)))
+        np.testing.assert_array_equal(combined.embed(order[0]), matrix[0])
+        assert combined.embed_batch([]).shape == (0, combined.dim)
+
     def test_average_requires_equal_dims(self):
         a = EmbeddingStore(3, name="A")
         b = EmbeddingStore(4, name="B")

@@ -183,6 +183,63 @@ class TestToyEncoder:
             enc.embed("alpha")
 
 
+class TestEmbedBatch:
+    """``embed_batch`` pools a whole list in one call, row for row like ``embed``."""
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_rows_equal_one_sentence_embeds(self, pooling):
+        rng = make_rng(42)
+        vocab = Vocabulary([f"w{i}" for i in range(8)])
+        # few distinct values, so max ties occur
+        table = rng.integers(-2, 3, size=(len(vocab), 3)).astype(np.float64)
+        enc = ToyEncoder(vocab, table, pooling=pooling, max_tokens=5)
+        sentences = [" ".join(f"w{i}" for i in rng.integers(0, 10, size=int(rng.integers(1, 9))))
+                     for _ in range(40)]  # w8, w9 are [UNK]; up to 8 words, truncated at 5
+        sentences += ["w1 w1 w1", "zzz", "w0 w1 w2 w3 w4 w5 w6 w7"]
+        matrix = enc.embed_batch(sentences)
+        assert matrix.shape == (len(sentences), 3)
+        for i, sentence in enumerate(sentences):
+            np.testing.assert_array_equal(matrix[i], enc.embed(sentence))
+            reference, _ = pool_one(enc, np.array([vocab.index(t) for t in tokenize(sentence)[:5]]))
+            np.testing.assert_array_equal(matrix[i], reference)
+
+    def test_no_sentences_give_an_empty_matrix(self):
+        enc = small_encoder(dim=5)
+        store = EmbeddingStore(3)
+        for provider, dim in ((enc, 5), (store, 3)):
+            empty = provider.embed_batch([])
+            assert empty.shape == (0, dim)
+            assert empty.dtype == np.float64
+
+    def test_sentence_without_tokens_named(self):
+        with pytest.raises(InvalidInputError, match=r"no tokens to embed: '\.\.\.'"):
+            small_encoder().embed_batch(["alpha", "...", "beta"])
+
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_non_finite_row_names_first_bad_sentence(self, pooling):
+        enc = small_encoder(pooling)
+        enc.table[[CLS_INDEX, enc.vocab.index("beta")]] = np.nan
+        first_bad = "alpha" if pooling == "cls" else "gamma beta"
+        with pytest.raises(InvalidInputError, match=f"embedding of '{first_bad}' contains NaN"):
+            enc.embed_batch(["alpha", "gamma beta", "beta"])
+
+    def test_store_stacks_rows_bit_exact(self):
+        rng = make_rng(43)
+        store = EmbeddingStore(4)
+        vectors = {f"s{i}": rng.normal(size=4) for i in range(6)}
+        for sentence, vec in vectors.items():
+            store.add(sentence, vec)
+        order = ["s3", "s0", "s3", "s5"]
+        np.testing.assert_array_equal(store.embed_batch(order), np.stack([vectors[s] for s in order]))
+
+    def test_store_missing_sentence_raises(self):
+        store = EmbeddingStore(2)
+        store.add("known", [1.0, 2.0])
+        with pytest.raises(MissingEmbeddingError) as err:
+            store.embed_batch(["known", "nope"])
+        assert err.value.sentence == "nope"
+
+
 def random_token_lists(rng, vocab_size, n_texts, max_len=9):
     token_lists = [[f"w{i}" for i in rng.integers(0, vocab_size, size=int(rng.integers(1, max_len)))]
                    for _ in range(n_texts)]

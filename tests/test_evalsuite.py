@@ -162,9 +162,9 @@ class TestPartitionedReport:
         class CountingProvider:
             name, dim = store.name, store.dim
 
-            def embed(self, sentence):
-                calls[sentence] += 1
-                return store.embed(sentence)
+            def embed_batch(self, sentences):
+                calls.update(sentences)
+                return store.embed_batch(sentences)
 
         subsets = [("a", pairs[:4]), ("flat", pairs[4:7]), ("b", pairs[7:])]
         report = eval_sts_partitioned(CountingProvider(), Partition(name="p", subsets=subsets))
@@ -298,6 +298,19 @@ class TestEvalProbe:
         task, store = make_blob_probe(rng, n_per_class=200, n_classes=2, separation=0.0)
         accuracy = eval_probe(store, task, ProbeConfig(seed=0))
         assert 0.4 <= accuracy <= 0.6
+
+    def test_repeated_sentences_keep_their_features(self):
+        # each sentence comes back later in reverse order: every slot must get its own row
+        store = EmbeddingStore(2)
+        sentences = [f"s{i}" for i in range(40)]
+        for i, sentence in enumerate(sentences):
+            store.add(sentence, [4.0 if i % 2 else -4.0, 0.01 * i])
+        examples = [(s, "odd" if int(s[1:]) % 2 else "even") for s in sentences + sentences[::-1]]
+        counts = {}
+        accuracy = eval_probe(store, ProbeTask(name="rep", examples=examples), ProbeConfig(seed=0),
+                              embedded=counts)
+        assert accuracy == 1.0
+        assert counts == {"distinct": 40, "reused": 40}
 
     def test_class_too_small_for_folds(self):
         store = EmbeddingStore(2)

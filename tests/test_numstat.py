@@ -64,6 +64,51 @@ class TestCosine:
             assert c == pytest.approx(cosine(alpha * u, v), abs=1e-12)
 
 
+def cosine_reference(u, v):
+    """The per-pair formula, one np.dot per product."""
+    return float(np.dot(u, v)) / (math.sqrt(float(np.dot(u, u))) * math.sqrt(float(np.dot(v, v))))
+
+
+class TestMatrixCosine:
+    """Two (n, d) matrices give one cosine per row, bit-identical to the per-pair cosine."""
+
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_rows_equal_per_pair_cosine(self, d):
+        rng = make_rng(12)
+        U = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+        V = rng.normal(size=(500, d))
+        V[:50] = U[:50]  # identical rows
+        V[50:100] = -3.0 * U[50:100]
+        scores = cosine(U, V)
+        assert scores.shape == (500,)
+        np.testing.assert_array_equal(scores, [cosine_reference(u, v) for u, v in zip(U, V)])
+        assert [cosine(u, v) for u, v in zip(U, V)] == scores.tolist()
+
+    def test_vectors_still_give_a_float(self):
+        assert type(cosine(np.ones(3), np.arange(1.0, 4.0))) is float
+
+    def test_zero_norm_row_rejected(self):
+        U = np.ones((3, 4))
+        V = np.ones((3, 4))
+        V[1] = 0.0
+        with pytest.raises(InvalidInputError, match="zero-norm"):
+            cosine(U, V)
+        with pytest.raises(InvalidInputError, match="zero-norm"):
+            cosine(V, U)
+
+    def test_nan_entry_rejected(self):
+        U = np.ones((3, 4))
+        V = np.ones((3, 4))
+        V[2, 3] = np.nan
+        with pytest.raises(InvalidInputError, match="NaN"):
+            cosine(U, V)
+
+    @pytest.mark.parametrize("shape_v", [(3, 5), (2, 4), (4,)])
+    def test_shape_mismatch_rejected(self, shape_v):
+        with pytest.raises(InvalidInputError):
+            cosine(np.ones((3, 4)), np.ones(shape_v))
+
+
 class TestRanksWithTies:
     def test_distinct(self):
         np.testing.assert_array_equal(ranks_with_ties([10, 20, 30]), [1, 2, 3])
