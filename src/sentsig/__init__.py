@@ -37,7 +37,7 @@ from .evalsuite import (
     load_probe_task,
     train_logreg,
 )
-from .numstat import cosine, cross_entropy, make_rng, pearson, ranks_with_ties, softmax, spearman
+from .numstat import cosine, make_rng, pearson, ranks_with_ties, softmax, spearman
 from .objectives import (
     Adam,
     IndexedDefinitions,

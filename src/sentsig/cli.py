@@ -23,7 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .combiner import CombinedProvider, PipelineSpec, run_pipeline
 from .corpus import Partition, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
 from .corpus import dice  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
-from .encoder import EmbeddingStore, ToyEncoder, build_vocab, load_dump, save_dump, tokenize_texts
+from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_dump, save_dump, tokenize_texts
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
@@ -194,8 +194,12 @@ def _config_snapshot(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def load_provider(path):
-    """Load a provider from a checkpoint (JSON) or an embedding dump (dim= header)."""
+def load_provider(path, token_cache: TokenCache | None = None):
+    """Load a provider from a checkpoint (JSON) or an embedding dump (dim= header).
+
+    A checkpoint's encoder indexes sentences through ``token_cache``; the
+    providers of one command share one cache.
+    """
     p = Path(path)
     if not p.exists():
         raise InvalidInputError(f"provider file not found: {p}")
@@ -204,7 +208,9 @@ def load_provider(path):
     if head.startswith(b"dim="):
         return load_dump(p)
     if head.startswith(b"{"):
-        return load_checkpoint(p).encoder
+        encoder = load_checkpoint(p).encoder
+        encoder.token_cache = token_cache
+        return encoder
     raise InvalidInputError(f"{p}: neither an embedding dump nor a checkpoint")
 
 
@@ -327,7 +333,8 @@ def cmd_train(args) -> int:
 
 
 def _build_single_or_combined(paths: list[str], mode: str | None):
-    providers = [load_provider(p) for p in paths]
+    token_cache = TokenCache()
+    providers = [load_provider(p, token_cache) for p in paths]
     if len(providers) == 1:
         return providers[0]
     if len(providers) == 2 and mode:
@@ -427,14 +434,17 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     cfg = load_experiment_config(args.config, args)
     out = _out_dir(cfg.out)
+    # every sentence is tokenized once, and indexed once per distinct vocabulary
+    token_cache = TokenCache()
     if args.command == "combine-eval":
         if len(args.a) != len(args.b):
             raise InvalidInputError("--a and --b must be given the same number of times")
-        providers = [CombinedProvider(args.mode, load_provider(pa), load_provider(pb))
+        providers = [CombinedProvider(args.mode, load_provider(pa, token_cache),
+                                      load_provider(pb, token_cache))
                      for pa, pb in zip(args.a, args.b)]
         inputs = {"mode": args.mode, "providers_a": list(args.a), "providers_b": list(args.b)}
     else:
-        providers = [load_provider(p) for p in args.providers]
+        providers = [load_provider(p, token_cache) for p in args.providers]
         inputs = {"providers": list(args.providers)}
     partition = _sts_input_partition(args)
     if partition is None and not args.probe:

@@ -56,7 +56,7 @@ class Vocabulary:
         for reserved in (CLS_TOKEN, UNK_TOKEN):
             if reserved in words:
                 raise InvalidInputError(f"{reserved} is reserved and cannot be a corpus word")
-        self._words = [CLS_TOKEN, UNK_TOKEN, *words]
+        self._words = (CLS_TOKEN, UNK_TOKEN, *words)
         self._index = {w: i for i, w in enumerate(self._words)}
         if len(self._index) != len(self._words):
             raise InvalidInputError("vocabulary words must be unique")
@@ -116,13 +116,6 @@ def build_vocab(texts: list[str], min_count: int = 1,
     return Vocabulary(kept)
 
 
-def word_indices(tokens: Sequence[str], vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> list[int]:
-    """Vocabulary indices of the first ``max_tokens`` tokens, unknowns to [UNK]."""
-    if not tokens:
-        raise InvalidInputError("token list is empty")
-    return [vocab.index(t) for t in tokens[:max_tokens]]
-
-
 class TokenIndex:
     """Word indices of many texts in one flat array.
 
@@ -138,12 +131,16 @@ class TokenIndex:
 
     @classmethod
     def build(cls, token_lists, vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> "TokenIndex":
-        """Index each token list with :func:`word_indices`."""
+        """Vocabulary indices of each list's first ``max_tokens`` tokens, unknowns to [UNK]."""
+        lookup = vocab._index.get  # Vocabulary.index, without a Python call per token
+        unknown = itertools.repeat(UNK_INDEX)
         ids = array.array("i")
         sizes = []
         for tokens in token_lists:
-            row = word_indices(tokens, vocab, max_tokens)
-            ids.extend(row)
+            if not tokens:
+                raise InvalidInputError("token list is empty")
+            row = tokens[:max_tokens]
+            ids.extend(map(lookup, row, unknown))
             sizes.append(len(row))
         offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
@@ -162,8 +159,40 @@ class TokenIndex:
         return TokenIndex(self.ids[gather], offsets)
 
 
+class TokenCache:
+    """Token lists and word indices of sentences, shared by the encoders of one command.
+
+    Each distinct sentence is tokenized once (with :func:`tokenize_texts`),
+    and a sentence list is indexed once per distinct (vocabulary word list,
+    ``max_tokens``): the checkpoints of one ``train`` command have equal
+    vocabularies, so their encoders pool one :class:`TokenIndex`.
+    """
+
+    def __init__(self):
+        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._indexes: dict[tuple, TokenIndex] = {}
+
+    def index(self, sentences: Sequence[str], vocab: Vocabulary, max_tokens: int) -> TokenIndex:
+        """The index of ``sentences``, one text per sentence; a sentence without tokens is rejected."""
+        sentences = tuple(sentences)
+        key = (sentences, vocab._words, max_tokens)
+        index = self._indexes.get(key)
+        if index is None:
+            self._tokens.update(tokenize_texts(s for s in sentences if s not in self._tokens))
+            token_lists = [self._tokens[s] for s in sentences]
+            if () in token_lists:
+                bad = sentences[token_lists.index(())]
+                raise InvalidInputError(f"sentence has no tokens to embed: {bad!r}")
+            index = self._indexes[key] = TokenIndex.build(token_lists, vocab, max_tokens)
+        return index
+
+
 class ToyEncoder:
-    """Trainable embedding table + pooling; replaces contextual outputs at desk scale."""
+    """Trainable embedding table + pooling; replaces contextual outputs at desk scale.
+
+    ``token_cache`` is the :class:`TokenCache` that :meth:`embed_batch`
+    indexes sentences through; encoders given one cache share its work.
+    """
 
     def __init__(self, vocab: Vocabulary, table: np.ndarray, pooling: str = "mean",
                  max_tokens: int = MAX_TOKENS, name: str | None = None):
@@ -175,6 +204,7 @@ class ToyEncoder:
         self.max_tokens = max_tokens
         self.dim = self.table.shape[1]
         self.name = name or f"toy-{pooling}-d{self.dim}"
+        self.token_cache: TokenCache | None = None
 
     @classmethod
     def create(cls, vocab: Vocabulary, dim: int, pooling: str = "mean",
@@ -230,16 +260,14 @@ class ToyEncoder:
             np.add.at(table_grad, (argmax_rows, np.arange(self.dim)), grad_out)
 
     def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        """Pool every sentence in one :meth:`pool_forward` call, one row per sentence."""
-        token_lists = []
-        for sentence in sentences:
-            tokens = tokenize(sentence)
-            if not tokens:
-                raise InvalidInputError(f"sentence has no tokens to embed: {sentence!r}")
-            token_lists.append(tokens)
-        if not token_lists:
+        """Pool every sentence in one :meth:`pool_forward` call, one row per sentence.
+
+        Without a ``token_cache`` the sentences are tokenized for this call only.
+        """
+        if len(sentences) == 0:
             return np.zeros((0, self.dim))
-        vectors, _ = self.pool_forward(TokenIndex.build(token_lists, self.vocab, self.max_tokens))
+        cache = self.token_cache or TokenCache()
+        vectors, _ = self.pool_forward(cache.index(sentences, self.vocab, self.max_tokens))
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             raise InvalidInputError(

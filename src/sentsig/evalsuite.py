@@ -263,51 +263,79 @@ def kfold_split(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 class LogRegModel:
-    """Multinomial logistic regression over frozen feature vectors."""
+    """Multinomial logistic regression over frozen feature vectors, one model per fold.
 
-    def __init__(self, n_classes: int, dim: int):
-        self.W = np.zeros((n_classes, dim))
-        self.b = np.zeros(n_classes)
+    ``W`` is (folds, classes, dim) and ``b`` (folds, classes): fold f scores
+    the rows of ``features[f]``.  A one-fold model also takes an (m, dim)
+    matrix and returns one row per feature vector.
+    """
+
+    def __init__(self, n_classes: int, dim: int, folds: int = 1):
+        self.W = np.zeros((folds, n_classes, dim))
+        self.b = np.zeros((folds, n_classes))
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.W.T + self.b
+        if features.ndim == 2:
+            return self.logits(features[None])[0]
+        # stacked products round each fold's entries exactly as its own 2-D product does
+        return features @ self.W.transpose(0, 2, 1) + self.b[:, None, :]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.logits(features).argmax(axis=1)
+        return self.logits(features).argmax(axis=-1)
 
 
-def _logreg_loss_and_grads(model: LogRegModel, X: np.ndarray, y: np.ndarray):
+def _logreg_loss_and_grads(model: LogRegModel, X: np.ndarray, y: np.ndarray, loss: bool = True):
+    """(loss, gradients) of each fold's mean softmax cross-entropy over its batch.
+
+    ``X`` is (folds, m, dim) and ``y`` (folds, m), or (m, dim) and (m,) for a
+    one-fold model.  The loss is the sum of the folds' means, so each fold's
+    gradient is that of its own mean; ``loss=False`` skips it and gives None.
+    """
+    if X.ndim == 2:
+        X, y = X[None], y[None]
     logits = model.logits(X)
-    logits = logits - logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=2, keepdims=True)
     e = np.exp(logits)
-    probs = e / e.sum(axis=1, keepdims=True)
-    m = X.shape[0]
-    loss = float(-np.log(np.maximum(probs[np.arange(m), y], 1e-300)).mean())
+    probs = e / e.sum(axis=2, keepdims=True)
+    m = X.shape[1]
+    gold = (np.arange(X.shape[0])[:, None], np.arange(m), y)
+    value = float(-np.log(np.maximum(probs[gold], 1e-300)).mean(axis=1).sum()) if loss else None
     g = probs
-    g[np.arange(m), y] -= 1.0
-    return loss, {"W": g.T @ X / m, "b": g.mean(axis=0)}
+    g[gold] -= 1.0
+    return value, {"W": g.transpose(0, 2, 1) @ X / m, "b": g.mean(axis=1)}
 
 
 def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
-                 n_classes: int | None = None, seed: int | None = None) -> LogRegModel:
-    """Minibatch-Adam softmax regression on frozen features, zero-initialized."""
+                 n_classes: int | None = None, seed=None) -> LogRegModel:
+    """Minibatch-Adam softmax regression on frozen features, zero-initialized.
+
+    (m, dim) features with (m,) labels train one model.  (folds, m, dim)
+    features with (folds, m) labels train one model per fold as a stack, and
+    ``seed`` then holds one seed per fold: each fold draws its own minibatch
+    order from its own rng, exactly as a fit of that fold alone would.
+    """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+    if X.ndim == 2 and y.ndim == 1:
+        X, y = X[None], y[None]
+    if X.ndim != 3 or y.shape != X.shape[:2]:
         raise InvalidInputError("features and labels disagree in shape")
-    present = np.unique(y)
-    if present.size < 2:
+    folds, n, dim = X.shape
+    seeds = np.atleast_1d(config.seed if seed is None else seed)
+    if seeds.shape != (folds,):
+        raise InvalidInputError(f"{folds} fold(s) need as many seeds, got {seeds.size}")
+    if any(np.unique(fold_labels).size < 2 for fold_labels in y):
         raise InvalidInputError("training data contains a single class")
     n_classes = n_classes or int(y.max()) + 1
-    model = LogRegModel(n_classes, X.shape[1])
+    model = LogRegModel(n_classes, dim, folds)
     optimizer = Adam({"W": model.W, "b": model.b}, config.beta1, config.beta2, config.eps)
-    rng = make_rng(config.seed if seed is None else seed)
-    n = X.shape[0]
+    rngs = [make_rng(s) for s in seeds]
+    stack = np.arange(folds)[:, None]
     for _ in range(config.epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            _, grads = _logreg_loss_and_grads(model, X[idx], y[idx])
+            idx = order[:, start : start + config.batch_size]
+            _, grads = _logreg_loss_and_grads(model, X[stack, idx], y[stack, idx], loss=False)
             optimizer.step(grads, config.lr)
     return model
 
@@ -318,6 +346,8 @@ def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig
 
     The distinct sentences are embedded in one ``embed_batch`` call; an
     ``embedded`` dict receives the counts (see :func:`_embed_distinct`).
+    The folds of one size (there are at most two sizes) train as one stacked
+    :func:`train_logreg` fit.
     """
     n = len(task.examples)
     labels = task.label_indices()
@@ -331,13 +361,13 @@ def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig
     folds = kfold_split(n, config.folds, rng)
     fold_seeds = rng.integers(0, 2**63 - 1, size=config.folds)
     correct = 0
-    for fold, fold_seed in zip(folds, fold_seeds):
-        train_mask = np.ones(n, dtype=bool)
-        train_mask[fold] = False
-        model = train_logreg(X[train_mask], labels[train_mask], config,
-                             n_classes=int(labels.max()) + 1, seed=int(fold_seed))
-        predictions = model.predict(X[fold])
-        correct += int((predictions == labels[fold]).sum())
+    for size in dict.fromkeys(map(len, folds)):
+        group = [i for i, fold in enumerate(folds) if len(fold) == size]
+        test = np.stack([folds[i] for i in group])
+        train = np.stack([np.setdiff1d(np.arange(n), fold) for fold in test])  # ascending rows
+        model = train_logreg(X[train], labels[train], config,
+                             n_classes=int(labels.max()) + 1, seed=fold_seeds[group])
+        correct += int((model.predict(X[test]) == labels[test]).sum())
     return correct / n
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateScoresError, InvalidInputError
 
-# Smallest positive normal float64; used as the log floor of the cross-entropies.
+# Smallest positive normal float64; used as the log floor of the cross-entropy.
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -74,20 +74,11 @@ def cosine(u, v):
 
 def ranks_with_ties(x: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values receive the mean of the rank positions they cover."""
-    x = as_vector(x)
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        # positions i..j (0-based) hold equal values -> average of ranks i+1..j+1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(as_vector(x), return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)
+    # sorted positions first..last (0-based) hold equal values -> average of ranks
+    # first+1..last+1, exact in float64
+    return ((end - counts + end - 1) / 2.0 + 1.0)[group]
 
 
 def pearson(x, y) -> float:
@@ -123,16 +114,11 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs, gold: int) -> float:
-    """-ln(probs[gold]); the probability is floored at float64 tiny before the log."""
-    p = as_vector(probs)
-    if not 0 <= gold < p.shape[0]:
-        raise InvalidInputError(f"gold index {gold} out of range for {p.shape[0]} classes")
-    return -math.log(max(float(p[gold]), _TINY))
-
-
 def mean_cross_entropy(probs: np.ndarray, golds: np.ndarray) -> float:
-    """Mean of ``cross_entropy(probs[i], golds[i])`` over the rows of a probability matrix."""
+    """Mean of ``-ln(probs[i, golds[i]])`` over the rows of a probability matrix.
+
+    Each probability is floored at float64 tiny before the log.
+    """
     m = probs.shape[0]
     if golds.shape != (m,) or golds.min() < 0 or golds.max() >= probs.shape[1]:
         raise InvalidInputError(f"gold indices out of range for {probs.shape[1]} classes")

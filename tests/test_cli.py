@@ -485,6 +485,58 @@ class TestEvalCommand:
         # counts stay out of the deterministic reports
         assert "distinct" not in (out / "report.json").read_text()
 
+    @staticmethod
+    def _probe_file(path):
+        path.write_text("".join(f"{c}\tt0{c}w{i % 12:03d} t02w{i:03d}\n"
+                                for c in (0, 1) for i in range(20)))
+        return path
+
+    def test_each_eval_sentence_tokenized_once(self, data, tmp_path, monkeypatch):
+        run_dir = tmp_path / "three"
+        assert run(["train", "--method", "sbert", "--seeds", "0 1 2", "--out", run_dir,
+                    "--config", _config(data)]) == 0
+        parts = tmp_path / "parts"
+        assert run(["partition", data["sts"], "--scheme", "dice", "--out", parts]) == 0
+        probe = self._probe_file(tmp_path / "probe.tsv")
+        calls = Counter()
+        for module in (sentsig.corpus, sentsig.encoder, sentsig.objectives):
+            def counting(text, tokenize=module.tokenize):
+                calls[text] += 1
+                return tokenize(text)
+            monkeypatch.setattr(module, "tokenize", counting)
+        out = tmp_path / "eval"
+        assert run(["eval", *(run_dir / f"checkpoint-seed{k}.json" for k in range(3)),
+                    "--partition-dir", parts, "--probe", probe, "--out", out]) == 0
+        sentences = ({s for p in load_sts(data["sts"]) for s in (p.sentence1, p.sentence2)}
+                     | {line.split("\t")[1] for line in probe.read_text().splitlines()})
+        assert set(calls) == sentences
+        assert set(calls.values()) == {1}
+
+    def test_two_vocabularies_score_as_if_evaluated_alone(self, data, tmp_path):
+        ckpts = []
+        for method in ("sbert", "defsent"):
+            out = tmp_path / method
+            assert run(["train", "--method", method, "--seed", 0, "--out", out,
+                        "--config", _config(data)]) == 0
+            ckpts.append(out / "checkpoint-seed0.json")
+        vocabs = [load_checkpoint(c).encoder.vocab.words for c in ckpts]
+        assert vocabs[0] != vocabs[1]
+        probe = self._probe_file(tmp_path / "probe.tsv")
+
+        def report(*providers):
+            out = tmp_path / f"eval{len(list(tmp_path.glob('eval*')))}"
+            assert run(["eval", *providers, "--sts", data["sts"], "--probe", probe, "--out", out]) == 0
+            return json.loads((out / "report.json").read_text())
+
+        both = report(*ckpts)
+        for i, ckpt in enumerate(ckpts):
+            alone = report(ckpt)
+            for a, b in zip(alone["sts"]["subsets"], both["sts"]["subsets"]):
+                assert b["per_seed"]["spearman_x100"][i] == a["spearman_x100"]
+                assert b["per_seed"]["pearson_x100"][i] == a["pearson_x100"]
+            assert (both["probes"]["probe"]["per_provider_x100"][i]
+                    == alone["probes"]["probe"]["accuracy_x100_mean"])
+
     def test_nothing_to_evaluate_is_error(self, trained, tmp_path, capsys):
         out = tmp_path / "eval"
         assert run(["eval", trained["ckpt0"], "--out", out]) == 2

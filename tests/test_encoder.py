@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import sentsig.encoder
 from gradcheck import pool_one, unpool_one
 from sentsig.corpus import tokenize
 from sentsig.encoder import (
@@ -13,6 +14,7 @@ from sentsig.encoder import (
     UNK_INDEX,
     UNK_TOKEN,
     EmbeddingStore,
+    TokenCache,
     TokenIndex,
     ToyEncoder,
     Vocabulary,
@@ -238,6 +240,34 @@ class TestEmbedBatch:
         with pytest.raises(MissingEmbeddingError) as err:
             store.embed_batch(["known", "nope"])
         assert err.value.sentence == "nope"
+
+
+class TestTokenCache:
+    """Encoders sharing a cache index a sentence list once per distinct word list."""
+
+    def test_equal_word_lists_share_one_index(self, monkeypatch):
+        calls = Counter()
+
+        def counting(text, tokenize=sentsig.encoder.tokenize):
+            calls[text] += 1
+            return tokenize(text)
+
+        monkeypatch.setattr(sentsig.encoder, "tokenize", counting)
+        cache = TokenCache()
+        sentences = ["alpha beta", "gamma", "alpha beta", "zzz alpha"]
+        # separately built vocabularies with one word list, as two checkpoints of one run have
+        twins = [small_encoder(seed=seed) for seed in (1, 2)]
+        other = ToyEncoder.create(Vocabulary(["gamma", "beta", "alpha"]), 4, seed=3)
+        for enc in (*twins, other):
+            alone = enc.embed_batch(sentences)
+            enc.token_cache = cache
+            np.testing.assert_array_equal(enc.embed_batch(sentences), alone)
+        indexes = [cache.index(sentences, enc.vocab, enc.max_tokens) for enc in (*twins, other)]
+        assert indexes[0] is indexes[1]
+        assert indexes[2] is not indexes[0]
+        assert cache.index(sentences, twins[0].vocab, 1) is not indexes[0]
+        # three uncached calls tokenize each sentence three times, the cache once more
+        assert calls == {"alpha beta": 4, "gamma": 4, "zzz alpha": 4}
 
 
 def random_token_lists(rng, vocab_size, n_texts, max_len=9):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import sentsig.evalsuite
 from gradcheck import finite_difference_worst_error
 from sentsig.corpus import Partition, StsPair
 from sentsig.encoder import EmbeddingStore
@@ -24,6 +25,7 @@ from sentsig.evalsuite import (
     train_logreg,
 )
 from sentsig.numstat import cosine, make_rng, pearson, spearman
+from sentsig.objectives import Adam
 from sentsig.synth import make_blob_probe
 
 
@@ -286,7 +288,94 @@ class TestTrainLogreg:
         assert worst < 1e-4
 
 
+def per_fold_probe(X, labels, config):
+    """The one-fit-per-fold probe that the stacked fits replaced, kept as their bit-exact oracle.
+
+    Returns the accuracy and each fold's (seed, W, b).
+    """
+    n = len(labels)
+    n_classes = int(labels.max()) + 1
+    rng = make_rng(config.seed)
+    folds = kfold_split(n, config.folds, rng)
+    fold_seeds = rng.integers(0, 2**63 - 1, size=config.folds)
+    correct, fits = 0, []
+    for fold, fold_seed in zip(folds, fold_seeds):
+        train_mask = np.ones(n, dtype=bool)
+        train_mask[fold] = False
+        Xt, yt = X[train_mask], labels[train_mask]
+        W, b = np.zeros((n_classes, X.shape[1])), np.zeros(n_classes)
+        optimizer = Adam({"W": W, "b": b}, config.beta1, config.beta2, config.eps)
+        order_rng = make_rng(int(fold_seed))
+        for _ in range(config.epochs):
+            order = order_rng.permutation(len(yt))
+            for start in range(0, len(yt), config.batch_size):
+                idx = order[start : start + config.batch_size]
+                logits = Xt[idx] @ W.T + b
+                logits = logits - logits.max(axis=1, keepdims=True)
+                e = np.exp(logits)
+                g = e / e.sum(axis=1, keepdims=True)
+                m = len(idx)
+                g[np.arange(m), yt[idx]] -= 1.0
+                optimizer.step({"W": g.T @ Xt[idx] / m, "b": g.mean(axis=0)}, config.lr)
+        correct += int(((X[fold] @ W.T + b).argmax(axis=1) == labels[fold]).sum())
+        fits.append((int(fold_seed), W, b))
+    return correct / n, fits
+
+
+def noisy_probe(n, dim, n_classes, seed):
+    """A store and a task whose classes overlap, so the fits stay far from converged."""
+    rng = make_rng(seed)
+    X = rng.normal(size=(n, dim))
+    y = np.arange(n) % n_classes
+    X[np.arange(n), y % dim] += 1.0
+    store = EmbeddingStore(dim)
+    for i in range(n):
+        store.add(f"s{i}", X[i])
+    task = ProbeTask(name="noisy", examples=[(f"s{i}", f"c{y[i]}") for i in range(n)])
+    return store, task, X
+
+
 class TestEvalProbe:
+    @pytest.mark.parametrize("n, dim, batch_size", [
+        (305, 16, 64),  # folds of 30 and 31 rows: training sets of 275 and 274
+        (71, 8, 16),  # folds of 7 and 8 rows: the 64-row training sets fill 4 whole batches
+    ], ids=["n-not-divisible", "batch-multiple"])
+    def test_ragged_folds_match_per_fold_fits(self, monkeypatch, n, dim, batch_size):
+        store, task, X = noisy_probe(n, dim, 3, seed=n)
+        config = ProbeConfig(folds=10, batch_size=batch_size, epochs=3, lr=0.05, seed=4)
+        fits = []
+
+        def spy(features, labels, config, n_classes=None, seed=None):
+            model = train_logreg(features, labels, config, n_classes, seed)
+            fits.append((features.shape, seed, model))
+            return model
+
+        monkeypatch.setattr(sentsig.evalsuite, "train_logreg", spy)
+        accuracy = eval_probe(store, task, config)
+        expected_accuracy, expected = per_fold_probe(X, task.label_indices(), config)
+        assert accuracy == expected_accuracy
+        assert sorted(shape[1] for shape, _, _ in fits) == sorted({n - n // 10, n - n // 10 - 1})
+        stacked = {int(s): (model.W[j], model.b[j])
+                   for _, seeds, model in fits for j, s in enumerate(seeds)}
+        assert len(stacked) == 10
+        for fold_seed, W, b in expected:
+            np.testing.assert_array_equal(stacked[fold_seed][0], W)
+            np.testing.assert_array_equal(stacked[fold_seed][1], b)
+
+    @pytest.mark.parametrize("n, groups", [(300, 1), (305, 2)])
+    def test_one_fit_per_fold_size(self, monkeypatch, n, groups):
+        store, task, _ = noisy_probe(n, 4, 2, seed=1)
+        calls = []
+
+        def counting(features, *args, **kwargs):
+            calls.append(features.shape[0])
+            return train_logreg(features, *args, **kwargs)
+
+        monkeypatch.setattr(sentsig.evalsuite, "train_logreg", counting)
+        eval_probe(store, task, ProbeConfig(epochs=1, seed=0))
+        assert len(calls) == groups
+        assert sum(calls) == 10
+
     def test_separable_task_high_accuracy(self):
         rng = make_rng(7)
         task, store = make_blob_probe(rng, n_per_class=40, n_classes=2)

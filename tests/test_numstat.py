@@ -10,13 +10,29 @@ from sentsig.errors import DegenerateScoresError, InvalidInputError
 from sentsig.numstat import (
     as_vector,
     cosine,
-    cross_entropy,
     make_rng,
+    mean_cross_entropy,
     pearson,
     ranks_with_ties,
     softmax,
     spearman,
 )
+
+
+def loop_ranks(x):
+    """The tie-walking loop ranks_with_ties replaced, kept as its bit-exact oracle."""
+    x = as_vector(x)
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def brute_force_ranks(x):
@@ -139,6 +155,26 @@ class TestRanksWithTies:
             x = rng.integers(0, 5, size=20).astype(float)
             np.testing.assert_allclose(ranks_with_ties(x), scipy.stats.rankdata(x), atol=1e-12)
 
+    def test_bit_identical_to_loop_with_ties(self):
+        rng = make_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            # half-point scores like STS gold, or continuous cosines with a few repeats
+            if rng.integers(2):
+                x = rng.integers(0, 11, size=n) / 2.0
+            else:
+                x = rng.uniform(-1, 1, size=n)
+                x[rng.integers(0, n, size=n // 4)] = x[0]
+            np.testing.assert_array_equal(ranks_with_ties(x), loop_ranks(x))
+
+    @pytest.mark.parametrize("x", [
+        [0.0, -0.0, 1.0, -0.0, -1.0, 0.0],  # +0.0 and -0.0 are one tie
+        [2.5] * 17,
+        [3.0],
+    ], ids=["signed-zeros", "all-equal", "length-1"])
+    def test_bit_identical_to_loop_edge_cases(self, x):
+        np.testing.assert_array_equal(ranks_with_ties(x), loop_ranks(x))
+
 
 class TestPearson:
     def test_affine_increasing(self):
@@ -238,22 +274,28 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
+    """mean_cross_entropy of one-row matrices: -ln(probs[gold]) with the probability floored."""
+
+    @staticmethod
+    def _one(probs, gold):
+        return mean_cross_entropy(np.array([probs], dtype=np.float64), np.array([gold]))
+
     def test_certain_prediction(self):
-        assert cross_entropy([1.0, 0.0, 0.0], 0) == 0.0
+        assert self._one([1.0, 0.0, 0.0], 0) == 0.0
 
     def test_uniform_three_way(self):
-        assert cross_entropy([1 / 3] * 3, 2) == pytest.approx(math.log(3), rel=1e-14)
+        assert self._one([1 / 3] * 3, 2) == pytest.approx(math.log(3), rel=1e-14)
 
     def test_direct_formula_oracle(self):
         # -ln(softmax([1,2,3])[1]) via mpmath at 50 digits
-        assert cross_entropy(softmax([1, 2, 3]), 1) == pytest.approx(1.4076059644443803, abs=1e-14)
+        assert self._one(softmax([1, 2, 3]), 1) == pytest.approx(1.4076059644443803, abs=1e-14)
 
     def test_index_out_of_range(self):
         with pytest.raises(InvalidInputError):
-            cross_entropy([0.5, 0.5], 2)
+            self._one([0.5, 0.5], 2)
 
     def test_zero_probability_is_finite(self):
-        assert math.isfinite(cross_entropy([0.0, 1.0], 0))
+        assert math.isfinite(self._one([0.0, 1.0], 0))
 
 
 class TestRng:

@@ -18,7 +18,7 @@ from gradcheck import (
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
-from sentsig.numstat import cross_entropy, make_rng, softmax
+from sentsig.numstat import make_rng, mean_cross_entropy, softmax
 from sentsig.objectives import (
     Adam,
     BatchStream,
@@ -79,7 +79,7 @@ class TestNliForward:
                                "w0", "w1", "entailment")
         probs = softmax(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(grads["nli_b"], probs - [1.0, 0.0, 0.0])
-        assert loss == cross_entropy(probs, 0)
+        assert loss == mean_cross_entropy(probs[None], np.array([0]))
 
     def test_matches_explicit_loop_oracle(self):
         rng = make_rng(12)
@@ -120,7 +120,7 @@ def nli_loss_and_grads_loop(batch, encoder, head):
             logits = logits + head.b
         probs = softmax(logits)
         gold = ex.label_index
-        total += cross_entropy(probs, gold)
+        total += mean_cross_entropy(probs[None], np.array([gold]))
         g = probs.copy()
         g[gold] -= 1.0
         w_grad += np.outer(g, f)
@@ -247,7 +247,7 @@ def def_loss_and_grads_loop(batch, encoder, head):
         idxs = word_ids(encoder, ex.definition)
         s, argmax = pool_one(encoder, idxs)
         probs = softmax(head.weights @ s + head.bias)
-        total += cross_entropy(probs, gold)
+        total += mean_cross_entropy(probs[None], np.array([gold]))
         g = probs.copy()
         g[gold] -= 1.0
         out_grad += np.outer(g, s)
