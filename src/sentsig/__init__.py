@@ -53,4 +53,5 @@ from .objectives import (
     nli_loss_and_grads,
     smart_batches,
     train,
+    train_seeds,
 )

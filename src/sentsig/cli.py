@@ -301,13 +301,14 @@ def cmd_train(args) -> int:
 
     vocab, nli_data, def_data = _training_data(cfg)
 
+    # every seed trains in one lockstep run
+    spec = PipelineSpec.from_method(cfg.method, cfg.train, cfg.schedule())
+    encoders = [ToyEncoder.create(vocab, cfg.dim, cfg.pooling, seed=seed) for seed in cfg.seeds]
+    results = run_pipeline(spec, encoders, nli_data, def_data, seeds=cfg.seeds)
     artifacts = {}
     stage_logs = {}
-    for seed in cfg.seeds:
-        encoder = ToyEncoder.create(vocab, cfg.dim, cfg.pooling, seed=seed)
+    for seed, result in zip(cfg.seeds, results):
         train_config = dataclasses.replace(cfg.train, seed=seed)
-        spec = PipelineSpec.from_method(cfg.method, train_config, cfg.schedule())
-        result = run_pipeline(spec, encoder, nli_data, def_data)
         nli_head = def_head = None
         stages = []
         for stage_name, stage_result in zip(spec.stages, result.stage_results):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -10,7 +11,7 @@ import numpy as np
 from .corpus import DefinitionExample, NliExample
 from .encoder import EmbeddingProvider, ToyEncoder
 from .errors import InvalidInputError
-from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, TrainResult, train
+from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, TrainResult, train_seeds
 
 STAGES = ("sbert", "defsent", "multi")
 COMBINE_MODES = ("average", "concat")
@@ -98,14 +99,20 @@ class PipelineResult:
     stage_results: list[TrainResult]
 
 
-def run_pipeline(spec: PipelineSpec, encoder: ToyEncoder,
+def run_pipeline(spec: PipelineSpec, encoders: Sequence[ToyEncoder],
                  nli_data: IndexedNli | list[NliExample] | None = None,
                  def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
-                 ) -> PipelineResult:
-    """Apply the stages sequentially to the same encoder parameters.
+                 seeds: Sequence[int] | None = None) -> list[PipelineResult]:
+    """Apply the stages sequentially to the same encoder parameters, all encoders in lockstep.
 
     Stage N+1 starts from exactly the parameters stage N finished with.
+    ``seeds`` gives each encoder's training seed in place of the stage
+    configs' seed.  Each stage trains every encoder in one
+    :func:`train_seeds` call, and each result is exactly that of running
+    the pipeline on its encoder alone.
     """
+    if seeds is not None and len(seeds) != len(encoders):
+        raise InvalidInputError("give one seed per encoder")
     stage_results = []
     for stage, config in zip(spec.stages, spec.configs):
         uses_nli = stage in ("sbert", "multi")
@@ -114,6 +121,15 @@ def run_pipeline(spec: PipelineSpec, encoder: ToyEncoder,
             raise InvalidInputError(f"{stage} stage requires an NLI dataset")
         if uses_def and not def_data:
             raise InvalidInputError(f"{stage} stage requires a definition dataset")
-        stage_results.append(train(encoder, config, nli_data if uses_nli else None,
-                                   def_data if uses_def else None, spec.schedule))
-    return PipelineResult(encoder=encoder, stage_results=stage_results)
+        configs = ([config] * len(encoders) if seeds is None
+                   else [dataclasses.replace(config, seed=seed) for seed in seeds])
+        stage_results.append(train_seeds(encoders, configs, nli_data if uses_nli else None,
+                                         def_data if uses_def else None, spec.schedule))
+    results = []
+    for k, encoder in enumerate(encoders):
+        for stage in stage_results:
+            # a later stage moved the table: a tied head follows it
+            if stage[k].def_head is not None and stage[k].def_head.tied:
+                stage[k].def_head.weights = encoder.table
+        results.append(PipelineResult(encoder=encoder, stage_results=[r[k] for r in stage_results]))
+    return results

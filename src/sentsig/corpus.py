@@ -93,6 +93,9 @@ def tokenize(text: str) -> list[str]:
         raise InvalidInputError("cannot tokenize empty text")
     out = []
     for raw in text.lower().split():
+        if raw.isalnum():  # nothing to strip: most tokens
+            out.append(raw)
+            continue
         start, end = 0, len(raw)
         while start < end and not raw[start].isalnum():
             start += 1

@@ -35,6 +35,8 @@ POOLINGS = ("cls", "mean", "max")
 
 MAX_TOKENS = 128  # training/evaluation truncation length
 
+MEAN_POOL_ENTRIES = 1 << 16  # (word position, column) entries mean pooling bins per call
+
 
 class EmbeddingProvider(Protocol):
     name: str
@@ -121,13 +123,15 @@ class TokenIndex:
 
     Text ``i`` is ``ids[offsets[i]:offsets[i + 1]]`` and has at least one
     word.  The [CLS] position that precedes every text is the same table row
-    for all of them, so it is not stored.
+    for all of them, so it is not stored; only texts that index a stack of
+    tables (seeds trained in lockstep) give each text's [CLS] row in ``cls``.
     """
 
-    def __init__(self, ids: np.ndarray, offsets: np.ndarray):
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray, cls: np.ndarray | None = None):
         self.ids = ids
         self.offsets = offsets
         self.lengths = offsets[1:] - offsets[:-1]  # word positions per text
+        self.cls = cls
 
     @classmethod
     def build(cls, token_lists, vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> "TokenIndex":
@@ -149,6 +153,10 @@ class TokenIndex:
     def __len__(self) -> int:
         return self.lengths.shape[0]
 
+    def cls_rows(self) -> np.ndarray:
+        """The table row of each text's [CLS] position."""
+        return np.full(len(self), CLS_INDEX) if self.cls is None else self.cls
+
     def take(self, rows: np.ndarray) -> "TokenIndex":
         """The texts at ``rows``, in that order, as a new index."""
         starts = self.offsets[rows]
@@ -156,20 +164,66 @@ class TokenIndex:
         offsets = np.zeros(len(rows) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
         gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
-        return TokenIndex(self.ids[gather], offsets)
+        return TokenIndex(self.ids[gather], offsets, None if self.cls is None else self.cls[rows])
+
+
+def scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                value_rows: np.ndarray | None = None) -> None:
+    """``np.add.at(target, rows, values)`` on a 2-D target, as one ``np.bincount``.
+
+    ``rows`` names a target row for each row of ``values``, or, shaped like
+    ``values``, one for each entry, which keeps its column.  With
+    ``value_rows`` the row added at ``rows[i]`` is ``values[value_rows[i]]``.
+    Only the touched rows are binned, so nothing target-sized is allocated.
+    Unless they are all +0.0 (a cleared gradient), their current values are
+    binned first, so every entry is the sum add.at forms, in its order: the
+    target value, then the terms in input order.
+    """
+    dim = target.shape[1]
+    n = rows.shape[0]
+    # the touched rows, ascending, and each row's place among them
+    place = np.zeros(target.shape[0] + 1, dtype=np.intp)
+    place[rows.ravel() + 1] = 1
+    touched = np.flatnonzero(place[1:])
+    np.cumsum(place, out=place)
+    k = touched.shape[0]
+    start = target[touched]
+    seeded = start.view(np.int64).any()  # +0.0 is the only all-zero bit pattern
+    first = k if seeded else 0  # rows of bins and weights that hold the start values
+    bins = np.empty((first + n, dim), dtype=np.intp)
+    weights = np.empty((first + n, dim))
+    bins[:first] = np.arange(first * dim).reshape(first, dim)
+    weights[:first] = start[:first]
+    np.add((place[rows] * dim).reshape(n, -1), np.arange(dim), out=bins[first:])
+    terms = weights[first:]
+    if value_rows is None:
+        terms[...] = values
+    else:
+        np.take(values, value_rows, axis=0, out=terms)
+    sums = np.bincount(bins.ravel(), weights.ravel(), minlength=k * dim).reshape(k, dim)
+    if seeded:
+        # a bin starts at +0.0, and +0.0 + -0.0 is +0.0: an entry that add.at
+        # leaves at -0.0 (a -0.0 target and only -0.0 terms) is set back
+        negative_zero = (start == 0.0) & np.signbit(start)
+        if negative_zero.any():
+            other_terms = np.bincount(bins[k:].ravel(), ~((terms == 0.0) & np.signbit(terms)).ravel(),
+                                      minlength=k * dim).reshape(k, dim)
+            sums[negative_zero & (other_terms == 0)] = -0.0
+    target[touched] = sums
 
 
 class TokenCache:
     """Token lists and word indices of sentences, shared by the encoders of one command.
 
-    Each distinct sentence is tokenized once (with :func:`tokenize_texts`),
-    and a sentence list is indexed once per distinct (vocabulary word list,
-    ``max_tokens``): the checkpoints of one ``train`` command have equal
-    vocabularies, so their encoders pool one :class:`TokenIndex`.
+    Each distinct sentence is tokenized once, and a sentence list is indexed
+    once per distinct (vocabulary word list, ``max_tokens``): the
+    checkpoints of one ``train`` command have equal vocabularies, so their
+    encoders pool one :class:`TokenIndex`.  The tokens live for one command,
+    so they are not interned as :func:`tokenize_texts` does.
     """
 
     def __init__(self):
-        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._tokens: dict[str, list[str]] = {}
         self._indexes: dict[tuple, TokenIndex] = {}
 
     def index(self, sentences: Sequence[str], vocab: Vocabulary, max_tokens: int) -> TokenIndex:
@@ -178,10 +232,11 @@ class TokenCache:
         key = (sentences, vocab._words, max_tokens)
         index = self._indexes.get(key)
         if index is None:
-            self._tokens.update(tokenize_texts(s for s in sentences if s not in self._tokens))
+            self._tokens.update((s, tokenize(s)) for s in dict.fromkeys(sentences)
+                                if s not in self._tokens)
             token_lists = [self._tokens[s] for s in sentences]
-            if () in token_lists:
-                bad = sentences[token_lists.index(())]
+            if not all(token_lists):
+                bad = sentences[token_lists.index([])]
                 raise InvalidInputError(f"sentence has no tokens to embed: {bad!r}")
             index = self._indexes[key] = TokenIndex.build(token_lists, vocab, max_tokens)
         return index
@@ -225,15 +280,24 @@ class ToyEncoder:
         the first position.
         """
         if self.pooling == "cls":
-            return self.table[np.full(len(index), CLS_INDEX)], None
+            return self.table[index.cls_rows()], None
         sizes = index.lengths
         if sizes.min() < 1:
             raise InvalidInputError("no content vectors to pool over")
         n = sizes.shape[0]
         if self.pooling == "mean":
-            # an unbuffered add sums each text's rows in word order, as a one-text mean does
-            sums = np.zeros((n, self.dim))
-            np.add.at(sums, np.repeat(np.arange(n), sizes), self.table[index.ids])
+            # one bin per (text, column), summed in word order from +0.0, as a
+            # one-text mean does; texts go a few at a time, so that the bins
+            # and the gathered rows stay small when a whole corpus is pooled
+            sums = np.empty((n, self.dim))
+            step = max(1, MEAN_POOL_ENTRIES // (self.dim * int(sizes.max())))
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                bins = (np.repeat(np.arange(hi - lo) * self.dim, sizes[lo:hi])[:, None]
+                        + np.arange(self.dim))
+                rows = self.table[index.ids[index.offsets[lo] : index.offsets[hi]]]
+                sums[lo:hi] = np.bincount(bins.ravel(), rows.ravel(),
+                                          minlength=(hi - lo) * self.dim).reshape(hi - lo, self.dim)
             return sums / sizes[:, None], None
         # max: lay the texts out as (text, position, dim), each padded to the
         # longest by repeating its last word; a repeat comes after the word
@@ -248,16 +312,19 @@ class ToyEncoder:
                       grad_out: np.ndarray, table_grad: np.ndarray) -> None:
         """Add the table gradient of :meth:`pool_forward` for ``grad_out`` into ``table_grad``.
 
-        One scatter for the whole index: a row that several positions share
-        sums their contributions in text order.
+        One :func:`scatter_add` for the whole index: a row that several
+        positions share sums their contributions in text order.
         """
         if self.pooling == "cls":
-            np.add.at(table_grad, np.full(len(index), CLS_INDEX), grad_out)
+            scatter_add(table_grad, index.cls_rows(), grad_out)
         elif self.pooling == "mean":
+            # bincount takes one weight per term, so each word position's
+            # share of its text's gradient is laid out once, as its weights
             sizes = index.lengths
-            np.add.at(table_grad, index.ids, np.repeat(grad_out / sizes[:, None], sizes, axis=0))
+            scatter_add(table_grad, index.ids, grad_out / sizes[:, None],
+                        np.repeat(np.arange(len(index)), sizes))
         else:  # max: each coordinate's gradient goes to the row that produced the max
-            np.add.at(table_grad, (argmax_rows, np.arange(self.dim)), grad_out)
+            scatter_add(table_grad, argmax_rows, grad_out)
 
     def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
         """Pool every sentence in one :meth:`pool_forward` call, one row per sentence.

@@ -329,6 +329,7 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
     n_classes = n_classes or int(y.max()) + 1
     model = LogRegModel(n_classes, dim, folds)
     optimizer = Adam({"W": model.W, "b": model.b}, config.beta1, config.beta2, config.eps)
+    model.W, model.b = optimizer.params["W"], optimizer.params["b"]
     rngs = [make_rng(s) for s in seeds]
     stack = np.arange(folds)[:, None]
     for _ in range(config.epochs):

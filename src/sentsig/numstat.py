@@ -119,10 +119,19 @@ def mean_cross_entropy(probs: np.ndarray, golds: np.ndarray) -> float:
 
     Each probability is floored at float64 tiny before the log.
     """
+    return mean_cross_entropies(probs, golds, [0, probs.shape[0]])[0]
+
+
+def mean_cross_entropies(probs: np.ndarray, golds: np.ndarray, bounds: Sequence[int]) -> list[float]:
+    """:func:`mean_cross_entropy` of each block of rows ``bounds[k]:bounds[k + 1]``."""
     m = probs.shape[0]
     if golds.shape != (m,) or golds.min() < 0 or golds.max() >= probs.shape[1]:
         raise InvalidInputError(f"gold indices out of range for {probs.shape[1]} classes")
-    total = 0.0
-    for p in probs[np.arange(m), golds].tolist():
-        total += -math.log(max(p, _TINY))
-    return total / m
+    picked = probs[np.arange(m), golds].tolist()
+    means = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        total = 0.0
+        for p in picked[lo:hi]:
+            total += -math.log(max(p, _TINY))
+        means.append(total / (hi - lo))
+    return means

@@ -13,16 +13,18 @@ config): repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import DefinitionExample, NliExample, tokenize
-from .encoder import MAX_TOKENS, TokenIndex, ToyEncoder, Vocabulary
+from .encoder import CLS_INDEX, MAX_TOKENS, TokenIndex, ToyEncoder, Vocabulary
 from .errors import InvalidInputError
-from .numstat import make_rng, mean_cross_entropy, softmax
+from .numstat import make_rng, mean_cross_entropies, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -220,11 +222,59 @@ class TrainResult:
         return pattern
 
 
+class SeedStack:
+    """The encoders of seeds trained in lockstep, over one stacked table.
+
+    Seed ``k``'s table is rows ``k·V`` to ``(k + 1)·V`` of ``table``; the
+    encoders share one vocabulary, pooling and truncation length.  A stack
+    pools like a :class:`ToyEncoder`, so a loss takes either.
+    """
+
+    pool_forward = ToyEncoder.pool_forward
+    pool_backward = ToyEncoder.pool_backward
+
+    def __init__(self, encoders: Sequence[ToyEncoder]):
+        first = encoders[0]
+        for encoder in encoders:
+            if (encoder.vocab is not first.vocab or encoder.pooling != first.pooling
+                    or encoder.dim != first.dim or encoder.max_tokens != first.max_tokens):
+                raise InvalidInputError(
+                    "seeds trained together need one vocabulary, pooling, dim and max_tokens")
+        self.vocab = first.vocab
+        self.pooling = first.pooling
+        self.dim = first.dim
+        self.max_tokens = first.max_tokens
+        self.table = np.concatenate([encoder.table for encoder in encoders])
+
+
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def nli_loss_and_grads(batch: IndexedNli, encoder: ToyEncoder, head: NliHead):
+def _per_seed(m: int, head, counts) -> tuple[bool, list, list[int], np.ndarray]:
+    """(one head given, the heads, examples per seed, row bounds) of a loss call.
+
+    One head takes every example; a list of heads takes ``counts`` examples each.
+    """
+    single = not isinstance(head, (list, tuple))
+    heads = [head] if single else list(head)
+    counts = [m] if counts is None else [int(c) for c in counts]
+    if len(counts) != len(heads) or min(counts) < 1 or sum(counts) != m:
+        raise InvalidInputError("each head needs a nonempty share of the batch")
+    return single, heads, counts, np.cumsum([0, *counts])
+
+
+def _divide_by_seed(counts: list[int], *grads: np.ndarray) -> None:
+    """Divide each seed's block of every gradient by that seed's example count."""
+    divisors = np.array(counts, dtype=np.float64)[:, None]
+    for g in grads:
+        blocks = g.reshape(len(counts), -1)  # a view: the gradients are contiguous
+        blocks /= divisors
+
+
+def nli_loss_and_grads(batch: IndexedNli, encoder: ToyEncoder | SeedStack,
+                       head: NliHead | Sequence[NliHead], counts: Sequence[int] | None = None,
+                       out: dict[str, np.ndarray] | None = None):
     """Mean cross-entropy over the batch and gradients for table, W and b.
 
     One pooling call embeds premises and hypotheses as U and V (B x d); the
@@ -233,39 +283,65 @@ def nli_loss_and_grads(batch: IndexedNli, encoder: ToyEncoder, head: NliHead):
     W, the column sums of G for b and G W for F, which one scatter routes
     back into the table.  The absolute-value feature uses subgradient 0 at
     exact zeros.
+
+    Seeds in lockstep pass a :class:`SeedStack`, a list with each seed's
+    head, and ``counts``, each seed's example count: the batch holds seed 0's
+    examples first, each indexing its own seed's rows of the stacked table.
+    Pooling, the softmax and the scatter run once for all seeds, and the head
+    products on each seed's own rows, so each seed's loss and gradients are
+    those of its examples alone; the loss is then a list, one per seed.
+    ``out`` holds the arrays to write the gradients into, keyed like the
+    result; with a list of heads W is stacked as (seeds, 3, 3d) and b as
+    (seeds, 3).
     """
     if not len(batch):
         raise InvalidInputError("empty NLI batch")
     _check_indexed(batch, encoder)
-    d = encoder.dim
-    if head.W.shape[1] != 3 * d:
-        raise InvalidInputError(f"head expects feature dim {head.W.shape[1]}, got {3 * d}")
     m = len(batch)
+    single, heads, counts, bounds = _per_seed(m, head, counts)
+    d = encoder.dim
+    for h in heads:
+        if h.W.shape[1] != 3 * d:
+            raise InvalidInputError(f"head expects feature dim {h.W.shape[1]}, got {3 * d}")
+    bias = heads[0].b is not None
+    if out is None:
+        stacked = () if single else (len(heads),)
+        out = {"table": np.empty_like(encoder.table), "nli_W": np.empty(stacked + (3, 3 * d))}
+        if bias:
+            out["nli_b"] = np.empty(stacked + (3,))
     pooled, argmax_rows = encoder.pool_forward(batch.texts)
     U, V = pooled[:m], pooled[m:]
     diff = U - V
     F = np.hstack([U, V, np.abs(diff)])
-    logits = F @ head.W.T
-    if head.b is not None:
-        logits += head.b
+    logits = np.empty((m, 3))
+    for h, lo, hi in zip(heads, bounds[:-1], bounds[1:]):
+        np.matmul(F[lo:hi], h.W.T, out=logits[lo:hi])
+        if bias:
+            logits[lo:hi] += h.b
     G = softmax(logits)  # P now; P - onehot(gold) after the loss is read
-    loss = mean_cross_entropy(G, batch.labels)
+    losses = mean_cross_entropies(G, batch.labels, bounds.tolist())
     G[np.arange(m), batch.labels] -= 1.0
-    dF = G @ head.W
-    sign = np.sign(diff)
-    dpooled = np.vstack([dF[:, :d] + sign * dF[:, 2 * d :],
-                         dF[:, d : 2 * d] - sign * dF[:, 2 * d :]])
-    table_grad = np.zeros_like(encoder.table)
+    W_grad = out["nli_W"].reshape(len(heads), 3, 3 * d)
+    b_grad = out["nli_b"].reshape(len(heads), 3) if bias else None
+    dF = np.empty_like(F)
+    for k, (h, lo, hi) in enumerate(zip(heads, bounds[:-1], bounds[1:])):
+        np.matmul(G[lo:hi].T, F[lo:hi], out=W_grad[k])
+        if bias:
+            np.sum(G[lo:hi], axis=0, out=b_grad[k])
+        np.matmul(G[lo:hi], h.W, out=dF[lo:hi])
+    dabs = np.sign(diff) * dF[:, 2 * d :]
+    dpooled = np.empty_like(pooled)
+    np.add(dF[:, :d], dabs, out=dpooled[:m])
+    np.subtract(dF[:, d : 2 * d], dabs, out=dpooled[m:])
+    table_grad = out["table"]
+    table_grad.fill(0.0)
     encoder.pool_backward(batch.texts, argmax_rows, dpooled, table_grad)
-    table_grad /= m
-    grads = {"table": table_grad, "nli_W": G.T @ F / m}
-    if head.b is not None:
-        grads["nli_b"] = G.sum(axis=0) / m
-    return loss, grads
+    _divide_by_seed(counts, *out.values())
+    return (losses[0] if single else losses), out
 
 
-def def_forward(s: np.ndarray, head: WordPredictionHead) -> np.ndarray:
-    """Logits over the vocabulary: weights s + bias.
+def def_forward(s: np.ndarray, head: WordPredictionHead, out: np.ndarray | None = None) -> np.ndarray:
+    """Logits over the vocabulary: weights s + bias, written into ``out`` if given.
 
     ``s`` is one pooled embedding (d,) or a batch of them as rows (B, d); the
     logits are (V,) or (B, V).
@@ -273,11 +349,14 @@ def def_forward(s: np.ndarray, head: WordPredictionHead) -> np.ndarray:
     if s.ndim not in (1, 2) or head.weights.shape[1] != s.shape[-1]:
         raise InvalidInputError(
             f"head expects embeddings of dim {head.weights.shape[1]}, got shape {s.shape}")
-    return s @ head.weights.T + head.bias
+    logits = np.matmul(s, head.weights.T, out=out)
+    logits += head.bias
+    return logits
 
 
-def def_loss_and_grads(batch: IndexedDefinitions, encoder: ToyEncoder,
-                       head: WordPredictionHead):
+def def_loss_and_grads(batch: IndexedDefinitions, encoder: ToyEncoder | SeedStack,
+                       head: WordPredictionHead | Sequence[WordPredictionHead],
+                       counts: Sequence[int] | None = None, out: dict[str, np.ndarray] | None = None):
     """Mean cross-entropy of headword prediction and gradients.
 
     The head runs once per batch: the pooled definitions are stacked into
@@ -286,6 +365,10 @@ def def_loss_and_grads(batch: IndexedDefinitions, encoder: ToyEncoder,
     bias and G W for S, which one scatter routes back into the table.  Every
     headword must be a vocabulary entry.  With a tied head the table
     gradient accumulates both the encoder path and the output-layer path.
+
+    Seeds in lockstep pass a :class:`SeedStack`, a list of heads, ``counts``
+    and ``out`` as for :func:`nli_loss_and_grads`; with a list of heads the
+    weights are stacked as (seeds·V, d) and the bias as (seeds, V).
     """
     if not len(batch):
         raise InvalidInputError("empty definition batch")
@@ -293,22 +376,38 @@ def def_loss_and_grads(batch: IndexedDefinitions, encoder: ToyEncoder,
     if batch.golds.min() < 0:
         raise InvalidInputError("a headword of the batch is not in the vocabulary")
     m = len(batch)
+    single, heads, counts, bounds = _per_seed(m, head, counts)
+    n_words = len(encoder.vocab)
+    tied = heads[0].tied
+    for h in heads:
+        if h.tied != tied or h.weights.shape[0] != n_words:
+            raise InvalidInputError(f"the heads must be all tied or all untied, over {n_words} words")
+    if out is None:
+        stacked = () if single else (len(heads),)
+        out = {"table": np.empty_like(encoder.table), "def_bias": np.empty(stacked + (n_words,))}
+        if not tied:
+            out["def_W"] = np.empty((len(heads) * n_words, encoder.dim))
     S, argmax_rows = encoder.pool_forward(batch.texts)
-    G = softmax(def_forward(S, head))  # P now; P - onehot(gold) after the loss is read
-    loss = mean_cross_entropy(G, batch.golds)
+    logits = np.empty((m, n_words))
+    for h, lo, hi in zip(heads, bounds[:-1], bounds[1:]):
+        def_forward(S[lo:hi], h, out=logits[lo:hi])
+    G = softmax(logits)  # P now; P - onehot(gold) after the loss is read
+    losses = mean_cross_entropies(G, batch.golds, bounds.tolist())
     G[np.arange(m), batch.golds] -= 1.0
-    out_grad = G.T @ S
-    bias_grad = G.sum(axis=0)
-    dS = G @ head.weights
+    table_grad = out["table"]
     # tied: the encoder path accumulates onto the output-layer gradient of the same table
-    table_grad = out_grad if head.tied else np.zeros_like(encoder.table)
+    out_grad = (table_grad if tied else out["def_W"]).reshape(len(heads), n_words, encoder.dim)
+    bias_grad = out["def_bias"].reshape(len(heads), n_words)
+    dS = np.empty_like(S)
+    for k, (h, lo, hi) in enumerate(zip(heads, bounds[:-1], bounds[1:])):
+        np.matmul(G[lo:hi].T, S[lo:hi], out=out_grad[k])
+        np.sum(G[lo:hi], axis=0, out=bias_grad[k])
+        np.matmul(G[lo:hi], h.weights, out=dS[lo:hi])
+    if not tied:
+        table_grad.fill(0.0)
     encoder.pool_backward(batch.texts, argmax_rows, dS, table_grad)
-    table_grad /= m
-    bias_grad /= m
-    if head.tied:
-        return loss, {"table": table_grad, "def_bias": bias_grad}
-    out_grad /= m
-    return loss, {"table": table_grad, "def_W": out_grad, "def_bias": bias_grad}
+    _divide_by_seed(counts, *out.values())
+    return (losses[0] if single else losses), out
 
 
 # ---------------------------------------------------------------------------
@@ -316,51 +415,103 @@ def def_loss_and_grads(batch: IndexedDefinitions, encoder: ToyEncoder,
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction; updates are applied in place.
+    """Adam with bias correction over one flat buffer of parameters.
+
+    The parameters are laid out one after another in the order given and
+    their values are copied in: ``params``, ``grads``, ``m`` and ``v`` hold
+    views of each one's slice of the flat parameter, gradient and moment
+    buffers, and callers read and write the parameters through ``params``.
+    The gradient and moment buffers are made when first used, so a caller
+    that moves its arrays into ``params`` can drop its own copies first.
 
     A call to :meth:`step` touches only the parameters named in ``grads``
-    (multi-task streams update disjoint heads); each parameter keeps its own
-    step counter for bias correction.  The update is dense and allocates
-    nothing: its temporaries live in one scratch buffer per parameter.
+    (multi-task streams update disjoint heads).  Each parameter keeps its
+    own step counter for bias correction; neighbours in the buffer with
+    equal counts update as one slice, each elementwise pass running over a
+    cache-sized chunk at a time.  The update allocates nothing: its
+    temporaries live in one chunk-sized scratch buffer.
     """
+
+    CHUNK = 1 << 15  # elements per pass: a chunk of the five arrays stays in cache
 
     def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {k: np.zeros_like(p) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self._slices = {}
+        self._shapes = {}
+        size = 0
+        for name, p in params.items():
+            self._slices[name] = slice(size, size + p.size)
+            self._shapes[name] = p.shape
+            size += p.size
+        self._flat = [np.empty(size)]  # parameters, then gradients and both moments
+        self.params = self._views(self._flat[0])
+        for name, p in params.items():
+            self.params[name][...] = p
+        self._state: list[dict[str, np.ndarray]] = []
+        self._scratch = np.empty(min(size, self.CHUNK))
         self.t = {k: 0 for k in params}
-        self._scratch = {k: np.empty_like(p) for k, p in params.items()}
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[sl].reshape(self._shapes[name]) for name, sl in self._slices.items()}
+
+    def _gradients_and_moments(self) -> list[dict[str, np.ndarray]]:
+        if not self._state:
+            for _ in range(3):
+                self._flat.append(np.zeros(self._flat[0].shape[0]))
+                self._state.append(self._views(self._flat[-1]))
+        return self._state
+
+    @property
+    def grads(self) -> dict[str, np.ndarray]:
+        return self._gradients_and_moments()[0]
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        return self._gradients_and_moments()[1]
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        return self._gradients_and_moments()[2]
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        for name, g in grads.items():
-            p = self.params[name]
-            if g.shape != p.shape:
-                raise InvalidInputError(
-                    f"gradient shape {g.shape} does not match parameter {name} {p.shape}")
+        spans = []  # [step count, start, stop] of neighbours with equal counts
+        for name in sorted(grads, key=lambda n: self._slices[n].start):
+            g, view, sl = grads[name], self.grads[name], self._slices[name]
+            if g is not view:
+                if g.shape != view.shape:
+                    raise InvalidInputError(
+                        f"gradient shape {g.shape} does not match parameter {name} {view.shape}")
+                view[...] = g
             self.t[name] += 1
-            t = self.t[name]
-            m = self.m[name]
-            v = self.v[name]
-            s = self._scratch[name]
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s)
-            m += s
-            v *= self.beta2
-            np.multiply(g, g, out=s)
-            s *= 1.0 - self.beta2
-            v += s
-            # p -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
-            # and v_hat = v / (1 - beta2^t)
-            np.divide(v, 1.0 - self.beta2 ** t, out=s)
-            np.sqrt(s, out=s)
-            s += self.eps
-            np.divide(m, s, out=s)
-            s *= lr / (1.0 - self.beta1 ** t)
-            p -= s
+            if spans and spans[-1][0] == self.t[name] and spans[-1][2] == sl.start:
+                spans[-1][2] = sl.stop
+            else:
+                spans.append([self.t[name], sl.start, sl.stop])
+        for t, start, stop in spans:
+            for lo in range(start, stop, self.CHUNK):
+                self._update(slice(lo, min(lo + self.CHUNK, stop)), t, lr)
+
+    def _update(self, sl: slice, t: int, lr: float) -> None:
+        p, g, m, v = (flat[sl] for flat in self._flat)
+        s = self._scratch[: sl.stop - sl.start]
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
+        # and v_hat = v / (1 - beta2^t)
+        np.divide(v, 1.0 - self.beta2 ** t, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, s, out=s)
+        s *= lr / (1.0 - self.beta1 ** t)
+        p -= s
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10,
@@ -429,22 +580,21 @@ def batches_per_epoch(lengths: np.ndarray, config: TrainConfig) -> int:
 
 
 class BatchStream:
-    """Endless stream of batches; rewinds with a fresh shuffle when exhausted."""
+    """Endless stream of batches, as example rows of ``data``; rewinds with a fresh shuffle when exhausted."""
 
     def __init__(self, data, config: TrainConfig, rng: np.random.Generator):
         if not len(data):
             raise InvalidInputError("empty example stream")
-        self.data = data
         self.lengths = data.lengths
         self.config = config
         self.rng = rng
         self.batches_per_pass = batches_per_epoch(self.lengths, config)
         self._queue: list[np.ndarray] = []
 
-    def next_batch(self):
+    def next_rows(self) -> np.ndarray:
         if not self._queue:
             self._queue = list(reversed(_epoch_batches(self.lengths, self.config, self.rng)))
-        return self.data.take(self._queue.pop())
+        return self._queue.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -461,55 +611,117 @@ def _drop_oov_definitions(data: IndexedDefinitions) -> IndexedDefinitions:
     return kept
 
 
+def _lockstep_batch(data, rows: list[np.ndarray], n_words: int):
+    """The seeds' batches as one, seed by seed: seed k's texts index table k of a stack."""
+    batch = data.take(np.concatenate(rows))
+    texts = batch.texts
+    bases = np.repeat(np.arange(len(rows)) * n_words, [len(r) for r in rows])
+    bases = np.tile(bases, len(texts) // len(batch))  # an NLI example has two texts
+    texts.ids += np.repeat(bases, texts.lengths).astype(texts.ids.dtype)
+    texts.cls = bases + CLS_INDEX
+    return batch
+
+
 def train(encoder: ToyEncoder, config: TrainConfig,
           nli_data: IndexedNli | list[NliExample] | None = None,
           def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
           schedule: MultiSchedule | None = None) -> TrainResult:
-    """Fine-tune the encoder on the NLI and/or the definition objective.
+    """Fine-tune one encoder: :func:`train_seeds` with one seed."""
+    return train_seeds([encoder], [config], nli_data, def_data, schedule)[0]
 
-    Each dataset given is a stream of batches with its own head; the streams
-    share one optimizer and one seeded rng, and a stream reshuffles when it
-    is exhausted.  With both streams each cycle runs
-    ``schedule.nli_steps_per_cycle`` NLI steps followed by
+
+def train_seeds(encoders: Sequence[ToyEncoder], configs: Sequence[TrainConfig],
+                nli_data: IndexedNli | list[NliExample] | None = None,
+                def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
+                schedule: MultiSchedule | None = None) -> list[TrainResult]:
+    """Fine-tune each encoder on the NLI and/or the definition objective, in lockstep.
+
+    Each dataset given is a stream of batches with its own head; a seed's
+    streams share one optimizer and one rng seeded with its config's seed,
+    and a stream reshuffles when it is exhausted.  With both streams each
+    cycle runs ``schedule.nli_steps_per_cycle`` NLI steps followed by
     ``schedule.def_steps_per_cycle`` definition steps; a single stream has a
     cycle of length 1.  The step count (epochs x batches per epoch of the
     first stream) is rounded up to whole cycles.  Datasets given as example
-    lists are indexed for the encoder first.
+    lists are indexed for the encoders first.
+
+    The configs may differ only in their seed, so every seed takes the same
+    stream and learning rate at each step.  A step joins the seeds' batches
+    into one, which one loss call pools and scores over the stacked tables
+    (:class:`SeedStack`), and one Adam step updates every seed; each seed's
+    table, heads and step records are exactly those of training it alone.
+    The encoders' tables and the heads become views of the optimizer's
+    parameter buffer, and training holds about four table-sized buffers per
+    seed: parameters, gradients and both moments.
     """
     if nli_data is None and def_data is None:
         raise InvalidInputError("training needs an NLI or a definition dataset")
+    if not encoders or len(configs) != len(encoders):
+        raise InvalidInputError("training needs one config per encoder")
+    config = configs[0]
+    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
+        raise InvalidInputError("seeds trained together may differ only in their seed")
     schedule = schedule or MultiSchedule()
-    rng = make_rng(config.seed)
-    result = TrainResult(encoder=encoder)
-    params = {"table": encoder.table}
-    streams = []  # (stream name, batches, loss function, head)
+    stack = SeedStack(encoders)
+    n_seeds, n_words, d = len(encoders), len(stack.vocab), stack.dim
+    # one flat buffer in which each stream's parameters are one run:
+    # [nli_W, nli_b, table] for NLI steps and [table, def_W, def_bias] for definition steps
+    params = {}
     if nli_data is not None:
-        head = result.nli_head = NliHead.create(encoder.dim, bias=config.head_bias)
-        params["nli_W"] = head.W
-        if head.b is not None:
-            params["nli_b"] = head.b
-        data = _indexed(nli_data, encoder, IndexedNli)
-        streams.append(("nli", BatchStream(data, config, rng), nli_loss_and_grads, head))
+        params["nli_W"] = np.zeros((n_seeds, 3, 3 * d))
+        if config.head_bias:
+            params["nli_b"] = np.zeros((n_seeds, 3))
+    params["table"] = stack.table
     if def_data is not None:
-        head = result.def_head = WordPredictionHead.create(encoder, tied=config.tied_head)
-        params["def_bias"] = head.bias
-        if not head.tied:
-            params["def_W"] = head.weights
-        data = _drop_oov_definitions(_indexed(def_data, encoder, IndexedDefinitions))
-        streams.append(("def", BatchStream(data, config, rng), def_loss_and_grads, head))
+        if not config.tied_head:
+            params["def_W"] = np.zeros((n_seeds * n_words, d))
+        params["def_bias"] = np.zeros((n_seeds, n_words))
     optimizer = Adam(params, config.beta1, config.beta2, config.eps)
+    del params
+    stack.table = table = optimizer.params["table"]
+    for k, encoder in enumerate(encoders):
+        encoder.table = table[k * n_words : (k + 1) * n_words]
+    results = [TrainResult(encoder=encoder) for encoder in encoders]
+    rngs = [make_rng(c.seed) for c in configs]
+
+    def stream(name, data, loss_and_grads, heads, param_names):
+        grads = {p: optimizer.grads[p] for p in param_names if p in optimizer.grads}
+        return (name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads,
+                heads, grads)
+
+    streams = []  # (name, each seed's batches, data, loss function, each seed's head, gradients)
+    if nli_data is not None:
+        W, b = optimizer.params["nli_W"], optimizer.params.get("nli_b")
+        heads = [NliHead(W[k], None if b is None else b[k]) for k in range(n_seeds)]
+        for result, head in zip(results, heads):
+            result.nli_head = head
+        streams.append(stream("nli", _indexed(nli_data, encoders[0], IndexedNli),
+                              nli_loss_and_grads, heads, ("nli_W", "nli_b", "table")))
+    if def_data is not None:
+        weights = table if config.tied_head else optimizer.params["def_W"]
+        heads = [WordPredictionHead(weights[k * n_words : (k + 1) * n_words],
+                                    optimizer.params["def_bias"][k], tied=config.tied_head)
+                 for k in range(n_seeds)]
+        for result, head in zip(results, heads):
+            result.def_head = head
+        data = _drop_oov_definitions(_indexed(def_data, encoders[0], IndexedDefinitions))
+        streams.append(stream("def", data, def_loss_and_grads, heads,
+                              ("table", "def_W", "def_bias")))
 
     cycle = streams
     if len(streams) == 2:
         cycle = ([streams[0]] * schedule.nli_steps_per_cycle
                  + [streams[1]] * schedule.def_steps_per_cycle)
-    nominal = config.epochs * streams[0][1].batches_per_pass
+    nominal = config.epochs * streams[0][1][0].batches_per_pass
     total_steps = math.ceil(nominal / len(cycle)) * len(cycle)
     for step in range(1, total_steps + 1):
         lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                    config.lr_decay)
-        name, stream, loss_and_grads, head = cycle[(step - 1) % len(cycle)]
-        loss, grads = loss_and_grads(stream.next_batch(), encoder, head)
+        name, batches, data, loss_and_grads, heads, grads = cycle[(step - 1) % len(cycle)]
+        rows = [seed_batches.next_rows() for seed_batches in batches]
+        losses, _ = loss_and_grads(_lockstep_batch(data, rows, n_words), stack, heads,
+                                   [len(r) for r in rows], grads)
         optimizer.step(grads, lr)
-        result.steps.append(StepRecord(name, loss, lr))
-    return result
+        for result, loss in zip(results, losses):
+            result.steps.append(StepRecord(name, loss, lr))
+    return results

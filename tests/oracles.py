@@ -1,0 +1,83 @@
+"""Earlier implementations, kept verbatim as oracles for the code that replaced them."""
+
+import numpy as np
+
+from sentsig.errors import InvalidInputError
+
+
+class ParamAdam:
+    """Adam with one set of buffers per parameter, updating the given arrays in place.
+
+    The optimizer before the flat buffer: each parameter named in a step runs
+    the 13 elementwise passes on its own, with its own step counter.
+    """
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
+        self.t = {k: 0 for k in params}
+        self._scratch = {k: np.empty_like(p) for k, p in params.items()}
+
+    def step(self, grads, lr):
+        for name, g in grads.items():
+            p = self.params[name]
+            if g.shape != p.shape:
+                raise InvalidInputError(
+                    f"gradient shape {g.shape} does not match parameter {name} {p.shape}")
+            self.t[name] += 1
+            t = self.t[name]
+            m = self.m[name]
+            v = self.v[name]
+            s = self._scratch[name]
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
+            v *= self.beta2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
+            v += s
+            np.divide(v, 1.0 - self.beta2 ** t, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, s, out=s)
+            s *= lr / (1.0 - self.beta1 ** t)
+            p -= s
+
+
+def tokenize(text):
+    """The tokenizer before the whole-token fast path: every token runs the edge scan."""
+    if not text:
+        raise InvalidInputError("cannot tokenize empty text")
+    out = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and not raw[start].isalnum():
+            start += 1
+        while end > start and not raw[end - 1].isalnum():
+            end -= 1
+        if end > start:
+            out.append(raw[start:end])
+    return out
+
+
+def mean_pool_add_at(table, index):
+    """Mean pooling before the bincount form: one unbuffered np.add.at into zeros."""
+    sizes = index.lengths
+    sums = np.zeros((len(index), table.shape[1]))
+    np.add.at(sums, np.repeat(np.arange(len(index)), sizes), table[index.ids])
+    return sums / sizes[:, None]
+
+
+def pool_backward_add_at(pooling, index, argmax_rows, grad_out, table_grad):
+    """ToyEncoder.pool_backward before the bincount scatter: one unbuffered np.add.at."""
+    if pooling == "cls":
+        np.add.at(table_grad, index.cls_rows(), grad_out)
+    elif pooling == "mean":
+        sizes = index.lengths
+        np.add.at(table_grad, index.ids, np.repeat(grad_out / sizes[:, None], sizes, axis=0))
+    else:
+        np.add.at(table_grad, (argmax_rows, np.arange(grad_out.shape[1])), grad_out)

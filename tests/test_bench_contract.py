@@ -6,9 +6,16 @@
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import sentsig.objectives
+from sentsig import cli
+from sentsig.corpus import save_definitions, save_nli
+from sentsig.numstat import make_rng
+from sentsig.synth import make_definition_corpus, make_nli_corpus
 
 _TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
@@ -20,3 +27,36 @@ _spec.loader.exec_module(tracer)
                          ids=[f"{owner}.{attr}" for owner, attr, *_ in tracer.TARGETS])
 def test_tracer_target_resolves(owner, attr):
     assert attr in tracer.resolve(owner).__dict__
+
+
+def test_loss_batches_hold_every_seeds_examples(tmp_path, monkeypatch):
+    """``TARGETS`` keys each loss call on ``len(args[0])``; a lockstep batch holds every seed's examples.
+
+    So a train command of three seeds passes the losses as many examples as
+    three one-seed commands, in the call count of one.
+    """
+    rng = make_rng(5)
+    world = dict(n_topics=4, words_per_topic=10, sentence_len=4)
+    save_nli(make_nli_corpus(rng, 150, **world), tmp_path / "nli.tsv")
+    save_definitions(make_definition_corpus(rng, per_word=1, **world), tmp_path / "defs.tsv")
+    seen = []
+    for name in ("nli_loss_and_grads", "def_loss_and_grads"):
+        def recording(*args, name=name, real=getattr(sentsig.objectives, name), **kwargs):
+            seen.append((name, len(args[0])))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(sentsig.objectives, name, recording)
+
+    def examples(seeds):
+        seen.clear()
+        argv = ["train", "--method", "multi", "--seeds", seeds, "--out", str(tmp_path / seeds),
+                "--config", str(config)]
+        assert cli.main(argv) == 0
+        return Counter(name for name, _ in seen), sum((Counter({name: n}) for name, n in seen), Counter())
+
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[data]\nnli = {tmp_path / 'nli.tsv'}\ndefinitions = {tmp_path / 'defs.tsv'}\n"
+                      "[train]\nbatch_size = 7\n", encoding="utf-8")
+    calls, together = examples("0 1 2")
+    alone = [examples(seed) for seed in "012"]
+    assert all(one_calls == calls for one_calls, _ in alone)
+    assert together == sum((counts for _, counts in alone), Counter())

@@ -204,9 +204,9 @@ class TestTrainCommand:
         real = cli.run_pipeline
 
         def diverged(*args, **kwargs):
-            result = real(*args, **kwargs)
-            result.encoder.table[3, 0] = np.nan
-            return result
+            results = real(*args, **kwargs)
+            results[0].encoder.table[3, 0] = np.nan
+            return results
 
         monkeypatch.setattr(cli, "run_pipeline", diverged)
         out = data["root"] / "nan"

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from sentsig.corpus import (
     DefinitionExample,
     NliExample,
@@ -59,6 +60,18 @@ class TestTokenize:
             text = " ".join(pool[i] for i in rng.integers(0, len(pool), size=6))
             once = tokenize(text)
             assert tokenize(" ".join(once)) == once
+
+    def test_matches_edge_scan_of_every_token(self):
+        # random text mixing letters, digits, punctuation, non-ASCII letters and
+        # non-alphanumeric symbols; the tokenizer before the whole-token fast path is the oracle
+        rng = make_rng(3)
+        alphabet = list("abcXYZ019") + list(".,!?'-()…\"") + list("éßÅжλ中") + ["²", "_", "½"]
+        for _ in range(2000):
+            text = "".join(alphabet[i] if rng.random() > 0.15 else " "
+                           for i in rng.integers(0, len(alphabet), size=int(rng.integers(1, 30))))
+            if not text:
+                continue
+            assert tokenize(text) == oracles.tokenize(text), text
 
 
 class TestDice:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 import sentsig.encoder
 from gradcheck import pool_one, unpool_one
 from sentsig.corpus import tokenize
@@ -330,6 +331,85 @@ class TestBatchedPooling:
                 unpool_one(enc, words, argmax, grad[i], ref_grad)
             # the scatter adds the same terms in the same order
             np.testing.assert_array_equal(table_grad, ref_grad)
+
+
+def assert_same_bits(actual, expected):
+    """Equal values and equal signs, so a +0.0 for a -0.0 fails too."""
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+# few distinct magnitudes, so sums cancel to zeros of either sign
+_TERMS = np.array([-0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-17, 3.0])
+
+
+def _target(rng, kind, shape):
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "signed-zeros":
+        return rng.choice(np.array([0.0, -0.0, -0.0, 2.0, -1e-17]), size=shape)
+    return rng.normal(size=shape)
+
+
+class TestScatterAdd:
+    """scatter_add forms the sums np.add.at forms, in its order, signed zeros included."""
+
+    @pytest.mark.parametrize("target_kind", ["zero", "random", "signed-zeros"])
+    @pytest.mark.parametrize("layout", ["row-per-value", "row-per-entry", "value-rows"])
+    def test_matches_add_at(self, layout, target_kind):
+        rng = make_rng(43)
+        for _ in range(40):
+            n_rows, dim, n = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 25))
+            target = _target(rng, target_kind, (n_rows, dim))
+            expected, actual = target.copy(), target.copy()
+            if layout == "row-per-entry":  # max pooling: each entry names its own row
+                rows = rng.integers(0, n_rows, size=(n, dim))
+                values = rng.choice(_TERMS, size=(n, dim))
+                np.add.at(expected, (rows, np.arange(dim)), values)
+                sentsig.encoder.scatter_add(actual, rows, values)
+            elif layout == "value-rows":  # mean pooling: a text's row is added at each of its words
+                rows = rng.integers(0, n_rows, size=n).astype(np.int32)
+                values = rng.choice(_TERMS, size=(int(rng.integers(1, 6)), dim))
+                value_rows = rng.integers(0, values.shape[0], size=n)
+                np.add.at(expected, rows, values[value_rows])
+                sentsig.encoder.scatter_add(actual, rows, values, value_rows)
+            else:
+                rows = rng.integers(0, n_rows, size=n)
+                values = rng.choice(_TERMS, size=(n, dim))
+                np.add.at(expected, rows, values)
+                sentsig.encoder.scatter_add(actual, rows, values)
+            assert_same_bits(actual, expected)
+
+    def test_negative_zero_target_keeps_its_sign_under_negative_zero_terms(self):
+        target = np.array([[-0.0, -0.0], [-0.0, 1.0]])
+        values = np.array([[-0.0, 0.0], [-0.0, -0.0]])
+        expected = target.copy()
+        np.add.at(expected, [0, 1], values)
+        sentsig.encoder.scatter_add(target, np.array([0, 1]), values)
+        assert_same_bits(target, expected)
+        assert np.signbit(target[0, 0]) and not np.signbit(target[0, 1])
+
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    def test_pooling_matches_add_at_code(self, pooling, start):
+        # start "random" stands for the tied head, whose table gradient starts at G^T S
+        rng = make_rng(44)
+        for _ in range(20):
+            vocab = Vocabulary([f"w{i}" for i in range(int(rng.integers(3, 15)))])
+            dim = int(rng.integers(1, 6))
+            table = rng.integers(-2, 3, size=(len(vocab), dim)).astype(np.float64)
+            enc = ToyEncoder(vocab, table, pooling=pooling)
+            index = TokenIndex.build(random_token_lists(rng, len(vocab) - 2, int(rng.integers(1, 12))),
+                                     vocab)
+            vectors, argmax_rows = enc.pool_forward(index)
+            if pooling == "mean":
+                assert_same_bits(vectors, oracles.mean_pool_add_at(table, index))
+            grad = rng.choice(_TERMS, size=(len(index), dim)) * rng.normal(size=(len(index), dim))
+            actual = _target(rng, start, table.shape)
+            expected = actual.copy()
+            enc.pool_backward(index, argmax_rows, grad, actual)
+            oracles.pool_backward_add_at(pooling, index, argmax_rows, grad, expected)
+            assert_same_bits(actual, expected)
 
 
 class TestEmbeddingStore:

@@ -8,6 +8,7 @@ import pytest
 
 import sentsig.evalsuite
 from gradcheck import finite_difference_worst_error
+from oracles import ParamAdam
 from sentsig.corpus import Partition, StsPair
 from sentsig.encoder import EmbeddingStore
 from sentsig.errors import DegenerateScoresError, InvalidInputError, MissingEmbeddingError
@@ -25,7 +26,6 @@ from sentsig.evalsuite import (
     train_logreg,
 )
 from sentsig.numstat import cosine, make_rng, pearson, spearman
-from sentsig.objectives import Adam
 from sentsig.synth import make_blob_probe
 
 
@@ -304,7 +304,7 @@ def per_fold_probe(X, labels, config):
         train_mask[fold] = False
         Xt, yt = X[train_mask], labels[train_mask]
         W, b = np.zeros((n_classes, X.shape[1])), np.zeros(n_classes)
-        optimizer = Adam({"W": W, "b": b}, config.beta1, config.beta2, config.eps)
+        optimizer = ParamAdam({"W": W, "b": b}, config.beta1, config.beta2, config.eps)
         order_rng = make_rng(int(fold_seed))
         for _ in range(config.epochs):
             order = order_rng.permutation(len(yt))

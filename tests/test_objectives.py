@@ -1,6 +1,7 @@
 """Objectives, gradients, optimizer, schedules, batching and training loops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gradcheck import (
     unpool_one,
     word_ids,
 )
+from oracles import ParamAdam
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
@@ -22,9 +24,11 @@ from sentsig.numstat import make_rng, mean_cross_entropy, softmax
 from sentsig.objectives import (
     Adam,
     BatchStream,
+    IndexedDefinitions,
     IndexedNli,
     MultiSchedule,
     NliHead,
+    SeedStack,
     StepRecord,
     TrainConfig,
     TrainResult,
@@ -306,6 +310,8 @@ class TestDefLoss:
         enc = ToyEncoder.create(vocab, 6, "mean", seed=1)
         head = WordPredictionHead.create(enc, tied=True)
         optimizer = Adam({"table": enc.table, "def_bias": head.bias})
+        enc.table = optimizer.params["table"]
+        head = WordPredictionHead(enc.table, optimizer.params["def_bias"], tied=True)
         batch = indexed(defs, enc)
         losses = []
         for _ in range(100):
@@ -321,14 +327,14 @@ class TestAdam:
         p = np.array([1.0, -2.0])
         opt = Adam({"p": p})
         opt.step({"p": np.zeros(2)}, lr=0.5)
-        np.testing.assert_array_equal(p, [1.0, -2.0])
+        np.testing.assert_array_equal(opt.params["p"], [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         # closed form: lr * g / (|g| + eps) with full bias correction at t=1
         p = np.array([0.0])
         opt = Adam({"p": p})
         opt.step({"p": np.array([1e-3])}, lr=0.01)
-        assert p[0] == pytest.approx(-0.01, rel=1e-4)
+        assert opt.params["p"][0] == pytest.approx(-0.01, rel=1e-4)
 
     def test_two_steps_match_hand_rolled_oracle(self):
         rng = make_rng(21)
@@ -345,13 +351,13 @@ class TestAdam:
         opt = Adam({"p": p}, beta1=b1, beta2=b2, eps=eps)
         opt.step({"p": g1}, lr)
         opt.step({"p": g2}, lr)
-        np.testing.assert_allclose(p, expected, atol=1e-12)
+        np.testing.assert_allclose(opt.params["p"], expected, atol=1e-12)
 
     def test_partial_step_leaves_other_params(self):
         pa, pb = np.ones(2), np.ones(2)
         opt = Adam({"a": pa, "b": pb})
         opt.step({"a": np.ones(2)}, lr=0.1)
-        np.testing.assert_array_equal(pb, [1.0, 1.0])
+        np.testing.assert_array_equal(opt.params["b"], [1.0, 1.0])
         assert opt.t == {"a": 1, "b": 0}
 
     def test_five_steps_match_textbook_update(self):
@@ -372,7 +378,7 @@ class TestAdam:
                 expected[k] = expected[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
             opt.step(grads, lr)
         for k in params:
-            np.testing.assert_allclose(params[k], expected[k], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(opt.params[k], expected[k], rtol=1e-14, atol=0)
             np.testing.assert_allclose(opt.m[k], m[k], rtol=1e-14, atol=0)
             np.testing.assert_allclose(opt.v[k], v[k], rtol=1e-14, atol=0)
 
@@ -380,6 +386,72 @@ class TestAdam:
         opt = Adam({"p": np.ones(2)})
         with pytest.raises(InvalidInputError):
             opt.step({"p": np.ones(3)}, lr=0.1)
+
+    def test_flat_buffer_matches_per_parameter_adam(self):
+        # streams of several parameters with uneven step counts, a stream whose
+        # parameters are not neighbours in the buffer, gradients given as
+        # arrays and written into ``grads``, and a table longer than one chunk
+        rng = make_rng(23)
+        shapes = {"nli_W": (2, 3, 12), "nli_b": (2, 3), "table": (Adam.CHUNK // 16 + 7, 16),
+                  "def_W": (5, 4), "def_bias": (2, 9)}
+        initial = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        flat = Adam(initial, beta1=0.8, beta2=0.99, eps=1e-7)
+        oracle = ParamAdam({name: p.copy() for name, p in initial.items()}, 0.8, 0.99, 1e-7)
+        streams = [("nli_W", "nli_b", "table"), ("table", "def_W", "def_bias"), ("nli_b",),
+                   ("def_bias", "nli_W")]
+        for step in range(16):
+            names = streams[int(rng.integers(len(streams)))]
+            grads = {name: rng.normal(size=shapes[name]) for name in names}
+            lr = float(rng.uniform(1e-3, 1e-1))
+            oracle.step(grads, lr)
+            if step % 2:
+                for name, g in grads.items():
+                    flat.grads[name][...] = g
+                flat.step({name: flat.grads[name] for name in names}, lr)
+            else:
+                flat.step(grads, lr)
+        assert flat.t == oracle.t and len(set(flat.t.values())) > 2
+        for name in shapes:
+            np.testing.assert_array_equal(flat.params[name], oracle.params[name], err_msg=name)
+            np.testing.assert_array_equal(flat.m[name], oracle.m[name], err_msg=name)
+            np.testing.assert_array_equal(flat.v[name], oracle.v[name], err_msg=name)
+
+    def test_params_are_views_of_one_buffer(self):
+        opt = Adam({"a": np.ones((2, 3)), "b": np.arange(4.0)})
+        opt.params["a"][1, 2] = 7.0
+        opt.step({"b": np.ones(4)}, lr=0.1)
+        assert opt.params["a"][1, 2] == 7.0 and opt.params["a"].shape == (2, 3)
+        assert np.shares_memory(opt.params["a"], opt.params["b"]) is False
+        assert opt.params["a"].base is opt.params["b"].base
+
+
+def test_definition_step_allocates_less_than_a_table():
+    # the loss writes its gradients into the optimizer's buffer and the update
+    # uses a chunk-sized scratch, so no table-sized array is made per step
+    n_words, dim = 5000, 64
+    vocab = Vocabulary([f"w{i}" for i in range(n_words - 2)])
+    encoder = ToyEncoder.create(vocab, dim, "mean", seed=0)
+    defs = [DefinitionExample(f"w{i}", " ".join(f"w{(7 * i + j) % 4998}" for j in range(6)))
+            for i in range(8)]
+    batch = IndexedDefinitions.build(defs, vocab)
+    stack = SeedStack([encoder])
+    optimizer = Adam({"table": stack.table, "def_bias": np.zeros((1, n_words))})
+    stack.table = optimizer.params["table"]
+    head = WordPredictionHead(stack.table, optimizer.params["def_bias"][0], tied=True)
+    grads = dict(optimizer.grads)
+
+    def step():
+        def_loss_and_grads(batch, stack, [head], [len(batch)], grads)
+        optimizer.step(grads, 1e-3)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < stack.table.nbytes
 
 
 class TestLrSchedule:
@@ -470,11 +542,12 @@ class TestBatchStream:
         config = TrainConfig(batch_size=4, seed=0)
         examples = [NliExample(f"x{i} y z", "p q", "neutral") for i in range(12)]
         vocab = build_vocab([f"x{i}" for i in range(12)])
-        stream = BatchStream(IndexedNli.build(examples, vocab), config, make_rng(3))
+        stream_data = IndexedNli.build(examples, vocab)
+        stream = BatchStream(stream_data, config, make_rng(3))
         assert stream.batches_per_pass == 3
         counts = np.zeros(len(vocab), dtype=int)
         for _ in range(7):  # 2 full passes + 1 batch
-            batch = stream.next_batch()
+            batch = stream_data.take(stream.next_rows())
             assert len(batch) == 4
             # each premise's first word x<i> names its example
             np.add.at(counts, batch.texts.ids[batch.texts.offsets[:4]], 1)
@@ -493,7 +566,7 @@ def train_sbert_loop(encoder, nli_data, config):
     params = {"table": encoder.table, "nli_W": head.W}
     if head.b is not None:
         params["nli_b"] = head.b
-    optimizer = Adam(params, config.beta1, config.beta2, config.eps)
+    optimizer = ParamAdam(params, config.beta1, config.beta2, config.eps)
     total_steps = config.epochs * batches_per_epoch(data.lengths, config)
     result = TrainResult(encoder=encoder, nli_head=head)
     step = 0
@@ -516,7 +589,7 @@ def train_defsent_loop(encoder, def_data, config):
     params = {"table": encoder.table, "def_bias": head.bias}
     if not head.tied:
         params["def_W"] = head.weights
-    optimizer = Adam(params, config.beta1, config.beta2, config.eps)
+    optimizer = ParamAdam(params, config.beta1, config.beta2, config.eps)
     total_steps = config.epochs * batches_per_epoch(data.lengths, config)
     result = TrainResult(encoder=encoder, def_head=head)
     step = 0
