@@ -160,7 +160,7 @@ def _parse(path: Path, payload: dict) -> Checkpoint:
         raw = payload["def_head"]
         bias = _float_array(raw["bias"], (V,), "definition head bias")
         if raw["tied"]:
-            def_head = WordPredictionHead(encoder.table, bias, tied=True)
+            def_head = WordPredictionHead.tied_to(encoder, bias)
         else:
             def_head = WordPredictionHead(_read_sidecar(path, raw["weights"], (V, dim)),
                                           bias, tied=False)

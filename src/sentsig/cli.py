@@ -27,7 +27,7 @@ from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_d
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
-from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig
+from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups
 
 TRAIN_METHODS = ("sbert", "defsent", "s+d", "d+s", "multi")
 METHODS = TRAIN_METHODS + ("average", "concat", "none")
@@ -301,14 +301,29 @@ def cmd_train(args) -> int:
 
     vocab, nli_data, def_data = _training_data(cfg)
 
-    # every seed trains in one lockstep run
     spec = PipelineSpec.from_method(cfg.method, cfg.train, cfg.schedule())
-    encoders = [ToyEncoder.create(vocab, cfg.dim, cfg.pooling, seed=seed) for seed in cfg.seeds]
-    results = run_pipeline(spec, encoders, nli_data, def_data, seeds=cfg.seeds)
     artifacts = {}
     stage_logs = {}
-    for seed, result in zip(cfg.seeds, results):
-        train_config = dataclasses.replace(cfg.train, seed=seed)
+    for seeds in lockstep_groups(cfg.seeds, len(vocab), cfg.dim):
+        for seed, (ckpt, stages) in _train_group(cfg, spec, seeds, vocab, nli_data, def_data,
+                                                 out).items():
+            artifacts[f"seed{seed}"] = str(ckpt)
+            stage_logs[f"seed{seed}"] = stages
+            print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {ckpt}")
+    _write_manifest(out, "train", _config_snapshot(cfg), artifacts, started,
+                    extra={"stages": stage_logs})
+    return 0
+
+
+def _train_group(cfg: ExperimentConfig, spec: PipelineSpec, seeds: list[int], vocab, nli_data,
+                 def_data, out: Path) -> dict:
+    """Train ``seeds`` in lockstep and save their checkpoints: each seed's (path, stage log).
+
+    The models go when this returns, before the next group trains.
+    """
+    encoders = [ToyEncoder.create(vocab, cfg.dim, cfg.pooling, seed=seed) for seed in seeds]
+    saved = {}
+    for seed, result in zip(seeds, run_pipeline(spec, encoders, nli_data, def_data, seeds=seeds)):
         nli_head = def_head = None
         stages = []
         for stage_name, stage_result in zip(spec.stages, result.stage_results):
@@ -324,13 +339,9 @@ def cmd_train(args) -> int:
             })
         ckpt = out / f"checkpoint-seed{seed}.json"
         save_checkpoint(ckpt, result.encoder, nli_head=nli_head, def_head=def_head,
-                        train_config=train_config)
-        artifacts[f"seed{seed}"] = str(ckpt)
-        stage_logs[f"seed{seed}"] = stages
-        print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {ckpt}")
-    _write_manifest(out, "train", _config_snapshot(cfg), artifacts, started,
-                    extra={"stages": stage_logs})
-    return 0
+                        train_config=dataclasses.replace(cfg.train, seed=seed))
+        saved[seed] = (ckpt, stages)
+    return saved
 
 
 def _build_single_or_combined(paths: list[str], mode: str | None):

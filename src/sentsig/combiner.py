@@ -102,7 +102,7 @@ class PipelineResult:
 def run_pipeline(spec: PipelineSpec, encoders: Sequence[ToyEncoder],
                  nli_data: IndexedNli | list[NliExample] | None = None,
                  def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
-                 seeds: Sequence[int] | None = None) -> list[PipelineResult]:
+                 *, seeds: Sequence[int]) -> list[PipelineResult]:
     """Apply the stages sequentially to the same encoder parameters, all encoders in lockstep.
 
     Stage N+1 starts from exactly the parameters stage N finished with.
@@ -111,7 +111,7 @@ def run_pipeline(spec: PipelineSpec, encoders: Sequence[ToyEncoder],
     :func:`train_seeds` call, and each result is exactly that of running
     the pipeline on its encoder alone.
     """
-    if seeds is not None and len(seeds) != len(encoders):
+    if len(seeds) != len(encoders):
         raise InvalidInputError("give one seed per encoder")
     stage_results = []
     for stage, config in zip(spec.stages, spec.configs):
@@ -121,15 +121,8 @@ def run_pipeline(spec: PipelineSpec, encoders: Sequence[ToyEncoder],
             raise InvalidInputError(f"{stage} stage requires an NLI dataset")
         if uses_def and not def_data:
             raise InvalidInputError(f"{stage} stage requires a definition dataset")
-        configs = ([config] * len(encoders) if seeds is None
-                   else [dataclasses.replace(config, seed=seed) for seed in seeds])
+        configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
         stage_results.append(train_seeds(encoders, configs, nli_data if uses_nli else None,
                                          def_data if uses_def else None, spec.schedule))
-    results = []
-    for k, encoder in enumerate(encoders):
-        for stage in stage_results:
-            # a later stage moved the table: a tied head follows it
-            if stage[k].def_head is not None and stage[k].def_head.tied:
-                stage[k].def_head.weights = encoder.table
-        results.append(PipelineResult(encoder=encoder, stage_results=[r[k] for r in stage_results]))
-    return results
+    return [PipelineResult(encoder=encoder, stage_results=[r[k] for r in stage_results])
+            for k, encoder in enumerate(encoders)]

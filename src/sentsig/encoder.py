@@ -174,42 +174,59 @@ def scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray,
     ``rows`` names a target row for each row of ``values``, or, shaped like
     ``values``, one for each entry, which keeps its column.  With
     ``value_rows`` the row added at ``rows[i]`` is ``values[value_rows[i]]``.
-    Only the touched rows are binned, so nothing target-sized is allocated.
-    Unless they are all +0.0 (a cleared gradient), their current values are
-    binned first, so every entry is the sum add.at forms, in its order: the
-    target value, then the terms in input order.
+    Only the touched rows are binned (:func:`row_sums`), so nothing
+    target-sized is allocated.  Unless they are all +0.0 (a cleared
+    gradient), their current values are binned first, so every entry is the
+    sum add.at forms, in its order: the target value, then the terms in
+    input order.
     """
-    dim = target.shape[1]
-    n = rows.shape[0]
     # the touched rows, ascending, and each row's place among them
     place = np.zeros(target.shape[0] + 1, dtype=np.intp)
     place[rows.ravel() + 1] = 1
     touched = np.flatnonzero(place[1:])
     np.cumsum(place, out=place)
-    k = touched.shape[0]
     start = target[touched]
     seeded = start.view(np.int64).any()  # +0.0 is the only all-zero bit pattern
-    first = k if seeded else 0  # rows of bins and weights that hold the start values
+    target[touched] = row_sums(place[rows], touched.shape[0], values, value_rows,
+                               start if seeded else None)
+
+
+def row_sums(places: np.ndarray, n_rows: int, values: np.ndarray,
+             value_rows: np.ndarray | None = None, start: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``values`` summed by place into ``n_rows`` rows, with one ``np.bincount``.
+
+    ``places`` gives each row of ``values`` (or of ``values[value_rows]``)
+    its result row, or, shaped like them, each entry.  Row p of the result
+    is ``start[p]``, or +0.0 without ``start``, plus the terms placed at p in
+    input order: the sums ``np.add.at`` forms onto ``start``, signed zeros
+    included.
+    """
+    n, dim = places.shape[0], values.shape[1]
+    first = 0 if start is None else n_rows  # leading rows of bins and weights: the start values
     bins = np.empty((first + n, dim), dtype=np.intp)
-    weights = np.empty((first + n, dim))
-    bins[:first] = np.arange(first * dim).reshape(first, dim)
-    weights[:first] = start[:first]
-    np.add((place[rows] * dim).reshape(n, -1), np.arange(dim), out=bins[first:])
-    terms = weights[first:]
-    if value_rows is None:
-        terms[...] = values
+    np.add((places * dim).reshape(n, -1), np.arange(dim), out=bins[first:])
+    if start is None:
+        weights = values if value_rows is None else np.take(values, value_rows, axis=0)
     else:
-        np.take(values, value_rows, axis=0, out=terms)
-    sums = np.bincount(bins.ravel(), weights.ravel(), minlength=k * dim).reshape(k, dim)
-    if seeded:
+        bins[:first] = np.arange(first * dim).reshape(first, dim)
+        weights = np.empty((first + n, dim))
+        weights[:first] = start
+        if value_rows is None:
+            weights[first:] = values
+        else:
+            np.take(values, value_rows, axis=0, out=weights[first:])
+    sums = np.bincount(bins.ravel(), weights.ravel(), minlength=n_rows * dim).reshape(n_rows, dim)
+    if start is not None:
         # a bin starts at +0.0, and +0.0 + -0.0 is +0.0: an entry that add.at
-        # leaves at -0.0 (a -0.0 target and only -0.0 terms) is set back
+        # leaves at -0.0 (a -0.0 start and only -0.0 terms) is set back
         negative_zero = (start == 0.0) & np.signbit(start)
         if negative_zero.any():
-            other_terms = np.bincount(bins[k:].ravel(), ~((terms == 0.0) & np.signbit(terms)).ravel(),
-                                      minlength=k * dim).reshape(k, dim)
+            terms = weights[first:]
+            other_terms = np.bincount(bins[first:].ravel(),
+                                      ~((terms == 0.0) & np.signbit(terms)).ravel(),
+                                      minlength=n_rows * dim).reshape(n_rows, dim)
             sums[negative_zero & (other_terms == 0)] = -0.0
-    target[touched] = sums
+    return sums
 
 
 class TokenCache:
@@ -286,18 +303,15 @@ class ToyEncoder:
             raise InvalidInputError("no content vectors to pool over")
         n = sizes.shape[0]
         if self.pooling == "mean":
-            # one bin per (text, column), summed in word order from +0.0, as a
-            # one-text mean does; texts go a few at a time, so that the bins
-            # and the gathered rows stay small when a whole corpus is pooled
+            # each text's word rows summed in word order from +0.0, as a
+            # one-text mean does; texts go a few at a time, so that the
+            # bins stay small when a whole corpus is pooled
             sums = np.empty((n, self.dim))
             step = max(1, MEAN_POOL_ENTRIES // (self.dim * int(sizes.max())))
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
-                bins = (np.repeat(np.arange(hi - lo) * self.dim, sizes[lo:hi])[:, None]
-                        + np.arange(self.dim))
-                rows = self.table[index.ids[index.offsets[lo] : index.offsets[hi]]]
-                sums[lo:hi] = np.bincount(bins.ravel(), rows.ravel(),
-                                          minlength=(hi - lo) * self.dim).reshape(hi - lo, self.dim)
+                sums[lo:hi] = row_sums(np.repeat(np.arange(hi - lo), sizes[lo:hi]), hi - lo,
+                                       self.table, index.ids[index.offsets[lo] : index.offsets[hi]])
             return sums / sizes[:, None], None
         # max: lay the texts out as (text, position, dim), each padded to the
         # longest by repeating its last word; a repeat comes after the word

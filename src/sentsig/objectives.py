@@ -169,28 +169,31 @@ class NliHead:
         self.W = W
         self.b = b
 
-    @classmethod
-    def create(cls, dim: int, bias: bool = True) -> "NliHead":
-        return cls(np.zeros((3, 3 * dim)), np.zeros(3) if bias else None)
-
 
 class WordPredictionHead:
-    """Vocabulary-sized prediction layer; ``tied`` aliases the embedding table."""
+    """Vocabulary-sized prediction layer; ``tied`` aliases the embedding table.
+
+    A head made by :meth:`tied_to` reads its weights from its encoder, so it
+    stays tied when training moves the encoder's table to a new array.
+    """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, tied: bool):
         if weights.shape[0] != bias.shape[0]:
             raise InvalidInputError("prediction weights and bias disagree on vocabulary size")
-        self.weights = weights
+        self._weights = weights
+        self._encoder: ToyEncoder | None = None
         self.bias = bias
         self.tied = tied
 
     @classmethod
-    def create(cls, encoder: ToyEncoder, tied: bool = True) -> "WordPredictionHead":
-        vocab_size = len(encoder.vocab)
-        if tied:
-            # alias, not a copy: in-place optimizer updates keep them identical
-            return cls(encoder.table, np.zeros(vocab_size), tied=True)
-        return cls(np.zeros((vocab_size, encoder.dim)), np.zeros(vocab_size), tied=False)
+    def tied_to(cls, encoder: ToyEncoder, bias: np.ndarray) -> "WordPredictionHead":
+        head = cls(encoder.table, bias, tied=True)
+        head._weights, head._encoder = None, encoder
+        return head
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._weights if self._encoder is None else self._encoder.table
 
 
 @dataclass
@@ -622,6 +625,21 @@ def _lockstep_batch(data, rows: list[np.ndarray], n_words: int):
     return batch
 
 
+LOCKSTEP_BYTES = 1 << 22  # seeds train in lockstep while their tables together fit in 4 MiB
+
+
+def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[int]]:
+    """``seeds`` in order, cut into the groups to train in lockstep.
+
+    A group holds as many seeds as fit their (``n_words``, ``dim``) tables
+    in ``LOCKSTEP_BYTES``, and at least one.  Lockstep saves each step's
+    fixed costs, which dominate only while the tables are small; each seed
+    in a group holds about four table-sized buffers while the group trains.
+    """
+    size = max(1, LOCKSTEP_BYTES // (n_words * dim * 8))
+    return [list(seeds[lo : lo + size]) for lo in range(0, len(seeds), size)]
+
+
 def train(encoder: ToyEncoder, config: TrainConfig,
           nli_data: IndexedNli | list[NliExample] | None = None,
           def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
@@ -650,9 +668,10 @@ def train_seeds(encoders: Sequence[ToyEncoder], configs: Sequence[TrainConfig],
     into one, which one loss call pools and scores over the stacked tables
     (:class:`SeedStack`), and one Adam step updates every seed; each seed's
     table, heads and step records are exactly those of training it alone.
-    The encoders' tables and the heads become views of the optimizer's
-    parameter buffer, and training holds about four table-sized buffers per
-    seed: parameters, gradients and both moments.
+    The encoders' tables become views of the optimizer's parameter buffer,
+    and training holds about four table-sized buffers per seed: parameters,
+    gradients and both moments (:func:`lockstep_groups` bounds the seeds
+    trained together).  The results' heads have their own arrays.
     """
     if nli_data is None and def_data is None:
         raise InvalidInputError("training needs an NLI or a definition dataset")
@@ -677,43 +696,58 @@ def train_seeds(encoders: Sequence[ToyEncoder], configs: Sequence[TrainConfig],
             params["def_W"] = np.zeros((n_seeds * n_words, d))
         params["def_bias"] = np.zeros((n_seeds, n_words))
     optimizer = Adam(params, config.beta1, config.beta2, config.eps)
-    del params
-    stack.table = table = optimizer.params["table"]
+    params = optimizer.params
+    stack.table = table = params["table"]
     for k, encoder in enumerate(encoders):
         encoder.table = table[k * n_words : (k + 1) * n_words]
-    results = [TrainResult(encoder=encoder) for encoder in encoders]
-    rngs = [make_rng(c.seed) for c in configs]
 
-    def stream(name, data, loss_and_grads, heads, param_names):
-        grads = {p: optimizer.grads[p] for p in param_names if p in optimizer.grads}
-        return (name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads,
-                heads, grads)
-
-    streams = []  # (name, each seed's batches, data, loss function, each seed's head, gradients)
+    streams = []  # (name, data, loss function, each seed's head, parameter names)
+    nli_heads = def_heads = None
     if nli_data is not None:
-        W, b = optimizer.params["nli_W"], optimizer.params.get("nli_b")
-        heads = [NliHead(W[k], None if b is None else b[k]) for k in range(n_seeds)]
-        for result, head in zip(results, heads):
-            result.nli_head = head
-        streams.append(stream("nli", _indexed(nli_data, encoders[0], IndexedNli),
-                              nli_loss_and_grads, heads, ("nli_W", "nli_b", "table")))
+        b = params.get("nli_b")
+        nli_heads = [NliHead(params["nli_W"][k], None if b is None else b[k]) for k in range(n_seeds)]
+        streams.append(("nli", _indexed(nli_data, encoders[0], IndexedNli), nli_loss_and_grads,
+                        nli_heads, ("nli_W", "nli_b", "table")))
     if def_data is not None:
-        weights = table if config.tied_head else optimizer.params["def_W"]
-        heads = [WordPredictionHead(weights[k * n_words : (k + 1) * n_words],
-                                    optimizer.params["def_bias"][k], tied=config.tied_head)
-                 for k in range(n_seeds)]
-        for result, head in zip(results, heads):
-            result.def_head = head
+        bias = params["def_bias"]
+        def_heads = [WordPredictionHead.tied_to(encoder, bias[k]) if config.tied_head
+                     else WordPredictionHead(params["def_W"][k * n_words : (k + 1) * n_words],
+                                             bias[k], tied=False)
+                     for k, encoder in enumerate(encoders)]
         data = _drop_oov_definitions(_indexed(def_data, encoders[0], IndexedDefinitions))
-        streams.append(stream("def", data, def_loss_and_grads, heads,
-                              ("table", "def_W", "def_bias")))
+        streams.append(("def", data, def_loss_and_grads, def_heads, ("table", "def_W", "def_bias")))
+    records = _run_lockstep(stack, optimizer, streams, [make_rng(c.seed) for c in configs],
+                            config, schedule)
+    del optimizer  # frees the gradient and moment buffers before the heads are copied
 
-    cycle = streams
-    if len(streams) == 2:
-        cycle = ([streams[0]] * schedule.nli_steps_per_cycle
-                 + [streams[1]] * schedule.def_steps_per_cycle)
-    nominal = config.epochs * streams[0][1][0].batches_per_pass
+    # copies, so that the parameter buffer goes once a later stage moves the tables
+    results = [TrainResult(encoder=encoder, steps=steps) for encoder, steps in zip(encoders, records)]
+    for k, result in enumerate(results):
+        if nli_heads is not None:
+            head = nli_heads[k]
+            result.nli_head = NliHead(head.W.copy(), None if head.b is None else head.b.copy())
+        if def_heads is not None:
+            head = def_heads[k]
+            result.def_head = (WordPredictionHead.tied_to(result.encoder, head.bias.copy())
+                               if head.tied else
+                               WordPredictionHead(head.weights.copy(), head.bias.copy(), tied=False))
+    return results
+
+
+def _run_lockstep(stack: SeedStack, optimizer: Adam, streams: list, rngs: list,
+                  config: TrainConfig, schedule: MultiSchedule) -> list[list[StepRecord]]:
+    """Run :func:`train_seeds`' steps; each seed's step records."""
+    n_words = len(stack.vocab)
+    cycle = []  # (name, each seed's batches, data, loss function, each seed's head, gradients)
+    for name, data, loss_and_grads, heads, param_names in streams:
+        grads = {p: optimizer.grads[p] for p in param_names if p in optimizer.grads}
+        cycle.append((name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads,
+                      heads, grads))
+    nominal = config.epochs * cycle[0][1][0].batches_per_pass
+    if len(cycle) == 2:
+        cycle = [cycle[0]] * schedule.nli_steps_per_cycle + [cycle[1]] * schedule.def_steps_per_cycle
     total_steps = math.ceil(nominal / len(cycle)) * len(cycle)
+    records: list[list[StepRecord]] = [[] for _ in rngs]
     for step in range(1, total_steps + 1):
         lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                    config.lr_decay)
@@ -722,6 +756,6 @@ def train_seeds(encoders: Sequence[ToyEncoder], configs: Sequence[TrainConfig],
         losses, _ = loss_and_grads(_lockstep_batch(data, rows, n_words), stack, heads,
                                    [len(r) for r in rows], grads)
         optimizer.step(grads, lr)
-        for result, loss in zip(results, losses):
-            result.steps.append(StepRecord(name, loss, lr))
-    return results
+        for seed_records, loss in zip(records, losses):
+            seed_records.append(StepRecord(name, loss, lr))
+    return records

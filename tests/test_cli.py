@@ -171,6 +171,24 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["artifacts"]) == {"seed0", "seed1"}
 
+    def test_seeds_trained_one_group_at_a_time_save_the_same_checkpoints(self, data, monkeypatch):
+        argv = ["train", "--method", "d+s", "--seeds", "0 1 2", "--config", _config(data)]
+        together, alone = data["root"] / "together", data["root"] / "alone"
+        groups = []
+        def recording(*args, seeds, real=cli.run_pipeline):
+            groups.append(list(seeds))
+            return real(*args, seeds=seeds)
+        monkeypatch.setattr(cli, "run_pipeline", recording)
+        assert run([*argv, "--out", together]) == 0
+        monkeypatch.setattr(sentsig.objectives, "LOCKSTEP_BYTES", 1)  # no two tables fit
+        assert run([*argv, "--out", alone]) == 0
+        assert groups == [[0, 1, 2], [0], [1], [2]]
+        files = sorted(p.name for p in together.iterdir() if p.name != "manifest.json")
+        assert files == sorted(p.name for p in alone.iterdir() if p.name != "manifest.json")
+        assert len(files) == 6  # each seed's JSON and table sidecar
+        for name in files:
+            assert (together / name).read_bytes() == (alone / name).read_bytes(), name
+
     def test_each_training_text_tokenized_once(self, data, monkeypatch):
         calls = Counter()
         for module in (sentsig.corpus, sentsig.encoder, sentsig.objectives):

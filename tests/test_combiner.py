@@ -125,7 +125,8 @@ class TestPipeline:
         nli, defs, vocab = _world()
         config = TrainConfig(seed=3, epochs=1)
         enc_a = ToyEncoder.create(vocab, 6, "mean", seed=3)
-        run_pipeline(PipelineSpec(stages=["sbert"], configs=[config]), [enc_a], nli, defs)
+        run_pipeline(PipelineSpec(stages=["sbert"], configs=[config]), [enc_a], nli, defs,
+                     seeds=[config.seed])
         enc_b = ToyEncoder.create(vocab, 6, "mean", seed=3)
         train(enc_b, config, nli_data=nli)
         np.testing.assert_array_equal(enc_a.table, enc_b.table)
@@ -139,7 +140,7 @@ class TestPipeline:
 
         enc_full = ToyEncoder.create(vocab, 6, "mean", seed=1)
         spec = PipelineSpec(stages=["sbert", "defsent"], configs=[config, config])
-        [result] = run_pipeline(spec, [enc_full], nli, defs)
+        [result] = run_pipeline(spec, [enc_full], nli, defs, seeds=[config.seed])
         # stage 2 must have started from exactly the stage-1 parameters:
         # replaying it from that state reproduces the pipeline bit for bit
         enc_replay = ToyEncoder(enc_stage1.vocab, after_stage1.copy(), pooling="mean")
@@ -150,16 +151,17 @@ class TestPipeline:
         nli, defs, vocab = _world()
         config = TrainConfig(seed=2, epochs=1)
         enc_sd = ToyEncoder.create(vocab, 6, "mean", seed=2)
-        run_pipeline(PipelineSpec.from_method("s+d", config), [enc_sd], nli, defs)
+        run_pipeline(PipelineSpec.from_method("s+d", config), [enc_sd], nli, defs, seeds=[2])
         enc_ds = ToyEncoder.create(vocab, 6, "mean", seed=2)
-        run_pipeline(PipelineSpec.from_method("d+s", config), [enc_ds], nli, defs)
+        run_pipeline(PipelineSpec.from_method("d+s", config), [enc_ds], nli, defs, seeds=[2])
         assert not np.array_equal(enc_sd.table, enc_ds.table)
 
     def test_missing_dataset_rejected(self):
         _, defs, vocab = _world()
         enc = ToyEncoder.create(vocab, 6, "mean", seed=0)
         with pytest.raises(InvalidInputError):
-            run_pipeline(PipelineSpec(stages=["sbert"]), [enc], nli_data=None, def_data=defs)
+            run_pipeline(PipelineSpec(stages=["sbert"]), [enc], nli_data=None, def_data=defs,
+                         seeds=[0])
 
     def test_multi_must_stand_alone(self):
         with pytest.raises(InvalidInputError):

@@ -1,14 +1,18 @@
 """Seeds trained in lockstep: each seed ends exactly where training it alone ends."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import sentsig.combiner
 import sentsig.objectives
 from sentsig.combiner import PipelineSpec, run_pipeline
 from sentsig.encoder import ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng
-from sentsig.objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, train_seeds
+from sentsig.objectives import (IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups,
+                                train_seeds)
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
 SEEDS = (3, 11, 4)
@@ -93,3 +97,40 @@ def test_encoders_must_share_vocabulary_and_pooling():
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=0), ToyEncoder.create(vocab, 4, "max", seed=1)]
     with pytest.raises(InvalidInputError, match="one vocabulary"):
         train_seeds(encoders, [TrainConfig(seed=0), TrainConfig(seed=1)], nli)
+
+
+def test_lockstep_groups_fit_their_tables_in_the_budget():
+    assert lockstep_groups([5, 6, 7], 1000, 16) == [[5, 6, 7]]
+    dim = 2 * sentsig.objectives.LOCKSTEP_BYTES // (5 * 1024 * 8)  # a table is 2/5 of the budget
+    assert lockstep_groups(list(range(5)), 1024, dim) == [[0, 1], [2, 3], [4]]
+    assert lockstep_groups([5, 6], 20_000, 128) == [[5], [6]]  # one table is over the budget
+
+
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("method", ["s+d", "d+s"])
+def test_a_stage_frees_the_parameter_buffer_of_the_stage_before(monkeypatch, method, tied):
+    # the results of stage 1 live on through stage 2, but their heads hold
+    # copies, and a tied head follows its encoder's table, so nothing keeps
+    # the buffer that stage 1 trained in
+    nli, defs, vocab = _world()
+    buffers, alive_in_stage_2 = [], []
+    def recording_train(encoders, *args, real=sentsig.combiner.train_seeds):
+        results = real(encoders, *args)
+        buffers.append(weakref.ref(encoders[0].table.base))
+        return results
+    monkeypatch.setattr(sentsig.combiner, "train_seeds", recording_train)
+    for name in ("nli_loss_and_grads", "def_loss_and_grads"):
+        def checking(*args, real=getattr(sentsig.objectives, name)):
+            if len(buffers) == 1:
+                alive_in_stage_2.append(buffers[0]() is not None)
+            return real(*args)
+        monkeypatch.setattr(sentsig.objectives, name, checking)
+    spec = PipelineSpec.from_method(method, _config(tied))
+    encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
+    results = run_pipeline(spec, encoders, nli, defs, seeds=SEEDS)
+    assert len(buffers) == 2 and alive_in_stage_2 and not any(alive_in_stage_2)
+    assert buffers[1]() is not None  # the last stage's buffer holds the final tables
+    for result in results:
+        for stage in result.stage_results:
+            if stage.def_head is not None and stage.def_head.tied:
+                assert stage.def_head.weights is result.encoder.table

@@ -56,6 +56,18 @@ def word_row_encoder(rows):
     return ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling="mean")
 
 
+def zero_nli_head(dim, bias=True):
+    return NliHead(np.zeros((3, 3 * dim)), np.zeros(3) if bias else None)
+
+
+def zero_def_head(encoder, tied=True):
+    """A zero-bias head; tied to ``encoder``, or with zero weights of its own."""
+    bias = np.zeros(len(encoder.vocab))
+    if tied:
+        return WordPredictionHead.tied_to(encoder, bias)
+    return WordPredictionHead(np.zeros((len(encoder.vocab), encoder.dim)), bias, tied=False)
+
+
 def nli_step(encoder, head, premise, hypothesis, label):
     """The batched kernel on a batch of one example."""
     return nli_loss_and_grads(indexed([NliExample(premise, hypothesis, label)], encoder),
@@ -71,7 +83,7 @@ class TestNliForward:
 
     def test_equal_inputs_zero_abs_block(self):
         u = np.array([1.0, -2.0, 3.0])
-        head = NliHead.create(3)  # zero weights: P is uniform
+        head = zero_nli_head(3)  # zero weights: P is uniform
         _, grads = nli_step(word_row_encoder([u]), head, "w0", "w0", "neutral")
         g = np.full(3, 1.0 / 3.0)
         g[2] -= 1.0
@@ -100,7 +112,7 @@ class TestNliForward:
             np.testing.assert_allclose(grads["nli_W"], np.outer(g, f), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        head = NliHead.create(3)
+        head = zero_nli_head(3)
         with pytest.raises(InvalidInputError):
             nli_step(word_row_encoder([np.ones(2)]), head, "w0", "w0", "neutral")
 
@@ -146,7 +158,7 @@ def nli_loss_and_grads_loop(batch, encoder, head):
 class TestNliLoss:
     def test_zero_head_gives_ln3(self):
         enc = tiny_encoder()
-        head = NliHead.create(enc.dim)
+        head = zero_nli_head(enc.dim)
         batch = indexed([NliExample("alpha beta", "gamma", "contradiction")], enc)
         loss, _ = nli_loss_and_grads(batch, enc, head)
         assert loss == pytest.approx(math.log(3), rel=1e-14)
@@ -192,19 +204,19 @@ class TestNliLoss:
         enc = tiny_encoder()
         batch = indexed([NliExample("alpha", "beta", "neutral")], tiny_encoder(seed=1))
         with pytest.raises(InvalidInputError, match="another vocabulary"):
-            nli_loss_and_grads(batch, enc, NliHead.create(enc.dim))
+            nli_loss_and_grads(batch, enc, zero_nli_head(enc.dim))
 
 
 class TestDefForward:
     def test_zero_embedding_returns_bias(self):
         enc = tiny_encoder()
-        head = WordPredictionHead.create(enc, tied=False)
+        head = zero_def_head(enc, tied=False)
         head.bias[:] = np.arange(len(enc.vocab), dtype=float)
         np.testing.assert_array_equal(def_forward(np.zeros(enc.dim), head), head.bias)
 
     def test_tied_logit_is_row_dot_plus_bias(self):
         enc = tiny_encoder(seed=5)
-        head = WordPredictionHead.create(enc, tied=True)
+        head = zero_def_head(enc, tied=True)
         head.bias[:] = make_rng(0).normal(size=len(enc.vocab))
         s = make_rng(1).normal(size=enc.dim)
         logits = def_forward(s, head)
@@ -225,7 +237,7 @@ class TestDefForward:
     def test_batch_rows_match_single_calls(self, tied):
         rng = make_rng(14)
         enc = tiny_encoder(seed=7)
-        head = WordPredictionHead.create(enc, tied=tied)
+        head = zero_def_head(enc, tied=tied)
         head.weights[:] = rng.normal(size=head.weights.shape)
         head.bias[:] = rng.normal(size=len(enc.vocab))
         S = rng.normal(size=(5, enc.dim))
@@ -235,7 +247,7 @@ class TestDefForward:
             np.testing.assert_allclose(row, def_forward(s, head), rtol=1e-13, atol=0)
 
     def test_batch_dimension_mismatch(self):
-        head = WordPredictionHead.create(tiny_encoder(dim=4))
+        head = zero_def_head(tiny_encoder(dim=4))
         with pytest.raises(InvalidInputError):
             def_forward(np.ones((2, 3)), head)
 
@@ -275,7 +287,7 @@ class TestDefLoss:
 
     def test_oov_headword_rejected(self):
         enc = tiny_encoder()
-        head = WordPredictionHead.create(enc)
+        head = zero_def_head(enc)
         with pytest.raises(InvalidInputError):
             def_loss_and_grads(indexed([DefinitionExample("missing", "alpha beta")], enc), enc, head)
 
@@ -308,10 +320,9 @@ class TestDefLoss:
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
         enc = ToyEncoder.create(vocab, 6, "mean", seed=1)
-        head = WordPredictionHead.create(enc, tied=True)
-        optimizer = Adam({"table": enc.table, "def_bias": head.bias})
+        optimizer = Adam({"table": enc.table, "def_bias": np.zeros(len(vocab))})
         enc.table = optimizer.params["table"]
-        head = WordPredictionHead(enc.table, optimizer.params["def_bias"], tied=True)
+        head = WordPredictionHead.tied_to(enc, optimizer.params["def_bias"])
         batch = indexed(defs, enc)
         losses = []
         for _ in range(100):
@@ -562,7 +573,7 @@ def train_sbert_loop(encoder, nli_data, config):
     """Reference: the NLI objective as a per-epoch loop, one fresh shuffle per epoch."""
     data = indexed(nli_data, encoder)
     rng = make_rng(config.seed)
-    head = NliHead.create(encoder.dim, bias=config.head_bias)
+    head = zero_nli_head(encoder.dim, bias=config.head_bias)
     params = {"table": encoder.table, "nli_W": head.W}
     if head.b is not None:
         params["nli_b"] = head.b
@@ -585,7 +596,7 @@ def train_defsent_loop(encoder, def_data, config):
     """Reference: the definition objective as a per-epoch loop, one fresh shuffle per epoch."""
     data = _drop_oov_definitions(indexed(def_data, encoder))
     rng = make_rng(config.seed)
-    head = WordPredictionHead.create(encoder, tied=config.tied_head)
+    head = zero_def_head(encoder, tied=config.tied_head)
     params = {"table": encoder.table, "def_bias": head.bias}
     if not head.tied:
         params["def_W"] = head.weights
