@@ -47,7 +47,6 @@ from .objectives import (
     TrainConfig,
     TrainResult,
     WordPredictionHead,
-    def_forward,
     def_loss_and_grads,
     lr_at,
     nli_loss_and_grads,

@@ -64,9 +64,13 @@ def parse_seed_list(text: str) -> list[int]:
     if not parts:
         raise InvalidInputError("empty seed list")
     try:
-        return [int(p) for p in parts]
+        seeds = [int(p) for p in parts]
     except ValueError:
         raise InvalidInputError(f"seed list {text!r}: seeds must be integers") from None
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise InvalidInputError(f"duplicate seed {seed}")
+    return seeds
 
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -151,8 +155,6 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
         cfg.seeds = parse_seed_list(args.seeds)
     if getattr(args, "seed", None) is not None:
         cfg.seeds = [args.seed]
-    if not cfg.seeds:
-        raise InvalidInputError("seed list must be nonempty")
     if cfg.method not in METHODS:
         raise InvalidInputError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
     return cfg

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import DefinitionExample, NliExample
 from .encoder import EmbeddingProvider, ToyEncoder
 from .errors import InvalidInputError
 from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, TrainResult, train_seeds
@@ -57,10 +55,10 @@ class CombinedProvider:
 
 @dataclass
 class PipelineSpec:
-    """Ordered training stages applied to one shared encoder."""
+    """Ordered training stages applied to one shared encoder, all with one config."""
 
     stages: list[str]
-    configs: list[TrainConfig] = field(default_factory=list)
+    config: TrainConfig = field(default_factory=TrainConfig)
     schedule: MultiSchedule = field(default_factory=MultiSchedule)
 
     def __post_init__(self):
@@ -71,10 +69,6 @@ class PipelineSpec:
                 raise InvalidInputError(f"unknown pipeline stage {stage!r}")
         if "multi" in self.stages and len(self.stages) > 1:
             raise InvalidInputError("the multi stage must be the only stage")
-        if not self.configs:
-            self.configs = [TrainConfig() for _ in self.stages]
-        if len(self.configs) != len(self.stages):
-            raise InvalidInputError("one TrainConfig per stage is required")
 
     @classmethod
     def from_method(cls, method: str, config: TrainConfig,
@@ -89,8 +83,7 @@ class PipelineSpec:
         }.get(method)
         if stages is None:
             raise InvalidInputError(f"unknown training method {method!r}")
-        return cls(stages=stages, configs=[config for _ in stages],
-                   schedule=schedule or MultiSchedule())
+        return cls(stages=stages, config=config, schedule=schedule or MultiSchedule())
 
 
 @dataclass
@@ -100,29 +93,25 @@ class PipelineResult:
 
 
 def run_pipeline(spec: PipelineSpec, encoders: Sequence[ToyEncoder],
-                 nli_data: IndexedNli | list[NliExample] | None = None,
-                 def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
+                 nli_data: IndexedNli | None = None, def_data: IndexedDefinitions | None = None,
                  *, seeds: Sequence[int]) -> list[PipelineResult]:
     """Apply the stages sequentially to the same encoder parameters, all encoders in lockstep.
 
     Stage N+1 starts from exactly the parameters stage N finished with.
-    ``seeds`` gives each encoder's training seed in place of the stage
-    configs' seed.  Each stage trains every encoder in one
-    :func:`train_seeds` call, and each result is exactly that of running
-    the pipeline on its encoder alone.
+    ``seeds`` gives each encoder's training seed in place of the config's
+    seed.  Each stage trains every encoder in one :func:`train_seeds` call,
+    and each result is exactly that of running the pipeline on its encoder
+    alone.
     """
-    if len(seeds) != len(encoders):
-        raise InvalidInputError("give one seed per encoder")
     stage_results = []
-    for stage, config in zip(spec.stages, spec.configs):
+    for stage in spec.stages:
         uses_nli = stage in ("sbert", "multi")
         uses_def = stage in ("defsent", "multi")
         if uses_nli and not nli_data:
             raise InvalidInputError(f"{stage} stage requires an NLI dataset")
         if uses_def and not def_data:
             raise InvalidInputError(f"{stage} stage requires a definition dataset")
-        configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
-        stage_results.append(train_seeds(encoders, configs, nli_data if uses_nli else None,
+        stage_results.append(train_seeds(encoders, seeds, spec.config, nli_data if uses_nli else None,
                                          def_data if uses_def else None, spec.schedule))
     return [PipelineResult(encoder=encoder, stage_results=[r[k] for r in stage_results])
             for k, encoder in enumerate(encoders)]

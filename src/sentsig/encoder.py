@@ -73,9 +73,6 @@ class Vocabulary:
         """Index of a word, falling back to [UNK]."""
         return self._index.get(word, UNK_INDEX)
 
-    def word(self, index: int) -> str:
-        return self._words[index]
-
     @property
     def words(self) -> list[str]:
         """All words in index order, including the reserved entries."""
@@ -229,6 +226,62 @@ def row_sums(places: np.ndarray, n_rows: int, values: np.ndarray,
     return sums
 
 
+def pool_forward(table: np.ndarray, pooling: str,
+                 index: TokenIndex) -> tuple[np.ndarray, np.ndarray | None]:
+    """Pooled rows of ``table`` (one per text of ``index``) and, for max, each entry's table row.
+
+    ``mean`` and ``max`` reduce over the word positions only, so the mean
+    is a true word average; ``cls`` takes the [CLS] row.  Max ties go to
+    the first position.
+    """
+    if pooling == "cls":
+        return table[index.cls_rows()], None
+    sizes = index.lengths
+    if sizes.min() < 1:
+        raise InvalidInputError("no content vectors to pool over")
+    n, dim = sizes.shape[0], table.shape[1]
+    if pooling == "mean":
+        # each text's word rows summed in word order from +0.0, as a
+        # one-text mean does; texts go a few at a time, so that the
+        # bins stay small when a whole corpus is pooled
+        sums = np.empty((n, dim))
+        step = max(1, MEAN_POOL_ENTRIES // (dim * int(sizes.max())))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            sums[lo:hi] = row_sums(np.repeat(np.arange(hi - lo), sizes[lo:hi]), hi - lo,
+                                   table, index.ids[index.offsets[lo] : index.offsets[hi]])
+        return sums / sizes[:, None], None
+    if pooling != "max":
+        raise InvalidInputError(f"unknown pooling strategy {pooling!r}")
+    # max: lay the texts out as (text, position, dim), each padded to the
+    # longest by repeating its last word; a repeat comes after the word
+    # itself, so argmax still picks the first maximum
+    positions = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+    words = index.ids[positions + index.offsets[:-1, None]]
+    rows = table[words]
+    argmax_rows = words[np.arange(n)[:, None], rows.argmax(axis=1)]
+    return rows.max(axis=1), argmax_rows
+
+
+def pool_backward(pooling: str, index: TokenIndex, argmax_rows: np.ndarray | None,
+                  grad_out: np.ndarray, table_grad: np.ndarray) -> None:
+    """Add the table gradient of :func:`pool_forward` for ``grad_out`` into ``table_grad``.
+
+    One :func:`scatter_add` for the whole index: a row that several
+    positions share sums their contributions in text order.
+    """
+    if pooling == "cls":
+        scatter_add(table_grad, index.cls_rows(), grad_out)
+    elif pooling == "mean":
+        # bincount takes one weight per term, so each word position's
+        # share of its text's gradient is laid out once, as its weights
+        sizes = index.lengths
+        scatter_add(table_grad, index.ids, grad_out / sizes[:, None],
+                    np.repeat(np.arange(len(index)), sizes))
+    else:  # max: each coordinate's gradient goes to the row that produced the max
+        scatter_add(table_grad, argmax_rows, grad_out)
+
+
 class TokenCache:
     """Token lists and word indices of sentences, shared by the encoders of one command.
 
@@ -289,66 +342,16 @@ class ToyEncoder:
         table = rng.uniform(-half, half, size=(len(vocab), dim))
         return cls(vocab, table, pooling=pooling, max_tokens=max_tokens)
 
-    def pool_forward(self, index: TokenIndex) -> tuple[np.ndarray, np.ndarray | None]:
-        """Pooled vectors (one row per text of ``index``) and, for max, each entry's table row.
-
-        ``mean`` and ``max`` reduce over the word positions only, so the mean
-        is a true word average; ``cls`` takes the [CLS] row.  Max ties go to
-        the first position.
-        """
-        if self.pooling == "cls":
-            return self.table[index.cls_rows()], None
-        sizes = index.lengths
-        if sizes.min() < 1:
-            raise InvalidInputError("no content vectors to pool over")
-        n = sizes.shape[0]
-        if self.pooling == "mean":
-            # each text's word rows summed in word order from +0.0, as a
-            # one-text mean does; texts go a few at a time, so that the
-            # bins stay small when a whole corpus is pooled
-            sums = np.empty((n, self.dim))
-            step = max(1, MEAN_POOL_ENTRIES // (self.dim * int(sizes.max())))
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                sums[lo:hi] = row_sums(np.repeat(np.arange(hi - lo), sizes[lo:hi]), hi - lo,
-                                       self.table, index.ids[index.offsets[lo] : index.offsets[hi]])
-            return sums / sizes[:, None], None
-        # max: lay the texts out as (text, position, dim), each padded to the
-        # longest by repeating its last word; a repeat comes after the word
-        # itself, so argmax still picks the first maximum
-        positions = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
-        words = index.ids[positions + index.offsets[:-1, None]]
-        rows = self.table[words]
-        argmax_rows = words[np.arange(n)[:, None], rows.argmax(axis=1)]
-        return rows.max(axis=1), argmax_rows
-
-    def pool_backward(self, index: TokenIndex, argmax_rows: np.ndarray | None,
-                      grad_out: np.ndarray, table_grad: np.ndarray) -> None:
-        """Add the table gradient of :meth:`pool_forward` for ``grad_out`` into ``table_grad``.
-
-        One :func:`scatter_add` for the whole index: a row that several
-        positions share sums their contributions in text order.
-        """
-        if self.pooling == "cls":
-            scatter_add(table_grad, index.cls_rows(), grad_out)
-        elif self.pooling == "mean":
-            # bincount takes one weight per term, so each word position's
-            # share of its text's gradient is laid out once, as its weights
-            sizes = index.lengths
-            scatter_add(table_grad, index.ids, grad_out / sizes[:, None],
-                        np.repeat(np.arange(len(index)), sizes))
-        else:  # max: each coordinate's gradient goes to the row that produced the max
-            scatter_add(table_grad, argmax_rows, grad_out)
-
     def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        """Pool every sentence in one :meth:`pool_forward` call, one row per sentence.
+        """Pool every sentence in one :func:`pool_forward` call, one row per sentence.
 
         Without a ``token_cache`` the sentences are tokenized for this call only.
         """
         if len(sentences) == 0:
             return np.zeros((0, self.dim))
         cache = self.token_cache or TokenCache()
-        vectors, _ = self.pool_forward(cache.index(sentences, self.vocab, self.max_tokens))
+        vectors, _ = pool_forward(self.table, self.pooling,
+                                  cache.index(sentences, self.vocab, self.max_tokens))
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             raise InvalidInputError(
@@ -357,10 +360,6 @@ class ToyEncoder:
 
     def embed(self, sentence: str) -> np.ndarray:
         return self.embed_batch([sentence])[0]
-
-    def copy(self) -> "ToyEncoder":
-        return ToyEncoder(self.vocab, self.table.copy(), pooling=self.pooling,
-                          max_tokens=self.max_tokens, name=self.name)
 
 
 class EmbeddingStore:

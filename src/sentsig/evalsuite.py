@@ -237,6 +237,12 @@ class ProbeConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise InvalidInputError("cross-validation needs at least 2 folds")
+        if self.batch_size < 1:
+            raise InvalidInputError("probe batch_size must be >= 1")
+        if self.epochs < 0:
+            raise InvalidInputError("probe epochs must be >= 0")
+        if self.lr <= 0.0:
+            raise InvalidInputError("probe lr must be positive")
 
 
 def load_probe_task(path, name: str | None = None) -> ProbeTask:
@@ -266,17 +272,14 @@ class LogRegModel:
     """Multinomial logistic regression over frozen feature vectors, one model per fold.
 
     ``W`` is (folds, classes, dim) and ``b`` (folds, classes): fold f scores
-    the rows of ``features[f]``.  A one-fold model also takes an (m, dim)
-    matrix and returns one row per feature vector.
+    the rows of ``features[f]``, and features are (folds, m, dim).
     """
 
-    def __init__(self, n_classes: int, dim: int, folds: int = 1):
+    def __init__(self, n_classes: int, dim: int, folds: int):
         self.W = np.zeros((folds, n_classes, dim))
         self.b = np.zeros((folds, n_classes))
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        if features.ndim == 2:
-            return self.logits(features[None])[0]
         # stacked products round each fold's entries exactly as its own 2-D product does
         return features @ self.W.transpose(0, 2, 1) + self.b[:, None, :]
 
@@ -284,49 +287,39 @@ class LogRegModel:
         return self.logits(features).argmax(axis=-1)
 
 
-def _logreg_loss_and_grads(model: LogRegModel, X: np.ndarray, y: np.ndarray, loss: bool = True):
-    """(loss, gradients) of each fold's mean softmax cross-entropy over its batch.
+def _logreg_grads(model: LogRegModel, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of each fold's mean softmax cross-entropy over its batch.
 
-    ``X`` is (folds, m, dim) and ``y`` (folds, m), or (m, dim) and (m,) for a
-    one-fold model.  The loss is the sum of the folds' means, so each fold's
-    gradient is that of its own mean; ``loss=False`` skips it and gives None.
+    ``X`` is (folds, m, dim) and ``y`` (folds, m).
     """
-    if X.ndim == 2:
-        X, y = X[None], y[None]
     logits = model.logits(X)
     logits -= logits.max(axis=2, keepdims=True)
     e = np.exp(logits)
-    probs = e / e.sum(axis=2, keepdims=True)
+    g = e / e.sum(axis=2, keepdims=True)
     m = X.shape[1]
-    gold = (np.arange(X.shape[0])[:, None], np.arange(m), y)
-    value = float(-np.log(np.maximum(probs[gold], 1e-300)).mean(axis=1).sum()) if loss else None
-    g = probs
-    g[gold] -= 1.0
-    return value, {"W": g.transpose(0, 2, 1) @ X / m, "b": g.mean(axis=1)}
+    g[np.arange(X.shape[0])[:, None], np.arange(m), y] -= 1.0
+    return {"W": g.transpose(0, 2, 1) @ X / m, "b": g.mean(axis=1)}
 
 
 def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
-                 n_classes: int | None = None, seed=None) -> LogRegModel:
+                 n_classes: int, seeds) -> LogRegModel:
     """Minibatch-Adam softmax regression on frozen features, zero-initialized.
 
-    (m, dim) features with (m,) labels train one model.  (folds, m, dim)
-    features with (folds, m) labels train one model per fold as a stack, and
-    ``seed`` then holds one seed per fold: each fold draws its own minibatch
-    order from its own rng, exactly as a fit of that fold alone would.
+    (folds, m, dim) features with (folds, m) labels train one model per fold
+    as a stack, and ``seeds`` holds one seed per fold: each fold draws its
+    own minibatch order from its own rng, exactly as a fit of that fold
+    alone would.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if X.ndim == 2 and y.ndim == 1:
-        X, y = X[None], y[None]
     if X.ndim != 3 or y.shape != X.shape[:2]:
         raise InvalidInputError("features and labels disagree in shape")
     folds, n, dim = X.shape
-    seeds = np.atleast_1d(config.seed if seed is None else seed)
+    seeds = np.asarray(seeds)
     if seeds.shape != (folds,):
         raise InvalidInputError(f"{folds} fold(s) need as many seeds, got {seeds.size}")
     if any(np.unique(fold_labels).size < 2 for fold_labels in y):
         raise InvalidInputError("training data contains a single class")
-    n_classes = n_classes or int(y.max()) + 1
     model = LogRegModel(n_classes, dim, folds)
     optimizer = Adam({"W": model.W, "b": model.b}, config.beta1, config.beta2, config.eps)
     model.W, model.b = optimizer.params["W"], optimizer.params["b"]
@@ -336,8 +329,7 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
         order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
-            _, grads = _logreg_loss_and_grads(model, X[stack, idx], y[stack, idx], loss=False)
-            optimizer.step(grads, config.lr)
+            optimizer.step(_logreg_grads(model, X[stack, idx], y[stack, idx]), config.lr)
     return model
 
 
@@ -366,8 +358,8 @@ def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig
         group = [i for i, fold in enumerate(folds) if len(fold) == size]
         test = np.stack([folds[i] for i in group])
         train = np.stack([np.setdiff1d(np.arange(n), fold) for fold in test])  # ascending rows
-        model = train_logreg(X[train], labels[train], config,
-                             n_classes=int(labels.max()) + 1, seed=fold_seeds[group])
+        model = train_logreg(X[train], labels[train], config, int(labels.max()) + 1,
+                             fold_seeds[group])
         correct += int((model.predict(X[test]) == labels[test]).sum())
     return correct / n
 

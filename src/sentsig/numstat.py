@@ -114,16 +114,11 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def mean_cross_entropy(probs: np.ndarray, golds: np.ndarray) -> float:
-    """Mean of ``-ln(probs[i, golds[i]])`` over the rows of a probability matrix.
+def mean_cross_entropies(probs: np.ndarray, golds: np.ndarray, bounds: Sequence[int]) -> list[float]:
+    """Mean of ``-ln(probs[i, golds[i]])`` over each block of rows ``bounds[k]:bounds[k + 1]``.
 
     Each probability is floored at float64 tiny before the log.
     """
-    return mean_cross_entropies(probs, golds, [0, probs.shape[0]])[0]
-
-
-def mean_cross_entropies(probs: np.ndarray, golds: np.ndarray, bounds: Sequence[int]) -> list[float]:
-    """:func:`mean_cross_entropy` of each block of rows ``bounds[k]:bounds[k + 1]``."""
     m = probs.shape[0]
     if golds.shape != (m,) or golds.min() < 0 or golds.max() >= probs.shape[1]:
         raise InvalidInputError(f"gold indices out of range for {probs.shape[1]} classes")

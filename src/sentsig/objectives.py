@@ -13,7 +13,6 @@ config): repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DefinitionExample, NliExample, tokenize
-from .encoder import CLS_INDEX, MAX_TOKENS, TokenIndex, ToyEncoder, Vocabulary
+from .encoder import CLS_INDEX, MAX_TOKENS, TokenIndex, ToyEncoder, Vocabulary, pool_backward, pool_forward
 from .errors import InvalidInputError
 from .numstat import make_rng, mean_cross_entropies, softmax
 
@@ -146,18 +145,6 @@ def _token_lists(texts: list[str], tokens: dict[str, tuple[str, ...]] | None) ->
     return [tokens[text] for text in texts]
 
 
-def _indexed(data, encoder: ToyEncoder, kind):
-    """``data`` as ``kind`` indexed for the encoder; example lists are indexed here."""
-    if isinstance(data, kind):
-        return data
-    return kind.build(data, encoder.vocab, encoder.max_tokens)
-
-
-def _check_indexed(batch, encoder: ToyEncoder) -> None:
-    if batch.vocab is not encoder.vocab or batch.max_tokens != encoder.max_tokens:
-        raise InvalidInputError("batch was indexed for another vocabulary or truncation length")
-
-
 class NliHead:
     """3-way softmax classifier over the composed pair feature (3d inputs)."""
 
@@ -225,46 +212,20 @@ class TrainResult:
         return pattern
 
 
-class SeedStack:
-    """The encoders of seeds trained in lockstep, over one stacked table.
-
-    Seed ``k``'s table is rows ``k·V`` to ``(k + 1)·V`` of ``table``; the
-    encoders share one vocabulary, pooling and truncation length.  A stack
-    pools like a :class:`ToyEncoder`, so a loss takes either.
-    """
-
-    pool_forward = ToyEncoder.pool_forward
-    pool_backward = ToyEncoder.pool_backward
-
-    def __init__(self, encoders: Sequence[ToyEncoder]):
-        first = encoders[0]
-        for encoder in encoders:
-            if (encoder.vocab is not first.vocab or encoder.pooling != first.pooling
-                    or encoder.dim != first.dim or encoder.max_tokens != first.max_tokens):
-                raise InvalidInputError(
-                    "seeds trained together need one vocabulary, pooling, dim and max_tokens")
-        self.vocab = first.vocab
-        self.pooling = first.pooling
-        self.dim = first.dim
-        self.max_tokens = first.max_tokens
-        self.table = np.concatenate([encoder.table for encoder in encoders])
-
-
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _per_seed(m: int, head, counts) -> tuple[bool, list, list[int], np.ndarray]:
-    """(one head given, the heads, examples per seed, row bounds) of a loss call.
-
-    One head takes every example; a list of heads takes ``counts`` examples each.
-    """
-    single = not isinstance(head, (list, tuple))
-    heads = [head] if single else list(head)
+def _per_seed(batch, n_seeds: int, table: np.ndarray, counts) -> tuple[list[int], np.ndarray]:
+    """(examples per seed, row bounds) of a loss call; one seed takes the whole batch by default."""
+    m = len(batch)
     counts = [m] if counts is None else [int(c) for c in counts]
-    if len(counts) != len(heads) or min(counts) < 1 or sum(counts) != m:
-        raise InvalidInputError("each head needs a nonempty share of the batch")
-    return single, heads, counts, np.cumsum([0, *counts])
+    if len(counts) != n_seeds or min(counts) < 1 or sum(counts) != m:
+        raise InvalidInputError("each seed needs a nonempty share of the batch")
+    if table.shape[0] != n_seeds * len(batch.vocab):
+        raise InvalidInputError(
+            f"the table needs {n_seeds} x {len(batch.vocab)} rows, has {table.shape[0]}")
+    return counts, np.cumsum([0, *counts])
 
 
 def _divide_by_seed(counts: list[int], *grads: np.ndarray) -> None:
@@ -275,142 +236,116 @@ def _divide_by_seed(counts: list[int], *grads: np.ndarray) -> None:
         blocks /= divisors
 
 
-def nli_loss_and_grads(batch: IndexedNli, encoder: ToyEncoder | SeedStack,
-                       head: NliHead | Sequence[NliHead], counts: Sequence[int] | None = None,
+def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.ndarray],
+                       counts: Sequence[int] | None = None,
                        out: dict[str, np.ndarray] | None = None):
-    """Mean cross-entropy over the batch and gradients for table, W and b.
+    """Each seed's mean cross-entropy over its examples, and the gradients.
+
+    ``params`` holds the seeds' parameters stacked as :class:`Adam` holds
+    them: ``table`` (seeds·V, d), ``nli_W`` (seeds, 3, 3d) and, with a
+    bias, ``nli_b`` (seeds, 3); other entries are ignored.  The batch holds
+    ``counts[k]`` examples of seed k, seed 0's first, each indexing its own
+    seed's rows of the table (one seed takes the whole batch by default).
 
     One pooling call embeds premises and hypotheses as U and V (B x d); the
-    feature F = [U; V; |U - V|] (B x 3d) goes through the head and a
-    row-wise softmax gives G = P - onehot(gold).  The gradients are G^T F for
-    W, the column sums of G for b and G W for F, which one scatter routes
-    back into the table.  The absolute-value feature uses subgradient 0 at
-    exact zeros.
-
-    Seeds in lockstep pass a :class:`SeedStack`, a list with each seed's
-    head, and ``counts``, each seed's example count: the batch holds seed 0's
-    examples first, each indexing its own seed's rows of the stacked table.
-    Pooling, the softmax and the scatter run once for all seeds, and the head
-    products on each seed's own rows, so each seed's loss and gradients are
-    those of its examples alone; the loss is then a list, one per seed.
-    ``out`` holds the arrays to write the gradients into, keyed like the
-    result; with a list of heads W is stacked as (seeds, 3, 3d) and b as
-    (seeds, 3).
+    feature F = [U; V; |U - V|] (B x 3d) goes through each seed's head and
+    a row-wise softmax gives G = P - onehot(gold).  The gradients are G^T F
+    for W, the column sums of G for b and G W for F, which one scatter
+    routes back into the table.  The absolute-value feature uses subgradient
+    0 at exact zeros.  Pooling, the softmax and the scatter run once for all
+    seeds and the head products on each seed's own rows, so each seed's loss
+    and gradients are those of its examples alone.  The result is the list
+    of losses and the gradients keyed like ``params``, written into ``out``
+    when it is given.
     """
     if not len(batch):
         raise InvalidInputError("empty NLI batch")
-    _check_indexed(batch, encoder)
-    m = len(batch)
-    single, heads, counts, bounds = _per_seed(m, head, counts)
-    d = encoder.dim
-    for h in heads:
-        if h.W.shape[1] != 3 * d:
-            raise InvalidInputError(f"head expects feature dim {h.W.shape[1]}, got {3 * d}")
-    bias = heads[0].b is not None
+    table, W, b = params["table"], params["nli_W"], params.get("nli_b")
+    counts, bounds = _per_seed(batch, W.shape[0], table, counts)
+    m, d = len(batch), table.shape[1]
+    if W.shape[1:] != (3, 3 * d):
+        raise InvalidInputError(f"head weights {W.shape[1:]} do not fit feature dim {3 * d}")
     if out is None:
-        stacked = () if single else (len(heads),)
-        out = {"table": np.empty_like(encoder.table), "nli_W": np.empty(stacked + (3, 3 * d))}
-        if bias:
-            out["nli_b"] = np.empty(stacked + (3,))
-    pooled, argmax_rows = encoder.pool_forward(batch.texts)
+        out = {name: np.empty_like(params[name]) for name in ("table", "nli_W", "nli_b")
+               if name in params}
+    pooled, argmax_rows = pool_forward(table, pooling, batch.texts)
     U, V = pooled[:m], pooled[m:]
     diff = U - V
     F = np.hstack([U, V, np.abs(diff)])
     logits = np.empty((m, 3))
-    for h, lo, hi in zip(heads, bounds[:-1], bounds[1:]):
-        np.matmul(F[lo:hi], h.W.T, out=logits[lo:hi])
-        if bias:
-            logits[lo:hi] += h.b
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(F[lo:hi], W[k].T, out=logits[lo:hi])
+        if b is not None:
+            logits[lo:hi] += b[k]
     G = softmax(logits)  # P now; P - onehot(gold) after the loss is read
     losses = mean_cross_entropies(G, batch.labels, bounds.tolist())
     G[np.arange(m), batch.labels] -= 1.0
-    W_grad = out["nli_W"].reshape(len(heads), 3, 3 * d)
-    b_grad = out["nli_b"].reshape(len(heads), 3) if bias else None
     dF = np.empty_like(F)
-    for k, (h, lo, hi) in enumerate(zip(heads, bounds[:-1], bounds[1:])):
-        np.matmul(G[lo:hi].T, F[lo:hi], out=W_grad[k])
-        if bias:
-            np.sum(G[lo:hi], axis=0, out=b_grad[k])
-        np.matmul(G[lo:hi], h.W, out=dF[lo:hi])
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(G[lo:hi].T, F[lo:hi], out=out["nli_W"][k])
+        if b is not None:
+            np.sum(G[lo:hi], axis=0, out=out["nli_b"][k])
+        np.matmul(G[lo:hi], W[k], out=dF[lo:hi])
     dabs = np.sign(diff) * dF[:, 2 * d :]
     dpooled = np.empty_like(pooled)
     np.add(dF[:, :d], dabs, out=dpooled[:m])
     np.subtract(dF[:, d : 2 * d], dabs, out=dpooled[m:])
-    table_grad = out["table"]
-    table_grad.fill(0.0)
-    encoder.pool_backward(batch.texts, argmax_rows, dpooled, table_grad)
+    out["table"].fill(0.0)
+    pool_backward(pooling, batch.texts, argmax_rows, dpooled, out["table"])
     _divide_by_seed(counts, *out.values())
-    return (losses[0] if single else losses), out
+    return losses, out
 
 
-def def_forward(s: np.ndarray, head: WordPredictionHead, out: np.ndarray | None = None) -> np.ndarray:
-    """Logits over the vocabulary: weights s + bias, written into ``out`` if given.
+def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str, np.ndarray],
+                       counts: Sequence[int] | None = None,
+                       out: dict[str, np.ndarray] | None = None):
+    """Each seed's mean cross-entropy of headword prediction, and the gradients.
 
-    ``s`` is one pooled embedding (d,) or a batch of them as rows (B, d); the
-    logits are (V,) or (B, V).
-    """
-    if s.ndim not in (1, 2) or head.weights.shape[1] != s.shape[-1]:
-        raise InvalidInputError(
-            f"head expects embeddings of dim {head.weights.shape[1]}, got shape {s.shape}")
-    logits = np.matmul(s, head.weights.T, out=out)
-    logits += head.bias
-    return logits
-
-
-def def_loss_and_grads(batch: IndexedDefinitions, encoder: ToyEncoder | SeedStack,
-                       head: WordPredictionHead | Sequence[WordPredictionHead],
-                       counts: Sequence[int] | None = None, out: dict[str, np.ndarray] | None = None):
-    """Mean cross-entropy of headword prediction and gradients.
+    ``params`` holds ``table`` (seeds·V, d), ``def_bias`` (seeds, V) and,
+    for an untied head, ``def_W`` (seeds·V, d); without ``def_W`` the head
+    is tied to the table.  ``counts``, ``out`` and the result are as for
+    :func:`nli_loss_and_grads`.
 
     The head runs once per batch: the pooled definitions are stacked into
-    S (B x d), a row-wise softmax of the logits gives G = P - onehot(gold),
-    and the gradients are G^T S for the weights, the column sums of G for the
-    bias and G W for S, which one scatter routes back into the table.  Every
-    headword must be a vocabulary entry.  With a tied head the table
-    gradient accumulates both the encoder path and the output-layer path.
-
-    Seeds in lockstep pass a :class:`SeedStack`, a list of heads, ``counts``
-    and ``out`` as for :func:`nli_loss_and_grads`; with a list of heads the
-    weights are stacked as (seeds·V, d) and the bias as (seeds, V).
+    S (B x d), a row-wise softmax of the logits S W^T + bias gives
+    G = P - onehot(gold), and the gradients are G^T S for the weights, the
+    column sums of G for the bias and G W for S, which one scatter routes
+    back into the table.  Every headword must be a vocabulary entry.  With a
+    tied head the table gradient accumulates both the encoder path and the
+    output-layer path.
     """
     if not len(batch):
         raise InvalidInputError("empty definition batch")
-    _check_indexed(batch, encoder)
     if batch.golds.min() < 0:
         raise InvalidInputError("a headword of the batch is not in the vocabulary")
-    m = len(batch)
-    single, heads, counts, bounds = _per_seed(m, head, counts)
-    n_words = len(encoder.vocab)
-    tied = heads[0].tied
-    for h in heads:
-        if h.tied != tied or h.weights.shape[0] != n_words:
-            raise InvalidInputError(f"the heads must be all tied or all untied, over {n_words} words")
+    table, bias = params["table"], params["def_bias"]
+    tied = "def_W" not in params
+    counts, bounds = _per_seed(batch, bias.shape[0], table, counts)
+    m, (n_seeds, n_words), d = len(batch), bias.shape, table.shape[1]
+    weights = (table if tied else params["def_W"]).reshape(n_seeds, n_words, d)
     if out is None:
-        stacked = () if single else (len(heads),)
-        out = {"table": np.empty_like(encoder.table), "def_bias": np.empty(stacked + (n_words,))}
-        if not tied:
-            out["def_W"] = np.empty((len(heads) * n_words, encoder.dim))
-    S, argmax_rows = encoder.pool_forward(batch.texts)
+        out = {name: np.empty_like(params[name]) for name in ("table", "def_W", "def_bias")
+               if name in params}
+    S, argmax_rows = pool_forward(table, pooling, batch.texts)
     logits = np.empty((m, n_words))
-    for h, lo, hi in zip(heads, bounds[:-1], bounds[1:]):
-        def_forward(S[lo:hi], h, out=logits[lo:hi])
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(S[lo:hi], weights[k].T, out=logits[lo:hi])
+        logits[lo:hi] += bias[k]
     G = softmax(logits)  # P now; P - onehot(gold) after the loss is read
     losses = mean_cross_entropies(G, batch.golds, bounds.tolist())
     G[np.arange(m), batch.golds] -= 1.0
-    table_grad = out["table"]
     # tied: the encoder path accumulates onto the output-layer gradient of the same table
-    out_grad = (table_grad if tied else out["def_W"]).reshape(len(heads), n_words, encoder.dim)
-    bias_grad = out["def_bias"].reshape(len(heads), n_words)
+    out_grad = out["table" if tied else "def_W"].reshape(n_seeds, n_words, d)
     dS = np.empty_like(S)
-    for k, (h, lo, hi) in enumerate(zip(heads, bounds[:-1], bounds[1:])):
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         np.matmul(G[lo:hi].T, S[lo:hi], out=out_grad[k])
-        np.sum(G[lo:hi], axis=0, out=bias_grad[k])
-        np.matmul(G[lo:hi], h.weights, out=dS[lo:hi])
+        np.sum(G[lo:hi], axis=0, out=out["def_bias"][k])
+        np.matmul(G[lo:hi], weights[k], out=dS[lo:hi])
     if not tied:
-        table_grad.fill(0.0)
-    encoder.pool_backward(batch.texts, argmax_rows, dS, table_grad)
+        out["table"].fill(0.0)
+    pool_backward(pooling, batch.texts, argmax_rows, dS, out["table"])
     _divide_by_seed(counts, *out.values())
-    return (losses[0] if single else losses), out
+    return losses, out
 
 
 # ---------------------------------------------------------------------------
@@ -640,49 +575,53 @@ def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[i
     return [list(seeds[lo : lo + size]) for lo in range(0, len(seeds), size)]
 
 
-def train(encoder: ToyEncoder, config: TrainConfig,
-          nli_data: IndexedNli | list[NliExample] | None = None,
-          def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
+def train(encoder: ToyEncoder, config: TrainConfig, nli_data: IndexedNli | None = None,
+          def_data: IndexedDefinitions | None = None,
           schedule: MultiSchedule | None = None) -> TrainResult:
-    """Fine-tune one encoder: :func:`train_seeds` with one seed."""
-    return train_seeds([encoder], [config], nli_data, def_data, schedule)[0]
+    """Fine-tune one encoder: :func:`train_seeds` with the config's seed."""
+    return train_seeds([encoder], [config.seed], config, nli_data, def_data, schedule)[0]
 
 
-def train_seeds(encoders: Sequence[ToyEncoder], configs: Sequence[TrainConfig],
-                nli_data: IndexedNli | list[NliExample] | None = None,
-                def_data: IndexedDefinitions | list[DefinitionExample] | None = None,
+def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: TrainConfig,
+                nli_data: IndexedNli | None = None, def_data: IndexedDefinitions | None = None,
                 schedule: MultiSchedule | None = None) -> list[TrainResult]:
     """Fine-tune each encoder on the NLI and/or the definition objective, in lockstep.
 
     Each dataset given is a stream of batches with its own head; a seed's
-    streams share one optimizer and one rng seeded with its config's seed,
-    and a stream reshuffles when it is exhausted.  With both streams each
-    cycle runs ``schedule.nli_steps_per_cycle`` NLI steps followed by
+    streams share one optimizer and one rng seeded with its entry of
+    ``seeds`` (``config.seed`` is not read).  A stream reshuffles when it is
+    exhausted.  With both streams each cycle runs
+    ``schedule.nli_steps_per_cycle`` NLI steps followed by
     ``schedule.def_steps_per_cycle`` definition steps; a single stream has a
     cycle of length 1.  The step count (epochs x batches per epoch of the
-    first stream) is rounded up to whole cycles.  Datasets given as example
-    lists are indexed for the encoders first.
+    first stream) is rounded up to whole cycles.  The datasets must be
+    indexed for the encoders, which share one vocabulary, pooling, dim and
+    truncation length.
 
-    The configs may differ only in their seed, so every seed takes the same
-    stream and learning rate at each step.  A step joins the seeds' batches
-    into one, which one loss call pools and scores over the stacked tables
-    (:class:`SeedStack`), and one Adam step updates every seed; each seed's
-    table, heads and step records are exactly those of training it alone.
-    The encoders' tables become views of the optimizer's parameter buffer,
-    and training holds about four table-sized buffers per seed: parameters,
-    gradients and both moments (:func:`lockstep_groups` bounds the seeds
-    trained together).  The results' heads have their own arrays.
+    Every seed takes the same stream and learning rate at each step.  A step
+    joins the seeds' batches into one, which one loss call pools and scores
+    over the stacked (seeds·V, d) table, and one Adam step updates every
+    seed; each seed's table, heads and step records are exactly those of
+    training it alone.  The encoders' tables become views of the optimizer's
+    parameter buffer, and training holds about four table-sized buffers per
+    seed: parameters, gradients and both moments (:func:`lockstep_groups`
+    bounds the seeds trained together).  The results' heads have their own
+    arrays.
     """
     if nli_data is None and def_data is None:
         raise InvalidInputError("training needs an NLI or a definition dataset")
-    if not encoders or len(configs) != len(encoders):
-        raise InvalidInputError("training needs one config per encoder")
-    config = configs[0]
-    if any(dataclasses.replace(c, seed=config.seed) != config for c in configs):
-        raise InvalidInputError("seeds trained together may differ only in their seed")
+    if not encoders or len(seeds) != len(encoders):
+        raise InvalidInputError("training needs one seed per encoder")
+    first = encoders[0]
+    if any(e.vocab is not first.vocab or (e.pooling, e.dim, e.max_tokens)
+           != (first.pooling, first.dim, first.max_tokens) for e in encoders):
+        raise InvalidInputError(
+            "seeds trained together need one vocabulary, pooling, dim and max_tokens")
+    for data in (nli_data, def_data):  # checked once here; a loss checks only its table's size
+        if data is not None and (data.vocab, data.max_tokens) != (first.vocab, first.max_tokens):
+            raise InvalidInputError("data was indexed for another vocabulary or truncation length")
     schedule = schedule or MultiSchedule()
-    stack = SeedStack(encoders)
-    n_seeds, n_words, d = len(encoders), len(stack.vocab), stack.dim
+    n_seeds, n_words, d = len(encoders), len(first.vocab), first.dim
     # one flat buffer in which each stream's parameters are one run:
     # [nli_W, nli_b, table] for NLI steps and [table, def_W, def_bias] for definition steps
     params = {}
@@ -690,59 +629,50 @@ def train_seeds(encoders: Sequence[ToyEncoder], configs: Sequence[TrainConfig],
         params["nli_W"] = np.zeros((n_seeds, 3, 3 * d))
         if config.head_bias:
             params["nli_b"] = np.zeros((n_seeds, 3))
-    params["table"] = stack.table
+    params["table"] = np.concatenate([encoder.table for encoder in encoders])
     if def_data is not None:
         if not config.tied_head:
             params["def_W"] = np.zeros((n_seeds * n_words, d))
         params["def_bias"] = np.zeros((n_seeds, n_words))
     optimizer = Adam(params, config.beta1, config.beta2, config.eps)
     params = optimizer.params
-    stack.table = table = params["table"]
     for k, encoder in enumerate(encoders):
-        encoder.table = table[k * n_words : (k + 1) * n_words]
+        encoder.table = params["table"][k * n_words : (k + 1) * n_words]
 
-    streams = []  # (name, data, loss function, each seed's head, parameter names)
-    nli_heads = def_heads = None
+    streams = []  # (name, data, loss function, parameter names)
     if nli_data is not None:
-        b = params.get("nli_b")
-        nli_heads = [NliHead(params["nli_W"][k], None if b is None else b[k]) for k in range(n_seeds)]
-        streams.append(("nli", _indexed(nli_data, encoders[0], IndexedNli), nli_loss_and_grads,
-                        nli_heads, ("nli_W", "nli_b", "table")))
+        streams.append(("nli", nli_data, nli_loss_and_grads, ("nli_W", "nli_b", "table")))
     if def_data is not None:
-        bias = params["def_bias"]
-        def_heads = [WordPredictionHead.tied_to(encoder, bias[k]) if config.tied_head
-                     else WordPredictionHead(params["def_W"][k * n_words : (k + 1) * n_words],
-                                             bias[k], tied=False)
-                     for k, encoder in enumerate(encoders)]
-        data = _drop_oov_definitions(_indexed(def_data, encoders[0], IndexedDefinitions))
-        streams.append(("def", data, def_loss_and_grads, def_heads, ("table", "def_W", "def_bias")))
-    records = _run_lockstep(stack, optimizer, streams, [make_rng(c.seed) for c in configs],
-                            config, schedule)
+        streams.append(("def", _drop_oov_definitions(def_data), def_loss_and_grads,
+                        ("table", "def_W", "def_bias")))
+    records = _run_lockstep(first.pooling, n_words, optimizer, streams,
+                            [make_rng(seed) for seed in seeds], config, schedule)
     del optimizer  # frees the gradient and moment buffers before the heads are copied
 
     # copies, so that the parameter buffer goes once a later stage moves the tables
-    results = [TrainResult(encoder=encoder, steps=steps) for encoder, steps in zip(encoders, records)]
-    for k, result in enumerate(results):
-        if nli_heads is not None:
-            head = nli_heads[k]
-            result.nli_head = NliHead(head.W.copy(), None if head.b is None else head.b.copy())
-        if def_heads is not None:
-            head = def_heads[k]
-            result.def_head = (WordPredictionHead.tied_to(result.encoder, head.bias.copy())
-                               if head.tied else
-                               WordPredictionHead(head.weights.copy(), head.bias.copy(), tied=False))
+    results = []
+    for k, (encoder, steps) in enumerate(zip(encoders, records)):
+        result = TrainResult(encoder=encoder, steps=steps)
+        if nli_data is not None:
+            b = params.get("nli_b")
+            result.nli_head = NliHead(params["nli_W"][k].copy(), None if b is None else b[k].copy())
+        if def_data is not None:
+            bias = params["def_bias"][k].copy()
+            weights = None if config.tied_head else params["def_W"][k * n_words : (k + 1) * n_words]
+            result.def_head = (WordPredictionHead.tied_to(encoder, bias) if weights is None
+                               else WordPredictionHead(weights.copy(), bias, tied=False))
+        results.append(result)
     return results
 
 
-def _run_lockstep(stack: SeedStack, optimizer: Adam, streams: list, rngs: list,
+def _run_lockstep(pooling: str, n_words: int, optimizer: Adam, streams: list, rngs: list,
                   config: TrainConfig, schedule: MultiSchedule) -> list[list[StepRecord]]:
     """Run :func:`train_seeds`' steps; each seed's step records."""
-    n_words = len(stack.vocab)
-    cycle = []  # (name, each seed's batches, data, loss function, each seed's head, gradients)
-    for name, data, loss_and_grads, heads, param_names in streams:
+    cycle = []  # (name, each seed's batches, data, loss function, gradients)
+    for name, data, loss_and_grads, param_names in streams:
         grads = {p: optimizer.grads[p] for p in param_names if p in optimizer.grads}
         cycle.append((name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads,
-                      heads, grads))
+                      grads))
     nominal = config.epochs * cycle[0][1][0].batches_per_pass
     if len(cycle) == 2:
         cycle = [cycle[0]] * schedule.nli_steps_per_cycle + [cycle[1]] * schedule.def_steps_per_cycle
@@ -751,9 +681,9 @@ def _run_lockstep(stack: SeedStack, optimizer: Adam, streams: list, rngs: list,
     for step in range(1, total_steps + 1):
         lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                    config.lr_decay)
-        name, batches, data, loss_and_grads, heads, grads = cycle[(step - 1) % len(cycle)]
+        name, batches, data, loss_and_grads, grads = cycle[(step - 1) % len(cycle)]
         rows = [seed_batches.next_rows() for seed_batches in batches]
-        losses, _ = loss_and_grads(_lockstep_batch(data, rows, n_words), stack, heads,
+        losses, _ = loss_and_grads(_lockstep_batch(data, rows, n_words), pooling, optimizer.params,
                                    [len(r) for r in rows], grads)
         optimizer.step(grads, lr)
         for seed_records, loss in zip(records, losses):

@@ -64,6 +64,24 @@ def unpool_one(encoder, words, argmax, grad_out, table_grad):
         np.add.at(table_grad, (words[argmax], np.arange(grad_out.shape[0])), grad_out)
 
 
+_STACKED = ("nli_W", "nli_b", "def_bias")  # the losses stack these over the seeds on a new axis
+
+
+def loss_one(loss_fn, batch, encoder, head):
+    """(loss, gradients) of one seed: the stacked loss over views of the encoder's and head's arrays.
+
+    The gradients are keyed as the losses key them and shaped like the arrays they belong to.
+    """
+    if isinstance(head, NliHead):
+        arrays = {"nli_W": head.W, "nli_b": head.b}
+    else:
+        arrays = {"def_W": None if head.tied else head.weights, "def_bias": head.bias}
+    arrays = {"table": encoder.table, **{k: a for k, a in arrays.items() if a is not None}}
+    params = {k: a[None] if k in _STACKED else a for k, a in arrays.items()}
+    [loss], grads = loss_fn(batch, encoder.pooling, params)
+    return loss, {k: g.reshape(arrays[k].shape) for k, g in grads.items()}
+
+
 def indexed(batch, encoder):
     """A list of NLI or definition examples indexed for the encoder, as the losses take it."""
     kind = IndexedNli if isinstance(batch[0], NliExample) else IndexedDefinitions
@@ -151,14 +169,14 @@ def random_def_instance(rng, pooling, tied, d_max=8, v_max=20, batch_max=4):
 def check_nli_instance(rng, pooling, h=1e-5):
     encoder, head, batch, params = random_nli_instance(rng, pooling)
     batch = indexed(batch, encoder)
-    _, grads = nli_loss_and_grads(batch, encoder, head)
+    _, grads = loss_one(nli_loss_and_grads, batch, encoder, head)
     return finite_difference_worst_error(
-        lambda: nli_loss_and_grads(batch, encoder, head)[0], params, grads, h=h)
+        lambda: loss_one(nli_loss_and_grads, batch, encoder, head)[0], params, grads, h=h)
 
 
 def check_def_instance(rng, pooling, tied, h=1e-5):
     encoder, head, batch, params = random_def_instance(rng, pooling, tied)
     batch = indexed(batch, encoder)
-    _, grads = def_loss_and_grads(batch, encoder, head)
+    _, grads = loss_one(def_loss_and_grads, batch, encoder, head)
     return finite_difference_worst_error(
-        lambda: def_loss_and_grads(batch, encoder, head)[0], params, grads, h=h)
+        lambda: loss_one(def_loss_and_grads, batch, encoder, head)[0], params, grads, h=h)

@@ -27,7 +27,7 @@ from sentsig.corpus import (
 from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.evalsuite import ProbeConfig, eval_probe, eval_sts, kfold_split
 from sentsig.numstat import make_rng, pearson, spearman
-from sentsig.objectives import MultiSchedule, TrainConfig, train
+from sentsig.objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, train
 from sentsig.synth import (
     make_blob_probe,
     make_definition_corpus,
@@ -133,6 +133,7 @@ def test_criterion_05_toy_training_efficacy():
         texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
                  + [e.definition for e in defs] + [e.word for e in defs])
         vocab = build_vocab(texts)
+        nli, defs = IndexedNli.build(nli, vocab), IndexedDefinitions.build(defs, vocab)
 
         gains = {"sbert": [], "defsent": []}
         loss_ratios = {"sbert": [], "defsent": []}
@@ -140,12 +141,12 @@ def test_criterion_05_toy_training_efficacy():
             base = ToyEncoder.create(vocab, 16, "mean", seed=seed)
             rho_init, _ = eval_sts(base, sts)
 
-            enc = base.copy()
+            enc = ToyEncoder.create(vocab, 16, "mean", seed=seed)
             result = train(enc, TrainConfig(seed=seed, base_lr=1e-2, epochs=2), nli_data=nli)
             gains["sbert"].append(eval_sts(enc, sts)[0] - rho_init)
             loss_ratios["sbert"].append(np.mean(result.losses[-10:]) / result.losses[0])
 
-            enc = base.copy()
+            enc = ToyEncoder.create(vocab, 16, "mean", seed=seed)
             result = train(enc, TrainConfig(seed=seed, base_lr=2e-2, epochs=10), def_data=defs)
             gains["defsent"].append(eval_sts(enc, sts)[0] - rho_init)
             loss_ratios["defsent"].append(np.mean(result.losses[-10:]) / result.losses[0])
@@ -202,8 +203,10 @@ def test_criterion_08_multi_scheduler_pattern():
                                       sentence_len=3, per_word=1)
         texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
                  + [e.definition for e in defs] + [e.word for e in defs])
-        enc = ToyEncoder.create(build_vocab(texts), 5, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs,
+        vocab = build_vocab(texts)
+        enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), IndexedNli.build(nli, vocab),
+                       IndexedDefinitions.build(defs, vocab),
                        MultiSchedule())
         assert len(result.steps) == 40
         streams = [s.stream for s in result.steps]

@@ -5,6 +5,7 @@
 ``bench/run.py --trace 1`` fail, so the names are pinned here.
 """
 
+import ast
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -17,7 +18,8 @@ from sentsig.corpus import save_definitions, save_nli
 from sentsig.numstat import make_rng
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
-_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_TRACER = _ROOT / "bench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
@@ -27,6 +29,29 @@ _spec.loader.exec_module(tracer)
                          ids=[f"{owner}.{attr}" for owner, attr, *_ in tracer.TARGETS])
 def test_tracer_target_resolves(owner, attr):
     assert attr in tracer.resolve(owner).__dict__
+
+
+def _unused_imports(source: str) -> set[str]:
+    """Names a module imports but never reads (``from __future__`` aside)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+_MODULES = sorted(p for p in (_ROOT / "src" / "sentsig").glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=[p.stem for p in _MODULES])
+def test_no_unused_imports(path):
+    """A module reads every name it imports, unless ``TARGETS`` wraps that name there.
+
+    ``__init__`` is skipped: its imports are the package's exports.
+    """
+    pinned = {attr for owner, attr, *_ in tracer.TARGETS if owner == f"sentsig.{path.stem}"}
+    assert _unused_imports(path.read_text(encoding="utf-8")) <= pinned
 
 
 def test_loss_batches_hold_every_seeds_examples(tmp_path, monkeypatch):

@@ -241,11 +241,16 @@ BAD_VALUES = [
     ("[probe]\nfolds = ten\n", [], "[probe] folds: invalid value 'ten'"),
     ("", ["--seeds", "0 x"], "seed list '0 x'"),
     ("[train]\nbucket_width = 0\n", [], "bucket_width must be >= 1"),
+    ("[probe]\nbatch_size = 0\n", [], "probe batch_size must be >= 1"),
+    ("[probe]\nepochs = -1\n", [], "probe epochs must be >= 0"),
+    ("[probe]\nlr = 0\n", [], "probe lr must be positive"),
+    ("", ["--seeds", "0 1 0"], "duplicate seed 0"),
 ]
 
 
 @pytest.mark.parametrize("section, flags, message", BAD_VALUES,
-                         ids=["dim", "base_lr", "seeds", "probe-folds", "seeds-flag", "bucket-width"])
+                         ids=["dim", "base_lr", "seeds", "probe-folds", "seeds-flag", "bucket-width",
+                              "probe-batch-size", "probe-epochs", "probe-lr", "duplicate-seed"])
 def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
     cfg = data["root"] / "bad.ini"
     cfg.write_text(f"[data]\nnli = {data['nli']}\n\n{section}")

@@ -10,7 +10,7 @@ from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.evalsuite import eval_sts
 from sentsig.numstat import cosine, make_rng
-from sentsig.objectives import TrainConfig, train
+from sentsig.objectives import IndexedDefinitions, IndexedNli, TrainConfig, train
 from sentsig.synth import make_definition_corpus, make_nli_corpus, make_sts_corpus
 
 
@@ -117,7 +117,8 @@ def _world(seed=0):
     defs = make_definition_corpus(rng, n_topics=4, words_per_topic=10, sentence_len=4, per_word=1)
     texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
              + [e.definition for e in defs] + [e.word for e in defs])
-    return nli, defs, build_vocab(texts)
+    vocab = build_vocab(texts)
+    return IndexedNli.build(nli, vocab), IndexedDefinitions.build(defs, vocab), vocab
 
 
 class TestPipeline:
@@ -125,7 +126,7 @@ class TestPipeline:
         nli, defs, vocab = _world()
         config = TrainConfig(seed=3, epochs=1)
         enc_a = ToyEncoder.create(vocab, 6, "mean", seed=3)
-        run_pipeline(PipelineSpec(stages=["sbert"], configs=[config]), [enc_a], nli, defs,
+        run_pipeline(PipelineSpec(stages=["sbert"], config=config), [enc_a], nli, defs,
                      seeds=[config.seed])
         enc_b = ToyEncoder.create(vocab, 6, "mean", seed=3)
         train(enc_b, config, nli_data=nli)
@@ -139,7 +140,7 @@ class TestPipeline:
         after_stage1 = enc_stage1.table.copy()
 
         enc_full = ToyEncoder.create(vocab, 6, "mean", seed=1)
-        spec = PipelineSpec(stages=["sbert", "defsent"], configs=[config, config])
+        spec = PipelineSpec(stages=["sbert", "defsent"], config=config)
         [result] = run_pipeline(spec, [enc_full], nli, defs, seeds=[config.seed])
         # stage 2 must have started from exactly the stage-1 parameters:
         # replaying it from that state reproduces the pipeline bit for bit

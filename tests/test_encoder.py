@@ -21,6 +21,8 @@ from sentsig.encoder import (
     Vocabulary,
     build_vocab,
     load_dump,
+    pool_backward,
+    pool_forward,
     save_dump,
     tokenize_texts,
 )
@@ -73,7 +75,7 @@ def pool(rows, strategy):
     table = np.vstack([rows, np.zeros((2, rows.shape[1]))])  # at least [CLS] and [UNK]
     enc = ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling=strategy)
     n = rows.shape[0]
-    vectors, _ = enc.pool_forward(TokenIndex(np.arange(1, n), np.array([0, n - 1])))
+    vectors, _ = pool_forward(enc.table, enc.pooling, TokenIndex(np.arange(1, n), np.array([0, n - 1])))
     return vectors[0]
 
 
@@ -137,7 +139,7 @@ class TestToyEncoder:
         enc = small_encoder("cls")
         index = TokenIndex.build([["alpha"]], enc.vocab)
         assert index.ids.tolist() == [enc.vocab.index("alpha")]
-        vectors, _ = enc.pool_forward(index)
+        vectors, _ = pool_forward(enc.table, enc.pooling, index)
         np.testing.assert_array_equal(vectors[0], enc.table[CLS_INDEX])
 
     def test_unknown_word_uses_unk_row(self):
@@ -320,9 +322,9 @@ class TestBatchedPooling:
             token_lists = random_token_lists(rng, len(vocab) - 2, int(rng.integers(1, 12)))
             index = TokenIndex.build(token_lists, vocab)
             grad = rng.normal(size=(len(index), dim))
-            vectors, argmax_rows = enc.pool_forward(index)
+            vectors, argmax_rows = pool_forward(enc.table, enc.pooling, index)
             table_grad = np.zeros_like(table)
-            enc.pool_backward(index, argmax_rows, grad, table_grad)
+            pool_backward(enc.pooling, index, argmax_rows, grad, table_grad)
             ref_grad = np.zeros_like(table)
             for i, tokens in enumerate(token_lists):
                 words = np.array([vocab.index(t) for t in tokens])
@@ -401,13 +403,13 @@ class TestScatterAdd:
             enc = ToyEncoder(vocab, table, pooling=pooling)
             index = TokenIndex.build(random_token_lists(rng, len(vocab) - 2, int(rng.integers(1, 12))),
                                      vocab)
-            vectors, argmax_rows = enc.pool_forward(index)
+            vectors, argmax_rows = pool_forward(enc.table, enc.pooling, index)
             if pooling == "mean":
                 assert_same_bits(vectors, oracles.mean_pool_add_at(table, index))
             grad = rng.choice(_TERMS, size=(len(index), dim)) * rng.normal(size=(len(index), dim))
             actual = _target(rng, start, table.shape)
             expected = actual.copy()
-            enc.pool_backward(index, argmax_rows, grad, actual)
+            pool_backward(enc.pooling, index, argmax_rows, grad, actual)
             oracles.pool_backward_add_at(pooling, index, argmax_rows, grad, expected)
             assert_same_bits(actual, expected)
 

@@ -16,7 +16,7 @@ from sentsig.evalsuite import (
     LogRegModel,
     ProbeConfig,
     ProbeTask,
-    _logreg_loss_and_grads,
+    _logreg_grads,
     aggregate_seeds,
     eval_probe,
     eval_sts,
@@ -258,33 +258,37 @@ class TestTrainLogreg:
     def test_separable_blobs_high_train_accuracy(self):
         rng = make_rng(4)
         X, y = self._blobs(rng)
-        model = train_logreg(X, y, ProbeConfig(seed=0))
-        accuracy = float((model.predict(X) == y).mean())
+        model = train_logreg(X[None], y[None], ProbeConfig(seed=0), 2, [0])
+        accuracy = float((model.predict(X[None])[0] == y).mean())
         assert accuracy >= 0.95
 
     def test_zero_epochs_predicts_uniform(self):
         rng = make_rng(5)
         X, y = self._blobs(rng)
-        model = train_logreg(X, y, ProbeConfig(epochs=0, seed=0))
+        model = train_logreg(X[None], y[None], ProbeConfig(epochs=0, seed=0), 2, [0])
         np.testing.assert_array_equal(model.W, 0.0)
-        np.testing.assert_array_equal(model.logits(X), np.zeros((len(X), 2)))
+        np.testing.assert_array_equal(model.logits(X[None]), np.zeros((1, len(X), 2)))
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
-            train_logreg(np.ones((5, 2)), np.zeros(5, dtype=int), ProbeConfig())
+            train_logreg(np.ones((1, 5, 2)), np.zeros((1, 5), dtype=int), ProbeConfig(), 2, [0])
 
     def test_gradients_match_finite_differences(self):
         rng = make_rng(6)
-        X = rng.normal(size=(7, 3))
-        y = rng.integers(0, 3, size=7)
-        y[0], y[1], y[2] = 0, 1, 2
-        model = LogRegModel(3, 3)
-        model.W[:] = rng.normal(size=(3, 3))
-        model.b[:] = rng.normal(size=3)
-        _, grads = _logreg_loss_and_grads(model, X, y)
-        worst = finite_difference_worst_error(
-            lambda: _logreg_loss_and_grads(model, X, y)[0],
-            {"W": model.W, "b": model.b}, grads)
+        X = rng.normal(size=(1, 7, 3))
+        y = rng.integers(0, 3, size=(1, 7))
+        y[0, :3] = 0, 1, 2
+        model = LogRegModel(3, 3, 1)
+        model.W[:] = rng.normal(size=(1, 3, 3))
+        model.b[:] = rng.normal(size=(1, 3))
+
+        def loss():
+            logits = model.logits(X)
+            log_probs = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
+            return -np.take_along_axis(log_probs, y[..., None], axis=2).mean()
+
+        worst = finite_difference_worst_error(loss, {"W": model.W, "b": model.b},
+                                              _logreg_grads(model, X, y))
         assert worst < 1e-4
 
 
@@ -345,9 +349,9 @@ class TestEvalProbe:
         config = ProbeConfig(folds=10, batch_size=batch_size, epochs=3, lr=0.05, seed=4)
         fits = []
 
-        def spy(features, labels, config, n_classes=None, seed=None):
-            model = train_logreg(features, labels, config, n_classes, seed)
-            fits.append((features.shape, seed, model))
+        def spy(features, labels, config, n_classes, seeds):
+            model = train_logreg(features, labels, config, n_classes, seeds)
+            fits.append((features.shape, seeds, model))
             return model
 
         monkeypatch.setattr(sentsig.evalsuite, "train_logreg", spy)

@@ -74,29 +74,22 @@ def test_lockstep_batches_are_ragged_and_count_every_seed(monkeypatch):
     nli, defs, vocab = _world()
     calls = []
     for name in ("nli_loss_and_grads", "def_loss_and_grads"):
-        def recording(batch, encoder, heads, counts, out, real=getattr(sentsig.objectives, name)):
+        def recording(batch, pooling, params, counts, out, real=getattr(sentsig.objectives, name)):
             calls.append((len(batch), list(counts)))
-            return real(batch, encoder, heads, counts, out)
+            return real(batch, pooling, params, counts, out)
         monkeypatch.setattr(sentsig.objectives, name, recording)
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
-    train_seeds(encoders, [TrainConfig(seed=s, epochs=2, batch_size=5, bucket_width=3) for s in SEEDS],
-                nli, defs, MultiSchedule(3, 2))
+    train_seeds(encoders, SEEDS, TrainConfig(epochs=2, batch_size=5, bucket_width=3), nli, defs,
+                MultiSchedule(3, 2))
     assert calls and all(size == sum(counts) and len(counts) == len(SEEDS) for size, counts in calls)
     assert any(len(set(counts)) > 1 for _, counts in calls)
-
-
-def test_configs_may_differ_only_in_seed():
-    nli, _, vocab = _world()
-    encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in (0, 1)]
-    with pytest.raises(InvalidInputError, match="only in their seed"):
-        train_seeds(encoders, [TrainConfig(seed=0), TrainConfig(seed=1, base_lr=0.5)], nli)
 
 
 def test_encoders_must_share_vocabulary_and_pooling():
     nli, _, vocab = _world()
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=0), ToyEncoder.create(vocab, 4, "max", seed=1)]
     with pytest.raises(InvalidInputError, match="one vocabulary"):
-        train_seeds(encoders, [TrainConfig(seed=0), TrainConfig(seed=1)], nli)
+        train_seeds(encoders, [0, 1], TrainConfig(), nli)
 
 
 def test_lockstep_groups_fit_their_tables_in_the_budget():

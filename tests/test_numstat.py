@@ -11,7 +11,7 @@ from sentsig.numstat import (
     as_vector,
     cosine,
     make_rng,
-    mean_cross_entropy,
+    mean_cross_entropies,
     pearson,
     ranks_with_ties,
     softmax,
@@ -274,11 +274,11 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
-    """mean_cross_entropy of one-row matrices: -ln(probs[gold]) with the probability floored."""
+    """mean_cross_entropies of one-row matrices: -ln(probs[gold]) with the probability floored."""
 
     @staticmethod
     def _one(probs, gold):
-        return mean_cross_entropy(np.array([probs], dtype=np.float64), np.array([gold]))
+        return mean_cross_entropies(np.array([probs], dtype=np.float64), np.array([gold]), [0, 1])[0]
 
     def test_certain_prediction(self):
         assert self._one([1.0, 0.0, 0.0], 0) == 0.0

@@ -10,6 +10,7 @@ from gradcheck import (
     check_def_instance,
     check_nli_instance,
     indexed,
+    loss_one,
     pool_one,
     random_def_instance,
     random_nli_instance,
@@ -20,7 +21,7 @@ from oracles import ParamAdam
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
-from sentsig.numstat import make_rng, mean_cross_entropy, softmax
+from sentsig.numstat import make_rng, mean_cross_entropies, softmax
 from sentsig.objectives import (
     Adam,
     BatchStream,
@@ -28,7 +29,6 @@ from sentsig.objectives import (
     IndexedNli,
     MultiSchedule,
     NliHead,
-    SeedStack,
     StepRecord,
     TrainConfig,
     TrainResult,
@@ -36,7 +36,6 @@ from sentsig.objectives import (
     _drop_oov_definitions,
     _epoch_batches,
     batches_per_epoch,
-    def_forward,
     def_loss_and_grads,
     lr_at,
     nli_loss_and_grads,
@@ -70,8 +69,8 @@ def zero_def_head(encoder, tied=True):
 
 def nli_step(encoder, head, premise, hypothesis, label):
     """The batched kernel on a batch of one example."""
-    return nli_loss_and_grads(indexed([NliExample(premise, hypothesis, label)], encoder),
-                              encoder, head)
+    return loss_one(nli_loss_and_grads, indexed([NliExample(premise, hypothesis, label)], encoder),
+                    encoder, head)
 
 
 class TestNliForward:
@@ -95,7 +94,7 @@ class TestNliForward:
                                "w0", "w1", "entailment")
         probs = softmax(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(grads["nli_b"], probs - [1.0, 0.0, 0.0])
-        assert loss == mean_cross_entropy(probs[None], np.array([0]))
+        assert loss == mean_cross_entropies(probs[None], np.array([0]), [0, 1])[0]
 
     def test_matches_explicit_loop_oracle(self):
         rng = make_rng(12)
@@ -136,7 +135,7 @@ def nli_loss_and_grads_loop(batch, encoder, head):
             logits = logits + head.b
         probs = softmax(logits)
         gold = ex.label_index
-        total += mean_cross_entropy(probs[None], np.array([gold]))
+        total += mean_cross_entropies(probs[None], np.array([gold]), [0, 1])[0]
         g = probs.copy()
         g[gold] -= 1.0
         w_grad += np.outer(g, f)
@@ -160,7 +159,7 @@ class TestNliLoss:
         enc = tiny_encoder()
         head = zero_nli_head(enc.dim)
         batch = indexed([NliExample("alpha beta", "gamma", "contradiction")], enc)
-        loss, _ = nli_loss_and_grads(batch, enc, head)
+        loss, _ = loss_one(nli_loss_and_grads, batch, enc, head)
         assert loss == pytest.approx(math.log(3), rel=1e-14)
 
     def test_batch_duplication_keeps_mean(self):
@@ -169,8 +168,8 @@ class TestNliLoss:
         head = NliHead(rng.normal(size=(3, 12)), rng.normal(size=3))
         batch = [NliExample("alpha", "beta gamma", "entailment"),
                  NliExample("delta delta", "alpha", "neutral")]
-        loss_once, _ = nli_loss_and_grads(indexed(batch, enc), enc, head)
-        loss_twice, _ = nli_loss_and_grads(indexed(batch * 2, enc), enc, head)
+        loss_once, _ = loss_one(nli_loss_and_grads, indexed(batch, enc), enc, head)
+        loss_twice, _ = loss_one(nli_loss_and_grads, indexed(batch * 2, enc), enc, head)
         assert loss_twice == pytest.approx(loss_once, rel=1e-14)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
@@ -192,7 +191,7 @@ class TestNliLoss:
             enc, head, batch, _ = random_nli_instance(rng, pooling, batch_max=9)
             if not bias:
                 head = NliHead(head.W, None)
-            loss, grads = nli_loss_and_grads(indexed(batch, enc), enc, head)
+            loss, grads = loss_one(nli_loss_and_grads, indexed(batch, enc), enc, head)
             ref_loss, ref_grads = nli_loss_and_grads_loop(batch, enc, head)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
             assert grads.keys() == ref_grads.keys()
@@ -201,55 +200,14 @@ class TestNliLoss:
                                            atol=1e-13 * np.abs(ref).max(), err_msg=name)
 
     def test_batch_indexed_for_another_vocabulary_rejected(self):
+        # training checks each dataset's vocabulary once; a loss checks the table's size
         enc = tiny_encoder()
-        batch = indexed([NliExample("alpha", "beta", "neutral")], tiny_encoder(seed=1))
+        example = [NliExample("alpha", "beta", "neutral")]
         with pytest.raises(InvalidInputError, match="another vocabulary"):
-            nli_loss_and_grads(batch, enc, zero_nli_head(enc.dim))
-
-
-class TestDefForward:
-    def test_zero_embedding_returns_bias(self):
-        enc = tiny_encoder()
-        head = zero_def_head(enc, tied=False)
-        head.bias[:] = np.arange(len(enc.vocab), dtype=float)
-        np.testing.assert_array_equal(def_forward(np.zeros(enc.dim), head), head.bias)
-
-    def test_tied_logit_is_row_dot_plus_bias(self):
-        enc = tiny_encoder(seed=5)
-        head = zero_def_head(enc, tied=True)
-        head.bias[:] = make_rng(0).normal(size=len(enc.vocab))
-        s = make_rng(1).normal(size=enc.dim)
-        logits = def_forward(s, head)
-        w = enc.vocab.index("beta")
-        assert logits[w] == pytest.approx(float(enc.table[w] @ s) + head.bias[w], rel=1e-12)
-
-    def test_matches_matrix_vector_oracle(self):
-        rng = make_rng(13)
-        enc = tiny_encoder(seed=6)
-        head = WordPredictionHead(rng.normal(size=(len(enc.vocab), enc.dim)),
-                                  rng.normal(size=len(enc.vocab)), tied=False)
-        s = rng.normal(size=enc.dim)
-        oracle = [sum(head.weights[i][j] * s[j] for j in range(enc.dim)) + head.bias[i]
-                  for i in range(len(enc.vocab))]
-        np.testing.assert_allclose(def_forward(s, head), oracle, atol=1e-12)
-
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_batch_rows_match_single_calls(self, tied):
-        rng = make_rng(14)
-        enc = tiny_encoder(seed=7)
-        head = zero_def_head(enc, tied=tied)
-        head.weights[:] = rng.normal(size=head.weights.shape)
-        head.bias[:] = rng.normal(size=len(enc.vocab))
-        S = rng.normal(size=(5, enc.dim))
-        batched = def_forward(S, head)
-        assert batched.shape == (5, len(enc.vocab))
-        for row, s in zip(batched, S):
-            np.testing.assert_allclose(row, def_forward(s, head), rtol=1e-13, atol=0)
-
-    def test_batch_dimension_mismatch(self):
-        head = zero_def_head(tiny_encoder(dim=4))
-        with pytest.raises(InvalidInputError):
-            def_forward(np.ones((2, 3)), head)
+            train(enc, TrainConfig(), nli_data=indexed(example, tiny_encoder(seed=1)))
+        smaller = indexed(example, tiny_encoder(words=("alpha", "beta")))
+        with pytest.raises(InvalidInputError, match="table needs 1 x 4 rows, has 6"):
+            loss_one(nli_loss_and_grads, smaller, enc, zero_nli_head(enc.dim))
 
 
 def def_loss_and_grads_loop(batch, encoder, head):
@@ -263,7 +221,7 @@ def def_loss_and_grads_loop(batch, encoder, head):
         idxs = word_ids(encoder, ex.definition)
         s, argmax = pool_one(encoder, idxs)
         probs = softmax(head.weights @ s + head.bias)
-        total += mean_cross_entropy(probs[None], np.array([gold]))
+        total += mean_cross_entropies(probs[None], np.array([gold]), [0, 1])[0]
         g = probs.copy()
         g[gold] -= 1.0
         out_grad += np.outer(g, s)
@@ -282,14 +240,15 @@ class TestDefLoss:
         enc = ToyEncoder.create(vocab, 3, "mean", seed=0)
         head = WordPredictionHead(np.zeros((4, 3)), np.zeros(4), tied=False)
         batch = indexed([DefinitionExample("yes", "no no")], enc)
-        loss, _ = def_loss_and_grads(batch, enc, head)
+        loss, _ = loss_one(def_loss_and_grads, batch, enc, head)
         assert loss == pytest.approx(math.log(4), rel=1e-14)
 
     def test_oov_headword_rejected(self):
         enc = tiny_encoder()
         head = zero_def_head(enc)
         with pytest.raises(InvalidInputError):
-            def_loss_and_grads(indexed([DefinitionExample("missing", "alpha beta")], enc), enc, head)
+            loss_one(def_loss_and_grads, indexed([DefinitionExample("missing", "alpha beta")], enc),
+                     enc, head)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
     @pytest.mark.parametrize("tied", [True, False])
@@ -308,7 +267,7 @@ class TestDefLoss:
         rng = make_rng(300)
         for _ in range(10):
             enc, head, batch, _ = random_def_instance(rng, pooling, tied, batch_max=9)
-            loss, grads = def_loss_and_grads(indexed(batch, enc), enc, head)
+            loss, grads = loss_one(def_loss_and_grads, indexed(batch, enc), enc, head)
             ref_loss, ref_grads = def_loss_and_grads_loop(batch, enc, head)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
             assert grads.keys() == ref_grads.keys()
@@ -320,13 +279,11 @@ class TestDefLoss:
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
         enc = ToyEncoder.create(vocab, 6, "mean", seed=1)
-        optimizer = Adam({"table": enc.table, "def_bias": np.zeros(len(vocab))})
-        enc.table = optimizer.params["table"]
-        head = WordPredictionHead.tied_to(enc, optimizer.params["def_bias"])
+        optimizer = Adam({"table": enc.table, "def_bias": np.zeros((1, len(vocab)))})
         batch = indexed(defs, enc)
         losses = []
         for _ in range(100):
-            loss, grads = def_loss_and_grads(batch, enc, head)
+            [loss], grads = def_loss_and_grads(batch, "mean", optimizer.params)
             losses.append(loss)
             optimizer.step(grads, 0.05)
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -445,14 +402,11 @@ def test_definition_step_allocates_less_than_a_table():
     defs = [DefinitionExample(f"w{i}", " ".join(f"w{(7 * i + j) % 4998}" for j in range(6)))
             for i in range(8)]
     batch = IndexedDefinitions.build(defs, vocab)
-    stack = SeedStack([encoder])
-    optimizer = Adam({"table": stack.table, "def_bias": np.zeros((1, n_words))})
-    stack.table = optimizer.params["table"]
-    head = WordPredictionHead(stack.table, optimizer.params["def_bias"][0], tied=True)
+    optimizer = Adam({"table": encoder.table, "def_bias": np.zeros((1, n_words))})
     grads = dict(optimizer.grads)
 
     def step():
-        def_loss_and_grads(batch, stack, [head], [len(batch)], grads)
+        def_loss_and_grads(batch, "mean", optimizer.params, [len(batch)], grads)
         optimizer.step(grads, 1e-3)
 
     step()
@@ -462,7 +416,7 @@ def test_definition_step_allocates_less_than_a_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0 < peak < stack.table.nbytes
+    assert 0 < peak < optimizer.params["table"].nbytes
 
 
 class TestLrSchedule:
@@ -586,7 +540,7 @@ def train_sbert_loop(encoder, nli_data, config):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
-            loss, grads = nli_loss_and_grads(data.take(rows), encoder, head)
+            loss, grads = loss_one(nli_loss_and_grads, data.take(rows), encoder, head)
             optimizer.step(grads, lr)
             result.steps.append(StepRecord("nli", loss, lr))
     return result
@@ -609,7 +563,7 @@ def train_defsent_loop(encoder, def_data, config):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
-            loss, grads = def_loss_and_grads(data.take(rows), encoder, head)
+            loss, grads = loss_one(def_loss_and_grads, data.take(rows), encoder, head)
             optimizer.step(grads, lr)
             result.steps.append(StepRecord("def", loss, lr))
     return result
@@ -643,7 +597,8 @@ class TestTrainMatchesLoopOracle:
             enc_loop = ToyEncoder.create(vocab, 4, pooling, seed=5)
             enc_train = ToyEncoder.create(vocab, 4, pooling, seed=5)
             expected = oracle(enc_loop, next(iter(data.values())), config)
-            result = train(enc_train, config, **data)
+            result = train(enc_train, config,
+                           **{key: indexed(examples, enc_train) for key, examples in data.items()})
             assert len(result.steps) > 2 * 5
             assert result.steps == expected.steps
             np.testing.assert_array_equal(enc_train.table, enc_loop.table)
@@ -657,7 +612,7 @@ class TestTrainSbert:
     def test_zero_epochs_unchanged(self):
         enc = tiny_encoder()
         before = enc.table.copy()
-        result = train(enc, TrainConfig(epochs=0), nli_data=_nli(10))
+        result = train(enc, TrainConfig(epochs=0), nli_data=indexed(_nli(10), enc))
         assert result.steps == []
         np.testing.assert_array_equal(enc.table, before)
 
@@ -666,7 +621,7 @@ class TestTrainSbert:
         nli = make_nli_corpus(rng, 480, n_topics=4, words_per_topic=12, sentence_len=4)
         texts = [e.premise for e in nli] + [e.hypothesis for e in nli]
         enc = ToyEncoder.create(build_vocab(texts), 8, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, base_lr=1e-2, epochs=3), nli_data=nli)
+        result = train(enc, TrainConfig(seed=0, base_lr=1e-2, epochs=3), nli_data=indexed(nli, enc))
         final = float(np.mean(result.losses[-10:]))
         assert final < 0.5 * result.losses[0]
 
@@ -678,7 +633,7 @@ class TestTrainSbert:
         runs = []
         for _ in range(2):
             enc = ToyEncoder.create(vocab, 6, "mean", seed=4)
-            result = train(enc, TrainConfig(seed=4, epochs=2), nli_data=nli)
+            result = train(enc, TrainConfig(seed=4, epochs=2), nli_data=indexed(nli, enc))
             runs.append((enc.table.copy(), result.nli_head.W.copy(), result.losses))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -690,7 +645,7 @@ class TestTrainDefsent:
         enc = tiny_encoder()
         before = enc.table.copy()
         defs = [DefinitionExample("alpha", "beta gamma")]
-        result = train(enc, TrainConfig(epochs=0), def_data=defs)
+        result = train(enc, TrainConfig(epochs=0), def_data=indexed(defs, enc))
         assert result.steps == []
         np.testing.assert_array_equal(enc.table, before)
 
@@ -698,27 +653,26 @@ class TestTrainDefsent:
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
         enc = ToyEncoder.create(vocab, 6, "mean", seed=2)
-        result = train(enc, TrainConfig(seed=0, base_lr=0.05, epochs=20, batch_size=4), def_data=defs * 4)
-        correct = sum(
-            int(np.argmax(def_forward(enc.embed(ex.definition), result.def_head))
-                == enc.vocab.index(ex.word))
-            for ex in defs
-        )
-        assert correct / len(defs) >= 0.9
+        result = train(enc, TrainConfig(seed=0, base_lr=0.05, epochs=20, batch_size=4),
+                       def_data=indexed(defs * 4, enc))
+        head = result.def_head
+        logits = enc.embed_batch([ex.definition for ex in defs]) @ head.weights.T + head.bias
+        golds = [enc.vocab.index(ex.word) for ex in defs]
+        assert np.mean(logits.argmax(axis=1) == golds) >= 0.9
 
     def test_oov_headwords_dropped_not_fatal(self, caplog):
         enc = tiny_encoder()
         defs = [DefinitionExample("alpha", "beta gamma"),
                 DefinitionExample("unseen", "alpha beta")]
         with caplog.at_level("INFO"):
-            result = train(enc, TrainConfig(epochs=1, batch_size=2), def_data=defs)
+            result = train(enc, TrainConfig(epochs=1, batch_size=2), def_data=indexed(defs, enc))
         assert len(result.steps) == 1
         assert any("dropped 1" in m for m in caplog.messages)
 
     def test_all_oov_is_error(self):
         enc = tiny_encoder()
         with pytest.raises(InvalidInputError):
-            train(enc, TrainConfig(), def_data=[DefinitionExample("unseen", "alpha")])
+            train(enc, TrainConfig(), def_data=indexed([DefinitionExample("unseen", "alpha")], enc))
 
     def test_same_seed_bit_identical(self):
         rng = make_rng(11)
@@ -727,7 +681,7 @@ class TestTrainDefsent:
         tables = []
         for _ in range(2):
             enc = ToyEncoder.create(vocab, 5, "mean", seed=8)
-            train(enc, TrainConfig(seed=8, epochs=2), def_data=defs)
+            train(enc, TrainConfig(seed=8, epochs=2), def_data=indexed(defs, enc))
             tables.append(enc.table.copy())
         np.testing.assert_array_equal(tables[0], tables[1])
 
@@ -745,7 +699,8 @@ class TestTrainMulti:
         rng = make_rng(12)
         nli, defs, vocab = self._data(rng, 40 * 4)  # 40 batches of 4 -> 2 whole cycles
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs)
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
+                       indexed(defs, enc))
         assert len(result.steps) == 40
         assert result.stream_pattern() == [("nli", 19), ("def", 1), ("nli", 19), ("def", 1)]
 
@@ -754,7 +709,8 @@ class TestTrainMulti:
         nli, defs, vocab = self._data(rng, 6 * 4)
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
         schedule = MultiSchedule(nli_steps_per_cycle=1, def_steps_per_cycle=1)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs, schedule)
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
+                       indexed(defs, enc), schedule)
         # 6 nominal steps -> 3 whole (1,1) cycles
         streams = [s.stream for s in result.steps]
         assert streams == ["nli", "def"] * 3
@@ -763,7 +719,8 @@ class TestTrainMulti:
         rng = make_rng(14)
         nli, defs, vocab = self._data(rng, 5 * 4)  # 5 nli batches -> rounded up to 20 steps
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs)
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
+                       indexed(defs, enc))
         assert len(result.steps) == 20
         assert result.stream_pattern() == [("nli", 19), ("def", 1)]
 
@@ -772,6 +729,7 @@ class TestTrainMulti:
         nli, defs, vocab = self._data(rng, 60 * 4)  # 3 cycles -> 3 def steps
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
         defs = defs[:4]  # a single def batch per pass
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), nli, defs)
+        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
+                       indexed(defs, enc))
         def_steps = [s for s in result.steps if s.stream == "def"]
         assert len(def_steps) == 3  # consumed once per cycle, wrapping each pass
