@@ -68,6 +68,8 @@ def parse_seed_list(text: str) -> list[int]:
     except ValueError:
         raise InvalidInputError(f"seed list {text!r}: seeds must be integers") from None
     for i, seed in enumerate(seeds):
+        if seed < 0:
+            raise InvalidInputError(f"seed list {text!r}: seeds must be >= 0")
         if seed in seeds[:i]:
             raise InvalidInputError(f"duplicate seed {seed}")
     return seeds
@@ -154,7 +156,7 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
     if getattr(args, "seeds", None) is not None:
         cfg.seeds = parse_seed_list(args.seeds)
     if getattr(args, "seed", None) is not None:
-        cfg.seeds = [args.seed]
+        cfg.seeds = parse_seed_list(str(args.seed))
     if cfg.method not in METHODS:
         raise InvalidInputError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
     return cfg

@@ -164,28 +164,69 @@ class TokenIndex:
         return TokenIndex(self.ids[gather], offsets, None if self.cls is None else self.cls[rows])
 
 
-def scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray,
-                value_rows: np.ndarray | None = None) -> None:
-    """``np.add.at(target, rows, values)`` on a 2-D target, as one ``np.bincount``.
+class ScatterTerms:
+    """Terms to add into the rows of a 2-D array, the whole of it or a range of rows at a time.
 
     ``rows`` names a target row for each row of ``values``, or, shaped like
     ``values``, one for each entry, which keeps its column.  With
     ``value_rows`` the row added at ``rows[i]`` is ``values[value_rows[i]]``.
-    Only the touched rows are binned (:func:`row_sums`), so nothing
-    target-sized is allocated.  Unless they are all +0.0 (a cleared
-    gradient), their current values are binned first, so every entry is the
-    sum add.at forms, in its order: the target value, then the terms in
-    input order.
     """
-    # the touched rows, ascending, and each row's place among them
-    place = np.zeros(target.shape[0] + 1, dtype=np.intp)
-    place[rows.ravel() + 1] = 1
-    touched = np.flatnonzero(place[1:])
-    np.cumsum(place, out=place)
-    start = target[touched]
-    seeded = start.view(np.int64).any()  # +0.0 is the only all-zero bit pattern
-    target[touched] = row_sums(place[rows], touched.shape[0], values, value_rows,
-                               start if seeded else None)
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, value_rows: np.ndarray | None = None):
+        self.rows = rows
+        self.values = values
+        self.value_rows = value_rows
+        self._sorted = None
+
+    def add_to(self, target: np.ndarray, first_row: int = 0, zeroed: bool = False) -> None:
+        """Add the terms of rows ``first_row`` onward into ``target``, which holds those rows.
+
+        Every entry becomes the sum ``np.add.at`` forms, in its order: the
+        target value, then the terms in input order, signed zeros included.
+        ``zeroed`` says that the target is all +0.0, so its values are not read.
+        Only the touched rows are binned (:func:`row_sums`), so nothing
+        target-sized is allocated.
+        """
+        if first_row == 0 and self.rows.max() < target.shape[0]:
+            # every term lands in the target: a term's place is its row's rank among the touched rows
+            place = np.zeros(target.shape[0] + 1, dtype=np.intp)
+            place[self.rows.ravel() + 1] = 1
+            touched = np.flatnonzero(place[1:])
+            np.cumsum(place, out=place)
+            target[touched] = row_sums(place[self.rows], touched.shape[0], self.values,
+                                       self.value_rows, None if zeroed else target[touched])
+            return
+        # a range of rows: its terms are one run of the terms sorted by key (row, or entry)
+        keys, places, touched, values, value_rows, keys_per_row = self._by_key()
+        region = target.reshape(-1, values.shape[1])
+        lo, hi = np.searchsorted(keys, (first_row * keys_per_row,
+                                        (first_row + target.shape[0]) * keys_per_row))
+        if lo == hi:
+            return
+        p0, p1 = places[lo], places[hi - 1] + 1
+        touched = touched[p0:p1] - first_row * keys_per_row
+        region[touched] = row_sums(places[lo:hi] - p0, p1 - p0, values, value_rows[lo:hi],
+                                   None if zeroed else region[touched])
+
+    def _by_key(self) -> tuple:
+        """(keys, places, touched keys, values, value rows, keys per row), sorted by key once."""
+        if self._sorted is None:
+            values = self.values
+            if self.rows.ndim == 1:  # a key per term row: its target row
+                keys, keys_per_row = self.rows, 1
+            else:  # a key per entry: its place in the flattened target
+                keys_per_row = values.shape[1]
+                keys = (self.rows.astype(np.intp) * keys_per_row + np.arange(keys_per_row)).ravel()
+                values = values.reshape(-1, 1)
+            order = np.argsort(keys, kind="stable")  # a key's terms stay in input order
+            keys = keys[order]
+            first = np.empty(order.shape[0], dtype=bool)
+            first[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            places = np.cumsum(first) - 1  # each term's place among the touched keys
+            value_rows = order if self.value_rows is None else self.value_rows[order]
+            self._sorted = (keys, places, keys[first], values, value_rows, keys_per_row)
+        return self._sorted
 
 
 def row_sums(places: np.ndarray, n_rows: int, values: np.ndarray,
@@ -264,22 +305,21 @@ def pool_forward(table: np.ndarray, pooling: str,
 
 
 def pool_backward(pooling: str, index: TokenIndex, argmax_rows: np.ndarray | None,
-                  grad_out: np.ndarray, table_grad: np.ndarray) -> None:
-    """Add the table gradient of :func:`pool_forward` for ``grad_out`` into ``table_grad``.
+                  grad_out: np.ndarray) -> ScatterTerms:
+    """The table gradient of :func:`pool_forward` for ``grad_out``, as terms to scatter.
 
-    One :func:`scatter_add` for the whole index: a row that several
-    positions share sums their contributions in text order.
+    A row that several positions share sums their contributions in text order.
     """
     if pooling == "cls":
-        scatter_add(table_grad, index.cls_rows(), grad_out)
-    elif pooling == "mean":
+        return ScatterTerms(index.cls_rows(), grad_out)
+    if pooling == "mean":
         # bincount takes one weight per term, so each word position's
         # share of its text's gradient is laid out once, as its weights
         sizes = index.lengths
-        scatter_add(table_grad, index.ids, grad_out / sizes[:, None],
-                    np.repeat(np.arange(len(index)), sizes))
-    else:  # max: each coordinate's gradient goes to the row that produced the max
-        scatter_add(table_grad, argmax_rows, grad_out)
+        return ScatterTerms(index.ids, grad_out / sizes[:, None],
+                            np.repeat(np.arange(len(index)), sizes))
+    # max: each coordinate's gradient goes to the row that produced the max
+    return ScatterTerms(argmax_rows, grad_out)
 
 
 class TokenCache:

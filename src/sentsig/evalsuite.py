@@ -243,6 +243,8 @@ class ProbeConfig:
             raise InvalidInputError("probe epochs must be >= 0")
         if self.lr <= 0.0:
             raise InvalidInputError("probe lr must be positive")
+        if self.seed < 0:
+            raise InvalidInputError("probe seed must be >= 0")
 
 
 def load_probe_task(path, name: str | None = None) -> ProbeTask:

@@ -21,6 +21,8 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; the same seed yields the same stream everywhere."""
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
@@ -103,15 +105,19 @@ def spearman(x, y) -> float:
     return pearson(ranks_with_ties(x), ranks_with_ties(y))
 
 
-def softmax(logits) -> np.ndarray:
+def softmax(logits, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable softmax (max logit subtracted before exponentiation).
 
-    A matrix is normalised row by row.
+    A matrix is normalised row by row.  The result is written into ``out``
+    when it is given, which may be ``logits`` itself; no other array of
+    that size is made.
     """
     z = np.asarray(logits, dtype=np.float64)
     z = as_matrix(z) if z.ndim == 2 else as_vector(z)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def mean_cross_entropies(probs: np.ndarray, golds: np.ndarray, bounds: Sequence[int]) -> list[float]:

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DefinitionExample, NliExample, tokenize
-from .encoder import CLS_INDEX, MAX_TOKENS, TokenIndex, ToyEncoder, Vocabulary, pool_backward, pool_forward
+from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenIndex, ToyEncoder, Vocabulary, pool_backward,
+                      pool_forward)
 from .errors import InvalidInputError
 from .numstat import make_rng, mean_cross_entropies, softmax
 
@@ -236,9 +237,59 @@ def _divide_by_seed(counts: list[int], *grads: np.ndarray) -> None:
         blocks /= divisors
 
 
+class TableGradient:
+    """The gradient of a stacked (seeds·V, d) table, made a range of rows at a time.
+
+    Seed k's block of V rows is (G_k^T S_k + the pooling's terms) / n_k,
+    summed in that order: ``head`` = (G, S) holds the softmax gradients and
+    the pooled rows of every seed's examples, seed k's at rows
+    ``bounds[k]:bounds[k + 1]``, and n_k is their count.  Without ``head``
+    the sum starts at +0.0 (a table that only the pooling reaches), and
+    without ``terms`` (a :class:`ScatterTerms`) it is the head product alone
+    (the weights of an untied head).  :meth:`fill` makes any range of rows,
+    so nothing table-sized is held; ``np.asarray`` makes the whole gradient.
+    """
+
+    def __init__(self, shape: tuple[int, int], bounds: np.ndarray,
+                 head: tuple[np.ndarray, np.ndarray] | None = None, terms: ScatterTerms | None = None):
+        self.shape = shape
+        self.bounds = bounds
+        self.head = head
+        self.terms = terms
+        self.n_words = shape[0] // (len(bounds) - 1)
+
+    def fill(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write rows ``lo:hi`` of the gradient into ``out`` (hi - lo, d)."""
+        n = self.n_words
+        blocks = [(k, max(lo, k * n), min(hi, (k + 1) * n)) for k in range(lo // n, (hi - 1) // n + 1)]
+        if self.head is None:
+            out[...] = 0.0
+        else:
+            for k, a, b in blocks:
+                self._head_rows(k, a - k * n, b - k * n, out[a - lo : b - lo])
+        if self.terms is not None:
+            self.terms.add_to(out, lo, zeroed=self.head is None)
+        for k, a, b in blocks:
+            out[a - lo : b - lo] /= self.bounds[k + 1] - self.bounds[k]
+
+    def _head_rows(self, k: int, r0: int, r1: int, out: np.ndarray) -> None:
+        """Rows ``r0:r1`` of G_k^T S_k, rounded as the product of the whole block rounds them."""
+        G, S = self.head
+        rows = slice(self.bounds[k], self.bounds[k + 1])
+        if r1 - r0 > 1:
+            np.matmul(G[rows, r0:r1].T, S[rows], out=out)
+        else:  # a one-row product goes through gemv, which rounds unlike gemm
+            a = min(r0, G.shape[1] - 2)
+            out[...] = (G[rows, a : a + 2].T @ S[rows])[r0 - a]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty(self.shape)
+        self.fill(0, self.shape[0], out)
+        return out if dtype is None else out.astype(dtype)
+
+
 def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.ndarray],
-                       counts: Sequence[int] | None = None,
-                       out: dict[str, np.ndarray] | None = None):
+                       counts: Sequence[int] | None = None):
     """Each seed's mean cross-entropy over its examples, and the gradients.
 
     ``params`` holds the seeds' parameters stacked as :class:`Adam` holds
@@ -250,13 +301,13 @@ def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.nda
     One pooling call embeds premises and hypotheses as U and V (B x d); the
     feature F = [U; V; |U - V|] (B x 3d) goes through each seed's head and
     a row-wise softmax gives G = P - onehot(gold).  The gradients are G^T F
-    for W, the column sums of G for b and G W for F, which one scatter
-    routes back into the table.  The absolute-value feature uses subgradient
-    0 at exact zeros.  Pooling, the softmax and the scatter run once for all
-    seeds and the head products on each seed's own rows, so each seed's loss
-    and gradients are those of its examples alone.  The result is the list
-    of losses and the gradients keyed like ``params``, written into ``out``
-    when it is given.
+    for W, the column sums of G for b and G W for F, which the pooling's
+    scatter terms route back into the table.  The absolute-value feature
+    uses subgradient 0 at exact zeros.  Pooling, the softmax and the scatter
+    run once for all seeds and the head products on each seed's own rows,
+    so each seed's loss and gradients are those of its examples alone.  The
+    result is the list of losses and the gradients keyed like ``params``:
+    arrays for the heads and a :class:`TableGradient` for the table.
     """
     if not len(batch):
         raise InvalidInputError("empty NLI batch")
@@ -265,9 +316,7 @@ def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.nda
     m, d = len(batch), table.shape[1]
     if W.shape[1:] != (3, 3 * d):
         raise InvalidInputError(f"head weights {W.shape[1:]} do not fit feature dim {3 * d}")
-    if out is None:
-        out = {name: np.empty_like(params[name]) for name in ("table", "nli_W", "nli_b")
-               if name in params}
+    grads = {name: np.empty_like(params[name]) for name in ("nli_W", "nli_b") if name in params}
     pooled, argmax_rows = pool_forward(table, pooling, batch.texts)
     U, V = pooled[:m], pooled[m:]
     diff = U - V
@@ -277,42 +326,42 @@ def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.nda
         np.matmul(F[lo:hi], W[k].T, out=logits[lo:hi])
         if b is not None:
             logits[lo:hi] += b[k]
-    G = softmax(logits)  # P now; P - onehot(gold) after the loss is read
+    G = softmax(logits, out=logits)  # P now; P - onehot(gold) after the loss is read
     losses = mean_cross_entropies(G, batch.labels, bounds.tolist())
     G[np.arange(m), batch.labels] -= 1.0
     dF = np.empty_like(F)
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.matmul(G[lo:hi].T, F[lo:hi], out=out["nli_W"][k])
+        np.matmul(G[lo:hi].T, F[lo:hi], out=grads["nli_W"][k])
         if b is not None:
-            np.sum(G[lo:hi], axis=0, out=out["nli_b"][k])
+            np.sum(G[lo:hi], axis=0, out=grads["nli_b"][k])
         np.matmul(G[lo:hi], W[k], out=dF[lo:hi])
+    _divide_by_seed(counts, *grads.values())
     dabs = np.sign(diff) * dF[:, 2 * d :]
     dpooled = np.empty_like(pooled)
     np.add(dF[:, :d], dabs, out=dpooled[:m])
     np.subtract(dF[:, d : 2 * d], dabs, out=dpooled[m:])
-    out["table"].fill(0.0)
-    pool_backward(pooling, batch.texts, argmax_rows, dpooled, out["table"])
-    _divide_by_seed(counts, *out.values())
-    return losses, out
+    grads["table"] = TableGradient(table.shape, bounds,
+                                   terms=pool_backward(pooling, batch.texts, argmax_rows, dpooled))
+    return losses, grads
 
 
 def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str, np.ndarray],
-                       counts: Sequence[int] | None = None,
-                       out: dict[str, np.ndarray] | None = None):
+                       counts: Sequence[int] | None = None):
     """Each seed's mean cross-entropy of headword prediction, and the gradients.
 
     ``params`` holds ``table`` (seeds·V, d), ``def_bias`` (seeds, V) and,
     for an untied head, ``def_W`` (seeds·V, d); without ``def_W`` the head
-    is tied to the table.  ``counts``, ``out`` and the result are as for
-    :func:`nli_loss_and_grads`.
+    is tied to the table.  ``counts`` and the result are as for
+    :func:`nli_loss_and_grads`; ``def_W``'s gradient is a
+    :class:`TableGradient` too.
 
     The head runs once per batch: the pooled definitions are stacked into
     S (B x d), a row-wise softmax of the logits S W^T + bias gives
     G = P - onehot(gold), and the gradients are G^T S for the weights, the
-    column sums of G for the bias and G W for S, which one scatter routes
-    back into the table.  Every headword must be a vocabulary entry.  With a
-    tied head the table gradient accumulates both the encoder path and the
-    output-layer path.
+    column sums of G for the bias and G W for S, which the pooling's
+    scatter terms route back into the table.  Every headword must be a
+    vocabulary entry.  With a tied head the table gradient sums the
+    output-layer path and then the encoder path.
     """
     if not len(batch):
         raise InvalidInputError("empty definition batch")
@@ -323,29 +372,27 @@ def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str
     counts, bounds = _per_seed(batch, bias.shape[0], table, counts)
     m, (n_seeds, n_words), d = len(batch), bias.shape, table.shape[1]
     weights = (table if tied else params["def_W"]).reshape(n_seeds, n_words, d)
-    if out is None:
-        out = {name: np.empty_like(params[name]) for name in ("table", "def_W", "def_bias")
-               if name in params}
     S, argmax_rows = pool_forward(table, pooling, batch.texts)
     logits = np.empty((m, n_words))
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         np.matmul(S[lo:hi], weights[k].T, out=logits[lo:hi])
         logits[lo:hi] += bias[k]
-    G = softmax(logits)  # P now; P - onehot(gold) after the loss is read
+    G = softmax(logits, out=logits)  # P now; P - onehot(gold) after the loss is read
     losses = mean_cross_entropies(G, batch.golds, bounds.tolist())
     G[np.arange(m), batch.golds] -= 1.0
-    # tied: the encoder path accumulates onto the output-layer gradient of the same table
-    out_grad = out["table" if tied else "def_W"].reshape(n_seeds, n_words, d)
+    grads = {"def_bias": np.empty_like(bias)}
     dS = np.empty_like(S)
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.matmul(G[lo:hi].T, S[lo:hi], out=out_grad[k])
-        np.sum(G[lo:hi], axis=0, out=out["def_bias"][k])
+        np.sum(G[lo:hi], axis=0, out=grads["def_bias"][k])
         np.matmul(G[lo:hi], weights[k], out=dS[lo:hi])
-    if not tied:
-        out["table"].fill(0.0)
-    pool_backward(pooling, batch.texts, argmax_rows, dS, out["table"])
-    _divide_by_seed(counts, *out.values())
-    return losses, out
+    _divide_by_seed(counts, grads["def_bias"])
+    terms = pool_backward(pooling, batch.texts, argmax_rows, dS)
+    if tied:
+        grads["table"] = TableGradient(table.shape, bounds, (G, S), terms)
+    else:
+        grads["table"] = TableGradient(table.shape, bounds, terms=terms)
+        grads["def_W"] = TableGradient(table.shape, bounds, (G, S))
+    return losses, grads
 
 
 # ---------------------------------------------------------------------------
@@ -353,21 +400,24 @@ def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction over one flat buffer of parameters.
+    """Adam with bias correction over flat buffers of parameters and moments.
 
     The parameters are laid out one after another in the order given and
-    their values are copied in: ``params``, ``grads``, ``m`` and ``v`` hold
-    views of each one's slice of the flat parameter, gradient and moment
-    buffers, and callers read and write the parameters through ``params``.
-    The gradient and moment buffers are made when first used, so a caller
-    that moves its arrays into ``params`` can drop its own copies first.
+    their values are copied in: ``params``, ``m`` and ``v`` hold views of
+    each one's slice of the flat parameter and moment buffers, and callers
+    read and write the parameters through ``params``.  The moment buffers
+    are made when first used, so a caller that moves its arrays into
+    ``params`` can drop its own copies first.
 
     A call to :meth:`step` touches only the parameters named in ``grads``
-    (multi-task streams update disjoint heads).  Each parameter keeps its
+    (multi-task streams update disjoint heads).  A gradient is an array
+    shaped like its parameter or a :class:`TableGradient`, which is made
+    chunk by chunk: there is no gradient buffer.  Each parameter keeps its
     own step counter for bias correction; neighbours in the buffer with
-    equal counts update as one slice, each elementwise pass running over a
-    cache-sized chunk at a time.  The update allocates nothing: its
-    temporaries live in one chunk-sized scratch buffer.
+    equal counts update as one slice, a cache-sized chunk at a time, and a
+    chunk ends on a row boundary of a :class:`TableGradient`.  Each chunk's
+    gradient is written into one chunk-sized scratch and its temporaries
+    into another, so a step allocates nothing table-sized.
     """
 
     CHUNK = 1 << 15  # elements per pass: a chunk of the five arrays stays in cache
@@ -384,57 +434,84 @@ class Adam:
             self._slices[name] = slice(size, size + p.size)
             self._shapes[name] = p.shape
             size += p.size
-        self._flat = [np.empty(size)]  # parameters, then gradients and both moments
+        self._flat = [np.empty(size)]  # parameters, then both moments
         self.params = self._views(self._flat[0])
         for name, p in params.items():
             self.params[name][...] = p
-        self._state: list[dict[str, np.ndarray]] = []
-        self._scratch = np.empty(min(size, self.CHUNK))
+        self._moments: list[dict[str, np.ndarray]] = []
+        self._scratch = np.empty((2, min(size, self.CHUNK)))  # a chunk's gradient and temporaries
         self.t = {k: 0 for k in params}
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         return {name: flat[sl].reshape(self._shapes[name]) for name, sl in self._slices.items()}
 
-    def _gradients_and_moments(self) -> list[dict[str, np.ndarray]]:
-        if not self._state:
-            for _ in range(3):
+    def _moment_views(self) -> list[dict[str, np.ndarray]]:
+        if not self._moments:
+            for _ in range(2):
                 self._flat.append(np.zeros(self._flat[0].shape[0]))
-                self._state.append(self._views(self._flat[-1]))
-        return self._state
-
-    @property
-    def grads(self) -> dict[str, np.ndarray]:
-        return self._gradients_and_moments()[0]
+                self._moments.append(self._views(self._flat[-1]))
+        return self._moments
 
     @property
     def m(self) -> dict[str, np.ndarray]:
-        return self._gradients_and_moments()[1]
+        return self._moment_views()[0]
 
     @property
     def v(self) -> dict[str, np.ndarray]:
-        return self._gradients_and_moments()[2]
+        return self._moment_views()[1]
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
-        spans = []  # [step count, start, stop] of neighbours with equal counts
+    def step(self, grads: dict[str, np.ndarray | TableGradient], lr: float) -> None:
+        spans = []  # [step count, start, stop, [(slice, flat gradient or TableGradient)]]
         for name in sorted(grads, key=lambda n: self._slices[n].start):
-            g, view, sl = grads[name], self.grads[name], self._slices[name]
-            if g is not view:
-                if g.shape != view.shape:
-                    raise InvalidInputError(
-                        f"gradient shape {g.shape} does not match parameter {name} {view.shape}")
-                view[...] = g
+            g, shape, sl = grads[name], self._shapes[name], self._slices[name]
+            if g.shape != shape:
+                raise InvalidInputError(
+                    f"gradient shape {g.shape} does not match parameter {name} {shape}")
             self.t[name] += 1
+            part = (sl, g if isinstance(g, TableGradient) else g.reshape(-1))
             if spans and spans[-1][0] == self.t[name] and spans[-1][2] == sl.start:
                 spans[-1][2] = sl.stop
+                spans[-1][3].append(part)
             else:
-                spans.append([self.t[name], sl.start, sl.stop])
-        for t, start, stop in spans:
-            for lo in range(start, stop, self.CHUNK):
-                self._update(slice(lo, min(lo + self.CHUNK, stop)), t, lr)
+                spans.append([self.t[name], sl.start, sl.stop, [part]])
+        self._moment_views()  # made on the first step
+        for t, start, stop, parts in spans:
+            lo = start
+            while lo < stop:
+                hi = self._chunk_end(lo, min(lo + self.CHUNK, stop), parts)
+                if hi - lo > self._scratch.shape[1]:  # a table row longer than a chunk
+                    self._scratch = np.empty((2, hi - lo))
+                self._fill(lo, hi, parts)
+                self._update(slice(lo, hi), t, lr)
+                lo = hi
+
+    @staticmethod
+    def _chunk_end(lo: int, hi: int, parts: list) -> int:
+        """``hi``, moved back to a row boundary if it falls inside a row of a :class:`TableGradient`."""
+        for sl, source in parts:
+            if sl.start < hi < sl.stop and isinstance(source, TableGradient):
+                row = (sl.stop - sl.start) // source.shape[0]
+                end = hi - (hi - sl.start) % row
+                return end if end > lo else lo + row
+        return hi
+
+    def _fill(self, lo: int, hi: int, parts: list) -> None:
+        """Write the gradient of buffer entries ``lo:hi`` into the first scratch row."""
+        g = self._scratch[0, : hi - lo]
+        for sl, source in parts:
+            a, b = max(lo, sl.start), min(hi, sl.stop)
+            if a >= b:
+                continue
+            if isinstance(source, TableGradient):
+                row = (sl.stop - sl.start) // source.shape[0]
+                source.fill((a - sl.start) // row, (b - sl.start) // row,
+                            g[a - lo : b - lo].reshape(-1, row))
+            else:
+                g[a - lo : b - lo] = source[a - sl.start : b - sl.start]
 
     def _update(self, sl: slice, t: int, lr: float) -> None:
-        p, g, m, v = (flat[sl] for flat in self._flat)
-        s = self._scratch[: sl.stop - sl.start]
+        p, m, v = (flat[sl] for flat in self._flat)
+        g, s = self._scratch[0, : sl.stop - sl.start], self._scratch[1, : sl.stop - sl.start]
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=s)
         m += s
@@ -569,8 +646,11 @@ def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[i
     A group holds as many seeds as fit their (``n_words``, ``dim``) tables
     in ``LOCKSTEP_BYTES``, and at least one.  Lockstep saves each step's
     fixed costs, which dominate only while the tables are small; each seed
-    in a group holds about four table-sized buffers while the group trains.
+    in a group holds three table-sized buffers while the group trains (six
+    with an untied head): parameters and both Adam moments.
     """
+    if dim < 1:
+        raise InvalidInputError("embedding dimension must be >= 1")
     size = max(1, LOCKSTEP_BYTES // (n_words * dim * 8))
     return [list(seeds[lo : lo + size]) for lo in range(0, len(seeds), size)]
 
@@ -603,10 +683,11 @@ def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: Tr
     over the stacked (seeds·V, d) table, and one Adam step updates every
     seed; each seed's table, heads and step records are exactly those of
     training it alone.  The encoders' tables become views of the optimizer's
-    parameter buffer, and training holds about four table-sized buffers per
-    seed: parameters, gradients and both moments (:func:`lockstep_groups`
-    bounds the seeds trained together).  The results' heads have their own
-    arrays.
+    parameter buffer, and training holds three table-sized buffers per seed:
+    parameters and both moments (six with an untied head); a table's
+    gradient is made chunk by chunk inside the Adam step
+    (:class:`TableGradient`), and :func:`lockstep_groups` bounds the seeds
+    trained together.  The results' heads have their own arrays.
     """
     if nli_data is None and def_data is None:
         raise InvalidInputError("training needs an NLI or a definition dataset")
@@ -639,15 +720,14 @@ def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: Tr
     for k, encoder in enumerate(encoders):
         encoder.table = params["table"][k * n_words : (k + 1) * n_words]
 
-    streams = []  # (name, data, loss function, parameter names)
+    streams = []  # (name, data, loss function)
     if nli_data is not None:
-        streams.append(("nli", nli_data, nli_loss_and_grads, ("nli_W", "nli_b", "table")))
+        streams.append(("nli", nli_data, nli_loss_and_grads))
     if def_data is not None:
-        streams.append(("def", _drop_oov_definitions(def_data), def_loss_and_grads,
-                        ("table", "def_W", "def_bias")))
+        streams.append(("def", _drop_oov_definitions(def_data), def_loss_and_grads))
     records = _run_lockstep(first.pooling, n_words, optimizer, streams,
                             [make_rng(seed) for seed in seeds], config, schedule)
-    del optimizer  # frees the gradient and moment buffers before the heads are copied
+    del optimizer  # frees the moment buffers before the heads are copied
 
     # copies, so that the parameter buffer goes once a later stage moves the tables
     results = []
@@ -668,11 +748,8 @@ def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: Tr
 def _run_lockstep(pooling: str, n_words: int, optimizer: Adam, streams: list, rngs: list,
                   config: TrainConfig, schedule: MultiSchedule) -> list[list[StepRecord]]:
     """Run :func:`train_seeds`' steps; each seed's step records."""
-    cycle = []  # (name, each seed's batches, data, loss function, gradients)
-    for name, data, loss_and_grads, param_names in streams:
-        grads = {p: optimizer.grads[p] for p in param_names if p in optimizer.grads}
-        cycle.append((name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads,
-                      grads))
+    cycle = [(name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads)
+             for name, data, loss_and_grads in streams]  # (name, each seed's batches, ...)
     nominal = config.epochs * cycle[0][1][0].batches_per_pass
     if len(cycle) == 2:
         cycle = [cycle[0]] * schedule.nli_steps_per_cycle + [cycle[1]] * schedule.def_steps_per_cycle
@@ -681,11 +758,12 @@ def _run_lockstep(pooling: str, n_words: int, optimizer: Adam, streams: list, rn
     for step in range(1, total_steps + 1):
         lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                    config.lr_decay)
-        name, batches, data, loss_and_grads, grads = cycle[(step - 1) % len(cycle)]
+        name, batches, data, loss_and_grads = cycle[(step - 1) % len(cycle)]
         rows = [seed_batches.next_rows() for seed_batches in batches]
-        losses, _ = loss_and_grads(_lockstep_batch(data, rows, n_words), pooling, optimizer.params,
-                                   [len(r) for r in rows], grads)
+        losses, grads = loss_and_grads(_lockstep_batch(data, rows, n_words), pooling,
+                                       optimizer.params, [len(r) for r in rows])
         optimizer.step(grads, lr)
+        del grads  # the softmax gradient it holds goes before the next loss call
         for seed_records, loss in zip(records, losses):
             seed_records.append(StepRecord(name, loss, lr))
     return records

@@ -70,7 +70,8 @@ _STACKED = ("nli_W", "nli_b", "def_bias")  # the losses stack these over the see
 def loss_one(loss_fn, batch, encoder, head):
     """(loss, gradients) of one seed: the stacked loss over views of the encoder's and head's arrays.
 
-    The gradients are keyed as the losses key them and shaped like the arrays they belong to.
+    The gradients are keyed as the losses key them, made whole as arrays and
+    shaped like the arrays they belong to.
     """
     if isinstance(head, NliHead):
         arrays = {"nli_W": head.W, "nli_b": head.b}
@@ -79,7 +80,7 @@ def loss_one(loss_fn, batch, encoder, head):
     arrays = {"table": encoder.table, **{k: a for k, a in arrays.items() if a is not None}}
     params = {k: a[None] if k in _STACKED else a for k, a in arrays.items()}
     [loss], grads = loss_fn(batch, encoder.pooling, params)
-    return loss, {k: g.reshape(arrays[k].shape) for k, g in grads.items()}
+    return loss, {k: np.asarray(g).reshape(arrays[k].shape) for k, g in grads.items()}
 
 
 def indexed(batch, encoder):

@@ -81,3 +81,21 @@ def pool_backward_add_at(pooling, index, argmax_rows, grad_out, table_grad):
         np.add.at(table_grad, index.ids, np.repeat(grad_out / sizes[:, None], sizes, axis=0))
     else:
         np.add.at(table_grad, (argmax_rows, np.arange(grad_out.shape[1])), grad_out)
+
+
+def dense_table_gradient(shape, bounds, head, pooling, index, argmax_rows, grad_out):
+    """A loss's table gradient as it was written before it was streamed through Adam.
+
+    Each seed's block of rows starts as G_k^T S_k (one product of the whole
+    block) or +0.0 without a head, the pooling's terms go in with one
+    unbuffered np.add.at, and each block is divided by its example count.
+    """
+    grad = np.zeros(shape)
+    blocks = grad.reshape(len(bounds) - 1, -1, shape[1])
+    if head is not None:
+        G, S = head
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.matmul(G[lo:hi].T, S[lo:hi], out=blocks[k])
+    pool_backward_add_at(pooling, index, argmax_rows, grad_out, grad)
+    blocks /= np.diff(bounds).astype(np.float64)[:, None, None]
+    return grad

@@ -7,6 +7,7 @@
 
 import ast
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -85,3 +86,40 @@ def test_loss_batches_hold_every_seeds_examples(tmp_path, monkeypatch):
     alone = [examples(seed) for seed in "012"]
     assert all(one_calls == calls for one_calls, _ in alone)
     assert together == sum((counts for _, counts in alone), Counter())
+
+
+@pytest.mark.parametrize("method", ["sbert", "defsent", "multi"])
+def test_a_train_command_makes_one_adam_step_per_training_step(tmp_path, monkeypatch, method):
+    """``TARGETS`` times ``Adam.step`` as ``objectives.adam``: one call per step, for all seeds.
+
+    Each loss takes its batch first and returns gradients that the step
+    consumes, so ``objectives.adam_calls`` equals the step count of the
+    manifest, and the losses are called as often.
+    """
+    rng = make_rng(6)
+    world = dict(n_topics=4, words_per_topic=10, sentence_len=4)
+    save_nli(make_nli_corpus(rng, 120, **world), tmp_path / "nli.tsv")
+    save_definitions(make_definition_corpus(rng, per_word=1, **world), tmp_path / "defs.tsv")
+    calls = Counter()
+    real_step = sentsig.objectives.Adam.step
+
+    def counting_step(self, grads, lr):
+        calls["adam"] += 1
+        return real_step(self, grads, lr)
+
+    monkeypatch.setattr(sentsig.objectives.Adam, "step", counting_step)
+    for name in ("nli_loss_and_grads", "def_loss_and_grads"):
+        def counting(batch, *args, name=name, real=getattr(sentsig.objectives, name)):
+            calls[name] += 1
+            return real(batch, *args)
+        monkeypatch.setattr(sentsig.objectives, name, counting)
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[data]\nnli = {tmp_path / 'nli.tsv'}\ndefinitions = {tmp_path / 'defs.tsv'}\n"
+                      "[train]\nbatch_size = 8\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--method", method, "--seeds", "0 1", "--out", str(out),
+                     "--config", str(config)]) == 0
+    stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    steps = {sum(stage["steps"] for stage in seed_stages) for seed_stages in stages.values()}
+    assert len(steps) == 1 and steps.pop() == calls["adam"] > 0
+    assert calls["adam"] == calls["nli_loss_and_grads"] + calls["def_loss_and_grads"]

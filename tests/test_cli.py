@@ -245,12 +245,19 @@ BAD_VALUES = [
     ("[probe]\nepochs = -1\n", [], "probe epochs must be >= 0"),
     ("[probe]\nlr = 0\n", [], "probe lr must be positive"),
     ("", ["--seeds", "0 1 0"], "duplicate seed 0"),
+    ("", ["--seeds", "-1"], "seed list '-1': seeds must be >= 0"),
+    ("", ["--seed", "-1"], "seed list '-1': seeds must be >= 0"),
+    ("[train]\nseeds = 2 -3\n", [], "seed list '2 -3': seeds must be >= 0"),
+    ("[probe]\nseed = -1\n", [], "probe seed must be >= 0"),
+    ("", ["--dim", "0"], "embedding dimension must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize("section, flags, message", BAD_VALUES,
                          ids=["dim", "base_lr", "seeds", "probe-folds", "seeds-flag", "bucket-width",
-                              "probe-batch-size", "probe-epochs", "probe-lr", "duplicate-seed"])
+                              "probe-batch-size", "probe-epochs", "probe-lr", "duplicate-seed",
+                              "negative-seeds-flag", "negative-seed-flag", "negative-seeds",
+                              "negative-probe-seed", "zero-dim"])
 def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
     cfg = data["root"] / "bad.ini"
     cfg.write_text(f"[data]\nnli = {data['nli']}\n\n{section}")
@@ -484,6 +491,16 @@ class TestEvalCommand:
         report = json.loads((out / "report.json").read_text())
         assert "probe" in report["probes"]
         assert 0.0 <= report["probes"]["probe"]["accuracy_x100_mean"] <= 100.0
+
+    def test_negative_probe_seed_exit_2(self, trained, tmp_path, capsys):
+        probe = tmp_path / "probe.tsv"
+        probe.write_text("".join(f"{c}\tt0{c}w{i % 12:03d}\n" for c in (0, 1) for i in range(20)))
+        ini = tmp_path / "probe.ini"
+        ini.write_text("[probe]\nseed = -1\n")
+        out = tmp_path / "eval"
+        assert run(["eval", trained["ckpt0"], "--probe", probe, "--out", out, "--config", ini]) == 2
+        assert capsys.readouterr().err.startswith("error: probe seed must be >= 0")
+        assert not (out / "report.json").exists()
 
     def test_manifest_records_embedding_counts(self, trained, tmp_path):
         pairs = load_sts(trained["sts"])

@@ -15,6 +15,7 @@ from sentsig.encoder import (
     UNK_INDEX,
     UNK_TOKEN,
     EmbeddingStore,
+    ScatterTerms,
     TokenCache,
     TokenIndex,
     ToyEncoder,
@@ -324,7 +325,7 @@ class TestBatchedPooling:
             grad = rng.normal(size=(len(index), dim))
             vectors, argmax_rows = pool_forward(enc.table, enc.pooling, index)
             table_grad = np.zeros_like(table)
-            pool_backward(enc.pooling, index, argmax_rows, grad, table_grad)
+            pool_backward(enc.pooling, index, argmax_rows, grad).add_to(table_grad)
             ref_grad = np.zeros_like(table)
             for i, tokens in enumerate(token_lists):
                 words = np.array([vocab.index(t) for t in tokens])
@@ -354,7 +355,7 @@ def _target(rng, kind, shape):
 
 
 class TestScatterAdd:
-    """scatter_add forms the sums np.add.at forms, in its order, signed zeros included."""
+    """ScatterTerms.add_to forms the sums np.add.at forms, in its order, signed zeros included."""
 
     @pytest.mark.parametrize("target_kind", ["zero", "random", "signed-zeros"])
     @pytest.mark.parametrize("layout", ["row-per-value", "row-per-entry", "value-rows"])
@@ -368,18 +369,18 @@ class TestScatterAdd:
                 rows = rng.integers(0, n_rows, size=(n, dim))
                 values = rng.choice(_TERMS, size=(n, dim))
                 np.add.at(expected, (rows, np.arange(dim)), values)
-                sentsig.encoder.scatter_add(actual, rows, values)
+                ScatterTerms(rows, values).add_to(actual)
             elif layout == "value-rows":  # mean pooling: a text's row is added at each of its words
                 rows = rng.integers(0, n_rows, size=n).astype(np.int32)
                 values = rng.choice(_TERMS, size=(int(rng.integers(1, 6)), dim))
                 value_rows = rng.integers(0, values.shape[0], size=n)
                 np.add.at(expected, rows, values[value_rows])
-                sentsig.encoder.scatter_add(actual, rows, values, value_rows)
+                ScatterTerms(rows, values, value_rows).add_to(actual)
             else:
                 rows = rng.integers(0, n_rows, size=n)
                 values = rng.choice(_TERMS, size=(n, dim))
                 np.add.at(expected, rows, values)
-                sentsig.encoder.scatter_add(actual, rows, values)
+                ScatterTerms(rows, values).add_to(actual)
             assert_same_bits(actual, expected)
 
     def test_negative_zero_target_keeps_its_sign_under_negative_zero_terms(self):
@@ -387,7 +388,7 @@ class TestScatterAdd:
         values = np.array([[-0.0, 0.0], [-0.0, -0.0]])
         expected = target.copy()
         np.add.at(expected, [0, 1], values)
-        sentsig.encoder.scatter_add(target, np.array([0, 1]), values)
+        ScatterTerms(np.array([0, 1]), values).add_to(target)
         assert_same_bits(target, expected)
         assert np.signbit(target[0, 0]) and not np.signbit(target[0, 1])
 
@@ -409,7 +410,7 @@ class TestScatterAdd:
             grad = rng.choice(_TERMS, size=(len(index), dim)) * rng.normal(size=(len(index), dim))
             actual = _target(rng, start, table.shape)
             expected = actual.copy()
-            pool_backward(enc.pooling, index, argmax_rows, grad, actual)
+            pool_backward(enc.pooling, index, argmax_rows, grad).add_to(actual)
             oracles.pool_backward_add_at(pooling, index, argmax_rows, grad, expected)
             assert_same_bits(actual, expected)
 

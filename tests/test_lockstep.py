@@ -74,9 +74,9 @@ def test_lockstep_batches_are_ragged_and_count_every_seed(monkeypatch):
     nli, defs, vocab = _world()
     calls = []
     for name in ("nli_loss_and_grads", "def_loss_and_grads"):
-        def recording(batch, pooling, params, counts, out, real=getattr(sentsig.objectives, name)):
+        def recording(batch, pooling, params, counts, real=getattr(sentsig.objectives, name)):
             calls.append((len(batch), list(counts)))
-            return real(batch, pooling, params, counts, out)
+            return real(batch, pooling, params, counts)
         monkeypatch.setattr(sentsig.objectives, name, recording)
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
     train_seeds(encoders, SEEDS, TrainConfig(epochs=2, batch_size=5, bucket_width=3), nli, defs,

@@ -272,6 +272,17 @@ class TestSoftmax:
         p = softmax([1000.0, 1000.0])
         np.testing.assert_allclose(p, [0.5, 0.5], atol=1e-15)
 
+    def test_in_place_matches_the_two_temporary_form(self):
+        # the form before ``out``: exp of the shifted logits, then a division into a new array
+        rng = make_rng(13)
+        logits = rng.normal(scale=30.0, size=(16, 500))
+        shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        expected = shifted / shifted.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(softmax(logits), expected)
+        p = softmax(logits, out=logits)
+        assert p is logits
+        np.testing.assert_array_equal(p, expected)
+
 
 class TestCrossEntropy:
     """mean_cross_entropies of one-row matrices: -ln(probs[gold]) with the probability floored."""
@@ -308,6 +319,10 @@ class TestRng:
         a = make_rng(1).integers(0, 1_000_000, size=32)
         b = make_rng(2).integers(0, 1_000_000, size=32)
         assert not np.array_equal(a, b)
+
+    def test_negative_seed_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            make_rng(-1)
 
 
 def test_as_vector_rejects_inf():

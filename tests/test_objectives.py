@@ -19,7 +19,7 @@ from gradcheck import (
 )
 from oracles import ParamAdam
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
-from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
+from sentsig.encoder import ScatterTerms, ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng, mean_cross_entropies, softmax
 from sentsig.objectives import (
@@ -30,6 +30,7 @@ from sentsig.objectives import (
     MultiSchedule,
     NliHead,
     StepRecord,
+    TableGradient,
     TrainConfig,
     TrainResult,
     WordPredictionHead,
@@ -290,6 +291,14 @@ class TestDefLoss:
         assert losses[-1] < 0.1 * losses[0]
 
 
+def random_table_gradient(rng, shape):
+    """A one-seed :class:`TableGradient` with a head of three examples and scatter terms."""
+    n_terms = int(rng.integers(1, 40))
+    terms = ScatterTerms(rng.integers(0, shape[0], size=n_terms), rng.normal(size=(n_terms, shape[1])))
+    head = (rng.normal(size=(3, shape[0])), rng.normal(size=(3, shape[1])))
+    return TableGradient(shape, np.array([0, 3]), head, terms)
+
+
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         p = np.array([1.0, -2.0])
@@ -358,7 +367,8 @@ class TestAdam:
     def test_flat_buffer_matches_per_parameter_adam(self):
         # streams of several parameters with uneven step counts, a stream whose
         # parameters are not neighbours in the buffer, gradients given as
-        # arrays and written into ``grads``, and a table longer than one chunk
+        # arrays and as table gradients, and a table longer than one chunk
+        # whose chunks end inside a row unless they are moved to a row boundary
         rng = make_rng(23)
         shapes = {"nli_W": (2, 3, 12), "nli_b": (2, 3), "table": (Adam.CHUNK // 16 + 7, 16),
                   "def_W": (5, 4), "def_bias": (2, 9)}
@@ -371,13 +381,11 @@ class TestAdam:
             names = streams[int(rng.integers(len(streams)))]
             grads = {name: rng.normal(size=shapes[name]) for name in names}
             lr = float(rng.uniform(1e-3, 1e-1))
-            oracle.step(grads, lr)
             if step % 2:
-                for name, g in grads.items():
-                    flat.grads[name][...] = g
-                flat.step({name: flat.grads[name] for name in names}, lr)
-            else:
-                flat.step(grads, lr)
+                grads.update((name, random_table_gradient(rng, shapes[name]))
+                             for name in ("table", "def_W") if name in grads)
+            oracle.step({name: np.asarray(g) for name, g in grads.items()}, lr)
+            flat.step(grads, lr)
         assert flat.t == oracle.t and len(set(flat.t.values())) > 2
         for name in shapes:
             np.testing.assert_array_equal(flat.params[name], oracle.params[name], err_msg=name)
@@ -393,20 +401,23 @@ class TestAdam:
         assert opt.params["a"].base is opt.params["b"].base
 
 
-def test_definition_step_allocates_less_than_a_table():
-    # the loss writes its gradients into the optimizer's buffer and the update
-    # uses a chunk-sized scratch, so no table-sized array is made per step
-    n_words, dim = 5000, 64
+def _wide_definitions(n_words=5000, n_defs=8):
+    """A vocabulary of ``n_words`` rows and definitions of 6 words, for memory checks."""
     vocab = Vocabulary([f"w{i}" for i in range(n_words - 2)])
-    encoder = ToyEncoder.create(vocab, dim, "mean", seed=0)
-    defs = [DefinitionExample(f"w{i}", " ".join(f"w{(7 * i + j) % 4998}" for j in range(6)))
-            for i in range(8)]
-    batch = IndexedDefinitions.build(defs, vocab)
-    optimizer = Adam({"table": encoder.table, "def_bias": np.zeros((1, n_words))})
-    grads = dict(optimizer.grads)
+    defs = [DefinitionExample(f"w{i}", " ".join(f"w{(7 * i + j) % (n_words - 2)}" for j in range(6)))
+            for i in range(n_defs)]
+    return vocab, IndexedDefinitions.build(defs, vocab)
+
+
+def test_definition_step_allocates_less_than_a_table():
+    # the loss returns its table gradient as a TableGradient, which the update
+    # makes a chunk at a time in its scratch, so no table-sized array is made per step
+    vocab, batch = _wide_definitions()
+    encoder = ToyEncoder.create(vocab, 64, "mean", seed=0)
+    optimizer = Adam({"table": encoder.table, "def_bias": np.zeros((1, len(vocab)))})
 
     def step():
-        def_loss_and_grads(batch, "mean", optimizer.params, [len(batch)], grads)
+        _, grads = def_loss_and_grads(batch, "mean", optimizer.params, [len(batch)])
         optimizer.step(grads, 1e-3)
 
     step()
@@ -416,7 +427,24 @@ def test_definition_step_allocates_less_than_a_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 0 < peak < optimizer.params["table"].nbytes
+    assert 0 < peak < optimizer.params["table"].nbytes // 4
+
+
+@pytest.mark.parametrize("pooling", ["mean", "max"])
+def test_tied_definition_training_holds_three_table_sized_buffers(pooling):
+    # parameters and both moments; a gradient buffer would be a fourth table
+    vocab, data = _wide_definitions(n_defs=40)
+    encoder = ToyEncoder.create(vocab, 64, pooling, seed=0)
+    table_bytes = encoder.table.nbytes
+    steady = 3 * (table_bytes + len(vocab) * 8)  # table and bias in the parameter and moment buffers
+    tracemalloc.start()
+    try:
+        result = train(encoder, TrainConfig(batch_size=8), def_data=data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.steps) == 5
+    assert 0 < peak - steady < table_bytes
 
 
 class TestLrSchedule:
