@@ -323,9 +323,10 @@ def _train_group(cfg: ExperimentConfig, spec: PipelineSpec, seeds: list[int], vo
                  def_data, out: Path) -> dict:
     """Train ``seeds`` in lockstep and save their checkpoints: each seed's (path, stage log).
 
+    Training draws each seed's initial table straight into its optimizer.
     The models go when this returns, before the next group trains.
     """
-    encoders = [ToyEncoder.create(vocab, cfg.dim, cfg.pooling, seed=seed) for seed in seeds]
+    encoders = [ToyEncoder(vocab, None, cfg.pooling, dim=cfg.dim) for _ in seeds]
     saved = {}
     for seed, result in zip(seeds, run_pipeline(spec, encoders, nli_data, def_data, seeds=seeds)):
         nli_head = def_head = None

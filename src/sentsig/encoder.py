@@ -36,6 +36,7 @@ POOLINGS = ("cls", "mean", "max")
 MAX_TOKENS = 128  # training/evaluation truncation length
 
 MEAN_POOL_ENTRIES = 1 << 16  # (word position, column) entries mean pooling bins per call
+DRAW_CHUNK = 1 << 16  # entries of an initial table drawn per call
 
 
 class EmbeddingProvider(Protocol):
@@ -352,35 +353,51 @@ class TokenCache:
         return index
 
 
+def initial_table(out: np.ndarray, seed: int) -> np.ndarray:
+    """Fill ``out`` (V, d) with the initial table of ``seed``: uniform on [-0.5/d, 0.5/d].
+
+    Whole rows, at most ``DRAW_CHUNK`` entries or one row, are drawn per call
+    from one PCG64 stream: the values of one draw of the whole table.
+    """
+    rng = make_rng(seed)
+    half = 0.5 / out.shape[1]
+    rows = max(1, DRAW_CHUNK // out.shape[1])
+    for lo in range(0, out.shape[0], rows):
+        out[lo : lo + rows] = rng.uniform(-half, half, size=(min(rows, out.shape[0] - lo), out.shape[1]))
+    return out
+
+
 class ToyEncoder:
     """Trainable embedding table + pooling; replaces contextual outputs at desk scale.
 
     ``token_cache`` is the :class:`TokenCache` that :meth:`embed_batch`
     indexes sentences through; encoders given one cache share its work.
+    One made with ``table=None`` and a ``dim`` has no table until training draws it.
     """
 
-    def __init__(self, vocab: Vocabulary, table: np.ndarray, pooling: str = "mean",
-                 max_tokens: int = MAX_TOKENS, name: str | None = None):
+    def __init__(self, vocab: Vocabulary, table: np.ndarray | None, pooling: str = "mean",
+                 max_tokens: int = MAX_TOKENS, name: str | None = None, dim: int | None = None):
         if pooling not in POOLINGS:
             raise InvalidInputError(f"unknown pooling strategy {pooling!r}")
+        if isinstance(max_tokens, bool) or not isinstance(max_tokens, int) or max_tokens < 1:
+            raise InvalidInputError(f"max_tokens must be an integer >= 1, got {max_tokens!r}")
         self.vocab = vocab
-        self.table = as_matrix(table, rows=len(vocab))
+        self.table = None if table is None else as_matrix(table, rows=len(vocab))
         self.pooling = pooling
         self.max_tokens = max_tokens
-        self.dim = self.table.shape[1]
+        self.dim = dim if table is None else self.table.shape[1]
+        if self.dim < 1:
+            raise InvalidInputError("embedding dimension must be >= 1")
         self.name = name or f"toy-{pooling}-d{self.dim}"
         self.token_cache: TokenCache | None = None
 
     @classmethod
     def create(cls, vocab: Vocabulary, dim: int, pooling: str = "mean",
                seed: int = 0, max_tokens: int = MAX_TOKENS) -> "ToyEncoder":
-        """Fresh encoder with the table drawn uniformly from [-0.5/d, 0.5/d]."""
-        if dim < 1:
-            raise InvalidInputError("embedding dimension must be >= 1")
-        rng = make_rng(seed)
-        half = 0.5 / dim
-        table = rng.uniform(-half, half, size=(len(vocab), dim))
-        return cls(vocab, table, pooling=pooling, max_tokens=max_tokens)
+        """Fresh encoder with the :func:`initial_table` of ``seed``."""
+        encoder = cls(vocab, None, pooling, max_tokens, dim=dim)
+        encoder.table = initial_table(np.empty((len(vocab), dim)), seed)
+        return encoder
 
     def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
         """Pool every sentence in one :func:`pool_forward` call, one row per sentence.

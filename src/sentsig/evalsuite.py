@@ -277,9 +277,9 @@ class LogRegModel:
     the rows of ``features[f]``, and features are (folds, m, dim).
     """
 
-    def __init__(self, n_classes: int, dim: int, folds: int):
-        self.W = np.zeros((folds, n_classes, dim))
-        self.b = np.zeros((folds, n_classes))
+    def __init__(self, W: np.ndarray, b: np.ndarray):
+        self.W = W
+        self.b = b
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         # stacked products round each fold's entries exactly as its own 2-D product does
@@ -322,9 +322,9 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
         raise InvalidInputError(f"{folds} fold(s) need as many seeds, got {seeds.size}")
     if any(np.unique(fold_labels).size < 2 for fold_labels in y):
         raise InvalidInputError("training data contains a single class")
-    model = LogRegModel(n_classes, dim, folds)
-    optimizer = Adam({"W": model.W, "b": model.b}, config.beta1, config.beta2, config.eps)
-    model.W, model.b = optimizer.params["W"], optimizer.params["b"]
+    optimizer = Adam({"W": (folds, n_classes, dim), "b": (folds, n_classes)},
+                     config.beta1, config.beta2, config.eps)
+    model = LogRegModel(optimizer.params["W"], optimizer.params["b"])
     rngs = [make_rng(s) for s in seeds]
     stack = np.arange(folds)[:, None]
     for _ in range(config.epochs):

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DefinitionExample, NliExample, tokenize
-from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenIndex, ToyEncoder, Vocabulary, pool_backward,
-                      pool_forward)
+from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenIndex, ToyEncoder, Vocabulary, initial_table,
+                      pool_backward, pool_forward)
 from .errors import InvalidInputError
 from .numstat import make_rng, mean_cross_entropies, softmax
 
@@ -402,12 +402,10 @@ def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str
 class Adam:
     """Adam with bias correction over flat buffers of parameters and moments.
 
-    The parameters are laid out one after another in the order given and
-    their values are copied in: ``params``, ``m`` and ``v`` hold views of
-    each one's slice of the flat parameter and moment buffers, and callers
-    read and write the parameters through ``params``.  The moment buffers
-    are made when first used, so a caller that moves its arrays into
-    ``params`` can drop its own copies first.
+    The parameters, given by name and shape, are laid out one after another
+    in that order in three flat buffers made zeroed up front: ``params``,
+    ``m`` and ``v`` hold views of each one's slices, and callers write the
+    initial values into ``params`` and read the trained ones there.
 
     A call to :meth:`step` touches only the parameters named in ``grads``
     (multi-task streams update disjoint heads).  A gradient is an array
@@ -422,48 +420,24 @@ class Adam:
 
     CHUNK = 1 << 15  # elements per pass: a chunk of the five arrays stays in cache
 
-    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
+    def __init__(self, shapes: dict[str, tuple[int, ...]], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._slices = {}
-        self._shapes = {}
-        size = 0
-        for name, p in params.items():
-            self._slices[name] = slice(size, size + p.size)
-            self._shapes[name] = p.shape
-            size += p.size
-        self._flat = [np.empty(size)]  # parameters, then both moments
-        self.params = self._views(self._flat[0])
-        for name, p in params.items():
-            self.params[name][...] = p
-        self._moments: list[dict[str, np.ndarray]] = []
-        self._scratch = np.empty((2, min(size, self.CHUNK)))  # a chunk's gradient and temporaries
-        self.t = {k: 0 for k in params}
-
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[sl].reshape(self._shapes[name]) for name, sl in self._slices.items()}
-
-    def _moment_views(self) -> list[dict[str, np.ndarray]]:
-        if not self._moments:
-            for _ in range(2):
-                self._flat.append(np.zeros(self._flat[0].shape[0]))
-                self._moments.append(self._views(self._flat[-1]))
-        return self._moments
-
-    @property
-    def m(self) -> dict[str, np.ndarray]:
-        return self._moment_views()[0]
-
-    @property
-    def v(self) -> dict[str, np.ndarray]:
-        return self._moment_views()[1]
+        ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
+        self._slices = {name: slice(a, b) for name, a, b in zip(shapes, ends, ends[1:])}
+        self._flat = [np.zeros(ends[-1]) for _ in range(3)]  # parameters, then both moments
+        self.params, self.m, self.v = (
+            {name: flat[sl].reshape(shapes[name]) for name, sl in self._slices.items()}
+            for flat in self._flat)
+        self._scratch = np.empty((2, min(ends[-1], self.CHUNK)))  # a chunk's gradient and temporaries
+        self.t = {k: 0 for k in shapes}
 
     def step(self, grads: dict[str, np.ndarray | TableGradient], lr: float) -> None:
         spans = []  # [step count, start, stop, [(slice, flat gradient or TableGradient)]]
         for name in sorted(grads, key=lambda n: self._slices[n].start):
-            g, shape, sl = grads[name], self._shapes[name], self._slices[name]
+            g, shape, sl = grads[name], self.params[name].shape, self._slices[name]
             if g.shape != shape:
                 raise InvalidInputError(
                     f"gradient shape {g.shape} does not match parameter {name} {shape}")
@@ -474,7 +448,6 @@ class Adam:
                 spans[-1][3].append(part)
             else:
                 spans.append([self.t[name], sl.start, sl.stop, [part]])
-        self._moment_views()  # made on the first step
         for t, start, stop, parts in spans:
             lo = start
             while lo < stop:
@@ -647,7 +620,8 @@ def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[i
     in ``LOCKSTEP_BYTES``, and at least one.  Lockstep saves each step's
     fixed costs, which dominate only while the tables are small; each seed
     in a group holds three table-sized buffers while the group trains (six
-    with an untied head): parameters and both Adam moments.
+    with an untied head): parameters and both Adam moments, in which the
+    initial tables are drawn or copied.
     """
     if dim < 1:
         raise InvalidInputError("embedding dimension must be >= 1")
@@ -683,7 +657,9 @@ def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: Tr
     over the stacked (seeds·V, d) table, and one Adam step updates every
     seed; each seed's table, heads and step records are exactly those of
     training it alone.  The encoders' tables become views of the optimizer's
-    parameter buffer, and training holds three table-sized buffers per seed:
+    parameter buffer, which gets an encoder's table copied in or, if it has
+    none, the :func:`~sentsig.encoder.initial_table` of its seed drawn in.
+    Training holds three table-sized buffers per seed and no other:
     parameters and both moments (six with an untied head); a table's
     gradient is made chunk by chunk inside the Adam step
     (:class:`TableGradient`), and :func:`lockstep_groups` bounds the seeds
@@ -705,20 +681,25 @@ def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: Tr
     n_seeds, n_words, d = len(encoders), len(first.vocab), first.dim
     # one flat buffer in which each stream's parameters are one run:
     # [nli_W, nli_b, table] for NLI steps and [table, def_W, def_bias] for definition steps
-    params = {}
+    shapes = {}
     if nli_data is not None:
-        params["nli_W"] = np.zeros((n_seeds, 3, 3 * d))
+        shapes["nli_W"] = (n_seeds, 3, 3 * d)
         if config.head_bias:
-            params["nli_b"] = np.zeros((n_seeds, 3))
-    params["table"] = np.concatenate([encoder.table for encoder in encoders])
+            shapes["nli_b"] = (n_seeds, 3)
+    shapes["table"] = (n_seeds * n_words, d)
     if def_data is not None:
         if not config.tied_head:
-            params["def_W"] = np.zeros((n_seeds * n_words, d))
-        params["def_bias"] = np.zeros((n_seeds, n_words))
-    optimizer = Adam(params, config.beta1, config.beta2, config.eps)
+            shapes["def_W"] = (n_seeds * n_words, d)
+        shapes["def_bias"] = (n_seeds, n_words)
+    optimizer = Adam(shapes, config.beta1, config.beta2, config.eps)
     params = optimizer.params
-    for k, encoder in enumerate(encoders):
-        encoder.table = params["table"][k * n_words : (k + 1) * n_words]
+    for k, (encoder, seed) in enumerate(zip(encoders, seeds)):
+        table = params["table"][k * n_words : (k + 1) * n_words]
+        if encoder.table is None:
+            initial_table(table, seed)
+        else:
+            table[...] = encoder.table
+        encoder.table = table
 
     streams = []  # (name, data, loss function)
     if nli_data is not None:

@@ -149,6 +149,10 @@ MALFORMED = [
      lambda p: _replace_sidecar(p, "def_weights", np.zeros((V, DIM + 1))), "expected float64"),
     ("version-1", lambda p: _edit_json(p, lambda d: d.update(version=1)),
      "unsupported checkpoint version 1"),
+    *((f"max-tokens-{name}", lambda p, value=value: _edit_json(p, lambda d: d.update(max_tokens=value)),
+       "max_tokens must be an integer >= 1")
+      for name, value in [("string", "x"), ("float", 1.5), ("zero", 0), ("negative", -3), ("null", None),
+                          ("bool", True)]),
 ]
 
 

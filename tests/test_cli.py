@@ -15,9 +15,11 @@ import sentsig.objectives
 from sentsig import cli
 from sentsig.checkpoint import load_checkpoint
 from sentsig.cli import main
-from sentsig.corpus import load_definitions, load_nli, load_sts, save_definitions, save_nli, save_sts
-from sentsig.encoder import load_dump
+from sentsig.corpus import (DefinitionExample, load_definitions, load_nli, load_sts, save_definitions, save_nli,
+                            save_sts)
+from sentsig.encoder import ToyEncoder, load_dump
 from sentsig.numstat import make_rng
+from sentsig.objectives import lockstep_groups
 from sentsig.synth import (
     make_definition_corpus,
     make_nli_corpus,
@@ -188,6 +190,49 @@ class TestTrainCommand:
         assert len(files) == 6  # each seed's JSON and table sidecar
         for name in files:
             assert (together / name).read_bytes() == (alone / name).read_bytes(), name
+
+    @pytest.mark.parametrize("seeds", ["5", "0 1 2"])
+    @pytest.mark.parametrize("method", ["sbert", "s+d"])
+    def test_untrained_checkpoint_holds_the_initial_table(self, data, monkeypatch, method, seeds):
+        # training draws each seed's initial table into its optimizer a chunk
+        # of rows at a time; zero epochs save it as drawn
+        monkeypatch.setattr(sentsig.encoder, "DRAW_CHUNK", 31)  # 5 rows of d=6 per draw
+        config = _config(data)
+        config.write_text(config.read_text().replace("epochs = 1", "epochs = 0"))
+        out = data["root"] / "zero"
+        assert run(["train", "--method", method, "--seeds", seeds, "--out", out, "--config", config]) == 0
+        seed_list = [int(seed) for seed in seeds.split()]
+        for seed in seed_list:
+            encoder = load_checkpoint(out / f"checkpoint-seed{seed}.json").encoder
+            vocab = encoder.vocab
+            assert len(vocab) > 2 * 5 and len(vocab) % 5  # several draws, the last one short
+            assert lockstep_groups(seed_list, len(vocab), 6) == [seed_list]  # trained as one group
+            single_draw = make_rng(seed).uniform(-0.5 / 6, 0.5 / 6, size=(len(vocab), 6))
+            for expected in (ToyEncoder.create(vocab, 6, "mean", seed=seed).table, single_draw):
+                np.testing.assert_array_equal(encoder.table.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB of a glibc process")
+    def test_later_train_commands_of_a_process_peak_no_higher(self, tmp_path):
+        # a 5 MB table lies between glibc's first (128 KiB) and largest (32 MiB)
+        # mmap thresholds: a table-sized array freed while training starts
+        # would stay resident in the heap and lift the peak of the next train
+        words = [f"w{i:05d}" for i in range(9998)]
+        save_definitions([DefinitionExample(words[i], " ".join(words[100 * i : 100 * (i + 1)]))
+                          for i in range(100)], tmp_path / "defs.tsv")
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[data]\ndefinitions = {tmp_path / 'defs.tsv'}\n\n[train]\ndim = 64\n")
+        script = ("import resource, sys\n"
+                  "from sentsig.cli import main\n"
+                  "for k in range(3):\n"
+                  "    assert main(['train', '--method', 'defsent', '--config', sys.argv[1],\n"
+                  "                 '--out', f'{sys.argv[2]}/run{k}']) == 0\n"
+                  "    print('peak', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path)],
+                              capture_output=True, text=True, check=True)
+        peaks = [int(line.split()[1]) for line in proc.stdout.splitlines() if line.startswith("peak ")]
+        table_kib = 10_000 * 64 * 8 / 1024
+        assert len(peaks) == 3
+        assert all(peak - peaks[0] < 0.4 * table_kib for peak in peaks[1:]), peaks
 
     def test_each_training_text_tokenized_once(self, data, monkeypatch):
         calls = Counter()

@@ -278,9 +278,7 @@ class TestTrainLogreg:
         X = rng.normal(size=(1, 7, 3))
         y = rng.integers(0, 3, size=(1, 7))
         y[0, :3] = 0, 1, 2
-        model = LogRegModel(3, 3, 1)
-        model.W[:] = rng.normal(size=(1, 3, 3))
-        model.b[:] = rng.normal(size=(1, 3))
+        model = LogRegModel(rng.normal(size=(1, 3, 3)), rng.normal(size=(1, 3)))
 
         def loss():
             logits = model.logits(X)

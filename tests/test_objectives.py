@@ -280,7 +280,7 @@ class TestDefLoss:
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
         enc = ToyEncoder.create(vocab, 6, "mean", seed=1)
-        optimizer = Adam({"table": enc.table, "def_bias": np.zeros((1, len(vocab)))})
+        optimizer = adam_with({"table": enc.table, "def_bias": np.zeros((1, len(vocab)))})
         batch = indexed(defs, enc)
         losses = []
         for _ in range(100):
@@ -299,17 +299,35 @@ def random_table_gradient(rng, shape):
     return TableGradient(shape, np.array([0, 3]), head, terms)
 
 
+def adam_with(values, **kwargs):
+    """An :class:`Adam` over parameters shaped like ``values``, holding their values."""
+    optimizer = Adam({name: v.shape for name, v in values.items()}, **kwargs)
+    for name, v in values.items():
+        optimizer.params[name][...] = v
+    return optimizer
+
+
 class TestAdam:
+    def test_built_from_shapes_with_every_buffer_zeroed(self):
+        opt = Adam({"a": (2, 3), "b": (4,), "c": ()})
+        for buffers in (opt.params, opt.m, opt.v):  # the moments exist before the first step
+            assert {name: p.shape for name, p in buffers.items()} == {"a": (2, 3), "b": (4,), "c": ()}
+            for p in buffers.values():
+                np.testing.assert_array_equal(p.view(np.int64), 0)  # +0.0, not -0.0
+        assert opt.t == {"a": 0, "b": 0, "c": 0}
+        assert opt.params["a"].base is opt.params["c"].base
+        assert not any(np.shares_memory(opt.params["a"], buffers["a"]) for buffers in (opt.m, opt.v))
+
     def test_zero_gradient_is_identity(self):
         p = np.array([1.0, -2.0])
-        opt = Adam({"p": p})
+        opt = adam_with({"p": p})
         opt.step({"p": np.zeros(2)}, lr=0.5)
         np.testing.assert_array_equal(opt.params["p"], [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         # closed form: lr * g / (|g| + eps) with full bias correction at t=1
         p = np.array([0.0])
-        opt = Adam({"p": p})
+        opt = adam_with({"p": p})
         opt.step({"p": np.array([1e-3])}, lr=0.01)
         assert opt.params["p"][0] == pytest.approx(-0.01, rel=1e-4)
 
@@ -325,14 +343,14 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             expected -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        opt = Adam({"p": p}, beta1=b1, beta2=b2, eps=eps)
+        opt = adam_with({"p": p}, beta1=b1, beta2=b2, eps=eps)
         opt.step({"p": g1}, lr)
         opt.step({"p": g2}, lr)
         np.testing.assert_allclose(opt.params["p"], expected, atol=1e-12)
 
     def test_partial_step_leaves_other_params(self):
         pa, pb = np.ones(2), np.ones(2)
-        opt = Adam({"a": pa, "b": pb})
+        opt = adam_with({"a": pa, "b": pb})
         opt.step({"a": np.ones(2)}, lr=0.1)
         np.testing.assert_array_equal(opt.params["b"], [1.0, 1.0])
         assert opt.t == {"a": 1, "b": 0}
@@ -344,7 +362,7 @@ class TestAdam:
         expected = {k: p.copy() for k, p in params.items()}
         m = {k: np.zeros_like(p) for k, p in params.items()}
         v = {k: np.zeros_like(p) for k, p in params.items()}
-        opt = Adam(params, beta1=b1, beta2=b2, eps=eps)
+        opt = adam_with(params, beta1=b1, beta2=b2, eps=eps)
         for t in range(1, 6):
             grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
             for k, g in grads.items():
@@ -360,7 +378,7 @@ class TestAdam:
             np.testing.assert_allclose(opt.v[k], v[k], rtol=1e-14, atol=0)
 
     def test_shape_mismatch(self):
-        opt = Adam({"p": np.ones(2)})
+        opt = Adam({"p": (2,)})
         with pytest.raises(InvalidInputError):
             opt.step({"p": np.ones(3)}, lr=0.1)
 
@@ -373,7 +391,7 @@ class TestAdam:
         shapes = {"nli_W": (2, 3, 12), "nli_b": (2, 3), "table": (Adam.CHUNK // 16 + 7, 16),
                   "def_W": (5, 4), "def_bias": (2, 9)}
         initial = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        flat = Adam(initial, beta1=0.8, beta2=0.99, eps=1e-7)
+        flat = adam_with(initial, beta1=0.8, beta2=0.99, eps=1e-7)
         oracle = ParamAdam({name: p.copy() for name, p in initial.items()}, 0.8, 0.99, 1e-7)
         streams = [("nli_W", "nli_b", "table"), ("table", "def_W", "def_bias"), ("nli_b",),
                    ("def_bias", "nli_W")]
@@ -393,7 +411,7 @@ class TestAdam:
             np.testing.assert_array_equal(flat.v[name], oracle.v[name], err_msg=name)
 
     def test_params_are_views_of_one_buffer(self):
-        opt = Adam({"a": np.ones((2, 3)), "b": np.arange(4.0)})
+        opt = Adam({"a": (2, 3), "b": (4,)})
         opt.params["a"][1, 2] = 7.0
         opt.step({"b": np.ones(4)}, lr=0.1)
         assert opt.params["a"][1, 2] == 7.0 and opt.params["a"].shape == (2, 3)
@@ -414,7 +432,7 @@ def test_definition_step_allocates_less_than_a_table():
     # makes a chunk at a time in its scratch, so no table-sized array is made per step
     vocab, batch = _wide_definitions()
     encoder = ToyEncoder.create(vocab, 64, "mean", seed=0)
-    optimizer = Adam({"table": encoder.table, "def_bias": np.zeros((1, len(vocab)))})
+    optimizer = adam_with({"table": encoder.table, "def_bias": np.zeros((1, len(vocab)))})
 
     def step():
         _, grads = def_loss_and_grads(batch, "mean", optimizer.params, [len(batch)])
