@@ -9,7 +9,7 @@ harness.
 
 __version__ = "0.1.0"
 
-from .combiner import CombinedProvider, PipelineSpec, combine_average, combine_concat, run_pipeline
+from .combiner import CombinedProvider, combine_average, combine_concat
 from .corpus import (
     DefinitionExample,
     NliExample,
@@ -39,18 +39,17 @@ from .evalsuite import (
 )
 from .numstat import cosine, make_rng, pearson, ranks_with_ties, softmax, spearman
 from .objectives import (
+    PIPELINES,
     Adam,
     IndexedDefinitions,
     IndexedNli,
     MultiSchedule,
-    NliHead,
     TrainConfig,
     TrainResult,
-    WordPredictionHead,
     def_loss_and_grads,
     lr_at,
     nli_loss_and_grads,
+    run_pipeline,
     smart_batches,
-    train,
-    train_seeds,
+    stream_pattern,
 )

@@ -15,7 +15,7 @@ import dataclasses
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .encoder import CLS_TOKEN, UNK_TOKEN, ToyEncoder, Vocabulary
 from .errors import InvalidInputError
 from .fileio import atomic_write
-from .objectives import NliHead, TrainConfig, WordPredictionHead
+from .objectives import TrainConfig
 
 FORMAT = "sentsig-checkpoint"
 VERSION = 2
@@ -32,8 +32,7 @@ VERSION = 2
 @dataclass
 class Checkpoint:
     encoder: ToyEncoder
-    nli_head: NliHead | None = None
-    def_head: WordPredictionHead | None = None
+    heads: dict[str, np.ndarray] = field(default_factory=dict)  # nli_W, nli_b, def_W, def_bias
     train_config: TrainConfig | None = None
 
 
@@ -57,27 +56,21 @@ def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
     return {"file": sidecar.name, "sha256": _sha256(sidecar)}
 
 
-def save_checkpoint(path, encoder: ToyEncoder, nli_head: NliHead | None = None,
-                    def_head: WordPredictionHead | None = None,
+def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | None = None,
                     train_config: TrainConfig | None = None) -> None:
     """Write the sidecars, then the JSON that names them; each file is replaced atomically.
 
-    Every array is checked before anything is written: a model holding NaN or
-    Inf (a diverged run) raises :class:`InvalidInputError` and writes nothing.
-    The JSON goes last, so a checkpoint without its sidecars is never
-    committed.
+    ``heads`` holds the trained arrays by the names the losses give them
+    (a ``table`` entry is the encoder's): ``nli_W`` and ``nli_b`` make the
+    NLI head, ``def_bias`` and ``def_W`` the definition head, which is tied
+    to the table without ``def_W``.  Every array is checked before anything
+    is written: a model holding NaN or Inf (a diverged run) raises
+    :class:`InvalidInputError` and writes nothing.  The JSON goes last, so a
+    checkpoint without its sidecars is never committed.
     """
     path = Path(path)
-    arrays = {"table": encoder.table}
-    if nli_head is not None:
-        arrays["nli_head.W"] = nli_head.W
-        if nli_head.b is not None:
-            arrays["nli_head.b"] = nli_head.b
-    if def_head is not None:
-        arrays["def_head.bias"] = def_head.bias
-        if not def_head.tied:
-            arrays["def_head.weights"] = def_head.weights
-    for name, array in arrays.items():
+    heads = {**(heads or {}), "table": encoder.table}
+    for name, array in heads.items():
         if not np.all(np.isfinite(array)):
             raise InvalidInputError(f"{path}: {name} contains NaN or Inf; the model diverged")
 
@@ -93,17 +86,16 @@ def save_checkpoint(path, encoder: ToyEncoder, nli_head: NliHead | None = None,
         "def_head": None,
         "train_config": dataclasses.asdict(train_config) if train_config else None,
     }
-    if nli_head is not None:
+    if "nli_W" in heads:
         payload["nli_head"] = {
-            "W": _floats(nli_head.W),
-            "b": _floats(nli_head.b) if nli_head.b is not None else None,
+            "W": _floats(heads["nli_W"]),
+            "b": _floats(heads["nli_b"]) if "nli_b" in heads else None,
         }
-    if def_head is not None:
+    if "def_bias" in heads:
         payload["def_head"] = {
-            "tied": def_head.tied,
-            "weights": None if def_head.tied else _write_sidecar(path, "def_weights",
-                                                                 def_head.weights),
-            "bias": _floats(def_head.bias),
+            "tied": "def_W" not in heads,
+            "weights": _write_sidecar(path, "def_weights", heads["def_W"]) if "def_W" in heads else None,
+            "bias": _floats(heads["def_bias"]),
         }
     with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -150,25 +142,21 @@ def _parse(path: Path, payload: dict) -> Checkpoint:
     encoder = ToyEncoder(vocab, _read_sidecar(path, payload["table"], (V, dim)),
                          pooling=payload["pooling"], max_tokens=payload["max_tokens"],
                          name=path.stem)
-    nli_head = None
+    heads = {}
     if payload["nli_head"] is not None:
         raw = payload["nli_head"]
-        b = None if raw["b"] is None else _float_array(raw["b"], (3,), "NLI head bias")
-        nli_head = NliHead(_float_array(raw["W"], (3, 3 * dim), "NLI head weights"), b)
-    def_head = None
+        heads["nli_W"] = _float_array(raw["W"], (3, 3 * dim), "NLI head weights")
+        if raw["b"] is not None:
+            heads["nli_b"] = _float_array(raw["b"], (3,), "NLI head bias")
     if payload["def_head"] is not None:
         raw = payload["def_head"]
-        bias = _float_array(raw["bias"], (V,), "definition head bias")
-        if raw["tied"]:
-            def_head = WordPredictionHead.tied_to(encoder, bias)
-        else:
-            def_head = WordPredictionHead(_read_sidecar(path, raw["weights"], (V, dim)),
-                                          bias, tied=False)
+        heads["def_bias"] = _float_array(raw["bias"], (V,), "definition head bias")
+        if not raw["tied"]:
+            heads["def_W"] = _read_sidecar(path, raw["weights"], (V, dim))
     train_config = None
     if payload["train_config"] is not None:
         train_config = TrainConfig(**payload["train_config"])
-    return Checkpoint(encoder=encoder, nli_head=nli_head, def_head=def_head,
-                      train_config=train_config)
+    return Checkpoint(encoder=encoder, heads=heads, train_config=train_config)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -20,16 +20,16 @@ from pathlib import Path
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .combiner import CombinedProvider, PipelineSpec, run_pipeline
+from .combiner import CombinedProvider
 from .corpus import Partition, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
 from .corpus import dice  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
 from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_dump, save_dump, tokenize_texts
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
-from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups
+from .objectives import PIPELINES, IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups, run_pipeline, stream_pattern
 
-TRAIN_METHODS = ("sbert", "defsent", "s+d", "d+s", "multi")
+TRAIN_METHODS = tuple(PIPELINES)
 METHODS = TRAIN_METHODS + ("average", "concat", "none")
 
 
@@ -276,8 +276,9 @@ def _training_data(cfg: ExperimentConfig):
     every seed and stage trains on share the token lists, which (like the
     parsed examples) are dropped once the indexes are built.
     """
-    needs_nli = cfg.method in ("sbert", "s+d", "d+s", "multi")
-    needs_defs = cfg.method in ("defsent", "s+d", "d+s", "multi")
+    stages = PIPELINES[cfg.method]
+    needs_nli = any(stage != "defsent" for stage in stages)
+    needs_defs = any(stage != "sbert" for stage in stages)
     nli_examples = load_nli(_require(cfg.nli, "NLI")) if needs_nli else None
     def_examples = load_definitions(_require(cfg.definitions, "definitions")) if needs_defs else None
     texts = []
@@ -305,12 +306,10 @@ def cmd_train(args) -> int:
 
     vocab, nli_data, def_data = _training_data(cfg)
 
-    spec = PipelineSpec.from_method(cfg.method, cfg.train, cfg.schedule())
     artifacts = {}
     stage_logs = {}
     for seeds in lockstep_groups(cfg.seeds, len(vocab), cfg.dim):
-        for seed, (ckpt, stages) in _train_group(cfg, spec, seeds, vocab, nli_data, def_data,
-                                                 out).items():
+        for seed, (ckpt, stages) in _train_group(cfg, seeds, vocab, nli_data, def_data, out).items():
             artifacts[f"seed{seed}"] = str(ckpt)
             stage_logs[f"seed{seed}"] = stages
             print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {ckpt}")
@@ -319,32 +318,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _train_group(cfg: ExperimentConfig, spec: PipelineSpec, seeds: list[int], vocab, nli_data,
-                 def_data, out: Path) -> dict:
+def _train_group(cfg: ExperimentConfig, seeds: list[int], vocab, nli_data, def_data, out: Path) -> dict:
     """Train ``seeds`` in lockstep and save their checkpoints: each seed's (path, stage log).
 
     Training draws each seed's initial table straight into its optimizer.
     The models go when this returns, before the next group trains.
     """
     encoders = [ToyEncoder(vocab, None, cfg.pooling, dim=cfg.dim) for _ in seeds]
+    results = run_pipeline(cfg.method, encoders, cfg.train, nli_data, def_data, cfg.schedule(), seeds=seeds)
     saved = {}
-    for seed, result in zip(seeds, run_pipeline(spec, encoders, nli_data, def_data, seeds=seeds)):
-        nli_head = def_head = None
-        stages = []
-        for stage_name, stage_result in zip(spec.stages, result.stage_results):
-            nli_head = stage_result.nli_head or nli_head
-            def_head = stage_result.def_head or def_head
-            losses = stage_result.losses
-            stages.append({
-                "stage": stage_name,
-                "steps": len(stage_result.steps),
-                "initial_loss": losses[0] if losses else None,
-                "final_loss": losses[-1] if losses else None,
-                "stream_pattern": [[s, c] for s, c in stage_result.stream_pattern()],
-            })
+    for seed, encoder, result in zip(seeds, encoders, results):
+        stages = [{
+            "stage": stage,
+            "steps": len(steps),
+            "initial_loss": steps[0].loss if steps else None,
+            "final_loss": steps[-1].loss if steps else None,
+            "stream_pattern": [[s, c] for s, c in stream_pattern(steps)],
+        } for stage, steps in zip(PIPELINES[cfg.method], result.stage_steps)]
         ckpt = out / f"checkpoint-seed{seed}.json"
-        save_checkpoint(ckpt, result.encoder, nli_head=nli_head, def_head=def_head,
-                        train_config=dataclasses.replace(cfg.train, seed=seed))
+        save_checkpoint(ckpt, encoder, result.params, dataclasses.replace(cfg.train, seed=seed))
         saved[seed] = (ckpt, stages)
     return saved
 

@@ -1,17 +1,14 @@
-"""Combining the two supervision signals: sequential pipelines and merged providers."""
+"""Combining the two supervision signals at read time: merged providers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .encoder import EmbeddingProvider, ToyEncoder
+from .encoder import EmbeddingProvider
 from .errors import InvalidInputError
-from .objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, TrainResult, train_seeds
 
-STAGES = ("sbert", "defsent", "multi")
 COMBINE_MODES = ("average", "concat")
 
 
@@ -51,67 +48,3 @@ class CombinedProvider:
 
     def embed(self, sentence: str) -> np.ndarray:
         return self.embed_batch([sentence])[0]
-
-
-@dataclass
-class PipelineSpec:
-    """Ordered training stages applied to one shared encoder, all with one config."""
-
-    stages: list[str]
-    config: TrainConfig = field(default_factory=TrainConfig)
-    schedule: MultiSchedule = field(default_factory=MultiSchedule)
-
-    def __post_init__(self):
-        if not self.stages:
-            raise InvalidInputError("pipeline needs at least one stage")
-        for stage in self.stages:
-            if stage not in STAGES:
-                raise InvalidInputError(f"unknown pipeline stage {stage!r}")
-        if "multi" in self.stages and len(self.stages) > 1:
-            raise InvalidInputError("the multi stage must be the only stage")
-
-    @classmethod
-    def from_method(cls, method: str, config: TrainConfig,
-                    schedule: MultiSchedule | None = None) -> "PipelineSpec":
-        """Map a method keyword (sbert, defsent, s+d, d+s, multi) to stages."""
-        stages = {
-            "sbert": ["sbert"],
-            "defsent": ["defsent"],
-            "s+d": ["sbert", "defsent"],
-            "d+s": ["defsent", "sbert"],
-            "multi": ["multi"],
-        }.get(method)
-        if stages is None:
-            raise InvalidInputError(f"unknown training method {method!r}")
-        return cls(stages=stages, config=config, schedule=schedule or MultiSchedule())
-
-
-@dataclass
-class PipelineResult:
-    encoder: ToyEncoder
-    stage_results: list[TrainResult]
-
-
-def run_pipeline(spec: PipelineSpec, encoders: Sequence[ToyEncoder],
-                 nli_data: IndexedNli | None = None, def_data: IndexedDefinitions | None = None,
-                 *, seeds: Sequence[int]) -> list[PipelineResult]:
-    """Apply the stages sequentially to the same encoder parameters, all encoders in lockstep.
-
-    Stage N+1 starts from exactly the parameters stage N finished with.
-    ``seeds`` gives each encoder's training seed in place of the config's
-    seed.  Each stage trains every encoder in one :func:`train_seeds` call,
-    and each result is exactly that of running the pipeline on its encoder
-    alone.
-    """
-    stage_results = []
-    for stage in spec.stages:
-        uses_nli = stage in ("sbert", "multi")
-        uses_def = stage in ("defsent", "multi")
-        if uses_nli and not nli_data:
-            raise InvalidInputError(f"{stage} stage requires an NLI dataset")
-        if uses_def and not def_data:
-            raise InvalidInputError(f"{stage} stage requires a definition dataset")
-        stage_results.append(train_seeds(encoders, seeds, spec.config, nli_data if uses_nli else None,
-                                         def_data if uses_def else None, spec.schedule))
-    return [PipelineResult(encoder=encoder, stage_results=[r[k] for r in stage_results])
-            for k, encoder in enumerate(encoders)]

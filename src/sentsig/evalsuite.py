@@ -18,7 +18,7 @@ from .corpus import Partition, StsPair, concat_subsets, read_lines
 from .encoder import EmbeddingProvider
 from .errors import DegenerateScoresError, InvalidInputError, ParseError
 from .numstat import cosine, make_rng, pearson, spearman
-from .objectives import Adam
+from .objectives import Adam, check_optimizer_floats
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +241,7 @@ class ProbeConfig:
             raise InvalidInputError("probe batch_size must be >= 1")
         if self.epochs < 0:
             raise InvalidInputError("probe epochs must be >= 0")
-        if self.lr <= 0.0:
-            raise InvalidInputError("probe lr must be positive")
+        check_optimizer_floats("probe lr", self.lr, self.beta1, self.beta2, self.eps)
         if self.seed < 0:
             raise InvalidInputError("probe seed must be >= 0")
 

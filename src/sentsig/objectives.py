@@ -54,10 +54,20 @@ class TrainConfig:
             raise InvalidInputError("epochs must be >= 0")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise InvalidInputError("warmup_fraction must be in [0, 1)")
-        if self.base_lr <= 0.0:
-            raise InvalidInputError("base_lr must be positive")
+        check_optimizer_floats("base_lr", self.base_lr, self.beta1, self.beta2, self.eps)
         if self.lr_decay not in ("constant", "linear"):
             raise InvalidInputError(f"unknown lr_decay {self.lr_decay!r}")
+
+
+def check_optimizer_floats(lr_key: str, lr: float, beta1: float, beta2: float, eps: float) -> None:
+    """Reject Adam settings that divide by zero, overflow or step by NaN; each message names its key."""
+    if not 0.0 < lr < math.inf:
+        raise InvalidInputError(f"{lr_key} must be positive and finite")
+    for key, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise InvalidInputError(f"{key} must be in [0, 1)")
+    if not 0.0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
 
 
 @dataclass
@@ -146,44 +156,6 @@ def _token_lists(texts: list[str], tokens: dict[str, tuple[str, ...]] | None) ->
     return [tokens[text] for text in texts]
 
 
-class NliHead:
-    """3-way softmax classifier over the composed pair feature (3d inputs)."""
-
-    def __init__(self, W: np.ndarray, b: np.ndarray | None):
-        if W.shape[0] != 3 or W.shape[1] % 3 != 0:
-            raise InvalidInputError(f"NLI head weights must be (3, 3d), got {W.shape}")
-        if b is not None and b.shape != (3,):
-            raise InvalidInputError(f"NLI head bias must be (3,), got {b.shape}")
-        self.W = W
-        self.b = b
-
-
-class WordPredictionHead:
-    """Vocabulary-sized prediction layer; ``tied`` aliases the embedding table.
-
-    A head made by :meth:`tied_to` reads its weights from its encoder, so it
-    stays tied when training moves the encoder's table to a new array.
-    """
-
-    def __init__(self, weights: np.ndarray, bias: np.ndarray, tied: bool):
-        if weights.shape[0] != bias.shape[0]:
-            raise InvalidInputError("prediction weights and bias disagree on vocabulary size")
-        self._weights = weights
-        self._encoder: ToyEncoder | None = None
-        self.bias = bias
-        self.tied = tied
-
-    @classmethod
-    def tied_to(cls, encoder: ToyEncoder, bias: np.ndarray) -> "WordPredictionHead":
-        head = cls(encoder.table, bias, tied=True)
-        head._weights, head._encoder = None, encoder
-        return head
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights if self._encoder is None else self._encoder.table
-
-
 @dataclass
 class StepRecord:
     stream: str  # "nli" or "def"
@@ -193,24 +165,27 @@ class StepRecord:
 
 @dataclass
 class TrainResult:
-    encoder: ToyEncoder
-    nli_head: NliHead | None = None
-    def_head: WordPredictionHead | None = None
-    steps: list[StepRecord] = field(default_factory=list)
+    """One seed's trained model and what each stage of its training did.
 
-    @property
-    def losses(self) -> list[float]:
-        return [s.loss for s in self.steps]
+    ``params`` holds the seed's named arrays (``table``, ``nli_W``,
+    ``nli_b``, ``def_W``, ``def_bias``, those its method trains) as views
+    of the optimizer's parameter buffer; ``stage_steps`` holds each stage's
+    step records.
+    """
 
-    def stream_pattern(self) -> list[tuple[str, int]]:
-        """Run-length encoding of the step streams, e.g. [("nli", 19), ("def", 1)]."""
-        pattern: list[tuple[str, int]] = []
-        for rec in self.steps:
-            if pattern and pattern[-1][0] == rec.stream:
-                pattern[-1] = (rec.stream, pattern[-1][1] + 1)
-            else:
-                pattern.append((rec.stream, 1))
-        return pattern
+    params: dict[str, np.ndarray]
+    stage_steps: list[list[StepRecord]] = field(default_factory=list)
+
+
+def stream_pattern(steps: Sequence[StepRecord]) -> list[tuple[str, int]]:
+    """Run-length encoding of the step streams, e.g. [("nli", 19), ("def", 1)]."""
+    pattern: list[tuple[str, int]] = []
+    for rec in steps:
+        if pattern and pattern[-1][0] == rec.stream:
+            pattern[-1] = (rec.stream, pattern[-1][1] + 1)
+        else:
+            pattern.append((rec.stream, 1))
+    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +409,12 @@ class Adam:
         self._scratch = np.empty((2, min(ends[-1], self.CHUNK)))  # a chunk's gradient and temporaries
         self.t = {k: 0 for k in shapes}
 
+    def reset(self) -> None:
+        """Zero the moments and step counts in place: each parameter's next step is a first step."""
+        for flat in self._flat[1:]:
+            flat[...] = 0.0
+        self.t = dict.fromkeys(self.t, 0)
+
     def step(self, grads: dict[str, np.ndarray | TableGradient], lr: float) -> None:
         spans = []  # [step count, start, stop, [(slice, flat gradient or TableGradient)]]
         for name in sorted(grads, key=lambda n: self._slices[n].start):
@@ -629,44 +610,62 @@ def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[i
     return [list(seeds[lo : lo + size]) for lo in range(0, len(seeds), size)]
 
 
-def train(encoder: ToyEncoder, config: TrainConfig, nli_data: IndexedNli | None = None,
-          def_data: IndexedDefinitions | None = None,
-          schedule: MultiSchedule | None = None) -> TrainResult:
-    """Fine-tune one encoder: :func:`train_seeds` with the config's seed."""
-    return train_seeds([encoder], [config.seed], config, nli_data, def_data, schedule)[0]
+# each training method's stages, in order: an sbert stage trains on the NLI
+# stream, a defsent stage on the definition stream and a multi stage on both
+PIPELINES = {
+    "sbert": ("sbert",),
+    "defsent": ("defsent",),
+    "s+d": ("sbert", "defsent"),
+    "d+s": ("defsent", "sbert"),
+    "multi": ("multi",),
+}
 
 
-def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: TrainConfig,
-                nli_data: IndexedNli | None = None, def_data: IndexedDefinitions | None = None,
-                schedule: MultiSchedule | None = None) -> list[TrainResult]:
-    """Fine-tune each encoder on the NLI and/or the definition objective, in lockstep.
+def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfig,
+                 nli_data: IndexedNli | None = None, def_data: IndexedDefinitions | None = None,
+                 schedule: MultiSchedule | None = None, *, seeds: Sequence[int]) -> list[TrainResult]:
+    """Fine-tune each encoder by ``method``, the :data:`PIPELINES` stages in order, in lockstep.
 
-    Each dataset given is a stream of batches with its own head; a seed's
-    streams share one optimizer and one rng seeded with its entry of
-    ``seeds`` (``config.seed`` is not read).  A stream reshuffles when it is
-    exhausted.  With both streams each cycle runs
-    ``schedule.nli_steps_per_cycle`` NLI steps followed by
+    One :class:`Adam` holds the parameters that any stage trains, stacked
+    over the seeds, in the order ``[nli_W, nli_b, table, def_W, def_bias]``
+    (each stream's parameters are one run).  The encoders' tables become
+    views of its parameter buffer, which gets an encoder's table copied in
+    or, if it has none, the :func:`~sentsig.encoder.initial_table` of its
+    seed drawn in.  Each stage starts as a fresh optimizer would: the
+    moments and step counts are zeroed in place, and each seed's streams
+    get a fresh rng seeded with its entry of ``seeds`` (``config.seed`` is
+    not read).  A step touches only the parameters of its stream, so a
+    stage starts from the table the stage before finished with and leaves
+    that stage's head as it was.
+
+    Each dataset a stage trains on is a stream of batches with its own
+    head, reshuffled when it is exhausted.  With both streams each cycle
+    runs ``schedule.nli_steps_per_cycle`` NLI steps followed by
     ``schedule.def_steps_per_cycle`` definition steps; a single stream has a
-    cycle of length 1.  The step count (epochs x batches per epoch of the
-    first stream) is rounded up to whole cycles.  The datasets must be
+    cycle of length 1.  A stage's step count (epochs x batches per epoch of
+    its first stream) is rounded up to whole cycles.  The datasets must be
     indexed for the encoders, which share one vocabulary, pooling, dim and
     truncation length.
 
     Every seed takes the same stream and learning rate at each step.  A step
     joins the seeds' batches into one, which one loss call pools and scores
     over the stacked (seeds·V, d) table, and one Adam step updates every
-    seed; each seed's table, heads and step records are exactly those of
-    training it alone.  The encoders' tables become views of the optimizer's
-    parameter buffer, which gets an encoder's table copied in or, if it has
-    none, the :func:`~sentsig.encoder.initial_table` of its seed drawn in.
-    Training holds three table-sized buffers per seed and no other:
-    parameters and both moments (six with an untied head); a table's
+    seed; each seed's arrays and step records are exactly those of training
+    it alone.  Training holds three table-sized buffers per seed and no
+    other: parameters and both moments (six with an untied head); a table's
     gradient is made chunk by chunk inside the Adam step
     (:class:`TableGradient`), and :func:`lockstep_groups` bounds the seeds
-    trained together.  The results' heads have their own arrays.
+    trained together.
     """
-    if nli_data is None and def_data is None:
-        raise InvalidInputError("training needs an NLI or a definition dataset")
+    stages = PIPELINES.get(method)
+    if stages is None:
+        raise InvalidInputError(f"unknown training method {method!r}")
+    uses_nli = any(stage != "defsent" for stage in stages)
+    uses_def = any(stage != "sbert" for stage in stages)
+    if uses_nli and not nli_data:
+        raise InvalidInputError(f"{method} requires an NLI dataset")
+    if uses_def and not def_data:
+        raise InvalidInputError(f"{method} requires a definition dataset")
     if not encoders or len(seeds) != len(encoders):
         raise InvalidInputError("training needs one seed per encoder")
     first = encoders[0]
@@ -674,61 +673,51 @@ def train_seeds(encoders: Sequence[ToyEncoder], seeds: Sequence[int], config: Tr
            != (first.pooling, first.dim, first.max_tokens) for e in encoders):
         raise InvalidInputError(
             "seeds trained together need one vocabulary, pooling, dim and max_tokens")
-    for data in (nli_data, def_data):  # checked once here; a loss checks only its table's size
+    for data in (nli_data if uses_nli else None, def_data if uses_def else None):
+        # checked once here; a loss checks only its table's size
         if data is not None and (data.vocab, data.max_tokens) != (first.vocab, first.max_tokens):
             raise InvalidInputError("data was indexed for another vocabulary or truncation length")
+    nli = ("nli", nli_data, nli_loss_and_grads)
+    defs = ("def", _drop_oov_definitions(def_data), def_loss_and_grads) if uses_def else None
+    streams = {"sbert": [nli], "defsent": [defs], "multi": [nli, defs]}  # (name, data, loss function)
     schedule = schedule or MultiSchedule()
+
     n_seeds, n_words, d = len(encoders), len(first.vocab), first.dim
-    # one flat buffer in which each stream's parameters are one run:
-    # [nli_W, nli_b, table] for NLI steps and [table, def_W, def_bias] for definition steps
     shapes = {}
-    if nli_data is not None:
+    if uses_nli:
         shapes["nli_W"] = (n_seeds, 3, 3 * d)
         if config.head_bias:
             shapes["nli_b"] = (n_seeds, 3)
     shapes["table"] = (n_seeds * n_words, d)
-    if def_data is not None:
+    if uses_def:
         if not config.tied_head:
             shapes["def_W"] = (n_seeds * n_words, d)
         shapes["def_bias"] = (n_seeds, n_words)
     optimizer = Adam(shapes, config.beta1, config.beta2, config.eps)
-    params = optimizer.params
-    for k, (encoder, seed) in enumerate(zip(encoders, seeds)):
-        table = params["table"][k * n_words : (k + 1) * n_words]
-        if encoder.table is None:
-            initial_table(table, seed)
-        else:
-            table[...] = encoder.table
-        encoder.table = table
-
-    streams = []  # (name, data, loss function)
-    if nli_data is not None:
-        streams.append(("nli", nli_data, nli_loss_and_grads))
-    if def_data is not None:
-        streams.append(("def", _drop_oov_definitions(def_data), def_loss_and_grads))
-    records = _run_lockstep(first.pooling, n_words, optimizer, streams,
-                            [make_rng(seed) for seed in seeds], config, schedule)
-    del optimizer  # frees the moment buffers before the heads are copied
-
-    # copies, so that the parameter buffer goes once a later stage moves the tables
     results = []
-    for k, (encoder, steps) in enumerate(zip(encoders, records)):
-        result = TrainResult(encoder=encoder, steps=steps)
-        if nli_data is not None:
-            b = params.get("nli_b")
-            result.nli_head = NliHead(params["nli_W"][k].copy(), None if b is None else b[k].copy())
-        if def_data is not None:
-            bias = params["def_bias"][k].copy()
-            weights = None if config.tied_head else params["def_W"][k * n_words : (k + 1) * n_words]
-            result.def_head = (WordPredictionHead.tied_to(encoder, bias) if weights is None
-                               else WordPredictionHead(weights.copy(), bias, tied=False))
-        results.append(result)
+    for k, (encoder, seed) in enumerate(zip(encoders, seeds)):
+        # seed k's rows of a (seeds·V, d) array, its entry of the others
+        arrays = {name: p[k * n_words : (k + 1) * n_words] if name in ("table", "def_W") else p[k]
+                  for name, p in optimizer.params.items()}
+        if encoder.table is None:
+            initial_table(arrays["table"], seed)
+        else:
+            arrays["table"][...] = encoder.table
+        encoder.table = arrays["table"]
+        results.append(TrainResult(arrays))
+    for i, stage in enumerate(stages):
+        if i:
+            optimizer.reset()
+        records = _run_lockstep(first.pooling, n_words, optimizer, streams[stage],
+                                [make_rng(seed) for seed in seeds], config, schedule)
+        for result, steps in zip(results, records):
+            result.stage_steps.append(steps)
     return results
 
 
 def _run_lockstep(pooling: str, n_words: int, optimizer: Adam, streams: list, rngs: list,
                   config: TrainConfig, schedule: MultiSchedule) -> list[list[StepRecord]]:
-    """Run :func:`train_seeds`' steps; each seed's step records."""
+    """Run one stage of :func:`run_pipeline`; each seed's step records."""
     cycle = [(name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads)
              for name, data, loss_and_grads in streams]  # (name, each seed's batches, ...)
     nominal = config.epochs * cycle[0][1][0].batches_per_pass

@@ -7,8 +7,6 @@ from sentsig.encoder import CLS_INDEX, ToyEncoder, Vocabulary
 from sentsig.objectives import (
     IndexedDefinitions,
     IndexedNli,
-    NliHead,
-    WordPredictionHead,
     def_loss_and_grads,
     nli_loss_and_grads,
 )
@@ -67,20 +65,16 @@ def unpool_one(encoder, words, argmax, grad_out, table_grad):
 _STACKED = ("nli_W", "nli_b", "def_bias")  # the losses stack these over the seeds on a new axis
 
 
-def loss_one(loss_fn, batch, encoder, head):
-    """(loss, gradients) of one seed: the stacked loss over views of the encoder's and head's arrays.
+def loss_one(loss_fn, batch, pooling, params):
+    """(loss, gradients) of one seed: the stacked loss over views of its named arrays ``params``.
 
-    The gradients are keyed as the losses key them, made whole as arrays and
+    ``params`` holds the seed's ``table`` and head arrays, unstacked; the
+    gradients are keyed as the losses key them, made whole as arrays and
     shaped like the arrays they belong to.
     """
-    if isinstance(head, NliHead):
-        arrays = {"nli_W": head.W, "nli_b": head.b}
-    else:
-        arrays = {"def_W": None if head.tied else head.weights, "def_bias": head.bias}
-    arrays = {"table": encoder.table, **{k: a for k, a in arrays.items() if a is not None}}
-    params = {k: a[None] if k in _STACKED else a for k, a in arrays.items()}
-    [loss], grads = loss_fn(batch, encoder.pooling, params)
-    return loss, {k: np.asarray(g).reshape(arrays[k].shape) for k, g in grads.items()}
+    stacked = {k: a[None] if k in _STACKED else a for k, a in params.items()}
+    [loss], grads = loss_fn(batch, pooling, stacked)
+    return loss, {k: np.asarray(g).reshape(params[k].shape) for k, g in grads.items()}
 
 
 def indexed(batch, encoder):
@@ -112,7 +106,7 @@ def _abs_feature_ok(encoder, premise, hypothesis):
 
 
 def random_nli_instance(rng, pooling, d_max=8, v_max=20, batch_max=4):
-    """Random encoder + head + batch, resampled away from subgradient kinks."""
+    """Random encoder, batch and named arrays (table and head), resampled away from subgradient kinks."""
     labels = ("entailment", "contradiction", "neutral")
     while True:
         d = int(rng.integers(2, d_max + 1))
@@ -137,9 +131,8 @@ def random_nli_instance(rng, pooling, d_max=8, v_max=20, batch_max=4):
                 break
         if not ok:
             continue
-        head = NliHead(rng.normal(size=(3, 3 * d)), rng.normal(size=3))
-        params = {"table": encoder.table, "nli_W": head.W, "nli_b": head.b}
-        return encoder, head, batch, params
+        params = {"table": encoder.table, "nli_W": rng.normal(size=(3, 3 * d)), "nli_b": rng.normal(size=3)}
+        return encoder, batch, params
 
 
 def random_def_instance(rng, pooling, tied, d_max=8, v_max=20, batch_max=4):
@@ -158,26 +151,24 @@ def random_def_instance(rng, pooling, tied, d_max=8, v_max=20, batch_max=4):
                 _max_margins_ok(encoder, ex.definition) for ex in batch):
             continue
         if tied:
-            head = WordPredictionHead(encoder.table, rng.normal(size=len(vocab)), tied=True)
-            params = {"table": encoder.table, "def_bias": head.bias}
+            params = {"table": encoder.table, "def_bias": rng.normal(size=len(vocab))}
         else:
-            head = WordPredictionHead(rng.normal(size=(len(vocab), d)),
-                                      rng.normal(size=len(vocab)), tied=False)
-            params = {"table": encoder.table, "def_W": head.weights, "def_bias": head.bias}
-        return encoder, head, batch, params
+            params = {"table": encoder.table, "def_W": rng.normal(size=(len(vocab), d)),
+                      "def_bias": rng.normal(size=len(vocab))}
+        return encoder, batch, params
 
 
 def check_nli_instance(rng, pooling, h=1e-5):
-    encoder, head, batch, params = random_nli_instance(rng, pooling)
+    encoder, batch, params = random_nli_instance(rng, pooling)
     batch = indexed(batch, encoder)
-    _, grads = loss_one(nli_loss_and_grads, batch, encoder, head)
+    _, grads = loss_one(nli_loss_and_grads, batch, pooling, params)
     return finite_difference_worst_error(
-        lambda: loss_one(nli_loss_and_grads, batch, encoder, head)[0], params, grads, h=h)
+        lambda: loss_one(nli_loss_and_grads, batch, pooling, params)[0], params, grads, h=h)
 
 
 def check_def_instance(rng, pooling, tied, h=1e-5):
-    encoder, head, batch, params = random_def_instance(rng, pooling, tied)
+    encoder, batch, params = random_def_instance(rng, pooling, tied)
     batch = indexed(batch, encoder)
-    _, grads = loss_one(def_loss_and_grads, batch, encoder, head)
+    _, grads = loss_one(def_loss_and_grads, batch, pooling, params)
     return finite_difference_worst_error(
-        lambda: loss_one(def_loss_and_grads, batch, encoder, head)[0], params, grads, h=h)
+        lambda: loss_one(def_loss_and_grads, batch, pooling, params)[0], params, grads, h=h)

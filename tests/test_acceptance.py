@@ -27,7 +27,8 @@ from sentsig.corpus import (
 from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.evalsuite import ProbeConfig, eval_probe, eval_sts, kfold_split
 from sentsig.numstat import make_rng, pearson, spearman
-from sentsig.objectives import IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, train
+from sentsig.objectives import (IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, run_pipeline,
+                                stream_pattern)
 from sentsig.synth import (
     make_blob_probe,
     make_definition_corpus,
@@ -142,14 +143,17 @@ def test_criterion_05_toy_training_efficacy():
             rho_init, _ = eval_sts(base, sts)
 
             enc = ToyEncoder.create(vocab, 16, "mean", seed=seed)
-            result = train(enc, TrainConfig(seed=seed, base_lr=1e-2, epochs=2), nli_data=nli)
+            [result] = run_pipeline("sbert", [enc], TrainConfig(base_lr=1e-2, epochs=2), nli, seeds=[seed])
+            losses = [s.loss for s in result.stage_steps[0]]
             gains["sbert"].append(eval_sts(enc, sts)[0] - rho_init)
-            loss_ratios["sbert"].append(np.mean(result.losses[-10:]) / result.losses[0])
+            loss_ratios["sbert"].append(np.mean(losses[-10:]) / losses[0])
 
             enc = ToyEncoder.create(vocab, 16, "mean", seed=seed)
-            result = train(enc, TrainConfig(seed=seed, base_lr=2e-2, epochs=10), def_data=defs)
+            [result] = run_pipeline("defsent", [enc], TrainConfig(base_lr=2e-2, epochs=10), def_data=defs,
+                                    seeds=[seed])
+            losses = [s.loss for s in result.stage_steps[0]]
             gains["defsent"].append(eval_sts(enc, sts)[0] - rho_init)
-            loss_ratios["defsent"].append(np.mean(result.losses[-10:]) / result.losses[0])
+            loss_ratios["defsent"].append(np.mean(losses[-10:]) / losses[0])
 
         for objective in ("sbert", "defsent"):
             assert np.mean(gains[objective]) >= 0.2, (objective, gains[objective])
@@ -205,13 +209,13 @@ def test_criterion_08_multi_scheduler_pattern():
                  + [e.definition for e in defs] + [e.word for e in defs])
         vocab = build_vocab(texts)
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), IndexedNli.build(nli, vocab),
-                       IndexedDefinitions.build(defs, vocab),
-                       MultiSchedule())
-        assert len(result.steps) == 40
-        streams = [s.stream for s in result.steps]
+        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), IndexedNli.build(nli, vocab),
+                                IndexedDefinitions.build(defs, vocab), MultiSchedule(), seeds=[0])
+        [steps] = result.stage_steps
+        assert len(steps) == 40
+        streams = [s.stream for s in steps]
         assert streams == (["nli"] * 19 + ["def"]) * 2
-        assert result.stream_pattern() == [("nli", 19), ("def", 1), ("nli", 19), ("def", 1)]
+        assert stream_pattern(steps) == [("nli", 19), ("def", 1), ("nli", 19), ("def", 1)]
 
 
 def _write_world(tmp_path, rng):

@@ -13,42 +13,40 @@ from sentsig.encoder import ToyEncoder, Vocabulary
 from sentsig.errors import InvalidInputError
 from sentsig.fileio import atomic_write
 from sentsig.numstat import make_rng
-from sentsig.objectives import NliHead, TrainConfig, WordPredictionHead
+from sentsig.objectives import TrainConfig
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 V, DIM = len(WORDS) + 2, 4  # vocabulary size with [CLS] and [UNK]
 
 
 def _model(tied, seed=0, dim=DIM):
+    """An encoder and its named head arrays; a tied definition head has no ``def_W``."""
     rng = make_rng(seed)
     encoder = ToyEncoder(Vocabulary(WORDS), rng.normal(size=(len(WORDS) + 2, dim)), pooling="max")
-    nli_head = NliHead(rng.normal(size=(3, 3 * dim)), rng.normal(size=3))
+    heads = {"nli_W": rng.normal(size=(3, 3 * dim)), "nli_b": rng.normal(size=3)}
     V = len(encoder.vocab)
-    weights = encoder.table if tied else rng.normal(size=(V, dim))
-    def_head = WordPredictionHead(weights, rng.normal(size=V), tied=tied)
-    return encoder, nli_head, def_head
+    if not tied:
+        heads["def_W"] = rng.normal(size=(V, dim))
+    heads["def_bias"] = rng.normal(size=V)
+    return encoder, heads
 
 
 def _save(path, tied=False):
-    encoder, nli_head, def_head = _model(tied)
-    save_checkpoint(path, encoder, nli_head=nli_head, def_head=def_head,
-                    train_config=TrainConfig(seed=3, base_lr=0.01))
-    return encoder, nli_head, def_head
+    encoder, heads = _model(tied)
+    save_checkpoint(path, encoder, heads, TrainConfig(seed=3, base_lr=0.01))
+    return encoder, heads
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("tied", [True, False])
     def test_value_exact(self, tmp_path, tied):
-        encoder, nli_head, def_head = _save(tmp_path / "ckpt.json", tied)
+        encoder, heads = _save(tmp_path / "ckpt.json", tied)
         ckpt = load_checkpoint(tmp_path / "ckpt.json")
         np.testing.assert_array_equal(ckpt.encoder.table, encoder.table)
-        np.testing.assert_array_equal(ckpt.nli_head.W, nli_head.W)
-        np.testing.assert_array_equal(ckpt.nli_head.b, nli_head.b)
-        np.testing.assert_array_equal(ckpt.def_head.bias, def_head.bias)
-        np.testing.assert_array_equal(ckpt.def_head.weights, def_head.weights)
-        assert ckpt.def_head.tied == tied
-        if tied:
-            assert ckpt.def_head.weights is ckpt.encoder.table
+        assert ckpt.heads.keys() == heads.keys()
+        for name, array in heads.items():
+            np.testing.assert_array_equal(ckpt.heads[name], array, err_msg=name)
+        assert ("def_W" not in ckpt.heads) == tied
         assert ckpt.encoder.pooling == "max"
         assert ckpt.train_config == TrainConfig(seed=3, base_lr=0.01)
 
@@ -59,8 +57,7 @@ class TestRoundTrip:
         second.mkdir()
         _save(first / "ckpt.json", tied)
         ckpt = load_checkpoint(first / "ckpt.json")
-        save_checkpoint(second / "ckpt.json", ckpt.encoder, nli_head=ckpt.nli_head,
-                        def_head=ckpt.def_head, train_config=ckpt.train_config)
+        save_checkpoint(second / "ckpt.json", ckpt.encoder, ckpt.heads, ckpt.train_config)
         files = sorted(p.name for p in first.iterdir())
         expected = ["ckpt.json", "ckpt.table.npy"] + ([] if tied else ["ckpt.def_weights.npy"])
         assert files == sorted(expected)
@@ -77,11 +74,11 @@ class TestRoundTrip:
             assert hashlib.sha256(data).hexdigest() == ref["sha256"]
 
     def test_minimal_encoder_only(self, tmp_path):
-        encoder, _, _ = _model(tied=True)
+        encoder, _ = _model(tied=True)
         save_checkpoint(tmp_path / "enc.json", encoder)
         ckpt = load_checkpoint(tmp_path / "enc.json")
         np.testing.assert_array_equal(ckpt.encoder.table, encoder.table)
-        assert ckpt.nli_head is None and ckpt.def_head is None and ckpt.train_config is None
+        assert ckpt.heads == {} and ckpt.train_config is None
 
 
 # ---------------------------------------------------------------------------
@@ -181,24 +178,24 @@ def _poison_table(model):
 
 
 def _poison_nli(model):
-    model[1].W[0, 0] = np.inf
+    model[1]["nli_W"][0, 0] = np.inf
 
 
 def _poison_bias(model):
-    model[2].bias[-1] = np.nan
+    model[1]["def_bias"][-1] = np.nan
 
 
 def _poison_def_weights(model):
-    model[2].weights[1, 0] = -np.inf
+    model[1]["def_W"][1, 0] = -np.inf
 
 
 @pytest.mark.parametrize("poison", [_poison_table, _poison_nli, _poison_bias, _poison_def_weights])
 def test_non_finite_model_writes_nothing(tmp_path, poison):
     model = _model(tied=False)
     poison(model)
-    encoder, nli_head, def_head = model
+    encoder, heads = model
     with pytest.raises(InvalidInputError, match="NaN or Inf"):
-        save_checkpoint(tmp_path / "ckpt.json", encoder, nli_head=nli_head, def_head=def_head)
+        save_checkpoint(tmp_path / "ckpt.json", encoder, heads)
     assert list(tmp_path.iterdir()) == []
 
 

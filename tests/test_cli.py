@@ -137,7 +137,7 @@ class TestTrainCommand:
         assert code == 0
         ckpt = load_checkpoint(out / "checkpoint-seed0.json")
         assert ckpt.encoder.dim == 8
-        assert ckpt.nli_head is not None
+        assert "nli_W" in ckpt.heads
         v = ckpt.encoder.embed("t00w000 t00w001")
         assert v.shape == (8,)
 
@@ -268,7 +268,7 @@ class TestTrainCommand:
 
         def diverged(*args, **kwargs):
             results = real(*args, **kwargs)
-            results[0].encoder.table[3, 0] = np.nan
+            results[0].params["table"][3, 0] = np.nan
             return results
 
         monkeypatch.setattr(cli, "run_pipeline", diverged)
@@ -295,6 +295,13 @@ BAD_VALUES = [
     ("[train]\nseeds = 2 -3\n", [], "seed list '2 -3': seeds must be >= 0"),
     ("[probe]\nseed = -1\n", [], "probe seed must be >= 0"),
     ("", ["--dim", "0"], "embedding dimension must be >= 1"),
+    ("[train]\nbeta1 = -1\n", [], "beta1 must be in [0, 1)"),
+    ("[train]\nbeta1 = 1e308\n", [], "beta1 must be in [0, 1)"),
+    ("[train]\nbeta2 = 2\n", [], "beta2 must be in [0, 1)"),
+    ("[train]\neps = -1\n", [], "eps must be positive and finite"),
+    ("[train]\neps = inf\n", [], "eps must be positive and finite"),
+    ("[train]\nbase_lr = nan\n", [], "base_lr must be positive and finite"),
+    ("[probe]\nlr = nan\n", [], "probe lr must be positive and finite"),
 ]
 
 
@@ -302,7 +309,8 @@ BAD_VALUES = [
                          ids=["dim", "base_lr", "seeds", "probe-folds", "seeds-flag", "bucket-width",
                               "probe-batch-size", "probe-epochs", "probe-lr", "duplicate-seed",
                               "negative-seeds-flag", "negative-seed-flag", "negative-seeds",
-                              "negative-probe-seed", "zero-dim"])
+                              "negative-probe-seed", "zero-dim", "negative-beta1", "huge-beta1", "beta2-two",
+                              "negative-eps", "infinite-eps", "nan-base-lr", "nan-probe-lr"])
 def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
     cfg = data["root"] / "bad.ini"
     cfg.write_text(f"[data]\nnli = {data['nli']}\n\n{section}")

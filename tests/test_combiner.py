@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sentsig.combiner import CombinedProvider, PipelineSpec, combine_average, combine_concat, run_pipeline
+from sentsig.combiner import CombinedProvider, combine_average, combine_concat
 from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.evalsuite import eval_sts
 from sentsig.numstat import cosine, make_rng
-from sentsig.objectives import IndexedDefinitions, IndexedNli, TrainConfig, train
+from sentsig.objectives import PIPELINES, IndexedDefinitions, IndexedNli, TrainConfig, run_pipeline
 from sentsig.synth import make_definition_corpus, make_nli_corpus, make_sts_corpus
 
 
@@ -123,57 +123,62 @@ def _world(seed=0):
 
 class TestPipeline:
     def test_single_stage_equals_train_sbert(self):
+        # the sbert method trains on the NLI data alone, whatever else it is given
         nli, defs, vocab = _world()
-        config = TrainConfig(seed=3, epochs=1)
+        config = TrainConfig(epochs=1)
         enc_a = ToyEncoder.create(vocab, 6, "mean", seed=3)
-        run_pipeline(PipelineSpec(stages=["sbert"], config=config), [enc_a], nli, defs,
-                     seeds=[config.seed])
+        run_pipeline("sbert", [enc_a], config, nli, defs, seeds=[3])
         enc_b = ToyEncoder.create(vocab, 6, "mean", seed=3)
-        train(enc_b, config, nli_data=nli)
+        run_pipeline("sbert", [enc_b], config, nli, seeds=[3])
         np.testing.assert_array_equal(enc_a.table, enc_b.table)
 
     def test_sequential_stage_handoff_is_exact(self):
         nli, defs, vocab = _world()
-        config = TrainConfig(seed=1, epochs=1)
+        config = TrainConfig(epochs=1)
         enc_stage1 = ToyEncoder.create(vocab, 6, "mean", seed=1)
-        train(enc_stage1, config, nli_data=nli)
+        [stage1] = run_pipeline("sbert", [enc_stage1], config, nli, seeds=[1])
         after_stage1 = enc_stage1.table.copy()
 
         enc_full = ToyEncoder.create(vocab, 6, "mean", seed=1)
-        spec = PipelineSpec(stages=["sbert", "defsent"], config=config)
-        [result] = run_pipeline(spec, [enc_full], nli, defs, seeds=[config.seed])
-        # stage 2 must have started from exactly the stage-1 parameters:
-        # replaying it from that state reproduces the pipeline bit for bit
+        [result] = run_pipeline("s+d", [enc_full], config, nli, defs, seeds=[1])
+        # stage 2 must have started from exactly the stage-1 parameters, with
+        # the optimizer as fresh as a new one: replaying it from that state
+        # reproduces the pipeline bit for bit
         enc_replay = ToyEncoder(enc_stage1.vocab, after_stage1.copy(), pooling="mean")
-        train(enc_replay, config, def_data=defs)
-        np.testing.assert_array_equal(result.encoder.table, enc_replay.table)
+        [replay] = run_pipeline("defsent", [enc_replay], config, def_data=defs, seeds=[1])
+        np.testing.assert_array_equal(enc_full.table, enc_replay.table)
+        assert result.stage_steps == stage1.stage_steps + replay.stage_steps
+        # and stage 2 leaves the stage-1 head as that stage left it
+        for name, want in {**stage1.params, **replay.params}.items():
+            np.testing.assert_array_equal(result.params[name], want, err_msg=name)
 
     def test_order_matters(self):
         nli, defs, vocab = _world()
-        config = TrainConfig(seed=2, epochs=1)
+        config = TrainConfig(epochs=1)
         enc_sd = ToyEncoder.create(vocab, 6, "mean", seed=2)
-        run_pipeline(PipelineSpec.from_method("s+d", config), [enc_sd], nli, defs, seeds=[2])
+        run_pipeline("s+d", [enc_sd], config, nli, defs, seeds=[2])
         enc_ds = ToyEncoder.create(vocab, 6, "mean", seed=2)
-        run_pipeline(PipelineSpec.from_method("d+s", config), [enc_ds], nli, defs, seeds=[2])
+        run_pipeline("d+s", [enc_ds], config, nli, defs, seeds=[2])
         assert not np.array_equal(enc_sd.table, enc_ds.table)
 
     def test_missing_dataset_rejected(self):
         _, defs, vocab = _world()
         enc = ToyEncoder.create(vocab, 6, "mean", seed=0)
         with pytest.raises(InvalidInputError):
-            run_pipeline(PipelineSpec(stages=["sbert"]), [enc], nli_data=None, def_data=defs,
-                         seeds=[0])
+            run_pipeline("sbert", [enc], TrainConfig(), nli_data=None, def_data=defs, seeds=[0])
 
     def test_multi_must_stand_alone(self):
-        with pytest.raises(InvalidInputError):
-            PipelineSpec(stages=["multi", "sbert"])
+        # multi trains both objectives in one stage; no method has it beside another stage
+        assert all(stages == ("multi",) for stages in PIPELINES.values() if "multi" in stages)
 
     def test_method_keywords(self):
-        assert PipelineSpec.from_method("s+d", TrainConfig()).stages == ["sbert", "defsent"]
-        assert PipelineSpec.from_method("d+s", TrainConfig()).stages == ["defsent", "sbert"]
-        assert PipelineSpec.from_method("multi", TrainConfig()).stages == ["multi"]
-        with pytest.raises(InvalidInputError):
-            PipelineSpec.from_method("average", TrainConfig())
+        assert PIPELINES["s+d"] == ("sbert", "defsent")
+        assert PIPELINES["d+s"] == ("defsent", "sbert")
+        assert PIPELINES["multi"] == ("multi",)
+        _, defs, vocab = _world()
+        with pytest.raises(InvalidInputError, match="unknown training method"):
+            run_pipeline("average", [ToyEncoder.create(vocab, 6, "mean")], TrainConfig(), def_data=defs,
+                         seeds=[0])
 
     def test_average_of_trained_pair_scores_like_components_on_self(self):
         # Average(P, P) must reproduce P's STS scores exactly
@@ -181,7 +186,7 @@ class TestPipeline:
         sts = make_sts_corpus(rng, 60, n_topics=4, words_per_topic=10, sentence_len=4)
         nli, defs, vocab = _world()
         enc = ToyEncoder.create(vocab, 6, "mean", seed=5)
-        train(enc, TrainConfig(seed=5, epochs=1), nli_data=nli)
+        run_pipeline("sbert", [enc], TrainConfig(epochs=1), nli, seeds=[5])
         single = eval_sts(enc, sts)
         doubled = eval_sts(CombinedProvider("average", enc, enc), sts)
         assert doubled == single

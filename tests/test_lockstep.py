@@ -1,18 +1,14 @@
 """Seeds trained in lockstep: each seed ends exactly where training it alone ends."""
 
-import weakref
-
 import numpy as np
 import pytest
 
-import sentsig.combiner
 import sentsig.objectives
-from sentsig.combiner import PipelineSpec, run_pipeline
 from sentsig.encoder import ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng
-from sentsig.objectives import (IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups,
-                                train_seeds)
+from sentsig.objectives import (PIPELINES, IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig,
+                                lockstep_groups, run_pipeline)
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
 SEEDS = (3, 11, 4)
@@ -38,21 +34,12 @@ def _config(tied):
 
 
 def _assert_same_result(together, alone):
-    np.testing.assert_array_equal(together.encoder.table, alone.encoder.table)
-    assert len(together.stage_results) == len(alone.stage_results)
-    for got, want in zip(together.stage_results, alone.stage_results):
-        assert got.steps == want.steps  # stream, loss and lr of every step, exactly
-        assert (got.nli_head is None) == (want.nli_head is None)
-        if want.nli_head is not None:
-            np.testing.assert_array_equal(got.nli_head.W, want.nli_head.W)
-            np.testing.assert_array_equal(got.nli_head.b, want.nli_head.b)
-        assert (got.def_head is None) == (want.def_head is None)
-        if want.def_head is not None:
-            assert got.def_head.tied == want.def_head.tied
-            np.testing.assert_array_equal(got.def_head.bias, want.def_head.bias)
-            np.testing.assert_array_equal(got.def_head.weights, want.def_head.weights)
-            if got.def_head.tied:
-                assert got.def_head.weights is together.encoder.table
+    assert len(together.stage_steps) == len(alone.stage_steps)
+    for got, want in zip(together.stage_steps, alone.stage_steps):
+        assert got == want  # stream, loss and lr of every step, exactly
+    assert together.params.keys() == alone.params.keys()
+    for name, want in alone.params.items():
+        np.testing.assert_array_equal(together.params[name], want, err_msg=name)
 
 
 @pytest.mark.parametrize("tied", [True, False])
@@ -60,12 +47,14 @@ def _assert_same_result(together, alone):
 @pytest.mark.parametrize("method", ["sbert", "defsent", "s+d", "d+s", "multi"])
 def test_each_seed_matches_training_it_alone(method, pooling, tied):
     nli, defs, vocab = _world()
-    spec = PipelineSpec.from_method(method, _config(tied), MultiSchedule(3, 2))
     encoders = [ToyEncoder.create(vocab, 4, pooling, seed=seed) for seed in SEEDS]
-    together = run_pipeline(spec, encoders, nli, defs, seeds=SEEDS)
-    for seed, result in zip(SEEDS, together):
-        [alone] = run_pipeline(spec, [ToyEncoder.create(vocab, 4, pooling, seed=seed)], nli, defs,
+    together = run_pipeline(method, encoders, _config(tied), nli, defs, MultiSchedule(3, 2), seeds=SEEDS)
+    for seed, encoder, result in zip(SEEDS, encoders, together):
+        assert encoder.table is result.params["table"]
+        alone_encoder = ToyEncoder.create(vocab, 4, pooling, seed=seed)
+        [alone] = run_pipeline(method, [alone_encoder], _config(tied), nli, defs, MultiSchedule(3, 2),
                                seeds=[seed])
+        assert alone_encoder.table is alone.params["table"]
         _assert_same_result(result, alone)
 
 
@@ -79,8 +68,8 @@ def test_lockstep_batches_are_ragged_and_count_every_seed(monkeypatch):
             return real(batch, pooling, params, counts)
         monkeypatch.setattr(sentsig.objectives, name, recording)
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
-    train_seeds(encoders, SEEDS, TrainConfig(epochs=2, batch_size=5, bucket_width=3), nli, defs,
-                MultiSchedule(3, 2))
+    run_pipeline("multi", encoders, TrainConfig(epochs=2, batch_size=5, bucket_width=3), nli, defs,
+                 MultiSchedule(3, 2), seeds=SEEDS)
     assert calls and all(size == sum(counts) and len(counts) == len(SEEDS) for size, counts in calls)
     assert any(len(set(counts)) > 1 for _, counts in calls)
 
@@ -89,7 +78,7 @@ def test_encoders_must_share_vocabulary_and_pooling():
     nli, _, vocab = _world()
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=0), ToyEncoder.create(vocab, 4, "max", seed=1)]
     with pytest.raises(InvalidInputError, match="one vocabulary"):
-        train_seeds(encoders, [0, 1], TrainConfig(), nli)
+        run_pipeline("sbert", encoders, TrainConfig(), nli, seeds=[0, 1])
 
 
 def test_lockstep_groups_fit_their_tables_in_the_budget():
@@ -99,31 +88,22 @@ def test_lockstep_groups_fit_their_tables_in_the_budget():
     assert lockstep_groups([5, 6], 20_000, 128) == [[5], [6]]  # one table is over the budget
 
 
-@pytest.mark.parametrize("tied", [True, False])
-@pytest.mark.parametrize("method", ["s+d", "d+s"])
-def test_a_stage_frees_the_parameter_buffer_of_the_stage_before(monkeypatch, method, tied):
-    # the results of stage 1 live on through stage 2, but their heads hold
-    # copies, and a tied head follows its encoder's table, so nothing keeps
-    # the buffer that stage 1 trained in
+@pytest.mark.parametrize("method", list(PIPELINES))
+def test_each_method_builds_one_optimizer_per_call(monkeypatch, method):
+    # every stage trains in the one Adam, and each seed's arrays are views of
+    # its parameter buffer (test_combiner checks that a stage still trains as
+    # it would with a fresh optimizer)
     nli, defs, vocab = _world()
-    buffers, alive_in_stage_2 = [], []
-    def recording_train(encoders, *args, real=sentsig.combiner.train_seeds):
-        results = real(encoders, *args)
-        buffers.append(weakref.ref(encoders[0].table.base))
-        return results
-    monkeypatch.setattr(sentsig.combiner, "train_seeds", recording_train)
-    for name in ("nli_loss_and_grads", "def_loss_and_grads"):
-        def checking(*args, real=getattr(sentsig.objectives, name)):
-            if len(buffers) == 1:
-                alive_in_stage_2.append(buffers[0]() is not None)
-            return real(*args)
-        monkeypatch.setattr(sentsig.objectives, name, checking)
-    spec = PipelineSpec.from_method(method, _config(tied))
+    built = []
+    class CountingAdam(sentsig.objectives.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+    monkeypatch.setattr(sentsig.objectives, "Adam", CountingAdam)
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
-    results = run_pipeline(spec, encoders, nli, defs, seeds=SEEDS)
-    assert len(buffers) == 2 and alive_in_stage_2 and not any(alive_in_stage_2)
-    assert buffers[1]() is not None  # the last stage's buffer holds the final tables
+    results = run_pipeline(method, encoders, _config(False), nli, defs, seeds=SEEDS)
+    [optimizer] = built
+    assert len(results[0].stage_steps) == len(PIPELINES[method])
     for result in results:
-        for stage in result.stage_results:
-            if stage.def_head is not None and stage.def_head.tied:
-                assert stage.def_head.weights is result.encoder.table
+        for array in result.params.values():
+            assert array.base is optimizer.params["table"].base  # a view, not a copy

@@ -28,20 +28,19 @@ from sentsig.objectives import (
     IndexedDefinitions,
     IndexedNli,
     MultiSchedule,
-    NliHead,
     StepRecord,
     TableGradient,
     TrainConfig,
     TrainResult,
-    WordPredictionHead,
     _drop_oov_definitions,
     _epoch_batches,
     batches_per_epoch,
     def_loss_and_grads,
     lr_at,
     nli_loss_and_grads,
+    run_pipeline,
     smart_batches,
-    train,
+    stream_pattern,
 )
 
 
@@ -56,22 +55,26 @@ def word_row_encoder(rows):
     return ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling="mean")
 
 
-def zero_nli_head(dim, bias=True):
-    return NliHead(np.zeros((3, 3 * dim)), np.zeros(3) if bias else None)
+def zero_nli_params(encoder, bias=True):
+    """The encoder's table and a zero NLI head, with a zero bias unless ``bias`` is false."""
+    params = {"table": encoder.table, "nli_W": np.zeros((3, 3 * encoder.dim))}
+    if bias:
+        params["nli_b"] = np.zeros(3)
+    return params
 
 
-def zero_def_head(encoder, tied=True):
-    """A zero-bias head; tied to ``encoder``, or with zero weights of its own."""
-    bias = np.zeros(len(encoder.vocab))
-    if tied:
-        return WordPredictionHead.tied_to(encoder, bias)
-    return WordPredictionHead(np.zeros((len(encoder.vocab), encoder.dim)), bias, tied=False)
+def zero_def_params(encoder, tied=True):
+    """The encoder's table and a zero-bias head: tied to the table, or with zero weights of its own."""
+    params = {"table": encoder.table, "def_bias": np.zeros(len(encoder.vocab))}
+    if not tied:
+        params["def_W"] = np.zeros((len(encoder.vocab), encoder.dim))
+    return params
 
 
-def nli_step(encoder, head, premise, hypothesis, label):
+def nli_step(encoder, params, premise, hypothesis, label):
     """The batched kernel on a batch of one example."""
     return loss_one(nli_loss_and_grads, indexed([NliExample(premise, hypothesis, label)], encoder),
-                    encoder, head)
+                    encoder.pooling, params)
 
 
 class TestNliForward:
@@ -83,16 +86,16 @@ class TestNliForward:
 
     def test_equal_inputs_zero_abs_block(self):
         u = np.array([1.0, -2.0, 3.0])
-        head = zero_nli_head(3)  # zero weights: P is uniform
-        _, grads = nli_step(word_row_encoder([u]), head, "w0", "w0", "neutral")
+        enc = word_row_encoder([u])
+        _, grads = nli_step(enc, zero_nli_params(enc), "w0", "w0", "neutral")  # zero weights: P is uniform
         g = np.full(3, 1.0 / 3.0)
         g[2] -= 1.0
         np.testing.assert_array_equal(grads["nli_W"], np.outer(g, np.concatenate([u, u, np.zeros(3)])))
 
     def test_zero_weights_returns_bias(self):
-        head = NliHead(np.zeros((3, 6)), np.array([1.0, 2.0, 3.0]))
-        loss, grads = nli_step(word_row_encoder([np.ones(2), np.zeros(2)]), head,
-                               "w0", "w1", "entailment")
+        enc = word_row_encoder([np.ones(2), np.zeros(2)])
+        params = {"table": enc.table, "nli_W": np.zeros((3, 6)), "nli_b": np.array([1.0, 2.0, 3.0])}
+        loss, grads = nli_step(enc, params, "w0", "w1", "entailment")
         probs = softmax(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(grads["nli_b"], probs - [1.0, 0.0, 0.0])
         assert loss == mean_cross_entropies(probs[None], np.array([0]), [0, 1])[0]
@@ -105,24 +108,27 @@ class TestNliForward:
             W, b = rng.normal(size=(3, 3 * d)), rng.normal(size=3)
             f = list(u) + list(v) + [abs(a - c) for a, c in zip(u, v)]
             oracle = [sum(W[i][j] * f[j] for j in range(3 * d)) + b[i] for i in range(3)]
-            _, grads = nli_step(word_row_encoder([u, v]), NliHead(W, b), "w0", "w1", "contradiction")
+            enc = word_row_encoder([u, v])
+            _, grads = nli_step(enc, {"table": enc.table, "nli_W": W, "nli_b": b}, "w0", "w1", "contradiction")
             g = softmax(np.array(oracle))
             g[1] -= 1.0
             np.testing.assert_allclose(grads["nli_b"], g, atol=1e-12)
             np.testing.assert_allclose(grads["nli_W"], np.outer(g, f), atol=1e-12)
 
     def test_dimension_mismatch(self):
-        head = zero_nli_head(3)
+        enc = word_row_encoder([np.ones(2)])
+        params = {"table": enc.table, "nli_W": np.zeros((3, 9)), "nli_b": np.zeros(3)}  # a head for d=3
         with pytest.raises(InvalidInputError):
-            nli_step(word_row_encoder([np.ones(2)]), head, "w0", "w0", "neutral")
+            nli_step(enc, params, "w0", "w0", "neutral")
 
 
-def nli_loss_and_grads_loop(batch, encoder, head):
+def nli_loss_and_grads_loop(batch, encoder, params):
     """Reference: the per-example NLI step, one pooling, head and scatter per sentence."""
     d = encoder.dim
+    W, b = params["nli_W"], params.get("nli_b")
     table_grad = np.zeros_like(encoder.table)
-    w_grad = np.zeros_like(head.W)
-    b_grad = np.zeros(3) if head.b is not None else None
+    w_grad = np.zeros_like(W)
+    b_grad = np.zeros(3) if b is not None else None
     total = 0.0
     for ex in batch:
         idx_u = word_ids(encoder, ex.premise)
@@ -131,9 +137,9 @@ def nli_loss_and_grads_loop(batch, encoder, head):
         v, argmax_v = pool_one(encoder, idx_v)
         diff = u - v
         f = np.concatenate([u, v, np.abs(diff)])
-        logits = head.W @ f
-        if head.b is not None:
-            logits = logits + head.b
+        logits = W @ f
+        if b is not None:
+            logits = logits + b
         probs = softmax(logits)
         gold = ex.label_index
         total += mean_cross_entropies(probs[None], np.array([gold]), [0, 1])[0]
@@ -142,7 +148,7 @@ def nli_loss_and_grads_loop(batch, encoder, head):
         w_grad += np.outer(g, f)
         if b_grad is not None:
             b_grad += g
-        df = head.W.T @ g
+        df = W.T @ g
         sign = np.sign(diff)
         du = df[:d] + sign * df[2 * d :]
         dv = df[d : 2 * d] - sign * df[2 * d :]
@@ -158,19 +164,18 @@ def nli_loss_and_grads_loop(batch, encoder, head):
 class TestNliLoss:
     def test_zero_head_gives_ln3(self):
         enc = tiny_encoder()
-        head = zero_nli_head(enc.dim)
         batch = indexed([NliExample("alpha beta", "gamma", "contradiction")], enc)
-        loss, _ = loss_one(nli_loss_and_grads, batch, enc, head)
+        loss, _ = loss_one(nli_loss_and_grads, batch, enc.pooling, zero_nli_params(enc))
         assert loss == pytest.approx(math.log(3), rel=1e-14)
 
     def test_batch_duplication_keeps_mean(self):
         rng = make_rng(2)
         enc = tiny_encoder(seed=3)
-        head = NliHead(rng.normal(size=(3, 12)), rng.normal(size=3))
+        params = {"table": enc.table, "nli_W": rng.normal(size=(3, 12)), "nli_b": rng.normal(size=3)}
         batch = [NliExample("alpha", "beta gamma", "entailment"),
                  NliExample("delta delta", "alpha", "neutral")]
-        loss_once, _ = loss_one(nli_loss_and_grads, indexed(batch, enc), enc, head)
-        loss_twice, _ = loss_one(nli_loss_and_grads, indexed(batch * 2, enc), enc, head)
+        loss_once, _ = loss_one(nli_loss_and_grads, indexed(batch, enc), enc.pooling, params)
+        loss_twice, _ = loss_one(nli_loss_and_grads, indexed(batch * 2, enc), enc.pooling, params)
         assert loss_twice == pytest.approx(loss_once, rel=1e-14)
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
@@ -189,11 +194,11 @@ class TestNliLoss:
         # gradient's largest entry.
         rng = make_rng(301)
         for _ in range(10):
-            enc, head, batch, _ = random_nli_instance(rng, pooling, batch_max=9)
+            enc, batch, params = random_nli_instance(rng, pooling, batch_max=9)
             if not bias:
-                head = NliHead(head.W, None)
-            loss, grads = loss_one(nli_loss_and_grads, indexed(batch, enc), enc, head)
-            ref_loss, ref_grads = nli_loss_and_grads_loop(batch, enc, head)
+                del params["nli_b"]
+            loss, grads = loss_one(nli_loss_and_grads, indexed(batch, enc), pooling, params)
+            ref_loss, ref_grads = nli_loss_and_grads_loop(batch, enc, params)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
             assert grads.keys() == ref_grads.keys()
             for name, ref in ref_grads.items():
@@ -205,31 +210,33 @@ class TestNliLoss:
         enc = tiny_encoder()
         example = [NliExample("alpha", "beta", "neutral")]
         with pytest.raises(InvalidInputError, match="another vocabulary"):
-            train(enc, TrainConfig(), nli_data=indexed(example, tiny_encoder(seed=1)))
+            run_pipeline("sbert", [enc], TrainConfig(), indexed(example, tiny_encoder(seed=1)), seeds=[0])
         smaller = indexed(example, tiny_encoder(words=("alpha", "beta")))
         with pytest.raises(InvalidInputError, match="table needs 1 x 4 rows, has 6"):
-            loss_one(nli_loss_and_grads, smaller, enc, zero_nli_head(enc.dim))
+            loss_one(nli_loss_and_grads, smaller, enc.pooling, zero_nli_params(enc))
 
 
-def def_loss_and_grads_loop(batch, encoder, head):
+def def_loss_and_grads_loop(batch, encoder, params):
     """Reference: one softmax and one outer product per example."""
+    tied = "def_W" not in params
+    weights, bias = params["table" if tied else "def_W"], params["def_bias"]
     table_grad = np.zeros_like(encoder.table)
-    out_grad = np.zeros_like(head.weights)
-    bias_grad = np.zeros_like(head.bias)
+    out_grad = np.zeros_like(weights)
+    bias_grad = np.zeros_like(bias)
     total = 0.0
     for ex in batch:
         gold = encoder.vocab.index(ex.word)
         idxs = word_ids(encoder, ex.definition)
         s, argmax = pool_one(encoder, idxs)
-        probs = softmax(head.weights @ s + head.bias)
+        probs = softmax(weights @ s + bias)
         total += mean_cross_entropies(probs[None], np.array([gold]), [0, 1])[0]
         g = probs.copy()
         g[gold] -= 1.0
         out_grad += np.outer(g, s)
         bias_grad += g
-        unpool_one(encoder, idxs, argmax, head.weights.T @ g, table_grad)
+        unpool_one(encoder, idxs, argmax, weights.T @ g, table_grad)
     m = len(batch)
-    if head.tied:
+    if tied:
         return total / m, {"table": (table_grad + out_grad) / m, "def_bias": bias_grad / m}
     return total / m, {"table": table_grad / m, "def_W": out_grad / m, "def_bias": bias_grad / m}
 
@@ -239,17 +246,15 @@ class TestDefLoss:
         # two-class outcome: zero untied weights and bias make every logit equal
         vocab = Vocabulary(["yes", "no"])
         enc = ToyEncoder.create(vocab, 3, "mean", seed=0)
-        head = WordPredictionHead(np.zeros((4, 3)), np.zeros(4), tied=False)
         batch = indexed([DefinitionExample("yes", "no no")], enc)
-        loss, _ = loss_one(def_loss_and_grads, batch, enc, head)
+        loss, _ = loss_one(def_loss_and_grads, batch, enc.pooling, zero_def_params(enc, tied=False))
         assert loss == pytest.approx(math.log(4), rel=1e-14)
 
     def test_oov_headword_rejected(self):
         enc = tiny_encoder()
-        head = zero_def_head(enc)
         with pytest.raises(InvalidInputError):
             loss_one(def_loss_and_grads, indexed([DefinitionExample("missing", "alpha beta")], enc),
-                     enc, head)
+                     enc.pooling, zero_def_params(enc))
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
     @pytest.mark.parametrize("tied", [True, False])
@@ -267,9 +272,9 @@ class TestDefLoss:
         # 1e-13 (about 450 ulp) of the gradient's largest entry.
         rng = make_rng(300)
         for _ in range(10):
-            enc, head, batch, _ = random_def_instance(rng, pooling, tied, batch_max=9)
-            loss, grads = loss_one(def_loss_and_grads, indexed(batch, enc), enc, head)
-            ref_loss, ref_grads = def_loss_and_grads_loop(batch, enc, head)
+            enc, batch, params = random_def_instance(rng, pooling, tied, batch_max=9)
+            loss, grads = loss_one(def_loss_and_grads, indexed(batch, enc), pooling, params)
+            ref_loss, ref_grads = def_loss_and_grads_loop(batch, enc, params)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
             assert grads.keys() == ref_grads.keys()
             for name, ref in ref_grads.items():
@@ -448,20 +453,29 @@ def test_definition_step_allocates_less_than_a_table():
     assert 0 < peak < optimizer.params["table"].nbytes // 4
 
 
-@pytest.mark.parametrize("pooling", ["mean", "max"])
-def test_tied_definition_training_holds_three_table_sized_buffers(pooling):
-    # parameters and both moments; a gradient buffer would be a fourth table
+# (method, pooling); the one-stage method keeps the bare pooling as its id
+HELD_BUFFER_CASES = [(method, pooling) for method in ("defsent", "s+d", "d+s") for pooling in ("mean", "max")]
+
+
+@pytest.mark.parametrize("method, pooling", HELD_BUFFER_CASES,
+                         ids=[p if m == "defsent" else f"{m}-{p}" for m, p in HELD_BUFFER_CASES])
+def test_tied_definition_training_holds_three_table_sized_buffers(method, pooling):
+    # parameters and both moments; a gradient buffer would be a fourth table,
+    # and so would a second stage's buffers made while the first stage's live
     vocab, data = _wide_definitions(n_defs=40)
+    nli = IndexedNli.build([NliExample(f"w{i} w{i + 1}", f"w{2 * i}", "neutral") for i in range(40)], vocab)
     encoder = ToyEncoder.create(vocab, 64, pooling, seed=0)
     table_bytes = encoder.table.nbytes
-    steady = 3 * (table_bytes + len(vocab) * 8)  # table and bias in the parameter and moment buffers
+    nli_bytes = 0 if method == "defsent" else (3 * 3 * 64 + 3) * 8
+    # the table, the definition bias and any NLI head, in the parameter and both moment buffers
+    steady = 3 * (table_bytes + len(vocab) * 8 + nli_bytes)
     tracemalloc.start()
     try:
-        result = train(encoder, TrainConfig(batch_size=8), def_data=data)
+        [result] = run_pipeline(method, [encoder], TrainConfig(batch_size=8), nli, data, seeds=[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(result.steps) == 5
+    assert [len(steps) for steps in result.stage_steps] == [5] * len(result.stage_steps)
     assert 0 < peak - steady < table_bytes
 
 
@@ -573,46 +587,40 @@ def train_sbert_loop(encoder, nli_data, config):
     """Reference: the NLI objective as a per-epoch loop, one fresh shuffle per epoch."""
     data = indexed(nli_data, encoder)
     rng = make_rng(config.seed)
-    head = zero_nli_head(encoder.dim, bias=config.head_bias)
-    params = {"table": encoder.table, "nli_W": head.W}
-    if head.b is not None:
-        params["nli_b"] = head.b
+    params = zero_nli_params(encoder, bias=config.head_bias)
     optimizer = ParamAdam(params, config.beta1, config.beta2, config.eps)
     total_steps = config.epochs * batches_per_epoch(data.lengths, config)
-    result = TrainResult(encoder=encoder, nli_head=head)
+    steps = []
     step = 0
     for _ in range(config.epochs):
         for rows in _epoch_batches(data.lengths, config, rng):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
-            loss, grads = loss_one(nli_loss_and_grads, data.take(rows), encoder, head)
+            loss, grads = loss_one(nli_loss_and_grads, data.take(rows), encoder.pooling, params)
             optimizer.step(grads, lr)
-            result.steps.append(StepRecord("nli", loss, lr))
-    return result
+            steps.append(StepRecord("nli", loss, lr))
+    return TrainResult(params, [steps])
 
 
 def train_defsent_loop(encoder, def_data, config):
     """Reference: the definition objective as a per-epoch loop, one fresh shuffle per epoch."""
     data = _drop_oov_definitions(indexed(def_data, encoder))
     rng = make_rng(config.seed)
-    head = zero_def_head(encoder, tied=config.tied_head)
-    params = {"table": encoder.table, "def_bias": head.bias}
-    if not head.tied:
-        params["def_W"] = head.weights
+    params = zero_def_params(encoder, tied=config.tied_head)
     optimizer = ParamAdam(params, config.beta1, config.beta2, config.eps)
     total_steps = config.epochs * batches_per_epoch(data.lengths, config)
-    result = TrainResult(encoder=encoder, def_head=head)
+    steps = []
     step = 0
     for _ in range(config.epochs):
         for rows in _epoch_batches(data.lengths, config, rng):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
-            loss, grads = loss_one(def_loss_and_grads, data.take(rows), encoder, head)
+            loss, grads = loss_one(def_loss_and_grads, data.take(rows), encoder.pooling, params)
             optimizer.step(grads, lr)
-            result.steps.append(StepRecord("def", loss, lr))
-    return result
+            steps.append(StepRecord("def", loss, lr))
+    return TrainResult(params, [steps])
 
 
 class TestTrainMatchesLoopOracle:
@@ -638,28 +646,27 @@ class TestTrainMatchesLoopOracle:
         nli, defs, vocab = self._world()
         config = TrainConfig(seed=5, epochs=2, batch_size=5, base_lr=0.05, bucket_width=2,
                              smart_batching=smart, tied_head=tied, lr_decay="linear")
-        for data, oracle, head in ((dict(nli_data=nli), train_sbert_loop, "nli_head"),
-                                   (dict(def_data=defs), train_defsent_loop, "def_head")):
+        for data, oracle, method in ((dict(nli_data=nli), train_sbert_loop, "sbert"),
+                                     (dict(def_data=defs), train_defsent_loop, "defsent")):
             enc_loop = ToyEncoder.create(vocab, 4, pooling, seed=5)
             enc_train = ToyEncoder.create(vocab, 4, pooling, seed=5)
             expected = oracle(enc_loop, next(iter(data.values())), config)
-            result = train(enc_train, config,
-                           **{key: indexed(examples, enc_train) for key, examples in data.items()})
-            assert len(result.steps) > 2 * 5
-            assert result.steps == expected.steps
+            [result] = run_pipeline(method, [enc_train], config, seeds=[config.seed],
+                                    **{key: indexed(examples, enc_train) for key, examples in data.items()})
+            assert len(result.stage_steps[0]) > 2 * 5
+            assert result.stage_steps == expected.stage_steps
             np.testing.assert_array_equal(enc_train.table, enc_loop.table)
-            got, want = getattr(result, head), getattr(expected, head)
-            for name in ("W", "b", "weights", "bias"):
-                if getattr(want, name, None) is not None:
-                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert result.params.keys() == expected.params.keys()
+            for name, want in expected.params.items():
+                np.testing.assert_array_equal(result.params[name], want, err_msg=name)
 
 
 class TestTrainSbert:
     def test_zero_epochs_unchanged(self):
         enc = tiny_encoder()
         before = enc.table.copy()
-        result = train(enc, TrainConfig(epochs=0), nli_data=indexed(_nli(10), enc))
-        assert result.steps == []
+        [result] = run_pipeline("sbert", [enc], TrainConfig(epochs=0), indexed(_nli(10), enc), seeds=[0])
+        assert result.stage_steps == [[]]
         np.testing.assert_array_equal(enc.table, before)
 
     def test_loss_halves_on_separable_data(self):
@@ -667,9 +674,10 @@ class TestTrainSbert:
         nli = make_nli_corpus(rng, 480, n_topics=4, words_per_topic=12, sentence_len=4)
         texts = [e.premise for e in nli] + [e.hypothesis for e in nli]
         enc = ToyEncoder.create(build_vocab(texts), 8, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, base_lr=1e-2, epochs=3), nli_data=indexed(nli, enc))
-        final = float(np.mean(result.losses[-10:]))
-        assert final < 0.5 * result.losses[0]
+        [result] = run_pipeline("sbert", [enc], TrainConfig(base_lr=1e-2, epochs=3), indexed(nli, enc), seeds=[0])
+        losses = [s.loss for s in result.stage_steps[0]]
+        final = float(np.mean(losses[-10:]))
+        assert final < 0.5 * losses[0]
 
     def test_same_seed_bit_identical(self):
         rng = make_rng(10)
@@ -679,8 +687,8 @@ class TestTrainSbert:
         runs = []
         for _ in range(2):
             enc = ToyEncoder.create(vocab, 6, "mean", seed=4)
-            result = train(enc, TrainConfig(seed=4, epochs=2), nli_data=indexed(nli, enc))
-            runs.append((enc.table.copy(), result.nli_head.W.copy(), result.losses))
+            [result] = run_pipeline("sbert", [enc], TrainConfig(epochs=2), indexed(nli, enc), seeds=[4])
+            runs.append((enc.table.copy(), result.params["nli_W"].copy(), [s.loss for s in result.stage_steps[0]]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
@@ -691,18 +699,18 @@ class TestTrainDefsent:
         enc = tiny_encoder()
         before = enc.table.copy()
         defs = [DefinitionExample("alpha", "beta gamma")]
-        result = train(enc, TrainConfig(epochs=0), def_data=indexed(defs, enc))
-        assert result.steps == []
+        [result] = run_pipeline("defsent", [enc], TrainConfig(epochs=0), def_data=indexed(defs, enc), seeds=[0])
+        assert result.stage_steps == [[]]
         np.testing.assert_array_equal(enc.table, before)
 
     def test_marker_dictionary_reaches_high_accuracy(self):
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
         enc = ToyEncoder.create(vocab, 6, "mean", seed=2)
-        result = train(enc, TrainConfig(seed=0, base_lr=0.05, epochs=20, batch_size=4),
-                       def_data=indexed(defs * 4, enc))
-        head = result.def_head
-        logits = enc.embed_batch([ex.definition for ex in defs]) @ head.weights.T + head.bias
+        [result] = run_pipeline("defsent", [enc], TrainConfig(base_lr=0.05, epochs=20, batch_size=4),
+                                def_data=indexed(defs * 4, enc), seeds=[0])
+        head = result.params  # tied: the table is the prediction layer
+        logits = enc.embed_batch([ex.definition for ex in defs]) @ head["table"].T + head["def_bias"]
         golds = [enc.vocab.index(ex.word) for ex in defs]
         assert np.mean(logits.argmax(axis=1) == golds) >= 0.9
 
@@ -711,14 +719,16 @@ class TestTrainDefsent:
         defs = [DefinitionExample("alpha", "beta gamma"),
                 DefinitionExample("unseen", "alpha beta")]
         with caplog.at_level("INFO"):
-            result = train(enc, TrainConfig(epochs=1, batch_size=2), def_data=indexed(defs, enc))
-        assert len(result.steps) == 1
+            [result] = run_pipeline("defsent", [enc], TrainConfig(epochs=1, batch_size=2),
+                                    def_data=indexed(defs, enc), seeds=[0])
+        assert [len(steps) for steps in result.stage_steps] == [1]
         assert any("dropped 1" in m for m in caplog.messages)
 
     def test_all_oov_is_error(self):
         enc = tiny_encoder()
         with pytest.raises(InvalidInputError):
-            train(enc, TrainConfig(), def_data=indexed([DefinitionExample("unseen", "alpha")], enc))
+            run_pipeline("defsent", [enc], TrainConfig(),
+                         def_data=indexed([DefinitionExample("unseen", "alpha")], enc), seeds=[0])
 
     def test_same_seed_bit_identical(self):
         rng = make_rng(11)
@@ -727,7 +737,7 @@ class TestTrainDefsent:
         tables = []
         for _ in range(2):
             enc = ToyEncoder.create(vocab, 5, "mean", seed=8)
-            train(enc, TrainConfig(seed=8, epochs=2), def_data=indexed(defs, enc))
+            run_pipeline("defsent", [enc], TrainConfig(epochs=2), def_data=indexed(defs, enc), seeds=[8])
             tables.append(enc.table.copy())
         np.testing.assert_array_equal(tables[0], tables[1])
 
@@ -745,37 +755,39 @@ class TestTrainMulti:
         rng = make_rng(12)
         nli, defs, vocab = self._data(rng, 40 * 4)  # 40 batches of 4 -> 2 whole cycles
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
-                       indexed(defs, enc))
-        assert len(result.steps) == 40
-        assert result.stream_pattern() == [("nli", 19), ("def", 1), ("nli", 19), ("def", 1)]
+        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
+                                indexed(defs, enc), seeds=[0])
+        [steps] = result.stage_steps
+        assert len(steps) == 40
+        assert stream_pattern(steps) == [("nli", 19), ("def", 1), ("nli", 19), ("def", 1)]
 
     def test_one_one_schedule_alternates(self):
         rng = make_rng(13)
         nli, defs, vocab = self._data(rng, 6 * 4)
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
         schedule = MultiSchedule(nli_steps_per_cycle=1, def_steps_per_cycle=1)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
-                       indexed(defs, enc), schedule)
+        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
+                                indexed(defs, enc), schedule, seeds=[0])
         # 6 nominal steps -> 3 whole (1,1) cycles
-        streams = [s.stream for s in result.steps]
+        streams = [s.stream for s in result.stage_steps[0]]
         assert streams == ["nli", "def"] * 3
 
     def test_rounds_up_to_whole_cycles(self):
         rng = make_rng(14)
         nli, defs, vocab = self._data(rng, 5 * 4)  # 5 nli batches -> rounded up to 20 steps
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
-                       indexed(defs, enc))
-        assert len(result.steps) == 20
-        assert result.stream_pattern() == [("nli", 19), ("def", 1)]
+        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
+                                indexed(defs, enc), seeds=[0])
+        [steps] = result.stage_steps
+        assert len(steps) == 20
+        assert stream_pattern(steps) == [("nli", 19), ("def", 1)]
 
     def test_small_definition_stream_wraps(self):
         rng = make_rng(15)
         nli, defs, vocab = self._data(rng, 60 * 4)  # 3 cycles -> 3 def steps
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
         defs = defs[:4]  # a single def batch per pass
-        result = train(enc, TrainConfig(seed=0, batch_size=4, epochs=1), indexed(nli, enc),
-                       indexed(defs, enc))
-        def_steps = [s for s in result.steps if s.stream == "def"]
+        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
+                                indexed(defs, enc), seeds=[0])
+        def_steps = [s for s in result.stage_steps[0] if s.stream == "def"]
         assert len(def_steps) == 3  # consumed once per cycle, wrapping each pass
