@@ -27,7 +27,7 @@ from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_d
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
-from .objectives import PIPELINES, IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups, run_pipeline, stream_pattern
+from .objectives import PIPELINES, IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups, method_datasets, run_pipeline, stream_pattern
 
 TRAIN_METHODS = tuple(PIPELINES)
 METHODS = TRAIN_METHODS + ("average", "concat", "none")
@@ -276,9 +276,7 @@ def _training_data(cfg: ExperimentConfig):
     every seed and stage trains on share the token lists, which (like the
     parsed examples) are dropped once the indexes are built.
     """
-    stages = PIPELINES[cfg.method]
-    needs_nli = any(stage != "defsent" for stage in stages)
-    needs_defs = any(stage != "sbert" for stage in stages)
+    needs_nli, needs_defs = method_datasets(cfg.method)
     nli_examples = load_nli(_require(cfg.nli, "NLI")) if needs_nli else None
     def_examples = load_definitions(_require(cfg.definitions, "definitions")) if needs_defs else None
     texts = []

@@ -269,31 +269,21 @@ def kfold_split(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
     return list(np.array_split(rng.permutation(n), k))
 
 
-class LogRegModel:
-    """Multinomial logistic regression over frozen feature vectors, one model per fold.
+def logreg_logits(params: dict[str, np.ndarray], features: np.ndarray) -> np.ndarray:
+    """Each fold's logits: ``params`` holds ``W`` (folds, classes, dim) and ``b`` (folds, classes).
 
-    ``W`` is (folds, classes, dim) and ``b`` (folds, classes): fold f scores
-    the rows of ``features[f]``, and features are (folds, m, dim).
+    Fold f scores the rows of ``features[f]``; features are (folds, m, dim).
+    Stacked products round each fold's entries exactly as its own 2-D product does.
     """
-
-    def __init__(self, W: np.ndarray, b: np.ndarray):
-        self.W = W
-        self.b = b
-
-    def logits(self, features: np.ndarray) -> np.ndarray:
-        # stacked products round each fold's entries exactly as its own 2-D product does
-        return features @ self.W.transpose(0, 2, 1) + self.b[:, None, :]
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.logits(features).argmax(axis=-1)
+    return features @ params["W"].transpose(0, 2, 1) + params["b"][:, None, :]
 
 
-def _logreg_grads(model: LogRegModel, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+def _logreg_grads(params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of each fold's mean softmax cross-entropy over its batch.
 
     ``X`` is (folds, m, dim) and ``y`` (folds, m).
     """
-    logits = model.logits(X)
+    logits = logreg_logits(params, X)
     logits -= logits.max(axis=2, keepdims=True)
     e = np.exp(logits)
     g = e / e.sum(axis=2, keepdims=True)
@@ -303,13 +293,15 @@ def _logreg_grads(model: LogRegModel, X: np.ndarray, y: np.ndarray) -> dict[str,
 
 
 def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
-                 n_classes: int, seeds) -> LogRegModel:
+                 n_classes: int, seeds) -> dict[str, np.ndarray]:
     """Minibatch-Adam softmax regression on frozen features, zero-initialized.
 
     (folds, m, dim) features with (folds, m) labels train one model per fold
     as a stack, and ``seeds`` holds one seed per fold: each fold draws its
     own minibatch order from its own rng, exactly as a fit of that fold
-    alone would.
+    alone would.  The result is the optimizer's parameters ``W`` and ``b``
+    (see :func:`logreg_logits`); a fit that leaves them non-finite is an
+    error, as the learning rate was too large.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -323,15 +315,17 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
         raise InvalidInputError("training data contains a single class")
     optimizer = Adam({"W": (folds, n_classes, dim), "b": (folds, n_classes)},
                      config.beta1, config.beta2, config.eps)
-    model = LogRegModel(optimizer.params["W"], optimizer.params["b"])
+    params = optimizer.params
     rngs = [make_rng(s) for s in seeds]
     stack = np.arange(folds)[:, None]
     for _ in range(config.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
-            optimizer.step(_logreg_grads(model, X[stack, idx], y[stack, idx]), config.lr)
-    return model
+            optimizer.step(_logreg_grads(params, X[stack, idx], y[stack, idx]), config.lr)
+    if not all(np.isfinite(p).all() for p in params.values()):
+        raise InvalidInputError("the probe diverged to non-finite weights; lower [probe] lr")
+    return params
 
 
 def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig,
@@ -359,9 +353,9 @@ def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig
         group = [i for i, fold in enumerate(folds) if len(fold) == size]
         test = np.stack([folds[i] for i in group])
         train = np.stack([np.setdiff1d(np.arange(n), fold) for fold in test])  # ascending rows
-        model = train_logreg(X[train], labels[train], config, int(labels.max()) + 1,
-                             fold_seeds[group])
-        correct += int((model.predict(X[test]) == labels[test]).sum())
+        params = train_logreg(X[train], labels[train], config, int(labels.max()) + 1,
+                              fold_seeds[group])
+        correct += int((logreg_logits(params, X[test]).argmax(axis=-1) == labels[test]).sum())
     return correct / n
 
 

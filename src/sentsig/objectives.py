@@ -383,14 +383,13 @@ class Adam:
     initial values into ``params`` and read the trained ones there.
 
     A call to :meth:`step` touches only the parameters named in ``grads``
-    (multi-task streams update disjoint heads).  A gradient is an array
-    shaped like its parameter or a :class:`TableGradient`, which is made
-    chunk by chunk: there is no gradient buffer.  Each parameter keeps its
-    own step counter for bias correction; neighbours in the buffer with
-    equal counts update as one slice, a cache-sized chunk at a time, and a
-    chunk ends on a row boundary of a :class:`TableGradient`.  Each chunk's
-    gradient is written into one chunk-sized scratch and its temporaries
-    into another, so a step allocates nothing table-sized.
+    (multi-task streams update disjoint heads), and each parameter keeps its
+    own step counter for bias correction.  A gradient is an array shaped
+    like its parameter or a :class:`TableGradient`, which is made chunk by
+    chunk: there is no gradient buffer.  A parameter updates in chunks of
+    whole rows along its first axis, at most ``CHUNK`` entries or one row;
+    each chunk's gradient is written into one chunk-sized scratch and its
+    temporaries into another, so a step allocates nothing table-sized.
     """
 
     CHUNK = 1 << 15  # elements per pass: a chunk of the five arrays stays in cache
@@ -401,12 +400,13 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
-        self._slices = {name: slice(a, b) for name, a, b in zip(shapes, ends, ends[1:])}
+        self._starts = dict(zip(shapes, ends))
         self._flat = [np.zeros(ends[-1]) for _ in range(3)]  # parameters, then both moments
         self.params, self.m, self.v = (
-            {name: flat[sl].reshape(shapes[name]) for name, sl in self._slices.items()}
+            {name: flat[a:b].reshape(shapes[name]) for name, a, b in zip(shapes, ends, ends[1:])}
             for flat in self._flat)
-        self._scratch = np.empty((2, min(ends[-1], self.CHUNK)))  # a chunk's gradient and temporaries
+        rows = [math.prod(shape[1:]) for shape in shapes.values()]  # entries per row
+        self._scratch = np.empty((2, max([min(ends[-1], self.CHUNK), *rows])))  # gradient, temporaries
         self.t = {k: 0 for k in shapes}
 
     def reset(self) -> None:
@@ -416,52 +416,23 @@ class Adam:
         self.t = dict.fromkeys(self.t, 0)
 
     def step(self, grads: dict[str, np.ndarray | TableGradient], lr: float) -> None:
-        spans = []  # [step count, start, stop, [(slice, flat gradient or TableGradient)]]
-        for name in sorted(grads, key=lambda n: self._slices[n].start):
-            g, shape, sl = grads[name], self.params[name].shape, self._slices[name]
+        for name, g in grads.items():
+            shape = self.params[name].shape
             if g.shape != shape:
                 raise InvalidInputError(
                     f"gradient shape {g.shape} does not match parameter {name} {shape}")
             self.t[name] += 1
-            part = (sl, g if isinstance(g, TableGradient) else g.reshape(-1))
-            if spans and spans[-1][0] == self.t[name] and spans[-1][2] == sl.start:
-                spans[-1][2] = sl.stop
-                spans[-1][3].append(part)
-            else:
-                spans.append([self.t[name], sl.start, sl.stop, [part]])
-        for t, start, stop, parts in spans:
-            lo = start
-            while lo < stop:
-                hi = self._chunk_end(lo, min(lo + self.CHUNK, stop), parts)
-                if hi - lo > self._scratch.shape[1]:  # a table row longer than a chunk
-                    self._scratch = np.empty((2, hi - lo))
-                self._fill(lo, hi, parts)
-                self._update(slice(lo, hi), t, lr)
-                lo = hi
-
-    @staticmethod
-    def _chunk_end(lo: int, hi: int, parts: list) -> int:
-        """``hi``, moved back to a row boundary if it falls inside a row of a :class:`TableGradient`."""
-        for sl, source in parts:
-            if sl.start < hi < sl.stop and isinstance(source, TableGradient):
-                row = (sl.stop - sl.start) // source.shape[0]
-                end = hi - (hi - sl.start) % row
-                return end if end > lo else lo + row
-        return hi
-
-    def _fill(self, lo: int, hi: int, parts: list) -> None:
-        """Write the gradient of buffer entries ``lo:hi`` into the first scratch row."""
-        g = self._scratch[0, : hi - lo]
-        for sl, source in parts:
-            a, b = max(lo, sl.start), min(hi, sl.stop)
-            if a >= b:
-                continue
-            if isinstance(source, TableGradient):
-                row = (sl.stop - sl.start) // source.shape[0]
-                source.fill((a - sl.start) // row, (b - sl.start) // row,
-                            g[a - lo : b - lo].reshape(-1, row))
-            else:
-                g[a - lo : b - lo] = source[a - sl.start : b - sl.start]
+            start, row = self._starts[name], math.prod(shape[1:])
+            n_rows = shape[0] if shape else 1
+            per_chunk = max(1, self.CHUNK // row)
+            for r0 in range(0, n_rows, per_chunk):
+                r1 = min(r0 + per_chunk, n_rows)
+                out = self._scratch[0, : (r1 - r0) * row]
+                if isinstance(g, TableGradient):
+                    g.fill(r0, r1, out.reshape(r1 - r0, row))
+                else:
+                    out[...] = g.reshape(-1)[r0 * row : r1 * row]
+                self._update(slice(start + r0 * row, start + r1 * row), self.t[name], lr)
 
     def _update(self, sl: slice, t: int, lr: float) -> None:
         p, m, v = (flat[sl] for flat in self._flat)
@@ -621,14 +592,22 @@ PIPELINES = {
 }
 
 
+def method_datasets(method: str) -> tuple[bool, bool]:
+    """(needs NLI data, needs definitions) of training ``method``."""
+    stages = PIPELINES.get(method)
+    if stages is None:
+        raise InvalidInputError(f"unknown training method {method!r}")
+    return any(stage != "defsent" for stage in stages), any(stage != "sbert" for stage in stages)
+
+
 def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfig,
                  nli_data: IndexedNli | None = None, def_data: IndexedDefinitions | None = None,
                  schedule: MultiSchedule | None = None, *, seeds: Sequence[int]) -> list[TrainResult]:
     """Fine-tune each encoder by ``method``, the :data:`PIPELINES` stages in order, in lockstep.
 
     One :class:`Adam` holds the parameters that any stage trains, stacked
-    over the seeds, in the order ``[nli_W, nli_b, table, def_W, def_bias]``
-    (each stream's parameters are one run).  The encoders' tables become
+    over the seeds: ``nli_W``, ``nli_b``, ``table``, ``def_W`` and
+    ``def_bias``, those the method uses.  The encoders' tables become
     views of its parameter buffer, which gets an encoder's table copied in
     or, if it has none, the :func:`~sentsig.encoder.initial_table` of its
     seed drawn in.  Each stage starts as a fresh optimizer would: the
@@ -657,11 +636,7 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
     (:class:`TableGradient`), and :func:`lockstep_groups` bounds the seeds
     trained together.
     """
-    stages = PIPELINES.get(method)
-    if stages is None:
-        raise InvalidInputError(f"unknown training method {method!r}")
-    uses_nli = any(stage != "defsent" for stage in stages)
-    uses_def = any(stage != "sbert" for stage in stages)
+    uses_nli, uses_def = method_datasets(method)
     if uses_nli and not nli_data:
         raise InvalidInputError(f"{method} requires an NLI dataset")
     if uses_def and not def_data:
@@ -705,7 +680,7 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
             arrays["table"][...] = encoder.table
         encoder.table = arrays["table"]
         results.append(TrainResult(arrays))
-    for i, stage in enumerate(stages):
+    for i, stage in enumerate(PIPELINES[method]):
         if i:
             optimizer.reset()
         records = _run_lockstep(first.pooling, n_words, optimizer, streams[stage],

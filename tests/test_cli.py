@@ -359,6 +359,10 @@ BAD_INPUTS = [
      "sts.in:1: not UTF-8"),
     ("eval-probe", {"probe": "x\ta\ny\t@\n"}, ["eval", "{ckpt}", "--probe", "{probe}"],
      "probe.in:2: not UTF-8"),
+    ("eval-probe-divergence",
+     {"probe": "".join(f"{c}\tt0{c}w{i % 12:03d}\n" for c in (0, 1) for i in range(20)),
+      "ini": "[probe]\nlr = 1e308\n"},
+     ["eval", "{ckpt}", "--probe", "{probe}", "--config", "{ini}"], "[probe] lr"),
     ("eval-dump", {"dump": "dim=1\na\t1.0\n@\t2.0\n"}, ["eval", "{dump}", "--sts", "{fixture_sts}"],
      "dump.in:3: not UTF-8"),
     ("eval-sidecar", {}, ["eval", "{sidecar}", "--sts", "{fixture_sts}"],

@@ -13,7 +13,6 @@ from sentsig.corpus import Partition, StsPair
 from sentsig.encoder import EmbeddingStore
 from sentsig.errors import DegenerateScoresError, InvalidInputError, MissingEmbeddingError
 from sentsig.evalsuite import (
-    LogRegModel,
     ProbeConfig,
     ProbeTask,
     _logreg_grads,
@@ -23,6 +22,7 @@ from sentsig.evalsuite import (
     eval_sts_partitioned,
     kfold_split,
     load_probe_task,
+    logreg_logits,
     train_logreg,
 )
 from sentsig.numstat import cosine, make_rng, pearson, spearman
@@ -258,16 +258,24 @@ class TestTrainLogreg:
     def test_separable_blobs_high_train_accuracy(self):
         rng = make_rng(4)
         X, y = self._blobs(rng)
-        model = train_logreg(X[None], y[None], ProbeConfig(seed=0), 2, [0])
-        accuracy = float((model.predict(X[None])[0] == y).mean())
+        params = train_logreg(X[None], y[None], ProbeConfig(seed=0), 2, [0])
+        accuracy = float((logreg_logits(params, X[None])[0].argmax(axis=-1) == y).mean())
         assert accuracy >= 0.95
 
     def test_zero_epochs_predicts_uniform(self):
         rng = make_rng(5)
         X, y = self._blobs(rng)
-        model = train_logreg(X[None], y[None], ProbeConfig(epochs=0, seed=0), 2, [0])
-        np.testing.assert_array_equal(model.W, 0.0)
-        np.testing.assert_array_equal(model.logits(X[None]), np.zeros((1, len(X), 2)))
+        params = train_logreg(X[None], y[None], ProbeConfig(epochs=0, seed=0), 2, [0])
+        np.testing.assert_array_equal(params["W"], 0.0)
+        np.testing.assert_array_equal(logreg_logits(params, X[None]), np.zeros((1, len(X), 2)))
+
+    def test_fits_are_views_of_one_optimizer_buffer(self):
+        rng = make_rng(5)
+        X, y = self._blobs(rng)
+        params = train_logreg(np.stack([X, -X]), np.stack([y, y]), ProbeConfig(seed=0), 2, [0, 1])
+        assert set(params) == {"W", "b"}
+        assert params["W"].shape == (2, 2, X.shape[1]) and params["b"].shape == (2, 2)
+        assert params["W"].base is params["b"].base
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -278,15 +286,14 @@ class TestTrainLogreg:
         X = rng.normal(size=(1, 7, 3))
         y = rng.integers(0, 3, size=(1, 7))
         y[0, :3] = 0, 1, 2
-        model = LogRegModel(rng.normal(size=(1, 3, 3)), rng.normal(size=(1, 3)))
+        params = {"W": rng.normal(size=(1, 3, 3)), "b": rng.normal(size=(1, 3))}
 
         def loss():
-            logits = model.logits(X)
+            logits = logreg_logits(params, X)
             log_probs = logits - np.log(np.exp(logits).sum(axis=2, keepdims=True))
             return -np.take_along_axis(log_probs, y[..., None], axis=2).mean()
 
-        worst = finite_difference_worst_error(loss, {"W": model.W, "b": model.b},
-                                              _logreg_grads(model, X, y))
+        worst = finite_difference_worst_error(loss, params, _logreg_grads(params, X, y))
         assert worst < 1e-4
 
 
@@ -348,17 +355,17 @@ class TestEvalProbe:
         fits = []
 
         def spy(features, labels, config, n_classes, seeds):
-            model = train_logreg(features, labels, config, n_classes, seeds)
-            fits.append((features.shape, seeds, model))
-            return model
+            params = train_logreg(features, labels, config, n_classes, seeds)
+            fits.append((features.shape, seeds, params))
+            return params
 
         monkeypatch.setattr(sentsig.evalsuite, "train_logreg", spy)
         accuracy = eval_probe(store, task, config)
         expected_accuracy, expected = per_fold_probe(X, task.label_indices(), config)
         assert accuracy == expected_accuracy
         assert sorted(shape[1] for shape, _, _ in fits) == sorted({n - n // 10, n - n // 10 - 1})
-        stacked = {int(s): (model.W[j], model.b[j])
-                   for _, seeds, model in fits for j, s in enumerate(seeds)}
+        stacked = {int(s): (params["W"][j], params["b"][j])
+                   for _, seeds, params in fits for j, s in enumerate(seeds)}
         assert len(stacked) == 10
         for fold_seed, W, b in expected:
             np.testing.assert_array_equal(stacked[fold_seed][0], W)

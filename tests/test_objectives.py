@@ -387,11 +387,14 @@ class TestAdam:
         with pytest.raises(InvalidInputError):
             opt.step({"p": np.ones(3)}, lr=0.1)
 
-    def test_flat_buffer_matches_per_parameter_adam(self):
+    @pytest.mark.parametrize("chunk", [Adam.CHUNK, 5], ids=["default-chunk", "chunk-below-a-row"])
+    def test_flat_buffer_matches_per_parameter_adam(self, monkeypatch, chunk):
         # streams of several parameters with uneven step counts, a stream whose
         # parameters are not neighbours in the buffer, gradients given as
-        # arrays and as table gradients, and a table longer than one chunk
-        # whose chunks end inside a row unless they are moved to a row boundary
+        # arrays and as table gradients, a table longer than one chunk, and
+        # with a chunk of 5 entries every parameter updated a row at a time,
+        # most rows longer than a chunk
+        monkeypatch.setattr(Adam, "CHUNK", chunk)
         rng = make_rng(23)
         shapes = {"nli_W": (2, 3, 12), "nli_b": (2, 3), "table": (Adam.CHUNK // 16 + 7, 16),
                   "def_W": (5, 4), "def_bias": (2, 9)}
