@@ -27,6 +27,7 @@ from .objectives import TrainConfig
 
 FORMAT = "sentsig-checkpoint"
 VERSION = 2
+SIDECAR_CHUNK = 1 << 20  # bytes of a sidecar read and hashed per call
 
 
 @dataclass
@@ -41,19 +42,18 @@ def _floats(a: np.ndarray) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
+    """Write ``array`` as the bytes ``np.save`` writes, hashing them from memory, not from the file."""
     sidecar = path.with_name(f"{path.stem}.{name}.npy")
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    digest = hashlib.sha256(header.getbuffer())
+    digest.update(memoryview(array).cast("B"))
     with atomic_write(sidecar, binary=True) as fh:
-        np.save(fh, np.ascontiguousarray(array, dtype=np.float64), allow_pickle=False)
-    return {"file": sidecar.name, "sha256": _sha256(sidecar)}
+        fh.write(header.getbuffer())
+        array.tofile(fh)  # as np.save writes to a file, with no copy of the array
+    return {"file": sidecar.name, "sha256": digest.hexdigest()}
 
 
 def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | None = None,
@@ -103,24 +103,48 @@ def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | No
 
 
 def _read_sidecar(path: Path, ref: dict, shape: tuple[int, int]) -> np.ndarray:
-    """The array a sidecar reference names, after checking its sha256, dtype and shape."""
+    """The array a sidecar reference names, after checking its dtype, shape and sha256.
+
+    The ``.npy`` header is checked before the array is allocated, and the
+    array is read straight into it a chunk at a time, hashing each chunk, so
+    a load holds one copy of the array.
+    """
     name = ref["file"]
     if not isinstance(name, str) or Path(name).name != name or name in ("", ".", ".."):
         raise InvalidInputError(f"sidecar name must be a plain file name, got {name!r}")
     sidecar = path.with_name(name)
     try:
-        data = sidecar.read_bytes()
+        fh = open(sidecar, "rb")
     except OSError as exc:
         raise InvalidInputError(f"cannot read sidecar {sidecar}: {exc.strerror}") from None
-    if hashlib.sha256(data).hexdigest() != ref["sha256"]:
+    with fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"unsupported .npy version {version}")
+            read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) \
+                else np.lib.format.read_array_header_2_0
+            found, fortran_order, dtype = read_header(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"sidecar {name} is not a .npy array: {exc}") from None
+        if dtype != np.float64 or found != shape or fortran_order:
+            order = " in Fortran order" if fortran_order else ""
+            raise InvalidInputError(
+                f"sidecar {name} holds {dtype} {found}{order}, expected float64 {shape} in C order")
+        digest = hashlib.sha256()
+        header_bytes = fh.tell()
+        fh.seek(0)
+        digest.update(fh.read(header_bytes))
+        array = np.empty(shape)
+        data = memoryview(array).cast("B")
+        for chunk in (data[i : i + SIDECAR_CHUNK] for i in range(0, len(data), SIDECAR_CHUNK)):
+            if fh.readinto(chunk) != len(chunk):
+                raise InvalidInputError(f"sidecar {name} ends before its {shape} array does")
+            digest.update(chunk)
+        if fh.read(1):
+            raise InvalidInputError(f"sidecar {name} has bytes after its {shape} array")
+    if digest.hexdigest() != ref["sha256"]:
         raise InvalidInputError(f"sidecar {name} does not match the sha256 in the checkpoint")
-    try:
-        array = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
-    except ValueError as exc:
-        raise InvalidInputError(f"sidecar {name} is not a .npy array: {exc}") from None
-    if array.dtype != np.float64 or array.shape != shape:
-        raise InvalidInputError(
-            f"sidecar {name} holds {array.dtype} {array.shape}, expected float64 {shape}")
     return array
 
 

@@ -35,7 +35,7 @@ POOLINGS = ("cls", "mean", "max")
 
 MAX_TOKENS = 128  # training/evaluation truncation length
 
-MEAN_POOL_ENTRIES = 1 << 16  # (word position, column) entries mean pooling bins per call
+MEAN_POOL_ENTRIES = 1 << 16  # (word position, column) entries mean pooling adds per call
 DRAW_CHUNK = 1 << 16  # entries of an initial table drawn per call
 
 
@@ -179,93 +179,44 @@ class ScatterTerms:
         self.value_rows = value_rows
         self._sorted = None
 
-    def add_to(self, target: np.ndarray, first_row: int = 0, zeroed: bool = False) -> None:
-        """Add the terms of rows ``first_row`` onward into ``target``, which holds those rows.
+    def add_to(self, target: np.ndarray, first_row: int = 0) -> None:
+        """Add the terms of rows ``first_row`` onward into ``target``, a C-contiguous array of those rows.
 
         Every entry becomes the sum ``np.add.at`` forms, in its order: the
         target value, then the terms in input order, signed zeros included.
-        ``zeroed`` says that the target is all +0.0, so its values are not read.
-        Only the touched rows are binned (:func:`row_sums`), so nothing
-        target-sized is allocated.
+        The range's terms are one run of the terms sorted by key, added with
+        one flat ``np.add.at``, so nothing target-sized is allocated.
         """
-        if first_row == 0 and self.rows.max() < target.shape[0]:
-            # every term lands in the target: a term's place is its row's rank among the touched rows
-            place = np.zeros(target.shape[0] + 1, dtype=np.intp)
-            place[self.rows.ravel() + 1] = 1
-            touched = np.flatnonzero(place[1:])
-            np.cumsum(place, out=place)
-            target[touched] = row_sums(place[self.rows], touched.shape[0], self.values,
-                                       self.value_rows, None if zeroed else target[touched])
-            return
-        # a range of rows: its terms are one run of the terms sorted by key (row, or entry)
-        keys, places, touched, values, value_rows, keys_per_row = self._by_key()
-        region = target.reshape(-1, values.shape[1])
-        lo, hi = np.searchsorted(keys, (first_row * keys_per_row,
-                                        (first_row + target.shape[0]) * keys_per_row))
+        keys, values, value_rows, keys_per_row = self._by_key()
+        first_key = first_row * keys_per_row
+        lo, hi = np.searchsorted(keys, (first_key, first_key + target.shape[0] * keys_per_row))
         if lo == hi:
             return
-        p0, p1 = places[lo], places[hi - 1] + 1
-        touched = touched[p0:p1] - first_row * keys_per_row
-        region[touched] = row_sums(places[lo:hi] - p0, p1 - p0, values, value_rows[lo:hi],
-                                   None if zeroed else region[touched])
+        places = keys[lo:hi] - first_key  # places in the flattened target
+        if values.ndim == 2:  # row keys: a term adds a whole row
+            dim = values.shape[1]
+            places = ((places * dim)[:, None] + np.arange(dim)).ravel()
+        # 1-D places and terms: the form np.add.at has a fast loop for
+        np.add.at(target.reshape(-1), places, np.take(values, value_rows[lo:hi], axis=0).ravel())
 
     def _by_key(self) -> tuple:
-        """(keys, places, touched keys, values, value rows, keys per row), sorted by key once."""
+        """(keys, values, value rows, keys per row), sorted by key once.
+
+        A key is a term's target row, or, for terms of one entry each, its
+        place in the flattened target (row·d + column).
+        """
         if self._sorted is None:
             values = self.values
-            if self.rows.ndim == 1:  # a key per term row: its target row
+            if self.rows.ndim == 1:
                 keys, keys_per_row = self.rows, 1
-            else:  # a key per entry: its place in the flattened target
+            else:
                 keys_per_row = values.shape[1]
                 keys = (self.rows.astype(np.intp) * keys_per_row + np.arange(keys_per_row)).ravel()
-                values = values.reshape(-1, 1)
+                values = values.reshape(-1)
             order = np.argsort(keys, kind="stable")  # a key's terms stay in input order
-            keys = keys[order]
-            first = np.empty(order.shape[0], dtype=bool)
-            first[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            places = np.cumsum(first) - 1  # each term's place among the touched keys
             value_rows = order if self.value_rows is None else self.value_rows[order]
-            self._sorted = (keys, places, keys[first], values, value_rows, keys_per_row)
+            self._sorted = (keys[order], values, value_rows, keys_per_row)
         return self._sorted
-
-
-def row_sums(places: np.ndarray, n_rows: int, values: np.ndarray,
-             value_rows: np.ndarray | None = None, start: np.ndarray | None = None) -> np.ndarray:
-    """The rows of ``values`` summed by place into ``n_rows`` rows, with one ``np.bincount``.
-
-    ``places`` gives each row of ``values`` (or of ``values[value_rows]``)
-    its result row, or, shaped like them, each entry.  Row p of the result
-    is ``start[p]``, or +0.0 without ``start``, plus the terms placed at p in
-    input order: the sums ``np.add.at`` forms onto ``start``, signed zeros
-    included.
-    """
-    n, dim = places.shape[0], values.shape[1]
-    first = 0 if start is None else n_rows  # leading rows of bins and weights: the start values
-    bins = np.empty((first + n, dim), dtype=np.intp)
-    np.add((places * dim).reshape(n, -1), np.arange(dim), out=bins[first:])
-    if start is None:
-        weights = values if value_rows is None else np.take(values, value_rows, axis=0)
-    else:
-        bins[:first] = np.arange(first * dim).reshape(first, dim)
-        weights = np.empty((first + n, dim))
-        weights[:first] = start
-        if value_rows is None:
-            weights[first:] = values
-        else:
-            np.take(values, value_rows, axis=0, out=weights[first:])
-    sums = np.bincount(bins.ravel(), weights.ravel(), minlength=n_rows * dim).reshape(n_rows, dim)
-    if start is not None:
-        # a bin starts at +0.0, and +0.0 + -0.0 is +0.0: an entry that add.at
-        # leaves at -0.0 (a -0.0 start and only -0.0 terms) is set back
-        negative_zero = (start == 0.0) & np.signbit(start)
-        if negative_zero.any():
-            terms = weights[first:]
-            other_terms = np.bincount(bins[first:].ravel(),
-                                      ~((terms == 0.0) & np.signbit(terms)).ravel(),
-                                      minlength=n_rows * dim).reshape(n_rows, dim)
-            sums[negative_zero & (other_terms == 0)] = -0.0
-    return sums
 
 
 def pool_forward(table: np.ndarray, pooling: str,
@@ -285,13 +236,14 @@ def pool_forward(table: np.ndarray, pooling: str,
     if pooling == "mean":
         # each text's word rows summed in word order from +0.0, as a
         # one-text mean does; texts go a few at a time, so that the
-        # bins stay small when a whole corpus is pooled
-        sums = np.empty((n, dim))
+        # places stay few when a whole corpus is pooled
+        sums = np.zeros((n, dim))
         step = max(1, MEAN_POOL_ENTRIES // (dim * int(sizes.max())))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            sums[lo:hi] = row_sums(np.repeat(np.arange(hi - lo), sizes[lo:hi]), hi - lo,
-                                   table, index.ids[index.offsets[lo] : index.offsets[hi]])
+            places = np.repeat(np.arange(lo * dim, hi * dim, dim), sizes[lo:hi])[:, None] + np.arange(dim)
+            words = index.ids[index.offsets[lo] : index.offsets[hi]]
+            np.add.at(sums.reshape(-1), places.ravel(), table[words].ravel())
         return sums / sizes[:, None], None
     if pooling != "max":
         raise InvalidInputError(f"unknown pooling strategy {pooling!r}")
@@ -314,8 +266,6 @@ def pool_backward(pooling: str, index: TokenIndex, argmax_rows: np.ndarray | Non
     if pooling == "cls":
         return ScatterTerms(index.cls_rows(), grad_out)
     if pooling == "mean":
-        # bincount takes one weight per term, so each word position's
-        # share of its text's gradient is laid out once, as its weights
         sizes = index.lengths
         return ScatterTerms(index.ids, grad_out / sizes[:, None],
                             np.repeat(np.arange(len(index)), sizes))

@@ -300,8 +300,8 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
     as a stack, and ``seeds`` holds one seed per fold: each fold draws its
     own minibatch order from its own rng, exactly as a fit of that fold
     alone would.  The result is the optimizer's parameters ``W`` and ``b``
-    (see :func:`logreg_logits`); a fit that leaves them non-finite is an
-    error, as the learning rate was too large.
+    (see :func:`logreg_logits`); a step that leaves them non-finite ends
+    the fit with an error, as the learning rate was too large.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -318,13 +318,15 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
     params = optimizer.params
     rngs = [make_rng(s) for s in seeds]
     stack = np.arange(folds)[:, None]
-    for _ in range(config.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, config.batch_size):
-            idx = order[:, start : start + config.batch_size]
-            optimizer.step(_logreg_grads(params, X[stack, idx], y[stack, idx]), config.lr)
-    if not all(np.isfinite(p).all() for p in params.values()):
-        raise InvalidInputError("the probe diverged to non-finite weights; lower [probe] lr")
+    # a step that overflows is caught by the finiteness check after it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            for start in range(0, n, config.batch_size):
+                idx = order[:, start : start + config.batch_size]
+                optimizer.step(_logreg_grads(params, X[stack, idx], y[stack, idx]), config.lr)
+                if not all(np.isfinite(p).all() for p in params.values()):
+                    raise InvalidInputError("the probe diverged to non-finite weights; lower [probe] lr")
     return params
 
 

@@ -243,7 +243,7 @@ class TableGradient:
             for k, a, b in blocks:
                 self._head_rows(k, a - k * n, b - k * n, out[a - lo : b - lo])
         if self.terms is not None:
-            self.terms.add_to(out, lo, zeroed=self.head is None)
+            self.terms.add_to(out, lo)
         for k, a, b in blocks:
             out[a - lo : b - lo] /= self.bounds[k + 1] - self.bounds[k]
 
@@ -441,7 +441,7 @@ class Adam:
         np.multiply(g, 1.0 - self.beta1, out=s)
         m += s
         v *= self.beta2
-        np.multiply(g, g, out=s)
+        np.square(g, out=s)
         s *= 1.0 - self.beta2
         v += s
         # p -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)

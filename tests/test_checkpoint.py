@@ -1,7 +1,9 @@
 """Checkpoint format: JSON plus .npy sidecars, validation on load, atomic finite writes."""
 
 import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +112,15 @@ def _npz_table(path):
     _edit_json(path, edit)
 
 
+def _edit_sidecar_bytes(path, edit):
+    """Rewrite the table sidecar's bytes and record their sha256, so only the layout is wrong."""
+    def edit_json(payload):
+        sidecar = path.with_name(payload["table"]["file"])
+        sidecar.write_bytes(edit(sidecar.read_bytes()))
+        payload["table"]["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    _edit_json(path, edit_json)
+
+
 def _truncate(path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -133,6 +144,12 @@ MALFORMED = [
     ("sidecar-shape", lambda p: _replace_sidecar(p, "table", np.zeros((V - 1, DIM))),
      "expected float64"),
     ("sidecar-not-npy", _npz_table, "not a .npy array"),
+    ("sidecar-short", lambda p: _edit_sidecar_bytes(p, lambda data: data[:-8]), "ends before"),
+    ("sidecar-trailing-bytes", lambda p: _edit_sidecar_bytes(p, lambda data: data + bytes(8)),
+     "bytes after"),
+    ("sidecar-header-only", lambda p: _edit_sidecar_bytes(p, lambda data: data[:6]), "not a .npy array"),
+    ("sidecar-fortran-order", lambda p: _replace_sidecar(p, "table", np.asfortranarray(np.zeros((V, DIM)))),
+     "in Fortran order"),
     ("sidecar-outside-dir",
      lambda p: _edit_json(p, lambda d: d["table"].update(file="../ckpt.table.npy")),
      "plain file name"),
@@ -169,9 +186,38 @@ def test_malformed_checkpoint_rejected(tmp_path, capsys, damage, fragment):
     assert not (out / "manifest.json").exists()
 
 
+def test_a_load_holds_one_copy_of_a_table(tmp_path):
+    words = [f"w{i}" for i in range(2000)]
+    encoder = ToyEncoder(Vocabulary(words), make_rng(0).normal(size=(len(words) + 2, 256)))
+    save_checkpoint(tmp_path / "ckpt.json", encoder)
+    tracemalloc.start()
+    try:
+        ckpt = load_checkpoint(tmp_path / "ckpt.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(ckpt.encoder.table, encoder.table)
+    assert peak < 1.5 * encoder.table.nbytes
+
+
 # ---------------------------------------------------------------------------
 # writes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_sidecars_are_the_bytes_np_save_writes(tmp_path, tied):
+    encoder, heads = _save(tmp_path / "ckpt.json", tied)
+    payload = json.loads((tmp_path / "ckpt.json").read_text())
+    refs = {"table": (payload["table"], encoder.table)}
+    if not tied:
+        refs["def_W"] = (payload["def_head"]["weights"], heads["def_W"])
+    for ref, array in refs.values():
+        expected = io.BytesIO()
+        np.save(expected, array, allow_pickle=False)
+        data = (tmp_path / ref["file"]).read_bytes()
+        assert data == expected.getvalue()
+        assert ref["sha256"] == hashlib.sha256(data).hexdigest()
+
 
 def _poison_table(model):
     model[0].table[2, 1] = np.nan

@@ -358,9 +358,14 @@ class TestScatterAdd:
     """ScatterTerms.add_to forms the sums np.add.at forms, in its order, signed zeros included."""
 
     @pytest.mark.parametrize("target_kind", ["zero", "random", "signed-zeros"])
-    @pytest.mark.parametrize("layout", ["row-per-value", "row-per-entry", "value-rows"])
-    def test_matches_add_at(self, layout, target_kind):
+    @pytest.mark.parametrize("layout, split", [
+        pytest.param(layout, split, id=layout if split == "whole" else f"{layout}-in-row-ranges")
+        for split in ("whole", "row-ranges") for layout in ("row-per-value", "row-per-entry", "value-rows")])
+    def test_matches_add_at(self, layout, split, target_kind):
+        # "row-ranges" cuts the target into random row ranges, each filled on
+        # its own as Adam fills a chunk of a table gradient
         rng = make_rng(43)
+        ranges_seen = set()
         for _ in range(40):
             n_rows, dim, n = int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 25))
             target = _target(rng, target_kind, (n_rows, dim))
@@ -369,19 +374,31 @@ class TestScatterAdd:
                 rows = rng.integers(0, n_rows, size=(n, dim))
                 values = rng.choice(_TERMS, size=(n, dim))
                 np.add.at(expected, (rows, np.arange(dim)), values)
-                ScatterTerms(rows, values).add_to(actual)
+                terms = ScatterTerms(rows, values)
             elif layout == "value-rows":  # mean pooling: a text's row is added at each of its words
                 rows = rng.integers(0, n_rows, size=n).astype(np.int32)
                 values = rng.choice(_TERMS, size=(int(rng.integers(1, 6)), dim))
                 value_rows = rng.integers(0, values.shape[0], size=n)
                 np.add.at(expected, rows, values[value_rows])
-                ScatterTerms(rows, values, value_rows).add_to(actual)
+                terms = ScatterTerms(rows, values, value_rows)
             else:
                 rows = rng.integers(0, n_rows, size=n)
                 values = rng.choice(_TERMS, size=(n, dim))
                 np.add.at(expected, rows, values)
-                ScatterTerms(rows, values).add_to(actual)
+                terms = ScatterTerms(rows, values)
+            if split == "whole":
+                terms.add_to(actual)
+            else:
+                cuts = np.unique(rng.integers(0, n_rows + 1, size=int(rng.integers(0, n_rows + 1))))
+                bounds = [0, *cuts[(cuts > 0) & (cuts < n_rows)].tolist(), n_rows]
+                for lo, hi in zip(bounds[:-1], bounds[1:]):
+                    terms.add_to(actual[lo:hi], lo)
+                    ranges_seen.add("one-row" if hi - lo == 1 else "rows")
+                    if not np.any((rows >= lo) & (rows < hi)):
+                        ranges_seen.add("no-terms")
             assert_same_bits(actual, expected)
+        if split == "row-ranges":
+            assert ranges_seen == {"one-row", "rows", "no-terms"}
 
     def test_negative_zero_target_keeps_its_sign_under_negative_zero_terms(self):
         target = np.array([[-0.0, -0.0], [-0.0, 1.0]])

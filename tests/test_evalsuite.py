@@ -281,6 +281,22 @@ class TestTrainLogreg:
         with pytest.raises(InvalidInputError):
             train_logreg(np.ones((1, 5, 2)), np.zeros((1, 5), dtype=int), ProbeConfig(), 2, [0])
 
+    def test_divergence_stops_at_the_first_non_finite_step(self, monkeypatch):
+        # under pytest's warnings-as-errors, an overflow warning would fail this too
+        steps = []
+        step = sentsig.evalsuite.Adam.step
+
+        def checked(optimizer, grads, lr):
+            assert all(np.isfinite(p).all() for p in optimizer.params.values())  # no step from NaN
+            steps.append(lr)
+            step(optimizer, grads, lr)
+
+        monkeypatch.setattr(sentsig.evalsuite.Adam, "step", checked)
+        X, y = self._blobs(make_rng(4))
+        with pytest.raises(InvalidInputError, match=r"\[probe\] lr"):
+            train_logreg(X[None], y[None], ProbeConfig(lr=1e308, seed=0), 2, [0])
+        assert 1 <= len(steps) < ProbeConfig().epochs * len(X) // ProbeConfig().batch_size
+
     def test_gradients_match_finite_differences(self):
         rng = make_rng(6)
         X = rng.normal(size=(1, 7, 3))
