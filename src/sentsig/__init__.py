@@ -24,7 +24,7 @@ from .corpus import (
     partition_by_source,
     tokenize,
 )
-from .encoder import EmbeddingStore, ToyEncoder, Vocabulary, build_vocab, load_dump, save_dump
+from .encoder import EmbeddingStore, TokenCache, ToyEncoder, Vocabulary, build_vocab, load_dump, save_dump
 from .evalsuite import (
     ProbeConfig,
     ProbeTask,
@@ -41,8 +41,7 @@ from .numstat import cosine, make_rng, pearson, ranks_with_ties, softmax, spearm
 from .objectives import (
     PIPELINES,
     Adam,
-    IndexedDefinitions,
-    IndexedNli,
+    IndexedExamples,
     MultiSchedule,
     TrainConfig,
     TrainResult,

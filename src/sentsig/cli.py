@@ -23,11 +23,11 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .combiner import CombinedProvider
 from .corpus import Partition, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
 from .corpus import dice  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
-from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_dump, save_dump, tokenize_texts
+from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_dump, save_dump
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
-from .objectives import PIPELINES, IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig, lockstep_groups, method_datasets, run_pipeline, stream_pattern
+from .objectives import PIPELINES, IndexedExamples, MultiSchedule, TrainConfig, lockstep_groups, method_datasets, run_pipeline, stream_pattern
 
 TRAIN_METHODS = tuple(PIPELINES)
 METHODS = TRAIN_METHODS + ("average", "concat", "none")
@@ -272,9 +272,9 @@ def _require(path: str | None, what: str) -> str:
 def _training_data(cfg: ExperimentConfig):
     """(vocabulary, indexed NLI data or None, indexed definitions or None) of a training run.
 
-    Every text is tokenized once: the vocabulary and the index arrays that
-    every seed and stage trains on share the token lists, which (like the
-    parsed examples) are dropped once the indexes are built.
+    Every text is tokenized once, through one :class:`TokenCache` that the
+    vocabulary and both indexes share; the token lists (like the parsed
+    examples) are dropped once the indexes are built.
     """
     needs_nli, needs_defs = method_datasets(cfg.method)
     nli_examples = load_nli(_require(cfg.nli, "NLI")) if needs_nli else None
@@ -286,11 +286,10 @@ def _training_data(cfg: ExperimentConfig):
     if def_examples:
         texts.extend(ex.definition for ex in def_examples)
         texts.extend(ex.word for ex in def_examples)
-    tokens = tokenize_texts(texts)
-    vocab = build_vocab(texts, min_count=cfg.min_count, tokens=tokens)
-    nli_data = None if nli_examples is None else IndexedNli.build(nli_examples, vocab, tokens=tokens)
-    def_data = None if def_examples is None else IndexedDefinitions.build(def_examples, vocab,
-                                                                          tokens=tokens)
+    cache = TokenCache()
+    vocab = build_vocab(texts, min_count=cfg.min_count, cache=cache)
+    nli_data = None if nli_examples is None else IndexedExamples.nli(nli_examples, vocab, cache=cache)
+    def_data = None if def_examples is None else IndexedExamples.definitions(def_examples, vocab, cache=cache)
     return vocab, nli_data, def_data
 
 

@@ -80,35 +80,54 @@ class Vocabulary:
         return list(self._words)
 
 
-def tokenize_texts(texts) -> dict[str, tuple[str, ...]]:
-    """Tokens of each distinct text; every text is tokenized once.
+class TokenCache:
+    """Tokens and word indices of texts, shared by the work of one command.
 
-    Equal tokens share one string object, so the tokens of a corpus cost
-    about a pointer each.
+    Each distinct text is tokenized once, and equal tokens share one string
+    object, so the tokens of a corpus cost about a pointer each.  A text
+    list is indexed once per distinct (vocabulary word list, ``max_tokens``):
+    the checkpoints of one ``train`` command have equal vocabularies, so
+    their encoders pool one :class:`TokenIndex`.
     """
-    canonical: dict[str, str] = {}
-    out = {}
-    for text in dict.fromkeys(texts):
-        tokens = tokenize(text)
-        out[text] = tuple(map(canonical.setdefault, tokens, tokens))
-    return out
+
+    def __init__(self):
+        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._canonical: dict[str, str] = {}
+        self._indexes: dict[tuple, TokenIndex] = {}
+
+    def tokens(self, texts: Sequence[str]) -> list[tuple[str, ...]]:
+        """Each text's tokens, in order; a text without tokens has ``()``."""
+        known, canonical = self._tokens, self._canonical
+        for text in texts:
+            if text not in known:
+                tokens = tokenize(text)
+                known[text] = tuple(map(canonical.setdefault, tokens, tokens))
+        return [known[text] for text in texts]
+
+    def index(self, texts: Sequence[str], vocab: Vocabulary, max_tokens: int) -> TokenIndex:
+        """The index of ``texts``, one entry per text; a text without tokens is rejected by name."""
+        texts = tuple(texts)
+        key = (texts, vocab._words, max_tokens)
+        index = self._indexes.get(key)
+        if index is None:
+            token_lists = self.tokens(texts)
+            if not all(token_lists):
+                raise InvalidInputError(f"text has no tokens: {texts[token_lists.index(())]!r}")
+            index = self._indexes[key] = TokenIndex.build(token_lists, vocab, max_tokens)
+        return index
 
 
-def build_vocab(texts: list[str], min_count: int = 1,
-                tokens: dict[str, tuple[str, ...]] | None = None) -> Vocabulary:
+def build_vocab(texts: list[str], min_count: int = 1, cache: TokenCache | None = None) -> Vocabulary:
     """Vocabulary of all tokenized words with frequency >= min_count.
 
-    ``tokens`` maps each text to its tokens (see :func:`tokenize_texts`);
-    without it each distinct text is tokenized here.  Index order is
-    deterministic: descending frequency, then lexicographic.
+    The texts are tokenized through ``cache`` (a fresh one by default).
+    Index order is deterministic: descending frequency, then lexicographic.
     """
     if not texts:
         raise InvalidInputError("cannot build a vocabulary from an empty corpus")
     if min_count < 1:
         raise InvalidInputError("min_count must be >= 1")
-    if tokens is None:
-        tokens = {text: tokenize(text) for text in dict.fromkeys(texts)}
-    counts = Counter(itertools.chain.from_iterable(tokens[text] for text in texts))
+    counts = Counter(itertools.chain.from_iterable((cache or TokenCache()).tokens(texts)))
     kept = sorted(
         (w for w, c in counts.items() if c >= min_count),
         key=lambda w: (-counts[w], w),
@@ -271,36 +290,6 @@ def pool_backward(pooling: str, index: TokenIndex, argmax_rows: np.ndarray | Non
                             np.repeat(np.arange(len(index)), sizes))
     # max: each coordinate's gradient goes to the row that produced the max
     return ScatterTerms(argmax_rows, grad_out)
-
-
-class TokenCache:
-    """Token lists and word indices of sentences, shared by the encoders of one command.
-
-    Each distinct sentence is tokenized once, and a sentence list is indexed
-    once per distinct (vocabulary word list, ``max_tokens``): the
-    checkpoints of one ``train`` command have equal vocabularies, so their
-    encoders pool one :class:`TokenIndex`.  The tokens live for one command,
-    so they are not interned as :func:`tokenize_texts` does.
-    """
-
-    def __init__(self):
-        self._tokens: dict[str, list[str]] = {}
-        self._indexes: dict[tuple, TokenIndex] = {}
-
-    def index(self, sentences: Sequence[str], vocab: Vocabulary, max_tokens: int) -> TokenIndex:
-        """The index of ``sentences``, one text per sentence; a sentence without tokens is rejected."""
-        sentences = tuple(sentences)
-        key = (sentences, vocab._words, max_tokens)
-        index = self._indexes.get(key)
-        if index is None:
-            self._tokens.update((s, tokenize(s)) for s in dict.fromkeys(sentences)
-                                if s not in self._tokens)
-            token_lists = [self._tokens[s] for s in sentences]
-            if not all(token_lists):
-                bad = sentences[token_lists.index([])]
-                raise InvalidInputError(f"sentence has no tokens to embed: {bad!r}")
-            index = self._indexes[key] = TokenIndex.build(token_lists, vocab, max_tokens)
-        return index
 
 
 def initial_table(out: np.ndarray, seed: int) -> np.ndarray:

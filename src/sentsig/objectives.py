@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import DefinitionExample, NliExample, tokenize
-from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenIndex, ToyEncoder, Vocabulary, initial_table,
-                      pool_backward, pool_forward)
+from .corpus import DefinitionExample, NliExample
+from .corpus import tokenize  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
+from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary,
+                      initial_table, pool_backward, pool_forward)
 from .errors import InvalidInputError
 from .numstat import make_rng, mean_cross_entropies, softmax
 
@@ -80,80 +81,56 @@ class MultiSchedule:
             raise InvalidInputError("schedule steps per cycle must be positive")
 
 
-class IndexedNli:
-    """NLI examples as token indices, built once and batched with :meth:`take`.
+class IndexedExamples:
+    """Training examples as token indices, built once and batched with :meth:`take`.
 
-    ``texts`` holds the premises followed by the hypotheses (premise ``i`` is
-    text ``i``, its hypothesis text ``n + i``), so one pooling call embeds
-    both sides of a batch.
+    An example has ``sides`` texts: an NLI pair its premise and hypothesis,
+    a definition its definition sentence.  ``texts`` holds every example's
+    first side, then every example's second side (side ``s`` of example
+    ``i`` is text ``s·n + i``), so one pooling call embeds every side of a
+    batch.  ``golds`` holds each example's class: its NLI label index, or
+    its headword's vocabulary index (-1 if absent).
     """
 
-    def __init__(self, texts: TokenIndex, labels: np.ndarray, vocab: Vocabulary, max_tokens: int):
-        self.texts = texts
-        self.labels = labels
-        self.vocab = vocab
-        self.max_tokens = max_tokens
-
-    @classmethod
-    def build(cls, examples: list[NliExample], vocab: Vocabulary, max_tokens: int = MAX_TOKENS,
-              tokens: dict[str, tuple[str, ...]] | None = None) -> "IndexedNli":
-        """Index ``examples``; ``tokens`` maps texts to their tokens when already made."""
-        texts = [ex.premise for ex in examples] + [ex.hypothesis for ex in examples]
-        labels = np.array([ex.label_index for ex in examples], dtype=np.intp)
-        return cls(TokenIndex.build(_token_lists(texts, tokens), vocab, max_tokens),
-                   labels, vocab, max_tokens)
-
-    def __len__(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Batching length of each example: the longer side's token count."""
-        n = len(self)
-        return np.maximum(self.texts.lengths[:n], self.texts.lengths[n:])
-
-    def take(self, rows: np.ndarray) -> "IndexedNli":
-        texts = self.texts.take(np.concatenate([rows, rows + len(self)]))
-        return IndexedNli(texts, self.labels[rows], self.vocab, self.max_tokens)
-
-
-class IndexedDefinitions:
-    """Definition examples as token indices plus each headword's vocabulary index (-1 if absent)."""
-
-    def __init__(self, texts: TokenIndex, golds: np.ndarray, vocab: Vocabulary, max_tokens: int):
+    def __init__(self, texts: TokenIndex, golds: np.ndarray, vocab: Vocabulary, max_tokens: int,
+                 sides: int):
         self.texts = texts
         self.golds = golds
         self.vocab = vocab
         self.max_tokens = max_tokens
+        self.sides = sides
 
     @classmethod
-    def build(cls, examples: list[DefinitionExample], vocab: Vocabulary,
-              max_tokens: int = MAX_TOKENS,
-              tokens: dict[str, tuple[str, ...]] | None = None) -> "IndexedDefinitions":
-        """Index ``examples``; ``tokens`` maps texts to their tokens when already made."""
-        texts = [ex.definition for ex in examples]
-        golds = np.array([vocab.index(ex.word) if ex.word in vocab else -1 for ex in examples],
-                         dtype=np.intp)
-        return cls(TokenIndex.build(_token_lists(texts, tokens), vocab, max_tokens),
-                   golds, vocab, max_tokens)
+    def nli(cls, examples: list[NliExample], vocab: Vocabulary, max_tokens: int = MAX_TOKENS,
+            cache: TokenCache | None = None) -> "IndexedExamples":
+        """Index NLI ``examples`` through ``cache`` (a fresh one by default)."""
+        texts = [ex.premise for ex in examples] + [ex.hypothesis for ex in examples]
+        golds = np.array([ex.label_index for ex in examples], dtype=np.intp)
+        return cls((cache or TokenCache()).index(texts, vocab, max_tokens), golds, vocab, max_tokens, 2)
+
+    @classmethod
+    def definitions(cls, examples: list[DefinitionExample], vocab: Vocabulary,
+                    max_tokens: int = MAX_TOKENS, cache: TokenCache | None = None) -> "IndexedExamples":
+        """Index definition ``examples``; a gold is the index of its headword's token."""
+        cache = cache or TokenCache()
+        # a headword has no whitespace, so it has one token or none
+        heads = [tokens[0] if tokens else "" for tokens in cache.tokens([ex.word for ex in examples])]
+        golds = np.array([vocab.index(word) if word in vocab else -1 for word in heads], dtype=np.intp)
+        texts = cache.index([ex.definition for ex in examples], vocab, max_tokens)
+        return cls(texts, golds, vocab, max_tokens, 1)
 
     def __len__(self) -> int:
         return self.golds.shape[0]
 
     @property
     def lengths(self) -> np.ndarray:
-        return self.texts.lengths
+        """Batching length of each example: its longest side's token count."""
+        return self.texts.lengths.reshape(self.sides, -1).max(axis=0)
 
-    def take(self, rows: np.ndarray) -> "IndexedDefinitions":
-        return IndexedDefinitions(self.texts.take(rows), self.golds[rows], self.vocab,
-                                  self.max_tokens)
-
-
-def _token_lists(texts: list[str], tokens: dict[str, tuple[str, ...]] | None) -> list:
-    """Each text's tokens: from ``tokens`` if given, else each distinct text tokenized once."""
-    if tokens is None:
-        tokens = {text: tokenize(text) for text in dict.fromkeys(texts)}
-    return [tokens[text] for text in texts]
+    def take(self, rows: np.ndarray) -> "IndexedExamples":
+        """The examples at ``rows``, in that order, with every side of each."""
+        texts = self.texts.take((np.arange(self.sides)[:, None] * len(self) + rows).ravel())
+        return IndexedExamples(texts, self.golds[rows], self.vocab, self.max_tokens, self.sides)
 
 
 @dataclass
@@ -192,8 +169,8 @@ def stream_pattern(steps: Sequence[StepRecord]) -> list[tuple[str, int]]:
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _per_seed(batch, n_seeds: int, table: np.ndarray, counts) -> tuple[list[int], np.ndarray]:
-    """(examples per seed, row bounds) of a loss call; one seed takes the whole batch by default."""
+def _per_seed(batch: IndexedExamples, n_seeds: int, table: np.ndarray, counts) -> np.ndarray:
+    """Each seed's row bounds in a loss call's batch; one seed takes the whole batch by default."""
     m = len(batch)
     counts = [m] if counts is None else [int(c) for c in counts]
     if len(counts) != n_seeds or min(counts) < 1 or sum(counts) != m:
@@ -201,15 +178,40 @@ def _per_seed(batch, n_seeds: int, table: np.ndarray, counts) -> tuple[list[int]
     if table.shape[0] != n_seeds * len(batch.vocab):
         raise InvalidInputError(
             f"the table needs {n_seeds} x {len(batch.vocab)} rows, has {table.shape[0]}")
-    return counts, np.cumsum([0, *counts])
+    return np.cumsum([0, *counts])
 
 
-def _divide_by_seed(counts: list[int], *grads: np.ndarray) -> None:
-    """Divide each seed's block of every gradient by that seed's example count."""
-    divisors = np.array(counts, dtype=np.float64)[:, None]
-    for g in grads:
-        blocks = g.reshape(len(counts), -1)  # a view: the gradients are contiguous
-        blocks /= divisors
+def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray | None, golds: np.ndarray,
+                   bounds: np.ndarray) -> tuple:
+    """The softmax classifier both losses put over their features, seed by seed.
+
+    Seed k's rows ``bounds[k]:bounds[k + 1]`` of the features X (B x f) go
+    through its weights W[k] (classes x f) and, if given, its bias b[k]; a
+    row-wise softmax of the logits gives G = P - onehot(golds).  Returns
+    (each seed's mean cross-entropy, G, dX = G W, db), where db[k], the bias
+    gradient, is the column sums of seed k's rows of G over their count
+    (None without a bias).  The weights' gradient is each loss's own: a
+    dense product for NLI, a :class:`TableGradient` for the definition head.
+    """
+    m = X.shape[0]
+    blocks = list(enumerate(zip(bounds[:-1], bounds[1:])))
+    logits = np.empty((m, W.shape[1]))
+    for k, (lo, hi) in blocks:
+        np.matmul(X[lo:hi], W[k].T, out=logits[lo:hi])
+        if b is not None:
+            logits[lo:hi] += b[k]
+    G = softmax(logits, out=logits)  # P now; P - onehot(gold) after the loss is read
+    losses = mean_cross_entropies(G, golds, bounds.tolist())
+    G[np.arange(m), golds] -= 1.0
+    db = None if b is None else np.empty_like(b)
+    dX = np.empty_like(X)
+    for k, (lo, hi) in blocks:
+        if db is not None:
+            np.sum(G[lo:hi], axis=0, out=db[k])
+        np.matmul(G[lo:hi], W[k], out=dX[lo:hi])
+    if db is not None:
+        db /= (bounds[1:] - bounds[:-1])[:, None]
+    return losses, G, dX, db
 
 
 class TableGradient:
@@ -263,7 +265,7 @@ class TableGradient:
         return out if dtype is None else out.astype(dtype)
 
 
-def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.ndarray],
+def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, np.ndarray],
                        counts: Sequence[int] | None = None):
     """Each seed's mean cross-entropy over its examples, and the gradients.
 
@@ -274,10 +276,10 @@ def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.nda
     seed's rows of the table (one seed takes the whole batch by default).
 
     One pooling call embeds premises and hypotheses as U and V (B x d); the
-    feature F = [U; V; |U - V|] (B x 3d) goes through each seed's head and
-    a row-wise softmax gives G = P - onehot(gold).  The gradients are G^T F
-    for W, the column sums of G for b and G W for F, which the pooling's
-    scatter terms route back into the table.  The absolute-value feature
+    feature F = [U; V; |U - V|] (B x 3d) goes through each seed's head
+    (:func:`_softmax_heads`), which gives G = P - onehot(gold), the bias
+    gradient and G W for F.  The gradient of W is G^T F, and the pooling's
+    scatter terms route F's back into the table.  The absolute-value feature
     uses subgradient 0 at exact zeros.  Pooling, the softmax and the scatter
     run once for all seeds and the head products on each seed's own rows,
     so each seed's loss and gradients are those of its examples alone.  The
@@ -287,30 +289,21 @@ def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.nda
     if not len(batch):
         raise InvalidInputError("empty NLI batch")
     table, W, b = params["table"], params["nli_W"], params.get("nli_b")
-    counts, bounds = _per_seed(batch, W.shape[0], table, counts)
+    bounds = _per_seed(batch, W.shape[0], table, counts)
     m, d = len(batch), table.shape[1]
     if W.shape[1:] != (3, 3 * d):
         raise InvalidInputError(f"head weights {W.shape[1:]} do not fit feature dim {3 * d}")
-    grads = {name: np.empty_like(params[name]) for name in ("nli_W", "nli_b") if name in params}
     pooled, argmax_rows = pool_forward(table, pooling, batch.texts)
     U, V = pooled[:m], pooled[m:]
     diff = U - V
     F = np.hstack([U, V, np.abs(diff)])
-    logits = np.empty((m, 3))
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.matmul(F[lo:hi], W[k].T, out=logits[lo:hi])
-        if b is not None:
-            logits[lo:hi] += b[k]
-    G = softmax(logits, out=logits)  # P now; P - onehot(gold) after the loss is read
-    losses = mean_cross_entropies(G, batch.labels, bounds.tolist())
-    G[np.arange(m), batch.labels] -= 1.0
-    dF = np.empty_like(F)
+    losses, G, dF, db = _softmax_heads(F, W, b, batch.golds, bounds)
+    grads = {"nli_W": np.empty_like(W)}
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         np.matmul(G[lo:hi].T, F[lo:hi], out=grads["nli_W"][k])
-        if b is not None:
-            np.sum(G[lo:hi], axis=0, out=grads["nli_b"][k])
-        np.matmul(G[lo:hi], W[k], out=dF[lo:hi])
-    _divide_by_seed(counts, *grads.values())
+    grads["nli_W"] /= (bounds[1:] - bounds[:-1])[:, None, None]
+    if db is not None:
+        grads["nli_b"] = db
     dabs = np.sign(diff) * dF[:, 2 * d :]
     dpooled = np.empty_like(pooled)
     np.add(dF[:, :d], dabs, out=dpooled[:m])
@@ -320,7 +313,7 @@ def nli_loss_and_grads(batch: IndexedNli, pooling: str, params: dict[str, np.nda
     return losses, grads
 
 
-def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str, np.ndarray],
+def def_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, np.ndarray],
                        counts: Sequence[int] | None = None):
     """Each seed's mean cross-entropy of headword prediction, and the gradients.
 
@@ -330,11 +323,11 @@ def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str
     :func:`nli_loss_and_grads`; ``def_W``'s gradient is a
     :class:`TableGradient` too.
 
-    The head runs once per batch: the pooled definitions are stacked into
-    S (B x d), a row-wise softmax of the logits S W^T + bias gives
-    G = P - onehot(gold), and the gradients are G^T S for the weights, the
-    column sums of G for the bias and G W for S, which the pooling's
-    scatter terms route back into the table.  Every headword must be a
+    The head runs once per batch: the pooled definitions, stacked into
+    S (B x d), go through each seed's head (:func:`_softmax_heads`), which
+    gives G = P - onehot(gold), the bias gradient and G W for S.  The
+    weights' gradient is G^T S, and the pooling's scatter terms route S's
+    back into the table.  Every headword must be a
     vocabulary entry.  With a tied head the table gradient sums the
     output-layer path and then the encoder path.
     """
@@ -344,23 +337,12 @@ def def_loss_and_grads(batch: IndexedDefinitions, pooling: str, params: dict[str
         raise InvalidInputError("a headword of the batch is not in the vocabulary")
     table, bias = params["table"], params["def_bias"]
     tied = "def_W" not in params
-    counts, bounds = _per_seed(batch, bias.shape[0], table, counts)
-    m, (n_seeds, n_words), d = len(batch), bias.shape, table.shape[1]
+    bounds = _per_seed(batch, bias.shape[0], table, counts)
+    (n_seeds, n_words), d = bias.shape, table.shape[1]
     weights = (table if tied else params["def_W"]).reshape(n_seeds, n_words, d)
     S, argmax_rows = pool_forward(table, pooling, batch.texts)
-    logits = np.empty((m, n_words))
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.matmul(S[lo:hi], weights[k].T, out=logits[lo:hi])
-        logits[lo:hi] += bias[k]
-    G = softmax(logits, out=logits)  # P now; P - onehot(gold) after the loss is read
-    losses = mean_cross_entropies(G, batch.golds, bounds.tolist())
-    G[np.arange(m), batch.golds] -= 1.0
-    grads = {"def_bias": np.empty_like(bias)}
-    dS = np.empty_like(S)
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.sum(G[lo:hi], axis=0, out=grads["def_bias"][k])
-        np.matmul(G[lo:hi], weights[k], out=dS[lo:hi])
-    _divide_by_seed(counts, grads["def_bias"])
+    losses, G, dS, db = _softmax_heads(S, weights, bias, batch.golds, bounds)
+    grads = {"def_bias": db}
     terms = pool_backward(pooling, batch.texts, argmax_rows, dS)
     if tied:
         grads["table"] = TableGradient(table.shape, bounds, (G, S), terms)
@@ -541,7 +523,7 @@ class BatchStream:
 # training loops
 # ---------------------------------------------------------------------------
 
-def _drop_oov_definitions(data: IndexedDefinitions) -> IndexedDefinitions:
+def _drop_oov_definitions(data: IndexedExamples) -> IndexedExamples:
     kept = data.take(np.flatnonzero(data.golds >= 0))
     dropped = len(data) - len(kept)
     if dropped:
@@ -556,7 +538,7 @@ def _lockstep_batch(data, rows: list[np.ndarray], n_words: int):
     batch = data.take(np.concatenate(rows))
     texts = batch.texts
     bases = np.repeat(np.arange(len(rows)) * n_words, [len(r) for r in rows])
-    bases = np.tile(bases, len(texts) // len(batch))  # an NLI example has two texts
+    bases = np.tile(bases, batch.sides)
     texts.ids += np.repeat(bases, texts.lengths).astype(texts.ids.dtype)
     texts.cls = bases + CLS_INDEX
     return batch
@@ -601,7 +583,7 @@ def method_datasets(method: str) -> tuple[bool, bool]:
 
 
 def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfig,
-                 nli_data: IndexedNli | None = None, def_data: IndexedDefinitions | None = None,
+                 nli_data: IndexedExamples | None = None, def_data: IndexedExamples | None = None,
                  schedule: MultiSchedule | None = None, *, seeds: Sequence[int]) -> list[TrainResult]:
     """Fine-tune each encoder by ``method``, the :data:`PIPELINES` stages in order, in lockstep.
 

@@ -5,8 +5,7 @@ import numpy as np
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import CLS_INDEX, ToyEncoder, Vocabulary
 from sentsig.objectives import (
-    IndexedDefinitions,
-    IndexedNli,
+    IndexedExamples,
     def_loss_and_grads,
     nli_loss_and_grads,
 )
@@ -79,8 +78,8 @@ def loss_one(loss_fn, batch, pooling, params):
 
 def indexed(batch, encoder):
     """A list of NLI or definition examples indexed for the encoder, as the losses take it."""
-    kind = IndexedNli if isinstance(batch[0], NliExample) else IndexedDefinitions
-    return kind.build(batch, encoder.vocab, encoder.max_tokens)
+    build = IndexedExamples.nli if isinstance(batch[0], NliExample) else IndexedExamples.definitions
+    return build(batch, encoder.vocab, encoder.max_tokens)
 
 
 def _sentence(rng, words, max_len=4):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import subprocess
 import sys
 from collections import Counter
@@ -250,6 +251,15 @@ class TestTrainCommand:
         assert set(calls) == texts
         assert set(calls.values()) == {1}
 
+    def test_headwords_differing_from_their_token_train(self, tmp_path, caplog):
+        defs = tmp_path / "defs.tsv"
+        defs.write_text("Apple\ta red fruit\nbanana\ta long fruit\nCherry.\ta small red fruit\n")
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[data]\ndefinitions = {defs}\n")
+        with caplog.at_level(logging.INFO, logger="sentsig.objectives"):
+            assert run(["train", "--method", "defsent", "--out", tmp_path / "out", "--config", ini]) == 0
+        assert "dropped" not in caplog.text
+
     def test_untrainable_method_rejected(self, data, capsys):
         # argparse blocks --method average, so route it through the config file
         cfg = data["root"] / "avg.ini"
@@ -352,6 +362,10 @@ BAD_INPUTS = [
      ["train", "--method", "sbert", "--config", "{ini}"], "nli.in:2: not UTF-8"),
     ("definitions", {"defs": "w\t@ b\n", "ini": "[data]\ndefinitions = {defs}\n"},
      ["train", "--method", "defsent", "--config", "{ini}"], "defs.in:1: not UTF-8"),
+    ("nli-no-tokens", {"nli": "neutral\ta b\tc d\nneutral\t...\tc\n", "ini": "[data]\nnli = {nli}\n"},
+     ["train", "--method", "sbert", "--config", "{ini}"], "text has no tokens: '...'"),
+    ("definitions-no-tokens", {"defs": "w\ta b\nv\t!!!\n", "ini": "[data]\ndefinitions = {defs}\n"},
+     ["train", "--method", "defsent", "--config", "{ini}"], "text has no tokens: '!!!'"),
     ("config", {"ini": "[train]\ndim = @\n"}, ["train", "--config", "{ini}"], "ini.in"),
     ("partition", {"sts": "s\t1\ta\tb\ns\t2\t@\tb\n"},
      ["partition", "{sts}", "--scheme", "source"], "sts.in:2: not UTF-8"),

@@ -10,7 +10,7 @@ from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.evalsuite import eval_sts
 from sentsig.numstat import cosine, make_rng
-from sentsig.objectives import PIPELINES, IndexedDefinitions, IndexedNli, TrainConfig, run_pipeline
+from sentsig.objectives import PIPELINES, IndexedExamples, TrainConfig, run_pipeline
 from sentsig.synth import make_definition_corpus, make_nli_corpus, make_sts_corpus
 
 
@@ -118,7 +118,7 @@ def _world(seed=0):
     texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
              + [e.definition for e in defs] + [e.word for e in defs])
     vocab = build_vocab(texts)
-    return IndexedNli.build(nli, vocab), IndexedDefinitions.build(defs, vocab), vocab
+    return IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab), vocab
 
 
 class TestPipeline:

@@ -25,7 +25,6 @@ from sentsig.encoder import (
     pool_backward,
     pool_forward,
     save_dump,
-    tokenize_texts,
 )
 from sentsig.errors import InvalidInputError, MissingEmbeddingError, ParseError
 from sentsig.numstat import make_rng
@@ -218,7 +217,7 @@ class TestEmbedBatch:
             assert empty.dtype == np.float64
 
     def test_sentence_without_tokens_named(self):
-        with pytest.raises(InvalidInputError, match=r"no tokens to embed: '\.\.\.'"):
+        with pytest.raises(InvalidInputError, match=r"text has no tokens: '\.\.\.'"):
             small_encoder().embed_batch(["alpha", "...", "beta"])
 
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
@@ -305,7 +304,7 @@ class TestTokenIndex:
         np.testing.assert_array_equal(taken.offsets, expected.offsets)
 
     def test_tokenize_texts_once_per_distinct_text(self):
-        assert tokenize_texts(["A b", "c", "A b"]) == {"A b": ("a", "b"), "c": ("c",)}
+        assert TokenCache().tokens(["A b", "c", "A b"]) == [("a", "b"), ("c",), ("a", "b")]
 
 
 class TestBatchedPooling:

@@ -7,7 +7,7 @@ import sentsig.objectives
 from sentsig.encoder import ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng
-from sentsig.objectives import (PIPELINES, IndexedDefinitions, IndexedNli, MultiSchedule, TrainConfig,
+from sentsig.objectives import (PIPELINES, IndexedExamples, MultiSchedule, TrainConfig,
                                 lockstep_groups, run_pipeline)
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
@@ -25,7 +25,7 @@ def _world():
     texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
              + [e.definition for e in defs] + [e.word for e in defs])
     vocab = build_vocab(texts)
-    return IndexedNli.build(nli, vocab), IndexedDefinitions.build(defs, vocab), vocab
+    return IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab), vocab
 
 
 def _config(tied):

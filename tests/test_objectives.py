@@ -25,8 +25,7 @@ from sentsig.numstat import make_rng, mean_cross_entropies, softmax
 from sentsig.objectives import (
     Adam,
     BatchStream,
-    IndexedDefinitions,
-    IndexedNli,
+    IndexedExamples,
     MultiSchedule,
     StepRecord,
     TableGradient,
@@ -432,7 +431,7 @@ def _wide_definitions(n_words=5000, n_defs=8):
     vocab = Vocabulary([f"w{i}" for i in range(n_words - 2)])
     defs = [DefinitionExample(f"w{i}", " ".join(f"w{(7 * i + j) % (n_words - 2)}" for j in range(6)))
             for i in range(n_defs)]
-    return vocab, IndexedDefinitions.build(defs, vocab)
+    return vocab, IndexedExamples.definitions(defs, vocab)
 
 
 def test_definition_step_allocates_less_than_a_table():
@@ -466,7 +465,7 @@ def test_tied_definition_training_holds_three_table_sized_buffers(method, poolin
     # parameters and both moments; a gradient buffer would be a fourth table,
     # and so would a second stage's buffers made while the first stage's live
     vocab, data = _wide_definitions(n_defs=40)
-    nli = IndexedNli.build([NliExample(f"w{i} w{i + 1}", f"w{2 * i}", "neutral") for i in range(40)], vocab)
+    nli = IndexedExamples.nli([NliExample(f"w{i} w{i + 1}", f"w{2 * i}", "neutral") for i in range(40)], vocab)
     encoder = ToyEncoder.create(vocab, 64, pooling, seed=0)
     table_bytes = encoder.table.nbytes
     nli_bytes = 0 if method == "defsent" else (3 * 3 * 64 + 3) * 8
@@ -514,6 +513,57 @@ def _nli(n, length=3):
     return [NliExample(word.strip(), word.strip(), "entailment") for _ in range(n)]
 
 
+class TestIndexedExamples:
+    """One example type for both objectives: ``take`` gathers every side of each row."""
+
+    @pytest.mark.parametrize("kind", ["nli", "definitions"])
+    def test_take_matches_building_the_selection(self, kind):
+        rng = make_rng(71)
+        vocab = Vocabulary([f"w{i}" for i in range(10)])
+
+        def sentence():  # w10 and w11 are [UNK]; up to 7 words, truncated at 5
+            return " ".join(f"w{i}" for i in rng.integers(0, 12, size=int(rng.integers(1, 8))))
+
+        if kind == "nli":
+            labels = ("entailment", "neutral", "contradiction")
+            examples = [NliExample(sentence(), sentence(), labels[i % 3]) for i in range(25)]
+        else:  # some headwords out of vocabulary
+            examples = [DefinitionExample(f"w{rng.integers(12)}", sentence()) for _ in range(25)]
+        build = getattr(IndexedExamples, kind)
+        data = build(examples, vocab, max_tokens=5)
+        for rows in (rng.permutation(25)[:9], np.array([3, 3, 0]), np.array([], dtype=np.intp)):
+            taken, expected = data.take(rows), build([examples[i] for i in rows], vocab, max_tokens=5)
+            assert len(taken) == len(rows)
+            assert taken.sides == expected.sides == data.sides
+            for name in ("ids", "offsets"):
+                np.testing.assert_array_equal(getattr(taken.texts, name), getattr(expected.texts, name))
+            np.testing.assert_array_equal(taken.golds, expected.golds)
+            np.testing.assert_array_equal(taken.lengths, expected.lengths)
+
+    def test_lengths_are_each_examples_longest_side(self):
+        vocab = Vocabulary(["a"])
+        nli = [NliExample("a a a", "a", "neutral"), NliExample("a", "a a", "neutral")]
+        assert IndexedExamples.nli(nli, vocab).lengths.tolist() == [3, 2]
+        assert IndexedExamples.nli(nli, vocab, max_tokens=2).lengths.tolist() == [2, 2]
+        defs = [DefinitionExample("a", "a a"), DefinitionExample("a", "a")]
+        assert IndexedExamples.definitions(defs, vocab).lengths.tolist() == [2, 1]
+
+    def test_headword_gold_is_its_token(self):
+        # the vocabulary counts tokenize(headword), so "Apple" and "Cherry." are apple and cherry
+        defs = [DefinitionExample("Apple", "a red fruit"), DefinitionExample("banana", "a long fruit"),
+                DefinitionExample("Cherry.", "a small red fruit"), DefinitionExample("...", "no word")]
+        vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
+        golds = IndexedExamples.definitions(defs, vocab).golds
+        assert golds.tolist() == [vocab.index("apple"), vocab.index("banana"), vocab.index("cherry"), -1]
+
+    def test_no_in_vocabulary_headword_rejected(self):
+        # dropping every example leaves an empty selection, which is named, not divided by
+        data = IndexedExamples.definitions([DefinitionExample("missing", "alpha beta")],
+                                           Vocabulary(["alpha", "beta"]))
+        with pytest.raises(InvalidInputError, match="no definition examples with in-vocabulary headwords"):
+            _drop_oov_definitions(data)
+
+
 class TestSmartBatches:
     def test_uniform_lengths_plain_chunks(self):
         batches = smart_batches(np.full(33, 3), 16, make_rng(0))
@@ -529,7 +579,7 @@ class TestSmartBatches:
         rng = make_rng(2)
         examples = [NliExample("w " * int(rng.integers(1, 40)), "w", "neutral")
                     for i in range(200)]
-        lengths = IndexedNli.build(examples, build_vocab(["w"])).lengths
+        lengths = IndexedExamples.nli(examples, build_vocab(["w"])).lengths
         assert lengths.tolist() == [len(tokenize(ex.premise)) for ex in examples]
         for batch in smart_batches(lengths, 16, rng, bucket_width=8):
             assert lengths[batch].max() - lengths[batch].min() <= 8
@@ -552,7 +602,7 @@ class TestSmartBatches:
         rng = make_rng(3)
         examples = [NliExample("w " * int(rng.integers(1, 30)), "w " * int(rng.integers(1, 30)),
                                "neutral") for _ in range(150)]
-        lengths = IndexedNli.build(examples, build_vocab(["w"])).lengths
+        lengths = IndexedExamples.nli(examples, build_vocab(["w"])).lengths
         for width in (1, 4, 8):
             got = smart_batches(lengths, 7, make_rng(width), bucket_width=width)
             want = reference(examples, 7, make_rng(width), width)
@@ -570,7 +620,7 @@ class TestBatchStream:
         config = TrainConfig(batch_size=4, seed=0)
         examples = [NliExample(f"x{i} y z", "p q", "neutral") for i in range(12)]
         vocab = build_vocab([f"x{i}" for i in range(12)])
-        stream_data = IndexedNli.build(examples, vocab)
+        stream_data = IndexedExamples.nli(examples, vocab)
         stream = BatchStream(stream_data, config, make_rng(3))
         assert stream.batches_per_pass == 3
         counts = np.zeros(len(vocab), dtype=int)

@@ -7,7 +7,7 @@ import oracles
 from sentsig.corpus import DefinitionExample, NliExample
 from sentsig.encoder import Vocabulary, pool_backward, pool_forward
 from sentsig.numstat import make_rng
-from sentsig.objectives import (Adam, IndexedDefinitions, IndexedNli, TableGradient, _lockstep_batch,
+from sentsig.objectives import (Adam, IndexedExamples, TableGradient, _lockstep_batch,
                                 def_loss_and_grads, nli_loss_and_grads)
 
 # a seed's block of the stacked table is 92 entries; at d >= 4 a one-row
@@ -34,10 +34,10 @@ def _data(rng, stream):
 
     if stream == "nli":
         labels = ("entailment", "neutral", "contradiction")
-        return (IndexedNli.build([NliExample(sentence(), sentence(), labels[i % 3]) for i in range(30)],
-                                 vocab), nli_loss_and_grads)
-    return (IndexedDefinitions.build([DefinitionExample(words[int(rng.integers(len(words)))], sentence())
-                                      for _ in range(30)], vocab), def_loss_and_grads)
+        return (IndexedExamples.nli([NliExample(sentence(), sentence(), labels[i % 3]) for i in range(30)],
+                                    vocab), nli_loss_and_grads)
+    return (IndexedExamples.definitions([DefinitionExample(words[int(rng.integers(len(words)))], sentence())
+                                         for _ in range(30)], vocab), def_loss_and_grads)
 
 
 def _values(rng, shape):
