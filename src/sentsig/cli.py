@@ -1,10 +1,14 @@
 """Command-line entry point: partition, train, embed, eval, combine-eval.
 
-Every command is deterministic given its config file, flags and seed(s), and
-finishes by writing a ``manifest.json`` into the output directory; a
-directory without a manifest is an aborted, invalid run.  Config files use
-INI syntax (key = value under [data], [train], [probe] sections) and
-command-line flags win over config values.
+Every command is deterministic given its config file, flags and seed(s).
+``main`` is the one runner: it reads the config, creates the output
+directory and hands the command a staging directory inside it.  When the
+command succeeds, the runner deletes the old ``manifest.json``, moves each
+staged file into the output directory and writes the new manifest last; when
+it fails, the staging directory is removed and the output directory is left
+as it was.  A directory without a manifest is an aborted, invalid run.
+Config files use INI syntax (key = value under [data], [train], [probe]
+sections) and command-line flags win over config values.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import argparse
 import configparser
 import dataclasses
 import json
+import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
@@ -172,32 +178,6 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, config_snapshot: dict,
-                    artifacts: dict, started: float, extra: dict | None = None) -> None:
-    manifest = {
-        "command": command,
-        "toolkit_version": __version__,
-        "config": config_snapshot,
-        "artifacts": artifacts,
-        "wall_clock_seconds": round(time.perf_counter() - started, 3),
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(cfg_out: str | None) -> Path:
-    if not cfg_out:
-        raise InvalidInputError("an output directory is required (--out or [train] out)")
-    out = Path(cfg_out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _config_snapshot(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def load_provider(path, token_cache: TokenCache | None = None):
     """Load a provider from a checkpoint (JSON) or an embedding dump (dim= header).
 
@@ -226,10 +206,7 @@ def _label_filename(label: str) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_partition(args) -> int:
-    started = time.perf_counter()
-    cfg = load_experiment_config(args.config, args)
-    out = _out_dir(cfg.out)
+def cmd_partition(args, cfg: ExperimentConfig, out: Path) -> dict:
     # several inputs (e.g. train/dev/test files) are pooled before sorting
     pairs = []
     for path in args.sts_files:
@@ -239,16 +216,18 @@ def cmd_partition(args) -> int:
     else:
         partition = partition_by_dice(pairs, k=args.k)
     summary_subsets = []
-    artifacts = {}
+    labels = {}
     for i, (label, subset) in enumerate(partition.subsets):
         fname = _label_filename(label)
+        if fname in labels:
+            raise InvalidInputError(f"subsets {labels[fname]!r} and {label!r} would both be written to {fname}")
+        labels[fname] = label
         save_sts(subset, out / fname)
         entry = {"label": label, "file": fname, "n": len(subset)}
         if partition.dice is not None:
             entry["min_dice"] = min(partition.dice[i])
             entry["max_dice"] = max(partition.dice[i])
         summary_subsets.append(entry)
-        artifacts[label] = str(out / fname)
     summary = {"scheme": args.scheme, "input": [str(p) for p in args.sts_files],
                "n_pairs": len(pairs), "subsets": summary_subsets}
     _write_json(out / "summary.json", summary)
@@ -257,8 +236,7 @@ def cmd_partition(args) -> int:
         if "min_dice" in entry:
             line += f" (dice {entry['min_dice']:.3f}..{entry['max_dice']:.3f})"
         print(line)
-    _write_manifest(out, "partition", _config_snapshot(cfg), artifacts, started)
-    return 0
+    return {}
 
 
 def _require(path: str | None, what: str) -> str:
@@ -270,11 +248,13 @@ def _require(path: str | None, what: str) -> str:
 
 
 def _training_data(cfg: ExperimentConfig):
-    """(vocabulary, indexed NLI data or None, indexed definitions or None) of a training run.
+    """(vocabulary, indexed NLI data or None, indexed definitions or None, dropped definitions).
 
     Every text is tokenized once, through one :class:`TokenCache` that the
     vocabulary and both indexes share; the token lists (like the parsed
-    examples) are dropped once the indexes are built.
+    examples) are dropped once the indexes are built.  Training drops the
+    definition examples whose headword is not in the vocabulary (below
+    ``min_count``, say); their number is warned about here.
     """
     needs_nli, needs_defs = method_datasets(cfg.method)
     nli_examples = load_nli(_require(cfg.nli, "NLI")) if needs_nli else None
@@ -290,33 +270,28 @@ def _training_data(cfg: ExperimentConfig):
     vocab = build_vocab(texts, min_count=cfg.min_count, cache=cache)
     nli_data = None if nli_examples is None else IndexedExamples.nli(nli_examples, vocab, cache=cache)
     def_data = None if def_examples is None else IndexedExamples.definitions(def_examples, vocab, cache=cache)
-    return vocab, nli_data, def_data
+    dropped = 0 if def_data is None else int((def_data.golds < 0).sum())
+    if dropped:
+        print(f"warning: dropped {dropped} definition example(s) whose headword is not in the vocabulary",
+              file=sys.stderr)
+    return vocab, nli_data, def_data, dropped
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
-    cfg = load_experiment_config(args.config, args)
+def cmd_train(args, cfg: ExperimentConfig, out: Path) -> dict:
     if cfg.method not in TRAIN_METHODS:
         raise InvalidInputError(
             f"method {cfg.method!r} is not trainable; expected one of {TRAIN_METHODS}")
-    out = _out_dir(cfg.out)
-
-    vocab, nli_data, def_data = _training_data(cfg)
-
-    artifacts = {}
+    vocab, nli_data, def_data, dropped = _training_data(cfg)
     stage_logs = {}
     for seeds in lockstep_groups(cfg.seeds, len(vocab), cfg.dim):
-        for seed, (ckpt, stages) in _train_group(cfg, seeds, vocab, nli_data, def_data, out).items():
-            artifacts[f"seed{seed}"] = str(ckpt)
+        for seed, (name, stages) in _train_group(cfg, seeds, vocab, nli_data, def_data, out).items():
             stage_logs[f"seed{seed}"] = stages
-            print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {ckpt}")
-    _write_manifest(out, "train", _config_snapshot(cfg), artifacts, started,
-                    extra={"stages": stage_logs})
-    return 0
+            print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {Path(cfg.out) / name}")
+    return {"stages": stage_logs, "dropped_definitions": dropped}
 
 
 def _train_group(cfg: ExperimentConfig, seeds: list[int], vocab, nli_data, def_data, out: Path) -> dict:
-    """Train ``seeds`` in lockstep and save their checkpoints: each seed's (path, stage log).
+    """Train ``seeds`` in lockstep and save their checkpoints: each seed's (file name, stage log).
 
     Training draws each seed's initial table straight into its optimizer.
     The models go when this returns, before the next group trains.
@@ -334,7 +309,7 @@ def _train_group(cfg: ExperimentConfig, seeds: list[int], vocab, nli_data, def_d
         } for stage, steps in zip(PIPELINES[cfg.method], result.stage_steps)]
         ckpt = out / f"checkpoint-seed{seed}.json"
         save_checkpoint(ckpt, encoder, result.params, dataclasses.replace(cfg.train, seed=seed))
-        saved[seed] = (ckpt, stages)
+        saved[seed] = (ckpt.name, stages)
     return saved
 
 
@@ -348,10 +323,7 @@ def _build_single_or_combined(paths: list[str], mode: str | None):
     raise InvalidInputError("give one provider, or exactly two with --combine")
 
 
-def cmd_embed(args) -> int:
-    started = time.perf_counter()
-    cfg = load_experiment_config(args.config, args)
-    out = _out_dir(cfg.out)
+def cmd_embed(args, cfg: ExperimentConfig, out: Path) -> dict:
     provider = _build_single_or_combined(args.providers, args.combine)
     sentences = []
     seen = set()
@@ -367,12 +339,9 @@ def cmd_embed(args) -> int:
     store = EmbeddingStore(provider.dim, name=provider.name)
     for sentence, vector in zip(sentences, provider.embed_batch(sentences)):
         store.add(sentence, vector)
-    dump_path = out / "embeddings.txt"
-    save_dump(store, dump_path)
-    print(f"wrote {len(sentences)} embeddings (dim={store.dim}) -> {dump_path}")
-    _write_manifest(out, "embed", _config_snapshot(cfg),
-                    {"dump": str(dump_path), "providers": list(args.providers)}, started)
-    return 0
+    save_dump(store, out / "embeddings.txt")
+    print(f"wrote {len(sentences)} embeddings (dim={store.dim}) -> {Path(cfg.out) / 'embeddings.txt'}")
+    return {"providers": list(args.providers)}
 
 
 def _read_summary(path: Path) -> dict:
@@ -406,19 +375,20 @@ def _load_partition_dir(path: Path) -> Partition:
     return Partition(name=name, subsets=[(label, load_sts(f)) for label, f in labels_files])
 
 
-def _sts_input_partition(args) -> Partition | None:
+def _sts_input_partition(args, cfg: ExperimentConfig) -> Partition | None:
+    """The STS pairs to score: --sts, --partition-dir, or else ``[data] sts``."""
     if args.sts and args.partition_dir:
         raise InvalidInputError("give either --sts or --partition-dir, not both")
-    if args.sts:
-        pairs = load_sts(args.sts)
-        stem = Path(args.sts).stem
-        return Partition(name=stem, subsets=[(stem, pairs)])
     if args.partition_dir:
         return _load_partition_dir(Path(args.partition_dir))
+    sts = args.sts or cfg.sts
+    if sts:
+        stem = Path(sts).stem
+        return Partition(name=stem, subsets=[(stem, load_sts(sts))])
     return None
 
 
-def _write_eval_outputs(out: Path, sts_report: StsReport | None, probe_results: dict) -> dict:
+def _write_eval_outputs(out: Path, sts_report: StsReport | None, probe_results: dict) -> None:
     report = {
         "sts": sts_report.to_json_dict() if sts_report else None,
         "probes": probe_results or None,
@@ -432,14 +402,10 @@ def _write_eval_outputs(out: Path, sts_report: StsReport | None, probe_results: 
         sections.append(probe_results_to_markdown(means))
     with atomic_write(out / "report.md") as fh:
         fh.write("\n".join(sections) if sections else "nothing evaluated\n")
-    return {"report_json": str(out / "report.json"), "report_md": str(out / "report.md")}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: ExperimentConfig, out: Path) -> dict:
     """``eval`` scores the given providers; ``combine-eval`` scores --a/--b combinations."""
-    started = time.perf_counter()
-    cfg = load_experiment_config(args.config, args)
-    out = _out_dir(cfg.out)
     # every sentence is tokenized once, and indexed once per distinct vocabulary
     token_cache = TokenCache()
     if args.command == "combine-eval":
@@ -452,9 +418,9 @@ def cmd_eval(args) -> int:
     else:
         providers = [load_provider(p, token_cache) for p in args.providers]
         inputs = {"providers": list(args.providers)}
-    partition = _sts_input_partition(args)
+    partition = _sts_input_partition(args, cfg)
     if partition is None and not args.probe:
-        raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir or --probe")
+        raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir, --probe or [data] sts")
     # per provider: what was embedded for STS and each probe, and the skipped subsets
     embedding = [{"provider": p.name, "sts": None, "probes": {}} for p in providers]
     sts_report = None
@@ -477,12 +443,10 @@ def cmd_eval(args) -> int:
             "accuracy_x100_mean": 100.0 * sum(accuracies) / len(accuracies),
             "per_provider_x100": [100.0 * a for a in accuracies],
         }
-    artifacts = _write_eval_outputs(out, sts_report, probe_results)
+    _write_eval_outputs(out, sts_report, probe_results)
     if sts_report:
         print(sts_report.to_markdown())
-    _write_manifest(out, args.command, _config_snapshot(cfg), artifacts, started,
-                    extra={**inputs, "embedding": embedding})
-    return 0
+    return {**inputs, "embedding": embedding}
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +513,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command into ``<out>/.staging-<pid>`` and publish its files with the manifest.
+
+    The manifest's ``artifacts`` maps each published file name to its size in
+    bytes; the command's return value adds its own fields.
+    """
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
+    staging = None
     try:
-        return args.func(args)
-    except SentsigError as exc:
+        cfg = load_experiment_config(args.config, args)
+        if not cfg.out:
+            raise InvalidInputError("an output directory is required (--out or [train] out)")
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        staging = out / f".staging-{os.getpid()}"
+        staging.mkdir()
+        extra = args.func(args, cfg, staging)
+        artifacts = {p.name: p.stat().st_size for p in sorted(staging.iterdir())}
+        # from here until the new manifest is written, <out> holds no manifest
+        (out / "manifest.json").unlink(missing_ok=True)
+        for name in artifacts:
+            os.replace(staging / name, out / name)
+        _write_json(out / "manifest.json", {
+            "command": args.command,
+            "toolkit_version": __version__,
+            "config": dataclasses.asdict(cfg),
+            "artifacts": artifacts,
+            "wall_clock_seconds": round(time.perf_counter() - started, 3),
+            **extra,
+        })
+        return 0
+    except (SentsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 if __name__ == "__main__":

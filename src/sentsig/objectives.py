@@ -13,7 +13,6 @@ config): repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -26,8 +25,6 @@ from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenCache, TokenInde
                       initial_table, pool_backward, pool_forward)
 from .errors import InvalidInputError
 from .numstat import make_rng, mean_cross_entropies, softmax
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -525,9 +522,6 @@ class BatchStream:
 
 def _drop_oov_definitions(data: IndexedExamples) -> IndexedExamples:
     kept = data.take(np.flatnonzero(data.golds >= 0))
-    dropped = len(data) - len(kept)
-    if dropped:
-        logger.info("dropped %d definition examples with out-of-vocabulary headwords", dropped)
     if not kept:
         raise InvalidInputError("no definition examples with in-vocabulary headwords")
     return kept

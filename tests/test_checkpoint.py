@@ -184,6 +184,7 @@ def test_malformed_checkpoint_rejected(tmp_path, capsys, damage, fragment):
     assert main(["eval", str(ckpt), "--sts", str(sts), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert not list(out.glob(".staging-*"))
 
 
 def test_a_load_holds_one_copy_of_a_table(tmp_path):

@@ -2,16 +2,19 @@
 
 import argparse
 import json
-import logging
+import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sentsig.corpus
 import sentsig.encoder
+import sentsig.fileio
 import sentsig.objectives
 from sentsig import cli
 from sentsig.checkpoint import load_checkpoint
@@ -172,7 +175,8 @@ class TestTrainCommand:
         assert run(["train", "--method", "sbert", "--seeds", "0 1", "--out", out,
                     "--config", _config(data)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["artifacts"]) == {"seed0", "seed1"}
+        names = [f"checkpoint-seed{seed}{suffix}" for seed in (0, 1) for suffix in (".json", ".table.npy")]
+        assert manifest["artifacts"] == {name: (out / name).stat().st_size for name in names}
 
     def test_seeds_trained_one_group_at_a_time_save_the_same_checkpoints(self, data, monkeypatch):
         argv = ["train", "--method", "d+s", "--seeds", "0 1 2", "--config", _config(data)]
@@ -251,14 +255,27 @@ class TestTrainCommand:
         assert set(calls) == texts
         assert set(calls.values()) == {1}
 
-    def test_headwords_differing_from_their_token_train(self, tmp_path, caplog):
+    def test_headwords_differing_from_their_token_train(self, tmp_path, capsys):
         defs = tmp_path / "defs.tsv"
         defs.write_text("Apple\ta red fruit\nbanana\ta long fruit\nCherry.\ta small red fruit\n")
         ini = tmp_path / "exp.ini"
         ini.write_text(f"[data]\ndefinitions = {defs}\n")
-        with caplog.at_level(logging.INFO, logger="sentsig.objectives"):
-            assert run(["train", "--method", "defsent", "--out", tmp_path / "out", "--config", ini]) == 0
-        assert "dropped" not in caplog.text
+        assert run(["train", "--method", "defsent", "--out", tmp_path / "out", "--config", ini]) == 0
+        assert "dropped" not in capsys.readouterr().err
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["dropped_definitions"] == 0
+
+    def test_dropped_definitions_warned_and_recorded(self, tmp_path, capsys):
+        # with min_count = 2 only "apple" (a headword and in cherry's definition) is in the vocabulary
+        defs = tmp_path / "defs.tsv"
+        defs.write_text("apple\tred fruit\nbanana\tyellow fruit\ncherry\tred apple\ndate\tbrown fruit\n")
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[data]\ndefinitions = {defs}\n\n[train]\nmin_count = 2\nbatch_size = 1\n")
+        out = tmp_path / "out"
+        assert run(["train", "--method", "defsent", "--out", out, "--config", ini]) == 0
+        assert "warning: dropped 3 definition example(s)" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dropped_definitions"] == 3
+        assert manifest["stages"]["seed0"][0]["steps"] == 1
 
     def test_untrainable_method_rejected(self, data, capsys):
         # argparse blocks --method average, so route it through the config file
@@ -330,6 +347,7 @@ def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
     assert err.startswith("error:")
     assert message in err
     assert not (out / "manifest.json").exists()
+    assert not list(out.glob(".staging-*"))
 
 
 CONFIG_KEYS = (
@@ -369,6 +387,8 @@ BAD_INPUTS = [
     ("config", {"ini": "[train]\ndim = @\n"}, ["train", "--config", "{ini}"], "ini.in"),
     ("partition", {"sts": "s\t1\ta\tb\ns\t2\t@\tb\n"},
      ["partition", "{sts}", "--scheme", "source"], "sts.in:2: not UTF-8"),
+    ("partition-labels-one-file", {"sts": "a_b\t1\ta\tb\na/b\t2\tc\td\n"},
+     ["partition", "{sts}", "--scheme", "source"], "subsets 'a_b' and 'a/b' would both be written to a_b.tsv"),
     ("eval-sts", {"sts": "s\t1\ta @\tb\n"}, ["eval", "{ckpt}", "--sts", "{sts}"],
      "sts.in:1: not UTF-8"),
     ("eval-probe", {"probe": "x\ta\ny\t@\n"}, ["eval", "{ckpt}", "--probe", "{probe}"],
@@ -403,6 +423,7 @@ def test_malformed_input_exit_2_no_manifest(trained, tmp_path, capsys, files, ar
     assert err.startswith("error:")
     assert message in err
     assert not (out / "manifest.json").exists()
+    assert not list(out.glob(".staging-*"))
 
 
 # (case, summary.json text): each is a partition directory that eval must reject
@@ -648,6 +669,21 @@ class TestEvalCommand:
             assert (both["probes"]["probe"]["per_provider_x100"][i]
                     == alone["probes"]["probe"]["accuracy_x100_mean"])
 
+    def test_data_sts_scored_when_no_flag_names_a_file(self, trained, tmp_path):
+        other = tmp_path / "other.tsv"
+        save_sts(load_sts(trained["sts"])[:20], other)
+        ini = tmp_path / "sts.ini"
+        ini.write_text(f"[data]\nsts = {other}\n")
+
+        def report(name, *flags):
+            out = tmp_path / name
+            assert run(["eval", trained["ckpt0"], *flags, "--out", out]) == 0
+            return (out / "report.json").read_bytes()
+
+        assert report("config", "--config", ini) == report("other", "--sts", other)
+        # a flag wins over [data] sts
+        assert report("flag", "--config", ini, "--sts", trained["sts"]) == report("sts", "--sts", trained["sts"])
+
     def test_nothing_to_evaluate_is_error(self, trained, tmp_path, capsys):
         out = tmp_path / "eval"
         assert run(["eval", trained["ckpt0"], "--out", out]) == 2
@@ -671,6 +707,83 @@ class TestCombineEvalCommand:
                     "--b", trained["ckpt0"], "--mode", "concat",
                     "--sts", trained["sts"], "--out", out]) == 2
         assert "same number" in capsys.readouterr().err
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# (command, argv of a finished run, argv of a rerun into its directory that writes other files)
+RERUNS = [
+    ("partition", ["partition", "{sts}", "--scheme", "source"],
+     ["partition", "{sts}", "--scheme", "dice", "--k", "3"]),
+    ("train", ["train", "--method", "sbert", "--seeds", "0 1", "--config", "{ini}"],
+     ["train", "--method", "sbert", "--seeds", "0 1", "--config", "{ini_fast}"]),
+    ("embed", ["embed", "{ckpt0}", "--sentences", "{sentences}"],
+     ["embed", "{ckpt1}", "--sentences", "{sentences}"]),
+    ("eval", ["eval", "{ckpt0}", "--sts", "{sts}"], ["eval", "{ckpt1}", "--sts", "{sts}"]),
+    ("combine-eval", ["combine-eval", "--a", "{ckpt0}", "--b", "{ckpt1}", "--mode", "concat", "--sts", "{sts}"],
+     ["combine-eval", "--a", "{ckpt0}", "--b", "{ckpt1}", "--mode", "average", "--sts", "{sts}"]),
+]
+
+
+@pytest.mark.parametrize("first, rerun", [c[1:] for c in RERUNS], ids=[c[0] for c in RERUNS])
+def test_failed_rerun_leaves_the_finished_run(trained, tmp_path, monkeypatch, capsys, first, rerun):
+    """Failing the k-th file write of a rerun, for every k, leaves the finished run as it was.
+
+    A file write is the opening of a temp file or an ``os.replace``.  Only a
+    failure after the first staged file was moved may change the directory,
+    and then it holds no manifest.
+    """
+    ini_fast = tmp_path / "fast.ini"
+    ini_fast.write_text(_config(trained).read_text().replace("base_lr = 0.01", "base_lr = 0.05"))
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("t00w000 t00w001\nt01w002\n")
+    paths = {"ini": _config(trained), "ini_fast": ini_fast, "sentences": sentences, **trained}
+    finished = tmp_path / "finished"
+    assert run([arg.format(**paths) for arg in first] + ["--out", finished]) == 0
+    before = _files(finished)
+    real_open, real_replace = open, os.replace
+    k, published = 0, 0
+    while True:
+        k += 1
+        out = tmp_path / f"rerun{k}"
+        shutil.copytree(finished, out)
+        state = {"writes": 0, "moving": False}
+
+        def count(what):
+            state["writes"] += 1
+            if state["writes"] == k:
+                raise OSError(f"injected failure: {what}")
+
+        def failing_open(file, *args, **kwargs):
+            count(f"open {file}")
+            return real_open(file, *args, **kwargs)
+
+        def failing_replace(src, dst):
+            if Path(src).parent.name.startswith(".staging-") and not str(src).endswith(".tmp"):
+                state["moving"] = True
+            count(f"replace {src}")
+            return real_replace(src, dst)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sentsig.fileio, "open", failing_open, raising=False)
+            patch.setattr(os, "replace", failing_replace)
+            rc = run([arg.format(**paths) for arg in rerun] + ["--out", out])
+        err = capsys.readouterr().err
+        assert not list(out.glob(".staging-*"))
+        if state["writes"] < k:  # no write was left to fail
+            assert rc == 0
+            assert _files(out) != before
+            break
+        assert rc == 2
+        assert err.startswith("error: injected failure")
+        if state["moving"]:
+            published += 1
+            assert not (out / "manifest.json").exists()
+        else:
+            assert _files(out) == before
+    assert published >= 2 and k - published >= 3
 
 
 def test_module_entry_point_version():
