@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import io
 import json
 import os
 import shutil
 import sys
 import time
+from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -178,24 +180,28 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def load_provider(path, token_cache: TokenCache | None = None):
-    """Load a provider from a checkpoint (JSON) or an embedding dump (dim= header).
+def _provider(paths: list[str], mode: str | None, token_cache: TokenCache):
+    """The provider of one checkpoint or dump path, or, with ``mode``, the combination of two.
 
-    A checkpoint's encoder indexes sentences through ``token_cache``; the
-    providers of one command share one cache.
+    A file is a dump or a checkpoint by its first bytes.  A checkpoint's encoder
+    indexes sentences through ``token_cache``; a command's providers share one.
     """
-    p = Path(path)
-    if not p.exists():
-        raise InvalidInputError(f"provider file not found: {p}")
-    with open(p, "rb") as fh:
-        head = fh.read(4)
-    if head.startswith(b"dim="):
-        return load_dump(p)
-    if head.startswith(b"{"):
-        encoder = load_checkpoint(p).encoder
-        encoder.token_cache = token_cache
-        return encoder
-    raise InvalidInputError(f"{p}: neither an embedding dump nor a checkpoint")
+    if not (len(paths) == 1 or (len(paths) == 2 and mode)):
+        raise InvalidInputError("give one provider, or exactly two with --combine")
+    providers = []
+    for p in map(Path, paths):
+        if not p.exists():
+            raise InvalidInputError(f"provider file not found: {p}")
+        with open(p, "rb") as fh:
+            head = fh.read(4)
+        if head.startswith(b"dim="):
+            providers.append(load_dump(p))
+        elif head.startswith(b"{"):
+            providers.append(load_checkpoint(p).encoder)
+            providers[-1].token_cache = token_cache
+        else:
+            raise InvalidInputError(f"{p}: neither an embedding dump nor a checkpoint")
+    return providers[0] if len(providers) == 1 else CombinedProvider(mode, *providers)
 
 
 def _label_filename(label: str) -> str:
@@ -284,21 +290,19 @@ def cmd_train(args, cfg: ExperimentConfig, out: Path) -> dict:
     vocab, nli_data, def_data, dropped = _training_data(cfg)
     stage_logs = {}
     for seeds in lockstep_groups(cfg.seeds, len(vocab), cfg.dim):
-        for seed, (name, stages) in _train_group(cfg, seeds, vocab, nli_data, def_data, out).items():
-            stage_logs[f"seed{seed}"] = stages
-            print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {Path(cfg.out) / name}")
+        stage_logs.update(_train_group(cfg, seeds, vocab, nli_data, def_data, out))
     return {"stages": stage_logs, "dropped_definitions": dropped}
 
 
 def _train_group(cfg: ExperimentConfig, seeds: list[int], vocab, nli_data, def_data, out: Path) -> dict:
-    """Train ``seeds`` in lockstep and save their checkpoints: each seed's (file name, stage log).
+    """Train ``seeds`` in lockstep and save their checkpoints: each ``seed<k>``'s stage log.
 
     Training draws each seed's initial table straight into its optimizer.
     The models go when this returns, before the next group trains.
     """
     encoders = [ToyEncoder(vocab, None, cfg.pooling, dim=cfg.dim) for _ in seeds]
     results = run_pipeline(cfg.method, encoders, cfg.train, nli_data, def_data, cfg.schedule(), seeds=seeds)
-    saved = {}
+    logs = {}
     for seed, encoder, result in zip(seeds, encoders, results):
         stages = [{
             "stage": stage,
@@ -309,33 +313,17 @@ def _train_group(cfg: ExperimentConfig, seeds: list[int], vocab, nli_data, def_d
         } for stage, steps in zip(PIPELINES[cfg.method], result.stage_steps)]
         ckpt = out / f"checkpoint-seed{seed}.json"
         save_checkpoint(ckpt, encoder, result.params, dataclasses.replace(cfg.train, seed=seed))
-        saved[seed] = (ckpt.name, stages)
-    return saved
-
-
-def _build_single_or_combined(paths: list[str], mode: str | None):
-    token_cache = TokenCache()
-    providers = [load_provider(p, token_cache) for p in paths]
-    if len(providers) == 1:
-        return providers[0]
-    if len(providers) == 2 and mode:
-        return CombinedProvider(mode, providers[0], providers[1])
-    raise InvalidInputError("give one provider, or exactly two with --combine")
+        print(f"seed {seed}: {sum(s['steps'] for s in stages)} steps -> {Path(cfg.out) / ckpt.name}")
+        logs[f"seed{seed}"] = stages
+    return logs
 
 
 def cmd_embed(args, cfg: ExperimentConfig, out: Path) -> dict:
-    provider = _build_single_or_combined(args.providers, args.combine)
-    sentences = []
-    seen = set()
-    duplicates = 0
-    for _, line in read_lines(args.sentences):
-        if line in seen:
-            duplicates += 1
-            continue
-        seen.add(line)
-        sentences.append(line)
-    if duplicates:
-        print(f"warning: skipped {duplicates} duplicate sentence(s)", file=sys.stderr)
+    provider = _provider(args.providers, args.combine, TokenCache())
+    lines = [line for _, line in read_lines(args.sentences)]
+    sentences = list(dict.fromkeys(lines))
+    if len(lines) > len(sentences):
+        print(f"warning: skipped {len(lines) - len(sentences)} duplicate sentence(s)", file=sys.stderr)
     store = EmbeddingStore(provider.dim, name=provider.name)
     for sentence, vector in zip(sentences, provider.embed_batch(sentences)):
         store.add(sentence, vector)
@@ -405,44 +393,52 @@ def _write_eval_outputs(out: Path, sts_report: StsReport | None, probe_results: 
 
 
 def cmd_eval(args, cfg: ExperimentConfig, out: Path) -> dict:
-    """``eval`` scores the given providers; ``combine-eval`` scores --a/--b combinations."""
-    # every sentence is tokenized once, and indexed once per distinct vocabulary
-    token_cache = TokenCache()
+    """``eval`` scores the given providers; ``combine-eval`` scores --a/--b combinations.
+
+    Every input is read and checked before the first provider loads.  Then
+    each provider (one path, or one --a/--b pair) is built, scored on STS and
+    on every probe, and dropped before the next one loads.
+    """
     if args.command == "combine-eval":
         if len(args.a) != len(args.b):
             raise InvalidInputError("--a and --b must be given the same number of times")
-        providers = [CombinedProvider(args.mode, load_provider(pa, token_cache),
-                                      load_provider(pb, token_cache))
-                     for pa, pb in zip(args.a, args.b)]
+        specs = [([pa, pb], args.mode) for pa, pb in zip(args.a, args.b)]
         inputs = {"mode": args.mode, "providers_a": list(args.a), "providers_b": list(args.b)}
     else:
-        providers = [load_provider(p, token_cache) for p in args.providers]
+        specs = [([p], None) for p in args.providers]
         inputs = {"providers": list(args.providers)}
     partition = _sts_input_partition(args, cfg)
-    if partition is None and not args.probe:
+    tasks = [load_probe_task(path) for path in args.probe or []]
+    names = [task.name for task in tasks]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # the two would share one report row
+            raise InvalidInputError(
+                f"probe files {args.probe[names.index(name)]} and {args.probe[i]} are both task {name!r}")
+    if partition is None and not tasks:
         raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir, --probe or [data] sts")
+    # every sentence is tokenized once, and indexed once per distinct vocabulary
+    token_cache = TokenCache()
     # per provider: what was embedded for STS and each probe, and the skipped subsets
-    embedding = [{"provider": p.name, "sts": None, "probes": {}} for p in providers]
-    sts_report = None
-    if partition is not None:
-        reports = []
-        for i, provider in enumerate(providers):
-            counts = embedding[i]["sts"] = {}
+    embedding, reports = [], []
+    accuracies = {task.name: [] for task in tasks}
+    for i, (paths, mode) in enumerate(specs):
+        provider = _provider(paths, mode, token_cache)
+        record = {"provider": provider.name, "sts": None, "probes": {}}
+        if partition is not None:
+            counts = record["sts"] = {}
             reports.append(eval_sts_partitioned(provider, partition, seed=i, embedded=counts))
             counts["skipped"] = [{"label": e.label, "note": e.note}
                                  for e in reports[-1].entries if e.spearman_x100 is None]
-        sts_report = reports[0] if len(reports) == 1 else aggregate_seeds(reports)
-    probe_results = {}
-    for probe_path in args.probe or []:
-        task = load_probe_task(probe_path)
-        accuracies = []
-        for i, provider in enumerate(providers):
-            counts = embedding[i]["probes"][task.name] = {}
-            accuracies.append(eval_probe(provider, task, cfg.probe, embedded=counts))
-        probe_results[task.name] = {
-            "accuracy_x100_mean": 100.0 * sum(accuracies) / len(accuracies),
-            "per_provider_x100": [100.0 * a for a in accuracies],
-        }
+        for task in tasks:
+            counts = record["probes"][task.name] = {}
+            accuracies[task.name].append(eval_probe(provider, task, cfg.probe, embedded=counts))
+        embedding.append(record)
+        del provider  # before the next one loads
+    sts_report = reports[0] if len(reports) == 1 else aggregate_seeds(reports) if reports else None
+    probe_results = {name: {
+        "accuracy_x100_mean": 100.0 * sum(values) / len(values),
+        "per_provider_x100": [100.0 * a for a in values],
+    } for name, values in accuracies.items()}
     _write_eval_outputs(out, sts_report, probe_results)
     if sts_report:
         print(sts_report.to_markdown())
@@ -516,7 +512,8 @@ def main(argv=None) -> int:
     """Run one command into ``<out>/.staging-<pid>`` and publish its files with the manifest.
 
     The manifest's ``artifacts`` maps each published file name to its size in
-    bytes; the command's return value adds its own fields.
+    bytes; the command's return value adds its own fields.  Its stdout is held
+    until its files are published, so a failed command names no file there.
     """
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
@@ -529,7 +526,8 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         staging = out / f".staging-{os.getpid()}"
         staging.mkdir()
-        extra = args.func(args, cfg, staging)
+        with redirect_stdout(io.StringIO()) as held:
+            extra = args.func(args, cfg, staging)
         artifacts = {p.name: p.stat().st_size for p in sorted(staging.iterdir())}
         # from here until the new manifest is written, <out> holds no manifest
         (out / "manifest.json").unlink(missing_ok=True)
@@ -543,6 +541,7 @@ def main(argv=None) -> int:
             "wall_clock_seconds": round(time.perf_counter() - started, 3),
             **extra,
         })
+        sys.stdout.write(held.getvalue())
         return 0
     except (SentsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

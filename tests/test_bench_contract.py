@@ -123,3 +123,45 @@ def test_a_train_command_makes_one_adam_step_per_training_step(tmp_path, monkeyp
     steps = {sum(stage["steps"] for stage in seed_stages) for seed_stages in stages.values()}
     assert len(steps) == 1 and steps.pop() == calls["adam"] > 0
     assert calls["adam"] == calls["nli_loss_and_grads"] + calls["def_loss_and_grads"]
+
+
+def test_eval_commands_load_each_checkpoint_once_and_probe_each_provider_once(tmp_path, monkeypatch):
+    """``TARGETS`` times ``sentsig.cli.load_checkpoint`` and ``sentsig.cli.eval_probe``.
+
+    So ``checkpoint.load_*`` covers one load per checkpoint path an eval
+    command names (a path named twice loads twice), and ``evalsuite.probe_s``
+    one probe per (provider, probe task).
+    """
+    rng = make_rng(7)
+    world = dict(n_topics=4, words_per_topic=10, sentence_len=4)
+    save_nli(make_nli_corpus(rng, 60, **world), tmp_path / "nli.tsv")
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[data]\nnli = {tmp_path / 'nli.tsv'}\n[train]\ndim = 6\n", encoding="utf-8")
+    assert cli.main(["train", "--seeds", "0 1 2", "--out", str(tmp_path / "run"), "--config", str(config)]) == 0
+    c0, c1, c2 = (str(tmp_path / "run" / f"checkpoint-seed{k}.json") for k in range(3))
+    probes = []
+    for name in ("first", "second"):
+        probes += ["--probe", str(tmp_path / f"{name}.tsv")]
+        (tmp_path / f"{name}.tsv").write_text(
+            "".join(f"{c}\tt0{c}w{i % 10:03d}\n" for c in (0, 1) for i in range(20)), encoding="utf-8")
+    loads, scored = Counter(), Counter()
+
+    def loading(path, real=cli.load_checkpoint):
+        loads[str(path)] += 1
+        return real(path)
+
+    def probing(provider, task, *args, real=cli.eval_probe, **kwargs):
+        scored[provider.name, task.name] += 1
+        return real(provider, task, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_checkpoint", loading)
+    monkeypatch.setattr(cli, "eval_probe", probing)
+    for argv, paths, names in (
+            (["eval", c0, c1, c2], [c0, c1, c2], ["checkpoint-seed0", "checkpoint-seed1", "checkpoint-seed2"]),
+            (["combine-eval", "--mode", "concat", "--a", c0, "--b", c1, "--a", c2, "--b", c0], [c0, c1, c2, c0],
+             ["concat(checkpoint-seed0,checkpoint-seed1)", "concat(checkpoint-seed2,checkpoint-seed0)"])):
+        loads.clear()
+        scored.clear()
+        assert cli.main([*argv, *probes, "--out", str(tmp_path / argv[0])]) == 0
+        assert loads == Counter(paths)
+        assert scored == Counter((name, task) for name in names for task in ("first", "second"))

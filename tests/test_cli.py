@@ -19,8 +19,8 @@ import sentsig.objectives
 from sentsig import cli
 from sentsig.checkpoint import load_checkpoint
 from sentsig.cli import main
-from sentsig.corpus import (DefinitionExample, load_definitions, load_nli, load_sts, save_definitions, save_nli,
-                            save_sts)
+from sentsig.corpus import (DefinitionExample, StsPair, load_definitions, load_nli, load_sts, save_definitions,
+                            save_nli, save_sts)
 from sentsig.encoder import ToyEncoder, load_dump
 from sentsig.numstat import make_rng
 from sentsig.objectives import lockstep_groups
@@ -32,6 +32,11 @@ from sentsig.synth import (
 )
 
 WORLD = dict(n_topics=4, words_per_topic=10, sentence_len=4)
+
+# The peak resident size of a child process, in KiB.  Not ru_maxrss: Linux
+# carries the parent's high-water mark across fork and exec, so a child of
+# this test process would report at least the test process's own size.
+PEAK_KIB = "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
 
 
 @pytest.fixture
@@ -216,7 +221,7 @@ class TestTrainCommand:
             for expected in (ToyEncoder.create(vocab, 6, "mean", seed=seed).table, single_draw):
                 np.testing.assert_array_equal(encoder.table.view(np.int64), expected.view(np.int64))
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB of a glibc process")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of a glibc process")
     def test_later_train_commands_of_a_process_peak_no_higher(self, tmp_path):
         # a 5 MB table lies between glibc's first (128 KiB) and largest (32 MiB)
         # mmap thresholds: a table-sized array freed while training starts
@@ -226,18 +231,33 @@ class TestTrainCommand:
                           for i in range(100)], tmp_path / "defs.tsv")
         config = tmp_path / "exp.ini"
         config.write_text(f"[data]\ndefinitions = {tmp_path / 'defs.tsv'}\n\n[train]\ndim = 64\n")
-        script = ("import resource, sys\n"
+        script = ("import sys\n"
                   "from sentsig.cli import main\n"
                   "for k in range(3):\n"
                   "    assert main(['train', '--method', 'defsent', '--config', sys.argv[1],\n"
                   "                 '--out', f'{sys.argv[2]}/run{k}']) == 0\n"
-                  "    print('peak', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                  f"    print('peak', {PEAK_KIB})\n")
         proc = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path)],
                               capture_output=True, text=True, check=True)
         peaks = [int(line.split()[1]) for line in proc.stdout.splitlines() if line.startswith("peak ")]
         table_kib = 10_000 * 64 * 8 / 1024
         assert len(peaks) == 3
         assert all(peak - peaks[0] < 0.4 * table_kib for peak in peaks[1:]), peaks
+
+    def test_checkpoint_paths_printed_only_once_published(self, data, capsys):
+        out = data["root"] / "run"
+        (out / "checkpoint-seed1.json").mkdir(parents=True)  # moving the checkpoint onto it fails
+        argv = ["train", "--method", "sbert", "--seeds", "0 1", "--out", out, "--config", _config(data)]
+        assert run(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith("error:")
+        assert "->" not in printed.out
+        (out / "checkpoint-seed1.json").rmdir()
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        for seed in (0, 1):
+            assert f"seed {seed}: " in printed
+            assert f"-> {out / f'checkpoint-seed{seed}.json'}\n" in printed
 
     def test_each_training_text_tokenized_once(self, data, monkeypatch):
         calls = Counter()
@@ -495,6 +515,16 @@ class TestEmbedCommand:
         assert "duplicate" in capsys.readouterr().err
         assert len(load_dump(out / "embeddings.txt")) == 2
 
+    def test_dump_path_printed_only_once_published(self, trained, tmp_path, capsys):
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text("t00w000 t00w001\n")
+        out = tmp_path / "emb"
+        (out / "embeddings.txt").mkdir(parents=True)  # moving the dump onto it fails
+        assert run(["embed", trained["ckpt0"], "--sentences", sentences, "--out", out]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith("error:")
+        assert printed.out == ""
+
     @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
     def test_no_sentences_write_a_header_only_dump(self, trained, tmp_path, capsys, text):
         sentences = tmp_path / "sents.txt"
@@ -668,6 +698,74 @@ class TestEvalCommand:
                 assert b["per_seed"]["pearson_x100"][i] == a["pearson_x100"]
             assert (both["probes"]["probe"]["per_provider_x100"][i]
                     == alone["probes"]["probe"]["accuracy_x100_mean"])
+
+    def test_probe_tasks_of_one_name_rejected_before_any_checkpoint_loads(self, trained, tmp_path, monkeypatch,
+                                                                          capsys):
+        probes = []
+        for name in ("p1", "p2"):
+            (tmp_path / name).mkdir()
+            probes.append(self._probe_file(tmp_path / name / "probe.tsv"))
+        loaded = []
+        monkeypatch.setattr(cli, "load_checkpoint", loaded.append)
+        out = tmp_path / "eval"
+        assert run(["eval", trained["ckpt0"], "--probe", probes[0], "--probe", probes[1], "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{probes[0]} and {probes[1]}" in err
+        assert loaded == []
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "combine-eval"])
+    @pytest.mark.parametrize("bad, message", [("missing.json", "provider file not found"),
+                                              ("checkpoint-seed0.table.npy", "neither an embedding dump")],
+                             ids=["missing", "sidecar"])
+    def test_bad_provider_after_good_ones_publishes_nothing(self, trained, tmp_path, capsys, command, bad, message):
+        good = [trained["ckpt0"], trained["ckpt1"]]
+        bad = trained["ckpt0"].with_name(bad)
+        if command == "eval":
+            providers = [*good, bad]
+        else:
+            providers = ["--a", good[0], "--b", good[1], "--a", good[1], "--b", bad, "--mode", "concat"]
+        probe = self._probe_file(tmp_path / "probe.tsv")
+        out = tmp_path / "eval"
+        assert run([command, *providers, "--sts", trained["sts"], "--probe", probe, "--out", out]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith("error:")
+        assert message in printed.err
+        assert printed.out == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of a glibc process")
+    def test_peak_does_not_grow_with_the_number_of_providers(self, tmp_path):
+        # each checkpoint, or --a/--b pair, is scored and dropped before the
+        # next loads, so scoring three holds no more 5 MB tables than one
+        words = [f"w{i:05d}" for i in range(9998)]
+        save_definitions([DefinitionExample(words[i], " ".join(words[100 * i : 100 * (i + 1)]))
+                          for i in range(100)], tmp_path / "defs.tsv")
+        save_sts([StsPair(" ".join(words[i : i + 5]), " ".join(words[i + 2 : i + 7]), float(i % 5), "s")
+                  for i in range(0, 4000, 40)], tmp_path / "sts.tsv")
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[data]\ndefinitions = {tmp_path / 'defs.tsv'}\nsts = {tmp_path / 'sts.tsv'}\n\n"
+                          "[train]\ndim = 64\n")
+        run_dir = tmp_path / "run"
+        assert run(["train", "--method", "defsent", "--seeds", "0 1 2", "--config", config, "--out", run_dir]) == 0
+        c0, c1, c2 = (str(run_dir / f"checkpoint-seed{k}.json") for k in range(3))
+        script = ("import sys\n"
+                  "from sentsig.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\n"
+                  f"print('peak', {PEAK_KIB})\n")
+
+        def peak(*argv):
+            proc = subprocess.run([sys.executable, "-c", script, *argv, "--config", str(config),
+                                   "--out", str(tmp_path / "eval")], capture_output=True, text=True, check=True)
+            return int(proc.stdout.splitlines()[-1].split()[1])
+
+        table_kib = 10_000 * 64 * 8 / 1024
+        one, three = peak("eval", c0), peak("eval", c0, c1, c2)
+        assert three - one < 0.4 * table_kib, (one, three)
+        one, two = (peak("combine-eval", "--mode", "concat", *pairs)
+                    for pairs in (["--a", c0, "--b", c1], ["--a", c0, "--b", c1, "--a", c2, "--b", c0]))
+        assert two - one < 0.4 * table_kib, (one, two)
 
     def test_data_sts_scored_when_no_flag_names_a_file(self, trained, tmp_path):
         other = tmp_path / "other.tsv"
