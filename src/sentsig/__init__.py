@@ -42,7 +42,6 @@ from .objectives import (
     PIPELINES,
     Adam,
     IndexedExamples,
-    MultiSchedule,
     TrainConfig,
     TrainResult,
     def_loss_and_grads,

@@ -120,11 +120,9 @@ def _read_sidecar(path: Path, ref: dict, shape: tuple[int, int]) -> np.ndarray:
     with fh:
         try:
             version = np.lib.format.read_magic(fh)
-            if version not in ((1, 0), (2, 0)):
+            if version != (1, 0):  # the version _write_sidecar writes
                 raise ValueError(f"unsupported .npy version {version}")
-            read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) \
-                else np.lib.format.read_array_header_2_0
-            found, fortran_order, dtype = read_header(fh)
+            found, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         except ValueError as exc:
             raise InvalidInputError(f"sidecar {name} is not a .npy array: {exc}") from None
         if dtype != np.float64 or found != shape or fortran_order:

@@ -35,10 +35,9 @@ from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_d
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
-from .objectives import PIPELINES, IndexedExamples, MultiSchedule, TrainConfig, lockstep_groups, method_datasets, run_pipeline, stream_pattern
+from .objectives import PIPELINES, IndexedExamples, TrainConfig, lockstep_groups, method_datasets, run_pipeline, stream_pattern
 
 TRAIN_METHODS = tuple(PIPELINES)
-METHODS = TRAIN_METHODS + ("average", "concat", "none")
 
 
 @dataclass
@@ -57,14 +56,8 @@ class ExperimentConfig:
     sts: str | None = None
     nli: str | None = None
     definitions: str | None = None
-    nli_cycle: int = 19
-    def_cycle: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
     probe: ProbeConfig = field(default_factory=ProbeConfig)
-
-    def schedule(self) -> MultiSchedule:
-        return MultiSchedule(nli_steps_per_cycle=self.nli_cycle,
-                             def_steps_per_cycle=self.def_cycle)
 
 
 def parse_seed_list(text: str) -> list[int]:
@@ -165,8 +158,8 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
         cfg.seeds = parse_seed_list(args.seeds)
     if getattr(args, "seed", None) is not None:
         cfg.seeds = parse_seed_list(str(args.seed))
-    if cfg.method not in METHODS:
-        raise InvalidInputError(f"unknown method {cfg.method!r}; expected one of {METHODS}")
+    if cfg.method not in TRAIN_METHODS:
+        raise InvalidInputError(f"unknown method {cfg.method!r}; expected one of {TRAIN_METHODS}")
     return cfg
 
 
@@ -284,9 +277,6 @@ def _training_data(cfg: ExperimentConfig):
 
 
 def cmd_train(args, cfg: ExperimentConfig, out: Path) -> dict:
-    if cfg.method not in TRAIN_METHODS:
-        raise InvalidInputError(
-            f"method {cfg.method!r} is not trainable; expected one of {TRAIN_METHODS}")
     vocab, nli_data, def_data, dropped = _training_data(cfg)
     stage_logs = {}
     for seeds in lockstep_groups(cfg.seeds, len(vocab), cfg.dim):
@@ -301,7 +291,7 @@ def _train_group(cfg: ExperimentConfig, seeds: list[int], vocab, nli_data, def_d
     The models go when this returns, before the next group trains.
     """
     encoders = [ToyEncoder(vocab, None, cfg.pooling, dim=cfg.dim) for _ in seeds]
-    results = run_pipeline(cfg.method, encoders, cfg.train, nli_data, def_data, cfg.schedule(), seeds=seeds)
+    results = run_pipeline(cfg.method, encoders, cfg.train, nli_data, def_data, seeds=seeds)
     logs = {}
     for seed, encoder, result in zip(seeds, encoders, results):
         stages = [{

@@ -91,8 +91,11 @@ def tokenize(text: str) -> list[str]:
     """
     if not text:
         raise InvalidInputError("cannot tokenize empty text")
+    words = text.lower().split()
+    if "".join(words).isalnum():  # nothing to strip anywhere: most texts
+        return words
     out = []
-    for raw in text.lower().split():
+    for raw in words:
         if raw.isalnum():  # nothing to strip: most tokens
             out.append(raw)
             continue

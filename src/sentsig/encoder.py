@@ -128,11 +128,9 @@ def build_vocab(texts: list[str], min_count: int = 1, cache: TokenCache | None =
     if min_count < 1:
         raise InvalidInputError("min_count must be >= 1")
     counts = Counter(itertools.chain.from_iterable((cache or TokenCache()).tokens(texts)))
-    kept = sorted(
-        (w for w, c in counts.items() if c >= min_count),
-        key=lambda w: (-counts[w], w),
-    )
-    return Vocabulary(kept)
+    kept = [w for w, c in counts.items() if c >= min_count]
+    # the sort by count is stable under reverse=True, so ties stay in word order
+    return Vocabulary(sorted(sorted(kept), key=counts.__getitem__, reverse=True))
 
 
 class TokenIndex:

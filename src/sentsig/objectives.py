@@ -24,7 +24,7 @@ from .corpus import tokenize  # noqa: F401  not called here, but bench/tracer.py
 from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary,
                       initial_table, pool_backward, pool_forward)
 from .errors import InvalidInputError
-from .numstat import make_rng, mean_cross_entropies, softmax
+from .numstat import _TINY, make_rng, mean_cross_entropies, softmax
 
 
 @dataclass
@@ -42,6 +42,8 @@ class TrainConfig:
     lr_decay: str = "constant"  # or "linear": ramp down to 0 after warmup
     tied_head: bool = True
     head_bias: bool = True
+    nli_cycle: int = 19  # a multi stage's NLI steps per cycle
+    def_cycle: int = 1  # and its definition steps after them
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -55,6 +57,8 @@ class TrainConfig:
         check_optimizer_floats("base_lr", self.base_lr, self.beta1, self.beta2, self.eps)
         if self.lr_decay not in ("constant", "linear"):
             raise InvalidInputError(f"unknown lr_decay {self.lr_decay!r}")
+        if self.nli_cycle < 1 or self.def_cycle < 1:
+            raise InvalidInputError("schedule steps per cycle must be positive")
 
 
 def check_optimizer_floats(lr_key: str, lr: float, beta1: float, beta2: float, eps: float) -> None:
@@ -66,16 +70,6 @@ def check_optimizer_floats(lr_key: str, lr: float, beta1: float, beta2: float, e
             raise InvalidInputError(f"{key} must be in [0, 1)")
     if not 0.0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
-
-
-@dataclass
-class MultiSchedule:
-    nli_steps_per_cycle: int = 19
-    def_steps_per_cycle: int = 1
-
-    def __post_init__(self):
-        if self.nli_steps_per_cycle < 1 or self.def_steps_per_cycle < 1:
-            raise InvalidInputError("schedule steps per cycle must be positive")
 
 
 class IndexedExamples:
@@ -369,9 +363,18 @@ class Adam:
     whole rows along its first axis, at most ``CHUNK`` entries or one row;
     each chunk's gradient is written into one chunk-sized scratch and its
     temporaries into another, so a step allocates nothing table-sized.
+
+    A moment entry that gets no gradient decays by its beta each step, and
+    below float64 ``tiny`` the decay of the smallest subnormals rounds back to
+    themselves: the entry never reaches 0, and every later step does slow
+    subnormal arithmetic on it.  So every ``FLUSH_EVERY``-th step of a
+    parameter ends by zeroing its moment entries below ``tiny``.  The updates
+    they would still make are below ``tiny / eps`` times the learning rate,
+    which vanishes against any parameter not itself near 0.
     """
 
     CHUNK = 1 << 15  # elements per pass: a chunk of the five arrays stays in cache
+    FLUSH_EVERY = 1000  # steps of a parameter between flushes of its subnormal moments
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -431,6 +434,9 @@ class Adam:
         np.divide(m, s, out=s)
         s *= lr / (1.0 - self.beta1 ** t)
         p -= s
+        if t % self.FLUSH_EVERY == 0:
+            for moment in (m, v):
+                moment[np.abs(moment) < _TINY] = 0.0
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10,
@@ -578,7 +584,7 @@ def method_datasets(method: str) -> tuple[bool, bool]:
 
 def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfig,
                  nli_data: IndexedExamples | None = None, def_data: IndexedExamples | None = None,
-                 schedule: MultiSchedule | None = None, *, seeds: Sequence[int]) -> list[TrainResult]:
+                 *, seeds: Sequence[int]) -> list[TrainResult]:
     """Fine-tune each encoder by ``method``, the :data:`PIPELINES` stages in order, in lockstep.
 
     One :class:`Adam` holds the parameters that any stage trains, stacked
@@ -595,10 +601,10 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
 
     Each dataset a stage trains on is a stream of batches with its own
     head, reshuffled when it is exhausted.  With both streams each cycle
-    runs ``schedule.nli_steps_per_cycle`` NLI steps followed by
-    ``schedule.def_steps_per_cycle`` definition steps; a single stream has a
-    cycle of length 1.  A stage's step count (epochs x batches per epoch of
-    its first stream) is rounded up to whole cycles.  The datasets must be
+    runs ``config.nli_cycle`` NLI steps followed by ``config.def_cycle``
+    definition steps; a single stream has a cycle of length 1.  A stage's
+    step count (epochs x batches per epoch of its first stream) is rounded
+    up to whole cycles.  The datasets must be
     indexed for the encoders, which share one vocabulary, pooling, dim and
     truncation length.
 
@@ -631,7 +637,6 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
     nli = ("nli", nli_data, nli_loss_and_grads)
     defs = ("def", _drop_oov_definitions(def_data), def_loss_and_grads) if uses_def else None
     streams = {"sbert": [nli], "defsent": [defs], "multi": [nli, defs]}  # (name, data, loss function)
-    schedule = schedule or MultiSchedule()
 
     n_seeds, n_words, d = len(encoders), len(first.vocab), first.dim
     shapes = {}
@@ -660,20 +665,20 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
         if i:
             optimizer.reset()
         records = _run_lockstep(first.pooling, n_words, optimizer, streams[stage],
-                                [make_rng(seed) for seed in seeds], config, schedule)
+                                [make_rng(seed) for seed in seeds], config)
         for result, steps in zip(results, records):
             result.stage_steps.append(steps)
     return results
 
 
 def _run_lockstep(pooling: str, n_words: int, optimizer: Adam, streams: list, rngs: list,
-                  config: TrainConfig, schedule: MultiSchedule) -> list[list[StepRecord]]:
+                  config: TrainConfig) -> list[list[StepRecord]]:
     """Run one stage of :func:`run_pipeline`; each seed's step records."""
     cycle = [(name, [BatchStream(data, config, rng) for rng in rngs], data, loss_and_grads)
              for name, data, loss_and_grads in streams]  # (name, each seed's batches, ...)
     nominal = config.epochs * cycle[0][1][0].batches_per_pass
     if len(cycle) == 2:
-        cycle = [cycle[0]] * schedule.nli_steps_per_cycle + [cycle[1]] * schedule.def_steps_per_cycle
+        cycle = [cycle[0]] * config.nli_cycle + [cycle[1]] * config.def_cycle
     total_steps = math.ceil(nominal / len(cycle)) * len(cycle)
     records: list[list[StepRecord]] = [[] for _ in rngs]
     for step in range(1, total_steps + 1):

@@ -27,7 +27,7 @@ from sentsig.corpus import (
 from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.evalsuite import ProbeConfig, eval_probe, eval_sts, kfold_split
 from sentsig.numstat import make_rng, pearson, spearman
-from sentsig.objectives import (IndexedExamples, MultiSchedule, TrainConfig, run_pipeline,
+from sentsig.objectives import (IndexedExamples, TrainConfig, run_pipeline,
                                 stream_pattern)
 from sentsig.synth import (
     make_blob_probe,
@@ -209,8 +209,8 @@ def test_criterion_08_multi_scheduler_pattern():
                  + [e.definition for e in defs] + [e.word for e in defs])
         vocab = build_vocab(texts)
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), IndexedExamples.nli(nli, vocab),
-                                IndexedExamples.definitions(defs, vocab), MultiSchedule(), seeds=[0])
+        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1, nli_cycle=19, def_cycle=1),
+                                IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab), seeds=[0])
         [steps] = result.stage_steps
         assert len(steps) == 40
         streams = [s.stream for s in steps]

@@ -67,6 +67,15 @@ class TestRoundTrip:
         for name in files:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_train_config_without_the_cycle_loads_with_its_defaults(self, tmp_path):
+        # checkpoints written before the multi-task cycle joined TrainConfig
+        _save(tmp_path / "ckpt.json", tied=True)
+        _edit_json(tmp_path / "ckpt.json",
+                   lambda d: [d["train_config"].pop(key) for key in ("nli_cycle", "def_cycle")])
+        ckpt = load_checkpoint(tmp_path / "ckpt.json")
+        assert ckpt.train_config == TrainConfig(seed=3, base_lr=0.01)
+        assert (ckpt.train_config.nli_cycle, ckpt.train_config.def_cycle) == (19, 1)
+
     def test_json_pins_sidecar_bytes(self, tmp_path):
         _save(tmp_path / "ckpt.json", tied=False)
         payload = json.loads((tmp_path / "ckpt.json").read_text())
@@ -121,6 +130,13 @@ def _edit_sidecar_bytes(path, edit):
     _edit_json(path, edit_json)
 
 
+def _npy_2_0(data):
+    """The same array behind a .npy 2.0 header."""
+    out = io.BytesIO()
+    np.lib.format.write_array(out, np.load(io.BytesIO(data)), version=(2, 0))
+    return out.getvalue()
+
+
 def _truncate(path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -148,6 +164,7 @@ MALFORMED = [
     ("sidecar-trailing-bytes", lambda p: _edit_sidecar_bytes(p, lambda data: data + bytes(8)),
      "bytes after"),
     ("sidecar-header-only", lambda p: _edit_sidecar_bytes(p, lambda data: data[:6]), "not a .npy array"),
+    ("sidecar-npy-2.0", lambda p: _edit_sidecar_bytes(p, _npy_2_0), "not a .npy array"),
     ("sidecar-fortran-order", lambda p: _replace_sidecar(p, "table", np.asfortranarray(np.zeros((V, DIM)))),
      "in Fortran order"),
     ("sidecar-outside-dir",

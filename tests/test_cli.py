@@ -1,6 +1,7 @@
 """End-to-end command-line tests: partitioning, training, dumps, evaluation."""
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -23,7 +24,7 @@ from sentsig.corpus import (DefinitionExample, StsPair, load_definitions, load_n
                             save_nli, save_sts)
 from sentsig.encoder import ToyEncoder, load_dump
 from sentsig.numstat import make_rng
-from sentsig.objectives import lockstep_groups
+from sentsig.objectives import TrainConfig, lockstep_groups
 from sentsig.synth import (
     make_definition_corpus,
     make_nli_corpus,
@@ -303,7 +304,25 @@ class TestTrainCommand:
         cfg.write_text(f"[data]\nnli = {data['nli']}\n\n[train]\nmethod = average\n")
         out = data["root"] / "bad"
         assert run(["train", "--out", out, "--config", cfg]) == 2
-        assert "not trainable" in capsys.readouterr().err
+        assert "unknown method" in capsys.readouterr().err
+
+    def test_checkpoint_records_every_train_setting(self, data):
+        # each [train] key of TrainConfig at a value unlike its default, the cycle included
+        recipe = {"batch_size": 7, "epochs": 2, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7, "base_lr": 0.02,
+                  "warmup_fraction": 0.2, "smart_batching": False, "bucket_width": 3, "lr_decay": "linear",
+                  "tied_head": False, "head_bias": False, "nli_cycle": 3, "def_cycle": 2}
+        assert set(recipe) == {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+        assert all(value != getattr(TrainConfig(), key) for key, value in recipe.items())
+        ini = data["root"] / "recipe.ini"
+        ini.write_text(f"[data]\nnli = {data['nli']}\ndefinitions = {data['defs']}\n\n[train]\ndim = 6\n"
+                       + "".join(f"{key} = {value}\n" for key, value in recipe.items()))
+        out = data["root"] / "recipe"
+        assert run(["train", "--method", "multi", "--seed", 5, "--out", out, "--config", ini]) == 0
+        assert dataclasses.asdict(load_checkpoint(out / "checkpoint-seed5.json").train_config) == {
+            **recipe, "seed": 5}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"] == {**recipe, "seed": 0}  # train.seed is unused
+        assert manifest["stages"]["seed5"][0]["stream_pattern"][:2] == [["nli", 3], ["def", 2]]
 
     def test_missing_dataset_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -378,6 +397,24 @@ CONFIG_KEYS = (
         "tied_head", "head_bias", "beta1", "beta2", "eps", "nli_cycle", "def_cycle")}
     | {("probe", key) for key in ("folds", "batch_size", "epochs", "lr", "seed")}
 )
+
+
+@pytest.mark.parametrize("method", ["average", "concat", "none"])
+def test_untrainable_method_rejected_by_every_command(trained, tmp_path, capsys, method):
+    ini = tmp_path / "method.ini"
+    ini.write_text(f"[train]\nmethod = {method}\n")
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("t00w000 t00w001\n")
+    ckpt0, ckpt1, sts = trained["ckpt0"], trained["ckpt1"], trained["sts"]
+    # train is test_untrainable_method_rejected's
+    for argv in (["partition", sts, "--scheme", "source"],
+                 ["embed", ckpt0, "--sentences", sentences],
+                 ["eval", ckpt0, "--sts", sts],
+                 ["combine-eval", "--a", ckpt0, "--b", ckpt1, "--mode", "average", "--sts", sts]):
+        out = tmp_path / argv[0]
+        assert run([*argv, "--config", ini, "--out", out]) == 2, argv[0]
+        assert f"unknown method {method!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_keys_pinned(tmp_path, capsys):

@@ -60,6 +60,20 @@ class TestVocabulary:
                           key=lambda w: (-oracle[w], w))
         assert vocab.words[2:] == expected
 
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_many_tied_counts_keep_the_count_then_word_order(self, min_count):
+        # 300 words of 1 to 3 occurrences each: most counts are shared by about 100 words
+        rng = make_rng(21)
+        letters = np.array(list("abcdefz019"))
+        words = sorted({"".join(rng.choice(letters, size=int(rng.integers(1, 6)))) for _ in range(300)})
+        tokens = [w for w in words for _ in range(int(rng.integers(1, 4)))]
+        tokens = [tokens[i] for i in rng.permutation(len(tokens))]
+        corpus = [" ".join(tokens[i : i + 7]) for i in range(0, len(tokens), 7)]
+        counts = Counter(tokens)
+        expected = sorted((w for w, c in counts.items() if c >= min_count), key=lambda w: (-counts[w], w))
+        assert len(expected) > 100 and len(set(counts.values())) == 3
+        assert build_vocab(corpus, min_count=min_count).words[2:] == expected
+
     def test_frequency_then_lexicographic_order(self):
         vocab = build_vocab(["b a c", "b a", "b"])
         assert vocab.words[2:] == ["b", "a", "c"]

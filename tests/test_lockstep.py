@@ -7,7 +7,7 @@ import sentsig.objectives
 from sentsig.encoder import ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng
-from sentsig.objectives import (PIPELINES, IndexedExamples, MultiSchedule, TrainConfig,
+from sentsig.objectives import (PIPELINES, IndexedExamples, TrainConfig,
                                 lockstep_groups, run_pipeline)
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
@@ -30,7 +30,7 @@ def _world():
 
 def _config(tied):
     return TrainConfig(epochs=2, batch_size=5, bucket_width=3, base_lr=0.05, tied_head=tied,
-                       lr_decay="linear")
+                       lr_decay="linear", nli_cycle=3, def_cycle=2)
 
 
 def _assert_same_result(together, alone):
@@ -48,12 +48,11 @@ def _assert_same_result(together, alone):
 def test_each_seed_matches_training_it_alone(method, pooling, tied):
     nli, defs, vocab = _world()
     encoders = [ToyEncoder.create(vocab, 4, pooling, seed=seed) for seed in SEEDS]
-    together = run_pipeline(method, encoders, _config(tied), nli, defs, MultiSchedule(3, 2), seeds=SEEDS)
+    together = run_pipeline(method, encoders, _config(tied), nli, defs, seeds=SEEDS)
     for seed, encoder, result in zip(SEEDS, encoders, together):
         assert encoder.table is result.params["table"]
         alone_encoder = ToyEncoder.create(vocab, 4, pooling, seed=seed)
-        [alone] = run_pipeline(method, [alone_encoder], _config(tied), nli, defs, MultiSchedule(3, 2),
-                               seeds=[seed])
+        [alone] = run_pipeline(method, [alone_encoder], _config(tied), nli, defs, seeds=[seed])
         assert alone_encoder.table is alone.params["table"]
         _assert_same_result(result, alone)
 
@@ -68,8 +67,8 @@ def test_lockstep_batches_are_ragged_and_count_every_seed(monkeypatch):
             return real(batch, pooling, params, counts)
         monkeypatch.setattr(sentsig.objectives, name, recording)
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
-    run_pipeline("multi", encoders, TrainConfig(epochs=2, batch_size=5, bucket_width=3), nli, defs,
-                 MultiSchedule(3, 2), seeds=SEEDS)
+    config = TrainConfig(epochs=2, batch_size=5, bucket_width=3, nli_cycle=3, def_cycle=2)
+    run_pipeline("multi", encoders, config, nli, defs, seeds=SEEDS)
     assert calls and all(size == sum(counts) and len(counts) == len(SEEDS) for size, counts in calls)
     assert any(len(set(counts)) > 1 for _, counts in calls)
 

@@ -26,7 +26,6 @@ from sentsig.objectives import (
     Adam,
     BatchStream,
     IndexedExamples,
-    MultiSchedule,
     StepRecord,
     TableGradient,
     TrainConfig,
@@ -417,6 +416,28 @@ class TestAdam:
             np.testing.assert_array_equal(flat.m[name], oracle.m[name], err_msg=name)
             np.testing.assert_array_equal(flat.v[name], oracle.v[name], err_msg=name)
 
+    def test_moments_that_stop_getting_gradients_reach_zero(self):
+        # below float64 tiny, m *= 0.9 rounds the smallest subnormals back to
+        # themselves; the periodic flush zeroes them, and the parameters stay
+        # those of the unflushed update bit for bit
+        rng = make_rng(24)
+        initial = {"w": rng.normal(size=(6, 4)), "b": rng.normal(size=4)}
+        flat = adam_with(initial)
+        oracle = ParamAdam({name: p.copy() for name, p in initial.items()})
+        grads = {name: rng.normal(size=p.shape) for name, p in initial.items()}
+        for step in range(7501):
+            flat.step(grads, 0.01)
+            oracle.step(grads, 0.01)
+            if not step:
+                grads = {name: np.zeros_like(g) for name, g in grads.items()}
+        tiny = np.finfo(np.float64).tiny
+        for name in initial:
+            assert np.any((oracle.m[name] != 0) & (np.abs(oracle.m[name]) < tiny))  # stuck unflushed
+            assert not np.any((flat.m[name] != 0) & (np.abs(flat.m[name]) < tiny)), name
+            np.testing.assert_array_equal(flat.m[name], 0.0)
+            np.testing.assert_array_equal(flat.v[name], oracle.v[name])
+            np.testing.assert_array_equal(flat.params[name].view(np.int64), oracle.params[name].view(np.int64))
+
     def test_params_are_views_of_one_buffer(self):
         opt = Adam({"a": (2, 3), "b": (4,)})
         opt.params["a"][1, 2] = 7.0
@@ -796,6 +817,11 @@ class TestTrainDefsent:
 
 
 class TestTrainMulti:
+    @pytest.mark.parametrize("cycle", [{"nli_cycle": 0}, {"def_cycle": 0}, {"nli_cycle": -1, "def_cycle": 3}])
+    def test_cycle_lengths_must_be_positive(self, cycle):
+        with pytest.raises(InvalidInputError, match="schedule steps per cycle must be positive"):
+            TrainConfig(**cycle)
+
     @staticmethod
     def _data(rng, n_nli):
         nli = make_nli_corpus(rng, n_nli, n_topics=4, words_per_topic=8, sentence_len=3)
@@ -818,9 +844,8 @@ class TestTrainMulti:
         rng = make_rng(13)
         nli, defs, vocab = self._data(rng, 6 * 4)
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        schedule = MultiSchedule(nli_steps_per_cycle=1, def_steps_per_cycle=1)
-        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
-                                indexed(defs, enc), schedule, seeds=[0])
+        config = TrainConfig(batch_size=4, epochs=1, nli_cycle=1, def_cycle=1)
+        [result] = run_pipeline("multi", [enc], config, indexed(nli, enc), indexed(defs, enc), seeds=[0])
         # 6 nominal steps -> 3 whole (1,1) cycles
         streams = [s.stream for s in result.stage_steps[0]]
         assert streams == ["nli", "def"] * 3
