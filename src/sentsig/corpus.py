@@ -91,11 +91,8 @@ def tokenize(text: str) -> list[str]:
     """
     if not text:
         raise InvalidInputError("cannot tokenize empty text")
-    words = text.lower().split()
-    if "".join(words).isalnum():  # nothing to strip anywhere: most texts
-        return words
     out = []
-    for raw in words:
+    for raw in text.lower().split():
         if raw.isalnum():  # nothing to strip: most tokens
             out.append(raw)
             continue

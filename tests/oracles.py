@@ -49,7 +49,7 @@ class ParamAdam:
 
 
 def tokenize(text):
-    """The tokenizer before its whole-token and whole-text fast paths: every token runs the edge scan."""
+    """The tokenizer before the whole-token fast path: every token runs the edge scan."""
     if not text:
         raise InvalidInputError("cannot tokenize empty text")
     out = []

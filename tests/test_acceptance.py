@@ -209,7 +209,7 @@ def test_criterion_08_multi_scheduler_pattern():
                  + [e.definition for e in defs] + [e.word for e in defs])
         vocab = build_vocab(texts)
         enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
-        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1, nli_cycle=19, def_cycle=1),
+        [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1),
                                 IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab), seeds=[0])
         [steps] = result.stage_steps
         assert len(steps) == 40
