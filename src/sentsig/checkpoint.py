@@ -1,12 +1,12 @@
 """Versioned checkpoints: vocabulary, embedding table, heads, config.
 
 A checkpoint is a JSON file plus one ``<stem>.<name>.npy`` sidecar per
-matrix with a row per vocabulary entry (the embedding table, and the
-prediction weights of an untied definition head).  The JSON holds everything
-else, with floats in shortest round-trip decimals, and names each sidecar
-together with the sha256 of its bytes, so the JSON's bytes pin the whole
-checkpoint.  A save/load cycle is value-exact and re-saving an unchanged
-model is byte-identical.
+array, under the name training gives it: the embedding ``table`` and the
+head arrays ``nli_W``, ``nli_b``, ``def_W`` and ``def_bias``.  The JSON holds
+the rest, with floats in shortest round-trip decimals, and maps each array's
+name to its sidecar's file name and the sha256 of its bytes, so the JSON's
+bytes pin the whole checkpoint.  A save/load cycle is value-exact and
+re-saving an unchanged model is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .fileio import atomic_write
 from .objectives import TrainConfig
 
 FORMAT = "sentsig-checkpoint"
-VERSION = 2
+VERSION = 3
 SIDECAR_CHUNK = 1 << 20  # bytes of a sidecar read and hashed per call
 
 
@@ -35,11 +35,6 @@ class Checkpoint:
     encoder: ToyEncoder
     heads: dict[str, np.ndarray] = field(default_factory=dict)  # nli_W, nli_b, def_W, def_bias
     train_config: TrainConfig | None = None
-
-
-def _floats(a: np.ndarray) -> list:
-    """Nested lists of Python floats, which JSON writes in shortest round-trip form."""
-    return np.asarray(a, dtype=np.float64).tolist()
 
 
 def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
@@ -56,24 +51,43 @@ def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
     return {"file": sidecar.name, "sha256": digest.hexdigest()}
 
 
+def _shapes(names, V: int, dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each named array, after checking that the names make one model.
+
+    A model is its ``table`` and any heads: the NLI head is ``nli_W`` and,
+    with a bias, ``nli_b``; the definition head is ``def_bias`` and, when it
+    is untied, ``def_W`` (a tied head's weights are the table).
+    """
+    shapes = {"table": (V, dim), "nli_W": (3, 3 * dim), "nli_b": (3,), "def_W": (V, dim), "def_bias": (V,)}
+    unknown = sorted(set(names) - shapes.keys())
+    if unknown:
+        raise InvalidInputError(f"unknown arrays {unknown}; a checkpoint holds some of {sorted(shapes)}")
+    if "table" not in names:
+        raise InvalidInputError("missing array 'table'")
+    for name, needs in (("nli_b", "nli_W"), ("def_W", "def_bias")):
+        if name in names and needs not in names:
+            raise InvalidInputError(f"array {name} needs {needs}, which is missing")
+    return {name: shapes[name] for name in names}
+
+
 def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | None = None,
                     train_config: TrainConfig | None = None) -> None:
     """Write the sidecars, then the JSON that names them; each file is replaced atomically.
 
     ``heads`` holds the trained arrays by the names the losses give them
-    (a ``table`` entry is the encoder's): ``nli_W`` and ``nli_b`` make the
-    NLI head, ``def_bias`` and ``def_W`` the definition head, which is tied
-    to the table without ``def_W``.  Every array is checked before anything
+    (the ``table`` is the encoder's).  Every array is checked before anything
     is written: a model holding NaN or Inf (a diverged run) raises
-    :class:`InvalidInputError` and writes nothing.  The JSON goes last, so a
-    checkpoint without its sidecars is never committed.
+    :class:`InvalidInputError` and writes nothing, and so do names or shapes
+    that would not load.  The JSON goes last, so a checkpoint without its
+    sidecars is never committed.
     """
     path = Path(path)
-    heads = {**(heads or {}), "table": encoder.table}
-    for name, array in heads.items():
-        if not np.all(np.isfinite(array)):
+    arrays = {**(heads or {}), "table": encoder.table}
+    for name, shape in _shapes(arrays, len(encoder.vocab), encoder.dim).items():
+        if np.shape(arrays[name]) != shape:
+            raise InvalidInputError(f"{path}: {name} has shape {np.shape(arrays[name])}, expected {shape}")
+        if not np.all(np.isfinite(arrays[name])):
             raise InvalidInputError(f"{path}: {name} contains NaN or Inf; the model diverged")
-
     payload = {
         "format": FORMAT,
         "version": VERSION,
@@ -81,28 +95,15 @@ def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | No
         "dim": encoder.dim,
         "max_tokens": encoder.max_tokens,
         "vocab": encoder.vocab.words,
-        "table": _write_sidecar(path, "table", encoder.table),
-        "nli_head": None,
-        "def_head": None,
+        "arrays": {name: _write_sidecar(path, name, array) for name, array in arrays.items()},
         "train_config": dataclasses.asdict(train_config) if train_config else None,
     }
-    if "nli_W" in heads:
-        payload["nli_head"] = {
-            "W": _floats(heads["nli_W"]),
-            "b": _floats(heads["nli_b"]) if "nli_b" in heads else None,
-        }
-    if "def_bias" in heads:
-        payload["def_head"] = {
-            "tied": "def_W" not in heads,
-            "weights": _write_sidecar(path, "def_weights", heads["def_W"]) if "def_W" in heads else None,
-            "bias": _floats(heads["def_bias"]),
-        }
     with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def _read_sidecar(path: Path, ref: dict, shape: tuple[int, int]) -> np.ndarray:
+def _read_sidecar(path: Path, ref: dict, shape: tuple[int, ...]) -> np.ndarray:
     """The array a sidecar reference names, after checking its dtype, shape and sha256.
 
     The ``.npy`` header is checked before the array is allocated, and the
@@ -146,13 +147,6 @@ def _read_sidecar(path: Path, ref: dict, shape: tuple[int, int]) -> np.ndarray:
     return array
 
 
-def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    array = np.array(values, dtype=np.float64)
-    if array.shape != shape:
-        raise InvalidInputError(f"{what} has shape {array.shape}, expected {shape}")
-    return array
-
-
 def _parse(path: Path, payload: dict) -> Checkpoint:
     words = payload["vocab"]
     if not isinstance(words, list) or words[:2] != [CLS_TOKEN, UNK_TOKEN]:
@@ -161,24 +155,13 @@ def _parse(path: Path, payload: dict) -> Checkpoint:
     V, dim = len(vocab), payload["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise InvalidInputError(f"dim must be a positive integer, got {dim!r}")
-    encoder = ToyEncoder(vocab, _read_sidecar(path, payload["table"], (V, dim)),
-                         pooling=payload["pooling"], max_tokens=payload["max_tokens"],
-                         name=path.stem)
-    heads = {}
-    if payload["nli_head"] is not None:
-        raw = payload["nli_head"]
-        heads["nli_W"] = _float_array(raw["W"], (3, 3 * dim), "NLI head weights")
-        if raw["b"] is not None:
-            heads["nli_b"] = _float_array(raw["b"], (3,), "NLI head bias")
-    if payload["def_head"] is not None:
-        raw = payload["def_head"]
-        heads["def_bias"] = _float_array(raw["bias"], (V,), "definition head bias")
-        if not raw["tied"]:
-            heads["def_W"] = _read_sidecar(path, raw["weights"], (V, dim))
-    train_config = None
-    if payload["train_config"] is not None:
-        train_config = TrainConfig(**payload["train_config"])
-    return Checkpoint(encoder=encoder, heads=heads, train_config=train_config)
+    refs = payload["arrays"]
+    arrays = {name: _read_sidecar(path, refs[name], shape) for name, shape in _shapes(refs, V, dim).items()}
+    encoder = ToyEncoder(vocab, arrays.pop("table"), pooling=payload["pooling"],
+                         max_tokens=payload["max_tokens"], name=path.stem)
+    config = payload["train_config"]
+    return Checkpoint(encoder=encoder, heads=arrays,
+                      train_config=None if config is None else TrainConfig(**config))
 
 
 def load_checkpoint(path) -> Checkpoint:

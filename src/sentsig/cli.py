@@ -31,7 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .combiner import CombinedProvider
 from .corpus import Partition, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
 from .corpus import dice  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
-from .encoder import EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_dump, save_dump
+from .encoder import POOLINGS, EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_dump, save_dump
 from .errors import InvalidInputError, SentsigError
 from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
 from .fileio import atomic_write
@@ -126,7 +126,7 @@ CONFIG_KEYS = _config_keys()
 def load_experiment_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig:
     values = {None: {}, "train": {}, "probe": {}}
     if path:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # values are literal, "%" included
         try:
             read = parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
@@ -160,6 +160,12 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
         cfg.seeds = parse_seed_list(str(args.seed))
     if cfg.method not in TRAIN_METHODS:
         raise InvalidInputError(f"unknown method {cfg.method!r}; expected one of {TRAIN_METHODS}")
+    if cfg.dim < 1:
+        raise InvalidInputError("embedding dimension must be >= 1")
+    if cfg.pooling not in POOLINGS:
+        raise InvalidInputError(f"unknown pooling strategy {cfg.pooling!r}")
+    if cfg.min_count < 1:
+        raise InvalidInputError("min_count must be >= 1")
     return cfg
 
 

@@ -1,8 +1,9 @@
-"""Checkpoint format: JSON plus .npy sidecars, validation on load, atomic finite writes."""
+"""Checkpoint format: JSON plus one .npy sidecar per array, validation on load, atomic finite writes."""
 
 import hashlib
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 from sentsig.checkpoint import load_checkpoint, save_checkpoint
 from sentsig.cli import main
 from sentsig.corpus import StsPair, save_sts
-from sentsig.encoder import ToyEncoder, Vocabulary
+from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.fileio import atomic_write
 from sentsig.numstat import make_rng
-from sentsig.objectives import TrainConfig
+from sentsig.objectives import PIPELINES, IndexedExamples, TrainConfig, method_datasets, run_pipeline
+from sentsig.synth import make_definition_corpus, make_nli_corpus
 
 WORDS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 V, DIM = len(WORDS) + 2, 4  # vocabulary size with [CLS] and [UNK]
@@ -61,8 +63,8 @@ class TestRoundTrip:
         ckpt = load_checkpoint(first / "ckpt.json")
         save_checkpoint(second / "ckpt.json", ckpt.encoder, ckpt.heads, ckpt.train_config)
         files = sorted(p.name for p in first.iterdir())
-        expected = ["ckpt.json", "ckpt.table.npy"] + ([] if tied else ["ckpt.def_weights.npy"])
-        assert files == sorted(expected)
+        names = ["table", "nli_W", "nli_b", "def_bias"] + ([] if tied else ["def_W"])
+        assert files == sorted(["ckpt.json"] + [f"ckpt.{name}.npy" for name in names])
         assert sorted(p.name for p in second.iterdir()) == files
         for name in files:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
@@ -79,17 +81,72 @@ class TestRoundTrip:
     def test_json_pins_sidecar_bytes(self, tmp_path):
         _save(tmp_path / "ckpt.json", tied=False)
         payload = json.loads((tmp_path / "ckpt.json").read_text())
-        assert payload["version"] == 2
-        for ref in (payload["table"], payload["def_head"]["weights"]):
+        assert payload["version"] == 3
+        assert payload["arrays"].keys() == {"table", "nli_W", "nli_b", "def_W", "def_bias"}
+        for ref in payload["arrays"].values():
             data = (tmp_path / ref["file"]).read_bytes()
             assert hashlib.sha256(data).hexdigest() == ref["sha256"]
 
     def test_minimal_encoder_only(self, tmp_path):
         encoder, _ = _model(tied=True)
         save_checkpoint(tmp_path / "enc.json", encoder)
+        assert json.loads((tmp_path / "enc.json").read_text())["arrays"].keys() == {"table"}
         ckpt = load_checkpoint(tmp_path / "enc.json")
         np.testing.assert_array_equal(ckpt.encoder.table, encoder.table)
         assert ckpt.heads == {} and ckpt.train_config is None
+
+
+@pytest.fixture(scope="module")
+def world():
+    """A vocabulary and both training datasets, a few batches each."""
+    rng = make_rng(5)
+    topics = dict(n_topics=4, words_per_topic=5, sentence_len=3)
+    nli = make_nli_corpus(rng, 12, **topics)
+    defs = make_definition_corpus(rng, per_word=1, **topics)
+    vocab = build_vocab([e.premise for e in nli] + [e.hypothesis for e in nli]
+                        + [e.definition for e in defs] + [e.word for e in defs])
+    return vocab, IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab)
+
+
+def _float_lists(node):
+    """The JSON lists under ``node`` that hold a float."""
+    if isinstance(node, dict):
+        return [found for value in node.values() for found in _float_lists(value)]
+    if isinstance(node, list):
+        inner = [found for value in node for found in _float_lists(value)]
+        return inner + ([node] if any(isinstance(value, float) for value in node) else [])
+    return []
+
+
+@pytest.mark.parametrize("head_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+@pytest.mark.parametrize("method", list(PIPELINES))
+def test_every_trained_model_round_trips(tmp_path, world, method, tied, head_bias):
+    vocab, nli, defs = world
+    config = TrainConfig(batch_size=4, base_lr=0.05, tied_head=tied, head_bias=head_bias)
+    encoder = ToyEncoder(vocab, None, "max", dim=3)
+    [result] = run_pipeline(method, [encoder], config, nli, defs, seeds=[2])
+    uses_nli, uses_defs = method_datasets(method)
+    names = set()
+    if uses_nli:
+        names |= {"nli_W", "nli_b"} if head_bias else {"nli_W"}
+    if uses_defs:
+        names |= {"def_bias"} if tied else {"def_bias", "def_W"}
+    heads = {name: array for name, array in result.params.items() if name != "table"}
+    assert heads.keys() == names
+    save_checkpoint(tmp_path / "ckpt.json", encoder, heads, config)
+
+    payload = json.loads((tmp_path / "ckpt.json").read_text())
+    assert payload["arrays"].keys() == names | {"table"}
+    assert _float_lists(payload) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["ckpt.json"] + [f"ckpt.{name}.npy" for name in names | {"table"}])
+    ckpt = load_checkpoint(tmp_path / "ckpt.json")
+    assert ckpt.heads.keys() == names
+    for name, array in heads.items():
+        assert ckpt.heads[name].tobytes() == array.tobytes(), name  # bit for bit, signed zeros included
+    assert ckpt.encoder.table.tobytes() == encoder.table.tobytes()
+    assert ckpt.train_config == config
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +162,7 @@ def _edit_json(path, edit):
 def _replace_sidecar(path, key, array):
     """Overwrite a sidecar with ``array`` and record its new sha256, so only the content is wrong."""
     def edit(payload):
-        ref = payload["table"] if key == "table" else payload["def_head"]["weights"]
+        ref = payload["arrays"][key]
         sidecar = path.with_name(ref["file"])
         np.save(sidecar, array, allow_pickle=False)
         ref["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
@@ -114,19 +171,21 @@ def _replace_sidecar(path, key, array):
 
 def _npz_table(path):
     def edit(payload):
-        sidecar = path.with_name(payload["table"]["file"])
+        ref = payload["arrays"]["table"]
+        sidecar = path.with_name(ref["file"])
         with open(sidecar, "wb") as fh:
             np.savez(fh, table=np.zeros((V, DIM)))
-        payload["table"]["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        ref["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
     _edit_json(path, edit)
 
 
 def _edit_sidecar_bytes(path, edit):
     """Rewrite the table sidecar's bytes and record their sha256, so only the layout is wrong."""
     def edit_json(payload):
-        sidecar = path.with_name(payload["table"]["file"])
+        ref = payload["arrays"]["table"]
+        sidecar = path.with_name(ref["file"])
         sidecar.write_bytes(edit(sidecar.read_bytes()))
-        payload["table"]["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        ref["sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
     _edit_json(path, edit_json)
 
 
@@ -152,7 +211,14 @@ def _corrupt_table_sidecar(path):
 MALFORMED = [
     ("truncated-json", _truncate, "not a readable checkpoint"),
     ("missing-vocab", lambda p: _edit_json(p, lambda d: d.pop("vocab")), "missing field 'vocab'"),
-    ("missing-table", lambda p: _edit_json(p, lambda d: d.pop("table")), "missing field 'table'"),
+    ("missing-arrays", lambda p: _edit_json(p, lambda d: d.pop("arrays")), "missing field 'arrays'"),
+    ("missing-table", lambda p: _edit_json(p, lambda d: d["arrays"].pop("table")), "missing array 'table'"),
+    ("unknown-array", lambda p: _edit_json(p, lambda d: d["arrays"].update(extra=d["arrays"]["table"])),
+     "unknown arrays ['extra']"),
+    ("nli-bias-without-weights", lambda p: _edit_json(p, lambda d: d["arrays"].pop("nli_W")),
+     "array nli_b needs nli_W"),
+    ("def-weights-without-bias", lambda p: _edit_json(p, lambda d: d["arrays"].pop("def_bias")),
+     "array def_W needs def_bias"),
     ("missing-sidecar", lambda p: p.with_name("ckpt.table.npy").unlink(), "cannot read sidecar"),
     ("sidecar-sha256", _corrupt_table_sidecar, "does not match the sha256"),
     ("sidecar-dtype", lambda p: _replace_sidecar(p, "table", np.zeros((V, DIM), np.float32)),
@@ -168,18 +234,20 @@ MALFORMED = [
     ("sidecar-fortran-order", lambda p: _replace_sidecar(p, "table", np.asfortranarray(np.zeros((V, DIM)))),
      "in Fortran order"),
     ("sidecar-outside-dir",
-     lambda p: _edit_json(p, lambda d: d["table"].update(file="../ckpt.table.npy")),
+     lambda p: _edit_json(p, lambda d: d["arrays"]["table"].update(file="../ckpt.table.npy")),
      "plain file name"),
-    ("nli-head-shape",
-     lambda p: _edit_json(p, lambda d: d["nli_head"].update(W=[[0.0] * 3 * (DIM + 1)] * 3)),
-     "NLI head weights"),
-    ("def-bias-length",
-     lambda p: _edit_json(p, lambda d: d["def_head"].update(bias=d["def_head"]["bias"][:-1])),
-     "definition head bias"),
-    ("def-weights-shape",
-     lambda p: _replace_sidecar(p, "def_weights", np.zeros((V, DIM + 1))), "expected float64"),
+    ("nli-head-shape", lambda p: _replace_sidecar(p, "nli_W", np.zeros((3, 3 * (DIM + 1)))),
+     f"holds float64 (3, {3 * (DIM + 1)}), expected float64 (3, {3 * DIM})"),
+    ("nli-bias-length", lambda p: _replace_sidecar(p, "nli_b", np.zeros(4)),
+     "holds float64 (4,), expected float64 (3,)"),
+    ("def-bias-length", lambda p: _replace_sidecar(p, "def_bias", np.zeros(V - 1)),
+     f"holds float64 ({V - 1},), expected float64 ({V},)"),
+    ("def-weights-shape", lambda p: _replace_sidecar(p, "def_W", np.zeros((V, DIM + 1))),
+     f"holds float64 ({V}, {DIM + 1}), expected float64 ({V}, {DIM})"),
     ("version-1", lambda p: _edit_json(p, lambda d: d.update(version=1)),
      "unsupported checkpoint version 1"),
+    ("version-2", lambda p: _edit_json(p, lambda d: d.update(version=2)),
+     "unsupported checkpoint version 2"),
     *((f"max-tokens-{name}", lambda p, value=value: _edit_json(p, lambda d: d.update(max_tokens=value)),
        "max_tokens must be an integer >= 1")
       for name, value in [("string", "x"), ("float", 1.5), ("zero", 0), ("negative", -3), ("null", None),
@@ -193,7 +261,7 @@ def test_malformed_checkpoint_rejected(tmp_path, capsys, damage, fragment):
     ckpt = tmp_path / "ckpt.json"
     _save(ckpt, tied=False)
     damage(ckpt)
-    with pytest.raises(InvalidInputError, match=fragment):
+    with pytest.raises(InvalidInputError, match=re.escape(fragment)):
         load_checkpoint(ckpt)
     sts = tmp_path / "sts.tsv"
     save_sts([StsPair("alpha beta", "gamma", 1.0, "s"), StsPair("beta", "delta", 2.0, "s")], sts)
@@ -225,11 +293,12 @@ def test_a_load_holds_one_copy_of_a_table(tmp_path):
 @pytest.mark.parametrize("tied", [True, False])
 def test_sidecars_are_the_bytes_np_save_writes(tmp_path, tied):
     encoder, heads = _save(tmp_path / "ckpt.json", tied)
-    payload = json.loads((tmp_path / "ckpt.json").read_text())
-    refs = {"table": (payload["table"], encoder.table)}
-    if not tied:
-        refs["def_W"] = (payload["def_head"]["weights"], heads["def_W"])
-    for ref, array in refs.values():
+    refs = json.loads((tmp_path / "ckpt.json").read_text())["arrays"]
+    arrays = {**heads, "table": encoder.table}
+    assert refs.keys() == arrays.keys()
+    for name, array in arrays.items():
+        ref = refs[name]
+        assert ref["file"] == f"ckpt.{name}.npy"
         expected = io.BytesIO()
         np.save(expected, array, allow_pickle=False)
         data = (tmp_path / ref["file"]).read_bytes()
@@ -259,6 +328,26 @@ def test_non_finite_model_writes_nothing(tmp_path, poison):
     poison(model)
     encoder, heads = model
     with pytest.raises(InvalidInputError, match="NaN or Inf"):
+        save_checkpoint(tmp_path / "ckpt.json", encoder, heads)
+    assert list(tmp_path.iterdir()) == []
+
+
+UNLOADABLE = [
+    ("unknown-array", lambda heads: heads.update(extra=heads["def_bias"]), "unknown arrays ['extra']"),
+    ("nli-bias-without-weights", lambda heads: heads.pop("nli_W"), "array nli_b needs nli_W"),
+    ("def-weights-without-bias", lambda heads: heads.pop("def_bias"), "array def_W needs def_bias"),
+    ("nli-head-shape", lambda heads: heads.update(nli_W=np.zeros((3, DIM))),
+     f"nli_W has shape (3, {DIM}), expected (3, {3 * DIM})"),
+    ("def-bias-length", lambda heads: heads.update(def_bias=np.zeros(V + 1)),
+     f"def_bias has shape ({V + 1},), expected ({V},)"),
+]
+
+
+@pytest.mark.parametrize("damage, fragment", [row[1:] for row in UNLOADABLE], ids=[row[0] for row in UNLOADABLE])
+def test_unloadable_model_writes_nothing(tmp_path, damage, fragment):
+    encoder, heads = _model(tied=False)
+    damage(heads)
+    with pytest.raises(InvalidInputError, match=re.escape(fragment)):
         save_checkpoint(tmp_path / "ckpt.json", encoder, heads)
     assert list(tmp_path.iterdir()) == []
 

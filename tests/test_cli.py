@@ -1,6 +1,7 @@
 """End-to-end command-line tests: partitioning, training, dumps, evaluation."""
 
 import argparse
+import configparser
 import dataclasses
 import json
 import os
@@ -23,6 +24,7 @@ from sentsig.cli import main
 from sentsig.corpus import (DefinitionExample, StsPair, load_definitions, load_nli, load_sts, save_definitions,
                             save_nli, save_sts)
 from sentsig.encoder import ToyEncoder, load_dump
+from sentsig.evalsuite import ProbeConfig
 from sentsig.numstat import make_rng
 from sentsig.objectives import TrainConfig, lockstep_groups
 from sentsig.synth import (
@@ -181,7 +183,8 @@ class TestTrainCommand:
         assert run(["train", "--method", "sbert", "--seeds", "0 1", "--out", out,
                     "--config", _config(data)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        names = [f"checkpoint-seed{seed}{suffix}" for seed in (0, 1) for suffix in (".json", ".table.npy")]
+        names = [f"checkpoint-seed{seed}{suffix}" for seed in (0, 1)
+                 for suffix in (".json", ".table.npy", ".nli_W.npy", ".nli_b.npy")]
         assert manifest["artifacts"] == {name: (out / name).stat().st_size for name in names}
 
     def test_seeds_trained_one_group_at_a_time_save_the_same_checkpoints(self, data, monkeypatch):
@@ -198,7 +201,7 @@ class TestTrainCommand:
         assert groups == [[0, 1, 2], [0], [1], [2]]
         files = sorted(p.name for p in together.iterdir() if p.name != "manifest.json")
         assert files == sorted(p.name for p in alone.iterdir() if p.name != "manifest.json")
-        assert len(files) == 6  # each seed's JSON and table sidecar
+        assert len(files) == 3 * 5  # each seed's JSON and its table, nli_W, nli_b and def_bias sidecars
         for name in files:
             assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 
@@ -399,22 +402,65 @@ CONFIG_KEYS = (
 )
 
 
+def _commands_but_train(trained, tmp_path):
+    """A run of every command but ``train`` on valid inputs, without ``--config`` and ``--out``."""
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("t00w000 t00w001\n")
+    ckpt0, ckpt1, sts = trained["ckpt0"], trained["ckpt1"], trained["sts"]
+    return [["partition", sts, "--scheme", "source"],
+            ["embed", ckpt0, "--sentences", sentences],
+            ["eval", ckpt0, "--sts", sts],
+            ["combine-eval", "--a", ckpt0, "--b", ckpt1, "--mode", "average", "--sts", sts]]
+
+
 @pytest.mark.parametrize("method", ["average", "concat", "none"])
 def test_untrainable_method_rejected_by_every_command(trained, tmp_path, capsys, method):
     ini = tmp_path / "method.ini"
     ini.write_text(f"[train]\nmethod = {method}\n")
-    sentences = tmp_path / "sentences.txt"
-    sentences.write_text("t00w000 t00w001\n")
-    ckpt0, ckpt1, sts = trained["ckpt0"], trained["ckpt1"], trained["sts"]
     # train is test_untrainable_method_rejected's
-    for argv in (["partition", sts, "--scheme", "source"],
-                 ["embed", ckpt0, "--sentences", sentences],
-                 ["eval", ckpt0, "--sts", sts],
-                 ["combine-eval", "--a", ckpt0, "--b", ckpt1, "--mode", "average", "--sts", sts]):
+    for argv in _commands_but_train(trained, tmp_path):
         out = tmp_path / argv[0]
         assert run([*argv, "--config", ini, "--out", out]) == 2, argv[0]
         assert f"unknown method {method!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("dim = 0", "embedding dimension must be >= 1"),
+    ("dim = -3", "embedding dimension must be >= 1"),
+    ("pooling = bogus", "unknown pooling strategy 'bogus'"),
+    ("min_count = 0", "min_count must be >= 1"),
+    ("min_count = -1", "min_count must be >= 1"),
+], ids=["zero-dim", "negative-dim", "pooling", "zero-min-count", "negative-min-count"])
+def test_bad_run_setting_rejected_by_every_command(trained, tmp_path, capsys, setting, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[data]\nnli = {trained['nli']}\n\n[train]\n{setting}\n")
+    for argv in [["train", "--method", "sbert"], *_commands_but_train(trained, tmp_path)]:
+        out = tmp_path / argv[0]
+        assert run([*argv, "--config", ini, "--out", out]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, argv[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("present", [True, False], ids=["present", "missing"])
+def test_percent_in_config_value_is_literal(trained, tmp_path, capsys, present):
+    sts = tmp_path / "a%b.tsv"
+    if present:
+        shutil.copy(trained["sts"], sts)
+    ini = tmp_path / "percent.ini"
+    ini.write_text(f"[data]\nsts = {sts}\n")
+    out = tmp_path / "eval"
+    code = run(["eval", trained["ckpt0"], "--config", ini, "--out", out])
+    err = capsys.readouterr().err
+    if present:
+        assert code == 0, err
+        assert json.loads((out / "manifest.json").read_text())["config"]["sts"] == str(sts)
+    else:
+        assert code == 2
+        assert err.startswith("error:") and str(sts) in err
+        assert not (out / "manifest.json").exists()
+        assert not list(out.glob(".staging-*"))
 
 
 def test_config_keys_pinned(tmp_path, capsys):
@@ -428,6 +474,21 @@ def test_config_keys_pinned(tmp_path, capsys):
     ini.write_text("[probe]\nbeta1 = 0.5\n")
     assert run(["train", "--config", ini, "--out", tmp_path / "x"]) == 2
     assert "unknown config key [probe] beta1" in capsys.readouterr().err
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config file", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    parser.read_string(block)
+    listed = {(section, key): raw for section in parser.sections() for key, raw in parser.items(section)}
+    assert listed.keys() == CONFIG_KEYS == set(cli.CONFIG_KEYS)
+    defaults = {None: cli.ExperimentConfig(), "train": TrainConfig(), "probe": ProbeConfig()}
+    for (section, key), raw in listed.items():
+        target, name, conv = cli.CONFIG_KEYS[section, key]
+        assert (conv(raw) if raw else None) == getattr(defaults[target], name), f"[{section}] {key}"
+    for name in ("beta1", "beta2", "eps"):  # [train] sets both configs' Adam constants
+        assert getattr(ProbeConfig(), name) == getattr(TrainConfig(), name)
 
 
 # (case, input files, argv, message): each file is written as <key>.in after filling in
