@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import CLS_TOKEN, UNK_TOKEN, ToyEncoder, Vocabulary
+from .encoder import CLS_TOKEN, MAX_TOKENS, UNK_TOKEN, ToyEncoder, Vocabulary
 from .errors import InvalidInputError
 from .fileio import atomic_write
 from .objectives import TrainConfig
 
 FORMAT = "sentsig-checkpoint"
-VERSION = 3
+VERSION = 4
 SIDECAR_CHUNK = 1 << 20  # bytes of a sidecar read and hashed per call
 
 
@@ -54,9 +54,9 @@ def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
 def _shapes(names, V: int, dim: int) -> dict[str, tuple[int, ...]]:
     """The shape of each named array, after checking that the names make one model.
 
-    A model is its ``table`` and any heads: the NLI head is ``nli_W`` and,
-    with a bias, ``nli_b``; the definition head is ``def_bias`` and, when it
-    is untied, ``def_W`` (a tied head's weights are the table).
+    A model is its ``table`` and any heads: the NLI head is ``nli_W`` and
+    ``nli_b``; the definition head is ``def_bias`` and, when it is untied,
+    ``def_W`` (a tied head's weights are the table).
     """
     shapes = {"table": (V, dim), "nli_W": (3, 3 * dim), "nli_b": (3,), "def_W": (V, dim), "def_bias": (V,)}
     unknown = sorted(set(names) - shapes.keys())
@@ -64,7 +64,7 @@ def _shapes(names, V: int, dim: int) -> dict[str, tuple[int, ...]]:
         raise InvalidInputError(f"unknown arrays {unknown}; a checkpoint holds some of {sorted(shapes)}")
     if "table" not in names:
         raise InvalidInputError("missing array 'table'")
-    for name, needs in (("nli_b", "nli_W"), ("def_W", "def_bias")):
+    for name, needs in (("nli_W", "nli_b"), ("nli_b", "nli_W"), ("def_W", "def_bias")):
         if name in names and needs not in names:
             raise InvalidInputError(f"array {name} needs {needs}, which is missing")
     return {name: shapes[name] for name in names}
@@ -93,7 +93,7 @@ def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | No
         "version": VERSION,
         "pooling": encoder.pooling,
         "dim": encoder.dim,
-        "max_tokens": encoder.max_tokens,
+        "max_tokens": MAX_TOKENS,
         "vocab": encoder.vocab.words,
         "arrays": {name: _write_sidecar(path, name, array) for name, array in arrays.items()},
         "train_config": dataclasses.asdict(train_config) if train_config else None,
@@ -155,10 +155,11 @@ def _parse(path: Path, payload: dict) -> Checkpoint:
     V, dim = len(vocab), payload["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise InvalidInputError(f"dim must be a positive integer, got {dim!r}")
+    if payload["max_tokens"] != MAX_TOKENS:
+        raise InvalidInputError(f"max_tokens must be {MAX_TOKENS}, got {payload['max_tokens']!r}")
     refs = payload["arrays"]
     arrays = {name: _read_sidecar(path, refs[name], shape) for name, shape in _shapes(refs, V, dim).items()}
-    encoder = ToyEncoder(vocab, arrays.pop("table"), pooling=payload["pooling"],
-                         max_tokens=payload["max_tokens"], name=path.stem)
+    encoder = ToyEncoder(vocab, arrays.pop("table"), pooling=payload["pooling"], name=path.stem)
     config = payload["train_config"]
     return Checkpoint(encoder=encoder, heads=arrays,
                       train_config=None if config is None else TrainConfig(**config))

@@ -22,7 +22,7 @@ import os
 import shutil
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stdout, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,10 +79,6 @@ def parse_seed_list(text: str) -> list[int]:
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-# the probe's Adam constants are the [train] ones
-_SHARED_ADAM = ("beta1", "beta2", "eps")
-
-
 def _parse_bool(text: str) -> bool:
     if text.lower() not in _BOOL:
         raise ValueError("expected a boolean")
@@ -104,7 +100,7 @@ def _config_keys() -> dict:
 
     ``[data]`` holds the dataset paths and ``[train]`` the other run fields
     plus every TrainConfig field but ``seed``.  ``[probe]`` holds the
-    ProbeConfig fields but the Adam constants, which come from ``[train]``.
+    ProbeConfig fields.
     """
     keys = {}
     for f in dataclasses.fields(ExperimentConfig):
@@ -115,8 +111,7 @@ def _config_keys() -> dict:
         if f.name != "seed":
             keys["train", f.name] = ("train", f.name, _converter(f))
     for f in dataclasses.fields(ProbeConfig):
-        if f.name not in _SHARED_ADAM:
-            keys["probe", f.name] = ("probe", f.name, _converter(f))
+        keys["probe", f.name] = ("probe", f.name, _converter(f))
     return keys
 
 
@@ -144,8 +139,6 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
                 except ValueError as exc:
                     raise InvalidInputError(
                         f"[{section}] {key}: invalid value {raw!r} ({exc})") from None
-                if target == "train" and name in _SHARED_ADAM:
-                    values["probe"][name] = values["train"][name]
     cfg = ExperimentConfig(**values[None], train=TrainConfig(**values["train"]),
                            probe=ProbeConfig(**values["probe"]))
     # flags win over config file values
@@ -513,12 +506,13 @@ def main(argv=None) -> int:
     """
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
-    staging = None
+    staging, made = None, []
     try:
         cfg = load_experiment_config(args.config, args)
         if not cfg.out:
             raise InvalidInputError("an output directory is required (--out or [train] out)")
         out = Path(cfg.out)
+        made = [d for d in (out, *out.parents) if not d.exists()]  # removed again if the command fails
         out.mkdir(parents=True, exist_ok=True)
         staging = out / f".staging-{os.getpid()}"
         staging.mkdir()
@@ -538,6 +532,7 @@ def main(argv=None) -> int:
             **extra,
         })
         sys.stdout.write(held.getvalue())
+        made = []
         return 0
     except (SentsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -545,6 +540,9 @@ def main(argv=None) -> int:
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
+        for directory in made:  # deepest first
+            with suppress(OSError):  # not empty, or never made
+                directory.rmdir()
 
 
 if __name__ == "__main__":

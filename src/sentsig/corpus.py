@@ -17,7 +17,6 @@ from .errors import InvalidInputError, ParseError
 from .fileio import atomic_write
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
-SPLITS = ("train", "dev", "test", "none")
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,6 @@ class StsPair:
     sentence2: str
     gold: float
     source: str
-    split: str = "none"
 
     def __post_init__(self):
         if not self.sentence1 or not self.sentence2:
@@ -36,8 +34,6 @@ class StsPair:
                 raise InvalidInputError("STS sentences must not contain tab or newline")
         if not 0.0 <= self.gold <= 5.0:
             raise InvalidInputError(f"gold score {self.gold} outside [0, 5]")
-        if self.split not in SPLITS:
-            raise InvalidInputError(f"unknown split tag {self.split!r}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +206,8 @@ def _split_columns(path, line_no, line, expected: int):
     return cols
 
 
-def load_sts(path, split: str = "none") -> list[StsPair]:
-    """Parse an STS file; every pair is tagged with the given split."""
+def load_sts(path) -> list[StsPair]:
+    """Parse an STS file."""
     pairs = []
     for line_no, line in read_lines(path):
         source, gold_text, s1, s2 = _split_columns(path, line_no, line, 4)
@@ -220,7 +216,7 @@ def load_sts(path, split: str = "none") -> list[StsPair]:
         except ValueError:
             raise ParseError(path, line_no, f"gold score is not a number: {gold_text!r}") from None
         try:
-            pairs.append(StsPair(sentence1=s1, sentence2=s2, gold=gold, source=source, split=split))
+            pairs.append(StsPair(sentence1=s1, sentence2=s2, gold=gold, source=source))
         except InvalidInputError as exc:
             raise ParseError(path, line_no, str(exc)) from None
     return pairs

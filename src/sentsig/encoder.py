@@ -85,7 +85,7 @@ class TokenCache:
 
     Each distinct text is tokenized once, and equal tokens share one string
     object, so the tokens of a corpus cost about a pointer each.  A text
-    list is indexed once per distinct (vocabulary word list, ``max_tokens``):
+    list is indexed once per distinct vocabulary word list:
     the checkpoints of one ``train`` command have equal vocabularies, so
     their encoders pool one :class:`TokenIndex`.
     """
@@ -104,16 +104,16 @@ class TokenCache:
                 known[text] = tuple(map(canonical.setdefault, tokens, tokens))
         return [known[text] for text in texts]
 
-    def index(self, texts: Sequence[str], vocab: Vocabulary, max_tokens: int) -> TokenIndex:
+    def index(self, texts: Sequence[str], vocab: Vocabulary) -> TokenIndex:
         """The index of ``texts``, one entry per text; a text without tokens is rejected by name."""
         texts = tuple(texts)
-        key = (texts, vocab._words, max_tokens)
+        key = (texts, vocab._words)
         index = self._indexes.get(key)
         if index is None:
             token_lists = self.tokens(texts)
             if not all(token_lists):
                 raise InvalidInputError(f"text has no tokens: {texts[token_lists.index(())]!r}")
-            index = self._indexes[key] = TokenIndex.build(token_lists, vocab, max_tokens)
+            index = self._indexes[key] = TokenIndex.build(token_lists, vocab)
         return index
 
 
@@ -149,8 +149,8 @@ class TokenIndex:
         self.cls = cls
 
     @classmethod
-    def build(cls, token_lists, vocab: Vocabulary, max_tokens: int = MAX_TOKENS) -> "TokenIndex":
-        """Vocabulary indices of each list's first ``max_tokens`` tokens, unknowns to [UNK]."""
+    def build(cls, token_lists, vocab: Vocabulary) -> "TokenIndex":
+        """Vocabulary indices of each list's first ``MAX_TOKENS`` tokens, unknowns to [UNK]."""
         lookup = vocab._index.get  # Vocabulary.index, without a Python call per token
         unknown = itertools.repeat(UNK_INDEX)
         ids = array.array("i")
@@ -158,7 +158,7 @@ class TokenIndex:
         for tokens in token_lists:
             if not tokens:
                 raise InvalidInputError("token list is empty")
-            row = tokens[:max_tokens]
+            row = tokens[:MAX_TOKENS]
             ids.extend(map(lookup, row, unknown))
             sizes.append(len(row))
         offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
@@ -313,15 +313,12 @@ class ToyEncoder:
     """
 
     def __init__(self, vocab: Vocabulary, table: np.ndarray | None, pooling: str = "mean",
-                 max_tokens: int = MAX_TOKENS, name: str | None = None, dim: int | None = None):
+                 name: str | None = None, dim: int | None = None):
         if pooling not in POOLINGS:
             raise InvalidInputError(f"unknown pooling strategy {pooling!r}")
-        if isinstance(max_tokens, bool) or not isinstance(max_tokens, int) or max_tokens < 1:
-            raise InvalidInputError(f"max_tokens must be an integer >= 1, got {max_tokens!r}")
         self.vocab = vocab
         self.table = None if table is None else as_matrix(table, rows=len(vocab))
         self.pooling = pooling
-        self.max_tokens = max_tokens
         self.dim = dim if table is None else self.table.shape[1]
         if self.dim < 1:
             raise InvalidInputError("embedding dimension must be >= 1")
@@ -329,10 +326,9 @@ class ToyEncoder:
         self.token_cache: TokenCache | None = None
 
     @classmethod
-    def create(cls, vocab: Vocabulary, dim: int, pooling: str = "mean",
-               seed: int = 0, max_tokens: int = MAX_TOKENS) -> "ToyEncoder":
+    def create(cls, vocab: Vocabulary, dim: int, pooling: str = "mean", seed: int = 0) -> "ToyEncoder":
         """Fresh encoder with the :func:`initial_table` of ``seed``."""
-        encoder = cls(vocab, None, pooling, max_tokens, dim=dim)
+        encoder = cls(vocab, None, pooling, dim=dim)
         encoder.table = initial_table(np.empty((len(vocab), dim)), seed)
         return encoder
 
@@ -344,8 +340,7 @@ class ToyEncoder:
         if len(sentences) == 0:
             return np.zeros((0, self.dim))
         cache = self.token_cache or TokenCache()
-        vectors, _ = pool_forward(self.table, self.pooling,
-                                  cache.index(sentences, self.vocab, self.max_tokens))
+        vectors, _ = pool_forward(self.table, self.pooling, cache.index(sentences, self.vocab))
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             raise InvalidInputError(

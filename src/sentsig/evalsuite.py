@@ -9,6 +9,7 @@ cross-validation and reports mean accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .corpus import Partition, StsPair, concat_subsets, read_lines
 from .encoder import EmbeddingProvider
 from .errors import DegenerateScoresError, InvalidInputError, ParseError
 from .numstat import cosine, make_rng, pearson, spearman
-from .objectives import Adam, check_optimizer_floats
+from .objectives import Adam
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +230,6 @@ class ProbeConfig:
     batch_size: int = 64
     epochs: int = 4
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -241,7 +239,8 @@ class ProbeConfig:
             raise InvalidInputError("probe batch_size must be >= 1")
         if self.epochs < 0:
             raise InvalidInputError("probe epochs must be >= 0")
-        check_optimizer_floats("probe lr", self.lr, self.beta1, self.beta2, self.eps)
+        if not 0.0 < self.lr < math.inf:
+            raise InvalidInputError("probe lr must be positive and finite")
         if self.seed < 0:
             raise InvalidInputError("probe seed must be >= 0")
 
@@ -313,8 +312,7 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
         raise InvalidInputError(f"{folds} fold(s) need as many seeds, got {seeds.size}")
     if any(np.unique(fold_labels).size < 2 for fold_labels in y):
         raise InvalidInputError("training data contains a single class")
-    optimizer = Adam({"W": (folds, n_classes, dim), "b": (folds, n_classes)},
-                     config.beta1, config.beta2, config.eps)
+    optimizer = Adam({"W": (folds, n_classes, dim), "b": (folds, n_classes)})
     params = optimizer.params
     rngs = [make_rng(s) for s in seeds]
     stack = np.arange(folds)[:, None]

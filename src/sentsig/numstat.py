@@ -50,19 +50,14 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
     return m
 
 
-def cosine(u, v):
-    """Cosine similarity dot(u,v) / (|u||v|); for two matrices, one per row.
+def cosine(u, v) -> np.ndarray:
+    """Row-wise cosine similarity of two (n, d) matrices: n cosines dot(u,v) / (|u||v|).
 
-    Two vectors give a float and two (n, d) matrices an array of n cosines,
-    each bit-identical to the cosine of that pair of rows as vectors.
-    Zero-norm inputs are rejected rather than mapped to 0: a zero embedding
-    signals a pipeline bug upstream.
+    Each dot product, the norms' included, rounds as ``np.dot`` of the two
+    rows does.  Zero-norm rows are rejected rather than mapped to 0: a zero
+    embedding signals a pipeline bug upstream.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    rows = u.ndim == 2 or v.ndim == 2
-    u = as_matrix(u) if rows else as_vector(u)[None]
-    v = as_matrix(v) if rows else as_vector(v)[None]
+    u, v = as_matrix(u), as_matrix(v)
     if u.shape != v.shape:
         raise InvalidInputError(f"shape mismatch: {u.shape} vs {v.shape}")
     # stacked (1 x d) @ (d x 1) products round each row's dot exactly as np.dot does
@@ -70,8 +65,7 @@ def cosine(u, v):
     nv = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
     if not (nu.all() and nv.all()):
         raise InvalidInputError("cosine of a zero-norm vector is undefined")
-    scores = (u[:, None, :] @ v[:, :, None])[:, 0, 0] / (nu * nv)
-    return scores if rows else float(scores[0])
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0] / (nu * nv)
 
 
 def ranks_with_ties(x: Sequence[float]) -> np.ndarray:

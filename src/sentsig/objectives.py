@@ -21,8 +21,8 @@ import numpy as np
 
 from .corpus import DefinitionExample, NliExample
 from .corpus import tokenize  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
-from .encoder import (CLS_INDEX, MAX_TOKENS, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary,
-                      initial_table, pool_backward, pool_forward)
+from .encoder import (CLS_INDEX, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary, initial_table,
+                      pool_backward, pool_forward)
 from .errors import InvalidInputError
 from .numstat import _TINY, make_rng, mean_cross_entropies, softmax
 
@@ -37,11 +37,9 @@ class TrainConfig:
     base_lr: float = 1e-3  # toy-table scale; transformer fine-tuning uses ~1e-6
     warmup_fraction: float = 0.10
     seed: int = 0
-    smart_batching: bool = True
     bucket_width: int = 8
     lr_decay: str = "constant"  # or "linear": ramp down to 0 after warmup
     tied_head: bool = True
-    head_bias: bool = True
     nli_cycle: int = 19  # a multi stage's NLI steps per cycle
     def_cycle: int = 1  # and its definition steps after them
 
@@ -54,22 +52,18 @@ class TrainConfig:
             raise InvalidInputError("epochs must be >= 0")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise InvalidInputError("warmup_fraction must be in [0, 1)")
-        check_optimizer_floats("base_lr", self.base_lr, self.beta1, self.beta2, self.eps)
+        # Adam divides by zero, overflows or steps by NaN outside these ranges
+        if not 0.0 < self.base_lr < math.inf:
+            raise InvalidInputError("base_lr must be positive and finite")
+        for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise InvalidInputError(f"{key} must be in [0, 1)")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidInputError("eps must be positive and finite")
         if self.lr_decay not in ("constant", "linear"):
             raise InvalidInputError(f"unknown lr_decay {self.lr_decay!r}")
         if self.nli_cycle < 1 or self.def_cycle < 1:
             raise InvalidInputError("schedule steps per cycle must be positive")
-
-
-def check_optimizer_floats(lr_key: str, lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """Reject Adam settings that divide by zero, overflow or step by NaN; each message names its key."""
-    if not 0.0 < lr < math.inf:
-        raise InvalidInputError(f"{lr_key} must be positive and finite")
-    for key, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise InvalidInputError(f"{key} must be in [0, 1)")
-    if not 0.0 < eps < math.inf:
-        raise InvalidInputError("eps must be positive and finite")
 
 
 class IndexedExamples:
@@ -83,32 +77,30 @@ class IndexedExamples:
     its headword's vocabulary index (-1 if absent).
     """
 
-    def __init__(self, texts: TokenIndex, golds: np.ndarray, vocab: Vocabulary, max_tokens: int,
-                 sides: int):
+    def __init__(self, texts: TokenIndex, golds: np.ndarray, vocab: Vocabulary, sides: int):
         self.texts = texts
         self.golds = golds
         self.vocab = vocab
-        self.max_tokens = max_tokens
         self.sides = sides
 
     @classmethod
-    def nli(cls, examples: list[NliExample], vocab: Vocabulary, max_tokens: int = MAX_TOKENS,
+    def nli(cls, examples: list[NliExample], vocab: Vocabulary,
             cache: TokenCache | None = None) -> "IndexedExamples":
         """Index NLI ``examples`` through ``cache`` (a fresh one by default)."""
         texts = [ex.premise for ex in examples] + [ex.hypothesis for ex in examples]
         golds = np.array([ex.label_index for ex in examples], dtype=np.intp)
-        return cls((cache or TokenCache()).index(texts, vocab, max_tokens), golds, vocab, max_tokens, 2)
+        return cls((cache or TokenCache()).index(texts, vocab), golds, vocab, 2)
 
     @classmethod
     def definitions(cls, examples: list[DefinitionExample], vocab: Vocabulary,
-                    max_tokens: int = MAX_TOKENS, cache: TokenCache | None = None) -> "IndexedExamples":
+                    cache: TokenCache | None = None) -> "IndexedExamples":
         """Index definition ``examples``; a gold is the index of its headword's token."""
         cache = cache or TokenCache()
         # a headword has no whitespace, so it has one token or none
         heads = [tokens[0] if tokens else "" for tokens in cache.tokens([ex.word for ex in examples])]
         golds = np.array([vocab.index(word) if word in vocab else -1 for word in heads], dtype=np.intp)
-        texts = cache.index([ex.definition for ex in examples], vocab, max_tokens)
-        return cls(texts, golds, vocab, max_tokens, 1)
+        texts = cache.index([ex.definition for ex in examples], vocab)
+        return cls(texts, golds, vocab, 1)
 
     def __len__(self) -> int:
         return self.golds.shape[0]
@@ -121,7 +113,7 @@ class IndexedExamples:
     def take(self, rows: np.ndarray) -> "IndexedExamples":
         """The examples at ``rows``, in that order, with every side of each."""
         texts = self.texts.take((np.arange(self.sides)[:, None] * len(self) + rows).ravel())
-        return IndexedExamples(texts, self.golds[rows], self.vocab, self.max_tokens, self.sides)
+        return IndexedExamples(texts, self.golds[rows], self.vocab, self.sides)
 
 
 @dataclass
@@ -172,16 +164,16 @@ def _per_seed(batch: IndexedExamples, n_seeds: int, table: np.ndarray, counts) -
     return np.cumsum([0, *counts])
 
 
-def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray | None, golds: np.ndarray,
+def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray, golds: np.ndarray,
                    bounds: np.ndarray) -> tuple:
     """The softmax classifier both losses put over their features, seed by seed.
 
     Seed k's rows ``bounds[k]:bounds[k + 1]`` of the features X (B x f) go
-    through its weights W[k] (classes x f) and, if given, its bias b[k]; a
-    row-wise softmax of the logits gives G = P - onehot(golds).  Returns
-    (each seed's mean cross-entropy, G, dX = G W, db), where db[k], the bias
-    gradient, is the column sums of seed k's rows of G over their count
-    (None without a bias).  The weights' gradient is each loss's own: a
+    through its weights W[k] (classes x f) and its bias b[k]; a row-wise
+    softmax of the logits gives G = P - onehot(golds).  Returns (each seed's
+    mean cross-entropy, G, dX = G W, db), where db[k], the bias gradient, is
+    the column sums of seed k's rows of G over their count.  The weights'
+    gradient is each loss's own: a
     dense product for NLI, a :class:`TableGradient` for the definition head.
     """
     m = X.shape[0]
@@ -189,19 +181,16 @@ def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray | None, golds: np
     logits = np.empty((m, W.shape[1]))
     for k, (lo, hi) in blocks:
         np.matmul(X[lo:hi], W[k].T, out=logits[lo:hi])
-        if b is not None:
-            logits[lo:hi] += b[k]
+        logits[lo:hi] += b[k]
     G = softmax(logits, out=logits)  # P now; P - onehot(gold) after the loss is read
     losses = mean_cross_entropies(G, golds, bounds.tolist())
     G[np.arange(m), golds] -= 1.0
-    db = None if b is None else np.empty_like(b)
+    db = np.empty_like(b)
     dX = np.empty_like(X)
     for k, (lo, hi) in blocks:
-        if db is not None:
-            np.sum(G[lo:hi], axis=0, out=db[k])
+        np.sum(G[lo:hi], axis=0, out=db[k])
         np.matmul(G[lo:hi], W[k], out=dX[lo:hi])
-    if db is not None:
-        db /= (bounds[1:] - bounds[:-1])[:, None]
+    db /= (bounds[1:] - bounds[:-1])[:, None]
     return losses, G, dX, db
 
 
@@ -261,8 +250,8 @@ def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
     """Each seed's mean cross-entropy over its examples, and the gradients.
 
     ``params`` holds the seeds' parameters stacked as :class:`Adam` holds
-    them: ``table`` (seeds·V, d), ``nli_W`` (seeds, 3, 3d) and, with a
-    bias, ``nli_b`` (seeds, 3); other entries are ignored.  The batch holds
+    them: ``table`` (seeds·V, d), ``nli_W`` (seeds, 3, 3d) and ``nli_b``
+    (seeds, 3); other entries are ignored.  The batch holds
     ``counts[k]`` examples of seed k, seed 0's first, each indexing its own
     seed's rows of the table (one seed takes the whole batch by default).
 
@@ -279,7 +268,7 @@ def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
     """
     if not len(batch):
         raise InvalidInputError("empty NLI batch")
-    table, W, b = params["table"], params["nli_W"], params.get("nli_b")
+    table, W, b = params["table"], params["nli_W"], params["nli_b"]
     bounds = _per_seed(batch, W.shape[0], table, counts)
     m, d = len(batch), table.shape[1]
     if W.shape[1:] != (3, 3 * d):
@@ -289,12 +278,10 @@ def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
     diff = U - V
     F = np.hstack([U, V, np.abs(diff)])
     losses, G, dF, db = _softmax_heads(F, W, b, batch.golds, bounds)
-    grads = {"nli_W": np.empty_like(W)}
+    grads = {"nli_W": np.empty_like(W), "nli_b": db}
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         np.matmul(G[lo:hi].T, F[lo:hi], out=grads["nli_W"][k])
     grads["nli_W"] /= (bounds[1:] - bounds[:-1])[:, None, None]
-    if db is not None:
-        grads["nli_b"] = db
     dabs = np.sign(diff) * dF[:, 2 * d :]
     dpooled = np.empty_like(pooled)
     np.add(dF[:, :d], dabs, out=dpooled[:m])
@@ -484,24 +471,10 @@ def smart_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator
     return [batches[j] for j in batch_order]
 
 
-def _plain_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[s : s + batch_size] for s in range(0, n, batch_size)]
-
-
-def _epoch_batches(lengths: np.ndarray, config: TrainConfig,
-                   rng: np.random.Generator) -> list[np.ndarray]:
-    if config.smart_batching:
-        return smart_batches(lengths, config.batch_size, rng, config.bucket_width)
-    return _plain_batches(len(lengths), config.batch_size, rng)
-
-
 def batches_per_epoch(lengths: np.ndarray, config: TrainConfig) -> int:
     """Batch count per epoch; fixed by bucket sizes, independent of shuffling."""
-    if config.smart_batching:
-        counts = np.bincount(np.asarray(lengths) // config.bucket_width)
-        return sum(math.ceil(int(n) / config.batch_size) for n in counts)
-    return math.ceil(len(lengths) / config.batch_size)
+    counts = np.bincount(np.asarray(lengths) // config.bucket_width)
+    return sum(math.ceil(int(n) / config.batch_size) for n in counts)
 
 
 class BatchStream:
@@ -518,7 +491,8 @@ class BatchStream:
 
     def next_rows(self) -> np.ndarray:
         if not self._queue:
-            self._queue = list(reversed(_epoch_batches(self.lengths, self.config, self.rng)))
+            self._queue = list(reversed(smart_batches(self.lengths, self.config.batch_size, self.rng,
+                                                      self.config.bucket_width)))
         return self._queue.pop()
 
 
@@ -605,8 +579,7 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
     definition steps; a single stream has a cycle of length 1.  A stage's
     step count (epochs x batches per epoch of its first stream) is rounded
     up to whole cycles.  The datasets must be
-    indexed for the encoders, which share one vocabulary, pooling, dim and
-    truncation length.
+    indexed for the encoders, which share one vocabulary, pooling and dim.
 
     Every seed takes the same stream and learning rate at each step.  A step
     joins the seeds' batches into one, which one loss call pools and scores
@@ -626,14 +599,12 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
     if not encoders or len(seeds) != len(encoders):
         raise InvalidInputError("training needs one seed per encoder")
     first = encoders[0]
-    if any(e.vocab is not first.vocab or (e.pooling, e.dim, e.max_tokens)
-           != (first.pooling, first.dim, first.max_tokens) for e in encoders):
-        raise InvalidInputError(
-            "seeds trained together need one vocabulary, pooling, dim and max_tokens")
+    if any(e.vocab is not first.vocab or (e.pooling, e.dim) != (first.pooling, first.dim) for e in encoders):
+        raise InvalidInputError("seeds trained together need one vocabulary, pooling and dim")
     for data in (nli_data if uses_nli else None, def_data if uses_def else None):
         # checked once here; a loss checks only its table's size
-        if data is not None and (data.vocab, data.max_tokens) != (first.vocab, first.max_tokens):
-            raise InvalidInputError("data was indexed for another vocabulary or truncation length")
+        if data is not None and data.vocab is not first.vocab:
+            raise InvalidInputError("data was indexed for another vocabulary")
     nli = ("nli", nli_data, nli_loss_and_grads)
     defs = ("def", _drop_oov_definitions(def_data), def_loss_and_grads) if uses_def else None
     streams = {"sbert": [nli], "defsent": [defs], "multi": [nli, defs]}  # (name, data, loss function)
@@ -642,8 +613,7 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
     shapes = {}
     if uses_nli:
         shapes["nli_W"] = (n_seeds, 3, 3 * d)
-        if config.head_bias:
-            shapes["nli_b"] = (n_seeds, 3)
+        shapes["nli_b"] = (n_seeds, 3)
     shapes["table"] = (n_seeds * n_words, d)
     if uses_def:
         if not config.tied_head:

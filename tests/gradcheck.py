@@ -3,7 +3,7 @@
 import numpy as np
 
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
-from sentsig.encoder import CLS_INDEX, ToyEncoder, Vocabulary
+from sentsig.encoder import CLS_INDEX, MAX_TOKENS, ToyEncoder, Vocabulary
 from sentsig.objectives import (
     IndexedExamples,
     def_loss_and_grads,
@@ -37,8 +37,8 @@ def finite_difference_worst_error(loss_fn, params, grads, h=1e-5):
 
 
 def word_ids(encoder, text):
-    """Word indices of one text, truncated at the encoder's max_tokens."""
-    return np.array([encoder.vocab.index(t) for t in tokenize(text)[: encoder.max_tokens]])
+    """Word indices of one text, truncated at ``MAX_TOKENS``."""
+    return np.array([encoder.vocab.index(t) for t in tokenize(text)[:MAX_TOKENS]])
 
 
 def pool_one(encoder, words):
@@ -79,7 +79,7 @@ def loss_one(loss_fn, batch, pooling, params):
 def indexed(batch, encoder):
     """A list of NLI or definition examples indexed for the encoder, as the losses take it."""
     build = IndexedExamples.nli if isinstance(batch[0], NliExample) else IndexedExamples.definitions
-    return build(batch, encoder.vocab, encoder.max_tokens)
+    return build(batch, encoder.vocab)
 
 
 def _sentence(rng, words, max_len=4):

@@ -70,7 +70,7 @@ class TestRoundTrip:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_train_config_without_the_cycle_loads_with_its_defaults(self, tmp_path):
-        # checkpoints written before the multi-task cycle joined TrainConfig
+        # a train_config without a field loads with that field's default
         _save(tmp_path / "ckpt.json", tied=True)
         _edit_json(tmp_path / "ckpt.json",
                    lambda d: [d["train_config"].pop(key) for key in ("nli_cycle", "def_cycle")])
@@ -81,7 +81,8 @@ class TestRoundTrip:
     def test_json_pins_sidecar_bytes(self, tmp_path):
         _save(tmp_path / "ckpt.json", tied=False)
         payload = json.loads((tmp_path / "ckpt.json").read_text())
-        assert payload["version"] == 3
+        assert payload["version"] == 4
+        assert payload["max_tokens"] == 128
         assert payload["arrays"].keys() == {"table", "nli_W", "nli_b", "def_W", "def_bias"}
         for ref in payload["arrays"].values():
             data = (tmp_path / ref["file"]).read_bytes()
@@ -118,18 +119,17 @@ def _float_lists(node):
     return []
 
 
-@pytest.mark.parametrize("head_bias", [True, False], ids=["bias", "no-bias"])
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
 @pytest.mark.parametrize("method", list(PIPELINES))
-def test_every_trained_model_round_trips(tmp_path, world, method, tied, head_bias):
+def test_every_trained_model_round_trips(tmp_path, world, method, tied):
     vocab, nli, defs = world
-    config = TrainConfig(batch_size=4, base_lr=0.05, tied_head=tied, head_bias=head_bias)
+    config = TrainConfig(batch_size=4, base_lr=0.05, tied_head=tied)
     encoder = ToyEncoder(vocab, None, "max", dim=3)
     [result] = run_pipeline(method, [encoder], config, nli, defs, seeds=[2])
     uses_nli, uses_defs = method_datasets(method)
     names = set()
     if uses_nli:
-        names |= {"nli_W", "nli_b"} if head_bias else {"nli_W"}
+        names |= {"nli_W", "nli_b"}
     if uses_defs:
         names |= {"def_bias"} if tied else {"def_bias", "def_W"}
     heads = {name: array for name, array in result.params.items() if name != "table"}
@@ -217,6 +217,8 @@ MALFORMED = [
      "unknown arrays ['extra']"),
     ("nli-bias-without-weights", lambda p: _edit_json(p, lambda d: d["arrays"].pop("nli_W")),
      "array nli_b needs nli_W"),
+    ("nli-weights-without-bias", lambda p: _edit_json(p, lambda d: d["arrays"].pop("nli_b")),
+     "array nli_W needs nli_b"),
     ("def-weights-without-bias", lambda p: _edit_json(p, lambda d: d["arrays"].pop("def_bias")),
      "array def_W needs def_bias"),
     ("missing-sidecar", lambda p: p.with_name("ckpt.table.npy").unlink(), "cannot read sidecar"),
@@ -248,10 +250,12 @@ MALFORMED = [
      "unsupported checkpoint version 1"),
     ("version-2", lambda p: _edit_json(p, lambda d: d.update(version=2)),
      "unsupported checkpoint version 2"),
+    ("version-3", lambda p: _edit_json(p, lambda d: d.update(version=3)),
+     "unsupported checkpoint version 3"),
     *((f"max-tokens-{name}", lambda p, value=value: _edit_json(p, lambda d: d.update(max_tokens=value)),
-       "max_tokens must be an integer >= 1")
+       f"max_tokens must be 128, got {value!r}")
       for name, value in [("string", "x"), ("float", 1.5), ("zero", 0), ("negative", -3), ("null", None),
-                          ("bool", True)]),
+                          ("bool", True), ("other", 64)]),
 ]
 
 
@@ -335,6 +339,7 @@ def test_non_finite_model_writes_nothing(tmp_path, poison):
 UNLOADABLE = [
     ("unknown-array", lambda heads: heads.update(extra=heads["def_bias"]), "unknown arrays ['extra']"),
     ("nli-bias-without-weights", lambda heads: heads.pop("nli_W"), "array nli_b needs nli_W"),
+    ("nli-weights-without-bias", lambda heads: heads.pop("nli_b"), "array nli_W needs nli_b"),
     ("def-weights-without-bias", lambda heads: heads.pop("def_bias"), "array def_W needs def_bias"),
     ("nli-head-shape", lambda heads: heads.update(nli_W=np.zeros((3, DIM))),
      f"nli_W has shape (3, {DIM}), expected (3, {3 * DIM})"),

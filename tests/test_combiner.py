@@ -46,7 +46,7 @@ class TestCombineVectors:
         rng = make_rng(3)
         for _ in range(30):
             a, b, c, d = (rng.normal(size=5) for _ in range(4))
-            direct = cosine(combine_concat(a, b), combine_concat(c, d))
+            [direct] = cosine([combine_concat(a, b)], [combine_concat(c, d)])
             dot = float(a @ c) + float(b @ d)
             norms = math.sqrt(float(a @ a) + float(b @ b)) * math.sqrt(float(c @ c) + float(d @ d))
             assert direct == pytest.approx(dot / norms, rel=1e-12)
@@ -74,9 +74,9 @@ class TestCombinedProvider:
         rng = make_rng(5)
         a, _, sentences = _store_pair(rng)
         combined = CombinedProvider("concat", a, a)
-        for s1, s2 in zip(sentences, sentences[1:]):
-            assert cosine(combined.embed(s1), combined.embed(s2)) == pytest.approx(
-                cosine(a.embed(s1), a.embed(s2)), rel=1e-12)
+        first, second = sentences[:-1], sentences[1:]
+        np.testing.assert_allclose(cosine(combined.embed_batch(first), combined.embed_batch(second)),
+                                   cosine(a.embed_batch(first), a.embed_batch(second)), rtol=1e-12, atol=0)
 
     def test_concat_dims_add(self):
         rng = make_rng(6)

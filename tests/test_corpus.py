@@ -199,12 +199,6 @@ class TestLoaders:
         assert len(pairs) == 1
         assert pairs[0].gold == 4.909
         assert pairs[0].source == "MSRvid"
-        assert pairs[0].split == "none"
-
-    def test_split_tagging(self, tmp_path):
-        f = tmp_path / "sts.tsv"
-        f.write_text("s\t1.0\ta b\tc d\n")
-        assert load_sts(f, split="train")[0].split == "train"
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.tsv"

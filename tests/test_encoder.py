@@ -12,6 +12,7 @@ from sentsig.corpus import tokenize
 from sentsig.encoder import (
     CLS_INDEX,
     CLS_TOKEN,
+    MAX_TOKENS,
     UNK_INDEX,
     UNK_TOKEN,
     EmbeddingStore,
@@ -185,10 +186,11 @@ class TestToyEncoder:
 
     def test_truncation_at_max_tokens(self):
         vocab = Vocabulary(["a", "b"])
-        enc = ToyEncoder.create(vocab, 3, "mean", max_tokens=2)
-        index = TokenIndex.build([["a", "b", "a", "b"]], vocab, enc.max_tokens)
-        assert index.lengths.tolist() == [2]
-        np.testing.assert_array_equal(enc.embed("a b a b"), enc.embed("a b"))
+        enc = ToyEncoder.create(vocab, 3, "mean")
+        words = ["a", "b"] * (MAX_TOKENS // 2) + ["b"] * 5
+        index = TokenIndex.build([words], vocab)
+        assert index.lengths.tolist() == [MAX_TOKENS]
+        np.testing.assert_array_equal(enc.embed(" ".join(words)), enc.embed(" ".join(words[:MAX_TOKENS])))
 
     def test_embed_no_tokens_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -211,15 +213,15 @@ class TestEmbedBatch:
         vocab = Vocabulary([f"w{i}" for i in range(8)])
         # few distinct values, so max ties occur
         table = rng.integers(-2, 3, size=(len(vocab), 3)).astype(np.float64)
-        enc = ToyEncoder(vocab, table, pooling=pooling, max_tokens=5)
+        enc = ToyEncoder(vocab, table, pooling=pooling)
         sentences = [" ".join(f"w{i}" for i in rng.integers(0, 10, size=int(rng.integers(1, 9))))
-                     for _ in range(40)]  # w8, w9 are [UNK]; up to 8 words, truncated at 5
-        sentences += ["w1 w1 w1", "zzz", "w0 w1 w2 w3 w4 w5 w6 w7"]
+                     for _ in range(40)]  # w8, w9 are [UNK]; up to 8 words
+        sentences += ["w1 w1 w1", "zzz", "w0 w1 w2 w3 w4 w5 w6 w7", " ".join(["w2", "w5"] * MAX_TOKENS)]
         matrix = enc.embed_batch(sentences)
         assert matrix.shape == (len(sentences), 3)
         for i, sentence in enumerate(sentences):
             np.testing.assert_array_equal(matrix[i], enc.embed(sentence))
-            reference, _ = pool_one(enc, np.array([vocab.index(t) for t in tokenize(sentence)[:5]]))
+            reference, _ = pool_one(enc, np.array([vocab.index(t) for t in tokenize(sentence)[:MAX_TOKENS]]))
             np.testing.assert_array_equal(matrix[i], reference)
 
     def test_no_sentences_give_an_empty_matrix(self):
@@ -279,10 +281,9 @@ class TestTokenCache:
             alone = enc.embed_batch(sentences)
             enc.token_cache = cache
             np.testing.assert_array_equal(enc.embed_batch(sentences), alone)
-        indexes = [cache.index(sentences, enc.vocab, enc.max_tokens) for enc in (*twins, other)]
+        indexes = [cache.index(sentences, enc.vocab) for enc in (*twins, other)]
         assert indexes[0] is indexes[1]
         assert indexes[2] is not indexes[0]
-        assert cache.index(sentences, twins[0].vocab, 1) is not indexes[0]
         # three uncached calls tokenize each sentence three times, the cache once more
         assert calls == {"alpha beta": 4, "gamma": 4, "zzz alpha": 4}
 

@@ -66,7 +66,8 @@ class TestEvalSts:
             pairs.append(StsPair(sentence1=s1, sentence2=s2,
                                  gold=float(rng.uniform(0, 5)), source="s"))
         rho, r = eval_sts(store, pairs)
-        scores = [cosine(store.embed(p.sentence1), store.embed(p.sentence2)) for p in pairs]
+        scores = cosine(store.embed_batch([p.sentence1 for p in pairs]),
+                        store.embed_batch([p.sentence2 for p in pairs])).tolist()
         golds = [p.gold for p in pairs]
         assert rho == pytest.approx(spearman(scores, golds), abs=1e-15)
         assert r == pytest.approx(pearson(scores, golds), abs=1e-15)
@@ -329,7 +330,7 @@ def per_fold_probe(X, labels, config):
         train_mask[fold] = False
         Xt, yt = X[train_mask], labels[train_mask]
         W, b = np.zeros((n_classes, X.shape[1])), np.zeros(n_classes)
-        optimizer = ParamAdam({"W": W, "b": b}, config.beta1, config.beta2, config.eps)
+        optimizer = ParamAdam({"W": W, "b": b})
         order_rng = make_rng(int(fold_seed))
         for _ in range(config.epochs):
             order = order_rng.permutation(len(yt))

@@ -44,28 +44,34 @@ def brute_force_ranks(x):
     ]
 
 
+def cosine_of_rows(u, v) -> float:
+    """The cosine of two vectors, each given as a one-row matrix."""
+    [score] = cosine([u], [v])
+    return float(score)
+
+
 class TestCosine:
     def test_orthogonal(self):
-        assert cosine([1, 0], [0, 1]) == 0.0
+        assert cosine_of_rows([1, 0], [0, 1]) == 0.0
 
     def test_positive_scaling(self):
-        assert cosine([2, 0], [1, 0]) == pytest.approx(1.0)
+        assert cosine_of_rows([2, 0], [1, 0]) == pytest.approx(1.0)
 
     def test_against_high_precision_oracle(self):
         # mpmath at 50 digits: dot=32, |u|=sqrt(14), |v|=sqrt(77)
-        assert cosine([1, 2, 3], [4, 5, 6]) == pytest.approx(0.97463184619707627, abs=1e-15)
+        assert cosine_of_rows([1, 2, 3], [4, 5, 6]) == pytest.approx(0.97463184619707627, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            cosine([1, 2], [1, 2, 3])
+            cosine_of_rows([1, 2], [1, 2, 3])
 
     def test_zero_norm_rejected(self):
         with pytest.raises(InvalidInputError):
-            cosine([0, 0], [1, 2])
+            cosine_of_rows([0, 0], [1, 2])
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidInputError):
-            cosine([float("nan"), 1], [1, 2])
+            cosine_of_rows([float("nan"), 1], [1, 2])
 
     def test_symmetry_and_scale_invariance(self):
         rng = make_rng(11)
@@ -74,10 +80,10 @@ class TestCosine:
             u = rng.normal(size=d)
             v = rng.normal(size=d)
             alpha = float(rng.uniform(0.01, 100.0))
-            c = cosine(u, v)
+            c = cosine_of_rows(u, v)
             assert abs(c) <= 1.0 + 1e-12
-            assert c == pytest.approx(cosine(v, u), abs=1e-15)
-            assert c == pytest.approx(cosine(alpha * u, v), abs=1e-12)
+            assert c == pytest.approx(cosine_of_rows(v, u), abs=1e-15)
+            assert c == pytest.approx(cosine_of_rows(alpha * u, v), abs=1e-12)
 
 
 def cosine_reference(u, v):
@@ -86,7 +92,7 @@ def cosine_reference(u, v):
 
 
 class TestMatrixCosine:
-    """Two (n, d) matrices give one cosine per row, bit-identical to the per-pair cosine."""
+    """Two (n, d) matrices give one cosine per row, bit-identical to the per-pair ``np.dot`` formula."""
 
     @pytest.mark.parametrize("d", [16, 128])
     def test_rows_equal_per_pair_cosine(self, d):
@@ -98,10 +104,11 @@ class TestMatrixCosine:
         scores = cosine(U, V)
         assert scores.shape == (500,)
         np.testing.assert_array_equal(scores, [cosine_reference(u, v) for u, v in zip(U, V)])
-        assert [cosine(u, v) for u, v in zip(U, V)] == scores.tolist()
+        assert [cosine_of_rows(u, v) for u, v in zip(U, V)] == scores.tolist()
 
-    def test_vectors_still_give_a_float(self):
-        assert type(cosine(np.ones(3), np.arange(1.0, 4.0))) is float
+    def test_vectors_rejected(self):
+        with pytest.raises(InvalidInputError, match="2-D matrix"):
+            cosine(np.ones(3), np.arange(1.0, 4.0))
 
     def test_zero_norm_row_rejected(self):
         U = np.ones((3, 4))

@@ -19,7 +19,7 @@ from gradcheck import (
 )
 from oracles import ParamAdam
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
-from sentsig.encoder import ScatterTerms, ToyEncoder, Vocabulary, build_vocab
+from sentsig.encoder import MAX_TOKENS, ScatterTerms, ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng, mean_cross_entropies, softmax
 from sentsig.objectives import (
@@ -31,7 +31,6 @@ from sentsig.objectives import (
     TrainConfig,
     TrainResult,
     _drop_oov_definitions,
-    _epoch_batches,
     batches_per_epoch,
     def_loss_and_grads,
     lr_at,
@@ -53,12 +52,9 @@ def word_row_encoder(rows):
     return ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling="mean")
 
 
-def zero_nli_params(encoder, bias=True):
-    """The encoder's table and a zero NLI head, with a zero bias unless ``bias`` is false."""
-    params = {"table": encoder.table, "nli_W": np.zeros((3, 3 * encoder.dim))}
-    if bias:
-        params["nli_b"] = np.zeros(3)
-    return params
+def zero_nli_params(encoder):
+    """The encoder's table and a zero NLI head."""
+    return {"table": encoder.table, "nli_W": np.zeros((3, 3 * encoder.dim)), "nli_b": np.zeros(3)}
 
 
 def zero_def_params(encoder, tied=True):
@@ -123,10 +119,10 @@ class TestNliForward:
 def nli_loss_and_grads_loop(batch, encoder, params):
     """Reference: the per-example NLI step, one pooling, head and scatter per sentence."""
     d = encoder.dim
-    W, b = params["nli_W"], params.get("nli_b")
+    W, b = params["nli_W"], params["nli_b"]
     table_grad = np.zeros_like(encoder.table)
     w_grad = np.zeros_like(W)
-    b_grad = np.zeros(3) if b is not None else None
+    b_grad = np.zeros(3)
     total = 0.0
     for ex in batch:
         idx_u = word_ids(encoder, ex.premise)
@@ -135,17 +131,13 @@ def nli_loss_and_grads_loop(batch, encoder, params):
         v, argmax_v = pool_one(encoder, idx_v)
         diff = u - v
         f = np.concatenate([u, v, np.abs(diff)])
-        logits = W @ f
-        if b is not None:
-            logits = logits + b
-        probs = softmax(logits)
+        probs = softmax(W @ f + b)
         gold = ex.label_index
         total += mean_cross_entropies(probs[None], np.array([gold]), [0, 1])[0]
         g = probs.copy()
         g[gold] -= 1.0
         w_grad += np.outer(g, f)
-        if b_grad is not None:
-            b_grad += g
+        b_grad += g
         df = W.T @ g
         sign = np.sign(diff)
         du = df[:d] + sign * df[2 * d :]
@@ -153,10 +145,7 @@ def nli_loss_and_grads_loop(batch, encoder, params):
         unpool_one(encoder, idx_u, argmax_u, du, table_grad)
         unpool_one(encoder, idx_v, argmax_v, dv, table_grad)
     m = len(batch)
-    grads = {"table": table_grad / m, "nli_W": w_grad / m}
-    if b_grad is not None:
-        grads["nli_b"] = b_grad / m
-    return total / m, grads
+    return total / m, {"table": table_grad / m, "nli_W": w_grad / m, "nli_b": b_grad / m}
 
 
 class TestNliLoss:
@@ -182,9 +171,8 @@ class TestNliLoss:
         for _ in range(5):
             assert check_nli_instance(rng, pooling) < 1e-4
 
-    @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
-    def test_batched_kernel_matches_loop_oracle(self, pooling, bias):
+    def test_batched_kernel_matches_loop_oracle(self, pooling):
         # One matmul sums the B outer products in another order than the loop,
         # and the scatter adds premises before hypotheses, so entries agree to
         # rtol 1e-12 except where the B terms cancel: there the rounding error
@@ -193,8 +181,6 @@ class TestNliLoss:
         rng = make_rng(301)
         for _ in range(10):
             enc, batch, params = random_nli_instance(rng, pooling, batch_max=9)
-            if not bias:
-                del params["nli_b"]
             loss, grads = loss_one(nli_loss_and_grads, indexed(batch, enc), pooling, params)
             ref_loss, ref_grads = nli_loss_and_grads_loop(batch, enc, params)
             assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
@@ -542,7 +528,7 @@ class TestIndexedExamples:
         rng = make_rng(71)
         vocab = Vocabulary([f"w{i}" for i in range(10)])
 
-        def sentence():  # w10 and w11 are [UNK]; up to 7 words, truncated at 5
+        def sentence():  # w10 and w11 are [UNK]; up to 7 words
             return " ".join(f"w{i}" for i in rng.integers(0, 12, size=int(rng.integers(1, 8))))
 
         if kind == "nli":
@@ -551,9 +537,9 @@ class TestIndexedExamples:
         else:  # some headwords out of vocabulary
             examples = [DefinitionExample(f"w{rng.integers(12)}", sentence()) for _ in range(25)]
         build = getattr(IndexedExamples, kind)
-        data = build(examples, vocab, max_tokens=5)
+        data = build(examples, vocab)
         for rows in (rng.permutation(25)[:9], np.array([3, 3, 0]), np.array([], dtype=np.intp)):
-            taken, expected = data.take(rows), build([examples[i] for i in rows], vocab, max_tokens=5)
+            taken, expected = data.take(rows), build([examples[i] for i in rows], vocab)
             assert len(taken) == len(rows)
             assert taken.sides == expected.sides == data.sides
             for name in ("ids", "offsets"):
@@ -565,7 +551,8 @@ class TestIndexedExamples:
         vocab = Vocabulary(["a"])
         nli = [NliExample("a a a", "a", "neutral"), NliExample("a", "a a", "neutral")]
         assert IndexedExamples.nli(nli, vocab).lengths.tolist() == [3, 2]
-        assert IndexedExamples.nli(nli, vocab, max_tokens=2).lengths.tolist() == [2, 2]
+        long = [NliExample("a " * (MAX_TOKENS + 5), "a", "neutral")]  # truncated at MAX_TOKENS
+        assert IndexedExamples.nli(long, vocab).lengths.tolist() == [MAX_TOKENS]
         defs = [DefinitionExample("a", "a a"), DefinitionExample("a", "a")]
         assert IndexedExamples.definitions(defs, vocab).lengths.tolist() == [2, 1]
 
@@ -661,13 +648,13 @@ def train_sbert_loop(encoder, nli_data, config):
     """Reference: the NLI objective as a per-epoch loop, one fresh shuffle per epoch."""
     data = indexed(nli_data, encoder)
     rng = make_rng(config.seed)
-    params = zero_nli_params(encoder, bias=config.head_bias)
+    params = zero_nli_params(encoder)
     optimizer = ParamAdam(params, config.beta1, config.beta2, config.eps)
     total_steps = config.epochs * batches_per_epoch(data.lengths, config)
     steps = []
     step = 0
     for _ in range(config.epochs):
-        for rows in _epoch_batches(data.lengths, config, rng):
+        for rows in smart_batches(data.lengths, config.batch_size, rng, config.bucket_width):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
@@ -687,7 +674,7 @@ def train_defsent_loop(encoder, def_data, config):
     steps = []
     step = 0
     for _ in range(config.epochs):
-        for rows in _epoch_batches(data.lengths, config, rng):
+        for rows in smart_batches(data.lengths, config.batch_size, rng, config.bucket_width):
             step += 1
             lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
                        config.lr_decay)
@@ -714,12 +701,13 @@ class TestTrainMatchesLoopOracle:
         return nli, defs, build_vocab(texts)
 
     @pytest.mark.parametrize("tied", [True, False])
-    @pytest.mark.parametrize("smart", [True, False])
+    @pytest.mark.parametrize("bucketed", [True, False])
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
-    def test_single_stream_bit_identical(self, pooling, smart, tied):
+    def test_single_stream_bit_identical(self, pooling, bucketed, tied):
         nli, defs, vocab = self._world()
-        config = TrainConfig(seed=5, epochs=2, batch_size=5, base_lr=0.05, bucket_width=2,
-                             smart_batching=smart, tied_head=tied, lr_decay="linear")
+        # texts have at most 7 words, so a bucket 8 wide takes every example
+        config = TrainConfig(seed=5, epochs=2, batch_size=5, base_lr=0.05, bucket_width=2 if bucketed else 8,
+                             tied_head=tied, lr_decay="linear")
         for data, oracle, method in ((dict(nli_data=nli), train_sbert_loop, "sbert"),
                                      (dict(def_data=defs), train_defsent_loop, "defsent")):
             enc_loop = ToyEncoder.create(vocab, 4, pooling, seed=5)
