@@ -2,11 +2,13 @@
 
 A checkpoint is a JSON file plus one ``<stem>.<name>.npy`` sidecar per
 array, under the name training gives it: the embedding ``table`` and the
-head arrays ``nli_W``, ``nli_b``, ``def_W`` and ``def_bias``.  The JSON holds
-the rest, with floats in shortest round-trip decimals, and maps each array's
-name to its sidecar's file name and the sha256 of its bytes, so the JSON's
-bytes pin the whole checkpoint.  A save/load cycle is value-exact and
-re-saving an unchanged model is byte-identical.
+head arrays ``nli_W``, ``nli_b``, ``def_W`` and ``def_bias``, each a C-order
+float32 array (:data:`~sentsig.encoder.MODEL_DTYPE`, the dtype training
+holds them in).  The JSON holds the rest, with floats in shortest
+round-trip decimals, and maps each array's name to its sidecar's file name
+and the sha256 of its bytes, so the JSON's bytes pin the whole checkpoint.
+A save/load cycle of a float32 model is value-exact and re-saving an
+unchanged model is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import CLS_TOKEN, MAX_TOKENS, UNK_TOKEN, ToyEncoder, Vocabulary
+from .encoder import CLS_TOKEN, MAX_TOKENS, MODEL_DTYPE, UNK_TOKEN, ToyEncoder, Vocabulary
 from .errors import InvalidInputError
 from .fileio import atomic_write
 from .objectives import TrainConfig
 
 FORMAT = "sentsig-checkpoint"
-VERSION = 4
+VERSION = 5
 SIDECAR_CHUNK = 1 << 20  # bytes of a sidecar read and hashed per call
 
 
@@ -40,7 +42,6 @@ class Checkpoint:
 def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
     """Write ``array`` as the bytes ``np.save`` writes, hashing them from memory, not from the file."""
     sidecar = path.with_name(f"{path.stem}.{name}.npy")
-    array = np.ascontiguousarray(array, dtype=np.float64)
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
     digest = hashlib.sha256(header.getbuffer())
@@ -75,7 +76,8 @@ def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | No
     """Write the sidecars, then the JSON that names them; each file is replaced atomically.
 
     ``heads`` holds the trained arrays by the names the losses give them
-    (the ``table`` is the encoder's).  Every array is checked before anything
+    (the ``table`` is the encoder's); each is saved as C-order float32,
+    rounded if it is not float32 already.  Every array is checked before anything
     is written: a model holding NaN or Inf (a diverged run) raises
     :class:`InvalidInputError` and writes nothing, and so do names or shapes
     that would not load.  The JSON goes last, so a checkpoint without its
@@ -83,6 +85,8 @@ def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | No
     """
     path = Path(path)
     arrays = {**(heads or {}), "table": encoder.table}
+    with np.errstate(over="ignore"):  # an entry beyond float32's range rounds to inf, rejected below
+        arrays = {name: np.ascontiguousarray(array, dtype=MODEL_DTYPE) for name, array in arrays.items()}
     for name, shape in _shapes(arrays, len(encoder.vocab), encoder.dim).items():
         if np.shape(arrays[name]) != shape:
             raise InvalidInputError(f"{path}: {name} has shape {np.shape(arrays[name])}, expected {shape}")
@@ -104,11 +108,11 @@ def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | No
 
 
 def _read_sidecar(path: Path, ref: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """The array a sidecar reference names, after checking its dtype, shape and sha256.
+    """The float32 array a sidecar reference names, after checking its dtype, shape and sha256.
 
     The ``.npy`` header is checked before the array is allocated, and the
     array is read straight into it a chunk at a time, hashing each chunk, so
-    a load holds one copy of the array.
+    a load holds one copy of the array, in the dtype it was trained in.
     """
     name = ref["file"]
     if not isinstance(name, str) or Path(name).name != name or name in ("", ".", ".."):
@@ -126,15 +130,15 @@ def _read_sidecar(path: Path, ref: dict, shape: tuple[int, ...]) -> np.ndarray:
             found, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         except ValueError as exc:
             raise InvalidInputError(f"sidecar {name} is not a .npy array: {exc}") from None
-        if dtype != np.float64 or found != shape or fortran_order:
+        if dtype != MODEL_DTYPE or found != shape or fortran_order:
             order = " in Fortran order" if fortran_order else ""
             raise InvalidInputError(
-                f"sidecar {name} holds {dtype} {found}{order}, expected float64 {shape} in C order")
+                f"sidecar {name} holds {dtype} {found}{order}, expected {MODEL_DTYPE} {shape} in C order")
         digest = hashlib.sha256()
         header_bytes = fh.tell()
         fh.seek(0)
         digest.update(fh.read(header_bytes))
-        array = np.empty(shape)
+        array = np.empty(shape, MODEL_DTYPE)
         data = memoryview(array).cast("B")
         for chunk in (data[i : i + SIDECAR_CHUNK] for i in range(0, len(data), SIDECAR_CHUNK)):
             if fh.readinto(chunk) != len(chunk):
@@ -161,8 +165,12 @@ def _parse(path: Path, payload: dict) -> Checkpoint:
     arrays = {name: _read_sidecar(path, refs[name], shape) for name, shape in _shapes(refs, V, dim).items()}
     encoder = ToyEncoder(vocab, arrays.pop("table"), pooling=payload["pooling"], name=path.stem)
     config = payload["train_config"]
-    return Checkpoint(encoder=encoder, heads=arrays,
-                      train_config=None if config is None else TrainConfig(**config))
+    if config is not None:  # every field: a checkpoint's train_config is its whole recipe
+        for f in dataclasses.fields(TrainConfig):
+            if f.name not in config:
+                raise KeyError(f"train_config.{f.name}")
+        config = TrainConfig(**config)
+    return Checkpoint(encoder=encoder, heads=arrays, train_config=config)
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -35,6 +35,8 @@ POOLINGS = ("cls", "mean", "max")
 
 MAX_TOKENS = 128  # training/evaluation truncation length
 
+MODEL_DTYPE = np.dtype(np.float32)  # of every trained array: tables, heads, Adam's buffers, sidecars
+
 MEAN_POOL_ENTRIES = 1 << 16  # (word position, column) entries mean pooling adds per call
 DRAW_CHUNK = 1 << 16  # entries of an initial table drawn per call
 
@@ -242,7 +244,7 @@ def pool_forward(table: np.ndarray, pooling: str,
 
     ``mean`` and ``max`` reduce over the word positions only, so the mean
     is a true word average; ``cls`` takes the [CLS] row.  Max ties go to
-    the first position.
+    the first position.  The rows have the table's dtype.
     """
     if pooling == "cls":
         return table[index.cls_rows()], None
@@ -254,14 +256,15 @@ def pool_forward(table: np.ndarray, pooling: str,
         # each text's word rows summed in word order from +0.0, as a
         # one-text mean does; texts go a few at a time, so that the
         # places stay few when a whole corpus is pooled
-        sums = np.zeros((n, dim))
+        sums = np.zeros((n, dim), table.dtype)
         step = max(1, MEAN_POOL_ENTRIES // (dim * int(sizes.max())))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             places = np.repeat(np.arange(lo * dim, hi * dim, dim), sizes[lo:hi])[:, None] + np.arange(dim)
             words = index.ids[index.offsets[lo] : index.offsets[hi]]
             np.add.at(sums.reshape(-1), places.ravel(), table[words].ravel())
-        return sums / sizes[:, None], None
+        sums /= sizes[:, None]  # in place, so float32 stays float32: an intp divisor promotes it
+        return sums, None
     if pooling != "max":
         raise InvalidInputError(f"unknown pooling strategy {pooling!r}")
     # max: lay the texts out as (text, position, dim), each padded to the
@@ -284,7 +287,7 @@ def pool_backward(pooling: str, index: TokenIndex, argmax_rows: np.ndarray | Non
         return ScatterTerms(index.cls_rows(), grad_out)
     if pooling == "mean":
         sizes = index.lengths
-        return ScatterTerms(index.ids, grad_out / sizes[:, None],
+        return ScatterTerms(index.ids, grad_out / sizes[:, None].astype(grad_out.dtype),
                             np.repeat(np.arange(len(index)), sizes))
     # max: each coordinate's gradient goes to the row that produced the max
     return ScatterTerms(argmax_rows, grad_out)
@@ -294,7 +297,8 @@ def initial_table(out: np.ndarray, seed: int) -> np.ndarray:
     """Fill ``out`` (V, d) with the initial table of ``seed``: uniform on [-0.5/d, 0.5/d].
 
     Whole rows, at most ``DRAW_CHUNK`` entries or one row, are drawn per call
-    from one PCG64 stream: the values of one draw of the whole table.
+    from one PCG64 stream: the values of one float64 draw of the whole table,
+    rounded to ``out``'s dtype.
     """
     rng = make_rng(seed)
     half = 0.5 / out.shape[1]
@@ -310,6 +314,8 @@ class ToyEncoder:
     ``token_cache`` is the :class:`TokenCache` that :meth:`embed_batch`
     indexes sentences through; encoders given one cache share its work.
     One made with ``table=None`` and a ``dim`` has no table until training draws it.
+    A float32 table (:data:`MODEL_DTYPE`, as training and checkpoints hold
+    it) is kept as it is, any other as float64.
     """
 
     def __init__(self, vocab: Vocabulary, table: np.ndarray | None, pooling: str = "mean",
@@ -329,11 +335,11 @@ class ToyEncoder:
     def create(cls, vocab: Vocabulary, dim: int, pooling: str = "mean", seed: int = 0) -> "ToyEncoder":
         """Fresh encoder with the :func:`initial_table` of ``seed``."""
         encoder = cls(vocab, None, pooling, dim=dim)
-        encoder.table = initial_table(np.empty((len(vocab), dim)), seed)
+        encoder.table = initial_table(np.empty((len(vocab), dim), MODEL_DTYPE), seed)
         return encoder
 
     def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        """Pool every sentence in one :func:`pool_forward` call, one row per sentence.
+        """Pool every sentence in one :func:`pool_forward` call, one float64 row per sentence.
 
         Without a ``token_cache`` the sentences are tokenized for this call only.
         """
@@ -341,6 +347,7 @@ class ToyEncoder:
             return np.zeros((0, self.dim))
         cache = self.token_cache or TokenCache()
         vectors, _ = pool_forward(self.table, self.pooling, cache.index(sentences, self.vocab))
+        vectors = vectors.astype(np.float64, copy=False)
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             raise InvalidInputError(

@@ -1,9 +1,11 @@
 """Self-contained numeric kernel: vectors, similarity, rank correlation, softmax.
 
-Vectors and matrices are plain float64 numpy arrays.  ``as_vector`` /
-``as_matrix`` are the only constructors used at public boundaries and they
-enforce finiteness, so downstream code can assume no NaN/Inf.  All statistics
-are computed in 64-bit arithmetic.
+Vectors and matrices are plain float64 numpy arrays, except that a float32
+matrix (a model's table, or the logits of its heads) stays float32, so the
+kernels given one run in its dtype.  ``as_vector`` / ``as_matrix`` are the
+only constructors used at public boundaries and they enforce finiteness, so
+downstream code can assume no NaN/Inf.  All statistics are computed in 64-bit
+arithmetic.
 """
 
 from __future__ import annotations
@@ -37,8 +39,13 @@ def as_vector(values) -> np.ndarray:
 
 
 def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and return a finite 2-D float64 array, optionally checking shape."""
-    m = np.asarray(values, dtype=np.float64)
+    """Validate and return a finite 2-D float array, optionally checking shape.
+
+    A float32 array stays float32; anything else becomes float64.
+    """
+    m = np.asarray(values)
+    if m.dtype != np.float32:
+        m = m.astype(np.float64, copy=False)
     if m.ndim != 2 or m.size == 0:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -102,11 +109,12 @@ def spearman(x, y) -> float:
 def softmax(logits, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable softmax (max logit subtracted before exponentiation).
 
-    A matrix is normalised row by row.  The result is written into ``out``
-    when it is given, which may be ``logits`` itself; no other array of
-    that size is made.
+    A matrix is normalised row by row, in its dtype (see :func:`as_matrix`);
+    a vector in float64.  The result is written into ``out`` when it is
+    given, which may be ``logits`` itself; no other array of that size is
+    made.
     """
-    z = np.asarray(logits, dtype=np.float64)
+    z = np.asarray(logits)
     z = as_matrix(z) if z.ndim == 2 else as_vector(z)
     e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)

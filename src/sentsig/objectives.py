@@ -21,10 +21,10 @@ import numpy as np
 
 from .corpus import DefinitionExample, NliExample
 from .corpus import tokenize  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
-from .encoder import (CLS_INDEX, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary, initial_table,
-                      pool_backward, pool_forward)
+from .encoder import (CLS_INDEX, MODEL_DTYPE, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary,
+                      initial_table, pool_backward, pool_forward)
 from .errors import InvalidInputError
-from .numstat import _TINY, make_rng, mean_cross_entropies, softmax
+from .numstat import make_rng, mean_cross_entropies, softmax
 
 
 @dataclass
@@ -172,13 +172,13 @@ def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray, golds: np.ndarra
     through its weights W[k] (classes x f) and its bias b[k]; a row-wise
     softmax of the logits gives G = P - onehot(golds).  Returns (each seed's
     mean cross-entropy, G, dX = G W, db), where db[k], the bias gradient, is
-    the column sums of seed k's rows of G over their count.  The weights'
-    gradient is each loss's own: a
+    the column sums of seed k's rows of G over their count, all in X's
+    dtype.  The weights' gradient is each loss's own: a
     dense product for NLI, a :class:`TableGradient` for the definition head.
     """
     m = X.shape[0]
     blocks = list(enumerate(zip(bounds[:-1], bounds[1:])))
-    logits = np.empty((m, W.shape[1]))
+    logits = np.empty((m, W.shape[1]), X.dtype)
     for k, (lo, hi) in blocks:
         np.matmul(X[lo:hi], W[k].T, out=logits[lo:hi])
         logits[lo:hi] += b[k]
@@ -204,7 +204,8 @@ class TableGradient:
     the sum starts at +0.0 (a table that only the pooling reaches), and
     without ``terms`` (a :class:`ScatterTerms`) it is the head product alone
     (the weights of an untied head).  :meth:`fill` makes any range of rows,
-    so nothing table-sized is held; ``np.asarray`` makes the whole gradient.
+    so nothing table-sized is held; ``np.asarray`` makes the whole gradient,
+    in the dtype of the head's or the terms' values.
     """
 
     def __init__(self, shape: tuple[int, int], bounds: np.ndarray,
@@ -214,6 +215,7 @@ class TableGradient:
         self.head = head
         self.terms = terms
         self.n_words = shape[0] // (len(bounds) - 1)
+        self.dtype = (terms.values if head is None else head[1]).dtype
 
     def fill(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Write rows ``lo:hi`` of the gradient into ``out`` (hi - lo, d)."""
@@ -226,8 +228,8 @@ class TableGradient:
                 self._head_rows(k, a - k * n, b - k * n, out[a - lo : b - lo])
         if self.terms is not None:
             self.terms.add_to(out, lo)
-        for k, a, b in blocks:
-            out[a - lo : b - lo] /= self.bounds[k + 1] - self.bounds[k]
+        for k, a, b in blocks:  # a Python int divides float32 in float32
+            out[a - lo : b - lo] /= int(self.bounds[k + 1] - self.bounds[k])
 
     def _head_rows(self, k: int, r0: int, r1: int, out: np.ndarray) -> None:
         """Rows ``r0:r1`` of G_k^T S_k, rounded as the product of the whole block rounds them."""
@@ -240,7 +242,7 @@ class TableGradient:
             out[...] = (G[rows, a : a + 2].T @ S[rows])[r0 - a]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = np.empty(self.shape)
+        out = np.empty(self.shape, self.dtype)
         self.fill(0, self.shape[0], out)
         return out if dtype is None else out.astype(dtype)
 
@@ -351,10 +353,13 @@ class Adam:
     each chunk's gradient is written into one chunk-sized scratch and its
     temporaries into another, so a step allocates nothing table-sized.
 
+    The buffers, the scratch and so every update have the ``dtype`` given:
+    training holds its model in float32 (:data:`~sentsig.encoder.MODEL_DTYPE`).
+
     A moment entry that gets no gradient decays by its beta each step, and
-    below float64 ``tiny`` the decay of the smallest subnormals rounds back to
-    themselves: the entry never reaches 0, and every later step does slow
-    subnormal arithmetic on it.  So every ``FLUSH_EVERY``-th step of a
+    below its dtype's ``tiny`` the decay of the smallest subnormals rounds
+    back to themselves: the entry never reaches 0, and every later step does
+    slow subnormal arithmetic on it.  So every ``FLUSH_EVERY``-th step of a
     parameter ends by zeroing its moment entries below ``tiny``.  The updates
     they would still make are below ``tiny / eps`` times the learning rate,
     which vanishes against any parameter not itself near 0.
@@ -364,18 +369,18 @@ class Adam:
     FLUSH_EVERY = 1000  # steps of a parameter between flushes of its subnormal moments
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999, eps: float = 1e-8, dtype=np.float64):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
         self._starts = dict(zip(shapes, ends))
-        self._flat = [np.zeros(ends[-1]) for _ in range(3)]  # parameters, then both moments
+        self._flat = [np.zeros(ends[-1], dtype) for _ in range(3)]  # parameters, then both moments
         self.params, self.m, self.v = (
             {name: flat[a:b].reshape(shapes[name]) for name, a, b in zip(shapes, ends, ends[1:])}
             for flat in self._flat)
         rows = [math.prod(shape[1:]) for shape in shapes.values()]  # entries per row
-        self._scratch = np.empty((2, max([min(ends[-1], self.CHUNK), *rows])))  # gradient, temporaries
+        self._scratch = np.empty((2, max([min(ends[-1], self.CHUNK), *rows])), dtype)  # gradient, temporaries
         self.t = {k: 0 for k in shapes}
 
     def reset(self) -> None:
@@ -423,7 +428,7 @@ class Adam:
         p -= s
         if t % self.FLUSH_EVERY == 0:
             for moment in (m, v):
-                moment[np.abs(moment) < _TINY] = 0.0
+                moment[np.abs(moment) < np.finfo(moment.dtype).tiny] = 0.0
 
 
 def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10,
@@ -525,7 +530,8 @@ def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[i
     """``seeds`` in order, cut into the groups to train in lockstep.
 
     A group holds as many seeds as fit their (``n_words``, ``dim``) tables
-    in ``LOCKSTEP_BYTES``, and at least one.  Lockstep saves each step's
+    of :data:`~sentsig.encoder.MODEL_DTYPE` in ``LOCKSTEP_BYTES``, and at
+    least one.  Lockstep saves each step's
     fixed costs, which dominate only while the tables are small; each seed
     in a group holds three table-sized buffers while the group trains (six
     with an untied head): parameters and both Adam moments, in which the
@@ -533,7 +539,7 @@ def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[i
     """
     if dim < 1:
         raise InvalidInputError("embedding dimension must be >= 1")
-    size = max(1, LOCKSTEP_BYTES // (n_words * dim * 8))
+    size = max(1, LOCKSTEP_BYTES // (n_words * dim * MODEL_DTYPE.itemsize))
     return [list(seeds[lo : lo + size]) for lo in range(0, len(seeds), size)]
 
 
@@ -562,10 +568,11 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
     """Fine-tune each encoder by ``method``, the :data:`PIPELINES` stages in order, in lockstep.
 
     One :class:`Adam` holds the parameters that any stage trains, stacked
-    over the seeds: ``nli_W``, ``nli_b``, ``table``, ``def_W`` and
-    ``def_bias``, those the method uses.  The encoders' tables become
-    views of its parameter buffer, which gets an encoder's table copied in
-    or, if it has none, the :func:`~sentsig.encoder.initial_table` of its
+    over the seeds, in :data:`~sentsig.encoder.MODEL_DTYPE` (float32):
+    ``nli_W``, ``nli_b``, ``table``, ``def_W`` and ``def_bias``, those the
+    method uses.  The encoders' tables become views of its parameter
+    buffer, which gets an encoder's table copied in (and rounded) or, if it
+    has none, the :func:`~sentsig.encoder.initial_table` of its
     seed drawn in.  Each stage starts as a fresh optimizer would: the
     moments and step counts are zeroed in place, and each seed's streams
     get a fresh rng seeded with its entry of ``seeds`` (``config.seed`` is
@@ -619,7 +626,7 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
         if not config.tied_head:
             shapes["def_W"] = (n_seeds * n_words, d)
         shapes["def_bias"] = (n_seeds, n_words)
-    optimizer = Adam(shapes, config.beta1, config.beta2, config.eps)
+    optimizer = Adam(shapes, config.beta1, config.beta2, config.eps, MODEL_DTYPE)
     results = []
     for k, (encoder, seed) in enumerate(zip(encoders, seeds)):
         # seed k's rows of a (seeds·V, d) array, its entry of the others

@@ -1,5 +1,6 @@
 """Checkpoint format: JSON plus one .npy sidecar per array, validation on load, atomic finite writes."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from sentsig.checkpoint import load_checkpoint, save_checkpoint
 from sentsig.cli import main
 from sentsig.corpus import StsPair, save_sts
-from sentsig.encoder import ToyEncoder, Vocabulary, build_vocab
+from sentsig.encoder import MODEL_DTYPE, ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.fileio import atomic_write
 from sentsig.numstat import make_rng
@@ -23,15 +24,19 @@ WORDS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 V, DIM = len(WORDS) + 2, 4  # vocabulary size with [CLS] and [UNK]
 
 
+def _normal(rng, size):
+    return rng.normal(size=size).astype(MODEL_DTYPE)
+
+
 def _model(tied, seed=0, dim=DIM):
-    """An encoder and its named head arrays; a tied definition head has no ``def_W``."""
+    """An encoder and its named head arrays, float32 as training makes them; a tied head has no ``def_W``."""
     rng = make_rng(seed)
-    encoder = ToyEncoder(Vocabulary(WORDS), rng.normal(size=(len(WORDS) + 2, dim)), pooling="max")
-    heads = {"nli_W": rng.normal(size=(3, 3 * dim)), "nli_b": rng.normal(size=3)}
+    encoder = ToyEncoder(Vocabulary(WORDS), _normal(rng, (len(WORDS) + 2, dim)), pooling="max")
+    heads = {"nli_W": _normal(rng, (3, 3 * dim)), "nli_b": _normal(rng, 3)}
     V = len(encoder.vocab)
     if not tied:
-        heads["def_W"] = rng.normal(size=(V, dim))
-    heads["def_bias"] = rng.normal(size=V)
+        heads["def_W"] = _normal(rng, (V, dim))
+    heads["def_bias"] = _normal(rng, V)
     return encoder, heads
 
 
@@ -46,9 +51,11 @@ class TestRoundTrip:
     def test_value_exact(self, tmp_path, tied):
         encoder, heads = _save(tmp_path / "ckpt.json", tied)
         ckpt = load_checkpoint(tmp_path / "ckpt.json")
+        assert ckpt.encoder.table.dtype == MODEL_DTYPE
         np.testing.assert_array_equal(ckpt.encoder.table, encoder.table)
         assert ckpt.heads.keys() == heads.keys()
         for name, array in heads.items():
+            assert ckpt.heads[name].dtype == MODEL_DTYPE, name
             np.testing.assert_array_equal(ckpt.heads[name], array, err_msg=name)
         assert ("def_W" not in ckpt.heads) == tied
         assert ckpt.encoder.pooling == "max"
@@ -69,19 +76,27 @@ class TestRoundTrip:
         for name in files:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
-    def test_train_config_without_the_cycle_loads_with_its_defaults(self, tmp_path):
-        # a train_config without a field loads with that field's default
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_train_config_without_a_field_rejected(self, tmp_path, key):
+        # a train_config is the whole recipe: no field is filled in with its default
         _save(tmp_path / "ckpt.json", tied=True)
-        _edit_json(tmp_path / "ckpt.json",
-                   lambda d: [d["train_config"].pop(key) for key in ("nli_cycle", "def_cycle")])
+        _edit_json(tmp_path / "ckpt.json", lambda d: d["train_config"].pop(key))
+        with pytest.raises(InvalidInputError, match=re.escape(f"missing field 'train_config.{key}'")):
+            load_checkpoint(tmp_path / "ckpt.json")
+
+    def test_float64_arrays_saved_rounded_to_float32(self, tmp_path):
+        encoder, heads = _model(tied=True)
+        wide = ToyEncoder(encoder.vocab, encoder.table + np.float64(1e-12), pooling="max")
+        assert wide.table.dtype == np.float64
+        save_checkpoint(tmp_path / "ckpt.json", wide, {**heads, "nli_b": heads["nli_b"].astype(np.float64)})
         ckpt = load_checkpoint(tmp_path / "ckpt.json")
-        assert ckpt.train_config == TrainConfig(seed=3, base_lr=0.01)
-        assert (ckpt.train_config.nli_cycle, ckpt.train_config.def_cycle) == (19, 1)
+        assert ckpt.encoder.table.tobytes() == wide.table.astype(np.float32).tobytes()
+        assert ckpt.heads["nli_b"].tobytes() == heads["nli_b"].tobytes()
 
     def test_json_pins_sidecar_bytes(self, tmp_path):
         _save(tmp_path / "ckpt.json", tied=False)
         payload = json.loads((tmp_path / "ckpt.json").read_text())
-        assert payload["version"] == 4
+        assert payload["version"] == 5
         assert payload["max_tokens"] == 128
         assert payload["arrays"].keys() == {"table", "nli_W", "nli_b", "def_W", "def_bias"}
         for ref in payload["arrays"].values():
@@ -223,35 +238,42 @@ MALFORMED = [
      "array def_W needs def_bias"),
     ("missing-sidecar", lambda p: p.with_name("ckpt.table.npy").unlink(), "cannot read sidecar"),
     ("sidecar-sha256", _corrupt_table_sidecar, "does not match the sha256"),
-    ("sidecar-dtype", lambda p: _replace_sidecar(p, "table", np.zeros((V, DIM), np.float32)),
-     "expected float64"),
-    ("sidecar-shape", lambda p: _replace_sidecar(p, "table", np.zeros((V - 1, DIM))),
-     "expected float64"),
+    ("sidecar-float64", lambda p: _replace_sidecar(p, "table", np.zeros((V, DIM), "<f8")),
+     f"holds float64 ({V}, {DIM}), expected float32 ({V}, {DIM})"),
+    ("sidecar-dtype", lambda p: _replace_sidecar(p, "table", np.zeros((V, DIM), ">f4")),
+     f"holds >f4 ({V}, {DIM}), expected float32 ({V}, {DIM})"),
+    ("sidecar-shape", lambda p: _replace_sidecar(p, "table", np.zeros((V - 1, DIM), np.float32)),
+     f"holds float32 ({V - 1}, {DIM}), expected float32 ({V}, {DIM})"),
     ("sidecar-not-npy", _npz_table, "not a .npy array"),
     ("sidecar-short", lambda p: _edit_sidecar_bytes(p, lambda data: data[:-8]), "ends before"),
     ("sidecar-trailing-bytes", lambda p: _edit_sidecar_bytes(p, lambda data: data + bytes(8)),
      "bytes after"),
     ("sidecar-header-only", lambda p: _edit_sidecar_bytes(p, lambda data: data[:6]), "not a .npy array"),
     ("sidecar-npy-2.0", lambda p: _edit_sidecar_bytes(p, _npy_2_0), "not a .npy array"),
-    ("sidecar-fortran-order", lambda p: _replace_sidecar(p, "table", np.asfortranarray(np.zeros((V, DIM)))),
-     "in Fortran order"),
+    ("sidecar-fortran-order",
+     lambda p: _replace_sidecar(p, "table", np.asfortranarray(np.zeros((V, DIM), np.float32))),
+     f"holds float32 ({V}, {DIM}) in Fortran order, expected float32 ({V}, {DIM}) in C order"),
     ("sidecar-outside-dir",
      lambda p: _edit_json(p, lambda d: d["arrays"]["table"].update(file="../ckpt.table.npy")),
      "plain file name"),
-    ("nli-head-shape", lambda p: _replace_sidecar(p, "nli_W", np.zeros((3, 3 * (DIM + 1)))),
-     f"holds float64 (3, {3 * (DIM + 1)}), expected float64 (3, {3 * DIM})"),
-    ("nli-bias-length", lambda p: _replace_sidecar(p, "nli_b", np.zeros(4)),
-     "holds float64 (4,), expected float64 (3,)"),
-    ("def-bias-length", lambda p: _replace_sidecar(p, "def_bias", np.zeros(V - 1)),
-     f"holds float64 ({V - 1},), expected float64 ({V},)"),
-    ("def-weights-shape", lambda p: _replace_sidecar(p, "def_W", np.zeros((V, DIM + 1))),
-     f"holds float64 ({V}, {DIM + 1}), expected float64 ({V}, {DIM})"),
+    ("nli-head-shape", lambda p: _replace_sidecar(p, "nli_W", np.zeros((3, 3 * (DIM + 1)), np.float32)),
+     f"holds float32 (3, {3 * (DIM + 1)}), expected float32 (3, {3 * DIM})"),
+    ("nli-bias-length", lambda p: _replace_sidecar(p, "nli_b", np.zeros(4, np.float32)),
+     "holds float32 (4,), expected float32 (3,)"),
+    ("def-bias-length", lambda p: _replace_sidecar(p, "def_bias", np.zeros(V - 1, np.float32)),
+     f"holds float32 ({V - 1},), expected float32 ({V},)"),
+    ("def-weights-shape", lambda p: _replace_sidecar(p, "def_W", np.zeros((V, DIM + 1), np.float32)),
+     f"holds float32 ({V}, {DIM + 1}), expected float32 ({V}, {DIM})"),
     ("version-1", lambda p: _edit_json(p, lambda d: d.update(version=1)),
      "unsupported checkpoint version 1"),
     ("version-2", lambda p: _edit_json(p, lambda d: d.update(version=2)),
      "unsupported checkpoint version 2"),
     ("version-3", lambda p: _edit_json(p, lambda d: d.update(version=3)),
      "unsupported checkpoint version 3"),
+    ("version-4", lambda p: _edit_json(p, lambda d: d.update(version=4)),
+     "unsupported checkpoint version 4"),
+    ("train-config-field", lambda p: _edit_json(p, lambda d: d["train_config"].pop("nli_cycle")),
+     "missing field 'train_config.nli_cycle'"),
     *((f"max-tokens-{name}", lambda p, value=value: _edit_json(p, lambda d: d.update(max_tokens=value)),
        f"max_tokens must be 128, got {value!r}")
       for name, value in [("string", "x"), ("float", 1.5), ("zero", 0), ("negative", -3), ("null", None),
@@ -278,7 +300,7 @@ def test_malformed_checkpoint_rejected(tmp_path, capsys, damage, fragment):
 
 def test_a_load_holds_one_copy_of_a_table(tmp_path):
     words = [f"w{i}" for i in range(2000)]
-    encoder = ToyEncoder(Vocabulary(words), make_rng(0).normal(size=(len(words) + 2, 256)))
+    encoder = ToyEncoder(Vocabulary(words), _normal(make_rng(0), (len(words) + 2, 256)))
     save_checkpoint(tmp_path / "ckpt.json", encoder)
     tracemalloc.start()
     try:
@@ -286,6 +308,7 @@ def test_a_load_holds_one_copy_of_a_table(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert ckpt.encoder.table.dtype == encoder.table.dtype == np.float32  # not widened on load
     np.testing.assert_array_equal(ckpt.encoder.table, encoder.table)
     assert peak < 1.5 * encoder.table.nbytes
 
@@ -326,7 +349,12 @@ def _poison_def_weights(model):
     model[1]["def_W"][1, 0] = -np.inf
 
 
-@pytest.mark.parametrize("poison", [_poison_table, _poison_nli, _poison_bias, _poison_def_weights])
+def _beyond_float32(model):
+    model[1]["def_bias"] = model[1]["def_bias"].astype(np.float64)
+    model[1]["def_bias"][0] = 1e300  # finite in float64, inf once rounded to float32
+
+
+@pytest.mark.parametrize("poison", [_poison_table, _poison_nli, _poison_bias, _poison_def_weights, _beyond_float32])
 def test_non_finite_model_writes_nothing(tmp_path, poison):
     model = _model(tied=False)
     poison(model)

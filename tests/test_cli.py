@@ -221,15 +221,43 @@ class TestTrainCommand:
             vocab = encoder.vocab
             assert len(vocab) > 2 * 5 and len(vocab) % 5  # several draws, the last one short
             assert lockstep_groups(seed_list, len(vocab), 6) == [seed_list]  # trained as one group
-            single_draw = make_rng(seed).uniform(-0.5 / 6, 0.5 / 6, size=(len(vocab), 6))
+            # the single float64 draw, rounded to the float32 the model is held in
+            single_draw = make_rng(seed).uniform(-0.5 / 6, 0.5 / 6, size=(len(vocab), 6)).astype(np.float32)
             for expected in (ToyEncoder.create(vocab, 6, "mean", seed=seed).table, single_draw):
-                np.testing.assert_array_equal(encoder.table.view(np.int64), expected.view(np.int64))
+                assert encoder.table.dtype == expected.dtype == np.float32
+                np.testing.assert_array_equal(encoder.table.view(np.int32), expected.view(np.int32))
+
+    def test_every_sidecar_is_float32_and_eval_holds_a_float32_table(self, data, monkeypatch):
+        config = _config(data)
+        config.write_text(config.read_text() + "tied_head = false\n")
+        out = data["root"] / "f4"
+        assert run(["train", "--method", "s+d", "--seeds", "0 1", "--out", out, "--config", config]) == 0
+        sidecars = sorted(out.glob("*.npy"))
+        assert len(sidecars) == 2 * 5  # table, nli_W, nli_b, def_W and def_bias of each seed
+        for sidecar in sidecars:
+            with open(sidecar, "rb") as fh:
+                np.lib.format.read_magic(fh)
+                _, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            assert (dtype.str, fortran_order) == ("<f4", False), sidecar.name
+        tables = []
+
+        def recording(path, real=cli.load_checkpoint):
+            ckpt = real(path)
+            tables.append(ckpt.encoder.table)
+            return ckpt
+
+        monkeypatch.setattr(cli, "load_checkpoint", recording)
+        ckpts = [out / "checkpoint-seed0.json", out / "checkpoint-seed1.json"]
+        assert run(["eval", *ckpts, "--sts", data["sts"], "--out", data["root"] / "eval"]) == 0
+        assert [table.dtype for table in tables] == [np.float32, np.float32]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of a glibc process")
     def test_later_train_commands_of_a_process_peak_no_higher(self, tmp_path):
-        # a 5 MB table lies between glibc's first (128 KiB) and largest (32 MiB)
+        # a 2.5 MB table lies between glibc's first (128 KiB) and largest (32 MiB)
         # mmap thresholds: a table-sized array freed while training starts
-        # would stay resident in the heap and lift the peak of the next train
+        # would stay resident in the heap and lift the peak of the next train.
+        # The bound, 2000 KiB, is 0.4 of the float64 table this test was sized
+        # on; the float32 table is 2500 KiB, so a retained one still exceeds it
         words = [f"w{i:05d}" for i in range(9998)]
         save_definitions([DefinitionExample(words[i], " ".join(words[100 * i : 100 * (i + 1)]))
                           for i in range(100)], tmp_path / "defs.tsv")
@@ -833,7 +861,9 @@ class TestEvalCommand:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of a glibc process")
     def test_peak_does_not_grow_with_the_number_of_providers(self, tmp_path):
         # each checkpoint, or --a/--b pair, is scored and dropped before the
-        # next loads, so scoring three holds no more 5 MB tables than one
+        # next loads, so scoring three holds no more 2.5 MB tables than one.
+        # The bound, 2000 KiB, is 0.4 of the float64 table this test was sized
+        # on; the float32 table is 2500 KiB, so an extra one still exceeds it
         words = [f"w{i:05d}" for i in range(9998)]
         save_definitions([DefinitionExample(words[i], " ".join(words[100 * i : 100 * (i + 1)]))
                           for i in range(100)], tmp_path / "defs.tsv")

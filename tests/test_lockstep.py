@@ -82,7 +82,8 @@ def test_encoders_must_share_vocabulary_and_pooling():
 
 def test_lockstep_groups_fit_their_tables_in_the_budget():
     assert lockstep_groups([5, 6, 7], 1000, 16) == [[5, 6, 7]]
-    dim = 2 * sentsig.objectives.LOCKSTEP_BYTES // (5 * 1024 * 8)  # a table is 2/5 of the budget
+    assert lockstep_groups([0, 1, 2], 482, 16) == [[0, 1, 2]]  # toy-loop's world trains as one group
+    dim = 2 * sentsig.objectives.LOCKSTEP_BYTES // (5 * 1024 * 4)  # a float32 table is 2/5 of the budget
     assert lockstep_groups(list(range(5)), 1024, dim) == [[0, 1], [2, 3], [4]]
     assert lockstep_groups([5, 6], 20_000, 128) == [[5], [6]]  # one table is over the budget
 

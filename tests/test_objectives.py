@@ -19,7 +19,7 @@ from gradcheck import (
 )
 from oracles import ParamAdam
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
-from sentsig.encoder import MAX_TOKENS, ScatterTerms, ToyEncoder, Vocabulary, build_vocab
+from sentsig.encoder import MAX_TOKENS, MODEL_DTYPE, ScatterTerms, ToyEncoder, Vocabulary, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng, mean_cross_entropies, softmax
 from sentsig.objectives import (
@@ -41,8 +41,10 @@ from sentsig.objectives import (
 )
 
 
-def tiny_encoder(pooling="mean", dim=4, seed=0, words=("alpha", "beta", "gamma", "delta")):
-    return ToyEncoder.create(Vocabulary(list(words)), dim, pooling, seed=seed)
+def tiny_encoder(pooling="mean", dim=4, seed=0, words=("alpha", "beta", "gamma", "delta"), dtype=MODEL_DTYPE):
+    """A fresh encoder: its float32 table, as training holds it, or that table converted to ``dtype``."""
+    encoder = ToyEncoder.create(Vocabulary(list(words)), dim, pooling, seed=seed)
+    return ToyEncoder(encoder.vocab, encoder.table.astype(dtype), pooling)
 
 
 def word_row_encoder(rows):
@@ -53,15 +55,17 @@ def word_row_encoder(rows):
 
 
 def zero_nli_params(encoder):
-    """The encoder's table and a zero NLI head."""
-    return {"table": encoder.table, "nli_W": np.zeros((3, 3 * encoder.dim)), "nli_b": np.zeros(3)}
+    """The encoder's table and a zero NLI head, in the table's dtype."""
+    dtype = encoder.table.dtype
+    return {"table": encoder.table, "nli_W": np.zeros((3, 3 * encoder.dim), dtype), "nli_b": np.zeros(3, dtype)}
 
 
 def zero_def_params(encoder, tied=True):
-    """The encoder's table and a zero-bias head: tied to the table, or with zero weights of its own."""
-    params = {"table": encoder.table, "def_bias": np.zeros(len(encoder.vocab))}
+    """The encoder's table and a zero-bias head, in the table's dtype: tied, or with zero weights of its own."""
+    dtype = encoder.table.dtype
+    params = {"table": encoder.table, "def_bias": np.zeros(len(encoder.vocab), dtype)}
     if not tied:
-        params["def_W"] = np.zeros((len(encoder.vocab), encoder.dim))
+        params["def_W"] = np.zeros((len(encoder.vocab), encoder.dim), dtype)
     return params
 
 
@@ -150,7 +154,7 @@ def nli_loss_and_grads_loop(batch, encoder, params):
 
 class TestNliLoss:
     def test_zero_head_gives_ln3(self):
-        enc = tiny_encoder()
+        enc = tiny_encoder(dtype=np.float64)  # the kernel in float64, as the gradchecks run it
         batch = indexed([NliExample("alpha beta", "gamma", "contradiction")], enc)
         loss, _ = loss_one(nli_loss_and_grads, batch, enc.pooling, zero_nli_params(enc))
         assert loss == pytest.approx(math.log(3), rel=1e-14)
@@ -424,6 +428,31 @@ class TestAdam:
             np.testing.assert_array_equal(flat.v[name], oracle.v[name])
             np.testing.assert_array_equal(flat.params[name].view(np.int64), oracle.params[name].view(np.int64))
 
+    def test_float32_moments_that_stop_getting_gradients_reach_zero_at_the_first_flush(self):
+        # float32 tiny is 1.2e-38, which an idle m entry of about 0.1 passes
+        # after some 830 steps, so the first flush (step 1000) acts on every
+        # one; the parameters stay those of a float32 ParamAdam bit for bit
+        rng = make_rng(25)
+        initial = {"w": rng.normal(size=(6, 4)).astype(np.float32), "b": rng.normal(size=4).astype(np.float32)}
+        flat = adam_with(initial, dtype=np.float32)
+        oracle = ParamAdam({name: p.copy() for name, p in initial.items()})
+        grads = {name: rng.normal(size=p.shape).astype(np.float32) for name, p in initial.items()}
+        tiny = np.finfo(np.float32).tiny
+        for step in range(1, Adam.FLUSH_EVERY + 2):
+            flat.step(grads, 0.01)
+            oracle.step(grads, 0.01)
+            if step == 1:
+                grads = {name: np.zeros_like(g) for name, g in grads.items()}
+            if step == Adam.FLUSH_EVERY - 1:  # every m entry is subnormal, and not yet flushed
+                for name in initial:
+                    assert np.all((oracle.m[name] != 0) & (np.abs(oracle.m[name]) < tiny)), name
+                    np.testing.assert_array_equal(flat.m[name], oracle.m[name])
+        for name in initial:
+            assert flat.params[name].dtype == oracle.params[name].dtype == np.float32
+            np.testing.assert_array_equal(flat.m[name], 0.0)
+            np.testing.assert_array_equal(flat.v[name], oracle.v[name])
+            np.testing.assert_array_equal(flat.params[name].view(np.int32), oracle.params[name].view(np.int32))
+
     def test_params_are_views_of_one_buffer(self):
         opt = Adam({"a": (2, 3), "b": (4,)})
         opt.params["a"][1, 2] = 7.0
@@ -475,9 +504,10 @@ def test_tied_definition_training_holds_three_table_sized_buffers(method, poolin
     nli = IndexedExamples.nli([NliExample(f"w{i} w{i + 1}", f"w{2 * i}", "neutral") for i in range(40)], vocab)
     encoder = ToyEncoder.create(vocab, 64, pooling, seed=0)
     table_bytes = encoder.table.nbytes
-    nli_bytes = 0 if method == "defsent" else (3 * 3 * 64 + 3) * 8
+    assert encoder.table.itemsize == 4  # float32 entries, as every array below
+    nli_bytes = 0 if method == "defsent" else (3 * 3 * 64 + 3) * 4
     # the table, the definition bias and any NLI head, in the parameter and both moment buffers
-    steady = 3 * (table_bytes + len(vocab) * 8 + nli_bytes)
+    steady = 3 * (table_bytes + len(vocab) * 4 + nli_bytes)
     tracemalloc.start()
     try:
         [result] = run_pipeline(method, [encoder], TrainConfig(batch_size=8), nli, data, seeds=[0])
@@ -716,6 +746,7 @@ class TestTrainMatchesLoopOracle:
             [result] = run_pipeline(method, [enc_train], config, seeds=[config.seed],
                                     **{key: indexed(examples, enc_train) for key, examples in data.items()})
             assert len(result.stage_steps[0]) > 2 * 5
+            assert {a.dtype for a in (*result.params.values(), *expected.params.values())} == {MODEL_DTYPE}
             assert result.stage_steps == expected.stage_steps
             np.testing.assert_array_equal(enc_train.table, enc_loop.table)
             assert result.params.keys() == expected.params.keys()
@@ -729,7 +760,8 @@ class TestTrainSbert:
         before = enc.table.copy()
         [result] = run_pipeline("sbert", [enc], TrainConfig(epochs=0), indexed(_nli(10), enc), seeds=[0])
         assert result.stage_steps == [[]]
-        np.testing.assert_array_equal(enc.table, before)
+        assert enc.table.dtype == before.dtype == MODEL_DTYPE
+        np.testing.assert_array_equal(enc.table.view(np.int32), before.view(np.int32))
 
     def test_loss_halves_on_separable_data(self):
         rng = make_rng(9)
@@ -763,7 +795,8 @@ class TestTrainDefsent:
         defs = [DefinitionExample("alpha", "beta gamma")]
         [result] = run_pipeline("defsent", [enc], TrainConfig(epochs=0), def_data=indexed(defs, enc), seeds=[0])
         assert result.stage_steps == [[]]
-        np.testing.assert_array_equal(enc.table, before)
+        assert enc.table.dtype == before.dtype == MODEL_DTYPE
+        np.testing.assert_array_equal(enc.table.view(np.int32), before.view(np.int32))
 
     def test_marker_dictionary_reaches_high_accuracy(self):
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
