@@ -28,7 +28,7 @@ from .fileio import atomic_write
 from .objectives import TrainConfig
 
 FORMAT = "sentsig-checkpoint"
-VERSION = 5
+VERSION = 6
 SIDECAR_CHUNK = 1 << 20  # bytes of a sidecar read and hashed per call
 
 

@@ -66,11 +66,21 @@ class Partition:
     """Named, ordered split of an STS dataset into disjoint labeled subsets.
 
     A Dice partition also keeps each subset's Dice values, pair by pair.
+    Labels are distinct, and none is ``ALL``, the label of a report's row
+    of the pooled pairs.
     """
 
     name: str
     subsets: list[tuple[str, list[StsPair]]] = field(default_factory=list)
     dice: list[list[float]] | None = None
+
+    def __post_init__(self):
+        seen = set()
+        for label in self.labels():
+            if label in seen or label == "ALL":
+                why = "is repeated" if label in seen else "is reserved for the pooled pairs"
+                raise InvalidInputError(f"partition {self.name!r}: subset label {label!r} {why}")
+            seen.add(label)
 
     def labels(self) -> list[str]:
         return [label for label, _ in self.subsets]

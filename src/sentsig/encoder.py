@@ -380,6 +380,8 @@ class EmbeddingStore:
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dim,):
             raise InvalidInputError(f"vector has dim {v.shape}, store expects ({self.dim},)")
+        if not np.isfinite(v).all():
+            raise InvalidInputError("vector holds NaN or Inf")
         if sentence in self._vectors:
             raise InvalidInputError(f"duplicate sentence in store: {sentence!r}")
         self._vectors[sentence] = v

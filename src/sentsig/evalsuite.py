@@ -3,7 +3,7 @@
 STS scoring correlates per-pair cosine similarity with gold scores; reports
 carry Spearman and Pearson x100 per subset plus an ALL row computed on the
 pooled pairs (never by averaging subset scores).  The probe harness trains a
-logistic-regression classifier on frozen embeddings with k-fold
+logistic-regression classifier on frozen embeddings with 10-fold
 cross-validation and reports mean accuracy.
 """
 
@@ -224,25 +224,23 @@ class ProbeTask:
         return np.array([index[label] for _, label in self.examples], dtype=np.int64)
 
 
+# SentEval's protocol (Conneau & Kiela 2018): 10-fold cross-validation; the
+# folds and each fold's minibatch order come from one seeded rng
+PROBE_FOLDS = 10
+PROBE_BATCH_SIZE = 64
+PROBE_SEED = 0
+
+
 @dataclass
 class ProbeConfig:
-    folds: int = 10
-    batch_size: int = 64
     epochs: int = 4
     lr: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidInputError("cross-validation needs at least 2 folds")
-        if self.batch_size < 1:
-            raise InvalidInputError("probe batch_size must be >= 1")
         if self.epochs < 0:
             raise InvalidInputError("probe epochs must be >= 0")
         if not 0.0 < self.lr < math.inf:
             raise InvalidInputError("probe lr must be positive and finite")
-        if self.seed < 0:
-            raise InvalidInputError("probe seed must be >= 0")
 
 
 def load_probe_task(path, name: str | None = None) -> ProbeTask:
@@ -297,8 +295,8 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
 
     (folds, m, dim) features with (folds, m) labels train one model per fold
     as a stack, and ``seeds`` holds one seed per fold: each fold draws its
-    own minibatch order from its own rng, exactly as a fit of that fold
-    alone would.  The result is the optimizer's parameters ``W`` and ``b``
+    own order of minibatches of ``PROBE_BATCH_SIZE`` rows from its own rng,
+    exactly as a fit of that fold alone would.  The result is the optimizer's parameters ``W`` and ``b``
     (see :func:`logreg_logits`); a step that leaves them non-finite ends
     the fit with an error, as the learning rate was too large.
     """
@@ -320,8 +318,8 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             order = np.stack([rng.permutation(n) for rng in rngs])
-            for start in range(0, n, config.batch_size):
-                idx = order[:, start : start + config.batch_size]
+            for start in range(0, n, PROBE_BATCH_SIZE):
+                idx = order[:, start : start + PROBE_BATCH_SIZE]
                 optimizer.step(_logreg_grads(params, X[stack, idx], y[stack, idx]), config.lr)
                 if not all(np.isfinite(p).all() for p in params.values()):
                     raise InvalidInputError("the probe diverged to non-finite weights; lower [probe] lr")
@@ -330,7 +328,7 @@ def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
 
 def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig,
                embedded: dict | None = None) -> float:
-    """k-fold cross-validation accuracy of a probe over frozen embeddings.
+    """``PROBE_FOLDS``-fold cross-validation accuracy of a probe over frozen embeddings.
 
     The distinct sentences are embedded in one ``embed_batch`` call; an
     ``embedded`` dict receives the counts (see :func:`_embed_distinct`).
@@ -340,14 +338,14 @@ def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig
     n = len(task.examples)
     labels = task.label_indices()
     counts = np.bincount(labels)
-    if counts.min() < config.folds:
+    if counts.min() < PROBE_FOLDS:
         raise InvalidInputError(
-            f"every class needs >= {config.folds} examples for {config.folds}-fold CV")
+            f"every class needs >= {PROBE_FOLDS} examples for {PROBE_FOLDS}-fold CV")
     rows, slots = _embed_distinct(provider, [text for text, _ in task.examples], embedded)
     X = rows[slots]
-    rng = make_rng(config.seed)
-    folds = kfold_split(n, config.folds, rng)
-    fold_seeds = rng.integers(0, 2**63 - 1, size=config.folds)
+    rng = make_rng(PROBE_SEED)
+    folds = kfold_split(n, PROBE_FOLDS, rng)
+    fold_seeds = rng.integers(0, 2**63 - 1, size=PROBE_FOLDS)
     correct = 0
     for size in dict.fromkeys(map(len, folds)):
         group = [i for i, fold in enumerate(folds) if len(fold) == size]

@@ -31,14 +31,8 @@ from .numstat import make_rng, mean_cross_entropies, softmax
 class TrainConfig:
     batch_size: int = 16
     epochs: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     base_lr: float = 1e-3  # toy-table scale; transformer fine-tuning uses ~1e-6
-    warmup_fraction: float = 0.10
     seed: int = 0
-    bucket_width: int = 8
-    lr_decay: str = "constant"  # or "linear": ramp down to 0 after warmup
     tied_head: bool = True
     nli_cycle: int = 19  # a multi stage's NLI steps per cycle
     def_cycle: int = 1  # and its definition steps after them
@@ -46,22 +40,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
-        if self.bucket_width < 1:
-            raise InvalidInputError("bucket_width must be >= 1")
         if self.epochs < 0:
             raise InvalidInputError("epochs must be >= 0")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise InvalidInputError("warmup_fraction must be in [0, 1)")
-        # Adam divides by zero, overflows or steps by NaN outside these ranges
+        # Adam overflows or steps by NaN outside this range
         if not 0.0 < self.base_lr < math.inf:
             raise InvalidInputError("base_lr must be positive and finite")
-        for key, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise InvalidInputError(f"{key} must be in [0, 1)")
-        if not 0.0 < self.eps < math.inf:
-            raise InvalidInputError("eps must be positive and finite")
-        if self.lr_decay not in ("constant", "linear"):
-            raise InvalidInputError(f"unknown lr_decay {self.lr_decay!r}")
         if self.nli_cycle < 1 or self.def_cycle < 1:
             raise InvalidInputError("schedule steps per cycle must be positive")
 
@@ -355,24 +338,23 @@ class Adam:
 
     The buffers, the scratch and so every update have the ``dtype`` given:
     training holds its model in float32 (:data:`~sentsig.encoder.MODEL_DTYPE`).
+    Every caller uses the hyperparameters of Kingma & Ba (2015), ``BETA1``,
+    ``BETA2`` and ``EPS``.
 
     A moment entry that gets no gradient decays by its beta each step, and
     below its dtype's ``tiny`` the decay of the smallest subnormals rounds
     back to themselves: the entry never reaches 0, and every later step does
     slow subnormal arithmetic on it.  So every ``FLUSH_EVERY``-th step of a
     parameter ends by zeroing its moment entries below ``tiny``.  The updates
-    they would still make are below ``tiny / eps`` times the learning rate,
+    they would still make are below ``tiny / EPS`` times the learning rate,
     which vanishes against any parameter not itself near 0.
     """
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
     CHUNK = 1 << 15  # elements per pass: a chunk of the five arrays stays in cache
     FLUSH_EVERY = 1000  # steps of a parameter between flushes of its subnormal moments
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, dtype=np.float64):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
         ends = np.cumsum([0, *map(math.prod, shapes.values())]).tolist()
         self._starts = dict(zip(shapes, ends))
         self._flat = [np.zeros(ends[-1], dtype) for _ in range(3)]  # parameters, then both moments
@@ -411,61 +393,58 @@ class Adam:
     def _update(self, sl: slice, t: int, lr: float) -> None:
         p, m, v = (flat[sl] for flat in self._flat)
         g, s = self._scratch[0, : sl.stop - sl.start], self._scratch[1, : sl.stop - sl.start]
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        m *= self.BETA1
+        np.multiply(g, 1.0 - self.BETA1, out=s)
         m += s
-        v *= self.beta2
+        v *= self.BETA2
         np.square(g, out=s)
-        s *= 1.0 - self.beta2
+        s *= 1.0 - self.BETA2
         v += s
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
-        # and v_hat = v / (1 - beta2^t)
-        np.divide(v, 1.0 - self.beta2 ** t, out=s)
+        # p -= lr * m_hat / (sqrt(v_hat) + EPS), with m_hat = m / (1 - BETA1^t)
+        # and v_hat = v / (1 - BETA2^t)
+        np.divide(v, 1.0 - self.BETA2 ** t, out=s)
         np.sqrt(s, out=s)
-        s += self.eps
+        s += self.EPS
         np.divide(m, s, out=s)
-        s *= lr / (1.0 - self.beta1 ** t)
+        s *= lr / (1.0 - self.BETA1 ** t)
         p -= s
         if t % self.FLUSH_EVERY == 0:
             for moment in (m, v):
                 moment[np.abs(moment) < np.finfo(moment.dtype).tiny] = 0.0
 
 
-def lr_at(step: int, total_steps: int, base_lr: float, warmup_fraction: float = 0.10,
-          decay: str = "constant") -> float:
-    """Linear warmup to base_lr over the first ceil(fraction * total) steps.
+WARMUP_FRACTION = 0.10  # of a stage's steps, as SBERT warms up (Reimers & Gurevych 2019)
 
-    After warmup the rate is constant by default; ``decay="linear"`` ramps it
-    down to 0 at the final step instead.
-    """
+
+def lr_at(step: int, total_steps: int, base_lr: float) -> float:
+    """Linear warmup to base_lr over the first ceil(WARMUP_FRACTION * total) steps, then base_lr."""
     if not 1 <= step <= total_steps:
         raise InvalidInputError(f"step {step} outside [1, {total_steps}]")
-    warmup_steps = math.ceil(warmup_fraction * total_steps)
-    if step <= warmup_steps:
-        return base_lr * step / warmup_steps
-    if decay == "constant":
-        return base_lr
-    remaining = total_steps - warmup_steps
-    return base_lr * (total_steps - step) / remaining
+    warmup_steps = math.ceil(WARMUP_FRACTION * total_steps)
+    return base_lr * step / warmup_steps if step <= warmup_steps else base_lr
 
 
 # ---------------------------------------------------------------------------
 # batching
 # ---------------------------------------------------------------------------
 
-def smart_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator,
-                  bucket_width: int = 8) -> list[np.ndarray]:
+# tokens of example length per batching bucket; the benchmark's step counts
+# assume that each of its corpora fits in one bucket
+BUCKET_WIDTH = 8
+
+
+def smart_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Length-bucketed batches of example rows in seeded-random order; every row appears once.
 
-    Examples are grouped into token-length buckets of the given width and each
-    batch is drawn from a single bucket, so in-batch length spread never
-    exceeds the bucket width.
+    Examples are grouped into token-length buckets ``BUCKET_WIDTH`` wide and
+    each batch is drawn from a single bucket, so in-batch length spread
+    stays below the bucket width.
     """
     if not len(lengths):
         raise InvalidInputError("no examples to batch")
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
-    keys = np.asarray(lengths) // bucket_width
+    keys = np.asarray(lengths) // BUCKET_WIDTH
     batches: list[np.ndarray] = []
     for key in np.flatnonzero(np.bincount(keys)):
         rows = np.flatnonzero(keys == key)
@@ -478,7 +457,7 @@ def smart_batches(lengths: np.ndarray, batch_size: int, rng: np.random.Generator
 
 def batches_per_epoch(lengths: np.ndarray, config: TrainConfig) -> int:
     """Batch count per epoch; fixed by bucket sizes, independent of shuffling."""
-    counts = np.bincount(np.asarray(lengths) // config.bucket_width)
+    counts = np.bincount(np.asarray(lengths) // BUCKET_WIDTH)
     return sum(math.ceil(int(n) / config.batch_size) for n in counts)
 
 
@@ -496,8 +475,7 @@ class BatchStream:
 
     def next_rows(self) -> np.ndarray:
         if not self._queue:
-            self._queue = list(reversed(smart_batches(self.lengths, self.config.batch_size, self.rng,
-                                                      self.config.bucket_width)))
+            self._queue = list(reversed(smart_batches(self.lengths, self.config.batch_size, self.rng)))
         return self._queue.pop()
 
 
@@ -626,7 +604,7 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
         if not config.tied_head:
             shapes["def_W"] = (n_seeds * n_words, d)
         shapes["def_bias"] = (n_seeds, n_words)
-    optimizer = Adam(shapes, config.beta1, config.beta2, config.eps, MODEL_DTYPE)
+    optimizer = Adam(shapes, MODEL_DTYPE)
     results = []
     for k, (encoder, seed) in enumerate(zip(encoders, seeds)):
         # seed k's rows of a (seeds·V, d) array, its entry of the others
@@ -659,8 +637,7 @@ def _run_lockstep(pooling: str, n_words: int, optimizer: Adam, streams: list, rn
     total_steps = math.ceil(nominal / len(cycle)) * len(cycle)
     records: list[list[StepRecord]] = [[] for _ in rngs]
     for step in range(1, total_steps + 1):
-        lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
-                   config.lr_decay)
+        lr = lr_at(step, total_steps, config.base_lr)
         name, batches, data, loss_and_grads = cycle[(step - 1) % len(cycle)]
         rows = [seed_batches.next_rows() for seed_batches in batches]
         losses, grads = loss_and_grads(_lockstep_batch(data, rows, n_words), pooling,

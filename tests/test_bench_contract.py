@@ -5,9 +5,12 @@
 ``bench/run.py --trace 1`` fail, so the names are pinned here.
 """
 
+import argparse
 import ast
+import dataclasses
 import importlib.util
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,20 +19,43 @@ import pytest
 import sentsig.objectives
 from sentsig import cli
 from sentsig.corpus import save_definitions, save_nli
+from sentsig.evalsuite import ProbeConfig
 from sentsig.numstat import make_rng
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
 _ROOT = Path(__file__).resolve().parents[1]
-_TRACER = _ROOT / "bench" / "tracer.py"
-_spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", _ROOT / "bench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _bench_module("tracer")
+workloads = _bench_module("workloads")
 
 
 @pytest.mark.parametrize("owner, attr", [target[:2] for target in tracer.TARGETS],
                          ids=[f"{owner}.{attr}" for owner, attr, *_ in tracer.TARGETS])
 def test_tracer_target_resolves(owner, attr):
     assert attr in tracer.resolve(owner).__dict__
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_benchmark_config_loads(tmp_path, name):
+    """Each workload's ``exp.ini`` sets only keys the CLI reads, to the values the workload means.
+
+    The inputs are generated at a smaller size, as ``bench/tests`` does; a
+    config key that the benchmark sets and the CLI no longer has fails here.
+    """
+    small = dataclasses.replace(workloads.WORKLOADS[name], dim=8, vocab_words=998, nli_examples=320,
+                                def_examples=32, sts_pairs=60, probe_per_class=10)
+    workloads.generate(name, 3, tmp_path, small)
+    cfg = cli.load_experiment_config(str(tmp_path / "inputs" / "exp.ini"), argparse.Namespace())
+    assert (cfg.dim, cfg.train.batch_size) == (8, workloads.BATCH_SIZE)
+    assert cfg.probe == ProbeConfig(**workloads.PROBE)
 
 
 def _unused_imports(source: str) -> set[str]:

@@ -84,6 +84,14 @@ class TestRoundTrip:
         with pytest.raises(InvalidInputError, match=re.escape(f"missing field 'train_config.{key}'")):
             load_checkpoint(tmp_path / "ckpt.json")
 
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "warmup_fraction", "bucket_width", "lr_decay"])
+    def test_train_config_with_a_removed_field_rejected(self, tmp_path, key):
+        # the settings that became constants: a recipe that sets one is not this code's recipe
+        _save(tmp_path / "ckpt.json", tied=True)
+        _edit_json(tmp_path / "ckpt.json", lambda d: d["train_config"].update({key: 1}))
+        with pytest.raises(InvalidInputError, match=re.escape(f"unexpected keyword argument '{key}'")):
+            load_checkpoint(tmp_path / "ckpt.json")
+
     def test_float64_arrays_saved_rounded_to_float32(self, tmp_path):
         encoder, heads = _model(tied=True)
         wide = ToyEncoder(encoder.vocab, encoder.table + np.float64(1e-12), pooling="max")
@@ -96,7 +104,7 @@ class TestRoundTrip:
     def test_json_pins_sidecar_bytes(self, tmp_path):
         _save(tmp_path / "ckpt.json", tied=False)
         payload = json.loads((tmp_path / "ckpt.json").read_text())
-        assert payload["version"] == 5
+        assert payload["version"] == 6
         assert payload["max_tokens"] == 128
         assert payload["arrays"].keys() == {"table", "nli_W", "nli_b", "def_W", "def_bias"}
         for ref in payload["arrays"].values():
@@ -272,6 +280,8 @@ MALFORMED = [
      "unsupported checkpoint version 3"),
     ("version-4", lambda p: _edit_json(p, lambda d: d.update(version=4)),
      "unsupported checkpoint version 4"),
+    ("version-5", lambda p: _edit_json(p, lambda d: d.update(version=5)),
+     "unsupported checkpoint version 5"),
     ("train-config-field", lambda p: _edit_json(p, lambda d: d["train_config"].pop("nli_cycle")),
      "missing field 'train_config.nli_cycle'"),
     *((f"max-tokens-{name}", lambda p, value=value: _edit_json(p, lambda d: d.update(max_tokens=value)),

@@ -1,6 +1,5 @@
 """End-to-end command-line tests: partitioning, training, dumps, evaluation."""
 
-import argparse
 import configparser
 import dataclasses
 import json
@@ -339,9 +338,7 @@ class TestTrainCommand:
 
     def test_checkpoint_records_every_train_setting(self, data):
         # each [train] key of TrainConfig at a value unlike its default, the cycle included
-        recipe = {"batch_size": 7, "epochs": 2, "beta1": 0.8, "beta2": 0.99, "eps": 1e-7, "base_lr": 0.02,
-                  "warmup_fraction": 0.2, "bucket_width": 3, "lr_decay": "linear", "tied_head": False,
-                  "nli_cycle": 3, "def_cycle": 2}
+        recipe = {"batch_size": 7, "epochs": 2, "base_lr": 0.02, "tied_head": False, "nli_cycle": 3, "def_cycle": 2}
         assert set(recipe) == {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
         assert all(value != getattr(TrainConfig(), key) for key, value in recipe.items())
         ini = data["root"] / "recipe.ini"
@@ -380,28 +377,30 @@ BAD_VALUES = [
     ("[train]\ndim = abc\n", [], "[train] dim: invalid value 'abc'"),
     ("[train]\nbase_lr = fast\n", [], "[train] base_lr: invalid value 'fast'"),
     ("[train]\nseeds = 0 x\n", [], "[train] seeds: invalid value '0 x'"),
-    ("[probe]\nfolds = ten\n", [], "[probe] folds: invalid value 'ten'"),
+    ("[probe]\nfolds = ten\n", [], "unknown config key [probe] folds"),
     ("", ["--seeds", "0 x"], "seed list '0 x'"),
-    ("[train]\nbucket_width = 0\n", [], "bucket_width must be >= 1"),
-    ("[probe]\nbatch_size = 0\n", [], "probe batch_size must be >= 1"),
+    ("[train]\nbucket_width = 0\n", [], "unknown config key [train] bucket_width"),
+    ("[probe]\nbatch_size = 0\n", [], "unknown config key [probe] batch_size"),
     ("[probe]\nepochs = -1\n", [], "probe epochs must be >= 0"),
     ("[probe]\nlr = 0\n", [], "probe lr must be positive"),
     ("", ["--seeds", "0 1 0"], "duplicate seed 0"),
     ("", ["--seeds", "-1"], "seed list '-1': seeds must be >= 0"),
     ("", ["--seed", "-1"], "seed list '-1': seeds must be >= 0"),
     ("[train]\nseeds = 2 -3\n", [], "seed list '2 -3': seeds must be >= 0"),
-    ("[probe]\nseed = -1\n", [], "probe seed must be >= 0"),
+    ("[probe]\nseed = -1\n", [], "unknown config key [probe] seed"),
     ("", ["--dim", "0"], "embedding dimension must be >= 1"),
-    ("[train]\nbeta1 = -1\n", [], "beta1 must be in [0, 1)"),
-    ("[train]\nbeta1 = 1e308\n", [], "beta1 must be in [0, 1)"),
-    ("[train]\nbeta2 = 2\n", [], "beta2 must be in [0, 1)"),
-    ("[train]\neps = -1\n", [], "eps must be positive and finite"),
-    ("[train]\neps = inf\n", [], "eps must be positive and finite"),
+    ("[train]\nbeta1 = -1\n", [], "unknown config key [train] beta1"),
+    ("[train]\nbeta1 = 1e308\n", [], "unknown config key [train] beta1"),
+    ("[train]\nbeta2 = 2\n", [], "unknown config key [train] beta2"),
+    ("[train]\neps = -1\n", [], "unknown config key [train] eps"),
+    ("[train]\neps = inf\n", [], "unknown config key [train] eps"),
     ("[train]\nbase_lr = nan\n", [], "base_lr must be positive and finite"),
     ("[probe]\nlr = nan\n", [], "probe lr must be positive and finite"),
     ("[train]\nsmart_batching = false\n", [], "unknown config key [train] smart_batching"),
     ("[train]\nhead_bias = false\n", [], "unknown config key [train] head_bias"),
     ("[probe]\nbeta1 = 0.5\n", [], "unknown config key [probe] beta1"),
+    ("[train]\nwarmup_fraction = 0.2\n", [], "unknown config key [train] warmup_fraction"),
+    ("[train]\nlr_decay = linear\n", [], "unknown config key [train] lr_decay"),
 ]
 
 
@@ -411,7 +410,7 @@ BAD_VALUES = [
                               "negative-seeds-flag", "negative-seed-flag", "negative-seeds",
                               "negative-probe-seed", "zero-dim", "negative-beta1", "huge-beta1", "beta2-two",
                               "negative-eps", "infinite-eps", "nan-base-lr", "nan-probe-lr", "smart-batching",
-                              "head-bias", "probe-beta1"])
+                              "head-bias", "probe-beta1", "warmup-fraction", "lr-decay"])
 def test_bad_value_exit_2_no_manifest(data, capsys, section, flags, message):
     cfg = data["root"] / "bad.ini"
     cfg.write_text(f"[data]\nnli = {data['nli']}\n\n{section}")
@@ -428,9 +427,8 @@ CONFIG_KEYS = (
     {("data", key) for key in ("sts", "nli", "definitions")}
     | {("train", key) for key in (
         "method", "dim", "pooling", "min_count", "seeds", "out", "batch_size", "epochs",
-        "base_lr", "warmup_fraction", "bucket_width", "lr_decay", "tied_head", "beta1", "beta2", "eps",
-        "nli_cycle", "def_cycle")}
-    | {("probe", key) for key in ("folds", "batch_size", "epochs", "lr", "seed")}
+        "base_lr", "tied_head", "nli_cycle", "def_cycle")}
+    | {("probe", key) for key in ("epochs", "lr")}
 )
 
 
@@ -494,13 +492,9 @@ def test_percent_in_config_value_is_literal(trained, tmp_path, capsys, present):
         assert not out.exists() and not out.parent.exists()  # nor the parent made for <out>
 
 
-def test_config_keys_pinned(tmp_path):
-    assert len(CONFIG_KEYS) == 26
+def test_config_keys_pinned():
+    assert len(CONFIG_KEYS) == 17
     assert set(cli.CONFIG_KEYS) == CONFIG_KEYS
-    ini = tmp_path / "adam.ini"
-    ini.write_text("[train]\nbeta1 = 0.5\nbeta2 = 0.75\neps = 0.25\n")
-    cfg = cli.load_experiment_config(str(ini), argparse.Namespace())
-    assert (cfg.train.beta1, cfg.train.beta2, cfg.train.eps) == (0.5, 0.75, 0.25)
 
 
 def test_readme_config_block_lists_every_key_with_its_default():
@@ -542,6 +536,8 @@ BAD_INPUTS = [
      ["eval", "{ckpt}", "--probe", "{probe}", "--config", "{ini}"], "[probe] lr"),
     ("eval-dump", {"dump": "dim=1\na\t1.0\n@\t2.0\n"}, ["eval", "{dump}", "--sts", "{fixture_sts}"],
      "dump.in:3: not UTF-8"),
+    ("eval-dump-nan", {"dump": "dim=2\na\t1.0 2.0\nb\t0.5 nan\n"}, ["eval", "{dump}", "--sts", "{fixture_sts}"],
+     "dump.in:3: vector holds NaN or Inf"),
     ("eval-sidecar", {}, ["eval", "{sidecar}", "--sts", "{fixture_sts}"],
      "neither an embedding dump nor a checkpoint"),
     ("combine-eval-sidecar", {},
@@ -592,6 +588,45 @@ def test_malformed_partition_summary_exit_2_no_manifest(trained, tmp_path, capsy
     assert err.startswith("error:")
     assert "summary.json" in err
     assert not (out / "manifest.json").exists()
+
+
+def _all_label_inputs(trained, tmp_path, case):
+    """The argv of ``case``, whose partition has a subset labelled ALL or a label twice."""
+    pairs = load_sts(trained["sts"])
+    if case == "eval-sts-all":
+        save_sts(pairs, tmp_path / "ALL.tsv")
+        return ["eval", trained["ckpt0"], "--sts", tmp_path / "ALL.tsv"]
+    if case == "partition-source-all":
+        save_sts([dataclasses.replace(p, source="ALL" if i % 2 else "news") for i, p in enumerate(pairs)],
+                 tmp_path / "sts.tsv")
+        return ["partition", tmp_path / "sts.tsv", "--scheme", "source"]
+    parts = tmp_path / "parts"
+    parts.mkdir()
+    save_sts(pairs[:30], parts / "a.tsv")
+    save_sts(pairs[30:], parts / "b.tsv")
+    second = "a" if case == "summary-repeated-label" else "ALL"
+    (parts / "summary.json").write_text(json.dumps({"subsets": [
+        {"label": "a", "file": "a.tsv"}, {"label": second, "file": "b.tsv"}]}), encoding="utf-8")
+    return ["eval", trained["ckpt0"], "--partition-dir", parts]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("eval-sts-all", "subset label 'ALL' is reserved for the pooled pairs"),
+    ("partition-source-all", "subset label 'ALL' is reserved for the pooled pairs"),
+    ("summary-all-label", "subset label 'ALL' is reserved for the pooled pairs"),
+    ("summary-repeated-label", "subset label 'a' is repeated"),
+])
+def test_subset_label_that_would_share_a_report_row_exit_2(trained, tmp_path, capsys, monkeypatch, case, message):
+    # a report's ALL row pools every pair, and StsReport.entry finds a row by its label
+    argv = _all_label_inputs(trained, tmp_path, case)
+    loads = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path))
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert loads == []  # before any provider loads
+    assert not out.exists()
 
 
 def _config(data):
@@ -741,10 +776,10 @@ class TestEvalCommand:
         probe = tmp_path / "probe.tsv"
         probe.write_text("".join(f"{c}\tt0{c}w{i % 12:03d}\n" for c in (0, 1) for i in range(20)))
         ini = tmp_path / "probe.ini"
-        ini.write_text("[probe]\nseed = -1\n")
+        ini.write_text("[probe]\nseed = -1\n")  # the probe's seed is the constant PROBE_SEED
         out = tmp_path / "eval"
         assert run(["eval", trained["ckpt0"], "--probe", probe, "--out", out, "--config", ini]) == 2
-        assert capsys.readouterr().err.startswith("error: probe seed must be >= 0")
+        assert capsys.readouterr().err.startswith("error: unknown config key [probe] seed")
         assert not (out / "report.json").exists()
 
     def test_manifest_records_embedding_counts(self, trained, tmp_path):

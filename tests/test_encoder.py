@@ -470,6 +470,13 @@ class TestEmbeddingStore:
         with pytest.raises(InvalidInputError):
             store.add("s", [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        store = EmbeddingStore(2)
+        with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            store.add("s", [1.0, value])
+        assert "s" not in store
+
 
 class TestDumps:
     def test_round_trip_small(self, tmp_path):
@@ -506,6 +513,15 @@ class TestDumps:
         path = tmp_path / "dup.txt"
         path.write_text("dim=1\ns\t1.0\ns\t2.0\n")
         with pytest.raises(ParseError) as err:
+            load_dump(path)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        # float() parses each of these, so the store's finiteness check names the line
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"dim=2\ns\t1.0 2.0\nt\t0.5 {value}\n")
+        with pytest.raises(ParseError, match="NaN or Inf") as err:
             load_dump(path)
         assert err.value.line_no == 3
 

@@ -13,6 +13,9 @@ from sentsig.corpus import Partition, StsPair
 from sentsig.encoder import EmbeddingStore
 from sentsig.errors import DegenerateScoresError, InvalidInputError, MissingEmbeddingError
 from sentsig.evalsuite import (
+    PROBE_BATCH_SIZE,
+    PROBE_FOLDS,
+    PROBE_SEED,
     ProbeConfig,
     ProbeTask,
     _logreg_grads,
@@ -259,21 +262,21 @@ class TestTrainLogreg:
     def test_separable_blobs_high_train_accuracy(self):
         rng = make_rng(4)
         X, y = self._blobs(rng)
-        params = train_logreg(X[None], y[None], ProbeConfig(seed=0), 2, [0])
+        params = train_logreg(X[None], y[None], ProbeConfig(), 2, [0])
         accuracy = float((logreg_logits(params, X[None])[0].argmax(axis=-1) == y).mean())
         assert accuracy >= 0.95
 
     def test_zero_epochs_predicts_uniform(self):
         rng = make_rng(5)
         X, y = self._blobs(rng)
-        params = train_logreg(X[None], y[None], ProbeConfig(epochs=0, seed=0), 2, [0])
+        params = train_logreg(X[None], y[None], ProbeConfig(epochs=0), 2, [0])
         np.testing.assert_array_equal(params["W"], 0.0)
         np.testing.assert_array_equal(logreg_logits(params, X[None]), np.zeros((1, len(X), 2)))
 
     def test_fits_are_views_of_one_optimizer_buffer(self):
         rng = make_rng(5)
         X, y = self._blobs(rng)
-        params = train_logreg(np.stack([X, -X]), np.stack([y, y]), ProbeConfig(seed=0), 2, [0, 1])
+        params = train_logreg(np.stack([X, -X]), np.stack([y, y]), ProbeConfig(), 2, [0, 1])
         assert set(params) == {"W", "b"}
         assert params["W"].shape == (2, 2, X.shape[1]) and params["b"].shape == (2, 2)
         assert params["W"].base is params["b"].base
@@ -295,8 +298,8 @@ class TestTrainLogreg:
         monkeypatch.setattr(sentsig.evalsuite.Adam, "step", checked)
         X, y = self._blobs(make_rng(4))
         with pytest.raises(InvalidInputError, match=r"\[probe\] lr"):
-            train_logreg(X[None], y[None], ProbeConfig(lr=1e308, seed=0), 2, [0])
-        assert 1 <= len(steps) < ProbeConfig().epochs * len(X) // ProbeConfig().batch_size
+            train_logreg(X[None], y[None], ProbeConfig(lr=1e308), 2, [0])
+        assert 1 <= len(steps) < ProbeConfig().epochs * len(X) // PROBE_BATCH_SIZE
 
     def test_gradients_match_finite_differences(self):
         rng = make_rng(6)
@@ -321,9 +324,9 @@ def per_fold_probe(X, labels, config):
     """
     n = len(labels)
     n_classes = int(labels.max()) + 1
-    rng = make_rng(config.seed)
-    folds = kfold_split(n, config.folds, rng)
-    fold_seeds = rng.integers(0, 2**63 - 1, size=config.folds)
+    rng = make_rng(PROBE_SEED)
+    folds = kfold_split(n, PROBE_FOLDS, rng)
+    fold_seeds = rng.integers(0, 2**63 - 1, size=PROBE_FOLDS)
     correct, fits = 0, []
     for fold, fold_seed in zip(folds, fold_seeds):
         train_mask = np.ones(n, dtype=bool)
@@ -334,8 +337,8 @@ def per_fold_probe(X, labels, config):
         order_rng = make_rng(int(fold_seed))
         for _ in range(config.epochs):
             order = order_rng.permutation(len(yt))
-            for start in range(0, len(yt), config.batch_size):
-                idx = order[start : start + config.batch_size]
+            for start in range(0, len(yt), PROBE_BATCH_SIZE):
+                idx = order[start : start + PROBE_BATCH_SIZE]
                 logits = Xt[idx] @ W.T + b
                 logits = logits - logits.max(axis=1, keepdims=True)
                 e = np.exp(logits)
@@ -362,13 +365,14 @@ def noisy_probe(n, dim, n_classes, seed):
 
 
 class TestEvalProbe:
-    @pytest.mark.parametrize("n, dim, batch_size", [
-        (305, 16, 64),  # folds of 30 and 31 rows: training sets of 275 and 274
-        (71, 8, 16),  # folds of 7 and 8 rows: the 64-row training sets fill 4 whole batches
+    @pytest.mark.parametrize("n, dim", [
+        (305, 16),  # folds of 30 and 31 rows: training sets of 275 and 274
+        (142, 8),  # folds of 14 and 15 rows: the 128-row training sets fill 2 whole batches
     ], ids=["n-not-divisible", "batch-multiple"])
-    def test_ragged_folds_match_per_fold_fits(self, monkeypatch, n, dim, batch_size):
+    def test_ragged_folds_match_per_fold_fits(self, monkeypatch, n, dim):
+        assert PROBE_BATCH_SIZE == 64
         store, task, X = noisy_probe(n, dim, 3, seed=n)
-        config = ProbeConfig(folds=10, batch_size=batch_size, epochs=3, lr=0.05, seed=4)
+        config = ProbeConfig(epochs=3, lr=0.05)
         fits = []
 
         def spy(features, labels, config, n_classes, seeds):
@@ -398,20 +402,20 @@ class TestEvalProbe:
             return train_logreg(features, *args, **kwargs)
 
         monkeypatch.setattr(sentsig.evalsuite, "train_logreg", counting)
-        eval_probe(store, task, ProbeConfig(epochs=1, seed=0))
+        eval_probe(store, task, ProbeConfig(epochs=1))
         assert len(calls) == groups
         assert sum(calls) == 10
 
     def test_separable_task_high_accuracy(self):
         rng = make_rng(7)
         task, store = make_blob_probe(rng, n_per_class=40, n_classes=2)
-        accuracy = eval_probe(store, task, ProbeConfig(seed=0))
+        accuracy = eval_probe(store, task, ProbeConfig())
         assert accuracy >= 0.95
 
     def test_shuffled_labels_near_chance(self):
         rng = make_rng(8)
         task, store = make_blob_probe(rng, n_per_class=200, n_classes=2, separation=0.0)
-        accuracy = eval_probe(store, task, ProbeConfig(seed=0))
+        accuracy = eval_probe(store, task, ProbeConfig())
         assert 0.4 <= accuracy <= 0.6
 
     def test_repeated_sentences_keep_their_features(self):
@@ -422,7 +426,7 @@ class TestEvalProbe:
             store.add(sentence, [4.0 if i % 2 else -4.0, 0.01 * i])
         examples = [(s, "odd" if int(s[1:]) % 2 else "even") for s in sentences + sentences[::-1]]
         counts = {}
-        accuracy = eval_probe(store, ProbeTask(name="rep", examples=examples), ProbeConfig(seed=0),
+        accuracy = eval_probe(store, ProbeTask(name="rep", examples=examples), ProbeConfig(),
                               embedded=counts)
         assert accuracy == 1.0
         assert counts == {"distinct": 40, "reused": 40}
@@ -435,7 +439,7 @@ class TestEvalProbe:
             examples.append((f"s{i}", "a" if i < 9 else "b"))
         task = ProbeTask(name="tiny", examples=examples)
         with pytest.raises(InvalidInputError):
-            eval_probe(store, task, ProbeConfig(folds=10, seed=0))
+            eval_probe(store, task, ProbeConfig())
 
     def test_probe_task_file_round_trip(self, tmp_path):
         path = tmp_path / "task.tsv"

@@ -7,7 +7,7 @@ import sentsig.objectives
 from sentsig.encoder import ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng
-from sentsig.objectives import (PIPELINES, IndexedExamples, TrainConfig,
+from sentsig.objectives import (BUCKET_WIDTH, PIPELINES, IndexedExamples, TrainConfig,
                                 lockstep_groups, run_pipeline)
 from sentsig.synth import make_definition_corpus, make_nli_corpus
 
@@ -15,22 +15,24 @@ SEEDS = (3, 11, 4)
 
 
 def _world():
-    """Corpora whose batches are ragged: two length buckets, neither a multiple of the batch size."""
+    """Corpora whose texts fall in two length buckets; the NLI buckets' sizes are not multiples of the batch size."""
     rng = make_rng(61)
     world = dict(n_topics=4, words_per_topic=10)
     nli = (make_nli_corpus(rng, 37, sentence_len=3, **world)
            + make_nli_corpus(rng, 22, sentence_len=8, **world))
     defs = (make_definition_corpus(rng, sentence_len=3, per_word=1, **world)
-            + make_definition_corpus(rng, sentence_len=7, per_word=1, **world))
+            + make_definition_corpus(rng, sentence_len=9, per_word=1, **world))
     texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
              + [e.definition for e in defs] + [e.word for e in defs])
     vocab = build_vocab(texts)
-    return IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab), vocab
+    nli, defs = IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab)
+    for data in (nli, defs):
+        assert len(np.unique(data.lengths // BUCKET_WIDTH)) == 2
+    return nli, defs, vocab
 
 
 def _config(tied):
-    return TrainConfig(epochs=2, batch_size=5, bucket_width=3, base_lr=0.05, tied_head=tied,
-                       lr_decay="linear", nli_cycle=3, def_cycle=2)
+    return TrainConfig(epochs=2, batch_size=5, base_lr=0.05, tied_head=tied, nli_cycle=3, def_cycle=2)
 
 
 def _assert_same_result(together, alone):
@@ -67,7 +69,7 @@ def test_lockstep_batches_are_ragged_and_count_every_seed(monkeypatch):
             return real(batch, pooling, params, counts)
         monkeypatch.setattr(sentsig.objectives, name, recording)
     encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
-    config = TrainConfig(epochs=2, batch_size=5, bucket_width=3, nli_cycle=3, def_cycle=2)
+    config = TrainConfig(epochs=2, batch_size=5, nli_cycle=3, def_cycle=2)
     run_pipeline("multi", encoders, config, nli, defs, seeds=SEEDS)
     assert calls and all(size == sum(counts) and len(counts) == len(SEEDS) for size, counts in calls)
     assert any(len(set(counts)) > 1 for _, counts in calls)

@@ -23,6 +23,8 @@ from sentsig.encoder import MAX_TOKENS, MODEL_DTYPE, ScatterTerms, ToyEncoder, V
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng, mean_cross_entropies, softmax
 from sentsig.objectives import (
+    BUCKET_WIDTH,
+    WARMUP_FRACTION,
     Adam,
     BatchStream,
     IndexedExamples,
@@ -329,6 +331,7 @@ class TestAdam:
         p = rng.normal(size=5)
         g1, g2 = rng.normal(size=5), rng.normal(size=5)
         lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
+        assert (Adam.BETA1, Adam.BETA2, Adam.EPS) == (b1, b2, eps)
         expected = p.copy()
         m = np.zeros(5)
         v = np.zeros(5)
@@ -336,7 +339,7 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             expected -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        opt = adam_with({"p": p}, beta1=b1, beta2=b2, eps=eps)
+        opt = adam_with({"p": p})
         opt.step({"p": g1}, lr)
         opt.step({"p": g2}, lr)
         np.testing.assert_allclose(opt.params["p"], expected, atol=1e-12)
@@ -355,7 +358,7 @@ class TestAdam:
         expected = {k: p.copy() for k, p in params.items()}
         m = {k: np.zeros_like(p) for k, p in params.items()}
         v = {k: np.zeros_like(p) for k, p in params.items()}
-        opt = adam_with(params, beta1=b1, beta2=b2, eps=eps)
+        opt = adam_with(params)
         for t in range(1, 6):
             grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
             for k, g in grads.items():
@@ -387,8 +390,8 @@ class TestAdam:
         shapes = {"nli_W": (2, 3, 12), "nli_b": (2, 3), "table": (Adam.CHUNK // 16 + 7, 16),
                   "def_W": (5, 4), "def_bias": (2, 9)}
         initial = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        flat = adam_with(initial, beta1=0.8, beta2=0.99, eps=1e-7)
-        oracle = ParamAdam({name: p.copy() for name, p in initial.items()}, 0.8, 0.99, 1e-7)
+        flat = adam_with(initial)
+        oracle = ParamAdam({name: p.copy() for name, p in initial.items()})
         streams = [("nli_W", "nli_b", "table"), ("table", "def_W", "def_bias"), ("nli_b",),
                    ("def_bias", "nli_W")]
         for step in range(16):
@@ -530,13 +533,10 @@ class TestLrSchedule:
 
     def test_monotone_in_warmup_then_flat(self):
         values = [lr_at(s, 50, 1.0) for s in range(1, 51)]
-        warmup = math.ceil(0.1 * 50)
+        warmup = math.ceil(WARMUP_FRACTION * 50)
+        assert warmup == 5
         assert all(b >= a for a, b in zip(values[:warmup], values[1:warmup]))
         assert all(v == 1.0 for v in values[warmup:])
-
-    def test_linear_decay_option(self):
-        assert lr_at(100, 100, 2.0, decay="linear") == 0.0
-        assert lr_at(55, 100, 2.0, decay="linear") == pytest.approx(2.0 * 45 / 90)
 
     def test_step_out_of_range(self):
         with pytest.raises(InvalidInputError):
@@ -619,17 +619,18 @@ class TestSmartBatches:
                     for i in range(200)]
         lengths = IndexedExamples.nli(examples, build_vocab(["w"])).lengths
         assert lengths.tolist() == [len(tokenize(ex.premise)) for ex in examples]
-        for batch in smart_batches(lengths, 16, rng, bucket_width=8):
-            assert lengths[batch].max() - lengths[batch].min() <= 8
+        assert BUCKET_WIDTH == 8
+        for batch in smart_batches(lengths, 16, rng):
+            assert lengths[batch].max() - lengths[batch].min() < BUCKET_WIDTH
 
     def test_matches_per_example_bucketing_reference(self):
         # the reference buckets examples by tokenizing them, as batching did
         # before lengths were stored; both must draw the same permutations
-        def reference(examples, batch_size, rng, bucket_width):
+        def reference(examples, batch_size, rng):
             buckets = {}
             for i, ex in enumerate(examples):
                 length = max(len(tokenize(ex.premise)), len(tokenize(ex.hypothesis)))
-                buckets.setdefault(length // bucket_width, []).append(i)
+                buckets.setdefault(length // 8, []).append(i)
             batches = []
             for key in sorted(buckets):
                 idxs = buckets[key]
@@ -641,9 +642,10 @@ class TestSmartBatches:
         examples = [NliExample("w " * int(rng.integers(1, 30)), "w " * int(rng.integers(1, 30)),
                                "neutral") for _ in range(150)]
         lengths = IndexedExamples.nli(examples, build_vocab(["w"])).lengths
-        for width in (1, 4, 8):
-            got = smart_batches(lengths, 7, make_rng(width), bucket_width=width)
-            want = reference(examples, 7, make_rng(width), width)
+        assert len(set(lengths // BUCKET_WIDTH)) == 4  # lengths 1-29 span four buckets
+        for seed in (1, 4, 8):
+            got = smart_batches(lengths, 7, make_rng(seed))
+            want = reference(examples, 7, make_rng(seed))
             assert [b.tolist() for b in got] == want
 
     def test_deterministic_given_seed(self):
@@ -679,15 +681,14 @@ def train_sbert_loop(encoder, nli_data, config):
     data = indexed(nli_data, encoder)
     rng = make_rng(config.seed)
     params = zero_nli_params(encoder)
-    optimizer = ParamAdam(params, config.beta1, config.beta2, config.eps)
+    optimizer = ParamAdam(params)
     total_steps = config.epochs * batches_per_epoch(data.lengths, config)
     steps = []
     step = 0
     for _ in range(config.epochs):
-        for rows in smart_batches(data.lengths, config.batch_size, rng, config.bucket_width):
+        for rows in smart_batches(data.lengths, config.batch_size, rng):
             step += 1
-            lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
-                       config.lr_decay)
+            lr = lr_at(step, total_steps, config.base_lr)
             loss, grads = loss_one(nli_loss_and_grads, data.take(rows), encoder.pooling, params)
             optimizer.step(grads, lr)
             steps.append(StepRecord("nli", loss, lr))
@@ -699,15 +700,14 @@ def train_defsent_loop(encoder, def_data, config):
     data = _drop_oov_definitions(indexed(def_data, encoder))
     rng = make_rng(config.seed)
     params = zero_def_params(encoder, tied=config.tied_head)
-    optimizer = ParamAdam(params, config.beta1, config.beta2, config.eps)
+    optimizer = ParamAdam(params)
     total_steps = config.epochs * batches_per_epoch(data.lengths, config)
     steps = []
     step = 0
     for _ in range(config.epochs):
-        for rows in smart_batches(data.lengths, config.batch_size, rng, config.bucket_width):
+        for rows in smart_batches(data.lengths, config.batch_size, rng):
             step += 1
-            lr = lr_at(step, total_steps, config.base_lr, config.warmup_fraction,
-                       config.lr_decay)
+            lr = lr_at(step, total_steps, config.base_lr)
             loss, grads = loss_one(def_loss_and_grads, data.take(rows), encoder.pooling, params)
             optimizer.step(grads, lr)
             steps.append(StepRecord("def", loss, lr))
@@ -718,13 +718,14 @@ class TestTrainMatchesLoopOracle:
     """The one stream-scheduled loop reproduces the per-epoch loops bit for bit."""
 
     @staticmethod
-    def _world():
+    def _world(long):
+        """Texts of 3 words and of ``long`` words (one fewer for definitions)."""
         rng = make_rng(16)
         world = dict(n_topics=4, words_per_topic=10)
         nli = (make_nli_corpus(rng, 30, sentence_len=3, **world)
-               + make_nli_corpus(rng, 23, sentence_len=7, **world))
+               + make_nli_corpus(rng, 23, sentence_len=long, **world))
         defs = (make_definition_corpus(rng, sentence_len=3, per_word=1, **world)
-                + make_definition_corpus(rng, sentence_len=6, per_word=1, **world))
+                + make_definition_corpus(rng, sentence_len=long - 1, per_word=1, **world))
         defs.append(DefinitionExample("unseen", "t00w000 t00w001"))  # dropped as OOV
         texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
                  + [e.definition for e in defs] + [e.word for e in defs[:-1]])
@@ -734,14 +735,15 @@ class TestTrainMatchesLoopOracle:
     @pytest.mark.parametrize("bucketed", [True, False])
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
     def test_single_stream_bit_identical(self, pooling, bucketed, tied):
-        nli, defs, vocab = self._world()
-        # texts have at most 7 words, so a bucket 8 wide takes every example
-        config = TrainConfig(seed=5, epochs=2, batch_size=5, base_lr=0.05, bucket_width=2 if bucketed else 8,
-                             tied_head=tied, lr_decay="linear")
+        # texts of up to 7 words fall in one bucket, and texts of 3 and 9 or 10 words in two
+        nli, defs, vocab = self._world(10 if bucketed else 7)
+        config = TrainConfig(seed=5, epochs=2, batch_size=5, base_lr=0.05, tied_head=tied)
         for data, oracle, method in ((dict(nli_data=nli), train_sbert_loop, "sbert"),
                                      (dict(def_data=defs), train_defsent_loop, "defsent")):
             enc_loop = ToyEncoder.create(vocab, 4, pooling, seed=5)
             enc_train = ToyEncoder.create(vocab, 4, pooling, seed=5)
+            lengths = indexed(next(iter(data.values())), enc_train).lengths
+            assert len(np.unique(lengths // BUCKET_WIDTH)) == 1 + bucketed
             expected = oracle(enc_loop, next(iter(data.values())), config)
             [result] = run_pipeline(method, [enc_train], config, seeds=[config.seed],
                                     **{key: indexed(examples, enc_train) for key, examples in data.items()})

@@ -74,10 +74,10 @@ def test_adam_on_streamed_gradients_matches_adam_on_dense_ones(monkeypatch, stre
     rng = make_rng(71)
     data, loss = _data(rng, stream)
     initial = _params(rng, stream)
-    streamed = Adam({name: p.shape for name, p in initial.items()}, 0.8, 0.99, 1e-7)
+    streamed = Adam({name: p.shape for name, p in initial.items()})
     for name, p in initial.items():
         streamed.params[name][...] = p
-    dense = oracles.ParamAdam({name: p.copy() for name, p in initial.items()}, 0.8, 0.99, 1e-7)
+    dense = oracles.ParamAdam({name: p.copy() for name, p in initial.items()})
     zeros = 0
     for batch, counts in _lockstep_batches(rng, data, 6):
         losses, grads = loss(batch, pooling, streamed.params, counts)
