@@ -103,8 +103,7 @@ def save_checkpoint(path, encoder: ToyEncoder, heads: dict[str, np.ndarray] | No
         "train_config": dataclasses.asdict(train_config) if train_config else None,
     }
     with atomic_write(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _read_sidecar(path: Path, ref: dict, shape: tuple[int, ...]) -> np.ndarray:
@@ -165,10 +164,13 @@ def _parse(path: Path, payload: dict) -> Checkpoint:
     arrays = {name: _read_sidecar(path, refs[name], shape) for name, shape in _shapes(refs, V, dim).items()}
     encoder = ToyEncoder(vocab, arrays.pop("table"), pooling=payload["pooling"], name=path.stem)
     config = payload["train_config"]
-    if config is not None:  # every field: a checkpoint's train_config is its whole recipe
-        for f in dataclasses.fields(TrainConfig):
-            if f.name not in config:
-                raise KeyError(f"train_config.{f.name}")
+    if config is not None:  # every field and no other: a checkpoint's train_config is its whole recipe
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        for name in [*names, *config]:
+            if name not in config:
+                raise KeyError(f"train_config.{name}")
+            if name not in names:
+                raise InvalidInputError(f"unknown field 'train_config.{name}'")
         config = TrainConfig(**config)
     return Checkpoint(encoder=encoder, heads=arrays, train_config=config)
 

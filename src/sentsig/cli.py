@@ -168,8 +168,7 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
 
 def _write_json(path: Path, obj) -> None:
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _provider(paths: list[str], mode: str | None, token_cache: TokenCache):

@@ -151,13 +151,13 @@ def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray, golds: np.ndarra
                    bounds: np.ndarray) -> tuple:
     """The softmax classifier both losses put over their features, seed by seed.
 
-    Seed k's rows ``bounds[k]:bounds[k + 1]`` of the features X (B x f) go
-    through its weights W[k] (classes x f) and its bias b[k]; a row-wise
-    softmax of the logits gives G = P - onehot(golds).  Returns (each seed's
-    mean cross-entropy, G, dX = G W, db), where db[k], the bias gradient, is
-    the column sums of seed k's rows of G over their count, all in X's
-    dtype.  The weights' gradient is each loss's own: a
-    dense product for NLI, a :class:`TableGradient` for the definition head.
+    Seed k's n_k rows ``bounds[k]:bounds[k + 1]`` of the features X (B x f)
+    go through its weights W[k] (classes x f) and its bias b[k]; a row-wise
+    softmax of the logits gives P, and G = (P - onehot(golds)) / n_k, so every
+    gradient made from G is a mean.  Returns (each seed's mean cross-entropy,
+    G, dX = G W, db), db[k] being the column sums of seed k's rows of G (the
+    bias gradient), all in X's dtype.  The weights' gradient is each loss's
+    own: a dense product for NLI, a :class:`TableGradient` for the definition head.
     """
     m = X.shape[0]
     blocks = list(enumerate(zip(bounds[:-1], bounds[1:])))
@@ -165,25 +165,25 @@ def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray, golds: np.ndarra
     for k, (lo, hi) in blocks:
         np.matmul(X[lo:hi], W[k].T, out=logits[lo:hi])
         logits[lo:hi] += b[k]
-    G = softmax(logits, out=logits)  # P now; P - onehot(gold) after the loss is read
+    G = softmax(logits, out=logits)  # P now; G after the loss is read
     losses = mean_cross_entropies(G, golds, bounds.tolist())
     G[np.arange(m), golds] -= 1.0
     db = np.empty_like(b)
     dX = np.empty_like(X)
     for k, (lo, hi) in blocks:
+        G[lo:hi] /= int(hi - lo)  # a Python int divides float32 in float32
         np.sum(G[lo:hi], axis=0, out=db[k])
         np.matmul(G[lo:hi], W[k], out=dX[lo:hi])
-    db /= (bounds[1:] - bounds[:-1])[:, None]
     return losses, G, dX, db
 
 
 class TableGradient:
     """The gradient of a stacked (seeds·V, d) table, made a range of rows at a time.
 
-    Seed k's block of V rows is (G_k^T S_k + the pooling's terms) / n_k,
-    summed in that order: ``head`` = (G, S) holds the softmax gradients and
-    the pooled rows of every seed's examples, seed k's at rows
-    ``bounds[k]:bounds[k + 1]``, and n_k is their count.  Without ``head``
+    Seed k's block of V rows is G_k^T S_k + the pooling's terms, summed in
+    that order: ``head`` = (G, S) holds the softmax gradients (means, see
+    :func:`_softmax_heads`) and pooled rows of every seed's examples, which
+    ``bounds`` splits per seed for the head products.  Without ``head``
     the sum starts at +0.0 (a table that only the pooling reaches), and
     without ``terms`` (a :class:`ScatterTerms`) it is the head product alone
     (the weights of an untied head).  :meth:`fill` makes any range of rows,
@@ -211,8 +211,6 @@ class TableGradient:
                 self._head_rows(k, a - k * n, b - k * n, out[a - lo : b - lo])
         if self.terms is not None:
             self.terms.add_to(out, lo)
-        for k, a, b in blocks:  # a Python int divides float32 in float32
-            out[a - lo : b - lo] /= int(self.bounds[k + 1] - self.bounds[k])
 
     def _head_rows(self, k: int, r0: int, r1: int, out: np.ndarray) -> None:
         """Rows ``r0:r1`` of G_k^T S_k, rounded as the product of the whole block rounds them."""
@@ -242,8 +240,8 @@ def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
 
     One pooling call embeds premises and hypotheses as U and V (B x d); the
     feature F = [U; V; |U - V|] (B x 3d) goes through each seed's head
-    (:func:`_softmax_heads`), which gives G = P - onehot(gold), the bias
-    gradient and G W for F.  The gradient of W is G^T F, and the pooling's
+    (:func:`_softmax_heads`), which gives G = (P - onehot(gold)) / n_k, the
+    bias gradient and G W for F.  The gradient of W is G^T F, and the pooling's
     scatter terms route F's back into the table.  The absolute-value feature
     uses subgradient 0 at exact zeros.  Pooling, the softmax and the scatter
     run once for all seeds and the head products on each seed's own rows,
@@ -266,7 +264,6 @@ def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
     grads = {"nli_W": np.empty_like(W), "nli_b": db}
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         np.matmul(G[lo:hi].T, F[lo:hi], out=grads["nli_W"][k])
-    grads["nli_W"] /= (bounds[1:] - bounds[:-1])[:, None, None]
     dabs = np.sign(diff) * dF[:, 2 * d :]
     dpooled = np.empty_like(pooled)
     np.add(dF[:, :d], dabs, out=dpooled[:m])
@@ -288,7 +285,7 @@ def def_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
 
     The head runs once per batch: the pooled definitions, stacked into
     S (B x d), go through each seed's head (:func:`_softmax_heads`), which
-    gives G = P - onehot(gold), the bias gradient and G W for S.  The
+    gives G = (P - onehot(gold)) / n_k, the bias gradient and G W for S.  The
     weights' gradient is G^T S, and the pooling's scatter terms route S's
     back into the table.  Every headword must be a
     vocabulary entry.  With a tied head the table gradient sums the
@@ -336,22 +333,26 @@ class Adam:
     each chunk's gradient is written into one chunk-sized scratch and its
     temporaries into another, so a step allocates nothing table-sized.
 
-    The buffers, the scratch and so every update have the ``dtype`` given:
-    training holds its model in float32 (:data:`~sentsig.encoder.MODEL_DTYPE`).
-    Every caller uses the hyperparameters of Kingma & Ba (2015), ``BETA1``,
-    ``BETA2`` and ``EPS``.
+    The buffers, the scratch and so every update have the ``dtype`` given
+    (training's is float32, :data:`~sentsig.encoder.MODEL_DTYPE`).  ``m`` and
+    ``v`` hold Kingma & Ba's (2015) moments as the running sums m̃ = m / (1 -
+    BETA1) and ṽ = v / (1 - BETA2), so their update lr·m̂ / (√v̂ + EPS) is
+    c1·m̃ / (√ṽ + EPS / c2) (their §2, end), c2 = √((1 - BETA2) / (1 - BETA2^t))
+    and c1 = lr·(1 - BETA1) / ((1 - BETA1^t)·c2) being Python floats, which
+    keep float32 in float32: 10 elementwise passes a chunk, equal to the
+    textbook update up to rounding.  A step that overflows leaves inf or NaN
+    in the parameters without a numpy warning, for callers' checks to report.
 
     A moment entry that gets no gradient decays by its beta each step, and
     below its dtype's ``tiny`` the decay of the smallest subnormals rounds
     back to themselves: the entry never reaches 0, and every later step does
     slow subnormal arithmetic on it.  So every ``FLUSH_EVERY``-th step of a
-    parameter ends by zeroing its moment entries below ``tiny``.  The updates
-    they would still make are below ``tiny / EPS`` times the learning rate,
-    which vanishes against any parameter not itself near 0.
+    parameter zeroes its moment entries below ``tiny``, whose updates are below
+    ``tiny / EPS`` times the learning rate: nothing against a parameter not near 0.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-    CHUNK = 1 << 15  # elements per pass: a chunk of the five arrays stays in cache
+    CHUNK = 1 << 16  # elements per pass: a chunk of the five arrays stays in cache
     FLUSH_EVERY = 1000  # steps of a parameter between flushes of its subnormal moments
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
@@ -371,13 +372,16 @@ class Adam:
             flat[...] = 0.0
         self.t = dict.fromkeys(self.t, 0)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, grads: dict[str, np.ndarray | TableGradient], lr: float) -> None:
         for name, g in grads.items():
             shape = self.params[name].shape
             if g.shape != shape:
                 raise InvalidInputError(
                     f"gradient shape {g.shape} does not match parameter {name} {shape}")
-            self.t[name] += 1
+            t = self.t[name] = self.t[name] + 1
+            c2 = math.sqrt((1.0 - self.BETA2) / (1.0 - self.BETA2 ** t))
+            c1 = lr * (1.0 - self.BETA1) / ((1.0 - self.BETA1 ** t) * c2)
             start, row = self._starts[name], math.prod(shape[1:])
             n_rows = shape[0] if shape else 1
             per_chunk = max(1, self.CHUNK // row)
@@ -388,25 +392,20 @@ class Adam:
                     g.fill(r0, r1, out.reshape(r1 - r0, row))
                 else:
                     out[...] = g.reshape(-1)[r0 * row : r1 * row]
-                self._update(slice(start + r0 * row, start + r1 * row), self.t[name], lr)
+                self._update(slice(start + r0 * row, start + r1 * row), t, c1, self.EPS / c2)
 
-    def _update(self, sl: slice, t: int, lr: float) -> None:
+    def _update(self, sl: slice, t: int, c1: float, eps: float) -> None:
         p, m, v = (flat[sl] for flat in self._flat)
         g, s = self._scratch[0, : sl.stop - sl.start], self._scratch[1, : sl.stop - sl.start]
         m *= self.BETA1
-        np.multiply(g, 1.0 - self.BETA1, out=s)
-        m += s
+        m += g
         v *= self.BETA2
         np.square(g, out=s)
-        s *= 1.0 - self.BETA2
         v += s
-        # p -= lr * m_hat / (sqrt(v_hat) + EPS), with m_hat = m / (1 - BETA1^t)
-        # and v_hat = v / (1 - BETA2^t)
-        np.divide(v, 1.0 - self.BETA2 ** t, out=s)
-        np.sqrt(s, out=s)
-        s += self.EPS
+        np.sqrt(v, out=s)
+        s += eps
         np.divide(m, s, out=s)
-        s *= lr / (1.0 - self.BETA1 ** t)
+        s *= c1
         p -= s
         if t % self.FLUSH_EVERY == 0:
             for moment in (m, v):

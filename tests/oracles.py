@@ -1,5 +1,7 @@
 """Earlier implementations, kept verbatim as oracles for the code that replaced them."""
 
+import math
+
 import numpy as np
 
 from sentsig.errors import InvalidInputError
@@ -9,7 +11,9 @@ class ParamAdam:
     """Adam with one set of buffers per parameter, updating the given arrays in place.
 
     The optimizer before the flat buffer: each parameter named in a step runs
-    the 13 elementwise passes on its own, with its own step counter.
+    the per-element update of :class:`sentsig.objectives.Adam` on its own,
+    whole and with its own step counter.  It is the oracle of the flat
+    buffer's chunking, streaming and step counts, not of Adam's formula.
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -30,21 +34,20 @@ class ParamAdam:
                     f"gradient shape {g.shape} does not match parameter {name} {p.shape}")
             self.t[name] += 1
             t = self.t[name]
+            c2 = math.sqrt((1.0 - self.beta2) / (1.0 - self.beta2 ** t))
+            c1 = lr * (1.0 - self.beta1) / ((1.0 - self.beta1 ** t) * c2)
             m = self.m[name]
             v = self.v[name]
             s = self._scratch[name]
             m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s)
-            m += s
+            m += g
             v *= self.beta2
             np.multiply(g, g, out=s)
-            s *= 1.0 - self.beta2
             v += s
-            np.divide(v, 1.0 - self.beta2 ** t, out=s)
-            np.sqrt(s, out=s)
-            s += self.eps
+            np.sqrt(v, out=s)
+            s += self.eps / c2
             np.divide(m, s, out=s)
-            s *= lr / (1.0 - self.beta1 ** t)
+            s *= c1
             p -= s
 
 
@@ -87,8 +90,8 @@ def dense_table_gradient(shape, bounds, head, pooling, index, argmax_rows, grad_
     """A loss's table gradient as it was written before it was streamed through Adam.
 
     Each seed's block of rows starts as G_k^T S_k (one product of the whole
-    block) or +0.0 without a head, the pooling's terms go in with one
-    unbuffered np.add.at, and each block is divided by its example count.
+    block) or +0.0 without a head, and the pooling's terms go in with one
+    unbuffered np.add.at.
     """
     grad = np.zeros(shape)
     blocks = grad.reshape(len(bounds) - 1, -1, shape[1])
@@ -97,5 +100,4 @@ def dense_table_gradient(shape, bounds, head, pooling, index, argmax_rows, grad_
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             np.matmul(G[lo:hi].T, S[lo:hi], out=blocks[k])
     pool_backward_add_at(pooling, index, argmax_rows, grad_out, grad)
-    blocks /= np.diff(bounds).astype(np.float64)[:, None, None]
     return grad

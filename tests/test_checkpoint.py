@@ -89,7 +89,7 @@ class TestRoundTrip:
         # the settings that became constants: a recipe that sets one is not this code's recipe
         _save(tmp_path / "ckpt.json", tied=True)
         _edit_json(tmp_path / "ckpt.json", lambda d: d["train_config"].update({key: 1}))
-        with pytest.raises(InvalidInputError, match=re.escape(f"unexpected keyword argument '{key}'")):
+        with pytest.raises(InvalidInputError, match=re.escape(f"unknown field 'train_config.{key}'")):
             load_checkpoint(tmp_path / "ckpt.json")
 
     def test_float64_arrays_saved_rounded_to_float32(self, tmp_path):

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -370,6 +371,20 @@ class TestTrainCommand:
         assert run(["train", "--method", "defsent", "--seed", 0, "--out", out,
                     "--config", _config(data)]) == 2
         assert "NaN or Inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_adam_step_exit_2_without_numpy_warning(self, data, capsys):
+        # the first update overflows float32; the next loss call rejects the
+        # non-finite table, and the update itself warns of nothing
+        cfg = data["root"] / "huge-lr.ini"
+        cfg.write_text(f"[data]\nnli = {data['nli']}\n\n[train]\ndim = 6\nbase_lr = 1e308\n")
+        out = data["root"] / "huge-lr"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--method", "sbert", "--seed", 0, "--out", out, "--config", cfg]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NaN or Inf" in err
         assert not out.exists()
 
 

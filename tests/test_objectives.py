@@ -370,8 +370,8 @@ class TestAdam:
             opt.step(grads, lr)
         for k in params:
             np.testing.assert_allclose(opt.params[k], expected[k], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(opt.m[k], m[k], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(opt.v[k], v[k], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(opt.m[k], m[k] / (1 - b1), rtol=1e-14, atol=0)  # the running sums
+            np.testing.assert_allclose(opt.v[k], v[k] / (1 - b2), rtol=1e-14, atol=0)
 
     def test_shape_mismatch(self):
         opt = Adam({"p": (2,)})
@@ -455,6 +455,29 @@ class TestAdam:
             np.testing.assert_array_equal(flat.m[name], 0.0)
             np.testing.assert_array_equal(flat.v[name], oracle.v[name])
             np.testing.assert_array_equal(flat.params[name].view(np.int32), oracle.params[name].view(np.int32))
+
+    def test_float32_update_stays_close_to_the_float64_textbook_update(self):
+        # 200 warmup-scheduled steps on gradients from 1e-10 to 1e2, so some
+        # entries' steps are ruled by EPS / c2 and some by the moments; each
+        # entry moves as the float64 textbook update moves it, to within 2 %,
+        # and the moments are its m / (1 - beta1) and v / (1 - beta2)
+        rng = make_rng(26)
+        shape, steps, b1, b2, eps = (9, 40), 200, 0.9, 0.999, 1e-8
+        scales = 10.0 ** rng.integers(-10, 3, size=shape)
+        initial = rng.normal(size=shape).astype(np.float32)
+        opt = adam_with({"w": initial}, dtype=np.float32)
+        p, m, v = initial.astype(np.float64), np.zeros(shape), np.zeros(shape)
+        for t in range(1, steps + 1):
+            g = (rng.normal(size=shape) * scales).astype(np.float32)
+            lr = lr_at(t, steps, 1e-2)
+            opt.step({"w": g}, lr)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * np.square(g, dtype=np.float64)
+            p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        assert opt.params["w"].dtype == np.float32
+        np.testing.assert_allclose(opt.params["w"] - initial.astype(np.float64), p - initial, rtol=0.02, atol=0)
+        np.testing.assert_allclose(opt.m["w"], m / (1 - b1), rtol=1e-4, atol=0)
+        np.testing.assert_allclose(opt.v["w"], v / (1 - b2), rtol=1e-4, atol=0)
 
     def test_params_are_views_of_one_buffer(self):
         opt = Adam({"a": (2, 3), "b": (4,)})
