@@ -33,7 +33,8 @@ from .corpus import Partition, load_definitions, load_nli, load_sts, partition_b
 from .corpus import dice  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
 from .encoder import POOLINGS, EmbeddingStore, TokenCache, ToyEncoder, build_vocab, load_dump, save_dump
 from .errors import InvalidInputError, SentsigError
-from .evalsuite import ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task, probe_results_to_markdown
+from .evalsuite import (ProbeConfig, StsReport, aggregate_seeds, eval_probe, eval_sts_partitioned, load_probe_task,
+                        probe_features, probe_results_to_markdown)
 from .fileio import atomic_write
 from .objectives import PIPELINES, IndexedExamples, TrainConfig, lockstep_groups, method_datasets, run_pipeline, stream_pattern
 
@@ -384,8 +385,9 @@ def cmd_eval(args, cfg: ExperimentConfig, out: Path) -> dict:
     """``eval`` scores the given providers; ``combine-eval`` scores --a/--b combinations.
 
     Every input is read and checked before the first provider loads.  Then
-    each provider (one path, or one --a/--b pair) is built, scored on STS and
-    on every probe, and dropped before the next one loads.
+    each provider (one path, or one --a/--b pair) is built, scored on STS,
+    embeds every probe's sentences and is dropped before the next one loads;
+    after the last, one :func:`eval_probe` call per probe fits them all.
     """
     if args.command == "combine-eval":
         if len(args.a) != len(args.b):
@@ -402,13 +404,15 @@ def cmd_eval(args, cfg: ExperimentConfig, out: Path) -> dict:
         if name in names[:i]:  # the two would share one report row
             raise InvalidInputError(
                 f"probe files {args.probe[names.index(name)]} and {args.probe[i]} are both task {name!r}")
+    for task in tasks:
+        task.folds()  # a class too small for the folds fails before any provider loads
     if partition is None and not tasks:
         raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir, --probe or [data] sts")
     # every sentence is tokenized once, and indexed once per distinct vocabulary
     token_cache = TokenCache()
     # per provider: what was embedded for STS and each probe, and the skipped subsets
     embedding, reports = [], []
-    accuracies = {task.name: [] for task in tasks}
+    features = {task.name: [] for task in tasks}  # each provider's probe rows
     for i, (paths, mode) in enumerate(specs):
         provider = _provider(paths, mode, token_cache)
         record = {"provider": provider.name, "sts": None, "probes": {}}
@@ -419,10 +423,12 @@ def cmd_eval(args, cfg: ExperimentConfig, out: Path) -> dict:
                                  for e in reports[-1].entries if e.spearman_x100 is None]
         for task in tasks:
             counts = record["probes"][task.name] = {}
-            accuracies[task.name].append(eval_probe(provider, task, cfg.probe, embedded=counts))
+            features[task.name].append(probe_features(provider, task, embedded=counts))
         embedding.append(record)
         del provider  # before the next one loads
+    del token_cache  # with the vocabulary its indexes are keyed by, before the probes fit
     sts_report = reports[0] if len(reports) == 1 else aggregate_seeds(reports) if reports else None
+    accuracies = {task.name: eval_probe(features.pop(task.name), task, cfg.probe) for task in tasks}
     probe_results = {name: {
         "accuracy_x100_mean": 100.0 * sum(values) / len(values),
         "per_provider_x100": [100.0 * a for a in values],

@@ -359,20 +359,21 @@ class ToyEncoder:
 
 
 class EmbeddingStore:
-    """Fixed-dimension vectors keyed by exact sentence text."""
+    """Fixed-dimension vectors keyed by exact sentence text: rows of one float64 matrix."""
 
     def __init__(self, dim: int, name: str = "store"):
         if dim < 1:
             raise InvalidInputError("embedding dimension must be >= 1")
         self.dim = dim
         self.name = name
-        self._vectors: dict[str, np.ndarray] = {}
+        self._row_of: dict[str, int] = {}  # in the order the rows were added
+        self._rows = np.empty((0, dim))  # its first len(self) rows are in use
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._row_of)
 
     def __contains__(self, sentence: str) -> bool:
-        return sentence in self._vectors
+        return sentence in self._row_of
 
     def add(self, sentence: str, vector) -> None:
         if "\t" in sentence or "\n" in sentence:
@@ -382,39 +383,43 @@ class EmbeddingStore:
             raise InvalidInputError(f"vector has dim {v.shape}, store expects ({self.dim},)")
         if not np.isfinite(v).all():
             raise InvalidInputError("vector holds NaN or Inf")
-        if sentence in self._vectors:
+        if sentence in self._row_of:
             raise InvalidInputError(f"duplicate sentence in store: {sentence!r}")
-        self._vectors[sentence] = v
+        if len(self) == len(self._rows):  # full: double the rows
+            self._rows = np.concatenate([self._rows, np.empty((max(8, len(self)), self.dim))])
+        self._rows[len(self)] = v
+        self._row_of[sentence] = len(self._row_of)
 
     def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
         """The stored rows of the sentences, stacked; an unknown one raises MissingEmbeddingError."""
-        out = np.empty((len(sentences), self.dim))
-        for i, sentence in enumerate(sentences):
-            try:
-                out[i] = self._vectors[sentence]
-            except KeyError:
-                raise MissingEmbeddingError(sentence) from None
-        return out
+        try:
+            rows = [self._row_of[sentence] for sentence in sentences]
+        except KeyError as exc:
+            raise MissingEmbeddingError(exc.args[0]) from None
+        return self._rows[rows] if rows else np.zeros((0, self.dim))
 
     def embed(self, sentence: str) -> np.ndarray:
         return self.embed_batch([sentence])[0]
 
     def items(self):
-        return self._vectors.items()
+        """(sentence, row) pairs in the order they were added."""
+        return zip(self._row_of, self._rows)
 
 
 def save_dump(store: EmbeddingStore, path) -> None:
     """Write a store as a text dump (atomically); floats use shortest round-trip decimals."""
     with atomic_write(path) as fh:
         fh.write(f"dim={store.dim}\n")
-        for sentence, vec in store.items():
-            fh.write(sentence)
-            fh.write("\t")
-            fh.write(" ".join(repr(float(x)) for x in vec))
-            fh.write("\n")
+        for sentence, row in store.items():
+            fh.write(f"{sentence}\t{' '.join(map(repr, row.tolist()))}\n")
 
 
 def load_dump(path) -> EmbeddingStore:
+    """The store a dump holds; :class:`ParseError` names the first bad line, as a row-by-row load would.
+
+    Each line's columns and value count are checked as its values go through ``float`` into one
+    float64 buffer; finiteness and repeated sentences are then checked over the rows read.
+    """
     path = Path(path)
     lines = read_lines(path)
     line_no, header = next(lines, (1, ""))
@@ -427,20 +432,34 @@ def load_dump(path) -> EmbeddingStore:
     except ValueError:
         raise ParseError(path, 1, f"malformed dimension in header: {header!r}") from None
     store = EmbeddingStore(dim, name=path.stem)
+    sentences, values, bad = [], array.array("d"), None
     for line_no, line in lines:
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ParseError(path, line_no, "expected '<sentence>\\t<floats>'")
-        sentence, numbers = parts
-        fields = numbers.split()
+            bad = line_no, "expected '<sentence>\\t<floats>'"
+            break
+        fields = parts[1].split()
         if len(fields) != dim:
-            raise ParseError(path, line_no, f"expected {dim} values, got {len(fields)}")
+            bad = line_no, f"expected {dim} values, got {len(fields)}"
+            break
         try:
-            vec = np.array([float(x) for x in fields], dtype=np.float64)
+            values.extend(map(float, fields))
         except ValueError:
-            raise ParseError(path, line_no, "non-numeric embedding value") from None
-        try:
-            store.add(sentence, vec)
-        except InvalidInputError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
+            bad = line_no, "non-numeric embedding value"
+            break
+        sentences.append(parts[0])
+    rows = np.frombuffer(values, dtype=np.float64)[: len(sentences) * dim].reshape(-1, dim)
+    row_of = dict(zip(sentences, range(len(sentences))))
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all() or len(row_of) < len(sentences):
+        seen = set()
+        for i, sentence in enumerate(sentences):
+            if not finite[i] or sentence in seen:
+                message = "vector holds NaN or Inf" if not finite[i] else f"duplicate sentence in store: {sentence!r}"
+                bad = next(itertools.islice(read_lines(path), i + 1, None))[0], message  # the header is line 0
+                break
+            seen.add(sentence)
+    if bad:
+        raise ParseError(path, *bad)
+    store._row_of, store._rows = row_of, rows
     return store

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -223,6 +224,15 @@ class ProbeTask:
         index = {label: i for i, label in enumerate(self.class_labels())}
         return np.array([index[label] for _, label in self.examples], dtype=np.int64)
 
+    def folds(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """Each fold's training rows (ascending), test rows and seed; every class needs ``PROBE_FOLDS`` examples."""
+        if np.bincount(self.label_indices()).min() < PROBE_FOLDS:
+            raise InvalidInputError(f"every class needs >= {PROBE_FOLDS} examples for {PROBE_FOLDS}-fold CV")
+        rng = make_rng(PROBE_SEED)
+        tests = kfold_split(len(self.examples), PROBE_FOLDS, rng)
+        seeds = rng.integers(0, 2**63 - 1, size=PROBE_FOLDS).tolist()
+        return [(np.setdiff1d(np.arange(len(self.examples)), test), test, seed) for test, seed in zip(tests, seeds)]
+
 
 # SentEval's protocol (Conneau & Kiela 2018): 10-fold cross-validation; the
 # folds and each fold's minibatch order come from one seeded rng
@@ -267,94 +277,119 @@ def kfold_split(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def logreg_logits(params: dict[str, np.ndarray], features: np.ndarray) -> np.ndarray:
-    """Each fold's logits: ``params`` holds ``W`` (folds, classes, dim) and ``b`` (folds, classes).
+    """Each model's logits: ``params`` holds ``W`` (..., classes, dim) and ``b`` (..., classes).
 
-    Fold f scores the rows of ``features[f]``; features are (folds, m, dim).
-    Stacked products round each fold's entries exactly as its own 2-D product does.
+    Model ``i`` scores ``features[i]`` (..., m, dim), each entry rounded as its own 2-D product rounds it.
     """
-    return features @ params["W"].transpose(0, 2, 1) + params["b"][:, None, :]
+    return features @ np.swapaxes(params["W"], -1, -2) + params["b"][..., None, :]
 
 
 def _logreg_grads(params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of each fold's mean softmax cross-entropy over its batch.
+    """Gradients of each model's mean softmax cross-entropy over its batch: ``X`` (..., m, dim), ``y`` (..., m).
 
-    ``X`` is (folds, m, dim) and ``y`` (folds, m).
+    Every entry rounds as the textbook form does: the class max is exact in any order, the
+    exp-sum over classes is numpy's own reduce, and the batch mean is a sum divided once.
     """
-    logits = logreg_logits(params, X)
-    logits -= logits.max(axis=2, keepdims=True)
-    e = np.exp(logits)
-    g = e / e.sum(axis=2, keepdims=True)
-    m = X.shape[1]
-    g[np.arange(X.shape[0])[:, None], np.arange(m), y] -= 1.0
-    return {"W": g.transpose(0, 2, 1) @ X / m, "b": g.mean(axis=1)}
+    g = logreg_logits(params, X)
+    top = g[..., 0].copy()
+    for c in range(1, g.shape[-1]):
+        np.maximum(top, g[..., c], out=top)
+    g -= top[..., None]
+    np.exp(g, out=g)
+    g /= g.sum(axis=-1, keepdims=True)
+    m, classes = X.shape[-2], g.shape[-1]
+    g.reshape(-1)[np.arange(y.size) * classes + y.reshape(-1)] -= 1.0  # the one-hot
+    grads = {"W": np.swapaxes(g, -1, -2) @ X, "b": g.sum(axis=-2)}
+    for grad in grads.values():
+        grad /= m
+    return grads
 
 
-def train_logreg(features: np.ndarray, labels: np.ndarray, config: ProbeConfig,
-                 n_classes: int, seeds) -> dict[str, np.ndarray]:
-    """Minibatch-Adam softmax regression on frozen features, zero-initialized.
+def train_logreg(features: np.ndarray, labels: np.ndarray, train_rows: Sequence[np.ndarray],
+                 config: ProbeConfig, n_classes: int, seeds) -> dict[str, np.ndarray]:
+    """Minibatch-Adam softmax regression on frozen features: one zero-initialized model per (provider, fold).
 
-    (folds, m, dim) features with (folds, m) labels train one model per fold
-    as a stack, and ``seeds`` holds one seed per fold: each fold draws its
-    own order of minibatches of ``PROBE_BATCH_SIZE`` rows from its own rng,
-    exactly as a fit of that fold alone would.  The result is the optimizer's parameters ``W`` and ``b``
-    (see :func:`logreg_logits`); a step that leaves them non-finite ends
-    the fit with an error, as the learning rate was too large.
+    ``features`` (providers, n, dim) holds each provider's rows, ``labels`` (n,) their classes.
+    Fold ``f`` fits each provider on the rows ``train_rows[f]`` in minibatches of ``PROBE_BATCH_SIZE``
+    drawn from the rng of ``seeds[f]``, as a fit of that fold alone would.  The folds of one
+    training-set size step as one stack, with their own Adam step counts, on batches gathered from
+    ``features`` by (provider, row).  The result holds ``W`` (providers, folds, classes, dim) and
+    ``b`` (providers, folds, classes); a step leaving them non-finite ends the fit with an error.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 3 or y.shape != X.shape[:2]:
+    if X.ndim != 3 or y.shape != X.shape[1:2]:
         raise InvalidInputError("features and labels disagree in shape")
-    folds, n, dim = X.shape
+    providers, n, dim = X.shape
     seeds = np.asarray(seeds)
-    if seeds.shape != (folds,):
-        raise InvalidInputError(f"{folds} fold(s) need as many seeds, got {seeds.size}")
-    if any(np.unique(fold_labels).size < 2 for fold_labels in y):
+    if seeds.shape != (len(train_rows),):
+        raise InvalidInputError(f"{len(train_rows)} fold(s) need as many seeds, got {seeds.size}")
+    if any(np.unique(y[rows]).size < 2 for rows in train_rows):
         raise InvalidInputError("training data contains a single class")
-    optimizer = Adam({"W": (folds, n_classes, dim), "b": (folds, n_classes)})
+    sizes = [len(rows) for rows in train_rows]
+    groups = [[f for f, s in enumerate(sizes) if s == size] for size in dict.fromkeys(sizes)]
+    names = [(f"W{g}", f"b{g}") for g in range(len(groups))]
+    optimizer = Adam({**{w: (providers, len(folds), n_classes, dim) for (w, _), folds in zip(names, groups)},
+                      **{b: (providers, len(folds), n_classes) for (_, b), folds in zip(names, groups)}})
     params = optimizer.params
     rngs = [make_rng(s) for s in seeds]
-    stack = np.arange(folds)[:, None]
+    flat_X, flat_y = X.reshape(-1, dim), np.tile(y, providers)  # row r of provider p at p·n + r
     # a step that overflows is caught by the finiteness check after it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
-            order = np.stack([rng.permutation(n) for rng in rngs])
-            for start in range(0, n, PROBE_BATCH_SIZE):
-                idx = order[:, start : start + PROBE_BATCH_SIZE]
-                optimizer.step(_logreg_grads(params, X[stack, idx], y[stack, idx]), config.lr)
+            # each group's (provider, fold, position) -> flat row of this epoch's batch order
+            orders = [np.arange(0, flat_y.size, n)[:, None, None]
+                      + np.stack([train_rows[f][rngs[f].permutation(sizes[f])] for f in folds]) for folds in groups]
+            for start in range(0, max(sizes), PROBE_BATCH_SIZE):
+                grads = {}
+                for (w, b), rows in zip(names, orders):
+                    if start < rows.shape[2]:
+                        idx = rows[..., start : start + PROBE_BATCH_SIZE]
+                        batch = _logreg_grads({"W": params[w], "b": params[b]}, np.take(flat_X, idx, axis=0),
+                                              flat_y[idx])
+                        grads[w], grads[b] = batch["W"], batch["b"]
+                optimizer.step(grads, config.lr)
                 if not all(np.isfinite(p).all() for p in params.values()):
                     raise InvalidInputError("the probe diverged to non-finite weights; lower [probe] lr")
-    return params
+    order = np.argsort(np.concatenate(groups))  # each fold's place among the groups' models
+    return {k: np.concatenate([params[f"{k}{g}"] for g in range(len(groups))], axis=1)[:, order] for k in "Wb"}
 
 
-def eval_probe(provider: EmbeddingProvider, task: ProbeTask, config: ProbeConfig,
-               embedded: dict | None = None) -> float:
-    """``PROBE_FOLDS``-fold cross-validation accuracy of a probe over frozen embeddings.
+def probe_features(provider: EmbeddingProvider, task: ProbeTask, embedded: dict | None = None) -> np.ndarray:
+    """The (n, d) rows of ``task``'s sentences, in order, for :func:`eval_probe`; ``embedded`` gets the counts.
 
-    The distinct sentences are embedded in one ``embed_batch`` call; an
-    ``embedded`` dict receives the counts (see :func:`_embed_distinct`).
-    The folds of one size (there are at most two sizes) train as one stacked
-    :func:`train_logreg` fit.
+    The distinct sentences are embedded in one ``embed_batch`` call.  Rows that float32 holds exactly,
+    as a float32 model's always are, come back in float32: a command keeping many providers' rows keeps half.
     """
-    n = len(task.examples)
-    labels = task.label_indices()
-    counts = np.bincount(labels)
-    if counts.min() < PROBE_FOLDS:
-        raise InvalidInputError(
-            f"every class needs >= {PROBE_FOLDS} examples for {PROBE_FOLDS}-fold CV")
     rows, slots = _embed_distinct(provider, [text for text, _ in task.examples], embedded)
-    X = rows[slots]
-    rng = make_rng(PROBE_SEED)
-    folds = kfold_split(n, PROBE_FOLDS, rng)
-    fold_seeds = rng.integers(0, 2**63 - 1, size=PROBE_FOLDS)
-    correct = 0
-    for size in dict.fromkeys(map(len, folds)):
-        group = [i for i, fold in enumerate(folds) if len(fold) == size]
-        test = np.stack([folds[i] for i in group])
-        train = np.stack([np.setdiff1d(np.arange(n), fold) for fold in test])  # ascending rows
-        params = train_logreg(X[train], labels[train], config, int(labels.max()) + 1,
-                              fold_seeds[group])
-        correct += int((logreg_logits(params, X[test]).argmax(axis=-1) == labels[test]).sum())
-    return correct / n
+    rows = rows if len(rows) == len(slots) else rows[slots]  # distinct sentences embed in order
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, and the rows stay float64
+        narrow = rows.astype(np.float32)
+    return narrow if np.array_equal(narrow, rows) else rows
+
+
+def eval_probe(features: Sequence[np.ndarray], task: ProbeTask, config: ProbeConfig) -> list[float]:
+    """Each provider's ``PROBE_FOLDS``-fold cross-validation accuracy of a probe over its :func:`probe_features`.
+
+    The providers share the folds, and those of one dim train as one stacked :func:`train_logreg`
+    fit, whose every model equals a fit of its (provider, fold) alone, bit for bit.
+    """
+    labels = task.label_indices()
+    train, tests, seeds = zip(*task.folds())
+    accuracies = [0.0] * len(features)
+    for dim in dict.fromkeys(rows.shape[1] for rows in features):
+        members = [i for i, rows in enumerate(features) if rows.shape[1] == dim]
+        X = np.asarray([features[i] for i in members], dtype=np.float64)
+        params = train_logreg(X, labels, train, config, int(labels.max()) + 1, seeds)
+        correct = 0
+        for size in dict.fromkeys(map(len, tests)):  # the test folds of one size score as a stack
+            group = [f for f, test in enumerate(tests) if len(test) == size]
+            rows = np.stack([tests[f] for f in group])
+            logits = logreg_logits({"W": params["W"][:, group], "b": params["b"][:, group]}, X[:, rows])
+            correct = correct + (logits.argmax(axis=-1) == labels[rows]).sum(axis=(1, 2))
+        for i, right in zip(members, correct.tolist()):
+            accuracies[i] = right / len(labels)
+    return accuracies
 
 
 def probe_results_to_markdown(results: dict[str, float]) -> str:

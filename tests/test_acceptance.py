@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from generators import make_blob_probe, make_paired_feature_probe, make_random_sts
 from gradcheck import check_def_instance, check_nli_instance
 from sentsig.cli import main as cli_main
 from sentsig.combiner import CombinedProvider
@@ -25,18 +26,11 @@ from sentsig.corpus import (
     save_sts,
 )
 from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
-from sentsig.evalsuite import ProbeConfig, eval_probe, eval_sts, kfold_split
+from sentsig.evalsuite import ProbeConfig, eval_probe, eval_sts, kfold_split, probe_features
 from sentsig.numstat import make_rng, pearson, spearman
 from sentsig.objectives import (IndexedExamples, TrainConfig, run_pipeline,
                                 stream_pattern)
-from sentsig.synth import (
-    make_blob_probe,
-    make_definition_corpus,
-    make_nli_corpus,
-    make_paired_feature_probe,
-    make_random_sts,
-    make_sts_corpus,
-)
+from sentsig.synth import make_definition_corpus, make_nli_corpus, make_sts_corpus
 from test_numstat import brute_force_ranks
 
 
@@ -166,10 +160,10 @@ def test_criterion_06_combination_property():
         task, provider_a, provider_b = make_paired_feature_probe(rng, n=400,
                                                                  separation=6.0, noise=0.3)
         config = ProbeConfig()
-        acc_a = eval_probe(provider_a, task, config)
-        acc_b = eval_probe(provider_b, task, config)
         concat = CombinedProvider("concat", provider_a, provider_b)
-        acc_concat = eval_probe(concat, task, config)
+        # one call: the two 6-dim providers fit as one stack, the 12-dim concat apart
+        acc_a, acc_b, acc_concat = eval_probe(
+            [probe_features(provider, task) for provider in (provider_a, provider_b, concat)], task, config)
         assert acc_concat >= max(acc_a, acc_b), (acc_a, acc_b, acc_concat)
         assert concat.dim == provider_a.dim + provider_b.dim
 
@@ -192,10 +186,10 @@ def test_criterion_07_probe_harness_contract():
 
         rng = make_rng(707)
         task, store = make_blob_probe(rng, n_per_class=40, n_classes=2, separation=6.0)
-        assert eval_probe(store, task, ProbeConfig()) >= 0.95
+        assert eval_probe([probe_features(store, task)], task, ProbeConfig())[0] >= 0.95
 
         task, store = make_blob_probe(rng, n_per_class=200, n_classes=2, separation=0.0)
-        shuffled = eval_probe(store, task, ProbeConfig())
+        [shuffled] = eval_probe([probe_features(store, task)], task, ProbeConfig())
         assert 0.4 <= shuffled <= 0.6, shuffled
 
 

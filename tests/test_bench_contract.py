@@ -156,7 +156,7 @@ def test_eval_commands_load_each_checkpoint_once_and_probe_each_provider_once(tm
 
     So ``checkpoint.load_*`` covers one load per checkpoint path an eval
     command names (a path named twice loads twice), and ``evalsuite.probe_s``
-    one probe per (provider, probe task).
+    one probe call per probe task, which fits every provider's rows.
     """
     rng = make_rng(7)
     world = dict(n_topics=4, words_per_topic=10, sentence_len=4)
@@ -170,15 +170,16 @@ def test_eval_commands_load_each_checkpoint_once_and_probe_each_provider_once(tm
         probes += ["--probe", str(tmp_path / f"{name}.tsv")]
         (tmp_path / f"{name}.tsv").write_text(
             "".join(f"{c}\tt0{c}w{i % 10:03d}\n" for c in (0, 1) for i in range(20)), encoding="utf-8")
-    loads, scored = Counter(), Counter()
+    loads, scored = Counter(), {}
 
     def loading(path, real=cli.load_checkpoint):
         loads[str(path)] += 1
         return real(path)
 
-    def probing(provider, task, *args, real=cli.eval_probe, **kwargs):
-        scored[provider.name, task.name] += 1
-        return real(provider, task, *args, **kwargs)
+    def probing(features, task, *args, real=cli.eval_probe, **kwargs):
+        assert task.name not in scored
+        scored[task.name] = len(features)
+        return real(features, task, *args, **kwargs)
 
     monkeypatch.setattr(cli, "load_checkpoint", loading)
     monkeypatch.setattr(cli, "eval_probe", probing)
@@ -190,4 +191,4 @@ def test_eval_commands_load_each_checkpoint_once_and_probe_each_provider_once(tm
         scored.clear()
         assert cli.main([*argv, *probes, "--out", str(tmp_path / argv[0])]) == 0
         assert loads == Counter(paths)
-        assert scored == Counter((name, task) for name in names for task in ("first", "second"))
+        assert scored == {task: len(names) for task in ("first", "second")}

@@ -23,16 +23,12 @@ from sentsig.checkpoint import load_checkpoint
 from sentsig.cli import main
 from sentsig.corpus import (DefinitionExample, StsPair, load_definitions, load_nli, load_sts, save_definitions,
                             save_nli, save_sts)
+from generators import make_random_sts
 from sentsig.encoder import ToyEncoder, load_dump
 from sentsig.evalsuite import ProbeConfig
 from sentsig.numstat import make_rng
 from sentsig.objectives import TrainConfig, lockstep_groups
-from sentsig.synth import (
-    make_definition_corpus,
-    make_nli_corpus,
-    make_random_sts,
-    make_sts_corpus,
-)
+from sentsig.synth import make_definition_corpus, make_nli_corpus, make_sts_corpus
 
 WORLD = dict(n_topics=4, words_per_topic=10, sentence_len=4)
 
@@ -872,6 +868,18 @@ class TestEvalCommand:
             assert (both["probes"]["probe"]["per_provider_x100"][i]
                     == alone["probes"]["probe"]["accuracy_x100_mean"])
 
+    def test_probe_class_too_small_for_the_folds_rejected_before_any_checkpoint_loads(self, trained, tmp_path,
+                                                                                      monkeypatch, capsys):
+        probe = tmp_path / "probe.tsv"
+        probe.write_text("".join(f"{c}\tt0{c}w{i:03d}\n" for c, n in ((0, 20), (1, 9)) for i in range(n)))
+        loaded = []
+        monkeypatch.setattr(cli, "load_checkpoint", loaded.append)
+        out = tmp_path / "eval"
+        assert run(["eval", trained["ckpt0"], "--probe", probe, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: every class needs >= 10 examples")
+        assert loaded == []
+        assert not out.exists()
+
     def test_probe_tasks_of_one_name_rejected_before_any_checkpoint_loads(self, trained, tmp_path, monkeypatch,
                                                                           capsys):
         probes = []
@@ -908,13 +916,13 @@ class TestEvalCommand:
         assert printed.out == ""
         assert not out.exists()
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of a glibc process")
-    def test_peak_does_not_grow_with_the_number_of_providers(self, tmp_path):
-        # each checkpoint, or --a/--b pair, is scored and dropped before the
-        # next loads, so scoring three holds no more 2.5 MB tables than one.
-        # The bound, 2000 KiB, is 0.4 of the float64 table this test was sized
-        # on; the float32 table is 2500 KiB, so an extra one still exceeds it
-        words = [f"w{i:05d}" for i in range(9998)]
+    WIDE_WORDS = [f"w{i:05d}" for i in range(9998)]
+    WIDE_TABLE_KIB = 10_000 * 64 * 8 / 1024
+
+    @classmethod
+    def _wide_run(cls, tmp_path):
+        """Three defsent checkpoints of a 10k-word, d=64 world, and a function giving an eval command's peak."""
+        words = cls.WIDE_WORDS
         save_definitions([DefinitionExample(words[i], " ".join(words[100 * i : 100 * (i + 1)]))
                           for i in range(100)], tmp_path / "defs.tsv")
         save_sts([StsPair(" ".join(words[i : i + 5]), " ".join(words[i + 2 : i + 7]), float(i % 5), "s")
@@ -924,23 +932,44 @@ class TestEvalCommand:
                           "[train]\ndim = 64\n")
         run_dir = tmp_path / "run"
         assert run(["train", "--method", "defsent", "--seeds", "0 1 2", "--config", config, "--out", run_dir]) == 0
-        c0, c1, c2 = (str(run_dir / f"checkpoint-seed{k}.json") for k in range(3))
         script = ("import sys\n"
                   "from sentsig.cli import main\n"
                   "assert main(sys.argv[1:]) == 0\n"
                   f"print('peak', {PEAK_KIB})\n")
 
         def peak(*argv):
-            proc = subprocess.run([sys.executable, "-c", script, *argv, "--config", str(config),
+            proc = subprocess.run([sys.executable, "-c", script, *map(str, argv), "--config", str(config),
                                    "--out", str(tmp_path / "eval")], capture_output=True, text=True, check=True)
             return int(proc.stdout.splitlines()[-1].split()[1])
 
-        table_kib = 10_000 * 64 * 8 / 1024
+        return [str(run_dir / f"checkpoint-seed{k}.json") for k in range(3)], peak
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of a glibc process")
+    def test_peak_does_not_grow_with_the_number_of_providers(self, tmp_path):
+        # each checkpoint, or --a/--b pair, is scored and dropped before the
+        # next loads, so scoring three holds no more 2.5 MB tables than one.
+        # The bound, 2000 KiB, is 0.4 of the float64 table this test was sized
+        # on; the float32 table is 2500 KiB, so an extra one still exceeds it
+        (c0, c1, c2), peak = self._wide_run(tmp_path)
+        table_kib = self.WIDE_TABLE_KIB
         one, three = peak("eval", c0), peak("eval", c0, c1, c2)
         assert three - one < 0.4 * table_kib, (one, three)
         one, two = (peak("combine-eval", "--mode", "concat", *pairs)
                     for pairs in (["--a", c0, "--b", c1], ["--a", c0, "--b", c1, "--a", c2, "--b", c0]))
         assert two - one < 0.4 * table_kib, (one, two)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM of a glibc process")
+    def test_probe_peak_does_not_grow_with_the_number_of_providers(self, tmp_path):
+        # each provider's probe rows (600 x 64 float64, 300 KiB) are kept for
+        # the fits after the last provider, which gather every batch from
+        # them without copying any fold's training rows
+        (c0, c1, c2), peak = self._wide_run(tmp_path)
+        words = self.WIDE_WORDS
+        probe = tmp_path / "probe.tsv"
+        probe.write_text("".join(f"c{i % 3}\t{' '.join(words[(i % 3) * 3000 + (7 * i + k) % 3000] for k in range(5))}\n"
+                                 for i in range(600)), encoding="utf-8")
+        one, three = peak("eval", c0, "--probe", probe), peak("eval", c0, c1, c2, "--probe", probe)
+        assert three - one < 0.4 * self.WIDE_TABLE_KIB, (one, three)
 
     def test_data_sts_scored_when_no_flag_names_a_file(self, trained, tmp_path):
         other = tmp_path / "other.tsv"

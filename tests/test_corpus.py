@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from generators import make_random_sts
 from sentsig.corpus import (
     DefinitionExample,
     NliExample,
@@ -19,7 +20,6 @@ from sentsig.corpus import (
 )
 from sentsig.errors import InvalidInputError, ParseError
 from sentsig.numstat import make_rng, spearman
-from sentsig.synth import make_random_sts
 
 GUITAR = "A man is playing a guitar."
 

@@ -478,6 +478,15 @@ class TestEmbeddingStore:
         assert "s" not in store
 
 
+DUMP_DEFECTS = {  # a bad line for a sentence, and the message it gets
+    "columns": (lambda s: f"{s}\tx\t1.0 2.0", "expected '<sentence>\\t<floats>'"),
+    "value-count": (lambda s: f"{s}\t1.0", "expected 2 values, got 1"),
+    "non-numeric": (lambda s: f"{s}\t1.0 one", "non-numeric embedding value"),
+    "non-finite": (lambda s: f"{s}\t1.0 nan", "vector holds NaN or Inf"),
+    "duplicate": (lambda s: "first\t3.0 4.0", "duplicate sentence in store: 'first'"),
+}
+
+
 class TestDumps:
     def test_round_trip_small(self, tmp_path):
         store = EmbeddingStore(2)
@@ -524,6 +533,34 @@ class TestDumps:
         with pytest.raises(ParseError, match="NaN or Inf") as err:
             load_dump(path)
         assert err.value.line_no == 3
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        seventeen = [0.30000000000000004, 1.0000000000000002, -1.7976931348623157e308, 123456789.12345679]
+        assert all(len(repr(abs(v)).split("e")[0].replace(".", "").lstrip("0")) == 17 for v in seventeen)
+        values = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, -1e308, *seventeen]
+        store = EmbeddingStore(2)
+        for i in range(0, len(values), 2):
+            store.add(f"row {i}", values[i : i + 2])
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_dump(store, first)
+        loaded = load_dump(first)
+        save_dump(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert "-0.0 5e-324" in first.read_text()
+        for (sentence, row), (again, loaded_row) in zip(store.items(), loaded.items()):
+            assert sentence == again
+            np.testing.assert_array_equal(loaded_row.view(np.int64), row.view(np.int64))  # signed zeros too
+
+    @pytest.mark.parametrize("first, later", [(a, b) for a in DUMP_DEFECTS for b in DUMP_DEFECTS if a != b])
+    def test_of_two_defects_the_first_line_is_named(self, tmp_path, first, later):
+        path = tmp_path / "two.txt"
+        lines = ["dim=2", "first\t0.5 1.5", DUMP_DEFECTS[first][0]("third"), "", "fifth\t1.0 2.0",
+                 DUMP_DEFECTS[later][0]("sixth"), "seventh\t2.0 3.0"]
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ParseError) as err:
+            load_dump(path)
+        assert err.value.line_no == 3
+        assert str(err.value) == f"{path}:3: {DUMP_DEFECTS[first][1]}"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "noheader.txt"

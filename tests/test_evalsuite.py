@@ -1,5 +1,6 @@
 """STS scoring, partitioned reports, k-fold CV and the probe harness."""
 
+import json
 import math
 from collections import Counter
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 import sentsig.evalsuite
+from generators import make_blob_probe
 from gradcheck import finite_difference_worst_error
 from oracles import ParamAdam
-from sentsig.corpus import Partition, StsPair
-from sentsig.encoder import EmbeddingStore
+from sentsig.cli import main
+from sentsig.corpus import Partition, StsPair, save_nli
+from sentsig.encoder import EmbeddingStore, save_dump
 from sentsig.errors import DegenerateScoresError, InvalidInputError, MissingEmbeddingError
 from sentsig.evalsuite import (
     PROBE_BATCH_SIZE,
@@ -26,10 +29,11 @@ from sentsig.evalsuite import (
     kfold_split,
     load_probe_task,
     logreg_logits,
+    probe_features,
     train_logreg,
 )
 from sentsig.numstat import cosine, make_rng, pearson, spearman
-from sentsig.synth import make_blob_probe
+from sentsig.synth import make_nli_corpus
 
 
 def store_with_cosines(targets, golds, source="s"):
@@ -262,28 +266,31 @@ class TestTrainLogreg:
     def test_separable_blobs_high_train_accuracy(self):
         rng = make_rng(4)
         X, y = self._blobs(rng)
-        params = train_logreg(X[None], y[None], ProbeConfig(), 2, [0])
-        accuracy = float((logreg_logits(params, X[None])[0].argmax(axis=-1) == y).mean())
+        params = train_logreg(X[None], y, [np.arange(len(y))], ProbeConfig(), 2, [0])
+        accuracy = float((logreg_logits(params, X[None, None])[0, 0].argmax(axis=-1) == y).mean())
         assert accuracy >= 0.95
 
     def test_zero_epochs_predicts_uniform(self):
         rng = make_rng(5)
         X, y = self._blobs(rng)
-        params = train_logreg(X[None], y[None], ProbeConfig(epochs=0), 2, [0])
+        params = train_logreg(X[None], y, [np.arange(len(y))], ProbeConfig(epochs=0), 2, [0])
         np.testing.assert_array_equal(params["W"], 0.0)
-        np.testing.assert_array_equal(logreg_logits(params, X[None]), np.zeros((1, len(X), 2)))
+        np.testing.assert_array_equal(logreg_logits(params, X[None, None]), np.zeros((1, 1, len(X), 2)))
 
-    def test_fits_are_views_of_one_optimizer_buffer(self):
+    def test_one_model_per_provider_and_fold(self):
         rng = make_rng(5)
         X, y = self._blobs(rng)
-        params = train_logreg(np.stack([X, -X]), np.stack([y, y]), ProbeConfig(), 2, [0, 1])
+        folds = [np.arange(0, 100), np.arange(20, 120), np.arange(59), np.arange(60)]  # two sizes
+        params = train_logreg(np.stack([X, -X]), y, folds, ProbeConfig(), 2, [0, 1, 2, 3])
         assert set(params) == {"W", "b"}
-        assert params["W"].shape == (2, 2, X.shape[1]) and params["b"].shape == (2, 2)
-        assert params["W"].base is params["b"].base
+        assert params["W"].shape == (2, 4, 2, X.shape[1]) and params["b"].shape == (2, 4, 2)
+        # the two providers are mirror images, so their models are too
+        np.testing.assert_array_equal(params["W"][1], -params["W"][0])
+        np.testing.assert_array_equal(params["b"][1], params["b"][0])
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
-            train_logreg(np.ones((1, 5, 2)), np.zeros((1, 5), dtype=int), ProbeConfig(), 2, [0])
+            train_logreg(np.ones((1, 5, 2)), np.zeros(5, dtype=int), [np.arange(5)], ProbeConfig(), 2, [0])
 
     def test_divergence_stops_at_the_first_non_finite_step(self, monkeypatch):
         # under pytest's warnings-as-errors, an overflow warning would fail this too
@@ -298,7 +305,7 @@ class TestTrainLogreg:
         monkeypatch.setattr(sentsig.evalsuite.Adam, "step", checked)
         X, y = self._blobs(make_rng(4))
         with pytest.raises(InvalidInputError, match=r"\[probe\] lr"):
-            train_logreg(X[None], y[None], ProbeConfig(lr=1e308), 2, [0])
+            train_logreg(X[None], y, [np.arange(len(y))], ProbeConfig(lr=1e308), 2, [0])
         assert 1 <= len(steps) < ProbeConfig().epochs * len(X) // PROBE_BATCH_SIZE
 
     def test_gradients_match_finite_differences(self):
@@ -351,6 +358,12 @@ def per_fold_probe(X, labels, config):
     return correct / n, fits
 
 
+def probe_accuracy(provider, task, config, embedded=None):
+    """One provider's probe accuracy, fitted alone."""
+    [accuracy] = eval_probe([probe_features(provider, task, embedded)], task, config)
+    return accuracy
+
+
 def noisy_probe(n, dim, n_classes, seed):
     """A store and a task whose classes overlap, so the fits stay far from converged."""
     rng = make_rng(seed)
@@ -375,47 +388,71 @@ class TestEvalProbe:
         config = ProbeConfig(epochs=3, lr=0.05)
         fits = []
 
-        def spy(features, labels, config, n_classes, seeds):
-            params = train_logreg(features, labels, config, n_classes, seeds)
-            fits.append((features.shape, seeds, params))
+        def spy(features, labels, train_rows, config, n_classes, seeds):
+            params = train_logreg(features, labels, train_rows, config, n_classes, seeds)
+            fits.append(([len(rows) for rows in train_rows], seeds, params))
             return params
 
         monkeypatch.setattr(sentsig.evalsuite, "train_logreg", spy)
-        accuracy = eval_probe(store, task, config)
+        accuracy = probe_accuracy(store, task, config)
         expected_accuracy, expected = per_fold_probe(X, task.label_indices(), config)
         assert accuracy == expected_accuracy
-        assert sorted(shape[1] for shape, _, _ in fits) == sorted({n - n // 10, n - n // 10 - 1})
-        stacked = {int(s): (params["W"][j], params["b"][j])
-                   for _, seeds, params in fits for j, s in enumerate(seeds)}
+        [(sizes, seeds, params)] = fits
+        assert sorted(set(sizes)) == sorted({n - n // 10, n - n // 10 - 1})
+        stacked = {int(s): (params["W"][0, j], params["b"][0, j]) for j, s in enumerate(seeds)}
         assert len(stacked) == 10
         for fold_seed, W, b in expected:
             np.testing.assert_array_equal(stacked[fold_seed][0], W)
             np.testing.assert_array_equal(stacked[fold_seed][1], b)
 
-    @pytest.mark.parametrize("n, groups", [(300, 1), (305, 2)])
-    def test_one_fit_per_fold_size(self, monkeypatch, n, groups):
-        store, task, _ = noisy_probe(n, 4, 2, seed=1)
+    @pytest.mark.parametrize("n", [300, 305], ids=["one-fold-size", "two-fold-sizes"])
+    def test_one_fit_per_feature_dim(self, monkeypatch, n):
+        stores = [noisy_probe(n, dim, 2, seed=seed)[0] for seed, dim in enumerate((4, 6, 4))]
+        task = noisy_probe(n, 4, 2, seed=1)[1]
         calls = []
 
-        def counting(features, *args, **kwargs):
-            calls.append(features.shape[0])
-            return train_logreg(features, *args, **kwargs)
+        def counting(features, labels, train_rows, *args, **kwargs):
+            calls.append((*features.shape[::2], len(train_rows)))
+            return train_logreg(features, labels, train_rows, *args, **kwargs)
 
         monkeypatch.setattr(sentsig.evalsuite, "train_logreg", counting)
-        eval_probe(store, task, ProbeConfig(epochs=1))
-        assert len(calls) == groups
-        assert sum(calls) == 10
+        eval_probe([probe_features(store, task) for store in stores], task, ProbeConfig(epochs=1))
+        assert calls == [(2, 4, 10), (1, 6, 10)]  # (providers, dim, folds)
+
+    def test_providers_of_one_dim_fit_as_one_stack_equal_to_their_fits_alone(self, monkeypatch):
+        # two tasks whose folds have two sizes each; three providers of one task share its sentences
+        config = ProbeConfig(epochs=3, lr=0.05)
+        fits = []
+
+        def spy(*args):
+            fits.append(train_logreg(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(sentsig.evalsuite, "train_logreg", spy)
+        for n, n_classes in ((305, 3), (142, 2)):
+            probes = [noisy_probe(n, 8, n_classes, seed=n + k) for k in range(3)]
+            task = probes[0][1]
+            fits.clear()
+            accuracies = eval_probe([probe_features(store, task) for store, _, _ in probes], task, config)
+            [params] = fits
+            assert params["W"].shape[:2] == (3, PROBE_FOLDS)
+            for p, (_, _, X) in enumerate(probes):
+                expected_accuracy, expected = per_fold_probe(X, task.label_indices(), config)
+                assert accuracies[p] == expected_accuracy
+                for f, (_, W, b) in enumerate(expected):
+                    np.testing.assert_array_equal(params["W"][p, f], W)
+                    np.testing.assert_array_equal(params["b"][p, f], b)
 
     def test_separable_task_high_accuracy(self):
         rng = make_rng(7)
         task, store = make_blob_probe(rng, n_per_class=40, n_classes=2)
-        accuracy = eval_probe(store, task, ProbeConfig())
+        accuracy = probe_accuracy(store, task, ProbeConfig())
         assert accuracy >= 0.95
 
     def test_shuffled_labels_near_chance(self):
         rng = make_rng(8)
         task, store = make_blob_probe(rng, n_per_class=200, n_classes=2, separation=0.0)
-        accuracy = eval_probe(store, task, ProbeConfig())
+        accuracy = probe_accuracy(store, task, ProbeConfig())
         assert 0.4 <= accuracy <= 0.6
 
     def test_repeated_sentences_keep_their_features(self):
@@ -426,10 +463,20 @@ class TestEvalProbe:
             store.add(sentence, [4.0 if i % 2 else -4.0, 0.01 * i])
         examples = [(s, "odd" if int(s[1:]) % 2 else "even") for s in sentences + sentences[::-1]]
         counts = {}
-        accuracy = eval_probe(store, ProbeTask(name="rep", examples=examples), ProbeConfig(),
-                              embedded=counts)
+        accuracy = probe_accuracy(store, ProbeTask(name="rep", examples=examples), ProbeConfig(),
+                                  embedded=counts)
         assert accuracy == 1.0
         assert counts == {"distinct": 40, "reused": 40}
+
+    @pytest.mark.parametrize("value, dtype", [(0.375, np.float32), (0.1, np.float64), (1e300, np.float64)])
+    def test_features_kept_in_float32_only_when_it_holds_them_exactly(self, value, dtype):
+        store = EmbeddingStore(2)
+        store.add("a", [1.0, value])
+        store.add("b", [-2.0, 0.5])
+        task = ProbeTask(name="t", examples=[("a", "x"), ("b", "y"), ("a", "x")])
+        rows = probe_features(store, task)
+        assert rows.dtype == dtype
+        np.testing.assert_array_equal(rows, [[1.0, value], [-2.0, 0.5], [1.0, value]])
 
     def test_class_too_small_for_folds(self):
         store = EmbeddingStore(2)
@@ -439,7 +486,7 @@ class TestEvalProbe:
             examples.append((f"s{i}", "a" if i < 9 else "b"))
         task = ProbeTask(name="tiny", examples=examples)
         with pytest.raises(InvalidInputError):
-            eval_probe(store, task, ProbeConfig())
+            probe_accuracy(store, task, ProbeConfig())
 
     def test_probe_task_file_round_trip(self, tmp_path):
         path = tmp_path / "task.tsv"
@@ -448,3 +495,31 @@ class TestEvalProbe:
         assert task.name == "task"
         assert task.class_labels() == ["neg", "pos"]
         assert list(task.label_indices()) == [1, 0, 1]
+
+
+def test_eval_of_a_checkpoint_and_a_dump_of_other_dims_scores_each_as_if_alone(tmp_path):
+    rng = make_rng(12)
+    world = dict(n_topics=4, words_per_topic=10, sentence_len=4)
+    save_nli(make_nli_corpus(rng, 60, **world), tmp_path / "nli.tsv")
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[data]\nnli = {tmp_path / 'nli.tsv'}\n[train]\ndim = 6\n", encoding="utf-8")
+    assert main(["train", "--seed", "0", "--out", str(tmp_path / "run"), "--config", str(config)]) == 0
+    probe = tmp_path / "probe.tsv"
+    probe.write_text("".join(f"{c}\tt0{c}w{i % 10:03d} t02w{i * 7 % 10:03d}\n" for c in (0, 1) for i in range(20)),
+                     encoding="utf-8")
+    dump = EmbeddingStore(3, name="dump")
+    for line in probe.read_text(encoding="utf-8").splitlines():
+        label, sentence = line.split("\t")
+        if sentence not in dump:
+            dump.add(sentence, rng.normal(size=3) + (int(label) - 0.5))
+    save_dump(dump, tmp_path / "dump.txt")
+    providers = [str(tmp_path / "run" / "checkpoint-seed0.json"), str(tmp_path / "dump.txt")]
+
+    def probes(*paths):
+        out = tmp_path / f"eval{len(list(tmp_path.glob('eval*')))}"
+        assert main(["eval", *paths, "--probe", str(probe), "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text(encoding="utf-8"))["probes"]["probe"]
+
+    both = probes(*providers)
+    alone = [probes(path)["accuracy_x100_mean"] for path in providers]
+    assert both["per_provider_x100"] == alone
