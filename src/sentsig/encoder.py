@@ -37,7 +37,6 @@ MAX_TOKENS = 128  # training/evaluation truncation length
 
 MODEL_DTYPE = np.dtype(np.float32)  # of every trained array: tables, heads, Adam's buffers, sidecars
 
-MEAN_POOL_ENTRIES = 1 << 16  # (word position, column) entries mean pooling adds per call
 DRAW_CHUNK = 1 << 16  # entries of an initial table drawn per call
 
 
@@ -58,11 +57,11 @@ class Vocabulary:
     """Word-to-index mapping with reserved [CLS] and [UNK] entries."""
 
     def __init__(self, words: list[str]):
-        for reserved in (CLS_TOKEN, UNK_TOKEN):
-            if reserved in words:
-                raise InvalidInputError(f"{reserved} is reserved and cannot be a corpus word")
         self._words = (CLS_TOKEN, UNK_TOKEN, *words)
-        self._index = {w: i for i, w in enumerate(self._words)}
+        self._index = dict(zip(self._words, range(len(self._words))))
+        for reserved, index in ((CLS_TOKEN, CLS_INDEX), (UNK_TOKEN, UNK_INDEX)):
+            if self._index[reserved] != index:
+                raise InvalidInputError(f"{reserved} is reserved and cannot be a corpus word")
         if len(self._index) != len(self._words):
             raise InvalidInputError("vocabulary words must be unique")
 
@@ -153,19 +152,18 @@ class TokenIndex:
     @classmethod
     def build(cls, token_lists, vocab: Vocabulary) -> "TokenIndex":
         """Vocabulary indices of each list's first ``MAX_TOKENS`` tokens, unknowns to [UNK]."""
-        lookup = vocab._index.get  # Vocabulary.index, without a Python call per token
-        unknown = itertools.repeat(UNK_INDEX)
-        ids = array.array("i")
-        sizes = []
-        for tokens in token_lists:
-            if not tokens:
-                raise InvalidInputError("token list is empty")
-            row = tokens[:MAX_TOKENS]
-            ids.extend(map(lookup, row, unknown))
-            sizes.append(len(row))
+        sizes = np.fromiter(map(len, token_lists), np.intp, len(token_lists))
+        if not sizes.all():
+            raise InvalidInputError("token list is empty")
+        if sizes.max(initial=0) > MAX_TOKENS:
+            token_lists = [tokens[:MAX_TOKENS] if len(tokens) > MAX_TOKENS else tokens for tokens in token_lists]
+            np.minimum(sizes, MAX_TOKENS, out=sizes)
         offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
-        return cls(np.frombuffer(ids, dtype=np.int32), offsets)
+        # Vocabulary.index, without a Python call per token
+        words = itertools.chain.from_iterable(token_lists)
+        ids = np.fromiter(map(vocab._index.get, words, itertools.repeat(UNK_INDEX)), np.int32, offsets[-1])
+        return cls(ids, offsets)
 
     def __len__(self) -> int:
         return self.lengths.shape[0]
@@ -254,15 +252,15 @@ def pool_forward(table: np.ndarray, pooling: str,
     n, dim = sizes.shape[0], table.shape[1]
     if pooling == "mean":
         # each text's word rows summed in word order from +0.0, as a
-        # one-text mean does; texts go a few at a time, so that the
-        # places stay few when a whole corpus is pooled
-        sums = np.zeros((n, dim), table.dtype)
-        step = max(1, MEAN_POOL_ENTRIES // (dim * int(sizes.max())))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            places = np.repeat(np.arange(lo * dim, hi * dim, dim), sizes[lo:hi])[:, None] + np.arange(dim)
-            words = index.ids[index.offsets[lo] : index.offsets[hi]]
-            np.add.at(sums.reshape(-1), places.ravel(), table[words].ravel())
+        # one-text mean does: position j adds into the k texts longer than
+        # j, which are the first k once the texts are longest first
+        order = np.argsort(-sizes, kind="stable")
+        starts = index.offsets[order]
+        running = np.zeros((n, dim), table.dtype)
+        for j, k in enumerate(n - np.cumsum(np.bincount(sizes)[:-1])):
+            running[:k] += table[index.ids[starts[:k] + j]]
+        sums = np.empty_like(running)
+        sums[order] = running
         sums /= sizes[:, None]  # in place, so float32 stays float32: an intp divisor promotes it
         return sums, None
     if pooling != "max":
@@ -330,13 +328,6 @@ class ToyEncoder:
             raise InvalidInputError("embedding dimension must be >= 1")
         self.name = name or f"toy-{pooling}-d{self.dim}"
         self.token_cache: TokenCache | None = None
-
-    @classmethod
-    def create(cls, vocab: Vocabulary, dim: int, pooling: str = "mean", seed: int = 0) -> "ToyEncoder":
-        """Fresh encoder with the :func:`initial_table` of ``seed``."""
-        encoder = cls(vocab, None, pooling, dim=dim)
-        encoder.table = initial_table(np.empty((len(vocab), dim), MODEL_DTYPE), seed)
-        return encoder
 
     def embed_batch(self, sentences: Sequence[str]) -> np.ndarray:
         """Pool every sentence in one :func:`pool_forward` call, one float64 row per sentence.

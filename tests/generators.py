@@ -1,10 +1,17 @@
-"""Generators that only tests use: unstructured STS pairs and probes over hand-built features."""
+"""Generators that only tests use: fresh encoders, unstructured STS pairs and probes over hand-built features."""
 
 import numpy as np
 
 from sentsig.corpus import StsPair
-from sentsig.encoder import EmbeddingStore
+from sentsig.encoder import MODEL_DTYPE, EmbeddingStore, ToyEncoder, Vocabulary, initial_table
 from sentsig.evalsuite import ProbeTask
+
+
+def fresh_encoder(vocab: Vocabulary, dim: int, pooling: str = "mean", seed: int = 0) -> ToyEncoder:
+    """An untrained encoder holding the float32 :func:`initial_table` of ``seed``, as training draws it."""
+    encoder = ToyEncoder(vocab, None, pooling, dim=dim)
+    encoder.table = initial_table(np.empty((len(vocab), dim), MODEL_DTYPE), seed)
+    return encoder
 
 
 def _sample_words(rng, pool: list[str], count: int) -> list[str]:

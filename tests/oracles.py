@@ -68,11 +68,16 @@ def tokenize(text):
 
 
 def mean_pool_add_at(table, index):
-    """Mean pooling before the bincount form: one unbuffered np.add.at into zeros."""
+    """Mean pooling before the bincount form: one unbuffered np.add.at into zeros of the table's dtype.
+
+    Each text's rows are summed in word order from +0.0, and the sums are
+    divided in place, so a float32 table gives float32 rows.
+    """
     sizes = index.lengths
-    sums = np.zeros((len(index), table.shape[1]))
+    sums = np.zeros((len(index), table.shape[1]), table.dtype)
     np.add.at(sums, np.repeat(np.arange(len(index)), sizes), table[index.ids])
-    return sums / sizes[:, None]
+    sums /= sizes[:, None]
+    return sums
 
 
 def pool_backward_add_at(pooling, index, argmax_rows, grad_out, table_grad):

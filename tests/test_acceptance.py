@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from generators import make_blob_probe, make_paired_feature_probe, make_random_sts
+from generators import fresh_encoder, make_blob_probe, make_paired_feature_probe, make_random_sts
 from gradcheck import check_def_instance, check_nli_instance
 from sentsig.cli import main as cli_main
 from sentsig.combiner import CombinedProvider
@@ -25,7 +25,7 @@ from sentsig.corpus import (
     save_nli,
     save_sts,
 )
-from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
+from sentsig.encoder import EmbeddingStore, build_vocab
 from sentsig.evalsuite import ProbeConfig, eval_probe, eval_sts, kfold_split, probe_features
 from sentsig.numstat import make_rng, pearson, spearman
 from sentsig.objectives import (IndexedExamples, TrainConfig, run_pipeline,
@@ -133,16 +133,16 @@ def test_criterion_05_toy_training_efficacy():
         gains = {"sbert": [], "defsent": []}
         loss_ratios = {"sbert": [], "defsent": []}
         for seed in (0, 1, 2):
-            base = ToyEncoder.create(vocab, 16, "mean", seed=seed)
+            base = fresh_encoder(vocab, 16, "mean", seed=seed)
             rho_init, _ = eval_sts(base, sts)
 
-            enc = ToyEncoder.create(vocab, 16, "mean", seed=seed)
+            enc = fresh_encoder(vocab, 16, "mean", seed=seed)
             [result] = run_pipeline("sbert", [enc], TrainConfig(base_lr=1e-2, epochs=2), nli, seeds=[seed])
             losses = [s.loss for s in result.stage_steps[0]]
             gains["sbert"].append(eval_sts(enc, sts)[0] - rho_init)
             loss_ratios["sbert"].append(np.mean(losses[-10:]) / losses[0])
 
-            enc = ToyEncoder.create(vocab, 16, "mean", seed=seed)
+            enc = fresh_encoder(vocab, 16, "mean", seed=seed)
             [result] = run_pipeline("defsent", [enc], TrainConfig(base_lr=2e-2, epochs=10), def_data=defs,
                                     seeds=[seed])
             losses = [s.loss for s in result.stage_steps[0]]
@@ -202,7 +202,7 @@ def test_criterion_08_multi_scheduler_pattern():
         texts = ([e.premise for e in nli] + [e.hypothesis for e in nli]
                  + [e.definition for e in defs] + [e.word for e in defs])
         vocab = build_vocab(texts)
-        enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
+        enc = fresh_encoder(vocab, 5, "mean", seed=0)
         [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1),
                                 IndexedExamples.nli(nli, vocab), IndexedExamples.definitions(defs, vocab), seeds=[0])
         [steps] = result.stage_steps

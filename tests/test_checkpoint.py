@@ -234,6 +234,10 @@ def _corrupt_table_sidecar(path):
 MALFORMED = [
     ("truncated-json", _truncate, "not a readable checkpoint"),
     ("missing-vocab", lambda p: _edit_json(p, lambda d: d.pop("vocab")), "missing field 'vocab'"),
+    ("vocab-repeated-word", lambda p: _edit_json(p, lambda d: d["vocab"].__setitem__(3, d["vocab"][2])),
+     "vocabulary words must be unique"),
+    ("vocab-unk-after-reserved", lambda p: _edit_json(p, lambda d: d["vocab"].__setitem__(3, "[UNK]")),
+     "[UNK] is reserved and cannot be a corpus word"),
     ("missing-arrays", lambda p: _edit_json(p, lambda d: d.pop("arrays")), "missing field 'arrays'"),
     ("missing-table", lambda p: _edit_json(p, lambda d: d["arrays"].pop("table")), "missing array 'table'"),
     ("unknown-array", lambda p: _edit_json(p, lambda d: d["arrays"].update(extra=d["arrays"]["table"])),

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -23,8 +24,8 @@ from sentsig.checkpoint import load_checkpoint
 from sentsig.cli import main
 from sentsig.corpus import (DefinitionExample, StsPair, load_definitions, load_nli, load_sts, save_definitions,
                             save_nli, save_sts)
-from generators import make_random_sts
-from sentsig.encoder import ToyEncoder, load_dump
+from generators import fresh_encoder, make_random_sts
+from sentsig.encoder import load_dump
 from sentsig.evalsuite import ProbeConfig
 from sentsig.numstat import make_rng
 from sentsig.objectives import TrainConfig, lockstep_groups
@@ -219,7 +220,7 @@ class TestTrainCommand:
             assert lockstep_groups(seed_list, len(vocab), 6) == [seed_list]  # trained as one group
             # the single float64 draw, rounded to the float32 the model is held in
             single_draw = make_rng(seed).uniform(-0.5 / 6, 0.5 / 6, size=(len(vocab), 6)).astype(np.float32)
-            for expected in (ToyEncoder.create(vocab, 6, "mean", seed=seed).table, single_draw):
+            for expected in (fresh_encoder(vocab, 6, "mean", seed=seed).table, single_draw):
                 assert encoder.table.dtype == expected.dtype == np.float32
                 np.testing.assert_array_equal(encoder.table.view(np.int32), expected.view(np.int32))
 
@@ -271,6 +272,38 @@ class TestTrainCommand:
         table_kib = 10_000 * 64 * 8 / 1024
         assert len(peaks) == 3
         assert all(peak - peaks[0] < 0.4 * table_kib for peak in peaks[1:]), peaks
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="thread count of a Linux process")
+    def test_blas_threads_do_not_change_the_checkpoints(self, data):
+        # the same train commands with OpenBLAS on one thread and on two: a
+        # toy multi run of three seeds in lockstep, and a defsent world whose
+        # head products (16 x 4000 x 32) are large enough to split across threads
+        root = data["root"]
+        words = [f"w{i:04d}" for i in range(3998)]
+        save_definitions([DefinitionExample(words[i], " ".join(words[50 * i : 50 * (i + 1)]))
+                          for i in range(80)], root / "wide-defs.tsv")
+        wide = root / "wide.ini"
+        wide.write_text(f"[data]\ndefinitions = {root / 'wide-defs.tsv'}\n\n[train]\ndim = 32\nepochs = 3\n")
+        script = ("import sys\n"
+                  "from sentsig.cli import main\n"
+                  "toy, wide, out = sys.argv[1:]\n"
+                  "assert main(['train', '--method', 'multi', '--seeds', '0 1 2', '--config', toy,\n"
+                  "             '--out', out + '/multi']) == 0\n"
+                  "assert main(['train', '--method', 'defsent', '--config', wide, '--out', out + '/defsent']) == 0\n"
+                  "print('threads', open('/proc/self/status').read().split('Threads:')[1].split()[0])\n")
+        digests, threads = {}, {}
+        for n in (1, 2):
+            out = root / f"threads{n}"
+            proc = subprocess.run([sys.executable, "-c", script, str(_config(data)), str(wide), str(out)],
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=str(n)),
+                                  capture_output=True, text=True, check=True)
+            threads[n] = int(proc.stdout.splitlines()[-1].split()[1])
+            digests[n] = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                          for path in out.rglob("checkpoint-*")}
+        assert len(digests[1]) == 3 * 5 + 3  # JSON, table, NLI head and def_bias; defsent ties its head
+        assert digests[1] == digests[2]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert threads[2] > threads[1]  # the second thread was there to use
 
     def test_checkpoint_paths_printed_only_once_published(self, data, capsys):
         out = data["root"] / "run"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from generators import fresh_encoder
 from sentsig.combiner import CombinedProvider, combine_average, combine_concat
 from sentsig.encoder import EmbeddingStore, ToyEncoder, build_vocab
 from sentsig.errors import InvalidInputError
@@ -126,20 +127,20 @@ class TestPipeline:
         # the sbert method trains on the NLI data alone, whatever else it is given
         nli, defs, vocab = _world()
         config = TrainConfig(epochs=1)
-        enc_a = ToyEncoder.create(vocab, 6, "mean", seed=3)
+        enc_a = fresh_encoder(vocab, 6, "mean", seed=3)
         run_pipeline("sbert", [enc_a], config, nli, defs, seeds=[3])
-        enc_b = ToyEncoder.create(vocab, 6, "mean", seed=3)
+        enc_b = fresh_encoder(vocab, 6, "mean", seed=3)
         run_pipeline("sbert", [enc_b], config, nli, seeds=[3])
         np.testing.assert_array_equal(enc_a.table, enc_b.table)
 
     def test_sequential_stage_handoff_is_exact(self):
         nli, defs, vocab = _world()
         config = TrainConfig(epochs=1)
-        enc_stage1 = ToyEncoder.create(vocab, 6, "mean", seed=1)
+        enc_stage1 = fresh_encoder(vocab, 6, "mean", seed=1)
         [stage1] = run_pipeline("sbert", [enc_stage1], config, nli, seeds=[1])
         after_stage1 = enc_stage1.table.copy()
 
-        enc_full = ToyEncoder.create(vocab, 6, "mean", seed=1)
+        enc_full = fresh_encoder(vocab, 6, "mean", seed=1)
         [result] = run_pipeline("s+d", [enc_full], config, nli, defs, seeds=[1])
         # stage 2 must have started from exactly the stage-1 parameters, with
         # the optimizer as fresh as a new one: replaying it from that state
@@ -155,15 +156,15 @@ class TestPipeline:
     def test_order_matters(self):
         nli, defs, vocab = _world()
         config = TrainConfig(epochs=1)
-        enc_sd = ToyEncoder.create(vocab, 6, "mean", seed=2)
+        enc_sd = fresh_encoder(vocab, 6, "mean", seed=2)
         run_pipeline("s+d", [enc_sd], config, nli, defs, seeds=[2])
-        enc_ds = ToyEncoder.create(vocab, 6, "mean", seed=2)
+        enc_ds = fresh_encoder(vocab, 6, "mean", seed=2)
         run_pipeline("d+s", [enc_ds], config, nli, defs, seeds=[2])
         assert not np.array_equal(enc_sd.table, enc_ds.table)
 
     def test_missing_dataset_rejected(self):
         _, defs, vocab = _world()
-        enc = ToyEncoder.create(vocab, 6, "mean", seed=0)
+        enc = fresh_encoder(vocab, 6, "mean", seed=0)
         with pytest.raises(InvalidInputError):
             run_pipeline("sbert", [enc], TrainConfig(), nli_data=None, def_data=defs, seeds=[0])
 
@@ -177,7 +178,7 @@ class TestPipeline:
         assert PIPELINES["multi"] == ("multi",)
         _, defs, vocab = _world()
         with pytest.raises(InvalidInputError, match="unknown training method"):
-            run_pipeline("average", [ToyEncoder.create(vocab, 6, "mean")], TrainConfig(), def_data=defs,
+            run_pipeline("average", [fresh_encoder(vocab, 6, "mean")], TrainConfig(), def_data=defs,
                          seeds=[0])
 
     def test_average_of_trained_pair_scores_like_components_on_self(self):
@@ -185,7 +186,7 @@ class TestPipeline:
         rng = make_rng(7)
         sts = make_sts_corpus(rng, 60, n_topics=4, words_per_topic=10, sentence_len=4)
         nli, defs, vocab = _world()
-        enc = ToyEncoder.create(vocab, 6, "mean", seed=5)
+        enc = fresh_encoder(vocab, 6, "mean", seed=5)
         run_pipeline("sbert", [enc], TrainConfig(epochs=1), nli, seeds=[5])
         single = eval_sts(enc, sts)
         doubled = eval_sts(CombinedProvider("average", enc, enc), sts)

@@ -8,6 +8,7 @@ import pytest
 import oracles
 import sentsig.encoder
 from gradcheck import pool_one, unpool_one
+from generators import fresh_encoder
 from sentsig.corpus import tokenize
 from sentsig.encoder import (
     CLS_INDEX,
@@ -145,7 +146,7 @@ class TestPooling:
 
 def small_encoder(pooling="mean", dim=4, seed=0):
     vocab = Vocabulary(["alpha", "beta", "gamma"])
-    return ToyEncoder.create(vocab, dim, pooling, seed=seed)
+    return fresh_encoder(vocab, dim, pooling, seed=seed)
 
 
 class TestToyEncoder:
@@ -186,7 +187,7 @@ class TestToyEncoder:
 
     def test_truncation_at_max_tokens(self):
         vocab = Vocabulary(["a", "b"])
-        enc = ToyEncoder.create(vocab, 3, "mean")
+        enc = fresh_encoder(vocab, 3, "mean")
         words = ["a", "b"] * (MAX_TOKENS // 2) + ["b"] * 5
         index = TokenIndex.build([words], vocab)
         assert index.lengths.tolist() == [MAX_TOKENS]
@@ -276,7 +277,7 @@ class TestTokenCache:
         sentences = ["alpha beta", "gamma", "alpha beta", "zzz alpha"]
         # separately built vocabularies with one word list, as two checkpoints of one run have
         twins = [small_encoder(seed=seed) for seed in (1, 2)]
-        other = ToyEncoder.create(Vocabulary(["gamma", "beta", "alpha"]), 4, seed=3)
+        other = fresh_encoder(Vocabulary(["gamma", "beta", "alpha"]), 4, seed=3)
         for enc in (*twins, other):
             alone = enc.embed_batch(sentences)
             enc.token_cache = cache
@@ -304,8 +305,25 @@ class TestTokenIndex:
         assert len(index) == 2
 
     def test_empty_text_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="token list is empty"):
             TokenIndex.build([["a"], []], Vocabulary(["a"]))
+        with pytest.raises(InvalidInputError, match="token list is empty"):
+            TokenIndex.build([["a"] * (MAX_TOKENS + 1), (), ["a"]], Vocabulary(["a"]))
+
+    def test_build_matches_a_lookup_per_token(self):
+        # lists over MAX_TOKENS are cut, words w10-w13 are unknown; tuples and lists alike
+        rng = make_rng(47)
+        vocab = Vocabulary([f"w{i}" for i in range(10)])
+        sizes = [1, MAX_TOKENS + 7, 3, MAX_TOKENS, 2 * MAX_TOKENS, MAX_TOKENS - 1, 1]
+        token_lists = [[f"w{i}" for i in rng.integers(0, 14, size=size)] for size in sizes]
+        token_lists[2] = tuple(token_lists[2])
+        copies = [list(tokens) for tokens in token_lists]
+        index = TokenIndex.build(token_lists, vocab)
+        expected = [vocab.index(token) for tokens in token_lists for token in tokens[:MAX_TOKENS]]
+        assert UNK_INDEX in expected
+        assert index.ids.dtype == np.int32 and index.ids.tolist() == expected
+        assert index.lengths.tolist() == [min(size, MAX_TOKENS) for size in sizes]
+        assert [list(tokens) for tokens in token_lists] == copies  # the caller's lists are not cut
 
     def test_take_matches_building_the_selection(self):
         rng = make_rng(40)
@@ -426,22 +444,44 @@ class TestScatterAdd:
     @pytest.mark.parametrize("start", ["zero", "random"])
     @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
     def test_pooling_matches_add_at_code(self, pooling, start):
-        # start "random" stands for the tied head, whose table gradient starts at G^T S
+        # start "random" stands for the tied head, whose table gradient starts at G^T S.
+        # Integer-valued tables sum alike in any order; float32 normal values
+        # do not, and a text of -0.0 rows pools to +0.0 only when its sum
+        # starts at +0.0.  Every other index stacks three tables, as lockstep does
         rng = make_rng(44)
-        for _ in range(20):
-            vocab = Vocabulary([f"w{i}" for i in range(int(rng.integers(3, 15)))])
+        for trial in range(24):
+            n_words = int(rng.integers(3, 15))
+            vocab = Vocabulary([f"w{i}" for i in range(n_words)])
             dim = int(rng.integers(1, 6))
-            table = rng.integers(-2, 3, size=(len(vocab), dim)).astype(np.float64)
-            enc = ToyEncoder(vocab, table, pooling=pooling)
-            index = TokenIndex.build(random_token_lists(rng, len(vocab) - 2, int(rng.integers(1, 12))),
-                                     vocab)
-            vectors, argmax_rows = pool_forward(enc.table, enc.pooling, index)
+            seeds = 3 if trial % 2 else 1
+            shape = (seeds * len(vocab), dim)
+            if trial % 4 < 2:
+                table = rng.integers(-2, 3, size=shape).astype(np.float64)
+                token_lists = random_token_lists(rng, n_words, int(rng.integers(1, 12)))
+            else:
+                table = rng.normal(size=shape).astype(np.float32)
+                table[rng.random(shape) < 0.2] = -0.0
+                table[2::len(vocab)] = -0.0  # word w0 of every seed's table
+                sizes = [MAX_TOKENS, *rng.integers(1, MAX_TOKENS + 1, size=5), *rng.integers(1, 4, size=8)]
+                token_lists = [["w0"], ["w0", "w0"],
+                               *([f"w{w}" for w in rng.integers(0, n_words, size=size)] for size in sizes)]
+                token_lists = [token_lists[i] for i in rng.permutation(len(token_lists))]
+            index = TokenIndex.build(token_lists, vocab)
+            if seeds > 1:  # each text indexes one seed's table
+                bases = rng.integers(0, seeds, size=len(index)) * len(vocab)
+                index.ids += np.repeat(bases, index.lengths).astype(index.ids.dtype)
+                index.cls = bases + CLS_INDEX
+            vectors, argmax_rows = pool_forward(table, pooling, index)
+            assert vectors.dtype == table.dtype
             if pooling == "mean":
                 assert_same_bits(vectors, oracles.mean_pool_add_at(table, index))
+                if table.dtype == np.float32:
+                    only_w0 = [i for i, tokens in enumerate(token_lists) if set(tokens) == {"w0"}]
+                    assert only_w0 and not np.signbit(vectors[only_w0]).any()
             grad = rng.choice(_TERMS, size=(len(index), dim)) * rng.normal(size=(len(index), dim))
             actual = _target(rng, start, table.shape)
             expected = actual.copy()
-            pool_backward(enc.pooling, index, argmax_rows, grad).add_to(actual)
+            pool_backward(pooling, index, argmax_rows, grad).add_to(actual)
             oracles.pool_backward_add_at(pooling, index, argmax_rows, grad, expected)
             assert_same_bits(actual, expected)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sentsig.objectives
-from sentsig.encoder import ToyEncoder, build_vocab
+from generators import fresh_encoder
+from sentsig.encoder import build_vocab
 from sentsig.errors import InvalidInputError
 from sentsig.numstat import make_rng
 from sentsig.objectives import (BUCKET_WIDTH, PIPELINES, IndexedExamples, TrainConfig,
@@ -49,11 +50,11 @@ def _assert_same_result(together, alone):
 @pytest.mark.parametrize("method", ["sbert", "defsent", "s+d", "d+s", "multi"])
 def test_each_seed_matches_training_it_alone(method, pooling, tied):
     nli, defs, vocab = _world()
-    encoders = [ToyEncoder.create(vocab, 4, pooling, seed=seed) for seed in SEEDS]
+    encoders = [fresh_encoder(vocab, 4, pooling, seed=seed) for seed in SEEDS]
     together = run_pipeline(method, encoders, _config(tied), nli, defs, seeds=SEEDS)
     for seed, encoder, result in zip(SEEDS, encoders, together):
         assert encoder.table is result.params["table"]
-        alone_encoder = ToyEncoder.create(vocab, 4, pooling, seed=seed)
+        alone_encoder = fresh_encoder(vocab, 4, pooling, seed=seed)
         [alone] = run_pipeline(method, [alone_encoder], _config(tied), nli, defs, seeds=[seed])
         assert alone_encoder.table is alone.params["table"]
         _assert_same_result(result, alone)
@@ -68,7 +69,7 @@ def test_lockstep_batches_are_ragged_and_count_every_seed(monkeypatch):
             calls.append((len(batch), list(counts)))
             return real(batch, pooling, params, counts)
         monkeypatch.setattr(sentsig.objectives, name, recording)
-    encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
+    encoders = [fresh_encoder(vocab, 4, "mean", seed=seed) for seed in SEEDS]
     config = TrainConfig(epochs=2, batch_size=5, nli_cycle=3, def_cycle=2)
     run_pipeline("multi", encoders, config, nli, defs, seeds=SEEDS)
     assert calls and all(size == sum(counts) and len(counts) == len(SEEDS) for size, counts in calls)
@@ -77,7 +78,7 @@ def test_lockstep_batches_are_ragged_and_count_every_seed(monkeypatch):
 
 def test_encoders_must_share_vocabulary_and_pooling():
     nli, _, vocab = _world()
-    encoders = [ToyEncoder.create(vocab, 4, "mean", seed=0), ToyEncoder.create(vocab, 4, "max", seed=1)]
+    encoders = [fresh_encoder(vocab, 4, "mean", seed=0), fresh_encoder(vocab, 4, "max", seed=1)]
     with pytest.raises(InvalidInputError, match="one vocabulary"):
         run_pipeline("sbert", encoders, TrainConfig(), nli, seeds=[0, 1])
 
@@ -102,7 +103,7 @@ def test_each_method_builds_one_optimizer_per_call(monkeypatch, method):
             super().__init__(*args, **kwargs)
             built.append(self)
     monkeypatch.setattr(sentsig.objectives, "Adam", CountingAdam)
-    encoders = [ToyEncoder.create(vocab, 4, "mean", seed=seed) for seed in SEEDS]
+    encoders = [fresh_encoder(vocab, 4, "mean", seed=seed) for seed in SEEDS]
     results = run_pipeline(method, encoders, _config(False), nli, defs, seeds=SEEDS)
     [optimizer] = built
     assert len(results[0].stage_steps) == len(PIPELINES[method])

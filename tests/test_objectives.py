@@ -17,6 +17,7 @@ from gradcheck import (
     unpool_one,
     word_ids,
 )
+from generators import fresh_encoder
 from oracles import ParamAdam
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import MAX_TOKENS, MODEL_DTYPE, ScatterTerms, ToyEncoder, Vocabulary, build_vocab
@@ -45,7 +46,7 @@ from sentsig.objectives import (
 
 def tiny_encoder(pooling="mean", dim=4, seed=0, words=("alpha", "beta", "gamma", "delta"), dtype=MODEL_DTYPE):
     """A fresh encoder: its float32 table, as training holds it, or that table converted to ``dtype``."""
-    encoder = ToyEncoder.create(Vocabulary(list(words)), dim, pooling, seed=seed)
+    encoder = fresh_encoder(Vocabulary(list(words)), dim, pooling, seed=seed)
     return ToyEncoder(encoder.vocab, encoder.table.astype(dtype), pooling)
 
 
@@ -235,7 +236,7 @@ class TestDefLoss:
     def test_symmetric_init_gives_ln_v(self):
         # two-class outcome: zero untied weights and bias make every logit equal
         vocab = Vocabulary(["yes", "no"])
-        enc = ToyEncoder.create(vocab, 3, "mean", seed=0)
+        enc = fresh_encoder(vocab, 3, "mean", seed=0)
         batch = indexed([DefinitionExample("yes", "no no")], enc)
         loss, _ = loss_one(def_loss_and_grads, batch, enc.pooling, zero_def_params(enc, tied=False))
         assert loss == pytest.approx(math.log(4), rel=1e-14)
@@ -274,7 +275,7 @@ class TestDefLoss:
     def test_loss_strictly_decreases_on_toy_dictionary(self):
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
-        enc = ToyEncoder.create(vocab, 6, "mean", seed=1)
+        enc = fresh_encoder(vocab, 6, "mean", seed=1)
         optimizer = adam_with({"table": enc.table, "def_bias": np.zeros((1, len(vocab)))})
         batch = indexed(defs, enc)
         losses = []
@@ -500,7 +501,7 @@ def test_definition_step_allocates_less_than_a_table():
     # the loss returns its table gradient as a TableGradient, which the update
     # makes a chunk at a time in its scratch, so no table-sized array is made per step
     vocab, batch = _wide_definitions()
-    encoder = ToyEncoder.create(vocab, 64, "mean", seed=0)
+    encoder = fresh_encoder(vocab, 64, "mean", seed=0)
     optimizer = adam_with({"table": encoder.table, "def_bias": np.zeros((1, len(vocab)))})
 
     def step():
@@ -528,7 +529,7 @@ def test_tied_definition_training_holds_three_table_sized_buffers(method, poolin
     # and so would a second stage's buffers made while the first stage's live
     vocab, data = _wide_definitions(n_defs=40)
     nli = IndexedExamples.nli([NliExample(f"w{i} w{i + 1}", f"w{2 * i}", "neutral") for i in range(40)], vocab)
-    encoder = ToyEncoder.create(vocab, 64, pooling, seed=0)
+    encoder = fresh_encoder(vocab, 64, pooling, seed=0)
     table_bytes = encoder.table.nbytes
     assert encoder.table.itemsize == 4  # float32 entries, as every array below
     nli_bytes = 0 if method == "defsent" else (3 * 3 * 64 + 3) * 4
@@ -763,8 +764,8 @@ class TestTrainMatchesLoopOracle:
         config = TrainConfig(seed=5, epochs=2, batch_size=5, base_lr=0.05, tied_head=tied)
         for data, oracle, method in ((dict(nli_data=nli), train_sbert_loop, "sbert"),
                                      (dict(def_data=defs), train_defsent_loop, "defsent")):
-            enc_loop = ToyEncoder.create(vocab, 4, pooling, seed=5)
-            enc_train = ToyEncoder.create(vocab, 4, pooling, seed=5)
+            enc_loop = fresh_encoder(vocab, 4, pooling, seed=5)
+            enc_train = fresh_encoder(vocab, 4, pooling, seed=5)
             lengths = indexed(next(iter(data.values())), enc_train).lengths
             assert len(np.unique(lengths // BUCKET_WIDTH)) == 1 + bucketed
             expected = oracle(enc_loop, next(iter(data.values())), config)
@@ -792,7 +793,7 @@ class TestTrainSbert:
         rng = make_rng(9)
         nli = make_nli_corpus(rng, 480, n_topics=4, words_per_topic=12, sentence_len=4)
         texts = [e.premise for e in nli] + [e.hypothesis for e in nli]
-        enc = ToyEncoder.create(build_vocab(texts), 8, "mean", seed=0)
+        enc = fresh_encoder(build_vocab(texts), 8, "mean", seed=0)
         [result] = run_pipeline("sbert", [enc], TrainConfig(base_lr=1e-2, epochs=3), indexed(nli, enc), seeds=[0])
         losses = [s.loss for s in result.stage_steps[0]]
         final = float(np.mean(losses[-10:]))
@@ -805,7 +806,7 @@ class TestTrainSbert:
         vocab = build_vocab(texts)
         runs = []
         for _ in range(2):
-            enc = ToyEncoder.create(vocab, 6, "mean", seed=4)
+            enc = fresh_encoder(vocab, 6, "mean", seed=4)
             [result] = run_pipeline("sbert", [enc], TrainConfig(epochs=2), indexed(nli, enc), seeds=[4])
             runs.append((enc.table.copy(), result.params["nli_W"].copy(), [s.loss for s in result.stage_steps[0]]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
@@ -826,7 +827,7 @@ class TestTrainDefsent:
     def test_marker_dictionary_reaches_high_accuracy(self):
         defs = [DefinitionExample(f"w{i}", f"mark{i} common filler words here") for i in range(5)]
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
-        enc = ToyEncoder.create(vocab, 6, "mean", seed=2)
+        enc = fresh_encoder(vocab, 6, "mean", seed=2)
         [result] = run_pipeline("defsent", [enc], TrainConfig(base_lr=0.05, epochs=20, batch_size=4),
                                 def_data=indexed(defs * 4, enc), seeds=[0])
         head = result.params  # tied: the table is the prediction layer
@@ -856,7 +857,7 @@ class TestTrainDefsent:
         vocab = build_vocab([e.definition for e in defs] + [e.word for e in defs])
         tables = []
         for _ in range(2):
-            enc = ToyEncoder.create(vocab, 5, "mean", seed=8)
+            enc = fresh_encoder(vocab, 5, "mean", seed=8)
             run_pipeline("defsent", [enc], TrainConfig(epochs=2), def_data=indexed(defs, enc), seeds=[8])
             tables.append(enc.table.copy())
         np.testing.assert_array_equal(tables[0], tables[1])
@@ -879,7 +880,7 @@ class TestTrainMulti:
     def test_40_step_pattern(self):
         rng = make_rng(12)
         nli, defs, vocab = self._data(rng, 40 * 4)  # 40 batches of 4 -> 2 whole cycles
-        enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
+        enc = fresh_encoder(vocab, 5, "mean", seed=0)
         [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
                                 indexed(defs, enc), seeds=[0])
         [steps] = result.stage_steps
@@ -889,7 +890,7 @@ class TestTrainMulti:
     def test_one_one_schedule_alternates(self):
         rng = make_rng(13)
         nli, defs, vocab = self._data(rng, 6 * 4)
-        enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
+        enc = fresh_encoder(vocab, 5, "mean", seed=0)
         config = TrainConfig(batch_size=4, epochs=1, nli_cycle=1, def_cycle=1)
         [result] = run_pipeline("multi", [enc], config, indexed(nli, enc), indexed(defs, enc), seeds=[0])
         # 6 nominal steps -> 3 whole (1,1) cycles
@@ -899,7 +900,7 @@ class TestTrainMulti:
     def test_rounds_up_to_whole_cycles(self):
         rng = make_rng(14)
         nli, defs, vocab = self._data(rng, 5 * 4)  # 5 nli batches -> rounded up to 20 steps
-        enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
+        enc = fresh_encoder(vocab, 5, "mean", seed=0)
         [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
                                 indexed(defs, enc), seeds=[0])
         [steps] = result.stage_steps
@@ -909,7 +910,7 @@ class TestTrainMulti:
     def test_small_definition_stream_wraps(self):
         rng = make_rng(15)
         nli, defs, vocab = self._data(rng, 60 * 4)  # 3 cycles -> 3 def steps
-        enc = ToyEncoder.create(vocab, 5, "mean", seed=0)
+        enc = fresh_encoder(vocab, 5, "mean", seed=0)
         defs = defs[:4]  # a single def batch per pass
         [result] = run_pipeline("multi", [enc], TrainConfig(batch_size=4, epochs=1), indexed(nli, enc),
                                 indexed(defs, enc), seeds=[0])
