@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import worker
 from .encoder import CLS_TOKEN, MAX_TOKENS, MODEL_DTYPE, UNK_TOKEN, ToyEncoder, Vocabulary
 from .errors import InvalidInputError
 from .fileio import atomic_write
@@ -45,10 +46,14 @@ def _write_sidecar(path: Path, name: str, array: np.ndarray) -> dict:
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
     digest = hashlib.sha256(header.getbuffer())
-    digest.update(memoryview(array).cast("B"))
+    data = memoryview(array).cast("B")
+    # an array of more than a chunk is hashed on the worker thread while this one writes it
+    wait = worker.beside(digest.update, data) if len(data) > SIDECAR_CHUNK else digest.update(data)
     with atomic_write(sidecar, binary=True) as fh:
         fh.write(header.getbuffer())
         array.tofile(fh)  # as np.save writes to a file, with no copy of the array
+    if wait:
+        wait()
     return {"file": sidecar.name, "sha256": digest.hexdigest()}
 
 

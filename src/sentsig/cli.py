@@ -26,7 +26,7 @@ from contextlib import redirect_stdout, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__
+from . import __version__, worker
 from .checkpoint import load_checkpoint, save_checkpoint
 from .combiner import CombinedProvider
 from .corpus import Partition, load_definitions, load_nli, load_sts, partition_by_dice, partition_by_source, read_lines, save_sts
@@ -404,8 +404,7 @@ def cmd_eval(args, cfg: ExperimentConfig, out: Path) -> dict:
         if name in names[:i]:  # the two would share one report row
             raise InvalidInputError(
                 f"probe files {args.probe[names.index(name)]} and {args.probe[i]} are both task {name!r}")
-    for task in tasks:
-        task.folds()  # a class too small for the folds fails before any provider loads
+    folds = {task.name: task.folds() for task in tasks}  # a class too small fails before any provider loads
     if partition is None and not tasks:
         raise InvalidInputError("nothing to evaluate: give --sts, --partition-dir, --probe or [data] sts")
     # every sentence is tokenized once, and indexed once per distinct vocabulary
@@ -428,7 +427,7 @@ def cmd_eval(args, cfg: ExperimentConfig, out: Path) -> dict:
         del provider  # before the next one loads
     del token_cache  # with the vocabulary its indexes are keyed by, before the probes fit
     sts_report = reports[0] if len(reports) == 1 else aggregate_seeds(reports) if reports else None
-    accuracies = {task.name: eval_probe(features.pop(task.name), task, cfg.probe) for task in tasks}
+    accuracies = {task.name: eval_probe(features.pop(task.name), task, cfg.probe, folds[task.name]) for task in tasks}
     probe_results = {name: {
         "accuracy_x100_mean": 100.0 * sum(values) / len(values),
         "per_provider_x100": [100.0 * a for a in values],
@@ -521,7 +520,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         staging = out / f".staging-{os.getpid()}"
         staging.mkdir()
-        with redirect_stdout(io.StringIO()) as held:
+        with redirect_stdout(io.StringIO()) as held, worker.command():
             extra = args.func(args, cfg, staging)
         artifacts = {p.name: p.stat().st_size for p in sorted(staging.iterdir())}
         # from here until the new manifest is written, <out> holds no manifest

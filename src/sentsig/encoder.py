@@ -191,10 +191,15 @@ class ScatterTerms:
     """
 
     def __init__(self, rows: np.ndarray, values: np.ndarray, value_rows: np.ndarray | None = None):
-        self.rows = rows
-        self.values = values
-        self.value_rows = value_rows
-        self._sorted = None
+        # the terms sorted by key up front, so that threads filling ranges only read them: a key is
+        # a term's target row, or, for terms of one entry each, its place row·d + column
+        self.keys_per_row = 1 if rows.ndim == 1 else values.shape[1]
+        if rows.ndim == 2:
+            rows = (rows.astype(np.intp) * self.keys_per_row + np.arange(self.keys_per_row)).ravel()
+            values = values.reshape(-1)
+        order = np.argsort(rows, kind="stable")  # a key's terms stay in input order
+        self.keys, self.values = rows[order], values
+        self.value_rows = order if value_rows is None else value_rows[order]
 
     def add_to(self, target: np.ndarray, first_row: int = 0) -> None:
         """Add the terms of rows ``first_row`` onward into ``target``, a C-contiguous array of those rows.
@@ -204,36 +209,16 @@ class ScatterTerms:
         The range's terms are one run of the terms sorted by key, added with
         one flat ``np.add.at``, so nothing target-sized is allocated.
         """
-        keys, values, value_rows, keys_per_row = self._by_key()
-        first_key = first_row * keys_per_row
-        lo, hi = np.searchsorted(keys, (first_key, first_key + target.shape[0] * keys_per_row))
+        first_key = first_row * self.keys_per_row
+        lo, hi = np.searchsorted(self.keys, (first_key, first_key + target.shape[0] * self.keys_per_row))
         if lo == hi:
             return
-        places = keys[lo:hi] - first_key  # places in the flattened target
-        if values.ndim == 2:  # row keys: a term adds a whole row
-            dim = values.shape[1]
+        places = self.keys[lo:hi] - first_key  # places in the flattened target
+        if self.values.ndim == 2:  # row keys: a term adds a whole row
+            dim = self.values.shape[1]
             places = ((places * dim)[:, None] + np.arange(dim)).ravel()
         # 1-D places and terms: the form np.add.at has a fast loop for
-        np.add.at(target.reshape(-1), places, np.take(values, value_rows[lo:hi], axis=0).ravel())
-
-    def _by_key(self) -> tuple:
-        """(keys, values, value rows, keys per row), sorted by key once.
-
-        A key is a term's target row, or, for terms of one entry each, its
-        place in the flattened target (row·d + column).
-        """
-        if self._sorted is None:
-            values = self.values
-            if self.rows.ndim == 1:
-                keys, keys_per_row = self.rows, 1
-            else:
-                keys_per_row = values.shape[1]
-                keys = (self.rows.astype(np.intp) * keys_per_row + np.arange(keys_per_row)).ravel()
-                values = values.reshape(-1)
-            order = np.argsort(keys, kind="stable")  # a key's terms stay in input order
-            value_rows = order if self.value_rows is None else self.value_rows[order]
-            self._sorted = (keys[order], values, value_rows, keys_per_row)
-        return self._sorted
+        np.add.at(target.reshape(-1), places, np.take(self.values, self.value_rows[lo:hi], axis=0).ravel())
 
 
 def pool_forward(table: np.ndarray, pooling: str,

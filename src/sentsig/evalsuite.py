@@ -368,14 +368,14 @@ def probe_features(provider: EmbeddingProvider, task: ProbeTask, embedded: dict 
     return narrow if np.array_equal(narrow, rows) else rows
 
 
-def eval_probe(features: Sequence[np.ndarray], task: ProbeTask, config: ProbeConfig) -> list[float]:
+def eval_probe(features: Sequence[np.ndarray], task: ProbeTask, config: ProbeConfig, folds: list | None = None) -> list[float]:
     """Each provider's ``PROBE_FOLDS``-fold cross-validation accuracy of a probe over its :func:`probe_features`.
 
-    The providers share the folds, and those of one dim train as one stacked :func:`train_logreg`
-    fit, whose every model equals a fit of its (provider, fold) alone, bit for bit.
+    The providers share the folds, ``task.folds()`` unless given, and those of one dim train as one stacked
+    :func:`train_logreg` fit, whose every model equals a fit of its (provider, fold) alone, bit for bit.
     """
     labels = task.label_indices()
-    train, tests, seeds = zip(*task.folds())
+    train, tests, seeds = zip(*(folds or task.folds()))
     accuracies = [0.0] * len(features)
     for dim in dict.fromkeys(rows.shape[1] for rows in features):
         members = [i for i, rows in enumerate(features) if rows.shape[1] == dim]

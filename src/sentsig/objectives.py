@@ -14,11 +14,13 @@ config): repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from . import worker
 from .corpus import DefinitionExample, NliExample
 from .corpus import tokenize  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
 from .encoder import (CLS_INDEX, MODEL_DTYPE, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary,
@@ -228,6 +230,7 @@ class TableGradient:
         return out if dtype is None else out.astype(dtype)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged table's inf and NaN stop at softmax's check
 def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, np.ndarray],
                        counts: Sequence[int] | None = None):
     """Each seed's mean cross-entropy over its examples, and the gradients.
@@ -273,6 +276,7 @@ def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
     return losses, grads
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverged table's inf and NaN stop at softmax's check
 def def_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, np.ndarray],
                        counts: Sequence[int] | None = None):
     """Each seed's mean cross-entropy of headword prediction, and the gradients.
@@ -330,8 +334,9 @@ class Adam:
     like its parameter or a :class:`TableGradient`, which is made chunk by
     chunk: there is no gradient buffer.  A parameter updates in chunks of
     whole rows along its first axis, at most ``CHUNK`` entries or one row;
-    each chunk's gradient is written into one chunk-sized scratch and its
-    temporaries into another, so a step allocates nothing table-sized.
+    each chunk's gradient and then its temporaries go into one chunk-sized
+    scratch, so a step allocates nothing table-sized.  Every other chunk of a
+    parameter updates on the :mod:`~sentsig.worker` thread, in its own scratch.
 
     The buffers, the scratch and so every update have the ``dtype`` given
     (training's is float32, :data:`~sentsig.encoder.MODEL_DTYPE`).  ``m`` and
@@ -352,7 +357,7 @@ class Adam:
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-    CHUNK = 1 << 16  # elements per pass: a chunk of the five arrays stays in cache
+    CHUNK = 1 << 17  # elements per pass: a chunk of a thread's four arrays stays in cache
     FLUSH_EVERY = 1000  # steps of a parameter between flushes of its subnormal moments
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
@@ -363,7 +368,8 @@ class Adam:
             {name: flat[a:b].reshape(shapes[name]) for name, a, b in zip(shapes, ends, ends[1:])}
             for flat in self._flat)
         rows = [math.prod(shape[1:]) for shape in shapes.values()]  # entries per row
-        self._scratch = np.empty((2, max([min(ends[-1], self.CHUNK), *rows])), dtype)  # gradient, temporaries
+        self._scratch_shape = (max([min(ends[-1], self.CHUNK), *rows]),), dtype
+        self._scratch = threading.local()  # each thread's, made at its first chunk
         self.t = {k: 0 for k in shapes}
 
     def reset(self) -> None:
@@ -382,34 +388,40 @@ class Adam:
             t = self.t[name] = self.t[name] + 1
             c2 = math.sqrt((1.0 - self.BETA2) / (1.0 - self.BETA2 ** t))
             c1 = lr * (1.0 - self.BETA1) / ((1.0 - self.BETA1 ** t) * c2)
-            start, row = self._starts[name], math.prod(shape[1:])
-            n_rows = shape[0] if shape else 1
+            row, n_rows = math.prod(shape[1:]), shape[0] if shape else 1
             per_chunk = max(1, self.CHUNK // row)
-            for r0 in range(0, n_rows, per_chunk):
-                r1 = min(r0 + per_chunk, n_rows)
-                out = self._scratch[0, : (r1 - r0) * row]
-                if isinstance(g, TableGradient):
-                    g.fill(r0, r1, out.reshape(r1 - r0, row))
-                else:
-                    out[...] = g.reshape(-1)[r0 * row : r1 * row]
-                self._update(slice(start + r0 * row, start + r1 * row), t, c1, self.EPS / c2)
+            chunks = [(r0, min(r0 + per_chunk, n_rows)) for r0 in range(0, n_rows, per_chunk)]
+            job = (g, self._starts[name], row, t, c1, self.EPS / c2)
+            wait = worker.beside(self._update, chunks[1::2], *job) if len(chunks) > 1 else None
+            self._update(chunks[::2], *job)
+            if wait:
+                wait()
 
-    def _update(self, sl: slice, t: int, c1: float, eps: float) -> None:
-        p, m, v = (flat[sl] for flat in self._flat)
-        g, s = self._scratch[0, : sl.stop - sl.start], self._scratch[1, : sl.stop - sl.start]
-        m *= self.BETA1
-        m += g
-        v *= self.BETA2
-        np.square(g, out=s)
-        v += s
-        np.sqrt(v, out=s)
-        s += eps
-        np.divide(m, s, out=s)
-        s *= c1
-        p -= s
-        if t % self.FLUSH_EVERY == 0:
-            for moment in (m, v):
-                moment[np.abs(moment) < np.finfo(moment.dtype).tiny] = 0.0
+    def _update(self, chunks: list, g, start: int, row: int, t: int, c1: float, eps: float) -> None:
+        """Update rows r0:r1 of the parameter at ``start`` for each (r0, r1) of ``chunks``, in this thread's scratch."""
+        scratch = getattr(self._scratch, "array", None)
+        if scratch is None:
+            scratch = self._scratch.array = np.empty(*self._scratch_shape)
+        for r0, r1 in chunks:
+            s = scratch[: (r1 - r0) * row]
+            if isinstance(g, TableGradient):
+                g.fill(r0, r1, s.reshape(r1 - r0, row))
+            else:
+                s[...] = g.reshape(-1)[r0 * row : r1 * row]
+            p, m, v = (flat[start + r0 * row : start + r1 * row] for flat in self._flat)
+            m *= self.BETA1
+            m += s
+            v *= self.BETA2
+            np.square(s, out=s)
+            v += s
+            np.sqrt(v, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= c1
+            p -= s
+            if t % self.FLUSH_EVERY == 0:
+                for moment in (m, v):
+                    moment[np.abs(moment) < np.finfo(moment.dtype).tiny] = 0.0
 
 
 WARMUP_FRACTION = 0.10  # of a stage's steps, as SBERT warms up (Reimers & Gurevych 2019)

@@ -1,7 +1,14 @@
-"""Generators that only tests use: fresh encoders, unstructured STS pairs and probes over hand-built features."""
+"""Generators that only tests use: fresh encoders, unstructured STS pairs and probes over hand-built features.
+
+And :func:`worker_threads`, which runs a block with or without the worker thread.
+"""
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
+import sentsig.worker
 from sentsig.corpus import StsPair
 from sentsig.encoder import MODEL_DTYPE, EmbeddingStore, ToyEncoder, Vocabulary, initial_table
 from sentsig.evalsuite import ProbeTask
@@ -74,3 +81,15 @@ def make_paired_feature_probe(rng: np.random.Generator, n: int = 200, dim: int =
         store_b.add(sentence, vec_b)
         examples.append((sentence, f"{f1}{f2}"))
     return ProbeTask(name="paired-features", examples=examples), store_a, store_b
+
+
+@contextmanager
+def worker_threads(workers: int, monkeypatch):
+    """Run the block with no worker thread (0) or with :mod:`sentsig.worker`'s (1), even on one CPU."""
+    if not workers:
+        yield
+        return
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with sentsig.worker.command():
+        yield
+        assert sentsig.worker._pool is not None  # the worker was started, so work went to it

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -53,6 +54,18 @@ def data(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def _record_thread_starts(monkeypatch) -> list:
+    """The list that gets every thread started from now on, as the test's monkeypatch lasts."""
+    started = []
+
+    def start(self, real=threading.Thread.start):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 class TestPartitionCommand:
@@ -275,35 +288,43 @@ class TestTrainCommand:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="thread count of a Linux process")
     def test_blas_threads_do_not_change_the_checkpoints(self, data):
-        # the same train commands with OpenBLAS on one thread and on two: a
-        # toy multi run of three seeds in lockstep, and a defsent world whose
-        # head products (16 x 4000 x 32) are large enough to split across threads
+        # the same train commands with OpenBLAS on one thread and on two, and
+        # on one CPU, where no worker thread starts: a toy multi run of three
+        # seeds in lockstep, and a defsent world whose head products
+        # (16 x 4000 x 128) are large enough to split across threads and whose
+        # table (4000 x 128) is four Adam chunks and two sidecar chunks
         root = data["root"]
         words = [f"w{i:04d}" for i in range(3998)]
         save_definitions([DefinitionExample(words[i], " ".join(words[50 * i : 50 * (i + 1)]))
                           for i in range(80)], root / "wide-defs.tsv")
         wide = root / "wide.ini"
-        wide.write_text(f"[data]\ndefinitions = {root / 'wide-defs.tsv'}\n\n[train]\ndim = 32\nepochs = 3\n")
-        script = ("import sys\n"
+        wide.write_text(f"[data]\ndefinitions = {root / 'wide-defs.tsv'}\n\n[train]\ndim = 128\nepochs = 3\n")
+        script = ("import os, sys, threading\n"
                   "from sentsig.cli import main\n"
-                  "toy, wide, out = sys.argv[1:]\n"
+                  "toy, wide, out, cpus = sys.argv[1:]\n"
+                  "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(cpus)])\n"
+                  "started = []\n"
+                  "threading.Thread.start = lambda self, real=threading.Thread.start: (started.append(self), real(self))\n"
                   "assert main(['train', '--method', 'multi', '--seeds', '0 1 2', '--config', toy,\n"
                   "             '--out', out + '/multi']) == 0\n"
                   "assert main(['train', '--method', 'defsent', '--config', wide, '--out', out + '/defsent']) == 0\n"
+                  "print('started', len(started))\n"
                   "print('threads', open('/proc/self/status').read().split('Threads:')[1].split()[0])\n")
-        digests, threads = {}, {}
-        for n in (1, 2):
-            out = root / f"threads{n}"
-            proc = subprocess.run([sys.executable, "-c", script, str(_config(data)), str(wide), str(out)],
-                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=str(n)),
+        digests, threads, started = {}, {}, {}
+        for run_id, blas, cpus in (("blas1", 1, 2), ("blas2", 2, 2), ("one-cpu", 1, 1)):
+            out = root / run_id
+            proc = subprocess.run([sys.executable, "-c", script, str(_config(data)), str(wide), str(out), str(cpus)],
+                                  env=dict(os.environ, OPENBLAS_NUM_THREADS=str(blas)),
                                   capture_output=True, text=True, check=True)
-            threads[n] = int(proc.stdout.splitlines()[-1].split()[1])
-            digests[n] = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-                          for path in out.rglob("checkpoint-*")}
-        assert len(digests[1]) == 3 * 5 + 3  # JSON, table, NLI head and def_bias; defsent ties its head
-        assert digests[1] == digests[2]
+            started[run_id], threads[run_id] = (int(line.split()[1]) for line in proc.stdout.splitlines()[-2:])
+            digests[run_id] = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                               for path in out.rglob("checkpoint-*")}
+        assert len(digests["blas1"]) == 3 * 5 + 3  # JSON, table, NLI head and def_bias; defsent ties its head
+        assert digests["blas1"] == digests["blas2"] == digests["one-cpu"]
+        assert started["one-cpu"] == 0
         if len(os.sched_getaffinity(0)) > 1:
-            assert threads[2] > threads[1]  # the second thread was there to use
+            assert started["blas1"] == started["blas2"] == 1  # the worker, in the defsent train
+            assert threads["blas2"] > threads["blas1"]  # the second BLAS thread was there to use
 
     def test_checkpoint_paths_printed_only_once_published(self, data, capsys):
         out = data["root"] / "run"
@@ -401,6 +422,49 @@ class TestTrainCommand:
                     "--config", _config(data)]) == 2
         assert "NaN or Inf" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["defsent", "s+d"])
+    @pytest.mark.parametrize("base_lr", ["1e30", "1e308"])
+    def test_diverging_definition_training_exit_2_without_numpy_warning(self, data, capsys, method, base_lr):
+        # the table overflows in the first steps; the next definition loss
+        # meets inf and NaN in pooling and its logits, and only softmax's check speaks
+        cfg = data["root"] / "huge-lr.ini"
+        cfg.write_text(_config(data).read_text().replace("base_lr = 0.01", f"base_lr = {base_lr}"))
+        out = data["root"] / "huge-lr"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--method", method, "--seed", 0, "--out", out, "--config", cfg]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "NaN or Inf" in err
+        assert not out.exists()
+
+    def test_overflowing_adam_step_on_the_worker_exit_2_without_numpy_warning(self, data, capsys, monkeypatch):
+        # a table of 3 Adam chunks (dim 4096 over the world's words): the
+        # worker's chunks overflow under the caller's errstate too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started = _record_thread_starts(monkeypatch)
+        cfg = data["root"] / "huge-lr.ini"
+        cfg.write_text(f"[data]\nnli = {data['nli']}\n\n[train]\ndim = 4096\nbase_lr = 1e308\n")
+        out = data["root"] / "huge-lr"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["train", "--method", "sbert", "--seed", 0, "--out", out, "--config", cfg]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert started and capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("dim, threads", [(6, 0), (4096, 1)], ids=["toy", "three-chunks"])
+    def test_train_leaves_no_thread_behind(self, data, monkeypatch, dim, threads):
+        # a toy table is one Adam chunk and its sidecar one hashing chunk, so
+        # no thread starts; a larger one starts the worker, which stops with the command
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        before = threading.active_count()
+        started = _record_thread_starts(monkeypatch)
+        out = data["root"] / "run"
+        assert run(["train", "--method", "multi", "--seeds", "0 1", "--dim", dim, "--out", out,
+                    "--config", _config(data)]) == 0
+        assert len(started) == threads
+        assert threading.active_count() == before
 
     def test_overflowing_adam_step_exit_2_without_numpy_warning(self, data, capsys):
         # the first update overflows float32; the next loss call rejects the

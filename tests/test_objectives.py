@@ -17,7 +17,7 @@ from gradcheck import (
     unpool_one,
     word_ids,
 )
-from generators import fresh_encoder
+from generators import fresh_encoder, worker_threads
 from oracles import ParamAdam
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
 from sentsig.encoder import MAX_TOKENS, MODEL_DTYPE, ScatterTerms, ToyEncoder, Vocabulary, build_vocab
@@ -379,35 +379,39 @@ class TestAdam:
         with pytest.raises(InvalidInputError):
             opt.step({"p": np.ones(3)}, lr=0.1)
 
-    @pytest.mark.parametrize("chunk", [Adam.CHUNK, 5], ids=["default-chunk", "chunk-below-a-row"])
-    def test_flat_buffer_matches_per_parameter_adam(self, monkeypatch, chunk):
+    @pytest.mark.parametrize("chunk, workers", [(Adam.CHUNK, 0), (5, 0), (Adam.CHUNK, 1), (5, 1)],
+                             ids=["default-chunk", "chunk-below-a-row", "default-chunk-worker",
+                                  "chunk-below-a-row-worker"])
+    def test_flat_buffer_matches_per_parameter_adam(self, monkeypatch, chunk, workers):
         # streams of several parameters with uneven step counts, a stream whose
         # parameters are not neighbours in the buffer, gradients given as
-        # arrays and as table gradients, a table longer than one chunk, and
-        # with a chunk of 5 entries every parameter updated a row at a time,
-        # most rows longer than a chunk
+        # arrays and as table gradients, a table of three chunks (with the
+        # worker, the middle one is the worker's), and with a chunk of 5
+        # entries every parameter updated a row at a time, most rows longer than a chunk
         monkeypatch.setattr(Adam, "CHUNK", chunk)
         rng = make_rng(23)
-        shapes = {"nli_W": (2, 3, 12), "nli_b": (2, 3), "table": (Adam.CHUNK // 16 + 7, 16),
+        shapes = {"nli_W": (2, 3, 12), "nli_b": (2, 3), "table": (2 * Adam.CHUNK // 16 + 7, 16),
                   "def_W": (5, 4), "def_bias": (2, 9)}
         initial = {name: rng.normal(size=shape) for name, shape in shapes.items()}
         flat = adam_with(initial)
         oracle = ParamAdam({name: p.copy() for name, p in initial.items()})
         streams = [("nli_W", "nli_b", "table"), ("table", "def_W", "def_bias"), ("nli_b",),
                    ("def_bias", "nli_W")]
-        for step in range(16):
-            names = streams[int(rng.integers(len(streams)))]
-            grads = {name: rng.normal(size=shapes[name]) for name in names}
-            lr = float(rng.uniform(1e-3, 1e-1))
-            if step % 2:
-                grads.update((name, random_table_gradient(rng, shapes[name]))
-                             for name in ("table", "def_W") if name in grads)
-            oracle.step({name: np.asarray(g) for name, g in grads.items()}, lr)
-            flat.step(grads, lr)
+        with worker_threads(workers, monkeypatch):
+            for step in range(16):
+                names = streams[int(rng.integers(len(streams)))]
+                grads = {name: rng.normal(size=shapes[name]) for name in names}
+                lr = float(rng.uniform(1e-3, 1e-1))
+                if step % 2:
+                    grads.update((name, random_table_gradient(rng, shapes[name]))
+                                 for name in ("table", "def_W") if name in grads)
+                oracle.step({name: np.asarray(g) for name, g in grads.items()}, lr)
+                flat.step(grads, lr)
         assert flat.t == oracle.t and len(set(flat.t.values())) > 2
         for name in shapes:
             np.testing.assert_array_equal(flat.params[name], oracle.params[name], err_msg=name)
             np.testing.assert_array_equal(flat.m[name], oracle.m[name], err_msg=name)
+            np.testing.assert_array_equal(flat.v[name], oracle.v[name], err_msg=name)
             np.testing.assert_array_equal(flat.v[name], oracle.v[name], err_msg=name)
 
     def test_moments_that_stop_getting_gradients_reach_zero(self):

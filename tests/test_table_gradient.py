@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from generators import worker_threads
 from sentsig.corpus import DefinitionExample, NliExample
 from sentsig.encoder import Vocabulary, pool_backward, pool_forward
 from sentsig.numstat import make_rng
@@ -66,10 +67,12 @@ def _lockstep_batches(rng, data, steps):
 
 
 @pytest.mark.parametrize("pooling", POOLINGS)
-@pytest.mark.parametrize("stream", STREAMS)
-def test_adam_on_streamed_gradients_matches_adam_on_dense_ones(monkeypatch, stream, pooling):
+@pytest.mark.parametrize("stream, workers", [(s, 0) for s in STREAMS] + [(s, 1) for s in STREAMS],
+                         ids=STREAMS + [f"{s}-worker" for s in STREAMS])
+def test_adam_on_streamed_gradients_matches_adam_on_dense_ones(monkeypatch, stream, workers, pooling):
     # chunks of 11 rows: a seed's block (23 rows) is no multiple of them, so
-    # chunks end inside blocks, and one holds a single row of a block
+    # chunks end inside blocks, and one holds a single row of a block; with
+    # the worker, every other chunk of a table (7 chunks) is filled and updated on it
     monkeypatch.setattr(Adam, "CHUNK", 11 * DIM + 1)
     rng = make_rng(71)
     data, loss = _data(rng, stream)
@@ -86,7 +89,8 @@ def test_adam_on_streamed_gradients_matches_adam_on_dense_ones(monkeypatch, stre
         assert {type(g) for name, g in grads.items() if name in ("table", "def_W")} == {TableGradient}
         materialised = {name: np.asarray(g) for name, g in dense_grads.items()}
         zeros += sum(int((g == 0.0).sum()) for g in materialised.values())
-        streamed.step(grads, 0.1)
+        with worker_threads(workers, monkeypatch):
+            streamed.step(grads, 0.1)
         dense.step(materialised, 0.1)
     assert zeros
     for name in initial:
