@@ -2,7 +2,7 @@
 
 A checkpoint is a JSON file plus one ``<stem>.<name>.npy`` sidecar per
 array, under the name training gives it: the embedding ``table`` and the
-head arrays ``nli_W``, ``nli_b``, ``def_W`` and ``def_bias``, each a C-order
+head arrays ``nli_W``, ``nli_b`` and ``def_bias``, each a C-order
 float32 array (:data:`~sentsig.encoder.MODEL_DTYPE`, the dtype training
 holds them in).  The JSON holds the rest, with floats in shortest
 round-trip decimals, and maps each array's name to its sidecar's file name
@@ -29,14 +29,14 @@ from .fileio import atomic_write
 from .objectives import TrainConfig
 
 FORMAT = "sentsig-checkpoint"
-VERSION = 6
+VERSION = 7
 SIDECAR_CHUNK = 1 << 20  # bytes of a sidecar read and hashed per call
 
 
 @dataclass
 class Checkpoint:
     encoder: ToyEncoder
-    heads: dict[str, np.ndarray] = field(default_factory=dict)  # nli_W, nli_b, def_W, def_bias
+    heads: dict[str, np.ndarray] = field(default_factory=dict)  # nli_W, nli_b, def_bias (its weights are the table)
     train_config: TrainConfig | None = None
 
 
@@ -61,16 +61,15 @@ def _shapes(names, V: int, dim: int) -> dict[str, tuple[int, ...]]:
     """The shape of each named array, after checking that the names make one model.
 
     A model is its ``table`` and any heads: the NLI head is ``nli_W`` and
-    ``nli_b``; the definition head is ``def_bias`` and, when it is untied,
-    ``def_W`` (a tied head's weights are the table).
+    ``nli_b``; the definition head is ``def_bias``, its weights the table.
     """
-    shapes = {"table": (V, dim), "nli_W": (3, 3 * dim), "nli_b": (3,), "def_W": (V, dim), "def_bias": (V,)}
+    shapes = {"table": (V, dim), "nli_W": (3, 3 * dim), "nli_b": (3,), "def_bias": (V,)}
     unknown = sorted(set(names) - shapes.keys())
     if unknown:
         raise InvalidInputError(f"unknown arrays {unknown}; a checkpoint holds some of {sorted(shapes)}")
     if "table" not in names:
         raise InvalidInputError("missing array 'table'")
-    for name, needs in (("nli_W", "nli_b"), ("nli_b", "nli_W"), ("def_W", "def_bias")):
+    for name, needs in (("nli_W", "nli_b"), ("nli_b", "nli_W")):
         if name in names and needs not in names:
             raise InvalidInputError(f"array {name} needs {needs}, which is missing")
     return {name: shapes[name] for name in names}

@@ -77,20 +77,9 @@ def parse_seed_list(text: str) -> list[int]:
     return seeds
 
 
-_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() not in _BOOL:
-        raise ValueError("expected a boolean")
-    return _BOOL[text.lower()]
-
-
 def _converter(f: dataclasses.Field):
     """Parser of a config value, chosen by the type of the field's default."""
     default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-    if isinstance(default, bool):
-        return _parse_bool
     if isinstance(default, list):
         return parse_seed_list
     return str if default is None else type(default)
@@ -131,6 +120,8 @@ def load_experiment_config(path: str | None, args: argparse.Namespace) -> Experi
             raise InvalidInputError(f"config file not found: {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
+                if (section, key, raw) == ("train", "tied_head", "true"):
+                    continue  # the definition head is always tied; a config may still say so
                 spec = CONFIG_KEYS.get((section, key))
                 if spec is None:
                     raise InvalidInputError(f"unknown config key [{section}] {key}")
@@ -466,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the toy encoder with a supervision method")
     _add_common(p)
     p.add_argument("--method", choices=TRAIN_METHODS)
-    p.add_argument("--pooling", choices=("cls", "mean", "max"))
+    p.add_argument("--pooling", choices=POOLINGS)
     p.add_argument("--dim", type=int)
     p.add_argument("--seed", type=int, help="single seed (overrides --seeds)")
     p.add_argument("--seeds", help="seed list, e.g. '0 1 2'")

@@ -4,7 +4,7 @@ Two concrete providers share one interface (``name`` and ``dim`` attributes
 plus an ``embed_batch(sentences) -> (n, dim) matrix`` method; ``embed`` is its
 one-row form):
 
-* :class:`ToyEncoder` -- a trainable embedding table with CLS/Mean/Max
+* :class:`ToyEncoder` -- a trainable embedding table with mean or max
   pooling; a desk-scale stand-in for a pre-trained transformer.
 * :class:`EmbeddingStore` -- a dump of precomputed vectors keyed by exact
   sentence text, which is how embeddings from real checkpoints enter the
@@ -14,7 +14,10 @@ one-row form):
 from __future__ import annotations
 
 import array
+import functools
+import hashlib
 import itertools
+import json
 from collections import Counter
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -31,7 +34,7 @@ UNK_TOKEN = "[UNK]"
 CLS_INDEX = 0
 UNK_INDEX = 1
 
-POOLINGS = ("cls", "mean", "max")
+POOLINGS = ("mean", "max")
 
 MAX_TOKENS = 128  # training/evaluation truncation length
 
@@ -80,15 +83,24 @@ class Vocabulary:
         """All words in index order, including the reserved entries."""
         return list(self._words)
 
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """The sha256 of the word list: equal lists, and only they, have equal digests."""
+        text = "\x00".join(self._words)
+        if text.count("\x00") >= len(self._words):  # a word holds NUL: the join is ambiguous
+            text = json.dumps(self._words)  # no raw NUL, as every join of two or more words has
+        return hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+
 
 class TokenCache:
     """Tokens and word indices of texts, shared by the work of one command.
 
     Each distinct text is tokenized once, and equal tokens share one string
     object, so the tokens of a corpus cost about a pointer each.  A text
-    list is indexed once per distinct vocabulary word list:
-    the checkpoints of one ``train`` command have equal vocabularies, so
-    their encoders pool one :class:`TokenIndex`.
+    list is indexed once per distinct vocabulary word list, keyed by its
+    :attr:`Vocabulary.digest` so that no dropped checkpoint's words stay
+    held: the checkpoints of one ``train`` command have equal vocabularies,
+    so their encoders pool one :class:`TokenIndex`.
     """
 
     def __init__(self):
@@ -108,7 +120,7 @@ class TokenCache:
     def index(self, texts: Sequence[str], vocab: Vocabulary) -> TokenIndex:
         """The index of ``texts``, one entry per text; a text without tokens is rejected by name."""
         texts = tuple(texts)
-        key = (texts, vocab._words)
+        key = (texts, vocab.digest)
         index = self._indexes.get(key)
         if index is None:
             token_lists = self.tokens(texts)
@@ -135,19 +147,12 @@ def build_vocab(texts: list[str], min_count: int = 1, cache: TokenCache | None =
 
 
 class TokenIndex:
-    """Word indices of many texts in one flat array.
+    """Word indices of many texts in one flat array: text ``i``, one word or more, is ``ids[offsets[i]:offsets[i + 1]]``."""
 
-    Text ``i`` is ``ids[offsets[i]:offsets[i + 1]]`` and has at least one
-    word.  The [CLS] position that precedes every text is the same table row
-    for all of them, so it is not stored; only texts that index a stack of
-    tables (seeds trained in lockstep) give each text's [CLS] row in ``cls``.
-    """
-
-    def __init__(self, ids: np.ndarray, offsets: np.ndarray, cls: np.ndarray | None = None):
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray):
         self.ids = ids
         self.offsets = offsets
         self.lengths = offsets[1:] - offsets[:-1]  # word positions per text
-        self.cls = cls
 
     @classmethod
     def build(cls, token_lists, vocab: Vocabulary) -> "TokenIndex":
@@ -168,10 +173,6 @@ class TokenIndex:
     def __len__(self) -> int:
         return self.lengths.shape[0]
 
-    def cls_rows(self) -> np.ndarray:
-        """The table row of each text's [CLS] position."""
-        return np.full(len(self), CLS_INDEX) if self.cls is None else self.cls
-
     def take(self, rows: np.ndarray) -> "TokenIndex":
         """The texts at ``rows``, in that order, as a new index."""
         starts = self.offsets[rows]
@@ -179,7 +180,7 @@ class TokenIndex:
         offsets = np.zeros(len(rows) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
         gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
-        return TokenIndex(self.ids[gather], offsets, None if self.cls is None else self.cls[rows])
+        return TokenIndex(self.ids[gather], offsets)
 
 
 class ScatterTerms:
@@ -225,12 +226,10 @@ def pool_forward(table: np.ndarray, pooling: str,
                  index: TokenIndex) -> tuple[np.ndarray, np.ndarray | None]:
     """Pooled rows of ``table`` (one per text of ``index``) and, for max, each entry's table row.
 
-    ``mean`` and ``max`` reduce over the word positions only, so the mean
-    is a true word average; ``cls`` takes the [CLS] row.  Max ties go to
-    the first position.  The rows have the table's dtype.
+    Both reduce over the word positions, so the mean is a true word
+    average.  Max ties go to the first position.  The rows have the table's
+    dtype.
     """
-    if pooling == "cls":
-        return table[index.cls_rows()], None
     sizes = index.lengths
     if sizes.min() < 1:
         raise InvalidInputError("no content vectors to pool over")
@@ -266,8 +265,6 @@ def pool_backward(pooling: str, index: TokenIndex, argmax_rows: np.ndarray | Non
 
     A row that several positions share sums their contributions in text order.
     """
-    if pooling == "cls":
-        return ScatterTerms(index.cls_rows(), grad_out)
     if pooling == "mean":
         sizes = index.lengths
         return ScatterTerms(index.ids, grad_out / sizes[:, None].astype(grad_out.dtype),

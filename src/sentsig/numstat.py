@@ -48,7 +48,7 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
         m = m.astype(np.float64, copy=False)
     if m.ndim != 2 or m.size == 0:
         raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not (np.isfinite(m.min()) and np.isfinite(m.max())):  # NaN and inf reach one of them; no bool copy
         raise InvalidInputError("matrix contains NaN or Inf")
     if rows is not None and m.shape[0] != rows:
         raise InvalidInputError(f"expected {rows} rows, got {m.shape[0]}")

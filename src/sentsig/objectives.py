@@ -3,8 +3,8 @@
 The NLI objective classifies a sentence pair from the composed feature
 ``[u; v; |u - v|]`` with a 3-way softmax head.  The definition objective
 predicts a headword from the pooled embedding of its definition sentence
-through a vocabulary-sized prediction layer, whose weights are tied to the
-embedding table by default.
+through a vocabulary-sized prediction layer whose weights are the embedding
+table: the head is tied, as BERT's word-prediction layer is.
 
 Both objectives backpropagate into the encoder's embedding table through the
 configured pooling.  Training is a pure function of (data order, seed,
@@ -23,7 +23,7 @@ import numpy as np
 from . import worker
 from .corpus import DefinitionExample, NliExample
 from .corpus import tokenize  # noqa: F401  not called here, but bench/tracer.py wraps it under this name
-from .encoder import (CLS_INDEX, MODEL_DTYPE, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary,
+from .encoder import (MODEL_DTYPE, ScatterTerms, TokenCache, TokenIndex, ToyEncoder, Vocabulary,
                       initial_table, pool_backward, pool_forward)
 from .errors import InvalidInputError
 from .numstat import make_rng, mean_cross_entropies, softmax
@@ -35,7 +35,6 @@ class TrainConfig:
     epochs: int = 1
     base_lr: float = 1e-3  # toy-table scale; transformer fine-tuning uses ~1e-6
     seed: int = 0
-    tied_head: bool = True
     nli_cycle: int = 19  # a multi stage's NLI steps per cycle
     def_cycle: int = 1  # and its definition steps after them
 
@@ -113,9 +112,9 @@ class TrainResult:
     """One seed's trained model and what each stage of its training did.
 
     ``params`` holds the seed's named arrays (``table``, ``nli_W``,
-    ``nli_b``, ``def_W``, ``def_bias``, those its method trains) as views
-    of the optimizer's parameter buffer; ``stage_steps`` holds each stage's
-    step records.
+    ``nli_b``, ``def_bias``, those its method trains) as views of the
+    optimizer's parameter buffer; ``stage_steps`` holds each stage's step
+    records.
     """
 
     params: dict[str, np.ndarray]
@@ -182,25 +181,24 @@ def _softmax_heads(X: np.ndarray, W: np.ndarray, b: np.ndarray, golds: np.ndarra
 class TableGradient:
     """The gradient of a stacked (seeds·V, d) table, made a range of rows at a time.
 
-    Seed k's block of V rows is G_k^T S_k + the pooling's terms, summed in
-    that order: ``head`` = (G, S) holds the softmax gradients (means, see
-    :func:`_softmax_heads`) and pooled rows of every seed's examples, which
-    ``bounds`` splits per seed for the head products.  Without ``head``
-    the sum starts at +0.0 (a table that only the pooling reaches), and
-    without ``terms`` (a :class:`ScatterTerms`) it is the head product alone
-    (the weights of an untied head).  :meth:`fill` makes any range of rows,
-    so nothing table-sized is held; ``np.asarray`` makes the whole gradient,
-    in the dtype of the head's or the terms' values.
+    Seed k's block of V rows is G_k^T S_k + the pooling's ``terms`` (a
+    :class:`ScatterTerms`), summed in that order: ``head`` = (G, S) holds the
+    softmax gradients (means, see :func:`_softmax_heads`) and pooled rows of
+    every seed's examples, which ``bounds`` splits per seed for the head
+    products.  Without ``head`` the sum starts at +0.0 (a table that only
+    the pooling reaches).  :meth:`fill` makes any range of rows, so nothing
+    table-sized is held; ``np.asarray`` makes the whole gradient, in the
+    dtype of the terms' values.
     """
 
-    def __init__(self, shape: tuple[int, int], bounds: np.ndarray,
-                 head: tuple[np.ndarray, np.ndarray] | None = None, terms: ScatterTerms | None = None):
+    def __init__(self, shape: tuple[int, int], bounds: np.ndarray, head: tuple[np.ndarray, np.ndarray] | None,
+                 terms: ScatterTerms):
         self.shape = shape
         self.bounds = bounds
         self.head = head
         self.terms = terms
         self.n_words = shape[0] // (len(bounds) - 1)
-        self.dtype = (terms.values if head is None else head[1]).dtype
+        self.dtype = terms.values.dtype
 
     def fill(self, lo: int, hi: int, out: np.ndarray) -> None:
         """Write rows ``lo:hi`` of the gradient into ``out`` (hi - lo, d)."""
@@ -211,8 +209,7 @@ class TableGradient:
         else:
             for k, a, b in blocks:
                 self._head_rows(k, a - k * n, b - k * n, out[a - lo : b - lo])
-        if self.terms is not None:
-            self.terms.add_to(out, lo)
+        self.terms.add_to(out, lo)
 
     def _head_rows(self, k: int, r0: int, r1: int, out: np.ndarray) -> None:
         """Rows ``r0:r1`` of G_k^T S_k, rounded as the product of the whole block rounds them."""
@@ -271,8 +268,7 @@ def nli_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
     dpooled = np.empty_like(pooled)
     np.add(dF[:, :d], dabs, out=dpooled[:m])
     np.subtract(dF[:, d : 2 * d], dabs, out=dpooled[m:])
-    grads["table"] = TableGradient(table.shape, bounds,
-                                   terms=pool_backward(pooling, batch.texts, argmax_rows, dpooled))
+    grads["table"] = TableGradient(table.shape, bounds, None, pool_backward(pooling, batch.texts, argmax_rows, dpooled))
     return losses, grads
 
 
@@ -281,39 +277,27 @@ def def_loss_and_grads(batch: IndexedExamples, pooling: str, params: dict[str, n
                        counts: Sequence[int] | None = None):
     """Each seed's mean cross-entropy of headword prediction, and the gradients.
 
-    ``params`` holds ``table`` (seeds·V, d), ``def_bias`` (seeds, V) and,
-    for an untied head, ``def_W`` (seeds·V, d); without ``def_W`` the head
-    is tied to the table.  ``counts`` and the result are as for
-    :func:`nli_loss_and_grads`; ``def_W``'s gradient is a
-    :class:`TableGradient` too.
+    ``params`` holds ``table`` (seeds·V, d) and ``def_bias`` (seeds, V);
+    the head's weights are the table.  ``counts`` and the result are as for
+    :func:`nli_loss_and_grads`.
 
     The head runs once per batch: the pooled definitions, stacked into
     S (B x d), go through each seed's head (:func:`_softmax_heads`), which
-    gives G = (P - onehot(gold)) / n_k, the bias gradient and G W for S.  The
-    weights' gradient is G^T S, and the pooling's scatter terms route S's
-    back into the table.  Every headword must be a
-    vocabulary entry.  With a tied head the table gradient sums the
-    output-layer path and then the encoder path.
+    gives G = (P - onehot(gold)) / n_k, the bias gradient and G W for S.
+    The table's gradient sums the output-layer path G^T S and then the
+    encoder path, the pooling's scatter terms that route S's gradient back
+    into the table.  Every headword must be a vocabulary entry.
     """
     if not len(batch):
         raise InvalidInputError("empty definition batch")
     if batch.golds.min() < 0:
         raise InvalidInputError("a headword of the batch is not in the vocabulary")
     table, bias = params["table"], params["def_bias"]
-    tied = "def_W" not in params
     bounds = _per_seed(batch, bias.shape[0], table, counts)
-    (n_seeds, n_words), d = bias.shape, table.shape[1]
-    weights = (table if tied else params["def_W"]).reshape(n_seeds, n_words, d)
     S, argmax_rows = pool_forward(table, pooling, batch.texts)
-    losses, G, dS, db = _softmax_heads(S, weights, bias, batch.golds, bounds)
-    grads = {"def_bias": db}
+    losses, G, dS, db = _softmax_heads(S, table.reshape(*bias.shape, -1), bias, batch.golds, bounds)
     terms = pool_backward(pooling, batch.texts, argmax_rows, dS)
-    if tied:
-        grads["table"] = TableGradient(table.shape, bounds, (G, S), terms)
-    else:
-        grads["table"] = TableGradient(table.shape, bounds, terms=terms)
-        grads["def_W"] = TableGradient(table.shape, bounds, (G, S))
-    return losses, grads
+    return losses, {"def_bias": db, "table": TableGradient(table.shape, bounds, (G, S), terms)}
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +492,6 @@ def _lockstep_batch(data, rows: list[np.ndarray], n_words: int):
     bases = np.repeat(np.arange(len(rows)) * n_words, [len(r) for r in rows])
     bases = np.tile(bases, batch.sides)
     texts.ids += np.repeat(bases, texts.lengths).astype(texts.ids.dtype)
-    texts.cls = bases + CLS_INDEX
     return batch
 
 
@@ -522,9 +505,9 @@ def lockstep_groups(seeds: Sequence[int], n_words: int, dim: int) -> list[list[i
     of :data:`~sentsig.encoder.MODEL_DTYPE` in ``LOCKSTEP_BYTES``, and at
     least one.  Lockstep saves each step's
     fixed costs, which dominate only while the tables are small; each seed
-    in a group holds three table-sized buffers while the group trains (six
-    with an untied head): parameters and both Adam moments, in which the
-    initial tables are drawn or copied.
+    in a group holds three table-sized buffers while the group trains:
+    parameters and both Adam moments, in which the initial tables are drawn
+    or copied.
     """
     if dim < 1:
         raise InvalidInputError("embedding dimension must be >= 1")
@@ -558,8 +541,8 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
 
     One :class:`Adam` holds the parameters that any stage trains, stacked
     over the seeds, in :data:`~sentsig.encoder.MODEL_DTYPE` (float32):
-    ``nli_W``, ``nli_b``, ``table``, ``def_W`` and ``def_bias``, those the
-    method uses.  The encoders' tables become views of its parameter
+    ``nli_W``, ``nli_b``, ``table`` and ``def_bias``, those the method
+    uses.  The encoders' tables become views of its parameter
     buffer, which gets an encoder's table copied in (and rounded) or, if it
     has none, the :func:`~sentsig.encoder.initial_table` of its
     seed drawn in.  Each stage starts as a fresh optimizer would: the
@@ -582,10 +565,9 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
     over the stacked (seeds·V, d) table, and one Adam step updates every
     seed; each seed's arrays and step records are exactly those of training
     it alone.  Training holds three table-sized buffers per seed and no
-    other: parameters and both moments (six with an untied head); a table's
-    gradient is made chunk by chunk inside the Adam step
-    (:class:`TableGradient`), and :func:`lockstep_groups` bounds the seeds
-    trained together.
+    other: parameters and both moments; a table's gradient is made chunk
+    by chunk inside the Adam step (:class:`TableGradient`), and
+    :func:`lockstep_groups` bounds the seeds trained together.
     """
     uses_nli, uses_def = method_datasets(method)
     if uses_nli and not nli_data:
@@ -612,14 +594,12 @@ def run_pipeline(method: str, encoders: Sequence[ToyEncoder], config: TrainConfi
         shapes["nli_b"] = (n_seeds, 3)
     shapes["table"] = (n_seeds * n_words, d)
     if uses_def:
-        if not config.tied_head:
-            shapes["def_W"] = (n_seeds * n_words, d)
         shapes["def_bias"] = (n_seeds, n_words)
     optimizer = Adam(shapes, MODEL_DTYPE)
     results = []
     for k, (encoder, seed) in enumerate(zip(encoders, seeds)):
-        # seed k's rows of a (seeds·V, d) array, its entry of the others
-        arrays = {name: p[k * n_words : (k + 1) * n_words] if name in ("table", "def_W") else p[k]
+        # seed k's rows of the (seeds·V, d) table, its entry of the others
+        arrays = {name: p[k * n_words : (k + 1) * n_words] if name == "table" else p[k]
                   for name, p in optimizer.params.items()}
         if encoder.table is None:
             initial_table(arrays["table"], seed)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from sentsig.corpus import DefinitionExample, NliExample, tokenize
-from sentsig.encoder import CLS_INDEX, MAX_TOKENS, ToyEncoder, Vocabulary
+from sentsig.encoder import MAX_TOKENS, ToyEncoder, Vocabulary
 from sentsig.objectives import (
     IndexedExamples,
     def_loss_and_grads,
@@ -43,8 +43,6 @@ def word_ids(encoder, text):
 
 def pool_one(encoder, words):
     """Reference pooling of one text: its vector and, for max, each coordinate's argmax position."""
-    if encoder.pooling == "cls":
-        return encoder.table[CLS_INDEX].copy(), None
     content = encoder.table[words]
     if encoder.pooling == "mean":
         return content.mean(axis=0), None
@@ -53,9 +51,7 @@ def pool_one(encoder, words):
 
 def unpool_one(encoder, words, argmax, grad_out, table_grad):
     """Reference backward of :func:`pool_one`, added into ``table_grad``."""
-    if encoder.pooling == "cls":
-        table_grad[CLS_INDEX] += grad_out
-    elif encoder.pooling == "mean":
+    if encoder.pooling == "mean":
         np.add.at(table_grad, words, grad_out / words.shape[0])
     else:
         np.add.at(table_grad, (words[argmax], np.arange(grad_out.shape[0])), grad_out)
@@ -134,7 +130,8 @@ def random_nli_instance(rng, pooling, d_max=8, v_max=20, batch_max=4):
         return encoder, batch, params
 
 
-def random_def_instance(rng, pooling, tied, d_max=8, v_max=20, batch_max=4):
+def random_def_instance(rng, pooling, d_max=8, v_max=20, batch_max=4):
+    """Random encoder, batch and named arrays (table and bias of the head tied to it), away from max-pool kinks."""
     while True:
         d = int(rng.integers(2, d_max + 1))
         n_words = int(rng.integers(4, v_max - 1))
@@ -149,12 +146,7 @@ def random_def_instance(rng, pooling, tied, d_max=8, v_max=20, batch_max=4):
         if pooling == "max" and not all(
                 _max_margins_ok(encoder, ex.definition) for ex in batch):
             continue
-        if tied:
-            params = {"table": encoder.table, "def_bias": rng.normal(size=len(vocab))}
-        else:
-            params = {"table": encoder.table, "def_W": rng.normal(size=(len(vocab), d)),
-                      "def_bias": rng.normal(size=len(vocab))}
-        return encoder, batch, params
+        return encoder, batch, {"table": encoder.table, "def_bias": rng.normal(size=len(vocab))}
 
 
 def check_nli_instance(rng, pooling, h=1e-5):
@@ -165,8 +157,8 @@ def check_nli_instance(rng, pooling, h=1e-5):
         lambda: loss_one(nli_loss_and_grads, batch, pooling, params)[0], params, grads, h=h)
 
 
-def check_def_instance(rng, pooling, tied, h=1e-5):
-    encoder, batch, params = random_def_instance(rng, pooling, tied)
+def check_def_instance(rng, pooling, h=1e-5):
+    encoder, batch, params = random_def_instance(rng, pooling)
     batch = indexed(batch, encoder)
     _, grads = loss_one(def_loss_and_grads, batch, pooling, params)
     return finite_difference_worst_error(

@@ -82,9 +82,7 @@ def mean_pool_add_at(table, index):
 
 def pool_backward_add_at(pooling, index, argmax_rows, grad_out, table_grad):
     """ToyEncoder.pool_backward before the bincount scatter: one unbuffered np.add.at."""
-    if pooling == "cls":
-        np.add.at(table_grad, index.cls_rows(), grad_out)
-    elif pooling == "mean":
+    if pooling == "mean":
         sizes = index.lengths
         np.add.at(table_grad, index.ids, np.repeat(grad_out / sizes[:, None], sizes, axis=0))
     else:

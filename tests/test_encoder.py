@@ -11,7 +11,6 @@ from gradcheck import pool_one, unpool_one
 from generators import fresh_encoder
 from sentsig.corpus import tokenize
 from sentsig.encoder import (
-    CLS_INDEX,
     CLS_TOKEN,
     MAX_TOKENS,
     UNK_INDEX,
@@ -86,7 +85,7 @@ class TestVocabulary:
 
 
 def pool(rows, strategy):
-    """ToyEncoder's pooling of one text over ``rows``; the first row is the [CLS] position."""
+    """ToyEncoder's pooling of one text over ``rows`` but the first, which is the [CLS] row."""
     rows = np.asarray(rows, dtype=np.float64)
     table = np.vstack([rows, np.zeros((2, rows.shape[1]))])  # at least [CLS] and [UNK]
     enc = ToyEncoder(Vocabulary([f"w{i}" for i in range(rows.shape[0])]), table, pooling=strategy)
@@ -108,9 +107,6 @@ class TestPooling:
     def test_max_without_cls(self):
         np.testing.assert_allclose(pool(without_cls([(1, 3), (3, 1)]), "max"), [3, 3])
 
-    def test_cls_is_first_vector(self):
-        np.testing.assert_allclose(pool([(9, 9), (1, 2), (3, 4)], "cls"), [9, 9])
-
     def test_mean_excludes_cls_position(self):
         np.testing.assert_allclose(pool([(100, 100), (1, 3), (3, 1)], "mean"), [2, 2])
 
@@ -129,11 +125,12 @@ class TestPooling:
     def test_mean_max_permutation_invariant_cls_not(self):
         rng = make_rng(31)
         mat = rng.normal(size=(5, 4))
-        perm = mat[[0, 3, 1, 4, 2]]  # keep the leading position, shuffle the rest
+        mat[0] += 10  # a [CLS] row above every word row
+        perm = mat[[0, 3, 1, 4, 2]]  # keep the leading [CLS] row, shuffle the rest
+        swapped = mat[[1, 0, 2, 3, 4]]  # the [CLS] row is never pooled: swapping it in changes the vector
         for strategy in ("mean", "max"):
             np.testing.assert_allclose(pool(mat, strategy), pool(perm, strategy), atol=1e-15)
-        swapped = mat[[1, 0, 2, 3, 4]]
-        assert not np.allclose(pool(mat, "cls"), pool(swapped, "cls"))
+            assert not np.allclose(pool(mat, strategy), pool(swapped, strategy))
 
     def test_empty_content_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -150,14 +147,6 @@ def small_encoder(pooling="mean", dim=4, seed=0):
 
 
 class TestToyEncoder:
-    def test_encode_prepends_cls(self):
-        # the index holds the words; the [CLS] position before them is implicit
-        enc = small_encoder("cls")
-        index = TokenIndex.build([["alpha"]], enc.vocab)
-        assert index.ids.tolist() == [enc.vocab.index("alpha")]
-        vectors, _ = pool_forward(enc.table, enc.pooling, index)
-        np.testing.assert_array_equal(vectors[0], enc.table[CLS_INDEX])
-
     def test_unknown_word_uses_unk_row(self):
         enc = small_encoder()
         assert TokenIndex.build([["zzz"]], enc.vocab).ids.tolist() == [UNK_INDEX]
@@ -197,10 +186,10 @@ class TestToyEncoder:
         with pytest.raises(InvalidInputError):
             small_encoder().embed("...")
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
     def test_embed_non_finite_rejected(self, pooling):
         enc = small_encoder(pooling)
-        enc.table[[CLS_INDEX, enc.vocab.index("alpha")]] = np.nan
+        enc.table[enc.vocab.index("alpha")] = np.nan
         with pytest.raises(InvalidInputError, match="NaN or Inf"):
             enc.embed("alpha")
 
@@ -208,7 +197,7 @@ class TestToyEncoder:
 class TestEmbedBatch:
     """``embed_batch`` pools a whole list in one call, row for row like ``embed``."""
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
     def test_rows_equal_one_sentence_embeds(self, pooling):
         rng = make_rng(42)
         vocab = Vocabulary([f"w{i}" for i in range(8)])
@@ -237,12 +226,11 @@ class TestEmbedBatch:
         with pytest.raises(InvalidInputError, match=r"text has no tokens: '\.\.\.'"):
             small_encoder().embed_batch(["alpha", "...", "beta"])
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
     def test_non_finite_row_names_first_bad_sentence(self, pooling):
         enc = small_encoder(pooling)
-        enc.table[[CLS_INDEX, enc.vocab.index("beta")]] = np.nan
-        first_bad = "alpha" if pooling == "cls" else "gamma beta"
-        with pytest.raises(InvalidInputError, match=f"embedding of '{first_bad}' contains NaN"):
+        enc.table[enc.vocab.index("beta")] = np.nan
+        with pytest.raises(InvalidInputError, match="embedding of 'gamma beta' contains NaN"):
             enc.embed_batch(["alpha", "gamma beta", "beta"])
 
     def test_store_stacks_rows_bit_exact(self):
@@ -287,6 +275,17 @@ class TestTokenCache:
         assert indexes[2] is not indexes[0]
         # three uncached calls tokenize each sentence three times, the cache once more
         assert calls == {"alpha beta": 4, "gamma": 4, "zzz alpha": 4}
+
+    def test_word_lists_that_join_alike_get_their_own_index(self):
+        # tokens keep interior NULs, and checkpoint words may hold lone surrogates
+        sentences = ["a\x00b c", "a b\x00c"]
+        vocabs = [Vocabulary(words) for words in (["a\x00b", "c"], ["a", "b\x00c"], ["a", "b", "c"],
+                                                   ["\ud800"], ["\ud800"])]
+        cache = TokenCache()
+        indexes = [cache.index(sentences, vocab) for vocab in vocabs]
+        assert len({id(index) for index in indexes}) == 4 and indexes[3] is indexes[4]
+        for vocab, index in zip(vocabs, indexes):
+            assert index.ids.tolist() == TokenIndex.build(cache.tokens(sentences), vocab).ids.tolist()
 
 
 def random_token_lists(rng, vocab_size, n_texts, max_len=9):
@@ -343,7 +342,7 @@ class TestTokenIndex:
 class TestBatchedPooling:
     """A batch pools and scatters like the per-text reference, one text at a time."""
 
-    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
     def test_matches_per_text_reference(self, pooling):
         rng = make_rng(41)
         for _ in range(20):
@@ -442,7 +441,7 @@ class TestScatterAdd:
         assert np.signbit(target[0, 0]) and not np.signbit(target[0, 1])
 
     @pytest.mark.parametrize("start", ["zero", "random"])
-    @pytest.mark.parametrize("pooling", ["cls", "mean", "max"])
+    @pytest.mark.parametrize("pooling", ["mean", "max"])
     def test_pooling_matches_add_at_code(self, pooling, start):
         # start "random" stands for the tied head, whose table gradient starts at G^T S.
         # Integer-valued tables sum alike in any order; float32 normal values
@@ -470,7 +469,6 @@ class TestScatterAdd:
             if seeds > 1:  # each text indexes one seed's table
                 bases = rng.integers(0, seeds, size=len(index)) * len(vocab)
                 index.ids += np.repeat(bases, index.lengths).astype(index.ids.dtype)
-                index.cls = bases + CLS_INDEX
             vectors, argmax_rows = pool_forward(table, pooling, index)
             assert vectors.dtype == table.dtype
             if pooling == "mean":
